@@ -8,6 +8,7 @@ command is deterministic given identical inputs and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from . import eot, evaluation, io, signature
 from .annotation import annotate_scenario
 from .core import VruKind, compose_pose, ego_to_global, polar_to_ego
 from .simulator import (
+    BODY_SIGMA,
     PRESET_NAMES,
+    SCATTER_TRUNC,
     DetectionRateParams,
     Perturbation,
     ScenarioConfig,
@@ -117,15 +120,9 @@ def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
             flagged=bool(p.get("flagged", False)),
         )
     try:
-        return _replace_config(base, kwargs)
+        return dataclasses.replace(base, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _replace_config(base: ScenarioConfig, kwargs: dict) -> ScenarioConfig:
-    from dataclasses import replace
-
-    return replace(base, **kwargs) if kwargs else base
 
 
 def _load_config_file(path) -> dict:
@@ -209,38 +206,10 @@ def cmd_annotate(args) -> int:
     return EXIT_OK
 
 
-def _write_scores_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.scores.v1\n")
-        fh.write("averaging,tp,fp,fn,precision,recall\n")
-        for name, score in rows:
-            fh.write(
-                f"{name},{score.tp},{score.fp},{score.fn},"
-                f"{score.precision!r},{score.recall!r}\n"
-            )
-
-
-def _write_cycle_stats_csv(path, stats) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.cycle-stats.v1\n")
-        fh.write(
-            "timestamp,n_assigned,mean_comp_power,doppler_std,conf_major,conf_minor,weighted_count\n"
-        )
-        for s in stats:
-            major = "" if s.conf_major is None else repr(s.conf_major)
-            minor = "" if s.conf_minor is None else repr(s.conf_minor)
-            fh.write(
-                f"{s.timestamp:.9f},{s.n_assigned},{s.mean_comp_power!r},"
-                f"{s.doppler_std!r},{major},{minor},{s.weighted_count!r}\n"
-            )
-
-
-def _write_histogram_csv(path, hist) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.histogram.v1\n")
-        fh.write("bin_left,bin_right,count\n")
-        for left, right, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-            fh.write(f"{float(left)!r},{float(right)!r},{int(count)}\n")
+def _write_histogram_csv(path, values) -> None:
+    hist = evaluation.histogram(values, 0.05, (0.0, max(values) + 1e-9))
+    rows = zip(hist.edges[:-1], hist.edges[1:], hist.counts)
+    io.write_table(path, "vruradar.histogram.v1", ("bin_left", "bin_right", "count"), rows)
 
 
 def _collect_cycle_stats(labeled):
@@ -256,46 +225,44 @@ def cmd_evaluate(args) -> int:
     truth = io.read_truth_labels_jsonl(args.truth_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        ("micro", evaluation.score_assignment(labeled, truth, evaluation.Averaging.MICRO)),
-        ("macro", evaluation.score_assignment(labeled, truth, evaluation.Averaging.MACRO)),
+    scores = [
+        (avg.value, evaluation.score_assignment(labeled, truth, avg))
+        for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)
     ]
-    _write_scores_csv(out / "scores.csv", rows)
+    io.write_table(
+        out / "scores.csv",
+        "vruradar.scores.v1",
+        ("averaging", "tp", "fp", "fn", "precision", "recall"),
+        ((name, s.tp, s.fp, s.fn, s.precision, s.recall) for name, s in scores),
+    )
     stats = _collect_cycle_stats(labeled)
-    _write_cycle_stats_csv(out / "cycle_stats.csv", stats)
+    columns = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
+               "conf_minor", "weighted_count")
+    io.write_table(
+        out / "cycle_stats.csv",
+        "vruradar.cycle-stats.v1",
+        columns,
+        ([getattr(s, name) for name in columns] for s in stats),
+    )
     minors = [s.conf_minor for s in stats if s.conf_minor is not None]
     dstds = [s.doppler_std for s in stats]
     if minors:
-        hi = max(minors) + 1e-9
-        _write_histogram_csv(
-            out / "hist_conf_minor.csv", evaluation.histogram(minors, 0.05, (0.0, hi))
-        )
+        _write_histogram_csv(out / "hist_conf_minor.csv", minors)
     if dstds:
-        hi = max(dstds) + 1e-9
-        _write_histogram_csv(
-            out / "hist_doppler_std.csv", evaluation.histogram(dstds, 0.05, (0.0, hi))
-        )
+        _write_histogram_csv(out / "hist_doppler_std.csv", dstds)
     if args.compare is not None:
         other_stats = _collect_cycle_stats(io.read_labeled_jsonl(args.compare))
-        with open(out / "ttests.csv", "w", encoding="utf-8") as fh:
-            fh.write("# format=vruradar.ttests.v1\n")
-            fh.write("statistic,t,dof,p_two_sided\n")
-            pairs = [
-                ("mean_comp_power", [s.mean_comp_power for s in stats],
-                 [s.mean_comp_power for s in other_stats]),
-                ("doppler_std", dstds, [s.doppler_std for s in other_stats]),
-                ("conf_major", [s.conf_major for s in stats if s.conf_major is not None],
-                 [s.conf_major for s in other_stats if s.conf_major is not None]),
-                ("conf_minor", minors,
-                 [s.conf_minor for s in other_stats if s.conf_minor is not None]),
-                ("weighted_count", [s.weighted_count for s in stats],
-                 [s.weighted_count for s in other_stats]),
-            ]
-            for name, a, b in pairs:
-                if len(a) < 2 or len(b) < 2:
-                    continue
+        rows = []
+        for name in ("mean_comp_power", "doppler_std", "conf_major", "conf_minor",
+                     "weighted_count"):
+            a = [v for v in (getattr(s, name) for s in stats) if v is not None]
+            b = [v for v in (getattr(s, name) for s in other_stats) if v is not None]
+            if len(a) >= 2 and len(b) >= 2:
                 res = evaluation.welch_t_test(a, b)
-                fh.write(f"{name},{res.t!r},{res.dof!r},{res.p_two_sided!r}\n")
+                rows.append((name, res.t, res.dof, res.p_two_sided))
+        io.write_table(
+            out / "ttests.csv", "vruradar.ttests.v1", ("statistic", "t", "dof", "p_two_sided"), rows
+        )
     print(json.dumps({"scans": len(labeled), "cycles_with_detections": len(stats)}, sort_keys=True))
     return EXIT_OK
 
@@ -304,12 +271,8 @@ def cmd_signature(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:
-        truth = io.read_traj_csv(args.truth_traj)
-        times = np.array([s.timestamp for s in truth])
-        states = {}
-        for scan in labeled:
-            i = int(np.argmin(np.abs(times - scan.timestamp)))
-            states[round(scan.timestamp, 9)] = truth[i]
+        truth = _nearest_states(io.read_traj_csv(args.truth_traj), [s.timestamp for s in labeled])
+        states = {round(scan.timestamp, 9): st for scan, st in zip(labeled, truth)}
     grid = signature.accumulate(
         labeled,
         resolution=args.resolution,
@@ -360,61 +323,35 @@ def _tracker_scans_from_labeled(labeled, meta) -> list[eot.TrackerScan]:
     return out
 
 
-def _write_track_csv(path, points) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.track.v1\n")
-        fh.write("timestamp,x,y,speed,heading,yaw_rate,length,width,orientation\n")
-        for p in points:
-            fh.write(
-                f"{p.timestamp:.9f},{p.x!r},{p.y!r},{p.speed!r},{p.heading!r},"
-                f"{p.yaw_rate!r},{p.length!r},{p.width!r},{p.orientation!r}\n"
-            )
-
-
-def _write_errors_csv(path, err) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.track-errors.v1\n")
-        fh.write(
-            "timestamp,rmse_centroid,rmse_length,rmse_width,abs_yaw_rate_error,"
-            "abs_orientation_error_deg\n"
-        )
-        for i, t in enumerate(err.timestamps):
-            fh.write(
-                f"{t:.9f},{float(err.rmse_centroid[i])!r},{float(err.rmse_length[i])!r},"
-                f"{float(err.rmse_width[i])!r},{float(err.abs_yaw_rate_error[i])!r},"
-                f"{float(err.abs_orientation_error_deg[i])!r}\n"
-            )
+def _nearest_states(states, timestamps) -> list:
+    """The state closest in time to each timestamp; the earlier one on a tie."""
+    times = np.array([s.timestamp for s in states])
+    return [states[int(np.argmin(np.abs(times - t)))] for t in timestamps]
 
 
 def truth_track_points(truth_states, timestamps, body_extent) -> list[eot.TrackPoint]:
     """Ground-truth rows aligned with tracker output timestamps."""
-    times = np.array([s.timestamp for s in truth_states])
     length, width = body_extent
-    out = []
-    for t in timestamps:
-        i = int(np.argmin(np.abs(times - t)))
-        s = truth_states[i]
-        out.append(
-            eot.TrackPoint(
-                timestamp=t,
-                x=s.pose.x,
-                y=s.pose.y,
-                speed=s.speed,
-                heading=s.pose.yaw,
-                yaw_rate=s.yaw_rate,
-                length=length,
-                width=width,
-                orientation=s.pose.yaw,
-            )
+    return [
+        eot.TrackPoint(
+            timestamp=t,
+            x=s.pose.x,
+            y=s.pose.y,
+            speed=s.speed,
+            heading=s.pose.yaw,
+            yaw_rate=s.yaw_rate,
+            length=length,
+            width=width,
+            orientation=s.pose.yaw,
         )
-    return out
+        for t, s in zip(timestamps, _nearest_states(truth_states, timestamps))
+    ]
 
 
-def _body_extent_for_kind(kind: VruKind, trunc: float = 1.8) -> tuple[float, float]:
+def _body_extent_for_kind(kind: VruKind) -> tuple[float, float]:
     # Physical full extents implied by the simulator's truncated scatter model.
-    if kind == VruKind.PEDESTRIAN:
-        return (2 * trunc * 0.15, 2 * trunc * 0.15)
-    return (2 * trunc * 0.6, 2 * trunc * 0.2)
+    along, across = BODY_SIGMA[kind]
+    return (2 * SCATTER_TRUNC * along, 2 * SCATTER_TRUNC * across)
 
 
 def cmd_track(args) -> int:
@@ -424,7 +361,14 @@ def cmd_track(args) -> int:
     points = eot.run_tracker(scans, eot.TrackerParams(), use_doppler=args.use_doppler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_track_csv(out / "track.csv", points)
+    columns = ("timestamp", "x", "y", "speed", "heading", "yaw_rate", "length", "width",
+               "orientation")
+    io.write_table(
+        out / "track.csv",
+        "vruradar.track.v1",
+        columns,
+        ([getattr(p, name) for name in columns] for p in points),
+    )
     report = {"tracked_scans": len(points), "use_doppler": bool(args.use_doppler)}
     if args.truth_traj is not None and points:
         truth_states = io.read_traj_csv(args.truth_traj)
@@ -434,7 +378,14 @@ def cmd_track(args) -> int:
             _body_extent_for_kind(meta["vru_kind"]),
         )
         err = eot.tracking_metrics(points, truth)
-        _write_errors_csv(out / "errors.csv", err)
+        io.write_table(
+            out / "errors.csv",
+            "vruradar.track-errors.v1",
+            ("timestamp", "rmse_centroid", "rmse_length", "rmse_width", "abs_yaw_rate_error",
+             "abs_orientation_error_deg"),
+            zip(err.timestamps, err.rmse_centroid, err.rmse_length, err.rmse_width,
+                err.abs_yaw_rate_error, err.abs_orientation_error_deg),
+        )
         report["final_rmse_centroid"] = float(err.rmse_centroid[-1])
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK

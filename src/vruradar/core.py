@@ -16,7 +16,6 @@ import numpy as np
 
 GLOBAL = "global"
 EGO = "ego"
-OBJECT = "object"
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,11 +32,6 @@ class EmptyScanError(ValueError):
     """Raised when an operation needs at least one detection and got none."""
 
 
-def sensor_frame(sensor_id: str) -> str:
-    """Frame identifier for a sensor-local frame."""
-    return f"sensor:{sensor_id}"
-
-
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi].  Idempotent; result differs from `a` by a multiple of 2*pi."""
     if not math.isfinite(a):
@@ -46,6 +40,20 @@ def wrap_angle(a: float) -> float:
     if w <= -math.pi:
         w += TWO_PI
     return w
+
+
+def fold_axis(angle: float) -> float:
+    """Fold a direction into (-pi/2, pi/2]: an axis and its reverse are the same axis."""
+    a = math.remainder(angle, math.pi)
+    if a <= -math.pi / 2:
+        a += math.pi
+    return a
+
+
+def rotation_matrix(angle: float) -> np.ndarray:
+    """Counterclockwise rotation of column vectors by `angle`."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)
@@ -76,16 +84,14 @@ class Pose:
         Accepts a single (2,) point or an (n, 2) array.
         """
         pts = np.asarray(points, dtype=float)
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return pts @ rot.T + np.array([self.x, self.y])
+        return pts @ rotation_matrix(self.yaw).T + np.array([self.x, self.y])
 
     def from_parent(self, points) -> np.ndarray:
         """Inverse of :meth:`to_parent`: parent-frame point(s) into the local frame."""
         pts = np.asarray(points, dtype=float)
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, s], [-s, c]])
-        return (pts - np.array([self.x, self.y])) @ rot.T
+        # R(-yaw).T rather than the equal R(yaw): matmul rounds according to
+        # memory layout, and this layout keeps written coordinates stable.
+        return (pts - np.array([self.x, self.y])) @ rotation_matrix(-self.yaw).T
 
 
 def compose_pose(parent: Pose, child: Pose) -> Pose:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import wrap_angle
+from .core import fold_axis, rotation_matrix, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
 
@@ -98,11 +98,6 @@ def _inv_sqrtm_spd(m: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)) @ v.T
 
 
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def _ct_step(kin: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Constant-turn transition and its Jacobian."""
     x, y, v, h, w = kin
@@ -153,7 +148,7 @@ def predict(track: RmmTrack, dt: float, params: TrackerParams = TrackerParams())
     )
     cov = jac @ track.cov @ jac.T + q
     cov = 0.5 * (cov + cov.T)
-    rot = _rotation(track.kin[4] * dt)
+    rot = rotation_matrix(track.kin[4] * dt)
     extent = rot @ track.extent @ rot.T
     extent = 0.5 * (extent + extent.T)
     retain = params.dof_retain_per_s**dt
@@ -252,15 +247,10 @@ def extract_extent(track: RmmTrack, scale: float = 1.0) -> ExtentEstimate:
     if eigval[0] <= 0.0:
         raise ExtentError("extent matrix is not positive definite")
     major = eigvec[:, 1]
-    angle = math.atan2(major[1], major[0])
-    if angle <= -math.pi / 2:
-        angle += math.pi
-    elif angle > math.pi / 2:
-        angle -= math.pi
     return ExtentEstimate(
         length=2.0 * math.sqrt(eigval[1]),
         width=2.0 * math.sqrt(eigval[0]),
-        orientation=angle,
+        orientation=fold_axis(math.atan2(major[1], major[0])),
     )
 
 
@@ -388,14 +378,6 @@ class ErrorSeries:
     abs_orientation_error_deg: np.ndarray  # folded modulo pi
 
 
-def _fold_half_circle(angle: float) -> float:
-    """Fold an angle difference into (-pi/2, pi/2] (axis symmetry)."""
-    a = math.remainder(angle, math.pi)
-    if a <= -math.pi / 2:
-        a += math.pi
-    return a
-
-
 def tracking_metrics(estimates: list[TrackPoint], truth: list[TrackPoint]) -> ErrorSeries:
     """Running RMSE and absolute-error series of a track against ground truth."""
     if len(estimates) != len(truth):
@@ -422,7 +404,7 @@ def tracking_metrics(estimates: list[TrackPoint], truth: list[TrackPoint]) -> Er
         ),
         abs_orientation_error_deg=np.array(
             [
-                abs(math.degrees(_fold_half_circle(e.orientation - g.orientation)))
+                abs(math.degrees(fold_axis(e.orientation - g.orientation)))
                 for e, g in zip(estimates, truth)
             ]
         ),

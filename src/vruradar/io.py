@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .annotation import LabeledScan
 from .core import (
@@ -44,14 +46,6 @@ class SchemaError(ValueError):
         self.line = line
 
 
-def _fmt_t(t: float) -> str:
-    return f"{t:.9f}"
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def _check_header(line: str, tag: str, path) -> None:
     expected = f"# format={tag}"
     if line.rstrip("\n") != expected:
@@ -73,121 +67,125 @@ def _parse_float(text: str, name: str, path, line: int) -> float:
     return v
 
 
-# --- GNSS ---------------------------------------------------------------
+def _parse_optional_float(text: str, name: str, path, line: int) -> float | None:
+    return None if text == "" else _parse_float(text, name, path, line)
+
+
+def _parse_quality(text: str, name: str, path, line: int) -> GnssQuality:
+    try:
+        return GnssQuality(text)
+    except ValueError:
+        raise SchemaError(f"unknown {name} {text!r}", path, line) from None
+
+
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def _fmt_t(t: float) -> str:
+    return f"{t:.9f}"
+
+
+# --- Versioned CSV tables ---------------------------------------------------
+
+def write_table(path, tag: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """CSV with a `# format=<tag>` line, the column header and one line per row.
+
+    A `timestamp` column is written with nine fractional digits, other floats
+    with `repr`, integers and strings as they are, and None as an empty field.
+    """
+    fmts = [_fmt_t if name == "timestamp" else _fmt for name in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# format={tag}\n{','.join(columns)}\n")
+        for row in rows:
+            fh.write(",".join([f(v) for f, v in zip(fmts, row, strict=True)]) + "\n")
+
+
+def read_table(
+    path, tag: str, columns: Sequence[str], parsers: Mapping[str, Callable] | None = None
+) -> list[list]:
+    """Rows of a table written by :func:`write_table`, parsed field by field.
+
+    A field is parsed by `parsers[column]`, called as (text, column, path,
+    line), or else as a finite float.  A `timestamp` column must be strictly
+    increasing.  Every fault is a SchemaError naming path and line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError("empty file", path, 1)
+    _check_header(lines[0], tag, path)
+    if len(lines) < 2 or lines[1] != ",".join(columns):
+        raise SchemaError("bad column header", path, 2)
+    parsers = parsers or {}
+    parse = [parsers.get(name, _parse_float) for name in columns]
+    t_col = columns.index("timestamp") if "timestamp" in columns else None
+    rows: list[list] = []
+    for i, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise SchemaError(f"expected {len(columns)} fields, got {len(parts)}", path, i)
+        row = [f(text, name, path, i) for f, text, name in zip(parse, parts, columns)]
+        if t_col is not None and rows and row[t_col] <= rows[-1][t_col]:
+            raise SchemaError(
+                f"timestamp {parts[t_col]} does not follow {rows[-1][t_col]:.9f}", path, i
+            )
+        rows.append(row)
+    return rows
+
+
+# --- GNSS, IMU and trajectory states ------------------------------------------
+
+GNSS_COLUMNS = ("timestamp", "x", "y", "quality")
+IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
+TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
+
 
 def write_gnss_csv(path, samples: Iterable[GnssSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# format={GNSS_TAG}\n")
-        fh.write("timestamp,x,y,quality\n")
-        for s in samples:
-            fh.write(f"{_fmt_t(s.timestamp)},{_fmt(s.x)},{_fmt(s.y)},{s.quality.value}\n")
+    write_table(
+        path, GNSS_TAG, GNSS_COLUMNS, ((s.timestamp, s.x, s.y, s.quality.value) for s in samples)
+    )
 
 
 def read_gnss_csv(path) -> list[GnssSample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty file", path, 1)
-    _check_header(lines[0], GNSS_TAG, path)
-    if len(lines) < 2 or lines[1] != "timestamp,x,y,quality":
-        raise SchemaError("bad column header", path, 2)
-    for i, row in enumerate(lines[2:], start=3):
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise SchemaError(f"expected 4 fields, got {len(parts)}", path, i)
-        try:
-            quality = GnssQuality(parts[3])
-        except ValueError:
-            raise SchemaError(f"unknown quality {parts[3]!r}", path, i) from None
-        out.append(
-            GnssSample(
-                timestamp=_parse_float(parts[0], "timestamp", path, i),
-                x=_parse_float(parts[1], "x", path, i),
-                y=_parse_float(parts[2], "y", path, i),
-                quality=quality,
-            )
-        )
-    return out
+    rows = read_table(path, GNSS_TAG, GNSS_COLUMNS, {"quality": _parse_quality})
+    return [GnssSample(*row) for row in rows]
 
-
-# --- IMU ----------------------------------------------------------------
 
 def write_imu_csv(path, samples: Iterable[ImuSample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# format={IMU_TAG}\n")
-        fh.write("timestamp,yaw_rate,accel_forward,yaw\n")
-        for s in samples:
-            yaw = "" if s.yaw is None else _fmt(s.yaw)
-            fh.write(f"{_fmt_t(s.timestamp)},{_fmt(s.yaw_rate)},{_fmt(s.accel_forward)},{yaw}\n")
+    write_table(
+        path,
+        IMU_TAG,
+        IMU_COLUMNS,
+        ((s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in samples),
+    )
 
 
 def read_imu_csv(path) -> list[ImuSample]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty file", path, 1)
-    _check_header(lines[0], IMU_TAG, path)
-    if len(lines) < 2 or lines[1] != "timestamp,yaw_rate,accel_forward,yaw":
-        raise SchemaError("bad column header", path, 2)
-    for i, row in enumerate(lines[2:], start=3):
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 4:
-            raise SchemaError(f"expected 4 fields, got {len(parts)}", path, i)
-        out.append(
-            ImuSample(
-                timestamp=_parse_float(parts[0], "timestamp", path, i),
-                yaw_rate=_parse_float(parts[1], "yaw_rate", path, i),
-                accel_forward=_parse_float(parts[2], "accel_forward", path, i),
-                yaw=None if parts[3] == "" else _parse_float(parts[3], "yaw", path, i),
-            )
-        )
-    return out
+    rows = read_table(path, IMU_TAG, IMU_COLUMNS, {"yaw": _parse_optional_float})
+    return [ImuSample(*row) for row in rows]
 
-
-# --- Trajectory states ---------------------------------------------------
 
 def write_traj_csv(path, states: Iterable[TrajectoryState]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# format={TRAJ_TAG}\n")
-        fh.write("timestamp,x,y,yaw,speed,yaw_rate\n")
-        for s in states:
-            fh.write(
-                f"{_fmt_t(s.timestamp)},{_fmt(s.pose.x)},{_fmt(s.pose.y)},"
-                f"{_fmt(s.pose.yaw)},{_fmt(s.speed)},{_fmt(s.yaw_rate)}\n"
-            )
+    write_table(
+        path,
+        TRAJ_TAG,
+        TRAJ_COLUMNS,
+        ((s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate) for s in states),
+    )
 
 
 def read_traj_csv(path) -> list[TrajectoryState]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty file", path, 1)
-    _check_header(lines[0], TRAJ_TAG, path)
-    if len(lines) < 2 or lines[1] != "timestamp,x,y,yaw,speed,yaw_rate":
-        raise SchemaError("bad column header", path, 2)
-    for i, row in enumerate(lines[2:], start=3):
-        if not row:
-            continue
-        parts = row.split(",")
-        if len(parts) != 6:
-            raise SchemaError(f"expected 6 fields, got {len(parts)}", path, i)
-        vals = [_parse_float(p, name, path, i) for p, name in zip(parts, lines[1].split(","))]
-        out.append(
-            TrajectoryState(
-                timestamp=vals[0],
-                pose=Pose(vals[1], vals[2], vals[3], frame=GLOBAL),
-                speed=vals[4],
-                yaw_rate=vals[5],
-            )
-        )
-    return out
+    return [
+        TrajectoryState(timestamp=t, pose=Pose(x, y, yaw, frame=GLOBAL), speed=v, yaw_rate=w)
+        for t, x, y, yaw, v, w in read_table(path, TRAJ_TAG, TRAJ_COLUMNS)
+    ]
 
 
 # --- Radar scans ----------------------------------------------------------
@@ -212,25 +210,34 @@ def write_radar_jsonl(path, scans: Iterable[RadarScan]) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+# Python's json module reads NaN and +-Infinity, which JSON does not have.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode_json(text: str, what: str, path, line: int):
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError:
+        raise SchemaError(f"{what} is not valid JSON", path, line) from None
+    except ValueError as exc:
+        raise SchemaError(f"{what} holds a {exc}", path, line) from None
+
+
 def _load_jsonl(path, tag: str) -> list[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise SchemaError("empty file", path, 1)
-    try:
-        head = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise SchemaError("header line is not JSON", path, 1) from None
-    _check_jsonl_header(head, tag, path)
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            out.append((i, json.loads(line)))
-        except json.JSONDecodeError:
-            raise SchemaError("record is not valid JSON", path, i) from None
-    return out
+    _check_jsonl_header(_decode_json(lines[0], "header line", path, 1), tag, path)
+    return [
+        (i, _decode_json(line, "record", path, i))
+        for i, line in enumerate(lines[1:], start=2)
+        if line
+    ]
 
 
 def read_radar_jsonl(path) -> list[RadarScan]:
@@ -414,10 +421,7 @@ def write_scenario_json(
 
 
 def read_scenario_json(path) -> dict:
-    try:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
-        raise SchemaError("scenario manifest is not valid JSON", path, 1) from None
+    rec = _decode_json(Path(path).read_text(encoding="utf-8"), "scenario manifest", path, 1)
     _check_jsonl_header(rec, SCENARIO_TAG, path)
     try:
         rec["vru_kind"] = VruKind(rec["vru_kind"])

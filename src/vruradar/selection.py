@@ -8,12 +8,11 @@ and width values are full extents; membership tests use half extents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyScanError, wrap_angle
+from .core import EmptyScanError, Pose, wrap_angle
 from .trajectory import STANDSTILL_SPEED, TrajectoryState
 
 PEDESTRIAN_MIN_MAJOR = 1.5  # m
@@ -72,16 +71,8 @@ class OrientedRectangle:
 
 
 def _to_shape_frame(points, center, orientation):
-    pts = np.asarray(points, dtype=float)
-    c, s = math.cos(orientation), math.sin(orientation)
-    dx = pts[..., 0] - center[0]
-    dy = pts[..., 1] - center[1]
-    return c * dx + s * dy, -s * dx + c * dy
-
-
-def contains(shape: OrientedEllipse | OrientedRectangle, point) -> bool:
-    """True iff `point` lies inside `shape` (boundary inclusive)."""
-    return bool(shape.contains(point))
+    local = Pose(center[0], center[1], orientation).from_parent(points)
+    return local[..., 0], local[..., 1]
 
 
 def pedestrian_ellipse(state: TrajectoryState) -> OrientedEllipse:
@@ -132,7 +123,7 @@ def fit_bounding_ellipse(points, center, yaw: float) -> OrientedEllipse:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise EmptyScanError("cannot fit a bounding ellipse without detections")
-    u, v = _to_shape_frame(pts, (float(center[0]), float(center[1])), yaw)
+    u, v = _to_shape_frame(pts, center, yaw)
     half_floor = MIN_BOUNDING_AXIS / 2.0
     a = max(float(np.max(np.abs(u))), half_floor)
     b = max(float(np.max(np.abs(v))), half_floor)

@@ -15,6 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from .annotation import LabeledScan
+from .core import fold_axis
+from .io import write_table
 from .trajectory import TrajectoryState
 
 
@@ -68,24 +70,6 @@ class GridStats:
     orientation: float  # major-axis direction, folded into (-pi/2, pi/2]
 
 
-def to_object_frame(point_global, vru_state: TrajectoryState) -> np.ndarray:
-    """Global point(s) into the object frame of the given track state."""
-    pts = np.asarray(point_global, dtype=float)
-    c, s = math.cos(vru_state.pose.yaw), math.sin(vru_state.pose.yaw)
-    dx = pts[..., 0] - vru_state.pose.x
-    dy = pts[..., 1] - vru_state.pose.y
-    return np.stack([c * dx + s * dy, -s * dx + c * dy], axis=-1)
-
-
-def from_object_frame(point_object, vru_state: TrajectoryState) -> np.ndarray:
-    """Inverse of :func:`to_object_frame`."""
-    pts = np.asarray(point_object, dtype=float)
-    c, s = math.cos(vru_state.pose.yaw), math.sin(vru_state.pose.yaw)
-    x = vru_state.pose.x + c * pts[..., 0] - s * pts[..., 1]
-    y = vru_state.pose.y + s * pts[..., 0] + c * pts[..., 1]
-    return np.stack([x, y], axis=-1)
-
-
 def accumulate(
     scans: Iterable[LabeledScan],
     resolution: float = 0.05,
@@ -112,7 +96,7 @@ def accumulate(
         state = scan.vru_state
         if states is not None:
             state = states.get(round(scan.timestamp, 9), state)
-        pts = to_object_frame([d.cartesian_global for d in scan.assigned], state)
+        pts = state.pose.from_parent([d.cartesian_global for d in scan.assigned])
         ix = np.floor((pts[:, 0] + hx) / resolution).astype(int)
         iy = np.floor((pts[:, 1] + hy) / resolution).astype(int)
         ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
@@ -139,16 +123,11 @@ def grid_stats(grid: SignatureGrid) -> GridStats:
     cov = np.array([[cxx, cxy], [cxy, cyy]])
     eigval, eigvec = np.linalg.eigh(cov)
     major = eigvec[:, 1]
-    angle = math.atan2(major[1], major[0])
-    if angle <= -math.pi / 2:
-        angle += math.pi
-    elif angle > math.pi / 2:
-        angle -= math.pi
     return GridStats(
         peak_cell=(float(xs[peak_ix]), float(ys[peak_iy])),
         centroid=(mx, my),
         principal_axes=(math.sqrt(max(eigval[1], 0.0)), math.sqrt(max(eigval[0], 0.0))),
-        orientation=angle,
+        orientation=fold_axis(math.atan2(major[1], major[0])),
     )
 
 
@@ -167,11 +146,8 @@ def write_pgm(grid: SignatureGrid, path) -> None:
 
 
 def write_grid_csv(grid: SignatureGrid, path) -> None:
-    """Cell-center coordinates and counts as CSV (nonzero cells included too)."""
+    """Cell-center coordinates and counts as CSV, one row per cell, empty cells included."""
     xs, ys = grid.cell_centers()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# format=vruradar.grid-csv.v1\n")
-        fh.write("x,y,count\n")
-        for ix in range(grid.counts.shape[0]):
-            for iy in range(grid.counts.shape[1]):
-                fh.write(f"{float(xs[ix])!r},{float(ys[iy])!r},{int(grid.counts[ix, iy])}\n")
+    nx, ny = grid.counts.shape
+    rows = ((xs[ix], ys[iy], grid.counts[ix, iy]) for ix in range(nx) for iy in range(ny))
+    write_table(path, "vruradar.grid-csv.v1", ("x", "y", "count"), rows)

@@ -26,8 +26,14 @@ from .core import (
     compose_pose,
     ego_to_polar,
     global_to_ego,
+    rotation_matrix,
 )
 from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
+
+# Default body scatter: standard deviations (along, across) the movement
+# direction, truncated at SCATTER_TRUNC sigma.
+BODY_SIGMA = {VruKind.PEDESTRIAN: (0.15, 0.15), VruKind.CYCLIST: (0.6, 0.2)}
+SCATTER_TRUNC = 1.8
 
 
 @dataclass(frozen=True)
@@ -103,7 +109,7 @@ class ScenarioConfig:
     clutter_amp_offset_db: float = -8.0
     clutter_velocity_span: float = 3.0  # m/s, clutter Doppler drawn uniform in +-span
     scatter_sigma: tuple[float, float] | None = None  # defaults per VRU kind
-    scatter_trunc: float = 1.8  # scatter rejected beyond this many sigma
+    scatter_trunc: float = SCATTER_TRUNC
     radar_start_margin: float = 0.5  # s, keeps scans inside GNSS/IMU support
 
     def __post_init__(self) -> None:
@@ -119,9 +125,7 @@ class ScenarioConfig:
         """Scatter standard deviations (along, across) the movement direction."""
         if self.scatter_sigma is not None:
             return self.scatter_sigma
-        if self.vru_kind == VruKind.PEDESTRIAN:
-            return (0.15, 0.15)
-        return (0.6, 0.2)
+        return BODY_SIGMA[self.vru_kind]
 
 
 class EightCourse:
@@ -322,10 +326,9 @@ def generate_radar(
             n_obj = int(rng.poisson(cfg.detection_rate.mean_count(r_center)))
             if n_obj > 0:
                 offsets = _sample_body_offsets(n_obj, sigma, cfg.scatter_trunc, rng)
-                c, s = math.cos(state.pose.yaw), math.sin(state.pose.yaw)
-                rot = np.array([[c, -s], [s, c]])
+                rot = rotation_matrix(state.pose.yaw)
                 points = state.pose.xy + offsets @ rot.T
-                vel_c = state.speed * np.array([c, s])
+                vel_c = state.speed * rot[:, 0]
                 for p in points:
                     rel = p - state.pose.xy
                     vel = vel_c + state.yaw_rate * np.array([-rel[1], rel[0]])

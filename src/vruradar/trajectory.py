@@ -213,11 +213,6 @@ class ReferenceTrajectory:
         )
 
 
-def interpolate_pose(traj: ReferenceTrajectory, t: float) -> TrajectoryState:
-    """Trajectory state at an arbitrary query time within the support."""
-    return traj.state_at(t)
-
-
 def build_trajectory(
     gnss: list[GnssSample],
     *,

@@ -316,3 +316,54 @@ def test_module_entry_point_subprocess(tmp_path):
     manifest = json.loads(proc.stdout.strip().splitlines()[-1])
     assert manifest["radar_scans"] > 0
     assert (out / "radar.jsonl").exists()
+
+
+def test_every_output_table_reads_back(sim_dir, labeled_path, tmp_path, capsys):
+    ev, trk, sig = tmp_path / "eval", tmp_path / "trk", tmp_path / "sig"
+    assert main([
+        "evaluate", "--labeled", str(labeled_path),
+        "--truth-labels", str(sim_dir / "truth_labels.jsonl"),
+        "--compare", str(labeled_path), "--out", str(ev),
+    ]) == 0
+    cycles = json.loads(capsys.readouterr().out)["cycles_with_detections"]
+    assert main([
+        "track", "--labeled", str(labeled_path), "--scenario", str(sim_dir / "scenario.json"),
+        "--truth-traj", str(sim_dir / "truth_traj.csv"), "--out", str(trk),
+    ]) == 0
+    tracked = json.loads(capsys.readouterr().out)["tracked_scans"]
+    assert main(["signature", "--labeled", str(labeled_path), "--out", str(sig)]) == 0
+
+    def text(value, *_):
+        return value
+
+    optional = io._parse_optional_float
+    hist = ("vruradar.histogram.v1", "bin_left,bin_right,count", {})
+    tables = {
+        ev / "scores.csv": ("vruradar.scores.v1", "averaging,tp,fp,fn,precision,recall",
+                            {"averaging": text}),
+        ev / "cycle_stats.csv": ("vruradar.cycle-stats.v1",
+                                 "timestamp,n_assigned,mean_comp_power,doppler_std,conf_major,"
+                                 "conf_minor,weighted_count",
+                                 {"conf_major": optional, "conf_minor": optional}),
+        ev / "hist_conf_minor.csv": hist,
+        ev / "hist_doppler_std.csv": hist,
+        ev / "ttests.csv": ("vruradar.ttests.v1", "statistic,t,dof,p_two_sided",
+                            {"statistic": text}),
+        trk / "track.csv": ("vruradar.track.v1",
+                            "timestamp,x,y,speed,heading,yaw_rate,length,width,orientation", {}),
+        trk / "errors.csv": ("vruradar.track-errors.v1",
+                             "timestamp,rmse_centroid,rmse_length,rmse_width,"
+                             "abs_yaw_rate_error,abs_orientation_error_deg", {}),
+        tmp_path / "sig.csv": ("vruradar.grid-csv.v1", "x,y,count", {}),
+    }
+    rows = {
+        path: io.read_table(path, tag, columns.split(","), parsers)
+        for path, (tag, columns, parsers) in tables.items()
+    }
+    assert [r[0] for r in rows[ev / "scores.csv"]] == ["micro", "macro"]
+    assert len(rows[ev / "cycle_stats.csv"]) == cycles
+    assert sum(r[2] for r in rows[ev / "hist_doppler_std.csv"]) == cycles
+    assert [r[0] for r in rows[ev / "ttests.csv"]] == [
+        "mean_comp_power", "doppler_std", "conf_major", "conf_minor", "weighted_count"]
+    assert len(rows[trk / "track.csv"]) == len(rows[trk / "errors.csv"]) == tracked > 0
+    assert len(rows[tmp_path / "sig.csv"]) == 100 * 60  # default 5 m x 3 m grid at 0.05 m

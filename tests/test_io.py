@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 
@@ -78,12 +80,15 @@ def test_traj_round_trip(tmp_path, small_scenario):
         assert a.yaw_rate == b.yaw_rate
 
 
-def test_labeled_round_trip_preserves_partition(tmp_path, small_scenario):
+@pytest.fixture(scope="module")
+def labeled_result(small_scenario):
     cfg = small_scenario.config
     traj = build_trajectory(small_scenario.gnss)
-    result = annotate_scenario(
-        small_scenario.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose
-    )
+    return annotate_scenario(small_scenario.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
+
+
+def test_labeled_round_trip_preserves_partition(tmp_path, labeled_result):
+    result = labeled_result
     path = tmp_path / "labeled.jsonl"
     io.write_labeled_jsonl(path, result.scans)
     back = io.read_labeled_jsonl(path)
@@ -183,3 +188,78 @@ def test_degraded_quality_round_trips(tmp_path):
     path = tmp_path / "gnss.csv"
     io.write_gnss_csv(path, samples)
     assert io.read_gnss_csv(path)[0].quality == GnssQuality.DEGRADED
+
+
+@pytest.mark.parametrize("kind", ["gnss", "imu", "traj"])
+@pytest.mark.parametrize("edit", ["swap", "repeat"])
+def test_csv_readers_reject_out_of_order_timestamps(tmp_path, small_scenario, kind, edit):
+    path = tmp_path / f"{kind}.csv"
+    rows = small_scenario.truth if kind == "traj" else getattr(small_scenario, kind)
+    getattr(io, f"write_{kind}_csv")(path, rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if edit == "swap":  # data rows 100 and 101 sit on file lines 102 and 103
+        lines[101], lines[102] = lines[102], lines[101]
+    else:
+        lines[102] = lines[101]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="timestamp") as err:
+        getattr(io, f"read_{kind}_csv")(path)
+    assert (err.value.path, err.value.line) == (path, 103)
+
+
+def _inject(path, key: str, constant: str) -> int:
+    """Replace the first number after `"key": ` (or `"key": [`) below line 1; return its line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k in range(1, len(lines)):
+        lines[k], n = re.subn(rf'("{key}": \[?)[-+0-9.e]+', rf"\g<1>{constant}", lines[k], count=1)
+        if n:
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return k + 1
+    raise AssertionError(f"no {key!r} field in {path}")
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("constant", NON_FINITE)
+def test_radar_reader_rejects_non_finite_numbers(tmp_path, small_scenario, constant):
+    path = tmp_path / "radar.jsonl"
+    io.write_radar_jsonl(path, small_scenario.scans)
+    line = _inject(path, "range", constant)
+    with pytest.raises(io.SchemaError, match="non-finite") as err:
+        io.read_radar_jsonl(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("constant", NON_FINITE)
+def test_truth_labels_reader_rejects_non_finite_numbers(tmp_path, small_scenario, constant):
+    path = tmp_path / "labels.jsonl"
+    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    line = _inject(path, "t", constant)
+    with pytest.raises(io.SchemaError, match="non-finite") as err:
+        io.read_truth_labels_jsonl(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("constant", NON_FINITE)
+def test_labeled_reader_rejects_non_finite_numbers(tmp_path, labeled_result, constant):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    line = _inject(path, "global", constant)
+    with pytest.raises(io.SchemaError, match="non-finite") as err:
+        io.read_labeled_jsonl(path)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("constant", NON_FINITE)
+def test_scenario_reader_rejects_non_finite_numbers(tmp_path, small_scenario, constant):
+    cfg = small_scenario.config
+    path = tmp_path / "scenario.json"
+    io.write_scenario_json(
+        path, vru_kind=cfg.vru_kind, track_id="vru-0", seed=cfg.rng_seed,
+        ego_pose=cfg.ego_pose, mounts=cfg.mounts, counts={"radar_scans": 3},
+    )
+    _inject(path, "max_range", constant)
+    with pytest.raises(io.SchemaError, match="non-finite") as err:
+        io.read_scenario_json(path)
+    assert err.value.path == path

@@ -8,7 +8,6 @@ from vruradar.core import EmptyScanError, GLOBAL, Pose
 from vruradar.selection import (
     OrientedEllipse,
     OrientedRectangle,
-    contains,
     cyclist_rectangle,
     fit_bounding_ellipse,
     pedestrian_ellipse,
@@ -93,19 +92,19 @@ def test_width_monotone_in_yaw_rate(w1, w2):
 def test_contains_center():
     e = OrientedEllipse((1.0, 2.0), 2.5, 1.2, 0.4)
     r = OrientedRectangle((1.0, 2.0), 2.5, 1.2, 0.4)
-    assert contains(e, (1.0, 2.0)) and contains(r, (1.0, 2.0))
+    assert e.contains((1.0, 2.0)) and r.contains((1.0, 2.0))
 
 
 def test_contains_just_outside_half_axis():
     e = OrientedEllipse((0.0, 0.0), 2.5, 1.2, 0.0)
-    assert not contains(e, (1.26, 0.0))
-    assert contains(e, (1.25, 0.0))
+    assert not e.contains((1.26, 0.0))
+    assert e.contains((1.25, 0.0))
 
 
 def test_rectangle_boundary_inclusive():
     r = OrientedRectangle((0.0, 0.0), 2.5, 1.2, 0.0)
-    assert contains(r, (1.25, 0.6))
-    assert not contains(r, (1.2500001, 0.6))
+    assert r.contains((1.25, 0.6))
+    assert not r.contains((1.2500001, 0.6))
 
 
 @pytest.mark.parametrize("shape", [
@@ -143,7 +142,7 @@ def test_contains_rigid_invariance(tx, ty, rot, px, py):
         e.ax_major, e.ax_minor, e.orientation + rot,
     )
     p2 = rot_m @ p + [tx, ty]
-    assert contains(e, p) == contains(e2, p2)
+    assert e.contains(p) == e2.contains(p2)
 
 
 # --- bounding ellipse -------------------------------------------------------

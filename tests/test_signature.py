@@ -7,9 +7,7 @@ from vruradar.annotation import LabeledScan
 from vruradar.core import GLOBAL, Pose, RadarDetection, VruKind
 from vruradar.signature import (
     accumulate,
-    from_object_frame,
     grid_stats,
-    to_object_frame,
     write_grid_csv,
     write_pgm,
 )
@@ -36,12 +34,12 @@ def labeled_scan(t, points_global, state):
 
 def test_to_object_frame_center_maps_to_origin():
     st = vru_state(3.0, -2.0, 0.7)
-    assert to_object_frame([3.0, -2.0], st) == pytest.approx([0.0, 0.0])
+    assert st.pose.from_parent([3.0, -2.0]) == pytest.approx([0.0, 0.0])
 
 
 def test_to_object_frame_rotation():
     st = vru_state(0.0, 0.0, math.pi / 2)
-    assert to_object_frame([0.0, 1.0], st) == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert st.pose.from_parent([0.0, 1.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_object_frame_round_trip():
@@ -49,7 +47,7 @@ def test_object_frame_round_trip():
     for _ in range(100):
         st = vru_state(*rng.normal(0, 5, 2), rng.uniform(-math.pi, math.pi))
         p = rng.normal(0, 3, 2)
-        back = from_object_frame(to_object_frame(p, st), st)
+        back = st.pose.to_parent(st.pose.from_parent(p))
         assert back == pytest.approx(p, abs=1e-9)
 
 

@@ -15,7 +15,6 @@ from vruradar.trajectory import (
     build_fused_trajectory,
     build_trajectory,
     fuse_gnss_imu,
-    interpolate_pose,
     moving_average,
     smooth_gnss,
 )
@@ -77,7 +76,7 @@ def test_straight_line_speed_and_yaw():
     times = np.linspace(0, 5, 26)
     xy = np.stack([2.0 * times, np.zeros_like(times)], axis=1)
     traj = ReferenceTrajectory(times, xy)
-    st = interpolate_pose(traj, 2.37)
+    st = traj.state_at(2.37)
     assert st.speed == pytest.approx(2.0, abs=1e-6)
     assert st.pose.yaw == pytest.approx(0.0, abs=1e-9)
 
