@@ -1,4 +1,3 @@
-import json
 import math
 import re
 
@@ -88,12 +87,11 @@ def labeled_result(small_scenario):
 
 
 def test_labeled_round_trip_preserves_partition(tmp_path, labeled_result):
-    result = labeled_result
     path = tmp_path / "labeled.jsonl"
-    io.write_labeled_jsonl(path, result.scans)
+    io.write_labeled_jsonl(path, labeled_result.scans)
     back = io.read_labeled_jsonl(path)
-    assert len(back) == len(result.scans)
-    for a, b in zip(back, result.scans):
+    assert len(back) == len(labeled_result.scans)
+    for a, b in zip(back, labeled_result.scans):
         assert a.timestamp == pytest.approx(b.timestamp, abs=1e-9)
         assert a.vru_kind == b.vru_kind
         assert len(a.assigned) == len(b.assigned)
