@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from .core import (
+    Detections,
     Pose,
-    RadarDetection,
     RadarScan,
     SensorMount,
     VruKind,
@@ -34,14 +32,18 @@ from .trajectory import ReferenceTrajectory, TrajectoryState
 
 @dataclass(frozen=True)
 class LabeledScan:
-    """One scan partitioned into track-assigned and rejected detections."""
+    """One scan partitioned into track-assigned and rejected detections.
+
+    `assigned` and `rejected` are complementary row selections of the scan's
+    detections, with their ego and global coordinates filled in.
+    """
 
     timestamp: float
     track_id: str
     vru_kind: VruKind
     sensor_id: str
-    assigned: tuple[RadarDetection, ...]
-    rejected: tuple[RadarDetection, ...]
+    assigned: Detections
+    rejected: Detections
     bounding: OrientedEllipse | None
     vru_state: TrajectoryState
 
@@ -82,31 +84,18 @@ def annotate_scenario(
             shape = cyclist_rectangle(state, last_moving_yaw=state.pose.yaw)
         ego = ego_at(scan.timestamp)
 
-        placed: list[RadarDetection] = []
-        for det in scan.detections:
-            mount = mounts.get(det.sensor_id)
-            if mount is None:
-                raise ValueError(f"no mount configured for sensor {det.sensor_id!r}")
-            p_ego = polar_to_ego(det, mount)
-            p_glob = ego_to_global(p_ego, ego)
-            placed.append(
-                replace(
-                    det,
-                    cartesian_ego=(float(p_ego[0]), float(p_ego[1])),
-                    cartesian_global=(float(p_glob[0]), float(p_glob[1])),
-                )
-            )
-        if placed:
-            points = np.array([d.cartesian_global for d in placed])
-            inside = np.atleast_1d(shape.contains(points))
-        else:
-            inside = np.zeros(0, dtype=bool)
-        assigned = tuple(d for d, ok in zip(placed, inside) if ok)
-        rejected = tuple(d for d, ok in zip(placed, inside) if not ok)
+        mount = mounts.get(scan.sensor_id)
+        if mount is None:
+            raise ValueError(f"no mount configured for sensor {scan.sensor_id!r}")
+        p_ego = polar_to_ego(scan, mount)
+        p_glob = ego_to_global(p_ego, ego)
+        placed = replace(scan.detections, ego=p_ego, global_xy=p_glob)
+        inside = shape.contains(p_glob)
+        assigned, rejected = placed[inside], placed[~inside]
         bounding = None
         if assigned:
             bounding = fit_bounding_ellipse(
-                [d.cartesian_global for d in assigned],
+                assigned.global_xy,
                 center=(state.pose.x, state.pose.y),
                 yaw=state.pose.yaw,
             )

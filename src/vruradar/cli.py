@@ -17,7 +17,7 @@ import numpy as np
 
 from . import eot, evaluation, io, signature
 from .annotation import annotate_scenario
-from .core import VruKind, compose_pose, ego_to_global, polar_to_ego
+from .core import VruKind, compose_pose
 from .simulator import (
     BODY_SIGMA,
     PRESET_NAMES,
@@ -213,11 +213,7 @@ def _write_histogram_csv(path, values) -> None:
 
 
 def _collect_cycle_stats(labeled):
-    out = []
-    for scan in labeled:
-        if scan.assigned:
-            out.append(evaluation.cycle_stats(scan))
-    return out
+    return [evaluation.cycle_stats(scan) for scan in labeled if scan.assigned]
 
 
 def cmd_evaluate(args) -> int:
@@ -271,8 +267,7 @@ def cmd_signature(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:
-        truth = _nearest_states(io.read_traj_csv(args.truth_traj), [s.timestamp for s in labeled])
-        states = {round(scan.timestamp, 9): st for scan, st in zip(labeled, truth)}
+        states = _nearest_states(io.read_traj_csv(args.truth_traj), [s.timestamp for s in labeled])
     grid = signature.accumulate(
         labeled,
         resolution=args.resolution,
@@ -306,17 +301,11 @@ def _tracker_scans_from_labeled(labeled, meta) -> list[eot.TrackerScan]:
         if mount is None:
             raise ConfigError(f"no mount configured for sensor {scan.sensor_id!r}")
         sensor_pose = compose_pose(meta["ego_pose"], mount.pose_in_ego)
-        pts = []
-        for d in scan.assigned:
-            if d.cartesian_global is not None:
-                pts.append(d.cartesian_global)
-            else:
-                pts.append(ego_to_global(polar_to_ego(d, mount), meta["ego_pose"]))
         out.append(
             eot.TrackerScan(
                 timestamp=scan.timestamp,
-                points=np.asarray(pts, dtype=float),
-                radial_velocities=np.array([d.radial_velocity for d in scan.assigned]),
+                points=scan.assigned.global_xy,
+                radial_velocities=scan.assigned.radial_velocity,
                 sensor_pos=sensor_pose.xy,
             )
         )

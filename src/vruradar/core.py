@@ -9,7 +9,7 @@ are counterclockwise from +x and always wrapped to (-pi, pi].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -100,29 +100,64 @@ def compose_pose(parent: Pose, child: Pose) -> Pose:
     return Pose(float(xy[0]), float(xy[1]), parent.yaw + child.yaw, frame=parent.frame)
 
 
-@dataclass(frozen=True)
-class RadarDetection:
-    """One radar point: polar measurement in the sensor frame plus bookkeeping.
+@dataclass(frozen=True, eq=False, slots=True)
+class Detections:
+    """One scan's radar points as columns, one row per point.
 
-    `amplitude` is in dB relative to an arbitrary reference.  `index` is the
-    point's position within its scan and is the identity used to align
-    automatic labels with ground-truth labels.  The cartesian fields are
-    derived coordinates filled in by the annotation pipeline.
+    The polar columns are measurements in the sensor frame; `amplitude` is in
+    dB relative to an arbitrary reference.  `index` is each point's position
+    within its scan and is the identity used to align automatic labels with
+    ground-truth labels; it defaults to 0..n-1.  `ego` and `global_xy` are
+    (n, 2) coordinates derived by the annotation pipeline, None until then.
+    Indexing with a boolean mask, an index array or a slice selects rows.
     """
 
-    timestamp: float
-    range_m: float
-    azimuth: float
-    radial_velocity: float
-    amplitude: float
-    sensor_id: str
-    index: int = 0
-    cartesian_ego: tuple[float, float] | None = None
-    cartesian_global: tuple[float, float] | None = None
+    range_m: np.ndarray
+    azimuth: np.ndarray
+    radial_velocity: np.ndarray
+    amplitude: np.ndarray
+    index: np.ndarray | None = None
+    ego: np.ndarray | None = None
+    global_xy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.range_m < 0:
-            raise ValueError(f"range must be >= 0, got {self.range_m}")
+        n = len(self.range_m)
+        if self.index is None:
+            object.__setattr__(self, "index", np.arange(n))
+        for name, col in self._columns().items():
+            col = np.ascontiguousarray(col, dtype=np.int64 if name == "index" else float)
+            if name in ("ego", "global_xy"):
+                col = col.reshape(-1, 2)
+            if len(col) != n:
+                raise ValueError(f"column {name!r} has {len(col)} rows, expected {n}")
+            object.__setattr__(self, name, col)
+        if np.count_nonzero(self.range_m < 0):
+            raise ValueError(f"range must be >= 0, got {self.range_m.min()}")
+
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _COLUMNS if getattr(self, name) is not None}
+
+    def __len__(self) -> int:
+        return len(self.range_m)
+
+    def __getitem__(self, rows) -> "Detections":
+        # Rows of a checked table need no checks: skip __init__.
+        out = object.__new__(Detections)
+        for name in _COLUMNS:
+            col = getattr(self, name)
+            object.__setattr__(out, name, None if col is None else col[rows])
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Detections):
+            return NotImplemented
+        a, b = self._columns(), other._columns()
+        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+    __iter__ = None  # a table is read by columns, not point by point
+
+
+_COLUMNS = tuple(f.name for f in fields(Detections))
 
 
 @dataclass(frozen=True)
@@ -147,16 +182,17 @@ class RadarScan:
 
     timestamp: float
     sensor_id: str
-    detections: tuple[RadarDetection, ...]
+    detections: Detections
 
 
-def polar_to_ego(det: RadarDetection, mount: SensorMount) -> np.ndarray:
-    """Cartesian ego-frame position of a detection, via the sensor mount pose."""
-    if det.sensor_id != mount.sensor_id:
+def polar_to_ego(scan: RadarScan, mount: SensorMount) -> np.ndarray:
+    """(n, 2) cartesian ego-frame positions of a scan's detections, via the sensor mount pose."""
+    if scan.sensor_id != mount.sensor_id:
         raise ValueError(
-            f"detection from sensor {det.sensor_id!r} does not match mount {mount.sensor_id!r}"
+            f"scan from sensor {scan.sensor_id!r} does not match mount {mount.sensor_id!r}"
         )
-    local = np.array([det.range_m * math.cos(det.azimuth), det.range_m * math.sin(det.azimuth)])
+    d = scan.detections
+    local = np.column_stack([d.range_m * np.cos(d.azimuth), d.range_m * np.sin(d.azimuth)])
     return mount.pose_in_ego.to_parent(local)
 
 

@@ -57,10 +57,6 @@ class Histogram:
     counts: np.ndarray
 
 
-def _time_key(t: float) -> float:
-    return round(t, 9)
-
-
 def per_scan_counts(
     auto: Iterable[LabeledScan],
     truth: Mapping[tuple[float, int], str],
@@ -71,27 +67,16 @@ def per_scan_counts(
     """
     counts = []
     for scan in auto:
-        key_t = _time_key(scan.timestamp)
-        s_tp = s_fp = s_fn = 0
-        for det in scan.assigned:
-            label = truth.get((key_t, det.index))
-            if label is None:
-                raise ValueError(
-                    f"no truth label for scan t={scan.timestamp} point {det.index}"
-                )
-            if label == LABEL_VRU:
-                s_tp += 1
-            else:
-                s_fp += 1
-        for det in scan.rejected:
-            label = truth.get((key_t, det.index))
-            if label is None:
-                raise ValueError(
-                    f"no truth label for scan t={scan.timestamp} point {det.index}"
-                )
-            if label == LABEL_VRU:
-                s_fn += 1
-        counts.append((s_tp, s_fp, s_fn))
+        t = round(scan.timestamp, 9)
+        idx = np.concatenate([scan.assigned.index, scan.rejected.index]).tolist()
+        labels = [truth.get((t, i)) for i in idx]
+        if None in labels:
+            missing = idx[labels.index(None)]
+            raise ValueError(f"no truth label for scan t={scan.timestamp} point {missing}")
+        vru = [label == LABEL_VRU for label in labels]
+        n = len(scan.assigned)
+        tp = sum(vru[:n])
+        counts.append((tp, n - tp, sum(vru[n:])))
     return counts
 
 
@@ -127,11 +112,19 @@ def score_assignment(
     return score_from_counts(per_scan_counts(auto, truth), averaging)
 
 
-def r4_compensate(amplitude_db: float, range_m: float, ref_range: float = 1.0) -> float:
-    """Free-space two-way path loss correction: +40*log10(range/ref) dB."""
-    if range_m <= 0 or ref_range <= 0:
+def r4_compensate(amplitude_db, range_m, ref_range: float = 1.0):
+    """Free-space two-way path loss correction: +40*log10(range/ref) dB.
+
+    Takes scalars or equal-length arrays of amplitudes and ranges.
+    """
+    range_m = np.asarray(range_m, dtype=float)
+    if ref_range <= 0 or np.any(range_m <= 0):
         raise ValueError("range and ref_range must be > 0")
-    return amplitude_db + 40.0 * math.log10(range_m / ref_range)
+    ratio = range_m / ref_range
+    # The C library's log10 rather than numpy's SIMD one, which can differ in
+    # the last bit: the statistics written from this stay bit-stable.
+    log_ratio = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size)
+    return amplitude_db + 40.0 * log_ratio.reshape(ratio.shape)
 
 
 def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
@@ -155,26 +148,22 @@ def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
 
 def cycle_stats(scan: LabeledScan) -> CycleStats:
     """Per-cycle radar statistics over the scan's assigned detections."""
-    if not scan.assigned:
+    d = scan.assigned
+    if not d:
         raise EmptyScanError(f"scan at t={scan.timestamp} has no assigned detections")
-    amps = np.array([r4_compensate(d.amplitude, d.range_m) for d in scan.assigned])
-    vrs = np.array([d.radial_velocity for d in scan.assigned])
-    ranges = np.array([d.range_m for d in scan.assigned])
-    n = len(scan.assigned)
-    doppler_std = float(np.std(vrs, ddof=1)) if n > 1 else 0.0
+    n = len(d)
+    doppler_std = float(np.std(d.radial_velocity, ddof=1)) if n > 1 else 0.0
     conf_major = conf_minor = None
     if n >= 3:
         try:
-            conf_major, conf_minor = confidence_ellipse(
-                [d.cartesian_global for d in scan.assigned]
-            )
+            conf_major, conf_minor = confidence_ellipse(d.global_xy)
         except ValueError:
             pass  # collinear points: axes stay omitted
-    mean_range = float(np.mean(ranges))
+    mean_range = float(np.mean(d.range_m))
     return CycleStats(
         timestamp=scan.timestamp,
         n_assigned=n,
-        mean_comp_power=float(np.mean(amps)),
+        mean_comp_power=float(np.mean(r4_compensate(d.amplitude, d.range_m))),
         doppler_std=doppler_std,
         conf_major=conf_major,
         conf_minor=conf_minor,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -18,8 +19,8 @@ import numpy as np
 from .annotation import LabeledScan
 from .core import (
     GLOBAL,
+    Detections,
     Pose,
-    RadarDetection,
     RadarScan,
     SensorMount,
     VruKind,
@@ -52,7 +53,9 @@ def _check_header(line: str, tag: str, path) -> None:
         raise SchemaError(f"expected header {expected!r}, got {line.strip()!r}", path, 1)
 
 
-def _check_jsonl_header(record: dict, tag: str, path) -> None:
+def _check_jsonl_header(record, tag: str, path) -> None:
+    if not isinstance(record, dict):
+        raise SchemaError(f"expected a JSON object with format tag {tag!r}", path, 1)
     if record.get("format") != tag:
         raise SchemaError(f"expected format tag {tag!r}, got {record.get('format')!r}", path, 1)
 
@@ -190,6 +193,35 @@ def read_traj_csv(path) -> list[TrajectoryState]:
 
 # --- Radar scans ----------------------------------------------------------
 
+# JSON point keys and the Detections columns they hold.
+POLAR_KEYS = {"range": "range_m", "azimuth": "azimuth", "vr": "radial_velocity",
+              "amp": "amplitude"}
+LABELED_KEYS = {"idx": "index", **POLAR_KEYS, "ego": "ego", "global": "global_xy"}
+
+
+def _point_dicts(d: Detections, keys: Mapping[str, str]) -> list[dict]:
+    columns = [getattr(d, name).tolist() for name in keys.values()]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
+
+
+_polar_row = operator.itemgetter(*POLAR_KEYS)
+
+
+def _labeled_row(p: dict) -> tuple:
+    for key in ("ego", "global"):
+        if not (isinstance(p[key], list) and len(p[key]) == 2):
+            raise ValueError(f"point {key!r} must be an [x, y] pair, got {p[key]!r}")
+    return (p["idx"], *_polar_row(p), *p["ego"], *p["global"])
+
+
+def _point_table(points: list, row: Callable[[dict], tuple], width: int) -> np.ndarray:
+    """`row(p)` of every JSON point as one table of finite floats, `width` columns wide."""
+    table = np.array([row(p) for p in points], dtype=float) if points else np.empty((0, width))
+    if table.shape[1:] != (width,) or not np.isfinite(table).all():
+        raise ValueError("a point value is not a finite number")
+    return table
+
+
 def write_radar_jsonl(path, scans: Iterable[RadarScan]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": RADAR_TAG}) + "\n")
@@ -197,15 +229,7 @@ def write_radar_jsonl(path, scans: Iterable[RadarScan]) -> None:
             rec = {
                 "t": round(scan.timestamp, 9),
                 "sensor_id": scan.sensor_id,
-                "points": [
-                    {
-                        "range": d.range_m,
-                        "azimuth": d.azimuth,
-                        "vr": d.radial_velocity,
-                        "amp": d.amplitude,
-                    }
-                    for d in scan.detections
-                ],
+                "points": _point_dicts(scan.detections, POLAR_KEYS),
             }
             fh.write(json.dumps(rec) + "\n")
 
@@ -244,23 +268,13 @@ def read_radar_jsonl(path) -> list[RadarScan]:
     scans = []
     for i, rec in _load_jsonl(path, RADAR_TAG):
         try:
-            t = float(rec["t"])
-            sensor_id = str(rec["sensor_id"])
-            dets = tuple(
-                RadarDetection(
-                    timestamp=t,
-                    range_m=float(p["range"]),
-                    azimuth=float(p["azimuth"]),
-                    radial_velocity=float(p["vr"]),
-                    amplitude=float(p["amp"]),
-                    sensor_id=sensor_id,
-                    index=k,
-                )
-                for k, p in enumerate(rec["points"])
-            )
+            scans.append(RadarScan(
+                timestamp=float(rec["t"]),
+                sensor_id=str(rec["sensor_id"]),
+                detections=Detections(*_point_table(rec["points"], _polar_row, 4).T),
+            ))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad radar record: {exc}", path, i) from None
-        scans.append(RadarScan(timestamp=t, sensor_id=sensor_id, detections=dets))
     return scans
 
 
@@ -277,38 +291,20 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
         try:
-            out[(round(float(rec["t"]), 9), int(rec["idx"]))] = str(rec["label"])
+            key, label = (round(float(rec["t"]), 9), int(rec["idx"])), str(rec["label"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad label record: {exc}", path, i) from None
+        if key in out:
+            raise SchemaError(f"repeated label for t={key[0]:.9f} point {key[1]}", path, i)
+        out[key] = label
     return out
 
 
 # --- Labeled scans -----------------------------------------------------------
 
-def _det_to_dict(d: RadarDetection) -> dict:
-    return {
-        "idx": d.index,
-        "range": d.range_m,
-        "azimuth": d.azimuth,
-        "vr": d.radial_velocity,
-        "amp": d.amplitude,
-        "ego": list(d.cartesian_ego) if d.cartesian_ego is not None else None,
-        "global": list(d.cartesian_global) if d.cartesian_global is not None else None,
-    }
-
-
-def _det_from_dict(p: dict, t: float, sensor_id: str) -> RadarDetection:
-    return RadarDetection(
-        timestamp=t,
-        range_m=float(p["range"]),
-        azimuth=float(p["azimuth"]),
-        radial_velocity=float(p["vr"]),
-        amplitude=float(p["amp"]),
-        sensor_id=sensor_id,
-        index=int(p["idx"]),
-        cartesian_ego=tuple(p["ego"]) if p.get("ego") is not None else None,
-        cartesian_global=tuple(p["global"]) if p.get("global") is not None else None,
-    )
+def _labeled_detections(table: np.ndarray) -> Detections:
+    return Detections(*table[:, 1:5].T, index=table[:, 0], ego=table[:, 5:7],
+                      global_xy=table[:, 7:9])
 
 
 def write_labeled_jsonl(path, scans: Iterable[LabeledScan]) -> None:
@@ -329,8 +325,8 @@ def write_labeled_jsonl(path, scans: Iterable[LabeledScan]) -> None:
                 "track_id": s.track_id,
                 "vru_kind": s.vru_kind.value,
                 "sensor_id": s.sensor_id,
-                "assigned": [_det_to_dict(d) for d in s.assigned],
-                "rejected": [_det_to_dict(d) for d in s.rejected],
+                "assigned": _point_dicts(s.assigned, LABELED_KEYS),
+                "rejected": _point_dicts(s.rejected, LABELED_KEYS),
                 "bounding": bounding,
                 "vru_state": {
                     "x": s.vru_state.pose.x,
@@ -348,7 +344,6 @@ def read_labeled_jsonl(path) -> list[LabeledScan]:
     for i, rec in _load_jsonl(path, LABELED_TAG):
         try:
             t = float(rec["t"])
-            sensor_id = str(rec["sensor_id"])
             state = TrajectoryState(
                 timestamp=t,
                 pose=Pose(
@@ -369,14 +364,22 @@ def read_labeled_jsonl(path) -> list[LabeledScan]:
                     ax_minor=float(b["ax_minor"]),
                     orientation=float(b["orientation"]),
                 )
+            n_assigned = len(rec["assigned"])
+            table = _point_table(rec["assigned"] + rec["rejected"], _labeled_row, 9)
+            idx = table[:, 0].tolist()
+            if len(set(idx)) < len(idx):
+                repeated = next(v for v in idx if idx.count(v) > 1)
+                raise ValueError(f"point idx {repeated:g} appears more than once")
+            assigned = _labeled_detections(table[:n_assigned])
+            rejected = _labeled_detections(table[n_assigned:])
             scans.append(
                 LabeledScan(
                     timestamp=t,
                     track_id=str(rec["track_id"]),
                     vru_kind=VruKind(rec["vru_kind"]),
-                    sensor_id=sensor_id,
-                    assigned=tuple(_det_from_dict(p, t, sensor_id) for p in rec["assigned"]),
-                    rejected=tuple(_det_from_dict(p, t, sensor_id) for p in rec["rejected"]),
+                    sensor_id=str(rec["sensor_id"]),
+                    assigned=assigned,
+                    rejected=rejected,
                     bounding=bounding,
                     vru_state=state,
                 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,14 +75,19 @@ def accumulate(
     resolution: float = 0.05,
     half_extents: tuple[float, float] = (2.5, 1.5),
     *,
-    states: dict[float, TrajectoryState] | None = None,
+    states: Sequence[TrajectoryState] | None = None,
 ) -> SignatureGrid:
     """Bin all assigned detections of the labeled scans into one grid.
 
-    Each scan's own track state defines the object frame; `states` can
-    override per-timestamp states, e.g. to center the grid on the simulator
+    Each scan's own track state defines the object frame; `states`, aligned
+    with `scans`, can replace them, e.g. to center the grid on the simulator
     ground truth instead of the estimated trajectory.
     """
+    scans = list(scans)
+    if states is None:
+        states = [scan.vru_state for scan in scans]
+    elif len(states) != len(scans):
+        raise ValueError(f"got {len(states)} states for {len(scans)} scans")
     if resolution <= 0:
         raise ValueError("resolution must be > 0")
     hx, hy = half_extents
@@ -90,13 +95,10 @@ def accumulate(
     ny = int(round(2.0 * hy / resolution))
     counts = np.zeros((nx, ny), dtype=np.int64)
     overflow = 0
-    for scan in scans:
+    for scan, state in zip(scans, states):
         if not scan.assigned:
             continue
-        state = scan.vru_state
-        if states is not None:
-            state = states.get(round(scan.timestamp, 9), state)
-        pts = state.pose.from_parent([d.cartesian_global for d in scan.assigned])
+        pts = state.pose.from_parent(scan.assigned.global_xy)
         ix = np.floor((pts[:, 0] + hx) / resolution).astype(int)
         iy = np.floor((pts[:, 1] + hy) / resolution).astype(int)
         ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)

@@ -18,8 +18,8 @@ from .core import (
     GLOBAL,
     LABEL_CLUTTER,
     LABEL_VRU,
+    Detections,
     Pose,
-    RadarDetection,
     RadarScan,
     SensorMount,
     VruKind,
@@ -264,8 +264,9 @@ def generate_imu(
     return samples
 
 
-def _quantize(value: float, step: float) -> float:
-    return round(value / step) * step if step > 0 else value
+def _quantize(values: np.ndarray, step: float) -> np.ndarray:
+    # Round half to even; adding 0.0 writes a point rounded to zero as 0.0, not -0.0.
+    return np.round(values / step) * step + 0.0 if step > 0 else values
 
 
 def _sample_body_offsets(
@@ -319,7 +320,7 @@ def generate_radar(
         r_center, az_center = ego_to_polar(center_ego, mount)
         visible = r_center <= mount.max_range and abs(az_center) <= mount.fov_azimuth
 
-        dets: list[RadarDetection] = []
+        rows: list[tuple[float, float, float, float]] = []  # unquantized range, azimuth, vr, amp
         scan_labels: list[str] = []
         raw: list[np.ndarray] = []
         if visible:
@@ -345,17 +346,7 @@ def generate_radar(
                         - 40.0 * math.log10(max(r_true, 1e-3))
                         + (float(rng.normal(0.0, cfg.amp_sigma_db)) if cfg.amp_sigma_db > 0 else 0.0)
                     )
-                    dets.append(
-                        RadarDetection(
-                            timestamp=t,
-                            range_m=_quantize(r_meas, cfg.range_step),
-                            azimuth=_quantize(az_meas, cfg.azimuth_step),
-                            radial_velocity=_quantize(vr, cfg.radial_velocity_step),
-                            amplitude=amp,
-                            sensor_id=mount.sensor_id,
-                            index=len(dets),
-                        )
-                    )
+                    rows.append((r_meas, az_meas, vr, amp))
                     scan_labels.append(LABEL_VRU)
                     raw.append(p)
         n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
@@ -369,19 +360,16 @@ def generate_radar(
                 - 40.0 * math.log10(r_c)
                 + (float(rng.normal(0.0, cfg.amp_sigma_db)) if cfg.amp_sigma_db > 0 else 0.0)
             )
-            dets.append(
-                RadarDetection(
-                    timestamp=t,
-                    range_m=_quantize(r_c, cfg.range_step),
-                    azimuth=_quantize(az_c, cfg.azimuth_step),
-                    radial_velocity=_quantize(vr_c, cfg.radial_velocity_step),
-                    amplitude=amp_c,
-                    sensor_id=mount.sensor_id,
-                    index=len(dets),
-                )
-            )
+            rows.append((r_c, az_c, vr_c, amp_c))
             scan_labels.append(LABEL_CLUTTER)
-        scans.append(RadarScan(timestamp=t, sensor_id=mount.sensor_id, detections=tuple(dets)))
+        ranges, azimuths, vrs, amps = np.reshape(rows, (-1, 4)).T
+        dets = Detections(
+            range_m=_quantize(ranges, cfg.range_step),
+            azimuth=_quantize(azimuths, cfg.azimuth_step),
+            radial_velocity=_quantize(vrs, cfg.radial_velocity_step),
+            amplitude=amps,
+        )
+        scans.append(RadarScan(timestamp=t, sensor_id=mount.sensor_id, detections=dets))
         labels.extend((t, i, lab) for i, lab in enumerate(scan_labels))
         raw_points.append(np.array(raw).reshape(-1, 2))
     return scans, labels, raw_points

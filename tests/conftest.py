@@ -40,22 +40,20 @@ def truth_assigned_scans(data: ScenarioData) -> list[TrackerScan]:
     """Tracker inputs using the simulator's own labels (perfect association)."""
     cfg = data.config
     mounts = {m.sensor_id: m for m in cfg.mounts}
-    labels = data.label_map()
+    # `data.labels` lists every scan's points in scan order.
+    is_vru = np.array([label == LABEL_VRU for _, _, label in data.labels], dtype=bool)
+    ends = np.cumsum([len(scan.detections) for scan in data.scans])
     out = []
-    for scan in data.scans:
-        mount = mounts[scan.sensor_id]
-        sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
-        keep = [
-            d for d in scan.detections
-            if labels[(round(scan.timestamp, 9), d.index)] == LABEL_VRU
-        ]
-        if keep:
-            pts = np.array([ego_to_global(polar_to_ego(d, mount), cfg.ego_pose) for d in keep])
+    for scan, keep in zip(data.scans, np.split(is_vru, ends[:-1])):
+        if keep.any():
+            mount = mounts[scan.sensor_id]
+            sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
+            pts = ego_to_global(polar_to_ego(scan, mount), cfg.ego_pose)[keep]
             out.append(
                 TrackerScan(
                     timestamp=scan.timestamp,
                     points=pts,
-                    radial_velocities=np.array([d.radial_velocity for d in keep]),
+                    radial_velocities=scan.detections.radial_velocity[keep],
                     sensor_pos=sensor.xy,
                 )
             )

@@ -102,13 +102,11 @@ def test_criterion_04_bounding_ellipse_invariant(pedestrian_run, cyclist_run, pe
             continue
         b = scan.bounding
         c, s = math.cos(b.orientation), math.sin(b.orientation)
-        for det in scan.assigned:
-            dx = det.cartesian_global[0] - b.center[0]
-            dy = det.cartesian_global[1] - b.center[1]
-            u, v = c * dx + s * dy, -s * dx + c * dy
-            val = (u / (b.ax_major / 2)) ** 2 + (v / (b.ax_minor / 2)) ** 2
-            worst = max(worst, val)
-            checked += 1
+        dx, dy = (scan.assigned.global_xy - b.center).T
+        u, v = c * dx + s * dy, -s * dx + c * dy
+        val = (u / (b.ax_major / 2)) ** 2 + (v / (b.ax_minor / 2)) ** 2
+        worst = max(worst, float(val.max()))
+        checked += len(scan.assigned)
     ok = checked > 10000 and worst <= 1.0 + 1e-9
     _report(4, "bounding ellipse covers 100% of assigned points", ok,
             f"points={checked} worst={worst:.12f}")
@@ -228,11 +226,9 @@ def test_criterion_09_statistical_toolkit(pedestrian_run):
         ref = sps.ttest_ind(a, b, equal_var=False)
         worst_t = max(worst_t, abs(mine.t - float(ref.statistic)))
         worst_p = max(worst_p, abs(mine.p_two_sided - float(ref.pvalue)))
-    comp, ranges = [], []
-    for scan in pedestrian_run.fused.scans:
-        for det in scan.assigned:
-            comp.append(r4_compensate(det.amplitude, det.range_m))
-            ranges.append(det.range_m)
+    assigned = [scan.assigned for scan in pedestrian_run.fused.scans]
+    ranges = np.concatenate([d.range_m for d in assigned])
+    comp = r4_compensate(np.concatenate([d.amplitude for d in assigned]), ranges)
     slope = float(np.polyfit(ranges, comp, 1)[0])
     ok = worst_t < 1e-9 and worst_p < 1e-6 and abs(slope) < 0.05
     _report(

@@ -7,8 +7,8 @@ import pytest
 from vruradar.annotation import annotate_scenario
 from vruradar.core import (
     GLOBAL,
+    Detections,
     Pose,
-    RadarDetection,
     RadarScan,
     SensorMount,
     VruKind,
@@ -31,16 +31,12 @@ def straight_trajectory():
 
 
 def scan_with_points(t, points_global, sensor_id="r0"):
-    dets = []
-    for i, p in enumerate(points_global):
-        r, az = ego_to_polar(global_to_ego(p, EGO), MOUNT)
-        dets.append(
-            RadarDetection(
-                timestamp=t, range_m=r, azimuth=az, radial_velocity=0.0,
-                amplitude=20.0, sensor_id=sensor_id, index=i,
-            )
-        )
-    return RadarScan(timestamp=t, sensor_id=sensor_id, detections=tuple(dets))
+    polar = np.array([ego_to_polar(global_to_ego(p, EGO), MOUNT) for p in points_global])
+    r, az = polar.reshape(-1, 2).T
+    n = len(r)
+    dets = Detections(range_m=r, azimuth=az, radial_velocity=np.zeros(n),
+                      amplitude=np.full(n, 20.0))
+    return RadarScan(timestamp=t, sensor_id=sensor_id, detections=dets)
 
 
 def test_partition_is_exhaustive_and_exclusive():
@@ -48,22 +44,23 @@ def test_partition_is_exhaustive_and_exclusive():
     scans = [scan_with_points(5.0, [(5.0, 0.1), (5.0, 3.0), (4.6, -0.2), (0.0, 0.0)])]
     res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     scan = res.scans[0]
+    assigned, rejected = set(scan.assigned.index.tolist()), set(scan.rejected.index.tolist())
     assert len(scan.assigned) + len(scan.rejected) == 4
-    assert {d.index for d in scan.assigned} | {d.index for d in scan.rejected} == {0, 1, 2, 3}
-    assert {d.index for d in scan.assigned} & {d.index for d in scan.rejected} == set()
-    assert {d.index for d in scan.assigned} == {0, 2}
+    assert assigned | rejected == {0, 1, 2, 3}
+    assert assigned & rejected == set()
+    assert assigned == {0, 2}
 
 
 def test_pipeline_fills_consistent_cartesian_fields():
     traj = straight_trajectory()
     pts = [(5.0, 0.1), (4.7, -0.3)]
     res = annotate_scenario([scan_with_points(5.0, pts)], traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
-    for det in res.scans[0].assigned + res.scans[0].rejected:
-        r, az = ego_to_polar(np.array(det.cartesian_ego), MOUNT)
-        assert r == pytest.approx(det.range_m, abs=1e-9)
-        assert az == pytest.approx(det.azimuth, abs=1e-9)
-        back = global_to_ego(np.array(det.cartesian_global), EGO)
-        assert back == pytest.approx(det.cartesian_ego, abs=1e-9)
+    for dets in (res.scans[0].assigned, res.scans[0].rejected):
+        for p_ego, p_glob, r, az in zip(dets.ego, dets.global_xy, dets.range_m, dets.azimuth):
+            r2, az2 = ego_to_polar(p_ego, MOUNT)
+            assert r2 == pytest.approx(r, abs=1e-9)
+            assert az2 == pytest.approx(az, abs=1e-9)
+            assert global_to_ego(p_glob, EGO) == pytest.approx(p_ego, abs=1e-9)
 
 
 def test_detections_inside_truth_extent_gives_full_recall():
@@ -106,16 +103,15 @@ def test_labeled_scan_invariants_bounding_contains_assigned():
         if scan.bounding is None:
             assert not scan.assigned
             continue
-        for d in scan.assigned:
-            assert bool(scan.bounding.contains(np.array(d.cartesian_global)))
+        assert scan.bounding.contains(scan.assigned.global_xy).all()
 
 
 def test_empty_scan_is_kept_without_bounding():
     traj = straight_trajectory()
-    scans = [RadarScan(timestamp=5.0, sensor_id="r0", detections=())]
+    scans = [RadarScan(timestamp=5.0, sensor_id="r0", detections=Detections([], [], [], []))]
     res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     assert len(res.scans) == 1
-    assert res.scans[0].assigned == ()
+    assert len(res.scans[0].assigned) == 0 and len(res.scans[0].rejected) == 0
     assert res.scans[0].bounding is None
 
 

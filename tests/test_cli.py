@@ -84,7 +84,7 @@ def test_annotate_output_parses_and_partitions(labeled_path):
     scans = io.read_labeled_jsonl(labeled_path)
     assert len(scans) > 500
     for scan in scans[:50]:
-        idxs = sorted(d.index for d in scan.assigned + scan.rejected)
+        idxs = sorted(scan.assigned.index.tolist() + scan.rejected.index.tolist())
         assert idxs == list(range(len(idxs)))
 
 
@@ -302,15 +302,22 @@ def test_preset_flag_runs(tmp_path):
 
 
 def test_module_entry_point_subprocess(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import vruradar
+
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(vruradar.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     out = tmp_path / "sub"
     cfg = write_config(tmp_path / "config.json", duration=5.0)
     proc = subprocess.run(
         [sys.executable, "-m", "vruradar.cli", "simulate",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -367,3 +374,49 @@ def test_every_output_table_reads_back(sim_dir, labeled_path, tmp_path, capsys):
         "mean_comp_power", "doppler_std", "conf_major", "conf_minor", "weighted_count"]
     assert len(rows[trk / "track.csv"]) == len(rows[trk / "errors.csv"]) == tracked > 0
     assert len(rows[tmp_path / "sig.csv"]) == 100 * 60  # default 5 m x 3 m grid at 0.05 m
+
+
+def test_annotate_non_object_header_exit_2(tmp_path, sim_dir, capsys):
+    bad = tmp_path / "radar.jsonl"
+    lines = (sim_dir / "radar.jsonl").read_text().splitlines()
+    bad.write_text("\n".join(["[1]", *lines[1:]]) + "\n", encoding="utf-8")
+    rc = main([
+        "annotate", "--scenario", str(sim_dir / "scenario.json"), "--radar", str(bad),
+        "--gnss", str(sim_dir / "gnss.csv"), "--imu", str(sim_dir / "imu.csv"),
+        "--out", str(tmp_path / "labeled.jsonl"),
+    ])
+    assert rc == 2
+    assert f"{bad}:1:" in capsys.readouterr().err
+
+
+def _labeled_with_edit(labeled_path, tmp_path, edit) -> tuple[Path, int]:
+    """A copy of the labeled file with `edit` applied to its first record with assigned points."""
+    lines = labeled_path.read_text(encoding="utf-8").splitlines()
+    k = next(k for k in range(1, len(lines)) if json.loads(lines[k])["assigned"])
+    rec = json.loads(lines[k])
+    edit(rec)
+    lines[k] = json.dumps(rec)
+    bad = tmp_path / "labeled.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad, k + 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "signature", "track"])
+@pytest.mark.parametrize("fault", ["null-global", "repeated-point"])
+def test_commands_reject_bad_labeled_points(sim_dir, labeled_path, tmp_path, capsys,
+                                            command, fault):
+    def edit(rec):
+        if fault == "null-global":
+            rec["assigned"][0]["global"] = None
+        else:
+            rec["assigned"].append(rec["assigned"][0])
+
+    bad, line = _labeled_with_edit(labeled_path, tmp_path, edit)
+    args = {
+        "evaluate": ["--truth-labels", str(sim_dir / "truth_labels.jsonl"),
+                     "--out", str(tmp_path / "eval")],
+        "signature": ["--out", str(tmp_path / "sig")],
+        "track": ["--scenario", str(sim_dir / "scenario.json"), "--out", str(tmp_path / "trk")],
+    }[command]
+    assert main([command, "--labeled", str(bad), *args]) == 2
+    assert f"{bad}:{line}:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as sps
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import EmptyScanError, GLOBAL, Pose, RadarDetection, VruKind
+from vruradar.core import EmptyScanError, GLOBAL, Detections, Pose, VruKind
 from vruradar.evaluation import (
     Averaging,
     confidence_ellipse,
@@ -19,19 +19,22 @@ from vruradar.trajectory import TrajectoryState
 
 
 def make_scan(t, assigned_idx, rejected_idx, *, vr=None, amp=20.0, rng_m=10.0, pts=None):
-    def det(i):
-        return RadarDetection(
-            timestamp=t, range_m=rng_m, azimuth=0.0,
-            radial_velocity=0.0 if vr is None else vr[i],
-            amplitude=amp, sensor_id="r0", index=i,
-            cartesian_global=(0.0, 0.0) if pts is None else tuple(pts[i]),
-        )
+    n = len(assigned_idx) + len(rejected_idx)
+    dets = Detections(
+        range_m=np.full(n, rng_m), azimuth=np.zeros(n),
+        radial_velocity=np.zeros(n) if vr is None else vr,
+        amplitude=np.full(n, amp),
+        ego=np.zeros((n, 2)),
+        global_xy=np.zeros((n, 2)) if pts is None else pts,
+    )
+
+    def rows(idx):
+        return dets[np.asarray(idx, dtype=int)]
 
     state = TrajectoryState(t, Pose(0, 0, 0, frame=GLOBAL), 1.0, 0.0)
     return LabeledScan(
         timestamp=t, track_id="vru-0", vru_kind=VruKind.PEDESTRIAN, sensor_id="r0",
-        assigned=tuple(det(i) for i in assigned_idx),
-        rejected=tuple(det(i) for i in rejected_idx),
+        assigned=rows(assigned_idx), rejected=rows(rejected_idx),
         bounding=None, vru_state=state,
     )
 
@@ -139,6 +142,15 @@ def test_r4_identity_at_ref_range():
 def test_r4_double_range_adds_12dB():
     assert r4_compensate(0.0, 2.0) == pytest.approx(40 * math.log10(2), abs=1e-12)
     assert r4_compensate(0.0, 2.0) == pytest.approx(12.0412, abs=1e-4)
+
+
+def test_r4_columns_match_scalar_reference():
+    rng = np.random.default_rng(8)
+    amps, ranges = rng.normal(20.0, 5.0, 300), rng.uniform(0.15, 40.0, 300)
+    expected = [a + 40.0 * math.log10(r) for a, r in zip(amps.tolist(), ranges.tolist())]
+    assert r4_compensate(amps, ranges).tolist() == expected
+    with pytest.raises(ValueError):
+        r4_compensate(amps, np.append(ranges[1:], 0.0))
 
 
 def test_r4_rejects_nonpositive_range():

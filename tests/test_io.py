@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -53,12 +54,7 @@ def test_radar_round_trip(tmp_path, small_scenario):
     assert len(back) == len(small_scenario.scans)
     for a, b in zip(back, small_scenario.scans):
         assert a.sensor_id == b.sensor_id
-        assert len(a.detections) == len(b.detections)
-        for da, db in zip(a.detections, b.detections):
-            assert da.range_m == db.range_m
-            assert da.azimuth == db.azimuth
-            assert da.radial_velocity == db.radial_velocity
-            assert da.index == db.index
+        assert a.detections == b.detections
 
 
 def test_truth_labels_round_trip(tmp_path, small_scenario):
@@ -100,8 +96,8 @@ def test_labeled_round_trip_preserves_partition(tmp_path, labeled_result):
         if a.bounding is not None:
             assert a.bounding.ax_major == b.bounding.ax_major
         assert a.vru_state.pose.x == b.vru_state.pose.x
-        for da, db in zip(a.assigned, b.assigned):
-            assert da.cartesian_global == db.cartesian_global
+        assert a.assigned == b.assigned
+        assert a.rejected == b.rejected
 
 
 def test_scenario_manifest_round_trip(tmp_path, small_scenario):
@@ -261,3 +257,69 @@ def test_scenario_reader_rejects_non_finite_numbers(tmp_path, small_scenario, co
     with pytest.raises(io.SchemaError, match="non-finite") as err:
         io.read_scenario_json(path)
     assert err.value.path == path
+
+
+def test_radar_header_must_be_an_object(tmp_path, small_scenario):
+    path = tmp_path / "radar.jsonl"
+    io.write_radar_jsonl(path, small_scenario.scans)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(["[1]", *lines[1:]]) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="JSON object") as err:
+        io.read_radar_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, 1)
+
+
+def test_scenario_manifest_must_be_an_object(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="JSON object") as err:
+        io.read_scenario_json(path)
+    assert (err.value.path, err.value.line) == (path, 1)
+
+
+def _edit_record(path, edit) -> int:
+    """Apply `edit` to the decoded first record that has an assigned point; return its line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k in range(1, len(lines)):
+        rec = json.loads(lines[k])
+        if rec["assigned"]:
+            edit(rec)
+            lines[k] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            return k + 1
+    raise AssertionError(f"no assigned point in {path}")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("global", None), ("global", [1.0]), ("ego", [1.0, 2.0, 3.0]), ("ego", [1.0, "x"]),
+])
+def test_labeled_reader_requires_two_number_coordinates(tmp_path, labeled_result, key, value):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    line = _edit_record(path, lambda rec: rec["assigned"][0].update({key: value}))
+    with pytest.raises(io.SchemaError) as err:
+        io.read_labeled_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
+@pytest.mark.parametrize("into", ["assigned", "rejected"])
+def test_labeled_reader_rejects_repeated_points(tmp_path, labeled_result, into):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    line = _edit_record(path, lambda rec: rec[into].append(rec["assigned"][0]))
+    with pytest.raises(io.SchemaError, match="more than once") as err:
+        io.read_labeled_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
+def test_truth_labels_reader_rejects_repeated_keys(tmp_path, small_scenario):
+    path = tmp_path / "labels.jsonl"
+    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[1])
+    rec["label"] = "clutter" if rec["label"] == "vru" else "vru"
+    lines.append(json.dumps(rec))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="repeated") as err:
+        io.read_truth_labels_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, len(lines))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import GLOBAL, Pose, RadarDetection, VruKind
+from vruradar.core import GLOBAL, Detections, Pose, VruKind
 from vruradar.signature import (
     accumulate,
     grid_stats,
@@ -19,12 +19,10 @@ def vru_state(x=0.0, y=0.0, yaw=0.0, t=0.0):
 
 
 def labeled_scan(t, points_global, state):
-    dets = tuple(
-        RadarDetection(
-            timestamp=t, range_m=1.0, azimuth=0.0, radial_velocity=0.0,
-            amplitude=0.0, sensor_id="r0", index=i, cartesian_global=(float(p[0]), float(p[1])),
-        )
-        for i, p in enumerate(points_global)
+    n = len(points_global)
+    dets = Detections(
+        range_m=np.ones(n), azimuth=np.zeros(n), radial_velocity=np.zeros(n),
+        amplitude=np.zeros(n), ego=np.zeros((n, 2)), global_xy=points_global,
     )
     return LabeledScan(
         timestamp=t, track_id="vru-0", vru_kind=VruKind.PEDESTRIAN, sensor_id="r0",
@@ -176,3 +174,17 @@ def test_exports_carry_format_headers(tmp_path):
     assert csv_lines[1] == "x,y,count"
     counts = sum(int(line.rsplit(",", 1)[1]) for line in csv_lines[2:])
     assert counts == grid.total
+
+
+def test_states_aligned_with_scans_replace_track_states():
+    # Both scans see a point 1 m ahead of their own state; the given states
+    # put the first point at the origin and the second 1 m behind it.
+    scans = [labeled_scan(0.0, [(1.0, 0.0)], vru_state(0.0, 0.0, t=0.0)),
+             labeled_scan(1.0, [(2.0, 0.0)], vru_state(1.0, 0.0, t=1.0))]
+    states = [vru_state(1.0, 0.0, t=0.0), vru_state(3.0, 0.0, t=1.0)]
+    grid = accumulate(scans, resolution=0.5, states=states)
+    xs, ys = grid.cell_centers()
+    hits = [(float(xs[ix]), float(ys[iy])) for ix, iy in zip(*np.nonzero(grid.counts))]
+    assert sorted(hits) == [(-0.75, 0.25), (0.25, 0.25)]
+    with pytest.raises(ValueError, match="states"):
+        accumulate(scans, states=states[:1])
