@@ -124,13 +124,14 @@ class Detections:
         n = len(self.range_m)
         if self.index is None:
             object.__setattr__(self, "index", np.arange(n))
-        for name, col in self._columns().items():
-            col = np.ascontiguousarray(col, dtype=np.int64 if name == "index" else float)
-            if name in ("ego", "global_xy"):
-                col = col.reshape(-1, 2)
+        for name, empty in _NO_ROWS.items():
+            col = getattr(self, name)
+            if col is None:
+                continue
+            col = np.ascontiguousarray(col, dtype=empty.dtype).reshape((-1, *empty.shape[1:]))
             if len(col) != n:
                 raise ValueError(f"column {name!r} has {len(col)} rows, expected {n}")
-            object.__setattr__(self, name, col)
+            object.__setattr__(self, name, col if n else empty)
         if np.count_nonzero(self.range_m < 0):
             raise ValueError(f"range must be >= 0, got {self.range_m.min()}")
 
@@ -145,7 +146,11 @@ class Detections:
         out = object.__new__(Detections)
         for name in _COLUMNS:
             col = getattr(self, name)
-            object.__setattr__(out, name, None if col is None else col[rows])
+            if col is not None:
+                col = col[rows]
+                if not len(col):
+                    col = _NO_ROWS[name]
+            object.__setattr__(out, name, col)
         return out
 
     def __eq__(self, other) -> bool:
@@ -158,6 +163,16 @@ class Detections:
 
 
 _COLUMNS = tuple(f.name for f in fields(Detections))
+_XY_COLUMNS = ("ego", "global_xy")
+
+# Read-only zero-row columns that every empty table shares: most selections
+# of a sparse drive are empty, and each numpy array costs ~150 bytes even then.
+_NO_ROWS = {
+    name: np.empty((0, 2) if name in _XY_COLUMNS else 0, np.int64 if name == "index" else float)
+    for name in _COLUMNS
+}
+for _col in _NO_ROWS.values():
+    _col.flags.writeable = False
 
 
 @dataclass(frozen=True)
