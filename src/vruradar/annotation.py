@@ -32,11 +32,7 @@ from .trajectory import ReferenceTrajectory, TrajectoryState
 
 @dataclass(frozen=True)
 class LabeledScan:
-    """One scan partitioned into track-assigned and rejected detections.
-
-    `assigned` and `rejected` are complementary row selections of the scan's
-    detections, with their ego and global coordinates filled in.
-    """
+    """One scan's detections, coordinates filled in, split into assigned and rejected rows."""
 
     timestamp: float
     track_id: str
@@ -94,11 +90,7 @@ def annotate_scenario(
         assigned, rejected = placed[inside], placed[~inside]
         bounding = None
         if assigned:
-            bounding = fit_bounding_ellipse(
-                assigned.global_xy,
-                center=(state.pose.x, state.pose.y),
-                yaw=state.pose.yaw,
-            )
+            bounding = fit_bounding_ellipse(assigned.global_xy, state.pose.xy, state.pose.yaw)
         labeled.append(
             LabeledScan(
                 timestamp=scan.timestamp,

@@ -126,17 +126,13 @@ class Detections:
             object.__setattr__(self, "index", np.arange(n))
         for name, empty in _NO_ROWS.items():
             col = getattr(self, name)
-            if col is None:
-                continue
-            col = np.ascontiguousarray(col, dtype=empty.dtype).reshape((-1, *empty.shape[1:]))
-            if len(col) != n:
-                raise ValueError(f"column {name!r} has {len(col)} rows, expected {n}")
-            object.__setattr__(self, name, col if n else empty)
+            if col is not None:
+                col = np.ascontiguousarray(col, dtype=empty.dtype).reshape((-1, *empty.shape[1:]))
+                if len(col) != n:
+                    raise ValueError(f"column {name!r} has {len(col)} rows, expected {n}")
+                object.__setattr__(self, name, col if n else empty)
         if np.count_nonzero(self.range_m < 0):
             raise ValueError(f"range must be >= 0, got {self.range_m.min()}")
-
-    def _columns(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _COLUMNS if getattr(self, name) is not None}
 
     def __len__(self) -> int:
         return len(self.range_m)
@@ -156,19 +152,21 @@ class Detections:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Detections):
             return NotImplemented
-        a, b = self._columns(), other._columns()
-        return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+        columns = ((getattr(self, name), getattr(other, name)) for name in _COLUMNS)
+        return all(a is b or (a is not None and b is not None and np.array_equal(a, b))
+                   for a, b in columns)
 
     __iter__ = None  # a table is read by columns, not point by point
 
 
 _COLUMNS = tuple(f.name for f in fields(Detections))
-_XY_COLUMNS = ("ego", "global_xy")
 
-# Read-only zero-row columns that every empty table shares: most selections
-# of a sparse drive are empty, and each numpy array costs ~150 bytes even then.
+# Read-only zero-row columns, which also set each column's dtype and row shape.
+# Every empty table shares them: most selections of a sparse drive are empty,
+# and a numpy array costs ~150 bytes even then.
 _NO_ROWS = {
-    name: np.empty((0, 2) if name in _XY_COLUMNS else 0, np.int64 if name == "index" else float)
+    name: np.empty((0, 2) if name in ("ego", "global_xy") else 0,
+                   np.int64 if name == "index" else float)
     for name in _COLUMNS
 }
 for _col in _NO_ROWS.values():

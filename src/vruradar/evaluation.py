@@ -113,16 +113,12 @@ def score_assignment(
 
 
 def r4_compensate(amplitude_db, range_m, ref_range: float = 1.0):
-    """Free-space two-way path loss correction: +40*log10(range/ref) dB.
-
-    Takes scalars or equal-length arrays of amplitudes and ranges.
-    """
+    """Free-space two-way path loss correction, +40*log10(range/ref) dB, on scalars or arrays."""
     range_m = np.asarray(range_m, dtype=float)
     if ref_range <= 0 or np.any(range_m <= 0):
         raise ValueError("range and ref_range must be > 0")
     ratio = range_m / ref_range
-    # The C library's log10 rather than numpy's SIMD one, which can differ in
-    # the last bit: the statistics written from this stay bit-stable.
+    # math.log10: numpy's SIMD log10 can differ in the last bit; written stats stay stable.
     log_ratio = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size)
     return amplitude_db + 40.0 * log_ratio.reshape(ratio.shape)
 
