@@ -209,10 +209,10 @@ def polar_to_ego(scan: RadarScan, mount: SensorMount) -> np.ndarray:
     return mount.pose_in_ego.to_parent(local)
 
 
-def ego_to_polar(point_ego, mount: SensorMount) -> tuple[float, float]:
-    """(range, azimuth) of an ego-frame point as seen by the mounted sensor."""
+def ego_to_polar(point_ego, mount: SensorMount) -> tuple[np.ndarray, np.ndarray]:
+    """(range, azimuth) of ego-frame point(s), (2,) or (n, 2), as seen by the mounted sensor."""
     local = mount.pose_in_ego.from_parent(point_ego)
-    return float(math.hypot(local[0], local[1])), float(math.atan2(local[1], local[0]))
+    return np.hypot(local[..., 0], local[..., 1]), np.arctan2(local[..., 1], local[..., 0])
 
 
 def ego_to_global(point_ego, ego_pose: Pose) -> np.ndarray:

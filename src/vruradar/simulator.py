@@ -18,6 +18,7 @@ from .core import (
     GLOBAL,
     LABEL_CLUTTER,
     LABEL_VRU,
+    TWO_PI,
     Detections,
     Pose,
     RadarScan,
@@ -26,7 +27,6 @@ from .core import (
     compose_pose,
     ego_to_polar,
     global_to_ego,
-    rotation_matrix,
 )
 from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
 
@@ -47,14 +47,12 @@ class Perturbation:
     onset: float = 0.3  # s, linear ramp at both window edges
     flagged: bool = False  # whether the receiver marks samples DEGRADED
 
-    def weight(self, t: float) -> float:
-        """Bias activation in [0, 1] at time t."""
-        if t <= self.start or t >= self.start + self.duration:
-            return 0.0
+    def weight(self, t):
+        """Bias activation in [0, 1] at time(s) t; zero outside the open window."""
         ramp = max(self.onset, 1e-9)
         up = (t - self.start) / ramp
         down = (self.start + self.duration - t) / ramp
-        return float(min(1.0, up, down))
+        return np.clip(np.minimum(up, down), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -64,8 +62,8 @@ class DetectionRateParams:
     lambda0: float = 12.0
     r0: float = 10.0
 
-    def mean_count(self, r: float) -> float:
-        return max(1.0, self.lambda0 * self.r0 / max(r, 1e-6))
+    def mean_count(self, r):
+        return np.maximum(1.0, self.lambda0 * self.r0 / np.maximum(r, 1e-6))
 
 
 def default_mounts() -> tuple[SensorMount, ...]:
@@ -120,6 +118,14 @@ class ScenarioConfig:
             raise ValueError("duration must be > 0")
         if self.speed <= 0:
             raise ValueError("speed must be > 0")
+        scales = {name: getattr(self, name) for name in (
+            "gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
+            "accel_bias_sigma", "doppler_sigma", "amp_sigma_db")}
+        if self.perturbation is not None:
+            scales["random_walk_sigma"] = self.perturbation.random_walk_sigma
+        for name, value in scales.items():
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
 
     def body_sigma(self) -> tuple[float, float]:
         """Scatter standard deviations (along, across) the movement direction."""
@@ -139,7 +145,7 @@ class EightCourse:
         self.speed = float(speed)
         s = np.linspace(0.0, 1.0, table_size + 1)
         ds = s[1] - s[0]
-        norm = self._tangent_norm(s)
+        norm = np.hypot(*self._tangent(s))
         # Cumulative trapezoidal arc length over one lap.
         arc = np.concatenate([[0.0], np.cumsum(0.5 * (norm[1:] + norm[:-1]) * ds)])
         self._s_table = s
@@ -147,34 +153,38 @@ class EightCourse:
         self.lap_length = float(arc[-1])
         self.period = self.lap_length / self.speed
 
-    def _tangent_norm(self, s):
+    def _tangent(self, s):
+        """(dx/ds, dy/ds) of the lemniscate at parameter(s) s."""
         a = self.half_width
         dx = 2.0 * math.pi * a * np.cos(2.0 * math.pi * s)
         dy = 2.0 * math.pi * a * np.cos(4.0 * math.pi * s)
-        return np.hypot(dx, dy)
+        return dx, dy
+
+    def states(self, times):
+        """Course columns at `times`: xy (n, 2), yaw, speed and yaw rate, each (n,)."""
+        a = self.half_width
+        dist = np.fmod(self.speed * np.asarray(times, dtype=float), self.lap_length)
+        dist[dist < 0] += self.lap_length
+        s = np.interp(dist, self._arc_table, self._s_table)
+        p2, p4 = 2.0 * math.pi * s, 4.0 * math.pi * s
+        dx, dy = self._tangent(s)
+        ddx = -4.0 * math.pi**2 * a * np.sin(p2)
+        ddy = -8.0 * math.pi**2 * a * np.sin(p4)
+        curvature = (dx * ddy - dy * ddx) / np.hypot(dx, dy) ** 3
+        xy = np.column_stack([a * np.sin(p2), 0.5 * a * np.sin(p4)])
+        return xy, np.arctan2(dy, dx), np.full(len(s), self.speed), curvature * self.speed
 
     def state_at(self, t: float) -> TrajectoryState:
-        a = self.half_width
-        dist = math.fmod(self.speed * t, self.lap_length)
-        if dist < 0:
-            dist += self.lap_length
-        s = float(np.interp(dist, self._arc_table, self._s_table))
-        p2, p4 = 2.0 * math.pi * s, 4.0 * math.pi * s
-        x = a * math.sin(p2)
-        y = 0.5 * a * math.sin(p4)
-        dx = 2.0 * math.pi * a * math.cos(p2)
-        dy = 2.0 * math.pi * a * math.cos(p4)
-        ddx = -4.0 * math.pi**2 * a * math.sin(p2)
-        ddy = -8.0 * math.pi**2 * a * math.sin(p4)
-        norm = math.hypot(dx, dy)
-        yaw = math.atan2(dy, dx)
-        curvature = (dx * ddy - dy * ddx) / norm**3
-        return TrajectoryState(
-            timestamp=float(t),
-            pose=Pose(x, y, yaw, frame=GLOBAL),
-            speed=self.speed,
-            yaw_rate=curvature * self.speed,
-        )
+        return _trajectory_states([t], *self.states([t]))[0]
+
+
+def _trajectory_states(times, xy, yaw, speed, yaw_rate) -> list[TrajectoryState]:
+    """One state per row of the columns that `EightCourse.states` returns."""
+    columns = (np.asarray(times, dtype=float), yaw, speed, yaw_rate)
+    return [
+        TrajectoryState(timestamp=t, pose=Pose(x, y, h, frame=GLOBAL), speed=v, yaw_rate=w)
+        for (x, y), t, h, v, w in zip(xy.tolist(), *(c.tolist() for c in columns))
+    ]
 
 
 @dataclass
@@ -201,67 +211,54 @@ class ScenarioData:
 
 def generate_truth(cfg: ScenarioConfig, course: EightCourse | None = None) -> list[TrajectoryState]:
     course = course or EightCourse(cfg.course_half_width, cfg.speed)
-    n = int(round(cfg.duration * cfg.truth_rate))
-    return [course.state_at(k / cfg.truth_rate) for k in range(n + 1)]
+    times = np.arange(round(cfg.duration * cfg.truth_rate) + 1) / cfg.truth_rate
+    return _trajectory_states(times, *course.states(times))
 
 
 def generate_gnss(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> list[GnssSample]:
-    n = int(round(cfg.duration * cfg.gnss_rate))
-    samples = []
-    walk = np.zeros(2)
-    for k in range(n + 1):
-        t = k / cfg.gnss_rate
-        state = course.state_at(t)
-        noise = rng.normal(0.0, cfg.gnss_sigma, 2) if cfg.gnss_sigma > 0 else np.zeros(2)
-        pos = state.pose.xy + noise
-        quality = GnssQuality.FIX_RTK
-        pert = cfg.perturbation
-        if pert is not None:
-            w = pert.weight(t)
-            if w > 0.0:
-                if pert.bias is not None:
-                    pos = pos + w * np.asarray(pert.bias)
-                if pert.random_walk_sigma > 0.0:
-                    walk = walk + rng.normal(0.0, pert.random_walk_sigma, 2)
-                    pos = pos + walk
-                if pert.flagged:
-                    quality = GnssQuality.DEGRADED
-            else:
-                walk = np.zeros(2)
-        samples.append(GnssSample(timestamp=t, x=float(pos[0]), y=float(pos[1]), quality=quality))
-    return samples
+    times = np.arange(round(cfg.duration * cfg.gnss_rate) + 1) / cfg.gnss_rate
+    pos = course.states(times)[0] + rng.normal(0.0, cfg.gnss_sigma, (len(times), 2))
+    degraded = np.zeros(len(times), dtype=bool)
+    pert = cfg.perturbation
+    if pert is not None:
+        w = pert.weight(times)
+        inside = w > 0.0  # one run of samples
+        if pert.bias is not None:
+            pos[inside] += w[inside, None] * np.asarray(pert.bias)
+        if pert.random_walk_sigma > 0.0:
+            steps = rng.normal(0.0, pert.random_walk_sigma, (np.count_nonzero(inside), 2))
+            pos[inside] += np.cumsum(steps, axis=0)
+        degraded = inside & pert.flagged
+    return [
+        GnssSample(timestamp=t, x=x, y=y,
+                   quality=GnssQuality.DEGRADED if d else GnssQuality.FIX_RTK)
+        for t, (x, y), d in zip(times.tolist(), pos.tolist(), degraded.tolist())
+    ]
 
 
 def generate_imu(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> list[ImuSample]:
-    gyro_bias = float(rng.normal(0.0, cfg.gyro_bias_sigma)) if cfg.gyro_bias_sigma > 0 else 0.0
-    accel_bias = float(rng.normal(0.0, cfg.accel_bias_sigma)) if cfg.accel_bias_sigma > 0 else 0.0
-    n = int(round(cfg.duration * cfg.imu_rate))
+    gyro_bias, accel_bias = rng.normal(0.0, (cfg.gyro_bias_sigma, cfg.accel_bias_sigma))
     dt = 1.0 / cfg.imu_rate
-    samples = []
-    integrated = course.state_at(0.0).pose.yaw
-    for k in range(n + 1):
-        t = k * dt
-        state = course.state_at(t)
-        w_noise = float(rng.normal(0.0, cfg.gyro_sigma)) if cfg.gyro_sigma > 0 else 0.0
-        a_noise = float(rng.normal(0.0, cfg.accel_sigma)) if cfg.accel_sigma > 0 else 0.0
-        yaw_rate = state.yaw_rate + gyro_bias + w_noise
-        # Constant-speed course: true forward acceleration is zero.
-        accel = accel_bias + a_noise
-        if k > 0:
-            integrated += yaw_rate * dt
-        samples.append(
-            ImuSample(
-                timestamp=t,
-                yaw_rate=yaw_rate,
-                accel_forward=accel,
-                yaw=float(math.remainder(integrated, 2.0 * math.pi)),
-            )
-        )
-    return samples
+    times = np.arange(round(cfg.duration * cfg.imu_rate) + 1) * dt
+    _, yaw, _, true_rate = course.states(times)
+    gyro_noise, accel_noise = rng.normal(0.0, (cfg.gyro_sigma, cfg.accel_sigma), (len(times), 2)).T
+    yaw_rate = true_rate + gyro_bias + gyro_noise
+    # Constant-speed course: true forward acceleration is zero.
+    accel = accel_bias + accel_noise
+    integrated = np.cumsum(np.concatenate([yaw[:1], yaw_rate[1:] * dt]))
+    # math.remainder(integrated, 2 pi) as columns: fmod is exact, and so is the
+    # one 2 pi step that brings a remainder beyond pi back into [-pi, pi].
+    wrapped = np.fmod(integrated, TWO_PI)
+    wrapped[wrapped > math.pi] -= TWO_PI
+    wrapped[wrapped < -math.pi] += TWO_PI
+    return [
+        ImuSample(timestamp=t, yaw_rate=w, accel_forward=a, yaw=h)
+        for t, w, a, h in zip(times.tolist(), yaw_rate.tolist(), accel.tolist(), wrapped.tolist())
+    ]
 
 
 def _quantize(values: np.ndarray, step: float) -> np.ndarray:
@@ -284,95 +281,95 @@ def _sample_body_offsets(
     return out * np.asarray(sigma)
 
 
+def _perp(v: np.ndarray) -> np.ndarray:
+    """Rows of `v` turned a quarter counterclockwise."""
+    return v[:, ::-1] * [-1.0, 1.0]
+
+
+def _polar_by_sensor(points_ego, sensor, mounts) -> tuple[np.ndarray, np.ndarray]:
+    """Range and azimuth of each ego-frame point, seen by the mount `mounts[sensor[row]]`."""
+    r, az = np.empty(len(sensor)), np.empty(len(sensor))
+    for i, mount in enumerate(mounts):
+        rows = sensor == i
+        r[rows], az[rows] = ego_to_polar(points_ego[rows], mount)
+    return r, az
+
+
 def generate_radar(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> tuple[list[RadarScan], list[tuple[float, int, str]], list[np.ndarray]]:
     """Radar scans plus truth labels keyed by (scan timestamp, point index).
 
     Sensors fire phase-shifted so every scan timestamp in the scenario is
-    unique.  Each emitted point is VRU- or clutter-labeled; the raw
-    (pre-quantization) global positions of the VRU points are returned for
-    diagnostics.
+    unique.  Each emitted point is VRU- or clutter-labeled, VRU points first
+    within a scan; the raw (pre-quantization) global positions of the VRU
+    points are returned for diagnostics.
     """
-    sigma = cfg.body_sigma()
-    n_sensors = len(cfg.mounts)
-    if n_sensors == 0:
+    mounts = cfg.mounts
+    if not mounts:
         raise ValueError("at least one sensor mount is required")
     cycle = 1.0 / cfg.radar_rate
     t_lo = cfg.radar_start_margin
     t_hi = cfg.duration - cfg.radar_start_margin
 
-    events: list[tuple[float, SensorMount]] = []
-    for i, mount in enumerate(cfg.mounts):
-        t = t_lo + i * cycle / n_sensors
+    events: list[tuple[float, int]] = []  # (scan time, mount index)
+    for i in range(len(mounts)):
+        t = t_lo + i * cycle / len(mounts)
         while t <= t_hi:
-            events.append((t, mount))
+            events.append((t, i))
             t += cycle
-    events.sort(key=lambda e: (e[0], e[1].sensor_id))
+    events.sort(key=lambda e: (e[0], mounts[e[1]].sensor_id))
 
+    n_scans = len(events)
+    sensor = np.array([i for _, i in events], dtype=int)
+    max_range = np.array([m.max_range for m in mounts])[sensor]
+    fov = np.array([m.fov_azimuth for m in mounts])[sensor]
+    sensor_xy = np.array([compose_pose(cfg.ego_pose, m.pose_in_ego).xy for m in mounts])
+    xy, yaw, speed, yaw_rate = course.states([t for t, _ in events])
+    r_center, az_center = _polar_by_sensor(global_to_ego(xy, cfg.ego_pose), sensor, mounts)
+    visible = (r_center <= max_range) & (np.abs(az_center) <= fov)
+    n_vru = np.zeros(n_scans, dtype=int)
+    n_vru[visible] = rng.poisson(cfg.detection_rate.mean_count(r_center[visible]))
+
+    # VRU points: body scatter in the object frame, moving rigidly with the VRU.
+    scan = np.repeat(np.arange(n_scans), n_vru)
+    along, across = _sample_body_offsets(len(scan), cfg.body_sigma(), cfg.scatter_trunc, rng).T
+    heading = np.column_stack([np.cos(yaw), np.sin(yaw)])[scan]
+    rel = along[:, None] * heading + across[:, None] * _perp(heading)
+    points = xy[scan] + rel
+    vel = speed[scan, None] * heading + yaw_rate[scan, None] * _perp(rel)
+    los = points - sensor_xy[sensor[scan]]
+    r_true = np.hypot(los[:, 0], los[:, 1])
+    vr = (vel * los).sum(axis=1) / np.maximum(r_true, 1e-9)
+    vr += rng.normal(0.0, cfg.doppler_sigma, len(scan))
+    amp = cfg.amp_ref_db - 40.0 * np.log10(np.maximum(r_true, 1e-3))
+    amp += rng.normal(0.0, cfg.amp_sigma_db, len(scan))
+    r, az = _polar_by_sensor(global_to_ego(points, cfg.ego_pose), sensor[scan], mounts)
+
+    n_clutter = rng.poisson(cfg.clutter_rate, n_scans)
+    c_scan = np.repeat(np.arange(n_scans), n_clutter)
+    r_c = np.sqrt(rng.uniform(1.0, max_range[c_scan] ** 2))
+    az_c = rng.uniform(-fov[c_scan], fov[c_scan])
+    vr_c = rng.uniform(-cfg.clutter_velocity_span, cfg.clutter_velocity_span, len(c_scan))
+    amp_c = cfg.amp_ref_db + cfg.clutter_amp_offset_db - 40.0 * np.log10(r_c)
+    amp_c += rng.normal(0.0, cfg.amp_sigma_db, len(c_scan))
+
+    # Group rows by scan; the stable sort keeps each scan's VRU rows first.
+    # Amplitude is not quantized (step 0).
+    order = np.argsort(np.concatenate([scan, c_scan]), kind="stable")
+    bounds = np.cumsum(n_vru + n_clutter)[:-1]
+    columns = [
+        np.split(_quantize(np.concatenate(pair)[order], step), bounds)
+        for pair, step in (((r, r_c), cfg.range_step), ((az, az_c), cfg.azimuth_step),
+                           ((vr, vr_c), cfg.radial_velocity_step), ((amp, amp_c), 0.0))
+    ]
     scans: list[RadarScan] = []
     labels: list[tuple[float, int, str]] = []
-    raw_points: list[np.ndarray] = []
-    for t, mount in events:
-        state = course.state_at(t)
-        sensor_pose = compose_pose(cfg.ego_pose, mount.pose_in_ego)
-        center_ego = global_to_ego(state.pose.xy, cfg.ego_pose)
-        r_center, az_center = ego_to_polar(center_ego, mount)
-        visible = r_center <= mount.max_range and abs(az_center) <= mount.fov_azimuth
-
-        rows: list[tuple[float, float, float, float]] = []  # unquantized range, azimuth, vr, amp
-        scan_labels: list[str] = []
-        raw: list[np.ndarray] = []
-        if visible:
-            n_obj = int(rng.poisson(cfg.detection_rate.mean_count(r_center)))
-            if n_obj > 0:
-                offsets = _sample_body_offsets(n_obj, sigma, cfg.scatter_trunc, rng)
-                rot = rotation_matrix(state.pose.yaw)
-                points = state.pose.xy + offsets @ rot.T
-                vel_c = state.speed * rot[:, 0]
-                for p in points:
-                    rel = p - state.pose.xy
-                    vel = vel_c + state.yaw_rate * np.array([-rel[1], rel[0]])
-                    los = p - sensor_pose.xy
-                    r_true = float(np.hypot(los[0], los[1]))
-                    vr_true = float(vel @ los) / max(r_true, 1e-9)
-                    p_ego = global_to_ego(p, cfg.ego_pose)
-                    r_meas, az_meas = ego_to_polar(p_ego, mount)
-                    vr = vr_true + (
-                        float(rng.normal(0.0, cfg.doppler_sigma)) if cfg.doppler_sigma > 0 else 0.0
-                    )
-                    amp = (
-                        cfg.amp_ref_db
-                        - 40.0 * math.log10(max(r_true, 1e-3))
-                        + (float(rng.normal(0.0, cfg.amp_sigma_db)) if cfg.amp_sigma_db > 0 else 0.0)
-                    )
-                    rows.append((r_meas, az_meas, vr, amp))
-                    scan_labels.append(LABEL_VRU)
-                    raw.append(p)
-        n_clutter = int(rng.poisson(cfg.clutter_rate)) if cfg.clutter_rate > 0 else 0
-        for _ in range(n_clutter):
-            r_c = math.sqrt(float(rng.uniform(1.0, mount.max_range**2)))
-            az_c = float(rng.uniform(-mount.fov_azimuth, mount.fov_azimuth))
-            vr_c = float(rng.uniform(-cfg.clutter_velocity_span, cfg.clutter_velocity_span))
-            amp_c = (
-                cfg.amp_ref_db
-                + cfg.clutter_amp_offset_db
-                - 40.0 * math.log10(r_c)
-                + (float(rng.normal(0.0, cfg.amp_sigma_db)) if cfg.amp_sigma_db > 0 else 0.0)
-            )
-            rows.append((r_c, az_c, vr_c, amp_c))
-            scan_labels.append(LABEL_CLUTTER)
-        ranges, azimuths, vrs, amps = np.reshape(rows, (-1, 4)).T
-        dets = Detections(
-            range_m=_quantize(ranges, cfg.range_step),
-            azimuth=_quantize(azimuths, cfg.azimuth_step),
-            radial_velocity=_quantize(vrs, cfg.radial_velocity_step),
-            amplitude=amps,
-        )
-        scans.append(RadarScan(timestamp=t, sensor_id=mount.sensor_id, detections=dets))
-        labels.extend((t, i, lab) for i, lab in enumerate(scan_labels))
-        raw_points.append(np.array(raw).reshape(-1, 2))
-    return scans, labels, raw_points
+    for (t, i), n, *cols in zip(events, n_vru.tolist(), *columns):
+        scans.append(RadarScan(timestamp=t, sensor_id=mounts[i].sensor_id,
+                               detections=Detections(*cols)))
+        labels.extend((t, k, LABEL_VRU if k < n else LABEL_CLUTTER) for k in range(len(cols[0])))
+    return scans, labels, np.split(points, np.cumsum(n_vru)[:-1])
 
 
 def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:

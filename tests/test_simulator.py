@@ -98,6 +98,20 @@ def test_gnss_bias_window_sample_count():
     assert displaced == pytest.approx(3.0 * cfg.gnss_rate, abs=2)
 
 
+def test_gnss_random_walk_inside_window_only():
+    pert = Perturbation(start=5.0, duration=10.0, random_walk_sigma=0.1)
+    cfg = replace(preset("pedestrian-nominal"), duration=20.0, gnss_sigma=0.0, perturbation=pert)
+    course = EightCourse(cfg.course_half_width, cfg.speed)
+    samples = generate_gnss(course, cfg, np.random.default_rng(2))
+    t = np.array([s.timestamp for s in samples])
+    offset = np.array([[s.x, s.y] for s in samples]) - course.states(t)[0]
+    inside = (t > pert.start) & (t < pert.start + pert.duration)
+    assert not offset[~inside].any()
+    steps = np.diff(offset[inside], axis=0, prepend=np.zeros((1, 2)))
+    assert len(steps) == pytest.approx(10.0 * cfg.gnss_rate, abs=2)
+    assert steps.std() == pytest.approx(pert.random_walk_sigma, rel=0.15)
+
+
 def test_gnss_degraded_flagging_optional():
     pert = Perturbation(start=2.0, duration=2.0, bias=(2.0, 0.0), flagged=True)
     cfg = replace(preset("pedestrian-nominal"), duration=6.0, perturbation=pert)
@@ -254,3 +268,10 @@ def test_config_validation():
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, duration=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, gnss_rate=0.0)
+    for name in ("gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
+                 "accel_bias_sigma", "doppler_sigma", "amp_sigma_db"):
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, **{name: -0.1})
+    with pytest.raises(ValueError, match="random_walk_sigma"):
+        ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0,
+                       perturbation=Perturbation(start=1.0, duration=1.0, random_walk_sigma=-0.1))
