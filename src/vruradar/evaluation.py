@@ -10,8 +10,7 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.stats import chi2
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .annotation import LabeledScan
 from .core import LABEL_VRU, EmptyScanError
@@ -136,7 +135,7 @@ def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
     eigval = np.linalg.eigvalsh(cov)
     if eigval[0] <= 0.0:
         raise ValueError("degenerate covariance; points are collinear")
-    q = float(chi2.ppf(level, df=2))
+    q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
     major = 2.0 * math.sqrt(eigval[1] * q)
     minor = 2.0 * math.sqrt(eigval[0] * q)
     return major, minor
@@ -182,7 +181,7 @@ def welch_t_test(a, b) -> TTestResult:
     se = math.sqrt(sa + sb)
     t_stat = (float(np.mean(xa)) - float(np.mean(xb))) / se
     dof = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
-    p = 2.0 * float(student_t.sf(abs(t_stat), df=dof))
+    p = 2.0 * float(stdtr(dof, -abs(t_stat)))  # Student t survival function at |t|
     return TTestResult(t=t_stat, dof=dof, p_two_sided=p)
 
 
