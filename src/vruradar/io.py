@@ -207,11 +207,18 @@ def _point_dicts(d: Detections, keys: Mapping[str, str]) -> list[dict]:
 _polar_row = operator.itemgetter(*POLAR_KEYS)
 
 
+def _point_index(value) -> int:
+    # bool is an int subclass, and a float or string index would be silently truncated.
+    if type(value) is not int:
+        raise ValueError(f"point idx must be an integer, got {value!r}")
+    return value
+
+
 def _labeled_row(p: dict) -> tuple:
     for key in ("ego", "global"):
         if not (isinstance(p[key], list) and len(p[key]) == 2):
             raise ValueError(f"point {key!r} must be an [x, y] pair, got {p[key]!r}")
-    return (p["idx"], *_polar_row(p), *p["ego"], *p["global"])
+    return (_point_index(p["idx"]), *_polar_row(p), *p["ego"], *p["global"])
 
 
 def _point_table(points: list, row: Callable[[dict], tuple], width: int) -> np.ndarray:
@@ -291,7 +298,7 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
         try:
-            key, label = (round(float(rec["t"]), 9), int(rec["idx"])), str(rec["label"])
+            key, label = (round(float(rec["t"]), 9), _point_index(rec["idx"])), str(rec["label"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad label record: {exc}", path, i) from None
         if key in out:

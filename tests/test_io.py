@@ -312,6 +312,30 @@ def test_labeled_reader_rejects_repeated_points(tmp_path, labeled_result, into):
     assert (err.value.path, err.value.line) == (path, line)
 
 
+@pytest.mark.parametrize("value", [0.5, "0", True])
+def test_labeled_reader_requires_integer_point_index(tmp_path, labeled_result, value):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    line = _edit_record(path, lambda rec: rec["assigned"][0].update(idx=value))
+    with pytest.raises(io.SchemaError, match="must be an integer") as err:
+        io.read_labeled_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
+@pytest.mark.parametrize("value", [0.5, "0", True])
+def test_truth_labels_reader_requires_integer_point_index(tmp_path, small_scenario, value):
+    path = tmp_path / "labels.jsonl"
+    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[3])
+    rec["idx"] = value
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="must be an integer") as err:
+        io.read_truth_labels_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, 4)
+
+
 def test_truth_labels_reader_rejects_repeated_keys(tmp_path, small_scenario):
     path = tmp_path / "labels.jsonl"
     io.write_truth_labels_jsonl(path, small_scenario.labels)
