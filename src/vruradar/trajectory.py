@@ -98,45 +98,17 @@ def smooth_gnss(samples: list[GnssSample], window: int = 9) -> list[GnssSample]:
     return [replace(s, x=float(p[0]), y=float(p[1])) for s, p in zip(samples, xy)]
 
 
-def smooth_imu(samples: list[ImuSample], window: int = 9) -> list[ImuSample]:
-    """IMU stream with yaw rate and acceleration smoothed.
-
-    The integrated-yaw channel is smoothed on the unwrapped angle when every
-    sample carries one, otherwise passed through untouched.
-    """
-    if not samples:
-        return []
-    rates = moving_average([s.yaw_rate for s in samples], window)
-    accels = moving_average([s.accel_forward for s in samples], window)
-    yaws: list[float | None]
-    if all(s.yaw is not None for s in samples):
-        unwrapped = np.unwrap([s.yaw for s in samples])
-        yaws = [wrap_angle(v) for v in moving_average(unwrapped, window)]
-    else:
-        yaws = [s.yaw for s in samples]
-    return [
-        replace(s, yaw_rate=float(w), accel_forward=float(a), yaw=y)
-        for s, w, a, y in zip(samples, rates, accels, yaws)
-    ]
-
-
 class ReferenceTrajectory:
     """Time-continuous track built from smoothed positions.
 
     Positions come from a natural cubic spline through the knots; speed is the
     spline tangent magnitude; yaw follows the tangent while moving and holds
-    the last moving value at standstill; yaw rate comes from a smoothed IMU
-    stream when one is supplied and from spline curvature otherwise.
+    the last moving value at standstill; yaw rate comes from the IMU stream,
+    smoothed by a centered moving average, when one is supplied and from
+    spline curvature otherwise.
     """
 
-    def __init__(
-        self,
-        times,
-        positions,
-        *,
-        imu: list[ImuSample] | None = None,
-        standstill_speed: float = STANDSTILL_SPEED,
-    ):
+    def __init__(self, times, positions, *, imu: list[ImuSample] | None = None):
         t = np.asarray(times, dtype=float)
         xy = np.asarray(positions, dtype=float)
         if t.ndim != 1 or len(t) < 2:
@@ -149,10 +121,9 @@ class ReferenceTrajectory:
         self._spline = CubicSpline(t, xy, axis=0, bc_type="natural")
         self._deriv1 = self._spline.derivative(1)
         self._deriv2 = self._spline.derivative(2)
-        self._standstill_speed = float(standstill_speed)
-        if imu is not None and len(imu) > 0:
+        if imu:
             self._imu_t = np.array([s.timestamp for s in imu])
-            self._imu_w = np.array([s.yaw_rate for s in imu])
+            self._imu_w = moving_average([s.yaw_rate for s in imu])
         else:
             self._imu_t = None
             self._imu_w = None
@@ -162,7 +133,7 @@ class ReferenceTrajectory:
         diffs = np.diff(xy, axis=0)
         dts = np.diff(t)
         chord_speed = np.hypot(diffs[:, 0], diffs[:, 1]) / dts
-        moving = chord_speed >= self._standstill_speed
+        moving = chord_speed >= STANDSTILL_SPEED
         held = np.zeros(len(t))
         if moving.any():
             k0 = int(np.argmax(moving))
@@ -195,7 +166,7 @@ class ReferenceTrajectory:
         pos = self.position_at(t)
         vx, vy = self._deriv1(t)
         speed = float(math.hypot(vx, vy))
-        if speed >= self._standstill_speed:
+        if speed >= STANDSTILL_SPEED:
             yaw = math.atan2(vy, vx)
         else:
             knot = int(np.searchsorted(self._times, t, side="right") - 1)
@@ -213,21 +184,12 @@ class ReferenceTrajectory:
         )
 
 
-def build_trajectory(
-    gnss: list[GnssSample],
-    *,
-    imu: list[ImuSample] | None = None,
-    window: int = 9,
-    standstill_speed: float = STANDSTILL_SPEED,
-) -> ReferenceTrajectory:
+def build_trajectory(gnss: list[GnssSample]) -> ReferenceTrajectory:
     """Smooth a GNSS stream and wrap it as a queryable reference trajectory."""
     if len(gnss) < 2:
         raise ValueError("need at least two GNSS samples")
-    smoothed = smooth_gnss(gnss, window)
-    times = [s.timestamp for s in smoothed]
-    xy = [[s.x, s.y] for s in smoothed]
-    imu_s = smooth_imu(imu, window) if imu else None
-    return ReferenceTrajectory(times, xy, imu=imu_s, standstill_speed=standstill_speed)
+    smoothed = smooth_gnss(gnss)
+    return ReferenceTrajectory([s.timestamp for s in smoothed], [[s.x, s.y] for s in smoothed])
 
 
 @dataclass(frozen=True)
@@ -270,6 +232,15 @@ def fuse_gnss_imu(
     """
     if not gnss or not imu:
         raise ValueError("both GNSS and IMU streams must be non-empty")
+    for name, stream in (("GNSS", gnss), ("IMU", imu)):
+        times = np.array([s.timestamp for s in stream])
+        bad = np.flatnonzero(np.diff(times) <= 0)
+        if len(bad):
+            k = int(bad[0]) + 1
+            raise ValueError(
+                f"{name} timestamps must be strictly increasing: sample {k} at t={times[k]:.9f}"
+                f" follows t={times[k - 1]:.9f}"
+            )
     t0 = max(gnss[0].timestamp, imu[0].timestamp)
     t1 = min(gnss[-1].timestamp, imu[-1].timestamp)
     if t0 >= t1:
@@ -388,15 +359,11 @@ def build_fused_trajectory(
     gnss: list[GnssSample],
     imu: list[ImuSample],
     params: FusionParams = FusionParams(),
-    *,
-    window: int = 9,
-    standstill_speed: float = STANDSTILL_SPEED,
 ) -> ReferenceTrajectory:
     """Fusion filter output smoothed and wrapped as a reference trajectory."""
     states = fuse_gnss_imu(gnss, imu, params)
     if len(states) < 2:
         raise ValueError("fusion produced fewer than two states")
     times = [s.timestamp for s in states]
-    xy = moving_average([[s.pose.x, s.pose.y] for s in states], window)
-    imu_s = smooth_imu(imu, window)
-    return ReferenceTrajectory(times, xy, imu=imu_s, standstill_speed=standstill_speed)
+    xy = moving_average([[s.pose.x, s.pose.y] for s in states])
+    return ReferenceTrajectory(times, xy, imu=imu)

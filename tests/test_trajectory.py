@@ -142,6 +142,16 @@ def test_fusion_rejects_empty_and_disjoint():
         fuse_gnss_imu(gnss, imu)
 
 
+@pytest.mark.parametrize("stream", ["GNSS", "IMU"])
+def test_fusion_rejects_disordered_stream(stream):
+    gnss = [GnssSample(timestamp=k / 18.0, x=1.4 * k / 18.0, y=0.0) for k in range(37)]
+    imu = [ImuSample(timestamp=k / 90.0, yaw_rate=0.0, accel_forward=0.0) for k in range(181)]
+    samples = gnss if stream == "GNSS" else imu
+    samples[5], samples[6] = samples[6], samples[5]
+    with pytest.raises(ValueError, match=f"{stream} timestamps must be strictly increasing: sample 6"):
+        fuse_gnss_imu(gnss, imu)
+
+
 def test_fusion_clean_matches_smoothed_gnss():
     cfg = preset("pedestrian-nominal", seed=3)
     data = simulate_scenario(cfg)
