@@ -39,33 +39,6 @@ class ConfigError(ValueError):
     pass
 
 
-_SCENARIO_KEYS = {
-    "preset": str,
-    "seed": int,
-    "vru_kind": str,
-    "speed": float,
-    "course_half_width": float,
-    "duration": float,
-    "gnss_rate": float,
-    "imu_rate": float,
-    "radar_rate": float,
-    "gnss_sigma": float,
-    "clutter_rate": float,
-    "lambda0": float,
-    "r0": float,
-    "perturbation": dict,
-}
-
-_PERTURBATION_KEYS = {
-    "start": float,
-    "duration": float,
-    "bias": list,
-    "random_walk_sigma": float,
-    "onset": float,
-    "flagged": bool,
-}
-
-
 def _parse_vru_kind(value) -> VruKind:
     try:
         return VruKind(value)
@@ -73,54 +46,65 @@ def _parse_vru_kind(value) -> VruKind:
         raise ConfigError(f"invalid vru_kind {value!r}; choose pedestrian or cyclist") from None
 
 
+def _parse_bias(value) -> tuple[float, float]:
+    bias = tuple(float(v) for v in value)
+    if len(bias) != 2:
+        raise ConfigError("perturbation bias must have two components")
+    return bias
+
+
+# Config keys and their converters; a key left out keeps its dataclass default.
+_FIELD_KEYS = {  # ScenarioConfig fields of the same name
+    "vru_kind": _parse_vru_kind,
+    **dict.fromkeys(("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
+                     "radar_rate", "gnss_sigma", "clutter_rate"), float),
+}
+_DETECTION_RATE_KEYS = {"lambda0": float, "r0": float}
+_PERTURBATION_KEYS = {
+    "start": float,
+    "duration": float,
+    "bias": _parse_bias,
+    "random_walk_sigma": float,
+    "onset": float,
+    "flagged": bool,
+}
+_SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS, *_DETECTION_RATE_KEYS}
+
+
+def _converted(raw: dict, converters: dict) -> dict:
+    return {key: convert(raw[key]) for key, convert in converters.items() if key in raw}
+
+
+def _parse_perturbation(raw: dict) -> Perturbation:
+    unknown = set(raw) - set(_PERTURBATION_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown perturbation key(s): {', '.join(sorted(unknown))}")
+    for key in ("start", "duration"):
+        if key not in raw:
+            raise ConfigError(f"missing required perturbation key: {key}")
+    return Perturbation(**_converted(raw, _PERTURBATION_KEYS))
+
+
 def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
     """Build a scenario config from a parsed JSON dict, rejecting unknown keys."""
-    unknown = set(raw) - set(_SCENARIO_KEYS)
+    unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "preset" in raw:
-        base = preset(str(raw["preset"]), seed=int(raw.get("seed", 0)))
-    else:
+    if "preset" not in raw:
         for key in ("vru_kind", "speed"):
             if key not in raw:
                 raise ConfigError(f"missing required config key: {key}")
-        base = ScenarioConfig(
-            vru_kind=_parse_vru_kind(raw["vru_kind"]),
-            speed=float(raw["speed"]),
-            rng_seed=int(raw.get("seed", 0)),
-        )
-    kwargs = {}
-    if "vru_kind" in raw:
-        kwargs["vru_kind"] = _parse_vru_kind(raw["vru_kind"])
-    for key in ("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                "radar_rate", "gnss_sigma", "clutter_rate"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    if "lambda0" in raw or "r0" in raw:
-        kwargs["detection_rate"] = DetectionRateParams(
-            lambda0=float(raw.get("lambda0", 12.0)), r0=float(raw.get("r0", 10.0))
-        )
+    seed = int(raw.get("seed", 0))
+    kwargs = _converted(raw, _FIELD_KEYS)
+    rate = _converted(raw, _DETECTION_RATE_KEYS)
+    if rate:
+        kwargs["detection_rate"] = DetectionRateParams(**rate)
     if "perturbation" in raw:
-        p = raw["perturbation"]
-        unknown = set(p) - set(_PERTURBATION_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown perturbation key(s): {', '.join(sorted(unknown))}")
-        for key in ("start", "duration"):
-            if key not in p:
-                raise ConfigError(f"missing required perturbation key: {key}")
-        bias = tuple(float(v) for v in p["bias"]) if "bias" in p else None
-        if bias is not None and len(bias) != 2:
-            raise ConfigError("perturbation bias must have two components")
-        kwargs["perturbation"] = Perturbation(
-            start=float(p["start"]),
-            duration=float(p["duration"]),
-            bias=bias,
-            random_walk_sigma=float(p.get("random_walk_sigma", 0.0)),
-            onset=float(p.get("onset", 0.3)),
-            flagged=bool(p.get("flagged", False)),
-        )
+        kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
     try:
-        return dataclasses.replace(base, **kwargs)
+        if "preset" in raw:
+            return dataclasses.replace(preset(str(raw["preset"]), seed=seed), **kwargs)
+        return ScenarioConfig(rng_seed=seed, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
