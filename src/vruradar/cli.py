@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,54 +40,82 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value) -> float:
+    # bool is an int subclass, float() would also accept a string, and Python's
+    # json module reads NaN and Infinity.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if type(value) is not int:
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _parse_vru_kind(value) -> VruKind:
     try:
         return VruKind(value)
     except ValueError:
-        raise ConfigError(f"invalid vru_kind {value!r}; choose pedestrian or cyclist") from None
+        raise ValueError(f"must be pedestrian or cyclist, got {value!r}") from None
 
 
 def _parse_bias(value) -> tuple[float, float]:
-    bias = tuple(float(v) for v in value)
-    if len(bias) != 2:
-        raise ConfigError("perturbation bias must have two components")
-    return bias
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"must be an [x, y] pair, got {value!r}")
+    return (_number(value[0]), _number(value[1]))
 
 
 # Config keys and their converters; a key left out keeps its dataclass default.
 _FIELD_KEYS = {  # ScenarioConfig fields of the same name
     "vru_kind": _parse_vru_kind,
     **dict.fromkeys(("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                     "radar_rate", "gnss_sigma", "clutter_rate"), float),
+                     "radar_rate", "gnss_sigma", "clutter_rate"), _number),
 }
-_DETECTION_RATE_KEYS = {"lambda0": float, "r0": float}
+_DETECTION_RATE_KEYS = {"lambda0": _number, "r0": _number}
 _PERTURBATION_KEYS = {
-    "start": float,
-    "duration": float,
+    "start": _number,
+    "duration": _number,
     "bias": _parse_bias,
-    "random_walk_sigma": float,
-    "onset": float,
-    "flagged": bool,
+    "random_walk_sigma": _number,
+    "onset": _number,
+    "flagged": _flag,
 }
 _SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS, *_DETECTION_RATE_KEYS}
 
 
-def _converted(raw: dict, converters: dict) -> dict:
-    return {key: convert(raw[key]) for key, convert in converters.items() if key in raw}
+def _converted(raw: dict, converters: dict, section: str) -> dict:
+    out = {}
+    for key, convert in converters.items():
+        if key in raw:
+            try:
+                out[key] = convert(raw[key])
+            except ValueError as exc:
+                raise ConfigError(f"{section} key {key!r} {exc}") from None
+    return out
 
 
-def _parse_perturbation(raw: dict) -> Perturbation:
+def _parse_perturbation(raw) -> Perturbation:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config key 'perturbation' must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(_PERTURBATION_KEYS)
     if unknown:
         raise ConfigError(f"unknown perturbation key(s): {', '.join(sorted(unknown))}")
     for key in ("start", "duration"):
         if key not in raw:
             raise ConfigError(f"missing required perturbation key: {key}")
-    return Perturbation(**_converted(raw, _PERTURBATION_KEYS))
+    return Perturbation(**_converted(raw, _PERTURBATION_KEYS, "perturbation"))
 
 
 def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
-    """Build a scenario config from a parsed JSON dict, rejecting unknown keys."""
+    """Build a scenario config from a parsed JSON dict, rejecting unknown keys and bad values."""
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
@@ -94,9 +123,9 @@ def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
         for key in ("vru_kind", "speed"):
             if key not in raw:
                 raise ConfigError(f"missing required config key: {key}")
-    seed = int(raw.get("seed", 0))
-    kwargs = _converted(raw, _FIELD_KEYS)
-    rate = _converted(raw, _DETECTION_RATE_KEYS)
+    seed = _converted(raw, {"seed": _integer}, "config").get("seed", 0)
+    kwargs = _converted(raw, _FIELD_KEYS, "config")
+    rate = _converted(raw, _DETECTION_RATE_KEYS, "config")
     if rate:
         kwargs["detection_rate"] = DetectionRateParams(**rate)
     if "perturbation" in raw:
@@ -421,7 +450,7 @@ def main(argv=None) -> int:
     except (ConfigError, io.SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, eot.ExtentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -10,7 +10,6 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy.special import stdtr
 
 from .annotation import LabeledScan
 from .core import LABEL_VRU, EmptyScanError
@@ -168,6 +167,8 @@ def cycle_stats(scan: LabeledScan) -> CycleStats:
 
 def welch_t_test(a, b) -> TTestResult:
     """Welch's unequal-variance two-sample t-test with a two-sided p-value."""
+    from scipy.special import stdtr  # only `evaluate --compare` pays for this import
+
     xa = np.asarray(a, dtype=float)
     xb = np.asarray(b, dtype=float)
     if len(xa) < 2 or len(xb) < 2:

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -258,30 +258,41 @@ def _decode_json(text: str, what: str, path, line: int):
         raise SchemaError(f"{what} holds a {exc}", path, line) from None
 
 
-def _load_jsonl(path, tag: str) -> list[tuple[int, dict]]:
+def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
+    """Check the header line, then decode and yield one (line number, record) at a time."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty file", path, 1)
-    _check_jsonl_header(_decode_json(lines[0], "header line", path, 1), tag, path)
-    return [
-        (i, _decode_json(line, "record", path, i))
-        for i, line in enumerate(lines[1:], start=2)
-        if line
-    ]
+        header = fh.readline()
+        if not header:
+            raise SchemaError("empty file", path, 1)
+        _check_jsonl_header(_decode_json(header, "header line", path, 1), tag, path)
+        for i, line in enumerate(fh, start=2):
+            if line != "\n":
+                yield i, _decode_json(line, "record", path, i)
+
+
+def _check_scan_order(last_t: dict[str, float], sensor_id: str, t: float, path, line: int) -> None:
+    """Each sensor's scans must be strictly later than its previous one."""
+    prev = last_t.get(sensor_id, -math.inf)
+    if t <= prev:
+        raise SchemaError(f"scan t={t:.9f} of sensor {sensor_id!r} does not follow t={prev:.9f}",
+                          path, line)
+    last_t[sensor_id] = t
 
 
 def read_radar_jsonl(path) -> list[RadarScan]:
     scans = []
+    last_t: dict[str, float] = {}
     for i, rec in _load_jsonl(path, RADAR_TAG):
         try:
-            scans.append(RadarScan(
+            scan = RadarScan(
                 timestamp=float(rec["t"]),
                 sensor_id=str(rec["sensor_id"]),
                 detections=Detections(*_point_table(rec["points"], _polar_row, 4).T),
-            ))
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad radar record: {exc}", path, i) from None
+        _check_scan_order(last_t, scan.sensor_id, scan.timestamp, path, i)
+        scans.append(scan)
     return scans
 
 
@@ -348,6 +359,7 @@ def write_labeled_jsonl(path, scans: Iterable[LabeledScan]) -> None:
 
 def read_labeled_jsonl(path) -> list[LabeledScan]:
     scans = []
+    last_t: dict[str, float] = {}
     for i, rec in _load_jsonl(path, LABELED_TAG):
         try:
             t = float(rec["t"])
@@ -379,20 +391,20 @@ def read_labeled_jsonl(path) -> list[LabeledScan]:
                 raise ValueError(f"point idx {repeated:g} appears more than once")
             assigned = _labeled_detections(table[:n_assigned])
             rejected = _labeled_detections(table[n_assigned:])
-            scans.append(
-                LabeledScan(
-                    timestamp=t,
-                    track_id=str(rec["track_id"]),
-                    vru_kind=VruKind(rec["vru_kind"]),
-                    sensor_id=str(rec["sensor_id"]),
-                    assigned=assigned,
-                    rejected=rejected,
-                    bounding=bounding,
-                    vru_state=state,
-                )
+            scan = LabeledScan(
+                timestamp=t,
+                track_id=str(rec["track_id"]),
+                vru_kind=VruKind(rec["vru_kind"]),
+                sensor_id=str(rec["sensor_id"]),
+                assigned=assigned,
+                rejected=rejected,
+                bounding=bounding,
+                vru_state=state,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad labeled record: {exc}", path, i) from None
+        _check_scan_order(last_t, scan.sensor_id, t, path, i)
+        scans.append(scan)
     return scans
 
 

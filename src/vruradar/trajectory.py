@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import GLOBAL, Pose, wrap_angle
 
@@ -109,6 +108,8 @@ class ReferenceTrajectory:
     """
 
     def __init__(self, times, positions, *, imu: list[ImuSample] | None = None):
+        from scipy.interpolate import CubicSpline  # only `annotate` pays for this import
+
         t = np.asarray(times, dtype=float)
         xy = np.asarray(positions, dtype=float)
         if t.ndim != 1 or len(t) < 2:

@@ -1,3 +1,4 @@
+import json
 import time
 from dataclasses import dataclass
 
@@ -73,3 +74,20 @@ def cyclist_run():
 @pytest.fixture(scope="session")
 def perturbed_runs():
     return [run_preset("cyclist-perturbed", seed=s, both_modes=True) for s in range(5)]
+
+
+def reorder_scans(path, fault: str) -> int:
+    """Duplicate the fifth record of a JSONL scan file ("duplicate"), or swap it with the
+    next record of the same sensor ("swap"); return the line that is now out of order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = 5
+    if fault == "duplicate":
+        lines.insert(k + 1, lines[k])
+        bad = k + 2
+    else:
+        sensor = json.loads(lines[k])["sensor_id"]
+        m = next(m for m in range(k + 1, len(lines)) if json.loads(lines[m])["sensor_id"] == sensor)
+        lines[k], lines[m] = lines[m], lines[k]
+        bad = m + 1
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad

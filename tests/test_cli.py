@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from vruradar import io
+import vruradar
+from vruradar import eot, io
 from vruradar.cli import main
+
+from conftest import reorder_scans
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -301,23 +307,21 @@ def test_preset_flag_runs(tmp_path):
     assert meta["seed"] == 3
 
 
-def test_module_entry_point_subprocess(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import vruradar
-
-    # The child imports the same package as this process, installed or not.
+def _child_env() -> dict:
+    """Environment for a child interpreter that imports the same package as this process,
+    installed or not."""
     src = str(Path(vruradar.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def test_module_entry_point_subprocess(tmp_path):
     out = tmp_path / "sub"
     cfg = write_config(tmp_path / "config.json", duration=5.0)
     proc = subprocess.run(
         [sys.executable, "-m", "vruradar.cli", "simulate",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -420,3 +424,91 @@ def test_commands_reject_bad_labeled_points(sim_dir, labeled_path, tmp_path, cap
     }[command]
     assert main([command, "--labeled", str(bad), *args]) == 2
     assert f"{bad}:{line}:" in capsys.readouterr().err
+
+
+# Runs one CLI command (none for a bare import) and prints the scipy modules it loaded.
+_SCIPY_PROBE = """
+import json, sys
+from vruradar import cli
+argv = json.loads(sys.argv[1])
+rc = cli.main(argv) if argv else 0
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_commands_load_scipy_only_where_used(sim_dir, labeled_path, tmp_path):
+    labeled, truth = str(labeled_path), str(sim_dir / "truth_labels.jsonl")
+    evaluate = ["evaluate", "--labeled", labeled, "--truth-labels", truth]
+    commands = {
+        "import": [],
+        "simulate": ["simulate", "--config", str(write_config(tmp_path / "config.json",
+                                                                duration=5.0)),
+                     "--out", str(tmp_path / "sim")],
+        "evaluate": [*evaluate, "--out", str(tmp_path / "eval")],
+        "signature": ["signature", "--labeled", labeled, "--out", str(tmp_path / "sig")],
+        "track": ["track", "--labeled", labeled, "--scenario", str(sim_dir / "scenario.json"),
+                  "--truth-traj", str(sim_dir / "truth_traj.csv"), "--out", str(tmp_path / "trk")],
+        "evaluate --compare": [*evaluate, "--compare", labeled, "--out", str(tmp_path / "cmp")],
+    }
+    loaded = {}
+    for name, argv in commands.items():
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rc"] == 0, (name, proc.stderr)
+        loaded[name] = result["scipy"]
+    for name in ("import", "simulate", "evaluate", "signature", "track"):
+        assert loaded[name] == [], name
+    assert "scipy.special" in loaded["evaluate --compare"]
+    assert "scipy.interpolate" not in loaded["evaluate --compare"]
+
+
+@pytest.mark.parametrize("raw,key", [
+    ({"perturbation": None}, "perturbation"),
+    ({"speed": None}, "speed"),
+    ({"seed": None}, "seed"),
+    ({"perturbation": {"start": 1.0, "duration": 2.0, "bias": 5}}, "bias"),
+    ({"seed": 1.5}, "seed"),
+    ({"gnss_rate": float("inf")}, "gnss_rate"),
+    ({"perturbation": {"start": 1.0, "duration": 2.0, "flagged": "false"}}, "flagged"),
+], ids=["perturbation-null", "speed-null", "seed-null", "bias-number", "seed-float",
+        "rate-infinite", "flagged-string"])
+def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "cyclist-nominal", **raw}), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "swap"])
+@pytest.mark.parametrize("command", ["annotate", "evaluate"])
+def test_commands_reject_repeated_or_backward_scans(sim_dir, labeled_path, tmp_path, capsys,
+                                                     command, fault):
+    if command == "annotate":
+        bad = tmp_path / "radar.jsonl"
+        bad.write_bytes((sim_dir / "radar.jsonl").read_bytes())
+        argv = ["annotate", "--scenario", str(sim_dir / "scenario.json"), "--radar", str(bad),
+                "--gnss", str(sim_dir / "gnss.csv"), "--imu", str(sim_dir / "imu.csv"),
+                "--out", str(tmp_path / "labeled.jsonl")]
+    else:
+        bad = tmp_path / "labeled.jsonl"
+        bad.write_bytes(labeled_path.read_bytes())
+        argv = ["evaluate", "--labeled", str(bad),
+                "--truth-labels", str(sim_dir / "truth_labels.jsonl"),
+                "--out", str(tmp_path / "eval")]
+    line = reorder_scans(bad, fault)
+    assert main(argv) == 2
+    assert f"{bad}:{line}: " in capsys.readouterr().err
+
+
+def test_track_extent_error_exit_1(sim_dir, labeled_path, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise eot.ExtentError("extent matrix is not positive definite")
+
+    monkeypatch.setattr(eot, "run_tracker", broken)
+    rc = main(["track", "--labeled", str(labeled_path),
+               "--scenario", str(sim_dir / "scenario.json"), "--out", str(tmp_path / "trk")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: extent matrix is not positive definite"]

@@ -14,6 +14,8 @@ from vruradar.trajectory import (
     build_trajectory,
 )
 
+from conftest import reorder_scans
+
 
 @pytest.fixture(scope="module")
 def small_scenario():
@@ -347,3 +349,39 @@ def test_truth_labels_reader_rejects_repeated_keys(tmp_path, small_scenario):
     with pytest.raises(io.SchemaError, match="repeated") as err:
         io.read_truth_labels_jsonl(path)
     assert (err.value.path, err.value.line) == (path, len(lines))
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "swap"])
+@pytest.mark.parametrize("kind", ["radar", "labeled"])
+def test_scan_readers_reject_repeated_or_backward_scans(tmp_path, small_scenario, labeled_result,
+                                                        kind, fault):
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "radar":
+        io.write_radar_jsonl(path, small_scenario.scans)
+        reader = io.read_radar_jsonl
+    else:
+        io.write_labeled_jsonl(path, labeled_result.scans)
+        reader = io.read_labeled_jsonl
+    line = reorder_scans(path, fault)
+    with pytest.raises(io.SchemaError, match="does not follow") as err:
+        reader(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
+def test_radar_reader_lets_sensors_share_a_timestamp(tmp_path):
+    path = tmp_path / "radar.jsonl"
+    records = [{"t": t, "sensor_id": s, "points": []} for t, s in [(0.0, "a"), (0.0, "b"),
+                                                                    (0.1, "b"), (0.1, "a")]]
+    path.write_text("\n".join(json.dumps(r) for r in [{"format": io.RADAR_TAG}, *records]) + "\n",
+                    encoding="utf-8")
+    assert [(s.timestamp, s.sensor_id) for s in io.read_radar_jsonl(path)] == [
+        (r["t"], r["sensor_id"]) for r in records]
+
+
+def test_jsonl_reader_line_numbers_count_blank_lines_and_crlf(tmp_path):
+    path = tmp_path / "radar.jsonl"
+    path.write_bytes(b'{"format": "vruradar.radar.v1"}\r\n\r\n'
+                     b'{"t": 0.0, "sensor_id": "r", "points": []}\r\n\nnot json\r\n')
+    with pytest.raises(io.SchemaError, match="not valid JSON") as err:
+        io.read_radar_jsonl(path)
+    assert err.value.line == 5
