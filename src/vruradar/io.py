@@ -214,6 +214,22 @@ def _point_index(value) -> int:
     return value
 
 
+def _finite_number(value, name: str) -> float:
+    """`value` as a float if it is a finite JSON number.
+
+    A bool is an int subclass and float() would parse a string, and json
+    reads an out-of-range literal such as 1e400 as infinity.
+    """
+    if type(value) in (int, float):
+        try:
+            v = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _labeled_row(p: dict) -> tuple:
     for key in ("ego", "global"):
         if not (isinstance(p[key], list) and len(p[key]) == 2):
@@ -285,7 +301,7 @@ def read_radar_jsonl(path) -> list[RadarScan]:
     for i, rec in _load_jsonl(path, RADAR_TAG):
         try:
             scan = RadarScan(
-                timestamp=float(rec["t"]),
+                timestamp=_finite_number(rec["t"], "t"),
                 sensor_id=str(rec["sensor_id"]),
                 detections=Detections(*_point_table(rec["points"], _polar_row, 4).T),
             )
@@ -309,7 +325,8 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
         try:
-            key, label = (round(float(rec["t"]), 9), _point_index(rec["idx"])), str(rec["label"])
+            t = _finite_number(rec["t"], "t")
+            key, label = (round(t, 9), _point_index(rec["idx"])), str(rec["label"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad label record: {exc}", path, i) from None
         if key in out:
@@ -362,27 +379,18 @@ def read_labeled_jsonl(path) -> list[LabeledScan]:
     last_t: dict[str, float] = {}
     for i, rec in _load_jsonl(path, LABELED_TAG):
         try:
-            t = float(rec["t"])
-            state = TrajectoryState(
-                timestamp=t,
-                pose=Pose(
-                    float(rec["vru_state"]["x"]),
-                    float(rec["vru_state"]["y"]),
-                    float(rec["vru_state"]["yaw"]),
-                    frame=GLOBAL,
-                ),
-                speed=float(rec["vru_state"]["speed"]),
-                yaw_rate=float(rec["vru_state"]["yaw_rate"]),
-            )
+            t = _finite_number(rec["t"], "t")
+            x, y, yaw, speed, yaw_rate = (_finite_number(rec["vru_state"][k], k)
+                                          for k in ("x", "y", "yaw", "speed", "yaw_rate"))
+            state = TrajectoryState(timestamp=t, pose=Pose(x, y, yaw, frame=GLOBAL), speed=speed,
+                                    yaw_rate=yaw_rate)
             bounding = None
             if rec.get("bounding") is not None:
-                b = rec["bounding"]
-                bounding = OrientedEllipse(
-                    center=(float(b["cx"]), float(b["cy"])),
-                    ax_major=float(b["ax_major"]),
-                    ax_minor=float(b["ax_minor"]),
-                    orientation=float(b["orientation"]),
-                )
+                cx, cy, major, minor, orientation = (
+                    _finite_number(rec["bounding"][k], k)
+                    for k in ("cx", "cy", "ax_major", "ax_minor", "orientation"))
+                bounding = OrientedEllipse(center=(cx, cy), ax_major=major, ax_minor=minor,
+                                           orientation=orientation)
             n_assigned = len(rec["assigned"])
             table = _point_table(rec["assigned"] + rec["rejected"], _labeled_row, 9)
             idx = table[:, 0].tolist()
@@ -448,13 +456,13 @@ def read_scenario_json(path) -> dict:
     try:
         rec["vru_kind"] = VruKind(rec["vru_kind"])
         ep = rec["ego_pose"]
-        rec["ego_pose"] = Pose(float(ep["x"]), float(ep["y"]), float(ep["yaw"]), frame=GLOBAL)
+        rec["ego_pose"] = Pose(*(_finite_number(ep[k], k) for k in ("x", "y", "yaw")), frame=GLOBAL)
         rec["mounts"] = [
             SensorMount(
                 sensor_id=str(m["sensor_id"]),
-                pose_in_ego=Pose(float(m["x"]), float(m["y"]), float(m["yaw"]), frame="ego"),
-                fov_azimuth=float(m["fov_azimuth"]),
-                max_range=float(m["max_range"]),
+                pose_in_ego=Pose(*(_finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
+                fov_azimuth=_finite_number(m["fov_azimuth"], "fov_azimuth"),
+                max_range=_finite_number(m["max_range"], "max_range"),
             )
             for m in rec["mounts"]
         ]

@@ -97,6 +97,70 @@ def smooth_gnss(samples: list[GnssSample], window: int = 9) -> list[GnssSample]:
     return [replace(s, x=float(p[0]), y=float(p[1])) for s, p in zip(samples, xy)]
 
 
+class NaturalCubicSpline:
+    """Natural cubic spline through knots (t_i, y_i): zero second derivative at both ends.
+
+    The knot second derivatives solve one tridiagonal system by the Thomas
+    algorithm (de Boor, *A Practical Guide to Splines*, 1978).  Each interval
+    keeps its cubic in powers of s = t - t_i, so evaluation is one
+    `searchsorted` plus Horner's rule.  Queries outside [t_0, t_n] extend the
+    end cubics; callers check the support.
+    """
+
+    def __init__(self, times: np.ndarray, values: np.ndarray):
+        """`times` (n,) strictly increasing with n >= 2, `values` (n, d)."""
+        self.knots = times
+        self._inner = times[1:-1]
+        h = np.diff(times)
+        slope = np.diff(values, axis=0) / h[:, None]
+        m = _natural_second_derivatives(h, slope)
+        # Interval i as rows [s^3, s^2, s, 1] coefficients, each (n - 1, d).
+        self._coef = np.stack([
+            (m[1:] - m[:-1]) / (6.0 * h[:, None]),
+            0.5 * m[:-1],
+            slope - h[:, None] * (2.0 * m[:-1] + m[1:]) / 6.0,
+            values[:-1],
+        ])
+
+    def __call__(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Value, first and second derivative at `t`, each of shape `np.shape(t) + (d,)`."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self._inner, t, side="right")  # end intervals extend outward
+        s = (t - self.knots[i])[..., None]
+        d3, d2, d1, d0 = self._coef[:, i]
+        value = d0 + s * (d1 + s * (d2 + s * d3))
+        first = d1 + s * (2.0 * d2 + s * (3.0 * d3))
+        second = 2.0 * d2 + s * (6.0 * d3)
+        return value, first, second
+
+
+def _natural_second_derivatives(h: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot second derivatives m of the natural spline with interval widths `h`.
+
+    Interior knot j satisfies h[j-1] m[j-1] + 2 (h[j-1] + h[j]) m[j] + h[j] m[j+1]
+    = 6 (slope[j] - slope[j-1]), with m = 0 at both ends.  The system is
+    strictly diagonally dominant, so the Thomas algorithm needs no pivoting.
+    """
+    m = np.zeros((len(h) + 1, slope.shape[1]))
+    hs = h.tolist()
+    k = len(hs) - 1  # interior knots
+    if k == 0:
+        return m
+    diag = [2.0 * (a + b) for a, b in zip(hs, hs[1:])]
+    weight = [0.0] * k
+    for i in range(1, k):
+        weight[i] = hs[i] / diag[i - 1]
+        diag[i] -= weight[i] * hs[i]
+    for col, x in enumerate((6.0 * np.diff(slope, axis=0)).T.tolist()):
+        for i in range(1, k):
+            x[i] -= weight[i] * x[i - 1]
+        x[-1] /= diag[-1]
+        for i in range(k - 2, -1, -1):
+            x[i] = (x[i] - hs[i + 1] * x[i + 1]) / diag[i]
+        m[1:-1, col] = x
+    return m
+
+
 class ReferenceTrajectory:
     """Time-continuous track built from smoothed positions.
 
@@ -108,8 +172,6 @@ class ReferenceTrajectory:
     """
 
     def __init__(self, times, positions, *, imu: list[ImuSample] | None = None):
-        from scipy.interpolate import CubicSpline  # only `annotate` pays for this import
-
         t = np.asarray(times, dtype=float)
         xy = np.asarray(positions, dtype=float)
         if t.ndim != 1 or len(t) < 2:
@@ -119,31 +181,24 @@ class ReferenceTrajectory:
         if xy.shape != (len(t), 2):
             raise ValueError(f"positions must be (n, 2), got {xy.shape}")
         self._times = t
-        self._spline = CubicSpline(t, xy, axis=0, bc_type="natural")
-        self._deriv1 = self._spline.derivative(1)
-        self._deriv2 = self._spline.derivative(2)
+        self._spline = NaturalCubicSpline(t, xy)
         if imu:
             self._imu_t = np.array([s.timestamp for s in imu])
             self._imu_w = moving_average([s.yaw_rate for s in imu])
         else:
             self._imu_t = None
             self._imu_w = None
-        # Per-knot table of the most recent moving-direction yaw, for the hold
-        # rule.  Knot-to-knot chords are used instead of spline tangents: the
-        # natural spline rings at an abrupt stop and can point backwards there.
-        diffs = np.diff(xy, axis=0)
-        dts = np.diff(t)
-        chord_speed = np.hypot(diffs[:, 0], diffs[:, 1]) / dts
-        moving = chord_speed >= STANDSTILL_SPEED
-        held = np.zeros(len(t))
+        # Per knot, the chord whose direction the standstill hold keeps: the
+        # last moving chord before the knot, or else the first moving chord.
+        # Knot-to-knot chords are used instead of spline tangents: the natural
+        # spline rings at an abrupt stop and can point backwards there.
+        self._chords = np.diff(xy, axis=0)
+        moving = np.hypot(self._chords[:, 0], self._chords[:, 1]) / np.diff(t) >= STANDSTILL_SPEED
+        self._held_chord = None  # no moving chord: yaw holds 0
         if moving.any():
             k0 = int(np.argmax(moving))
-            last = float(math.atan2(diffs[k0, 1], diffs[k0, 0]))
-            for i in range(len(t)):
-                if i >= 1 and moving[i - 1]:
-                    last = float(math.atan2(diffs[i - 1, 1], diffs[i - 1, 0]))
-                held[i] = last
-        self._held_yaw = held
+            last = np.maximum.accumulate(np.where(moving, np.arange(len(moving)), k0))
+            self._held_chord = np.concatenate(([k0], last))
 
     @property
     def t_start(self) -> float:
@@ -156,26 +211,31 @@ class ReferenceTrajectory:
     def covers(self, t: float) -> bool:
         return self.t_start <= t <= self.t_end
 
-    def position_at(self, t: float) -> np.ndarray:
+    def _check_covers(self, t: float) -> None:
         if not self.covers(t):
             raise OutOfRangeError(
                 f"t={t} outside trajectory support [{self.t_start}, {self.t_end}]"
             )
-        return self._spline(t)
+
+    def position_at(self, t: float) -> np.ndarray:
+        self._check_covers(t)
+        return self._spline(t)[0]
 
     def state_at(self, t: float) -> TrajectoryState:
-        pos = self.position_at(t)
-        vx, vy = self._deriv1(t)
+        self._check_covers(t)
+        pos, (vx, vy), (ax, ay) = self._spline(t)
         speed = float(math.hypot(vx, vy))
         if speed >= STANDSTILL_SPEED:
             yaw = math.atan2(vy, vx)
+        elif self._held_chord is None:
+            yaw = 0.0
         else:
             knot = int(np.searchsorted(self._times, t, side="right") - 1)
-            yaw = float(self._held_yaw[max(0, min(knot, len(self._times) - 1))])
+            dx, dy = self._chords[self._held_chord[knot]]
+            yaw = math.atan2(dy, dx)
         if self._imu_t is not None:
             yaw_rate = float(np.interp(t, self._imu_t, self._imu_w))
         else:
-            ax, ay = self._deriv2(t)
             yaw_rate = float((vx * ay - vy * ax) / (speed * speed)) if speed > 1e-9 else 0.0
         return TrajectoryState(
             timestamp=float(t),

@@ -125,6 +125,25 @@ def test_annotate_schema_error_names_line(tmp_path, sim_dir, capsys):
     assert ":6:" in capsys.readouterr().err
 
 
+def test_annotate_infinite_scan_time_exit_2(tmp_path, sim_dir, capsys):
+    # json reads 1e400 as infinity; the scan must be refused, not counted as skipped.
+    bad = tmp_path / "radar.jsonl"
+    lines = (sim_dir / "radar.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["t"] = "@t@"
+    lines[3] = json.dumps(rec).replace('"@t@"', "1e400")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([
+        "annotate", "--scenario", str(sim_dir / "scenario.json"),
+        "--radar", str(bad),
+        "--gnss", str(sim_dir / "gnss.csv"),
+        "--imu", str(sim_dir / "imu.csv"),
+        "--out", str(tmp_path / "labeled.jsonl"),
+    ])
+    assert rc == 2
+    assert f"{bad}:4: " in capsys.readouterr().err
+
+
 def test_annotate_gnss_only_mode(sim_dir, tmp_path):
     out = tmp_path / "labeled_gnss.jsonl"
     rc = main([
@@ -436,7 +455,7 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
 """
 
 
-def test_commands_load_scipy_only_where_used(sim_dir, labeled_path, tmp_path):
+def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
     labeled, truth = str(labeled_path), str(sim_dir / "truth_labels.jsonl")
     evaluate = ["evaluate", "--labeled", labeled, "--truth-labels", truth]
     commands = {
@@ -444,24 +463,64 @@ def test_commands_load_scipy_only_where_used(sim_dir, labeled_path, tmp_path):
         "simulate": ["simulate", "--config", str(write_config(tmp_path / "config.json",
                                                                 duration=5.0)),
                      "--out", str(tmp_path / "sim")],
+        "annotate": ["annotate", "--scenario", str(sim_dir / "scenario.json"),
+                     "--radar", str(sim_dir / "radar.jsonl"), "--gnss", str(sim_dir / "gnss.csv"),
+                     "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")],
         "evaluate": [*evaluate, "--out", str(tmp_path / "eval")],
         "signature": ["signature", "--labeled", labeled, "--out", str(tmp_path / "sig")],
         "track": ["track", "--labeled", labeled, "--scenario", str(sim_dir / "scenario.json"),
                   "--truth-traj", str(sim_dir / "truth_traj.csv"), "--out", str(tmp_path / "trk")],
         "evaluate --compare": [*evaluate, "--compare", labeled, "--out", str(tmp_path / "cmp")],
     }
-    loaded = {}
     for name, argv in commands.items():
         proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rc"] == 0, (name, proc.stderr)
-        loaded[name] = result["scipy"]
-    for name in ("import", "simulate", "evaluate", "signature", "track"):
-        assert loaded[name] == [], name
-    assert "scipy.special" in loaded["evaluate --compare"]
-    assert "scipy.interpolate" not in loaded["evaluate --compare"]
+        assert result["scipy"] == [], name
+
+
+# Refuses every scipy import, then runs each argv of a JSON list through the CLI
+# and prints the exit codes.
+_NO_SCIPY_PIPELINE = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy is not available: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from vruradar import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    sim, labeled = tmp_path / "sim", [tmp_path / "labeled-gnss-imu.jsonl",
+                                      tmp_path / "labeled-gnss-only.jsonl"]
+    commands = [["simulate", "--config", str(write_config(tmp_path / "config.json", duration=5.0)),
+                 "--out", str(sim)]]
+    for mode, out in zip(("gnss-imu", "gnss-only"), labeled):
+        commands.append(["annotate", "--scenario", str(sim / "scenario.json"),
+                         "--radar", str(sim / "radar.jsonl"), "--gnss", str(sim / "gnss.csv"),
+                         "--imu", str(sim / "imu.csv"), "--mode", mode, "--out", str(out)])
+    commands += [
+        ["evaluate", "--labeled", str(labeled[0]), "--truth-labels",
+         str(sim / "truth_labels.jsonl"), "--compare", str(labeled[1]),
+         "--out", str(tmp_path / "eval")],
+        ["signature", "--labeled", str(labeled[0]), "--out", str(tmp_path / "sig")],
+        ["track", "--labeled", str(labeled[0]), "--scenario", str(sim / "scenario.json"),
+         "--truth-traj", str(sim / "truth_traj.csv"), "--use-doppler",
+         "--out", str(tmp_path / "trk")],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PIPELINE, json.dumps(commands)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), proc.stderr
+    assert (tmp_path / "eval" / "ttests.csv").is_file()
 
 
 @pytest.mark.parametrize("raw,key", [

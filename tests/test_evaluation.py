@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.special import stdtr
 
 from vruradar.annotation import LabeledScan
 from vruradar.core import EmptyScanError, GLOBAL, Detections, Pose, VruKind
@@ -13,6 +14,7 @@ from vruradar.evaluation import (
     histogram,
     r4_compensate,
     score_assignment,
+    student_t_two_sided_p,
     welch_t_test,
 )
 from vruradar.trajectory import TrajectoryState
@@ -284,6 +286,30 @@ def test_welch_agrees_with_scipy_oracle():
         ref = sps.ttest_ind(a, b, equal_var=False)
         assert mine.t == pytest.approx(ref.statistic, abs=1e-9)
         assert mine.p_two_sided == pytest.approx(ref.pvalue, abs=1e-6)
+
+
+T_GRID = (0.0, 1e-8, 0.5, 2.0, 10.0, 40.0)
+
+
+@pytest.mark.parametrize("dof", [1.0, 2.5, 30.0, 1e3, 1e5])
+def test_student_t_p_matches_oracle(dof):
+    for t in T_GRID:
+        if dof == 1.0:
+            # Cauchy closed form; stdtr(1, -1e-8) is itself off by 3e-9 relative.
+            expect = 1.0 - 2.0 / math.pi * math.atan(t)
+        else:
+            expect = 2.0 * stdtr(dof, -t)
+        for sign in (1.0, -1.0):
+            assert student_t_two_sided_p(sign * t, dof) == pytest.approx(expect, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("dof", [1.0, 2.5, 30.0, 1e3, 1e5])
+def test_student_t_p_is_one_at_zero_and_falls_with_t(dof):
+    assert student_t_two_sided_p(0.0, dof) == 1.0
+    p = [student_t_two_sided_p(t, dof) for t in (*T_GRID, 100.0, 1e4, 1e200)]  # t^2 overflows
+    assert all(0.0 <= v <= 1.0 for v in p)
+    assert all(later <= earlier for earlier, later in zip(p, p[1:]))
+    assert all(later < earlier for earlier, later in zip(p, p[1:]) if earlier > 0.0)
 
 
 def test_welch_degenerate_raises():

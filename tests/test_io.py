@@ -385,3 +385,62 @@ def test_jsonl_reader_line_numbers_count_blank_lines_and_crlf(tmp_path):
     with pytest.raises(io.SchemaError, match="not valid JSON") as err:
         io.read_radar_jsonl(path)
     assert err.value.line == 5
+
+
+# Raw JSON for values that are not finite JSON numbers: json reads 1e400 as
+# infinity, float() would take the string and the bool, and the integer
+# literal does not fit a float.
+NOT_NUMBERS = {"overflow": "1e400", "string": '"5"', "bool": "true", "huge-int": "1" + "0" * 400}
+
+
+def _set_raw(path, line: int, keys: tuple, raw: str) -> None:
+    """Set field `keys` of the record on `line` to the raw JSON text `raw`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[line - 1])
+    target = rec
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@raw@"
+    lines[line - 1] = json.dumps(rec).replace('"@raw@"', raw)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("raw", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("kind,keys", [
+    ("radar", ("t",)),
+    ("truth_labels", ("t",)),
+    ("labeled", ("t",)),
+    ("labeled", ("vru_state", "speed")),
+    ("labeled", ("bounding", "cx")),
+], ids=["radar-t", "truth-t", "labeled-t", "labeled-speed", "labeled-bounding"])
+def test_jsonl_readers_require_finite_json_numbers(tmp_path, small_scenario, labeled_result,
+                                                   kind, keys, raw):
+    path, line = tmp_path / f"{kind}.jsonl", 4
+    if kind == "radar":
+        io.write_radar_jsonl(path, small_scenario.scans)
+    elif kind == "truth_labels":
+        io.write_truth_labels_jsonl(path, small_scenario.labels)
+    else:
+        io.write_labeled_jsonl(path, labeled_result.scans)
+        line = 2 + next(k for k, s in enumerate(labeled_result.scans) if s.bounding is not None)
+    _set_raw(path, line, keys, raw)
+    with pytest.raises(io.SchemaError, match=f"{keys[-1]} must be a finite number") as err:
+        getattr(io, f"read_{kind}_jsonl")(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
+@pytest.mark.parametrize("raw", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_scenario_reader_requires_finite_json_numbers(tmp_path, small_scenario, raw):
+    cfg = small_scenario.config
+    path = tmp_path / "scenario.json"
+    io.write_scenario_json(
+        path, vru_kind=cfg.vru_kind, track_id="vru-0", seed=cfg.rng_seed,
+        ego_pose=cfg.ego_pose, mounts=cfg.mounts, counts={"radar_scans": 3},
+    )
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    rec["mounts"][0]["max_range"] = "@raw@"
+    path.write_text(json.dumps(rec).replace('"@raw@"', raw), encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="max_range must be a finite number") as err:
+        io.read_scenario_json(path)
+    assert err.value.path == path
+

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from vruradar.simulator import Perturbation, preset, simulate_scenario
 from vruradar.trajectory import (
@@ -9,8 +10,10 @@ from vruradar.trajectory import (
     GnssQuality,
     GnssSample,
     ImuSample,
+    NaturalCubicSpline,
     OutOfRangeError,
     ReferenceTrajectory,
+    STANDSTILL_SPEED,
     TrajectoryState,
     build_fused_trajectory,
     build_trajectory,
@@ -72,6 +75,42 @@ def test_spline_passes_through_knots():
         assert traj.position_at(t) == pytest.approx(p, abs=1e-9)
 
 
+def _assert_spline_matches_scipy(times, values, tol_value, tol_first, tol_second):
+    ours = NaturalCubicSpline(times, values)
+    oracle = CubicSpline(times, values, axis=0, bc_type="natural")
+    between = times[:-1] + np.diff(times) * np.random.default_rng(3).uniform(size=len(times) - 1)
+    query = np.concatenate([times, (times[:-1] + times[1:]) / 2, between])
+    value, first, second = ours(query)
+    np.testing.assert_allclose(value, oracle(query), rtol=0, atol=tol_value)
+    np.testing.assert_allclose(first, oracle(query, 1), rtol=0, atol=tol_first)
+    np.testing.assert_allclose(second, oracle(query, 2), rtol=0, atol=tol_second)
+    for t in (times[0], times[-1]):  # scalar queries at both ends
+        v, d1, d2 = ours(t)
+        assert v.shape == d1.shape == d2.shape == (values.shape[1],)
+        np.testing.assert_allclose(v, oracle(t), rtol=0, atol=tol_value)
+        np.testing.assert_allclose(d2, [0.0] * values.shape[1], atol=tol_second)  # natural ends
+
+
+def test_spline_matches_scipy_on_random_nonuniform_knots():
+    rng = np.random.default_rng(11)
+    times = np.cumsum(rng.uniform(0.02, 0.09, 1081))
+    velocity = np.cumsum(rng.normal(0.0, 0.3, (1081, 2)), axis=0)
+    xy = np.cumsum(velocity * 0.055, axis=0)
+    xy *= 50.0 / np.abs(xy).max()  # positions up to 50 m
+    _assert_spline_matches_scipy(times, xy, 1e-12, 1e-12, 1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spline_matches_scipy_on_two_and_three_knots(n):
+    times = np.array([0.0, 0.7, 1.9])[:n]
+    xy = np.array([[1.0, -2.0], [3.5, 0.25], [2.0, 4.0]])[:n]
+    _assert_spline_matches_scipy(times, xy, 1e-12, 1e-12, 1e-12)
+    if n == 2:  # a straight line: constant slope, no curvature
+        _, first, second = NaturalCubicSpline(times, xy)(np.linspace(0.0, 0.7, 9))
+        np.testing.assert_allclose(first, np.tile((xy[1] - xy[0]) / 0.7, (9, 1)), atol=1e-15)
+        assert not second.any()
+
+
 def test_straight_line_speed_and_yaw():
     times = np.linspace(0, 5, 26)
     xy = np.stack([2.0 * times, np.zeros_like(times)], axis=1)
@@ -122,6 +161,44 @@ def test_yaw_hold_at_standstill():
     assert st.speed < 0.05
     assert math.isfinite(st.pose.yaw)
     assert st.pose.yaw == pytest.approx(0.0, abs=0.2)
+
+
+def _held_yaw_by_loop(times, xy):
+    """Reference for the standstill hold: per knot, the yaw of the last moving
+    chord before it, or of the first moving chord when none precedes it."""
+    diffs = np.diff(xy, axis=0)
+    moving = np.hypot(diffs[:, 0], diffs[:, 1]) / np.diff(times) >= STANDSTILL_SPEED
+    k0 = int(np.argmax(moving))
+    last = math.atan2(diffs[k0, 1], diffs[k0, 0])
+    held = []
+    for i in range(len(times)):
+        if i >= 1 and moving[i - 1]:
+            last = math.atan2(diffs[i - 1, 1], diffs[i - 1, 0])
+        held.append(last)
+    return held
+
+
+def test_yaw_holds_through_the_stops_of_a_stop_and_go_track():
+    # stand, drive at 0.3 rad, stop, drive at 2.0 rad, stop
+    dt = 0.1
+    legs = [(20, 0.0, 0.0), (30, 1.5, 0.3), (25, 0.0, 0.0), (30, 2.0, 2.0), (25, 0.0, 0.0)]
+    steps = np.vstack([np.tile([v * math.cos(a), v * math.sin(a)], (n, 1)) * dt
+                       for n, v, a in legs])
+    xy = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+    times = dt * np.arange(len(xy))
+    traj = ReferenceTrajectory(times, xy)
+    held = _held_yaw_by_loop(times, xy)
+    stops = {"start": (0.2, 1.5), "first stop": (5.5, 7.0), "second stop": (11.0, 12.3)}
+    for name, (t0, t1) in stops.items():
+        for t in np.linspace(t0, t1, 7):
+            st = traj.state_at(t)
+            assert st.speed < STANDSTILL_SPEED, (name, t)
+            knot = int(np.searchsorted(times, t, side="right") - 1)
+            assert st.pose.yaw == held[knot], (name, t)
+    assert traj.state_at(1.0).pose.yaw == pytest.approx(0.3, abs=1e-12)  # first moving chord
+    assert traj.state_at(6.0).pose.yaw == pytest.approx(0.3, abs=1e-12)
+    assert traj.state_at(12.0).pose.yaw == pytest.approx(2.0, abs=1e-12)
+    assert traj.state_at(9.5).pose.yaw == pytest.approx(2.0, abs=1e-9)  # moving: tangent
 
 
 def test_smooth_gnss_preserves_metadata():
