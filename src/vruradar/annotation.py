@@ -1,30 +1,35 @@
-"""Per-scan association of radar detections to a referenced VRU track.
+"""Association of radar detections to a referenced VRU track, one pass per run.
 
 For every radar scan inside the trajectory support, the VRU pose is
 interpolated at the scan time, a selection shape is built from its speed and
 yaw rate, detections are transformed to the global frame and partitioned by
 shape membership, and a symmetric bounding ellipse is fitted around the
-assigned points.
+assigned points.  Each step runs on whole columns of the run's table.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable
+
+import numpy as np
 
 from .core import (
+    GLOBAL,
     Detections,
     Pose,
-    RadarScan,
+    ScanTable,
     SensorMount,
     VruKind,
     ego_to_global,
     polar_to_ego,
+    rank_in_scan,
+    to_local,
 )
 from .selection import (
     OrientedEllipse,
+    bounding_axes,
     cyclist_rectangle,
-    fit_bounding_ellipse,
     pedestrian_ellipse,
 )
 from .trajectory import ReferenceTrajectory, TrajectoryState
@@ -32,7 +37,8 @@ from .trajectory import ReferenceTrajectory, TrajectoryState
 
 @dataclass(frozen=True)
 class LabeledScan:
-    """One scan's detections, coordinates filled in, split into assigned and rejected rows."""
+    """One scan's detections, coordinates filled in, split into assigned and rejected rows:
+    a view of one LabeledTable row."""
 
     timestamp: float
     track_id: str
@@ -44,63 +50,94 @@ class LabeledScan:
     vru_state: TrajectoryState
 
 
+@dataclass(frozen=True, eq=False)
+class LabeledTable(ScanTable):
+    """Every labeled scan of a run in one table.
+
+    The detections carry `ego` and `global_xy`; within each scan the first
+    `n_assigned[k]` rows are assigned to the track and the rest rejected.
+    `vru_state[k]` holds the track's x, y, yaw, speed and yaw rate at the
+    scan, `bounding[k]` the bounding ellipse's cx, cy, ax_major, ax_minor and
+    orientation, NaN for a scan without assigned rows.
+    """
+
+    n_assigned: np.ndarray  # (m,)
+    vru_state: np.ndarray  # (m, 5)
+    bounding: np.ndarray  # (m, 5)
+    track_id: str
+    vru_kind: VruKind
+
+    @property
+    def assigned(self) -> np.ndarray:
+        """Row mask of the assigned detections."""
+        return rank_in_scan(self.offsets) < np.repeat(self.n_assigned, np.diff(self.offsets))
+
+    def __getitem__(self, k: int) -> LabeledScan:
+        lo, mid, hi = self.offsets[k], self.offsets[k] + self.n_assigned[k], self.offsets[k + 1]
+        t = float(self.timestamp[k])
+        x, y, yaw, speed, yaw_rate = self.vru_state[k].tolist()
+        cx, cy, major, minor, orientation = self.bounding[k].tolist()
+        ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
+                                                                 orientation)
+        return LabeledScan(t, self.track_id, self.vru_kind, str(self.sensor_id[k]),
+                           self.detections[lo:mid], self.detections[mid:hi], ellipse,
+                           TrajectoryState(t, Pose(x, y, yaw, frame=GLOBAL), speed, yaw_rate))
+
+
 @dataclass(frozen=True)
 class AnnotationResult:
-    scans: tuple[LabeledScan, ...]
+    scans: LabeledTable
     skipped: int  # scans outside the trajectory support
 
 
 def annotate_scenario(
-    scans: list[RadarScan],
+    scans: ScanTable,
     traj: ReferenceTrajectory,
     vru_kind: VruKind,
     mounts: dict[str, SensorMount] | list[SensorMount] | tuple[SensorMount, ...],
-    ego_pose: Pose | Callable[[float], Pose],
+    ego_pose: Pose,
     *,
     track_id: str = "vru-0",
 ) -> AnnotationResult:
-    """Label every scan against the reference track, in timestamp order."""
+    """Label every scan against the reference track, in (timestamp, sensor) order."""
     if isinstance(mounts, (list, tuple)):
         mounts = {m.sensor_id: m for m in mounts}
     if not mounts:
         raise ValueError("at least one sensor mount is required")
-    ego_at = (lambda _t: ego_pose) if isinstance(ego_pose, Pose) else ego_pose
+    order = np.lexsort((scans.sensor_id, scans.timestamp))
+    t = scans.timestamp[order]
+    table = scans.take(order[(t >= traj.t_start) & (t <= traj.t_end)])
+    row_scan = table.scan_of_row
+    p_ego = np.empty((len(table.detections), 2))
+    for sensor_id in np.unique(table.sensor_id):  # one frame chain per sensor
+        if sensor_id not in mounts:
+            raise ValueError(f"no mount configured for sensor {str(sensor_id)!r}")
+        on_sensor = table.sensor_id == sensor_id
+        p_ego[on_sensor[row_scan]] = polar_to_ego(table.take(np.flatnonzero(on_sensor)),
+                                                  mounts[sensor_id])
+    p_glob = ego_to_global(p_ego, ego_pose)
 
-    labeled: list[LabeledScan] = []
-    skipped = 0
-    for scan in sorted(scans, key=lambda s: (s.timestamp, s.sensor_id)):
-        if not traj.covers(scan.timestamp):
-            skipped += 1
-            continue
-        state = traj.state_at(scan.timestamp)
-        if vru_kind == VruKind.PEDESTRIAN:
-            shape = pedestrian_ellipse(state)
-        else:
-            # The trajectory already holds yaw from the last moving instant.
-            shape = cyclist_rectangle(state, last_moving_yaw=state.pose.yaw)
-        ego = ego_at(scan.timestamp)
+    state = traj.states_at(table.timestamp)
+    x, y, yaw, speed, yaw_rate = state[row_scan].T
+    if vru_kind == VruKind.PEDESTRIAN:
+        shape = pedestrian_ellipse(x, y, yaw, speed, yaw_rate)
+    else:
+        # The trajectory already holds yaw from the last moving instant.
+        shape = cyclist_rectangle(x, y, yaw, speed, yaw_rate, last_moving_yaw=yaw)
+    inside = shape.contains(p_glob)
 
-        mount = mounts.get(scan.sensor_id)
-        if mount is None:
-            raise ValueError(f"no mount configured for sensor {scan.sensor_id!r}")
-        p_ego = polar_to_ego(scan, mount)
-        p_glob = ego_to_global(p_ego, ego)
-        placed = replace(scan.detections, ego=p_ego, global_xy=p_glob)
-        inside = shape.contains(p_glob)
-        assigned, rejected = placed[inside], placed[~inside]
-        bounding = None
-        if assigned:
-            bounding = fit_bounding_ellipse(assigned.global_xy, state.pose.xy, state.pose.yaw)
-        labeled.append(
-            LabeledScan(
-                timestamp=scan.timestamp,
-                track_id=track_id,
-                vru_kind=vru_kind,
-                sensor_id=scan.sensor_id,
-                assigned=assigned,
-                rejected=rejected,
-                bounding=bounding,
-                vru_state=state,
-            )
-        )
-    return AnnotationResult(scans=tuple(labeled), skipped=skipped)
+    n_scans = len(table)
+    u, v = to_local(p_glob[inside], x[inside], y[inside], yaw[inside])
+    major, minor = bounding_axes(u, v, row_scan[inside], n_scans)
+    n_assigned = np.bincount(row_scan[inside], minlength=n_scans)
+    bounding = np.column_stack([state[:, :2], major, minor, state[:, 2]])
+    bounding[n_assigned == 0] = np.nan
+    # Each scan's assigned rows first, both parts in their scan order.
+    rows = np.lexsort((~inside, row_scan))
+    labeled = LabeledTable(
+        table.timestamp, table.sensor_id, table.offsets,
+        detections=replace(table.detections, ego=p_ego, global_xy=p_glob)[rows],
+        n_assigned=n_assigned, vru_state=state, bounding=bounding, track_id=track_id,
+        vru_kind=vru_kind,
+    )
+    return AnnotationResult(scans=labeled, skipped=len(scans) - n_scans)

@@ -173,7 +173,7 @@ def cmd_simulate(args) -> int:
         "gnss_samples": len(data.gnss),
         "imu_samples": len(data.imu),
         "radar_scans": len(data.scans),
-        "radar_points": sum(len(s.detections) for s in data.scans),
+        "radar_points": len(data.scans.detections),
         "truth_states": len(data.truth),
     }
     io.write_scenario_json(
@@ -220,13 +220,19 @@ def cmd_annotate(args) -> int:
 
 
 def _write_histogram_csv(path, values) -> None:
-    hist = evaluation.histogram(values, 0.05, (0.0, max(values) + 1e-9))
+    hist = evaluation.histogram(values, 0.05, (0.0, values.max() + 1e-9))
     rows = zip(hist.edges[:-1], hist.edges[1:], hist.counts)
     io.write_table(path, "vruradar.histogram.v1", ("bin_left", "bin_right", "count"), rows)
 
 
-def _collect_cycle_stats(labeled):
-    return [evaluation.cycle_stats(scan) for scan in labeled if scan.assigned]
+CYCLE_COLUMNS = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
+                 "conf_minor", "weighted_count")
+
+
+def _cycle_stats(labeled) -> dict[str, np.ndarray]:
+    """Columns of `evaluation.cycle_stats`; empty when no scan has assigned detections."""
+    stats = evaluation.cycle_stats(labeled) if labeled.n_assigned.any() else None
+    return {name: np.empty(0) if stats is None else getattr(stats, name) for name in CYCLE_COLUMNS}
 
 
 def cmd_evaluate(args) -> int:
@@ -234,8 +240,9 @@ def cmd_evaluate(args) -> int:
     truth = io.read_truth_labels_jsonl(args.truth_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    counts = evaluation.per_scan_counts(labeled, truth)
     scores = [
-        (avg.value, evaluation.score_assignment(labeled, truth, avg))
+        (avg.value, evaluation.score_from_counts(counts, avg))
         for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)
     ]
     io.write_table(
@@ -244,35 +251,28 @@ def cmd_evaluate(args) -> int:
         ("averaging", "tp", "fp", "fn", "precision", "recall"),
         ((name, s.tp, s.fp, s.fn, s.precision, s.recall) for name, s in scores),
     )
-    stats = _collect_cycle_stats(labeled)
-    columns = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
-               "conf_minor", "weighted_count")
-    io.write_table(
-        out / "cycle_stats.csv",
-        "vruradar.cycle-stats.v1",
-        columns,
-        ([getattr(s, name) for name in columns] for s in stats),
-    )
-    minors = [s.conf_minor for s in stats if s.conf_minor is not None]
-    dstds = [s.doppler_std for s in stats]
-    if minors:
-        _write_histogram_csv(out / "hist_conf_minor.csv", minors)
-    if dstds:
-        _write_histogram_csv(out / "hist_doppler_std.csv", dstds)
+    stats = _cycle_stats(labeled)
+    # An undefined confidence ellipse is NaN in memory and an empty field on file.
+    written = [np.where(np.isnan(col), None, col).tolist() for col in stats.values()]
+    io.write_table(out / "cycle_stats.csv", "vruradar.cycle-stats.v1", CYCLE_COLUMNS,
+                   zip(*written))
+    for name in ("conf_minor", "doppler_std"):
+        values = stats[name][~np.isnan(stats[name])]
+        if len(values):
+            _write_histogram_csv(out / f"hist_{name}.csv", values)
     if args.compare is not None:
-        other_stats = _collect_cycle_stats(io.read_labeled_jsonl(args.compare))
+        other_stats = _cycle_stats(io.read_labeled_jsonl(args.compare))
         rows = []
-        for name in ("mean_comp_power", "doppler_std", "conf_major", "conf_minor",
-                     "weighted_count"):
-            a = [v for v in (getattr(s, name) for s in stats) if v is not None]
-            b = [v for v in (getattr(s, name) for s in other_stats) if v is not None]
+        for name in CYCLE_COLUMNS[2:]:
+            a, b = (s[name][~np.isnan(s[name])] for s in (stats, other_stats))
             if len(a) >= 2 and len(b) >= 2:
                 res = evaluation.welch_t_test(a, b)
                 rows.append((name, res.t, res.dof, res.p_two_sided))
         io.write_table(
             out / "ttests.csv", "vruradar.ttests.v1", ("statistic", "t", "dof", "p_two_sided"), rows
         )
-    print(json.dumps({"scans": len(labeled), "cycles_with_detections": len(stats)}, sort_keys=True))
+    report = {"scans": len(labeled), "cycles_with_detections": len(stats["timestamp"])}
+    print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
@@ -280,7 +280,9 @@ def cmd_signature(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:
-        states = _nearest_states(io.read_traj_csv(args.truth_traj), [s.timestamp for s in labeled])
+        truth = io.read_traj_csv(args.truth_traj)
+        rows = np.array([(s.pose.x, s.pose.y, s.pose.yaw) for s in truth]).reshape(-1, 3)
+        states = rows[_nearest([s.timestamp for s in truth], labeled.timestamp)]
     grid = signature.accumulate(
         labeled,
         resolution=args.resolution,
@@ -305,30 +307,34 @@ def cmd_signature(args) -> int:
 
 
 def _tracker_scans_from_labeled(labeled, meta) -> list[eot.TrackerScan]:
+    """One tracker input per scan with assigned points: slices of the run's columns."""
     mounts = {m.sensor_id: m for m in meta["mounts"]}
-    out = []
-    for scan in labeled:
-        if not scan.assigned:
-            continue
-        mount = mounts.get(scan.sensor_id)
-        if mount is None:
-            raise ConfigError(f"no mount configured for sensor {scan.sensor_id!r}")
-        sensor_pose = compose_pose(meta["ego_pose"], mount.pose_in_ego)
-        out.append(
-            eot.TrackerScan(
-                timestamp=scan.timestamp,
-                points=scan.assigned.global_xy,
-                radial_velocities=scan.assigned.radial_velocity,
-                sensor_pos=sensor_pose.xy,
-            )
-        )
-    return out
+    keep = np.flatnonzero(labeled.n_assigned)
+    unknown = set(labeled.sensor_id[keep].tolist()) - set(mounts)
+    if unknown:
+        raise ConfigError(f"no mount configured for sensor {min(unknown)!r}")
+    sensor_xy = {sensor_id: compose_pose(meta["ego_pose"], m.pose_in_ego).xy
+                 for sensor_id, m in mounts.items()}
+    starts = labeled.offsets[keep]
+    xy, vr = labeled.detections.global_xy, labeled.detections.radial_velocity
+    return [
+        eot.TrackerScan(timestamp=t, points=xy[lo:hi], radial_velocities=vr[lo:hi],
+                        sensor_pos=sensor_xy[sensor_id])
+        for t, sensor_id, lo, hi in zip(labeled.timestamp[keep].tolist(),
+                                        labeled.sensor_id[keep].tolist(), starts.tolist(),
+                                        (starts + labeled.n_assigned[keep]).tolist())
+    ]
 
 
-def _nearest_states(states, timestamps) -> list:
-    """The state closest in time to each timestamp; the earlier one on a tie."""
-    times = np.array([s.timestamp for s in states])
-    return [states[int(np.argmin(np.abs(times - t)))] for t in timestamps]
+def _nearest(times, timestamps) -> np.ndarray:
+    """Index of the time closest to each timestamp; the earlier one on a tie."""
+    times, timestamps = np.asarray(times, dtype=float), np.asarray(timestamps, dtype=float)
+    if len(times) < 2:
+        if not len(times):
+            raise ValueError("no states to match the timestamps with")
+        return np.zeros(len(timestamps), dtype=np.int64)
+    after = np.clip(np.searchsorted(times, timestamps), 1, len(times) - 1)
+    return after - (timestamps - times[after - 1] <= times[after] - timestamps)
 
 
 def truth_track_points(truth_states, timestamps, body_extent) -> list[eot.TrackPoint]:
@@ -346,7 +352,8 @@ def truth_track_points(truth_states, timestamps, body_extent) -> list[eot.TrackP
             width=width,
             orientation=s.pose.yaw,
         )
-        for t, s in zip(timestamps, _nearest_states(truth_states, timestamps))
+        for t, k in zip(timestamps, _nearest([s.timestamp for s in truth_states], timestamps))
+        for s in (truth_states[k],)
     ]
 
 

@@ -88,10 +88,7 @@ class Pose:
 
     def from_parent(self, points) -> np.ndarray:
         """Inverse of :meth:`to_parent`: parent-frame point(s) into the local frame."""
-        pts = np.asarray(points, dtype=float)
-        # R(-yaw).T rather than the equal R(yaw): matmul rounds according to
-        # memory layout, and this layout keeps written coordinates stable.
-        return (pts - np.array([self.x, self.y])) @ rotation_matrix(-self.yaw).T
+        return np.stack(to_local(points, self.x, self.y, self.yaw), axis=-1)
 
 
 def compose_pose(parent: Pose, child: Pose) -> Pose:
@@ -102,7 +99,7 @@ def compose_pose(parent: Pose, child: Pose) -> Pose:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Detections:
-    """One scan's radar points as columns, one row per point.
+    """Radar points as columns, one row per point.
 
     The polar columns are measurements in the sensor frame; `amplitude` is in
     dB relative to an arbitrary reference.  `index` is each point's position
@@ -124,13 +121,14 @@ class Detections:
         n = len(self.range_m)
         if self.index is None:
             object.__setattr__(self, "index", np.arange(n))
-        for name, empty in _NO_ROWS.items():
+        for name in _COLUMNS:
             col = getattr(self, name)
             if col is not None:
-                col = np.ascontiguousarray(col, dtype=empty.dtype).reshape((-1, *empty.shape[1:]))
+                col = np.ascontiguousarray(col, dtype=np.int64 if name == "index" else float)
+                col = col.reshape((-1, 2) if name in ("ego", "global_xy") else -1)
                 if len(col) != n:
                     raise ValueError(f"column {name!r} has {len(col)} rows, expected {n}")
-                object.__setattr__(self, name, col if n else empty)
+                object.__setattr__(self, name, col)
         if np.count_nonzero(self.range_m < 0):
             raise ValueError(f"range must be >= 0, got {self.range_m.min()}")
 
@@ -142,11 +140,7 @@ class Detections:
         out = object.__new__(Detections)
         for name in _COLUMNS:
             col = getattr(self, name)
-            if col is not None:
-                col = col[rows]
-                if not len(col):
-                    col = _NO_ROWS[name]
-            object.__setattr__(out, name, col)
+            object.__setattr__(out, name, None if col is None else col[rows])
         return out
 
     def __eq__(self, other) -> bool:
@@ -160,17 +154,6 @@ class Detections:
 
 
 _COLUMNS = tuple(f.name for f in fields(Detections))
-
-# Read-only zero-row columns, which also set each column's dtype and row shape.
-# Every empty table shares them: most selections of a sparse drive are empty,
-# and a numpy array costs ~150 bytes even then.
-_NO_ROWS = {
-    name: np.empty((0, 2) if name in ("ego", "global_xy") else 0,
-                   np.int64 if name == "index" else float)
-    for name in _COLUMNS
-}
-for _col in _NO_ROWS.values():
-    _col.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -191,16 +174,75 @@ class SensorMount:
 
 @dataclass(frozen=True)
 class RadarScan:
-    """All detections of one sensor at one measurement cycle."""
+    """All detections of one sensor at one measurement cycle: a view of one ScanTable row."""
 
     timestamp: float
     sensor_id: str
     detections: Detections
 
 
-def polar_to_ego(scan: RadarScan, mount: SensorMount) -> np.ndarray:
-    """(n, 2) cartesian ego-frame positions of a scan's detections, via the sensor mount pose."""
-    if scan.sensor_id != mount.sensor_id:
+def scan_offsets(counts) -> np.ndarray:
+    """Row offsets (m + 1,) of scans holding `counts` rows each."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def rank_in_scan(offsets: np.ndarray) -> np.ndarray:
+    """Each row's position within its scan, for scans at row `offsets`."""
+    return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
+
+
+@dataclass(frozen=True, eq=False)
+class ScanTable:
+    """Every radar scan of a run in one table.
+
+    Scan k has the per-scan values `timestamp[k]` and `sensor_id[k]` and owns
+    rows offsets[k]:offsets[k + 1] of the run-wide `detections`, whose `index`
+    column numbers each point within its scan.  `table[k]` and iteration give
+    RadarScan views of single scans.
+    """
+
+    timestamp: np.ndarray  # (m,)
+    sensor_id: np.ndarray  # (m,) str
+    offsets: np.ndarray  # (m + 1,)
+    detections: Detections
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "timestamp", np.asarray(self.timestamp, dtype=float))
+        object.__setattr__(self, "sensor_id", np.asarray(self.sensor_id, dtype=str))
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
+        m, offsets = len(self.timestamp), self.offsets
+        if (self.timestamp.shape != (m,) or self.sensor_id.shape != (m,)
+                or offsets.shape != (m + 1,) or offsets[0] != 0
+                or offsets[-1] != len(self.detections) or np.any(np.diff(offsets) < 0)):
+            raise ValueError("scan columns do not match the detections table")
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, k: int) -> RadarScan:
+        lo, hi = self.offsets[k], self.offsets[k + 1]
+        return RadarScan(float(self.timestamp[k]), str(self.sensor_id[k]), self.detections[lo:hi])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def scan_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self)), np.diff(self.offsets))
+
+    def take(self, scans: np.ndarray) -> "ScanTable":
+        """The given scans, in the given order, as a table of their own."""
+        counts = np.diff(self.offsets)[scans]
+        offsets = scan_offsets(counts)
+        rows = rank_in_scan(offsets) + np.repeat(self.offsets[scans], counts)
+        return ScanTable(self.timestamp[scans], self.sensor_id[scans], offsets,
+                         self.detections[rows])
+
+
+def polar_to_ego(scan: RadarScan | ScanTable, mount: SensorMount) -> np.ndarray:
+    """(n, 2) cartesian ego-frame positions of the detections of a scan, or of a table of
+    one sensor's scans, via the sensor mount pose."""
+    if np.any(scan.sensor_id != mount.sensor_id):
         raise ValueError(
             f"scan from sensor {scan.sensor_id!r} does not match mount {mount.sensor_id!r}"
         )
@@ -227,3 +269,14 @@ def global_to_ego(point_global, ego_pose: Pose) -> np.ndarray:
     if ego_pose.frame != GLOBAL:
         raise ValueError(f"ego pose must be expressed in the global frame, got {ego_pose.frame!r}")
     return ego_pose.from_parent(point_global)
+
+
+def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of global point(s) in the frame at (x, y) with heading `yaw`.
+
+    The frame values are numbers, or arrays that give each point its own frame.
+    """
+    pts = np.asarray(points, dtype=float)
+    dx, dy = pts[..., 0] - x, pts[..., 1] - y
+    c, s = np.cos(yaw), np.sin(yaw)
+    return c * dx + s * dy, c * dy - s * dx

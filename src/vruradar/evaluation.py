@@ -7,14 +7,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from itertools import repeat
+from typing import Mapping
 
 import numpy as np
 
-from .annotation import LabeledScan
-from .core import LABEL_VRU, EmptyScanError
+from .annotation import LabeledTable
+from .core import LABEL_VRU, EmptyScanError, scan_offsets
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
+# A covariance whose minor-to-major eigenvalue ratio is at most this is
+# degenerate: collinear points leave only rounding noise of that size.
+COLLINEAR_RATIO = 1e-12
 
 
 class Averaging(str, Enum):
@@ -33,13 +37,15 @@ class AssignmentScore:
 
 @dataclass(frozen=True)
 class CycleStats:
-    timestamp: float
-    n_assigned: int
-    mean_comp_power: float  # dB, R^4-compensated
-    doppler_std: float  # m/s, sample std of radial velocities
-    conf_major: float | None  # m, 95% confidence ellipse axes (None below 3 points)
-    conf_minor: float | None
-    weighted_count: float
+    """Per-cycle radar statistics as columns, one row per scan with assigned detections."""
+
+    timestamp: np.ndarray
+    n_assigned: np.ndarray
+    mean_comp_power: np.ndarray  # dB, R^4-compensated
+    doppler_std: np.ndarray  # m/s, sample std of radial velocities
+    conf_major: np.ndarray  # m, 95% confidence ellipse axes (NaN below 3 points or collinear)
+    conf_minor: np.ndarray
+    weighted_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,26 +62,27 @@ class Histogram:
 
 
 def per_scan_counts(
-    auto: Iterable[LabeledScan],
+    auto: LabeledTable,
     truth: Mapping[tuple[float, int], str],
 ) -> list[tuple[int, int, int]]:
     """Per-scan (TP, FP, FN) against truth labels keyed by (time, index).
 
     Every detection of every scan must be present in `truth`.
     """
-    counts = []
-    for scan in auto:
-        t = round(scan.timestamp, 9)
-        idx = np.concatenate([scan.assigned.index, scan.rejected.index]).tolist()
-        labels = [truth.get((t, i)) for i in idx]
-        if None in labels:
-            missing = idx[labels.index(None)]
-            raise ValueError(f"no truth label for scan t={scan.timestamp} point {missing}")
-        vru = [label == LABEL_VRU for label in labels]
-        n = len(scan.assigned)
-        tp = sum(vru[:n])
-        counts.append((tp, n - tp, sum(vru[n:])))
-    return counts
+    # Python's round, as the truth keys use it; numpy rounds differently.
+    times = list(map(round, auto.timestamp.tolist(), repeat(9)))
+    scan = auto.scan_of_row
+    keys = zip(map(times.__getitem__, scan.tolist()), auto.detections.index.tolist())
+    labels = list(map(truth.get, keys))
+    if None in labels:
+        row = labels.index(None)
+        raise ValueError(f"no truth label for scan t={times[scan[row]]} point "
+                         f"{auto.detections.index[row]}")
+    vru = np.fromiter(map(LABEL_VRU.__eq__, labels), bool, len(labels))
+    assigned, m = auto.assigned, len(auto)
+    tp = np.bincount(scan[vru & assigned], minlength=m)
+    fn = np.bincount(scan[vru & ~assigned], minlength=m)
+    return list(zip(tp.tolist(), (auto.n_assigned - tp).tolist(), fn.tolist()))
 
 
 def score_from_counts(
@@ -87,22 +94,25 @@ def score_from_counts(
     averaging = Averaging(averaging)
     if not counts:
         raise ValueError("no scans to score")
-    tp = sum(c[0] for c in counts)
-    fp = sum(c[1] for c in counts)
-    fn = sum(c[2] for c in counts)
+    per_scan = np.asarray(counts, dtype=np.int64).reshape(-1, 3)
+    tp, fp, fn = per_scan.sum(axis=0).tolist()
     if averaging == Averaging.MICRO:
         precision = tp / (tp + fp) if tp + fp > 0 else float("nan")
         recall = tp / (tp + fn) if tp + fn > 0 else float("nan")
     else:
-        per_precision = [t / (t + f) for t, f, _ in counts if t + f > 0]
-        per_recall = [t / (t + m) for t, _, m in counts if t + m > 0]
-        precision = float(np.mean(per_precision)) if per_precision else float("nan")
-        recall = float(np.mean(per_recall)) if per_recall else float("nan")
+        t, f, m = per_scan.T
+        precision, recall = (_mean_ratio(t, t + other) for other in (f, m))
     return AssignmentScore(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall)
 
 
+def _mean_ratio(part: np.ndarray, whole: np.ndarray) -> float:
+    """Mean of part / whole over the rows where whole > 0; NaN if there are none."""
+    defined = whole > 0
+    return float(np.mean(part[defined] / whole[defined])) if defined.any() else float("nan")
+
+
 def score_assignment(
-    auto: Iterable[LabeledScan],
+    auto: LabeledTable,
     truth: Mapping[tuple[float, int], str],
     averaging: Averaging | str = Averaging.MACRO,
 ) -> AssignmentScore:
@@ -121,47 +131,66 @@ def r4_compensate(amplitude_db, range_m, ref_range: float = 1.0):
     return amplitude_db + 40.0 * log_ratio.reshape(ratio.shape)
 
 
+def _ellipse_axes(cxx, cyy, cxy, level: float):
+    """Full (major, minor) confidence-ellipse axes of the 2x2 covariance(s)
+    [[cxx, cxy], [cxy, cyy]], NaN where the covariance is degenerate.
+
+    Axes are 2*sqrt(eigenvalue * q) with q the chi-square(2 dof) quantile at
+    `level`; the eigenvalues are the closed form mean +- radius.
+    """
+    mean = 0.5 * (cxx + cyy)
+    radius = np.hypot(0.5 * (cxx - cyy), cxy)
+    big, small = mean + radius, mean - radius
+    flat = ~(small > COLLINEAR_RATIO * big)
+    q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
+    major = 2.0 * np.sqrt(np.where(flat, np.nan, big) * q)
+    minor = 2.0 * np.sqrt(np.where(flat, np.nan, small) * q)
+    return major, minor
+
+
 def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
     """Full axis lengths (major, minor) of the sample confidence ellipse.
 
-    Axes are 2*sqrt(eigenvalue * q) with q the chi-square(2 dof) quantile at
-    `level`; requires at least 3 points and a non-degenerate covariance.
+    Requires at least 3 points and a non-degenerate covariance.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a confidence ellipse")
-    cov = np.cov(pts, rowvar=False, ddof=1)
-    eigval = np.linalg.eigvalsh(cov)
-    if eigval[0] <= 0.0:
+    (cxx, cxy), (_, cyy) = np.cov(pts, rowvar=False, ddof=1)
+    major, minor = _ellipse_axes(cxx, cyy, cxy, level)
+    if np.isnan(major):
         raise ValueError("degenerate covariance; points are collinear")
-    q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
-    major = 2.0 * math.sqrt(eigval[1] * q)
-    minor = 2.0 * math.sqrt(eigval[0] * q)
-    return major, minor
+    return float(major), float(minor)
 
 
-def cycle_stats(scan: LabeledScan) -> CycleStats:
-    """Per-cycle radar statistics over the scan's assigned detections."""
-    d = scan.assigned
-    if not d:
-        raise EmptyScanError(f"scan at t={scan.timestamp} has no assigned detections")
-    n = len(d)
-    doppler_std = float(np.std(d.radial_velocity, ddof=1)) if n > 1 else 0.0
-    conf_major = conf_minor = None
-    if n >= 3:
-        try:
-            conf_major, conf_minor = confidence_ellipse(d.global_xy)
-        except ValueError:
-            pass  # collinear points: axes stay omitted
-    mean_range = float(np.mean(d.range_m))
+def cycle_stats(scans: LabeledTable) -> CycleStats:
+    """Radar statistics of every scan with assigned detections, over those detections."""
+    if not scans.n_assigned.any():
+        raise EmptyScanError("no scan has assigned detections")
+    keep = np.flatnonzero(scans.n_assigned)
+    n, k = scans.n_assigned[keep], len(keep)
+    seg = np.repeat(np.arange(k), n)
+    first = scan_offsets(n)[:-1]
+    d = scans.detections[scans.assigned]
+
+    def mean(values):  # about each scan's first value, so that equal values give it exactly
+        return values[first] + np.bincount(seg, values - values[first][seg], k) / n
+
+    def covariance(a, b):  # sample covariance within each scan, 0 for a single point
+        return np.bincount(seg, (a - mean(a)[seg]) * (b - mean(b)[seg]), k) / np.maximum(n - 1, 1)
+
+    x, y = d.global_xy.T
+    conf_major, conf_minor = _ellipse_axes(covariance(x, x), covariance(y, y), covariance(x, y),
+                                           0.95)
+    conf_major[n < 3] = conf_minor[n < 3] = np.nan
     return CycleStats(
-        timestamp=scan.timestamp,
+        timestamp=scans.timestamp[keep],
         n_assigned=n,
-        mean_comp_power=float(np.mean(r4_compensate(d.amplitude, d.range_m))),
-        doppler_std=doppler_std,
+        mean_comp_power=mean(r4_compensate(d.amplitude, d.range_m)),
+        doppler_std=np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
         conf_major=conf_major,
         conf_minor=conf_minor,
-        weighted_count=n * (mean_range / WEIGHTED_COUNT_REF_RANGE) ** 2,
+        weighted_count=n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,
     )
 
 

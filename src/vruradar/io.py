@@ -11,21 +11,23 @@ from __future__ import annotations
 import json
 import math
 import operator
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .annotation import LabeledScan
+from .annotation import LabeledTable
 from .core import (
     GLOBAL,
     Detections,
     Pose,
-    RadarScan,
+    ScanTable,
     SensorMount,
     VruKind,
+    rank_in_scan,
+    scan_offsets,
 )
-from .selection import OrientedEllipse
 from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
 
 GNSS_TAG = "vruradar.gnss.v1"
@@ -193,18 +195,7 @@ def read_traj_csv(path) -> list[TrajectoryState]:
 
 # --- Radar scans ----------------------------------------------------------
 
-# JSON point keys and the Detections columns they hold.
-POLAR_KEYS = {"range": "range_m", "azimuth": "azimuth", "vr": "radial_velocity",
-              "amp": "amplitude"}
-LABELED_KEYS = {"idx": "index", **POLAR_KEYS, "ego": "ego", "global": "global_xy"}
-
-
-def _point_dicts(d: Detections, keys: Mapping[str, str]) -> list[dict]:
-    columns = [getattr(d, name).tolist() for name in keys.values()]
-    return [dict(zip(keys, row)) for row in zip(*columns)]
-
-
-_polar_row = operator.itemgetter(*POLAR_KEYS)
+POLAR_KEYS = ("range", "azimuth", "vr", "amp")  # JSON point keys, in Detections column order
 
 
 def _point_index(value) -> int:
@@ -230,30 +221,57 @@ def _finite_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _labeled_row(p: dict) -> tuple:
-    for key in ("ego", "global"):
-        if not (isinstance(p[key], list) and len(p[key]) == 2):
-            raise ValueError(f"point {key!r} must be an [x, y] pair, got {p[key]!r}")
-    return (_point_index(p["idx"]), *_polar_row(p), *p["ego"], *p["global"])
+def _finite_numbers(values, name: str) -> np.ndarray:
+    """`values` as a float array by the rule of `_finite_number`, types checked once."""
+    values = list(values)
+    if set(map(type, values)) <= {int, float}:
+        try:
+            out = np.array(values, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            out = np.full(len(values), math.inf)
+        if np.isfinite(out).all():
+            return out
+    for value in values:
+        _finite_number(value, name)  # raises on the first bad value
 
 
-def _point_table(points: list, row: Callable[[dict], tuple], width: int) -> np.ndarray:
-    """`row(p)` of every JSON point as one table of finite floats, `width` columns wide."""
-    table = np.array([row(p) for p in points], dtype=float) if points else np.empty((0, width))
-    if table.shape[1:] != (width,) or not np.isfinite(table).all():
-        raise ValueError("a point value is not a finite number")
-    return table
+def _points(points: list, keys: Sequence[str]) -> tuple[np.ndarray, list[tuple]]:
+    """(4, n) polar values of a record's JSON points, and a tuple per one of `keys`."""
+    if type(points) is not list:
+        raise ValueError(f"points must be a list, got {points!r}")
+    rows = list(map(operator.itemgetter(*POLAR_KEYS, *keys), points))
+    columns = list(zip(*rows)) if rows else [()] * (4 + len(keys))
+    polar = _finite_numbers(chain(*columns[:4]), "point value").reshape(4, -1)
+    if np.count_nonzero(polar[0] < 0):
+        raise ValueError(f"range must be >= 0, got {polar[0].min()}")
+    return polar, columns[4:]
 
 
-def write_radar_jsonl(path, scans: Iterable[RadarScan]) -> None:
+def _pairs(column: tuple, key: str) -> np.ndarray:
+    """(n, 2) coordinates of a column of JSON [x, y] pairs."""
+    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {2}):
+        bad = next(p for p in column if not (type(p) is list and len(p) == 2))
+        raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
+    return _finite_numbers(chain.from_iterable(column), "point value").reshape(-1, 2)
+
+
+def _join(chunks, empty: np.ndarray, axis: int = 0) -> np.ndarray:
+    return np.concatenate(chunks, axis=axis) if chunks else empty
+
+
+def _polar_table(d: Detections, *pairs: np.ndarray) -> np.ndarray:
+    """The polar columns, then the given (n, 2) columns, as one (n, k) table to slice."""
+    return np.column_stack([d.range_m, d.azimuth, d.radial_velocity, d.amplitude, *pairs])
+
+
+def write_radar_jsonl(path, scans: ScanTable) -> None:
+    values, offsets = _polar_table(scans.detections), scans.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": RADAR_TAG}) + "\n")
-        for scan in scans:
-            rec = {
-                "t": round(scan.timestamp, 9),
-                "sensor_id": scan.sensor_id,
-                "points": _point_dicts(scan.detections, POLAR_KEYS),
-            }
+        for k, (t, sensor_id) in enumerate(zip(scans.timestamp.tolist(), scans.sensor_id.tolist())):
+            rows = values[offsets[k]:offsets[k + 1]].tolist()
+            rec = {"t": round(t, 9), "sensor_id": sensor_id,
+                   "points": [dict(zip(POLAR_KEYS, row)) for row in rows]}
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -295,21 +313,26 @@ def _check_scan_order(last_t: dict[str, float], sensor_id: str, t: float, path, 
     last_t[sensor_id] = t
 
 
-def read_radar_jsonl(path) -> list[RadarScan]:
-    scans = []
-    last_t: dict[str, float] = {}
-    for i, rec in _load_jsonl(path, RADAR_TAG):
+def _read_scans(path, tag: str, what: str, parse) -> list:
+    """Per-scan columns of a JSONL scan file: line, time, sensor id, then the values
+    `parse(record)` returns.  Each sensor's scans must follow one another in time."""
+    rows, last_t = [], {}
+    for i, rec in _load_jsonl(path, tag):
         try:
-            scan = RadarScan(
-                timestamp=_finite_number(rec["t"], "t"),
-                sensor_id=str(rec["sensor_id"]),
-                detections=Detections(*_point_table(rec["points"], _polar_row, 4).T),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad radar record: {exc}", path, i) from None
-        _check_scan_order(last_t, scan.sensor_id, scan.timestamp, path, i)
-        scans.append(scan)
-    return scans
+            row = (i, _finite_number(rec["t"], "t"), str(rec["sensor_id"]), *parse(rec))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # idx beyond int64
+            raise SchemaError(f"bad {what} record: {exc}", path, i) from None
+        _check_scan_order(last_t, row[2], row[1], path, i)
+        rows.append(row)
+    return [list(column) for column in zip(*rows)] if rows else None
+
+
+def read_radar_jsonl(path) -> ScanTable:
+    columns = _read_scans(path, RADAR_TAG, "radar", lambda rec: _points(rec["points"], ())[:1])
+    _, times, sensors, polar = columns or ([], [], [], [])
+    offsets = scan_offsets([p.shape[1] for p in polar])
+    detections = Detections(*_join(polar, np.empty((4, 0)), 1), index=rank_in_scan(offsets))
+    return ScanTable(times, sensors, offsets, detections)
 
 
 # --- Truth labels -----------------------------------------------------------
@@ -337,83 +360,83 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
 
 # --- Labeled scans -----------------------------------------------------------
 
-def _labeled_detections(table: np.ndarray) -> Detections:
-    return Detections(*table[:, 1:5].T, index=table[:, 0], ego=table[:, 5:7],
-                      global_xy=table[:, 7:9])
+STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
+BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
 
 
-def write_labeled_jsonl(path, scans: Iterable[LabeledScan]) -> None:
+def write_labeled_jsonl(path, scans: LabeledTable) -> None:
+    d = scans.detections
+    values, index = _polar_table(d, d.ego, d.global_xy), d.index
+
+    def points(lo: int, hi: int) -> list[dict]:
+        return [{"idx": i, "range": r, "azimuth": a, "vr": v, "amp": p, "ego": [ex, ey],
+                 "global": [gx, gy]}
+                for i, (r, a, v, p, ex, ey, gx, gy) in zip(index[lo:hi].tolist(),
+                                                            values[lo:hi].tolist())]
+
+    offsets, mids = scans.offsets.tolist(), (scans.offsets[:-1] + scans.n_assigned).tolist()
+    scan_values = zip(scans.timestamp.tolist(), scans.sensor_id.tolist(),
+                      scans.vru_state.tolist(), scans.bounding.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": LABELED_TAG}) + "\n")
-        for s in scans:
-            bounding = None
-            if s.bounding is not None:
-                bounding = {
-                    "cx": s.bounding.center[0],
-                    "cy": s.bounding.center[1],
-                    "ax_major": s.bounding.ax_major,
-                    "ax_minor": s.bounding.ax_minor,
-                    "orientation": s.bounding.orientation,
-                }
+        for k, (t, sensor_id, state, bounding) in enumerate(scan_values):
             rec = {
-                "t": round(s.timestamp, 9),
-                "track_id": s.track_id,
-                "vru_kind": s.vru_kind.value,
-                "sensor_id": s.sensor_id,
-                "assigned": _point_dicts(s.assigned, LABELED_KEYS),
-                "rejected": _point_dicts(s.rejected, LABELED_KEYS),
-                "bounding": bounding,
-                "vru_state": {
-                    "x": s.vru_state.pose.x,
-                    "y": s.vru_state.pose.y,
-                    "yaw": s.vru_state.pose.yaw,
-                    "speed": s.vru_state.speed,
-                    "yaw_rate": s.vru_state.yaw_rate,
-                },
+                "t": round(t, 9),
+                "track_id": scans.track_id,
+                "vru_kind": scans.vru_kind.value,
+                "sensor_id": sensor_id,
+                "assigned": points(offsets[k], mids[k]),
+                "rejected": points(mids[k], offsets[k + 1]),
+                "bounding": None if math.isnan(bounding[0]) else dict(zip(BOUNDING_KEYS, bounding)),
+                "vru_state": dict(zip(STATE_KEYS, state)),
             }
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_labeled_jsonl(path) -> list[LabeledScan]:
-    scans = []
-    last_t: dict[str, float] = {}
-    for i, rec in _load_jsonl(path, LABELED_TAG):
-        try:
-            t = _finite_number(rec["t"], "t")
-            x, y, yaw, speed, yaw_rate = (_finite_number(rec["vru_state"][k], k)
-                                          for k in ("x", "y", "yaw", "speed", "yaw_rate"))
-            state = TrajectoryState(timestamp=t, pose=Pose(x, y, yaw, frame=GLOBAL), speed=speed,
-                                    yaw_rate=yaw_rate)
-            bounding = None
-            if rec.get("bounding") is not None:
-                cx, cy, major, minor, orientation = (
-                    _finite_number(rec["bounding"][k], k)
-                    for k in ("cx", "cy", "ax_major", "ax_minor", "orientation"))
-                bounding = OrientedEllipse(center=(cx, cy), ax_major=major, ax_minor=minor,
-                                           orientation=orientation)
-            n_assigned = len(rec["assigned"])
-            table = _point_table(rec["assigned"] + rec["rejected"], _labeled_row, 9)
-            idx = table[:, 0].tolist()
-            if len(set(idx)) < len(idx):
-                repeated = next(v for v in idx if idx.count(v) > 1)
-                raise ValueError(f"point idx {repeated:g} appears more than once")
-            assigned = _labeled_detections(table[:n_assigned])
-            rejected = _labeled_detections(table[n_assigned:])
-            scan = LabeledScan(
-                timestamp=t,
-                track_id=str(rec["track_id"]),
-                vru_kind=VruKind(rec["vru_kind"]),
-                sensor_id=str(rec["sensor_id"]),
-                assigned=assigned,
-                rejected=rejected,
-                bounding=bounding,
-                vru_state=state,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad labeled record: {exc}", path, i) from None
-        _check_scan_order(last_t, scan.sensor_id, t, path, i)
-        scans.append(scan)
-    return scans
+def _labeled_record(rec: dict) -> tuple:
+    state = [_finite_number(rec["vru_state"][k], k) for k in STATE_KEYS]
+    if state[3] < 0:
+        raise ValueError(f"speed must be >= 0, got {state[3]}")
+    bounding = [math.nan] * 5
+    if rec.get("bounding") is not None:
+        bounding = [_finite_number(rec["bounding"][k], k) for k in BOUNDING_KEYS]
+        if min(bounding[2:4]) <= 0:
+            raise ValueError("ellipse axes must be > 0")
+    polar, (idx, ego, glob) = _points(rec["assigned"] + rec["rejected"], ("idx", "ego", "global"))
+    if not set(map(type, idx)) <= {int}:
+        _point_index(next(v for v in idx if type(v) is not int))
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"point idx {next(v for v in idx if idx.count(v) > 1)} appears more "
+                         "than once")
+    return ((str(rec["track_id"]), VruKind(rec["vru_kind"])), len(rec["assigned"]), state,
+            bounding, polar, np.array(idx, dtype=np.int64), _pairs(ego, "ego"),
+            _pairs(glob, "global"))
+
+
+def read_labeled_jsonl(path) -> LabeledTable:
+    """The labeled scans of one track; every record must name the same track and kind."""
+    columns = _read_scans(path, LABELED_TAG, "labeled", _labeled_record)
+    lines, times, sensors, tracks, n_assigned, states, boundings, polar, index, ego, glob = (
+        columns or [[]] * 11)
+    for line, track in zip(lines, tracks):
+        if track != tracks[0]:
+            raise SchemaError(f"track {track[0]!r} ({track[1].value}) differs from the first "
+                              f"record's {tracks[0][0]!r} ({tracks[0][1].value})", path, line)
+    track_id, vru_kind = tracks[0] if tracks else ("", VruKind.PEDESTRIAN)
+    pairs = np.empty((0, 2))
+    return LabeledTable(
+        timestamp=times,
+        sensor_id=sensors,
+        offsets=scan_offsets([p.shape[1] for p in polar]),
+        detections=Detections(*_join(polar, np.empty((4, 0)), 1),
+                              index=_join(index, np.empty(0, dtype=np.int64)),
+                              ego=_join(ego, pairs), global_xy=_join(glob, pairs)),
+        n_assigned=np.array(n_assigned, dtype=np.int64),
+        vru_state=np.array(states, dtype=float).reshape(-1, 5),
+        bounding=np.array(boundings, dtype=float).reshape(-1, 5),
+        track_id=track_id,
+        vru_kind=vru_kind,
+    )
 
 
 # --- Scenario manifest --------------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyScanError, Pose, wrap_angle
-from .trajectory import STANDSTILL_SPEED, TrajectoryState
+from .core import EmptyScanError, to_local
+from .trajectory import STANDSTILL_SPEED
 
 PEDESTRIAN_MIN_MAJOR = 1.5  # m
 PEDESTRIAN_MIN_MINOR = 1.2  # m
@@ -31,106 +31,107 @@ class OrientedEllipse:
     """Ellipse with full axis lengths; `ax_major` lies along `orientation`.
 
     The names follow the movement-aligned convention: with high yaw rates at
-    low speed the across-track axis may exceed the along-track one.
+    low speed the across-track axis may exceed the along-track one.  Every
+    field may hold one value per point instead of a number; `contains` then
+    tests each point against its own ellipse.
     """
 
-    center: tuple[float, float]
-    ax_major: float
-    ax_minor: float
-    orientation: float
+    center: tuple  # (x, y)
+    ax_major: float | np.ndarray
+    ax_minor: float | np.ndarray
+    orientation: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.ax_major <= 0 or self.ax_minor <= 0:
+        if (np.asarray(self.ax_major) <= 0).any() or (np.asarray(self.ax_minor) <= 0).any():
             raise ValueError("ellipse axes must be > 0")
-        object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
     def contains(self, points):
         """Membership test for a (2,) point or an (n, 2) array (boundary inclusive)."""
-        u, v = _to_shape_frame(points, self.center, self.orientation)
+        u, v = to_local(points, *self.center, self.orientation)
         q = (u / (self.ax_major / 2.0)) ** 2 + (v / (self.ax_minor / 2.0)) ** 2
         return q <= 1.0
 
 
 @dataclass(frozen=True)
 class OrientedRectangle:
-    """Rectangle with full side lengths; `length` lies along `orientation`."""
+    """Rectangle with full side lengths; `length` lies along `orientation`.
 
-    center: tuple[float, float]
-    length: float
-    width: float
-    orientation: float
+    Like OrientedEllipse, the fields may hold one value per point.
+    """
+
+    center: tuple  # (x, y)
+    length: float | np.ndarray
+    width: float | np.ndarray
+    orientation: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.length <= 0 or self.width <= 0:
+        if (np.asarray(self.length) <= 0).any() or (np.asarray(self.width) <= 0).any():
             raise ValueError("rectangle sides must be > 0")
-        object.__setattr__(self, "orientation", wrap_angle(self.orientation))
 
     def contains(self, points):
-        u, v = _to_shape_frame(points, self.center, self.orientation)
+        u, v = to_local(points, *self.center, self.orientation)
         return (np.abs(u) <= self.length / 2.0) & (np.abs(v) <= self.width / 2.0)
 
 
-def _to_shape_frame(points, center, orientation):
-    local = Pose(center[0], center[1], orientation).from_parent(points)
-    return local[..., 0], local[..., 1]
-
-
-def pedestrian_ellipse(state: TrajectoryState) -> OrientedEllipse:
-    """Selection ellipse around a pedestrian, grown with speed and yaw rate.
+def pedestrian_ellipse(x, y, yaw, speed, yaw_rate) -> OrientedEllipse:
+    """Selection ellipse around a pedestrian state, grown with speed and yaw rate.
 
     Below the standstill speed both axes fall back to a fixed circle since the
-    movement direction carries no information there.
+    movement direction carries no information there.  The state values are
+    numbers, or arrays of one state per point.
     """
-    v = state.speed
-    if v >= STANDSTILL_SPEED:
-        ax_major = PEDESTRIAN_MIN_MAJOR + min(abs(v) * SPEED_TO_LENGTH, GROWTH_CAP)
-        ax_minor = PEDESTRIAN_MIN_MINOR + min(abs(state.yaw_rate) * YAW_RATE_TO_WIDTH, GROWTH_CAP)
-    else:
-        ax_major = PEDESTRIAN_STANDSTILL_AXIS
-        ax_minor = PEDESTRIAN_STANDSTILL_AXIS
+    moving = speed >= STANDSTILL_SPEED
     return OrientedEllipse(
-        center=(state.pose.x, state.pose.y),
-        ax_major=ax_major,
-        ax_minor=ax_minor,
-        orientation=state.pose.yaw,
+        center=(x, y),
+        ax_major=np.where(moving, PEDESTRIAN_MIN_MAJOR
+                          + np.minimum(np.abs(speed) * SPEED_TO_LENGTH, GROWTH_CAP),
+                          PEDESTRIAN_STANDSTILL_AXIS),
+        ax_minor=np.where(moving, PEDESTRIAN_MIN_MINOR
+                          + np.minimum(np.abs(yaw_rate) * YAW_RATE_TO_WIDTH, GROWTH_CAP),
+                          PEDESTRIAN_STANDSTILL_AXIS),
+        orientation=yaw,
     )
 
 
-def cyclist_rectangle(state: TrajectoryState, last_moving_yaw: float) -> OrientedRectangle:
-    """Selection rectangle around a cyclist.
+def cyclist_rectangle(x, y, yaw, speed, yaw_rate, last_moving_yaw) -> OrientedRectangle:
+    """Selection rectangle around a cyclist state (numbers, or arrays of one per point).
 
     Bikes cannot turn without rolling, so below the standstill speed the
     orientation continues from the last moving instant instead of the current
     yaw estimate.
     """
-    width = CYCLIST_MIN_WIDTH + min(abs(state.yaw_rate) * YAW_RATE_TO_WIDTH, GROWTH_CAP)
-    orientation = state.pose.yaw if state.speed >= STANDSTILL_SPEED else last_moving_yaw
     return OrientedRectangle(
-        center=(state.pose.x, state.pose.y),
+        center=(x, y),
         length=CYCLIST_LENGTH,
-        width=width,
-        orientation=orientation,
+        width=CYCLIST_MIN_WIDTH + np.minimum(np.abs(yaw_rate) * YAW_RATE_TO_WIDTH, GROWTH_CAP),
+        orientation=np.where(speed >= STANDSTILL_SPEED, yaw, last_moving_yaw),
     )
 
 
-def fit_bounding_ellipse(points, center, yaw: float) -> OrientedEllipse:
-    """Smallest symmetric ellipse at a fixed center and orientation covering all points.
+def bounding_axes(u, v, scan, n_scans: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full axes of the smallest symmetric ellipse around each scan's points.
 
-    Half axes start at the per-axis extents of the points in the shape frame
+    (u, v) are the points in their scan's shape frame and `scan` numbers each
+    point's scan.  Half axes start at the per-axis extents of a scan's points
     and are scaled up uniformly until every point satisfies the ellipse
     inequality; both full axes are floored at MIN_BOUNDING_AXIS.
     """
+    a = np.full(n_scans, MIN_BOUNDING_AXIS / 2.0)
+    b = a.copy()
+    np.maximum.at(a, scan, np.abs(u))
+    np.maximum.at(b, scan, np.abs(v))
+    q = np.zeros(n_scans)
+    np.maximum.at(q, scan, (u / a[scan]) ** 2 + (v / b[scan]) ** 2)
+    scale = np.maximum(1.0, np.sqrt(q))
+    return 2.0 * a * scale, 2.0 * b * scale
+
+
+def fit_bounding_ellipse(points, center, yaw: float) -> OrientedEllipse:
+    """The bounding ellipse (see `bounding_axes`) of one set of points at a fixed
+    center and orientation."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise EmptyScanError("cannot fit a bounding ellipse without detections")
-    u, v = _to_shape_frame(pts, center, yaw)
-    half_floor = MIN_BOUNDING_AXIS / 2.0
-    a = max(float(np.max(np.abs(u))), half_floor)
-    b = max(float(np.max(np.abs(v))), half_floor)
-    scale = max(1.0, float(np.sqrt(np.max((u / a) ** 2 + (v / b) ** 2))))
-    return OrientedEllipse(
-        center=(float(center[0]), float(center[1])),
-        ax_major=2.0 * a * scale,
-        ax_minor=2.0 * b * scale,
-        orientation=yaw,
-    )
+    u, v = to_local(pts, center[0], center[1], yaw)
+    (major,), (minor,) = bounding_axes(u, v, np.zeros(len(pts), dtype=int), 1)
+    return OrientedEllipse((float(center[0]), float(center[1])), major, minor, yaw)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .annotation import LabeledScan
-from .core import fold_axis
+from .annotation import LabeledTable
+from .core import fold_axis, to_local
 from .io import write_table
-from .trajectory import TrajectoryState
 
 
 @dataclass
@@ -45,22 +43,6 @@ class SignatureGrid:
         ys = -self.half_extent_y + (np.arange(ny) + 0.5) * self.resolution
         return xs, ys
 
-    def merge(self, other: "SignatureGrid") -> "SignatureGrid":
-        """Element-wise sum; grids must share geometry."""
-        if (
-            self.resolution != other.resolution
-            or self.half_extent_x != other.half_extent_x
-            or self.half_extent_y != other.half_extent_y
-        ):
-            raise ValueError("cannot merge grids with different geometry")
-        return SignatureGrid(
-            self.resolution,
-            self.half_extent_x,
-            self.half_extent_y,
-            self.counts + other.counts,
-            self.overflow + other.overflow,
-        )
-
 
 @dataclass(frozen=True)
 class GridStats:
@@ -71,21 +53,21 @@ class GridStats:
 
 
 def accumulate(
-    scans: Iterable[LabeledScan],
+    scans: LabeledTable,
     resolution: float = 0.05,
     half_extents: tuple[float, float] = (2.5, 1.5),
     *,
-    states: Sequence[TrajectoryState] | None = None,
+    states: np.ndarray | None = None,
 ) -> SignatureGrid:
     """Bin all assigned detections of the labeled scans into one grid.
 
-    Each scan's own track state defines the object frame; `states`, aligned
-    with `scans`, can replace them, e.g. to center the grid on the simulator
-    ground truth instead of the estimated trajectory.
+    Each scan's own track state defines the object frame; `states`, rows of
+    x, y and yaw (further columns are ignored) aligned with the scans, can
+    replace them, e.g. to center the grid on the simulator ground truth
+    instead of the estimated trajectory.
     """
-    scans = list(scans)
     if states is None:
-        states = [scan.vru_state for scan in scans]
+        states = scans.vru_state
     elif len(states) != len(scans):
         raise ValueError(f"got {len(states)} states for {len(scans)} scans")
     if resolution <= 0:
@@ -93,18 +75,15 @@ def accumulate(
     hx, hy = half_extents
     nx = int(round(2.0 * hx / resolution))
     ny = int(round(2.0 * hy / resolution))
+    assigned = scans.assigned
+    x, y, yaw = np.asarray(states, dtype=float)[scans.scan_of_row[assigned], :3].T
+    u, v = to_local(scans.detections.global_xy[assigned], x, y, yaw)
+    ix = np.floor((u + hx) / resolution).astype(int)
+    iy = np.floor((v + hy) / resolution).astype(int)
+    ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
     counts = np.zeros((nx, ny), dtype=np.int64)
-    overflow = 0
-    for scan, state in zip(scans, states):
-        if not scan.assigned:
-            continue
-        pts = state.pose.from_parent(scan.assigned.global_xy)
-        ix = np.floor((pts[:, 0] + hx) / resolution).astype(int)
-        iy = np.floor((pts[:, 1] + hy) / resolution).astype(int)
-        ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        np.add.at(counts, (ix[ok], iy[ok]), 1)
-        overflow += int((~ok).sum())
-    return SignatureGrid(resolution, hx, hy, counts, overflow)
+    np.add.at(counts, (ix[ok], iy[ok]), 1)
+    return SignatureGrid(resolution, hx, hy, counts, int(np.count_nonzero(~ok)))
 
 
 def grid_stats(grid: SignatureGrid) -> GridStats:

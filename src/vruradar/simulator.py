@@ -21,12 +21,14 @@ from .core import (
     TWO_PI,
     Detections,
     Pose,
-    RadarScan,
+    ScanTable,
     SensorMount,
     VruKind,
     compose_pose,
     ego_to_polar,
     global_to_ego,
+    rank_in_scan,
+    scan_offsets,
 )
 from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
 
@@ -191,9 +193,9 @@ def _trajectory_states(times, xy, yaw, speed, yaw_rate) -> list[TrajectoryState]
 class ScenarioData:
     """Everything one simulated scenario produces.
 
-    `labels` maps (scan index aligned with `scans`, point index) semantics as a
-    flat list of per-scan label tuples; `raw_vru_points` holds the
-    pre-quantization global positions of the VRU-labeled points per scan.
+    `labels` holds one (scan timestamp, point index, label) tuple per row of
+    `scans`; `raw_vru_points` holds, per row, the pre-quantization global
+    position of a VRU-labeled point and NaN for clutter.
     """
 
     config: ScenarioConfig
@@ -201,9 +203,9 @@ class ScenarioData:
     truth: list[TrajectoryState]
     gnss: list[GnssSample]
     imu: list[ImuSample]
-    scans: list[RadarScan]
+    scans: ScanTable
     labels: list[tuple[float, int, str]]  # (scan timestamp, point index, label)
-    raw_vru_points: list[np.ndarray]  # aligned with scans
+    raw_vru_points: np.ndarray  # (n, 2), aligned with the rows of scans
 
     def label_map(self) -> dict[tuple[float, int], str]:
         return {(round(t, 9), idx): label for t, idx, label in self.labels}
@@ -297,13 +299,14 @@ def _polar_by_sensor(points_ego, sensor, mounts) -> tuple[np.ndarray, np.ndarray
 
 def generate_radar(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[list[RadarScan], list[tuple[float, int, str]], list[np.ndarray]]:
+) -> tuple[ScanTable, list[tuple[float, int, str]], np.ndarray]:
     """Radar scans plus truth labels keyed by (scan timestamp, point index).
 
     Sensors fire phase-shifted so every scan timestamp in the scenario is
     unique.  Each emitted point is VRU- or clutter-labeled, VRU points first
-    within a scan; the raw (pre-quantization) global positions of the VRU
-    points are returned for diagnostics.
+    within a scan.  The third value holds, for each row of the scan table,
+    the raw (pre-quantization) global position of a VRU point and NaN for a
+    clutter point.
     """
     mounts = cfg.mounts
     if not mounts:
@@ -312,20 +315,21 @@ def generate_radar(
     t_lo = cfg.radar_start_margin
     t_hi = cfg.duration - cfg.radar_start_margin
 
-    events: list[tuple[float, int]] = []  # (scan time, mount index)
-    for i in range(len(mounts)):
-        t = t_lo + i * cycle / len(mounts)
-        while t <= t_hi:
-            events.append((t, i))
-            t += cycle
-    events.sort(key=lambda e: (e[0], mounts[e[1]].sensor_id))
+    # Each sensor's schedule accumulates its cycle like `t += cycle` would.
+    steps = int((t_hi - t_lo) / cycle) + 2
+    schedules = [np.cumsum(np.r_[t_lo + i * cycle / len(mounts), np.full(steps, cycle)])
+                 for i in range(len(mounts))]
+    times = np.concatenate([ts[ts <= t_hi] for ts in schedules])
+    sensor = np.repeat(np.arange(len(mounts)), [np.count_nonzero(ts <= t_hi) for ts in schedules])
+    sensor_ids = np.array([m.sensor_id for m in mounts])[sensor]
+    order = np.lexsort((sensor_ids, times))
+    times, sensor, sensor_ids = times[order], sensor[order], sensor_ids[order]
 
-    n_scans = len(events)
-    sensor = np.array([i for _, i in events], dtype=int)
+    n_scans = len(times)
     max_range = np.array([m.max_range for m in mounts])[sensor]
     fov = np.array([m.fov_azimuth for m in mounts])[sensor]
     sensor_xy = np.array([compose_pose(cfg.ego_pose, m.pose_in_ego).xy for m in mounts])
-    xy, yaw, speed, yaw_rate = course.states([t for t, _ in events])
+    xy, yaw, speed, yaw_rate = course.states(times)
     r_center, az_center = _polar_by_sensor(global_to_ego(xy, cfg.ego_pose), sensor, mounts)
     visible = (r_center <= max_range) & (np.abs(az_center) <= fov)
     n_vru = np.zeros(n_scans, dtype=int)
@@ -356,20 +360,22 @@ def generate_radar(
 
     # Group rows by scan; the stable sort keeps each scan's VRU rows first.
     # Amplitude is not quantized (step 0).
-    order = np.argsort(np.concatenate([scan, c_scan]), kind="stable")
-    bounds = np.cumsum(n_vru + n_clutter)[:-1]
+    rows = np.argsort(np.concatenate([scan, c_scan]), kind="stable")
     columns = [
-        np.split(_quantize(np.concatenate(pair)[order], step), bounds)
+        _quantize(np.concatenate(pair)[rows], step)
         for pair, step in (((r, r_c), cfg.range_step), ((az, az_c), cfg.azimuth_step),
                            ((vr, vr_c), cfg.radial_velocity_step), ((amp, amp_c), 0.0))
     ]
-    scans: list[RadarScan] = []
-    labels: list[tuple[float, int, str]] = []
-    for (t, i), n, *cols in zip(events, n_vru.tolist(), *columns):
-        scans.append(RadarScan(timestamp=t, sensor_id=mounts[i].sensor_id,
-                               detections=Detections(*cols)))
-        labels.extend((t, k, LABEL_VRU if k < n else LABEL_CLUTTER) for k in range(len(cols[0])))
-    return scans, labels, np.split(points, np.cumsum(n_vru)[:-1])
+    offsets = scan_offsets(n_vru + n_clutter)
+    index = rank_in_scan(offsets)
+    table = ScanTable(times, sensor_ids, offsets, Detections(*columns, index=index))
+    is_vru = rows < len(scan)
+    # Rows share their scan's time and label objects, as one tuple per row is kept.
+    labels = list(zip(map(times.tolist().__getitem__, table.scan_of_row), index.tolist(),
+                      map((LABEL_CLUTTER, LABEL_VRU).__getitem__, is_vru.astype(np.int8))))
+    raw = np.full((len(rows), 2), np.nan)
+    raw[is_vru] = points[rows[is_vru]]
+    return table, labels, raw
 
 
 def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:

@@ -208,41 +208,39 @@ class ReferenceTrajectory:
     def t_end(self) -> float:
         return float(self._times[-1])
 
-    def covers(self, t: float) -> bool:
-        return self.t_start <= t <= self.t_end
-
-    def _check_covers(self, t: float) -> None:
-        if not self.covers(t):
-            raise OutOfRangeError(
-                f"t={t} outside trajectory support [{self.t_start}, {self.t_end}]"
-            )
-
     def position_at(self, t: float) -> np.ndarray:
-        self._check_covers(t)
-        return self._spline(t)[0]
+        return self.states_at([t])[0, :2]
+
+    def states_at(self, times) -> np.ndarray:
+        """(n, 5) rows of x, y, yaw, speed and yaw rate at `times`, all inside the support."""
+        t = np.asarray(times, dtype=float)
+        outside = (t < self.t_start) | (t > self.t_end)
+        if outside.any():
+            raise OutOfRangeError(f"t={t[outside][0]} outside trajectory support "
+                                  f"[{self.t_start}, {self.t_end}]")
+        pos, (vx, vy), (ax, ay) = (c.T for c in self._spline(t))
+        speed = np.hypot(vx, vy)
+        yaw = np.arctan2(vy, vx)
+        hold = speed < STANDSTILL_SPEED
+        if self._held_chord is None:
+            yaw[hold] = 0.0
+        else:
+            knot = np.searchsorted(self._times, t[hold], side="right") - 1
+            dx, dy = self._chords[self._held_chord[knot]].T
+            yaw[hold] = np.arctan2(dy, dx)
+        yaw[yaw == -math.pi] = math.pi  # wrapped as Pose wraps it
+        if self._imu_t is not None:
+            yaw_rate = np.interp(t, self._imu_t, self._imu_w)
+        else:
+            turning = speed > 1e-9
+            yaw_rate = np.zeros(len(t))
+            yaw_rate[turning] = (vx * ay - vy * ax)[turning] / speed[turning] ** 2
+        return np.column_stack([*pos, yaw, speed, yaw_rate])
 
     def state_at(self, t: float) -> TrajectoryState:
-        self._check_covers(t)
-        pos, (vx, vy), (ax, ay) = self._spline(t)
-        speed = float(math.hypot(vx, vy))
-        if speed >= STANDSTILL_SPEED:
-            yaw = math.atan2(vy, vx)
-        elif self._held_chord is None:
-            yaw = 0.0
-        else:
-            knot = int(np.searchsorted(self._times, t, side="right") - 1)
-            dx, dy = self._chords[self._held_chord[knot]]
-            yaw = math.atan2(dy, dx)
-        if self._imu_t is not None:
-            yaw_rate = float(np.interp(t, self._imu_t, self._imu_w))
-        else:
-            yaw_rate = float((vx * ay - vy * ax) / (speed * speed)) if speed > 1e-9 else 0.0
-        return TrajectoryState(
-            timestamp=float(t),
-            pose=Pose(float(pos[0]), float(pos[1]), float(yaw), frame=GLOBAL),
-            speed=speed,
-            yaw_rate=yaw_rate,
-        )
+        x, y, yaw, speed, yaw_rate = self.states_at([t])[0].tolist()
+        return TrajectoryState(timestamp=float(t), pose=Pose(x, y, yaw, frame=GLOBAL),
+                               speed=speed, yaw_rate=yaw_rate)
 
 
 def build_trajectory(gnss: list[GnssSample]) -> ReferenceTrajectory:

@@ -5,11 +5,25 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from vruradar.annotation import AnnotationResult, annotate_scenario
-from vruradar.core import LABEL_VRU, compose_pose, ego_to_global, polar_to_ego
+from vruradar.annotation import AnnotationResult, LabeledTable, annotate_scenario
+from vruradar.core import (
+    LABEL_VRU,
+    Detections,
+    ScanTable,
+    VruKind,
+    compose_pose,
+    ego_to_global,
+    polar_to_ego,
+    scan_offsets,
+)
 from vruradar.eot import TrackerScan
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
-from vruradar.trajectory import FusionParams, build_fused_trajectory, build_trajectory
+from vruradar.trajectory import (
+    FusionParams,
+    ReferenceTrajectory,
+    build_fused_trajectory,
+    build_trajectory,
+)
 
 
 @dataclass
@@ -19,6 +33,8 @@ class PresetRun:
     gnss_only: AnnotationResult | None
     truth: dict
     elapsed: float
+    fused_traj: ReferenceTrajectory
+    gnss_traj: ReferenceTrajectory | None
 
 
 def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
@@ -27,13 +43,14 @@ def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
     data = simulate_scenario(cfg)
     traj_f = build_fused_trajectory(data.gnss, data.imu, FusionParams())
     fused = annotate_scenario(data.scans, traj_f, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
-    gnss_only = None
+    gnss_only = traj_g = None
     if both_modes:
         traj_g = build_trajectory(data.gnss)
         gnss_only = annotate_scenario(data.scans, traj_g, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     return PresetRun(
         data=data, fused=fused, gnss_only=gnss_only,
         truth=data.label_map(), elapsed=time.perf_counter() - t0,
+        fused_traj=traj_f, gnss_traj=traj_g,
     )
 
 
@@ -59,6 +76,44 @@ def truth_assigned_scans(data: ScenarioData) -> list[TrackerScan]:
                 )
             )
     return out
+
+
+def _concat(tables, names) -> Detections:
+    empty = {"ego": np.empty((0, 2)), "global_xy": np.empty((0, 2))}
+    return Detections(**{name: np.concatenate([getattr(d, name) for d in tables]
+                                              or [empty.get(name, np.empty(0))])
+                         for name in names})
+
+
+POLAR = ("range_m", "azimuth", "radial_velocity", "amplitude", "index")
+
+
+def radar_table(scans) -> ScanTable:
+    """A ScanTable holding the given RadarScans, in order."""
+    return ScanTable([s.timestamp for s in scans], [s.sensor_id for s in scans],
+                     scan_offsets([len(s.detections) for s in scans]),
+                     _concat([s.detections for s in scans], POLAR))
+
+
+def labeled_table(scans) -> LabeledTable:
+    """A LabeledTable holding the given LabeledScans, in order."""
+    states = [(s.vru_state.pose.x, s.vru_state.pose.y, s.vru_state.pose.yaw, s.vru_state.speed,
+               s.vru_state.yaw_rate) for s in scans]
+    bounding = [(np.nan,) * 5 if s.bounding is None else
+                (*s.bounding.center, s.bounding.ax_major, s.bounding.ax_minor,
+                 s.bounding.orientation) for s in scans]
+    return LabeledTable(
+        timestamp=[s.timestamp for s in scans],
+        sensor_id=[s.sensor_id for s in scans],
+        offsets=scan_offsets([len(s.assigned) + len(s.rejected) for s in scans]),
+        detections=_concat([d for s in scans for d in (s.assigned, s.rejected)],
+                           (*POLAR, "ego", "global_xy")),
+        n_assigned=np.array([len(s.assigned) for s in scans], dtype=np.int64),
+        vru_state=np.array(states, dtype=float).reshape(-1, 5),
+        bounding=np.array(bounding, dtype=float).reshape(-1, 5),
+        track_id=scans[0].track_id if scans else "vru-0",
+        vru_kind=scans[0].vru_kind if scans else VruKind.PEDESTRIAN,
+    )
 
 
 @pytest.fixture(scope="session")

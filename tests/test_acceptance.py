@@ -9,7 +9,6 @@ from scipy import stats as sps
 
 from vruradar import eot, io
 from vruradar.cli import main
-from vruradar.core import GLOBAL, Pose
 from vruradar.evaluation import (
     Averaging,
     confidence_ellipse,
@@ -22,7 +21,6 @@ from vruradar.evaluation import (
 from vruradar.selection import cyclist_rectangle, pedestrian_ellipse
 from vruradar.signature import accumulate, grid_stats
 from vruradar.simulator import preset, simulate_scenario
-from vruradar.trajectory import TrajectoryState
 
 from conftest import truth_assigned_scans
 
@@ -35,26 +33,27 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _state(v, w):
-    return TrajectoryState(0.0, Pose(0.0, 0.0, 0.0, frame=GLOBAL), v, w)
+    """x, y, yaw, speed and yaw rate of a state at the origin heading along x."""
+    return 0.0, 0.0, 0.0, v, w
 
 
 def test_criterion_01_selection_shape_exactness():
     checks = []
     # branch boundary, both sides of v = 0.05 m/s
-    e = pedestrian_ellipse(_state(0.05, 0.1))
+    e = pedestrian_ellipse(*_state(0.05, 0.1))
     checks.append(e.ax_major == 1.5 + 0.05 and e.ax_minor == 1.2 + 0.5)
-    e = pedestrian_ellipse(_state(0.04999999, 0.1))
+    e = pedestrian_ellipse(*_state(0.04999999, 0.1))
     checks.append(e.ax_major == 1.5 and e.ax_minor == 1.5)
     # saturation: |v| >= 1 m/s and |yaw rate| >= 0.2 rad/s cap both terms at +1 m
-    e = pedestrian_ellipse(_state(1.0, 0.2))
+    e = pedestrian_ellipse(*_state(1.0, 0.2))
     checks.append(e.ax_major == 2.5 and e.ax_minor == 2.2)
-    e = pedestrian_ellipse(_state(4.0, 1.5))
+    e = pedestrian_ellipse(*_state(4.0, 1.5))
     checks.append(e.ax_major == 2.5 and e.ax_minor == 2.2)
-    r = cyclist_rectangle(_state(3.0, 0.2), 0.0)
+    r = cyclist_rectangle(*_state(3.0, 0.2), 0.0)
     checks.append(r.length == 2.5 and r.width == 2.2)
-    r = cyclist_rectangle(_state(3.0, 0.06), 0.0)
+    r = cyclist_rectangle(*_state(3.0, 0.06), 0.0)
     checks.append(r.length == 2.5 and r.width == 1.2 + 0.3)
-    r = cyclist_rectangle(_state(0.04, 0.0), 0.77)
+    r = cyclist_rectangle(*_state(0.04, 0.0), 0.77)
     checks.append(r.orientation == 0.77)
     _report(1, "selection shapes match the printed rules exactly", all(checks))
 

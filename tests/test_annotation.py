@@ -19,6 +19,8 @@ from vruradar.evaluation import Averaging, score_assignment
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import ReferenceTrajectory
 
+from conftest import radar_table
+
 
 EGO = Pose(-5.0, 0.0, 0.0, frame=GLOBAL)
 MOUNT = SensorMount("r0", Pose(0.0, 0.0, 0.0, frame="ego"), math.radians(70), 60.0)
@@ -42,7 +44,7 @@ def scan_with_points(t, points_global, sensor_id="r0"):
 def test_partition_is_exhaustive_and_exclusive():
     traj = straight_trajectory()
     scans = [scan_with_points(5.0, [(5.0, 0.1), (5.0, 3.0), (4.6, -0.2), (0.0, 0.0)])]
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     scan = res.scans[0]
     assigned, rejected = set(scan.assigned.index.tolist()), set(scan.rejected.index.tolist())
     assert len(scan.assigned) + len(scan.rejected) == 4
@@ -54,7 +56,8 @@ def test_partition_is_exhaustive_and_exclusive():
 def test_pipeline_fills_consistent_cartesian_fields():
     traj = straight_trajectory()
     pts = [(5.0, 0.1), (4.7, -0.3)]
-    res = annotate_scenario([scan_with_points(5.0, pts)], traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table([scan_with_points(5.0, pts)]), traj, VruKind.PEDESTRIAN,
+                            [MOUNT], EGO)
     for dets in (res.scans[0].assigned, res.scans[0].rejected):
         for p_ego, p_glob, r, az in zip(dets.ego, dets.global_xy, dets.range_m, dets.azimuth):
             r2, az2 = ego_to_polar(p_ego, MOUNT)
@@ -74,7 +77,7 @@ def test_detections_inside_truth_extent_gives_full_recall():
         scans.append(scan_with_points(round(t, 9), pts))
         for i in range(5):
             truth[(round(t, 9), i)] = "vru"
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     score = score_assignment(res.scans, truth, Averaging.MACRO)
     assert score.recall == 1.0
 
@@ -86,7 +89,7 @@ def test_scans_outside_support_are_skipped():
         scan_with_points(5.0, [(5.0, 0.0)]),
         scan_with_points(11.0, [(9.0, 0.0)]),
     ]
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     assert res.skipped == 2
     assert len(res.scans) == 1
 
@@ -98,7 +101,7 @@ def test_labeled_scan_invariants_bounding_contains_assigned():
         scan_with_points(t, np.array([1.0 * t, 0.0]) + rng.normal(0, 0.25, (6, 2)))
         for t in np.linspace(1.0, 9.0, 30)
     ]
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     for scan in res.scans:
         if scan.bounding is None:
             assert not scan.assigned
@@ -109,7 +112,7 @@ def test_labeled_scan_invariants_bounding_contains_assigned():
 def test_empty_scan_is_kept_without_bounding():
     traj = straight_trajectory()
     scans = [RadarScan(timestamp=5.0, sensor_id="r0", detections=Detections([], [], [], []))]
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     assert len(res.scans) == 1
     assert len(res.scans[0].assigned) == 0 and len(res.scans[0].rejected) == 0
     assert res.scans[0].bounding is None
@@ -118,7 +121,7 @@ def test_empty_scan_is_kept_without_bounding():
 def test_output_in_timestamp_order():
     traj = straight_trajectory()
     scans = [scan_with_points(t, [(t, 0.0)]) for t in (7.0, 2.0, 5.0)]
-    res = annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+    res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
     assert [s.timestamp for s in res.scans] == [2.0, 5.0, 7.0]
 
 
@@ -126,7 +129,7 @@ def test_unknown_sensor_raises():
     traj = straight_trajectory()
     scans = [scan_with_points(5.0, [(5.0, 0.0)], sensor_id="mystery")]
     with pytest.raises(ValueError):
-        annotate_scenario(scans, traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
+        annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
 
 
 def test_annotation_deterministic():
@@ -137,7 +140,7 @@ def test_annotation_deterministic():
     traj = build_trajectory(data.gnss)
     r1 = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     r2 = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
-    assert r1 == r2
+    assert list(r1.scans) == list(r2.scans) and r1.skipped == r2.skipped
 
 
 def test_nominal_scores_match_across_modes():
@@ -178,8 +181,8 @@ def test_shrunken_shape_reduces_recall_not_precision():
 
     orig = selection.cyclist_rectangle
 
-    def shrunken(state, last_moving_yaw):
-        r = orig(state, last_moving_yaw)
+    def shrunken(*state, last_moving_yaw):
+        r = orig(*state, last_moving_yaw=last_moving_yaw)
         return selection.OrientedRectangle(r.center, r.length * 0.5, r.width * 0.5, r.orientation)
 
     from vruradar import annotation

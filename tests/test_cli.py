@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import vruradar
-from vruradar import eot, io
+from vruradar import cli, eot, io
 from vruradar.cli import main
 
 from conftest import reorder_scans
@@ -89,7 +89,7 @@ def test_simulate_missing_required_key_named(tmp_path, capsys):
 def test_annotate_output_parses_and_partitions(labeled_path):
     scans = io.read_labeled_jsonl(labeled_path)
     assert len(scans) > 500
-    for scan in scans[:50]:
+    for scan in list(scans)[:50]:
         idxs = sorted(scan.assigned.index.tolist() + scan.rejected.index.tolist())
         assert idxs == list(range(len(idxs)))
 
@@ -142,6 +142,26 @@ def test_annotate_infinite_scan_time_exit_2(tmp_path, sim_dir, capsys):
     ])
     assert rc == 2
     assert f"{bad}:4: " in capsys.readouterr().err
+
+
+def test_annotate_string_point_value_exit_2(tmp_path, sim_dir, capsys):
+    # A point value must be a JSON number: "5" is not read as 5.0.
+    bad = tmp_path / "radar.jsonl"
+    lines = (sim_dir / "radar.jsonl").read_text().splitlines()
+    k = next(k for k in range(1, len(lines)) if json.loads(lines[k])["points"])
+    rec = json.loads(lines[k])
+    rec["points"][0]["range"] = "5"
+    lines[k] = json.dumps(rec)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main([
+        "annotate", "--scenario", str(sim_dir / "scenario.json"),
+        "--radar", str(bad),
+        "--gnss", str(sim_dir / "gnss.csv"),
+        "--imu", str(sim_dir / "imu.csv"),
+        "--out", str(tmp_path / "labeled.jsonl"),
+    ])
+    assert rc == 2
+    assert f"{bad}:{k + 1}: " in capsys.readouterr().err
 
 
 def test_annotate_gnss_only_mode(sim_dir, tmp_path):
@@ -571,3 +591,21 @@ def test_track_extent_error_exit_1(sim_dir, labeled_path, tmp_path, capsys, monk
                "--scenario", str(sim_dir / "scenario.json"), "--out", str(tmp_path / "trk")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: extent matrix is not positive definite"]
+
+
+@pytest.mark.parametrize("timestamps,expected", [
+    ([0.5, 2.0], [0, 1]),  # exact ties keep the earlier state
+    ([-3.0, 0.0, 0.4], [0, 0, 0]),  # before and at the first state
+    ([3.0, 7.0], [2, 2]),  # at and after the last state
+    ([0.6, 1.4, 2.51], [1, 1, 2]),
+])
+def test_nearest_state_index(timestamps, expected):
+    assert cli._nearest([0.0, 1.0, 3.0], timestamps).tolist() == expected
+
+
+def test_nearest_state_index_matches_argmin():
+    times = [0.0, 0.25, 0.5, 1.0, 1.75]
+    stamps = [k / 8 - 0.5 for k in range(24)]
+    argmin = [min(range(len(times)), key=lambda i: abs(times[i] - t)) for t in stamps]
+    assert cli._nearest(times, stamps).tolist() == argmin
+    assert cli._nearest([2.0], [1.0, 3.0]).tolist() == [0, 0]

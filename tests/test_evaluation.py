@@ -19,6 +19,8 @@ from vruradar.evaluation import (
 )
 from vruradar.trajectory import TrajectoryState
 
+from conftest import labeled_table
+
 
 def make_scan(t, assigned_idx, rejected_idx, *, vr=None, amp=20.0, rng_m=10.0, pts=None):
     n = len(assigned_idx) + len(rejected_idx)
@@ -47,7 +49,7 @@ def test_score_single_scan_definition():
     scan = make_scan(0.0, [0, 1, 2, 3], [4, 5])
     truth = {(0.0, i): "vru" for i in (0, 1, 2, 4, 5)}
     truth[(0.0, 3)] = "clutter"
-    s = score_assignment([scan], truth, Averaging.MICRO)
+    s = score_assignment(labeled_table([scan]), truth, Averaging.MICRO)
     assert (s.tp, s.fp, s.fn) == (3, 1, 2)
     assert s.precision == pytest.approx(0.75)
     assert s.recall == pytest.approx(0.6)
@@ -57,7 +59,7 @@ def test_score_perfect_agreement():
     scan = make_scan(0.0, [0, 1], [2])
     truth = {(0.0, 0): "vru", (0.0, 1): "vru", (0.0, 2): "clutter"}
     for avg in (Averaging.MICRO, Averaging.MACRO):
-        s = score_assignment([scan], truth, avg)
+        s = score_assignment(labeled_table([scan]), truth, avg)
         assert s.precision == 1.0 and s.recall == 1.0
 
 
@@ -65,8 +67,8 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
     # scan A: 1 TP; scan B: 1 TP, 1 FP -> per-scan precisions {1.0, 0.5}
     scans = [make_scan(0.0, [0], []), make_scan(1.0, [0, 1], [])]
     truth = {(0.0, 0): "vru", (1.0, 0): "vru", (1.0, 1): "clutter"}
-    macro = score_assignment(scans, truth, Averaging.MACRO)
-    micro = score_assignment(scans, truth, Averaging.MICRO)
+    macro = score_assignment(labeled_table(scans), truth, Averaging.MACRO)
+    micro = score_assignment(labeled_table(scans), truth, Averaging.MICRO)
     assert macro.precision == pytest.approx(0.75)
     assert micro.precision == pytest.approx(2 / 3)
 
@@ -74,14 +76,14 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
 def test_macro_skips_undefined_scores():
     scans = [make_scan(0.0, [], []), make_scan(1.0, [0], [])]
     truth = {(1.0, 0): "vru"}
-    s = score_assignment(scans, truth, Averaging.MACRO)
+    s = score_assignment(labeled_table(scans), truth, Averaging.MACRO)
     assert s.precision == 1.0 and s.recall == 1.0
 
 
 def test_score_misaligned_raises():
     scan = make_scan(0.0, [0], [])
     with pytest.raises(ValueError):
-        score_assignment([scan], {}, Averaging.MICRO)
+        score_assignment(labeled_table([scan]), {}, Averaging.MICRO)
 
 
 def test_scores_bounded_and_monotone():
@@ -95,7 +97,7 @@ def test_scores_bounded_and_monotone():
         base = make_scan(0.0, list(range(tp + fp)), list(range(tp + fp, tp + fp + fn)))
         truth = {(0.0, i): ("vru" if i < tp else "clutter") for i in range(tp + fp)}
         truth.update({(0.0, i): "vru" for i in range(tp + fp, tp + fp + fn)})
-        s = score_assignment([base], truth, Averaging.MICRO)
+        s = score_assignment(labeled_table([base]), truth, Averaging.MICRO)
         assert 0.0 <= s.precision <= 1.0 and 0.0 <= s.recall <= 1.0
         more_fp = make_scan(
             0.0, list(range(tp + fp + fn, tp + fp + fn + 1)) + list(range(tp + fp)),
@@ -103,7 +105,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fp = dict(truth)
         truth_fp[(0.0, tp + fp + fn)] = "clutter"
-        s_fp = score_assignment([more_fp], truth_fp, Averaging.MICRO)
+        s_fp = score_assignment(labeled_table([more_fp]), truth_fp, Averaging.MICRO)
         assert s_fp.precision <= s.precision
         more_fn = make_scan(
             0.0, list(range(tp + fp)),
@@ -111,7 +113,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fn = dict(truth)
         truth_fn[(0.0, tp + fp + fn)] = "vru"
-        s_fn = score_assignment([more_fn], truth_fn, Averaging.MICRO)
+        s_fn = score_assignment(labeled_table([more_fn]), truth_fn, Averaging.MICRO)
         assert s_fn.recall <= s.recall
 
 
@@ -130,7 +132,7 @@ def test_score_matches_hand_pooled_counts_on_random_data():
             tp += assigned[i] and labels[i]
             fp += assigned[i] and not labels[i]
             fn += (not assigned[i]) and labels[i]
-    s = score_assignment(scans, truth, Averaging.MICRO)
+    s = score_assignment(labeled_table(scans), truth, Averaging.MICRO)
     assert (s.tp, s.fp, s.fn) == (tp, fp, fn)
 
 
@@ -217,42 +219,50 @@ def test_confidence_requires_3_noncollinear_points():
 
 # --- cycle stats -------------------------------------------------------------------
 
+def one_cycle(scan):
+    """`cycle_stats` of a one-scan table, as one row of values."""
+    stats = cycle_stats(labeled_table([scan]))
+    return {name: getattr(stats, name)[0] for name in (
+        "n_assigned", "mean_comp_power", "doppler_std", "conf_major", "conf_minor",
+        "weighted_count")}
+
+
 def test_cycle_stats_single_detection():
-    s = cycle_stats(make_scan(0.0, [0], [], vr=[1.3]))
-    assert s.doppler_std == 0.0
-    assert s.conf_major is None and s.conf_minor is None
-    assert s.n_assigned == 1
+    s = one_cycle(make_scan(0.0, [0], [], vr=[1.3]))
+    assert s["doppler_std"] == 0.0
+    assert np.isnan(s["conf_major"]) and np.isnan(s["conf_minor"])
+    assert s["n_assigned"] == 1
 
 
 def test_cycle_stats_two_detections_sample_std():
-    s = cycle_stats(make_scan(0.0, [0, 1], [], vr=[1.0, 2.0]))
-    assert s.doppler_std == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    s = one_cycle(make_scan(0.0, [0, 1], [], vr=[1.0, 2.0]))
+    assert s["doppler_std"] == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
 
 def test_cycle_stats_weighted_count_reference():
-    s = cycle_stats(make_scan(0.0, list(range(10)), [], vr=[0.0] * 10, rng_m=10.0))
-    assert s.weighted_count == pytest.approx(10.0)
+    s = one_cycle(make_scan(0.0, list(range(10)), [], vr=[0.0] * 10, rng_m=10.0))
+    assert s["weighted_count"] == pytest.approx(10.0)
 
 
 def test_cycle_stats_mean_comp_power():
-    s = cycle_stats(make_scan(0.0, [0], [], vr=[0.0], amp=5.0, rng_m=10.0))
-    assert s.mean_comp_power == pytest.approx(5.0 + 40.0, abs=1e-9)
+    s = one_cycle(make_scan(0.0, [0], [], vr=[0.0], amp=5.0, rng_m=10.0))
+    assert s["mean_comp_power"] == pytest.approx(5.0 + 40.0, abs=1e-9)
 
 
 def test_cycle_stats_empty_raises():
     with pytest.raises(EmptyScanError):
-        cycle_stats(make_scan(0.0, [], [0]))
+        cycle_stats(labeled_table([make_scan(0.0, [], [0])]))
 
 
 def test_cycle_stats_conf_axes_from_positions():
     rng = np.random.default_rng(5)
     pts = rng.normal(0, 0.5, (40, 2))
     scan = make_scan(0.0, list(range(40)), [], vr=[0.0] * 40, pts=pts)
-    s = cycle_stats(scan)
+    s = one_cycle(scan)
     major, minor = confidence_ellipse(pts)
-    assert s.conf_major == pytest.approx(major)
-    assert s.conf_minor == pytest.approx(minor)
-    assert s.conf_major >= s.conf_minor
+    assert s["conf_major"] == pytest.approx(major)
+    assert s["conf_minor"] == pytest.approx(minor)
+    assert s["conf_major"] >= s["conf_minor"]
 
 
 # --- Welch t-test ---------------------------------------------------------------------

@@ -324,6 +324,24 @@ def test_labeled_reader_requires_integer_point_index(tmp_path, labeled_result, v
     assert (err.value.path, err.value.line) == (path, line)
 
 
+def test_labeled_reader_requires_one_track(tmp_path, labeled_result):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    _set_raw(path, 3, ("track_id",), '"vru-1"')
+    with pytest.raises(io.SchemaError, match="differs from the first") as err:
+        io.read_labeled_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, 3)
+
+
+def test_labeled_reader_rejects_point_index_beyond_int64(tmp_path, labeled_result):
+    path = tmp_path / "labeled.jsonl"
+    io.write_labeled_jsonl(path, labeled_result.scans)
+    line = _edit_record(path, lambda rec: rec["assigned"][0].update(idx=2**70))
+    with pytest.raises(io.SchemaError) as err:
+        io.read_labeled_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, line)
+
+
 @pytest.mark.parametrize("value", [0.5, "0", True])
 def test_truth_labels_reader_requires_integer_point_index(tmp_path, small_scenario, value):
     path = tmp_path / "labels.jsonl"
@@ -444,3 +462,29 @@ def test_scenario_reader_requires_finite_json_numbers(tmp_path, small_scenario, 
         io.read_scenario_json(path)
     assert err.value.path == path
 
+
+POINT_NOT_NUMBERS = {**NOT_NUMBERS, "null": "null"}
+
+
+@pytest.mark.parametrize("raw", POINT_NOT_NUMBERS.values(), ids=POINT_NOT_NUMBERS)
+@pytest.mark.parametrize("kind,keys", [
+    ("radar", ("points", 0, "range")),
+    ("radar", ("points", 0, "amp")),
+    ("labeled", ("assigned", 0, "vr")),
+    ("labeled", ("rejected", 0, "amp")),
+    ("labeled", ("assigned", 0, "ego", 0)),
+], ids=["radar-range", "radar-amp", "labeled-vr", "labeled-rejected-amp", "labeled-ego"])
+def test_jsonl_readers_require_finite_json_point_values(tmp_path, small_scenario, labeled_result,
+                                                        kind, keys, raw):
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "radar":
+        io.write_radar_jsonl(path, small_scenario.scans)
+        counts = [len(s.detections) for s in small_scenario.scans]
+    else:
+        io.write_labeled_jsonl(path, labeled_result.scans)
+        counts = [len(getattr(s, keys[0])) for s in labeled_result.scans]
+    line = 2 + next(k for k, n in enumerate(counts) if n)
+    _set_raw(path, line, keys, raw)
+    with pytest.raises(io.SchemaError, match="point value must be a finite number") as err:
+        getattr(io, f"read_{kind}_jsonl")(path)
+    assert (err.value.path, err.value.line) == (path, line)

@@ -1,0 +1,77 @@
+"""The names and result fields that perfbench/tracer.py relies on still exist.
+
+`perfbench/run.py --trace 1` wraps package functions by name and counts
+fields of their return values.  These checks load tracer.py without running
+it, so a renamed function or a changed result type fails here in seconds
+instead of in a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from vruradar import cli
+from vruradar.annotation import annotate_scenario
+from vruradar.eot import TrackerParams, run_tracker
+from vruradar.signature import accumulate
+from vruradar.simulator import preset, simulate_scenario
+from vruradar.trajectory import build_fused_trajectory
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_and_counted_name_resolves(tracer):
+    traced = set()
+    for layer, names in tracer.TRACED.items():
+        module = importlib.import_module(f"vruradar.{layer}")
+        if names is None:
+            names = [n for n in vars(module) if n.startswith(("read_", "write_"))]
+            assert names, f"vruradar.{layer} has no public reader or writer"
+        for name in names:
+            assert callable(getattr(module, name, None)), f"vruradar.{layer}.{name}"
+            traced.add(f"{layer}.{name}")
+    for layer, name in tracer.COUNTED:
+        assert callable(getattr(importlib.import_module(f"vruradar.{layer}"), name, None))
+    assert set(tracer.RESULT_COUNTS) <= traced
+
+
+def test_result_counts_read_small_results(tracer):
+    cfg = replace(preset("cyclist-nominal", seed=3), duration=4.0)
+    data = simulate_scenario(cfg)
+    traj = build_fused_trajectory(data.gnss, data.imu)
+    annotate_args = (data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
+    annotated = annotate_scenario(*annotate_args)
+    grid = accumulate(annotated.scans)
+    meta = {"mounts": cfg.mounts, "ego_pose": cfg.ego_pose}
+    tracker_scans = cli._tracker_scans_from_labeled(annotated.scans, meta)
+    calls = {
+        "simulator.simulate_scenario": ((cfg,), data),
+        "annotation.annotate_scenario": (annotate_args, annotated),
+        "signature.accumulate": ((annotated.scans,), grid),
+        "eot.run_tracker": ((tracker_scans,), run_tracker(tracker_scans, TrackerParams())),
+    }
+    assert set(calls) == set(tracer.RESULT_COUNTS)
+    counts = {}
+    for name, (args, result) in calls.items():
+        counts.update(tracer.RESULT_COUNTS[name](args, result))
+    json.dumps(counts)  # the tracer writes them as JSON
+    assert counts["simulator.scans"] == len(data.scans) > 0
+    assert counts["simulator.detections"] == len(data.scans.detections) > 0
+    labeled_rows = counts["annotation.assigned"] + counts["annotation.rejected"]
+    assert labeled_rows == len(annotated.scans.detections)
+    assert counts["annotation.assigned"] == int(annotated.scans.n_assigned.sum()) > 0
+    binned = counts["signature.points"] + counts["signature.overflow"]
+    assert binned == counts["annotation.assigned"]
+    assert counts["eot.scans"] == len(tracker_scans) > 0

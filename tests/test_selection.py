@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vruradar.core import EmptyScanError, GLOBAL, Pose
+from vruradar.core import EmptyScanError
 from vruradar.selection import (
     OrientedEllipse,
     OrientedRectangle,
@@ -12,27 +12,27 @@ from vruradar.selection import (
     fit_bounding_ellipse,
     pedestrian_ellipse,
 )
-from vruradar.trajectory import TrajectoryState
 
 
 def state(v=0.0, w=0.0, x=0.0, y=0.0, yaw=0.0):
-    return TrajectoryState(timestamp=0.0, pose=Pose(x, y, yaw, frame=GLOBAL), speed=v, yaw_rate=w)
+    """The state values the selection rules take: x, y, yaw, speed, yaw rate."""
+    return x, y, yaw, v, w
 
 
 # --- shape formulas, exact per the printed rules --------------------------
 
 def test_pedestrian_standstill_circle():
-    e = pedestrian_ellipse(state(v=0.0, w=0.3))
+    e = pedestrian_ellipse(*state(v=0.0, w=0.3))
     assert (e.ax_major, e.ax_minor) == (1.5, 1.5)
 
 
 def test_pedestrian_saturated_speed():
-    e = pedestrian_ellipse(state(v=2.0, w=0.0))
+    e = pedestrian_ellipse(*state(v=2.0, w=0.0))
     assert (e.ax_major, e.ax_minor) == (2.5, 1.2)
 
 
 def test_pedestrian_direct_substitution():
-    e = pedestrian_ellipse(state(v=0.3, w=0.1))
+    e = pedestrian_ellipse(*state(v=0.3, w=0.1))
     assert e.ax_major == 1.5 + 0.3
     assert e.ax_minor == 1.2 + 0.5
 
@@ -47,43 +47,43 @@ def test_pedestrian_direct_substitution():
     (3.0, 1.0, 2.5, 2.2),
 ])
 def test_pedestrian_branch_boundary_and_saturation(v, w, major, minor):
-    e = pedestrian_ellipse(state(v=v, w=w))
+    e = pedestrian_ellipse(*state(v=v, w=w))
     assert e.ax_major == major
     assert e.ax_minor == minor
 
 
 def test_cyclist_zero_yaw_rate():
-    r = cyclist_rectangle(state(v=3.0, w=0.0), last_moving_yaw=0.0)
+    r = cyclist_rectangle(*state(v=3.0, w=0.0), last_moving_yaw=0.0)
     assert (r.length, r.width) == (2.5, 1.2)
 
 
 def test_cyclist_saturated_width():
-    r = cyclist_rectangle(state(v=3.0, w=0.5), last_moving_yaw=0.0)
+    r = cyclist_rectangle(*state(v=3.0, w=0.5), last_moving_yaw=0.0)
     assert r.width == 2.2
 
 
 def test_cyclist_orientation_hold_at_standstill():
-    r = cyclist_rectangle(state(v=0.01, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
+    r = cyclist_rectangle(*state(v=0.01, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
     assert r.orientation == 1.0
-    r2 = cyclist_rectangle(state(v=3.0, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
+    r2 = cyclist_rectangle(*state(v=3.0, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
     assert r2.orientation == -2.0
 
 
 @given(st.floats(0, 5), st.floats(0, 5), st.floats(-2, 2))
 def test_shape_monotonicity_and_saturation(v1, v2, w):
     s1, s2 = state(v=max(v1, 0.05), w=w), state(v=max(v2, 0.05), w=w)
-    lo, hi = sorted([s1, s2], key=lambda s: s.speed)
-    assert pedestrian_ellipse(lo).ax_major <= pedestrian_ellipse(hi).ax_major
-    assert pedestrian_ellipse(state(v=1.0, w=w)).ax_major == 2.5
-    assert cyclist_rectangle(state(v=1.0, w=0.2), 0.0).width == 2.2
+    lo, hi = sorted([s1, s2], key=lambda s: s[3])
+    assert pedestrian_ellipse(*lo).ax_major <= pedestrian_ellipse(*hi).ax_major
+    assert pedestrian_ellipse(*state(v=1.0, w=w)).ax_major == 2.5
+    assert cyclist_rectangle(*state(v=1.0, w=0.2), 0.0).width == 2.2
 
 
 @given(st.floats(0, 2), st.floats(0, 2))
 def test_width_monotone_in_yaw_rate(w1, w2):
     lo, hi = sorted([w1, w2])
     assert (
-        cyclist_rectangle(state(v=1.0, w=lo), 0.0).width
-        <= cyclist_rectangle(state(v=1.0, w=hi), 0.0).width
+        cyclist_rectangle(*state(v=1.0, w=lo), 0.0).width
+        <= cyclist_rectangle(*state(v=1.0, w=hi), 0.0).width
     )
 
 

@@ -170,7 +170,7 @@ def test_imu_constant_bias_drifts_linearly():
 
 def test_radar_quantization_steps(ped_data):
     cfg = ped_data.config
-    for scan in ped_data.scans[:200]:
+    for scan in list(ped_data.scans)[:200]:
         d = scan.detections
         for values, step in ((d.range_m, cfg.range_step), (d.azimuth, cfg.azimuth_step),
                              (d.radial_velocity, cfg.radial_velocity_step)):
@@ -219,7 +219,10 @@ def test_radar_detection_count_halves_at_double_range():
 def test_radar_vru_points_within_4_sigma(ped_data):
     cfg = ped_data.config
     sx, sy = cfg.body_sigma()
-    for scan, raw in zip(ped_data.scans, ped_data.raw_vru_points):
+    offsets = ped_data.scans.offsets
+    for k, scan in enumerate(ped_data.scans):
+        raw = ped_data.raw_vru_points[offsets[k]:offsets[k + 1]]
+        raw = raw[~np.isnan(raw[:, 0])]  # NaN rows are clutter
         state = ped_data.course.state_at(scan.timestamp)
         c, s = math.cos(state.pose.yaw), math.sin(state.pose.yaw)
         for p in raw:
@@ -232,7 +235,9 @@ def test_radar_amplitude_follows_r4_law():
     cfg = replace(preset("pedestrian-nominal"), duration=30.0, amp_sigma_db=0.0, clutter_rate=0.0)
     data = simulate_scenario(cfg)
     mounts = {m.sensor_id: m for m in cfg.mounts}
-    for scan, raw in zip(data.scans[:50], data.raw_vru_points[:50]):
+    offsets = data.scans.offsets
+    for k, scan in enumerate(list(data.scans)[:50]):
+        raw = data.raw_vru_points[offsets[k]:offsets[k + 1]]
         sensor = compose_pose(cfg.ego_pose, mounts[scan.sensor_id].pose_in_ego)
         r_true = np.hypot(raw[:, 0] - sensor.x, raw[:, 1] - sensor.y)
         amp = scan.detections.amplitude

@@ -1,0 +1,132 @@
+"""Whole-run annotation and cycle statistics against the per-scan references."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference
+from conftest import radar_table
+from vruradar.annotation import annotate_scenario
+from vruradar.core import GLOBAL, Detections, Pose, RadarScan, SensorMount, VruKind
+from vruradar.evaluation import cycle_stats
+from vruradar.trajectory import ImuSample, ReferenceTrajectory
+
+TOL = {"rtol": 1e-12, "atol": 1e-12}
+
+
+def assert_same_annotation(result, scans, traj, vru_kind, mounts, ego_pose):
+    expected, skipped = reference.annotate(list(scans), traj, vru_kind, mounts, ego_pose)
+    got = list(result.scans)
+    assert result.skipped == skipped
+    assert [(s.timestamp, s.sensor_id) for s in got] == [(s.timestamp, s.sensor_id)
+                                                         for s in expected]
+    for a, b in zip(got, expected):
+        assert a.assigned.index.tolist() == b.assigned.index.tolist()
+        assert a.rejected.index.tolist() == b.rejected.index.tolist()
+        for part in ("assigned", "rejected"):
+            da, db = getattr(a, part), getattr(b, part)
+            for name in ("range_m", "azimuth", "radial_velocity", "amplitude"):
+                assert np.array_equal(getattr(da, name), getattr(db, name))
+            np.testing.assert_allclose(da.ego, db.ego, **TOL)
+            np.testing.assert_allclose(da.global_xy, db.global_xy, **TOL)
+        sa, sb = a.vru_state, b.vru_state
+        np.testing.assert_allclose(
+            [sa.pose.x, sa.pose.y, sa.pose.yaw, sa.speed, sa.yaw_rate],
+            [sb.pose.x, sb.pose.y, sb.pose.yaw, sb.speed, sb.yaw_rate], **TOL)
+        assert (a.bounding is None) == (b.bounding is None)
+        if a.bounding is not None:
+            ea, eb = a.bounding, b.bounding
+            np.testing.assert_allclose(
+                [*ea.center, ea.ax_major, ea.ax_minor, ea.orientation],
+                [*eb.center, eb.ax_major, eb.ax_minor, eb.orientation], **TOL)
+    if any(len(s.assigned) for s in expected):
+        assert_same_cycle_stats(result.scans, expected)
+
+
+def assert_same_cycle_stats(table, expected_scans):
+    stats = cycle_stats(table)
+    expected = [reference.cycle_stats(s) for s in expected_scans if len(s.assigned)]
+    assert stats.timestamp.tolist() == [e["timestamp"] for e in expected]
+    assert stats.n_assigned.tolist() == [e["n_assigned"] for e in expected]
+    for name in ("mean_comp_power", "doppler_std", "conf_major", "conf_minor",
+                 "weighted_count"):
+        want = [math.nan if e[name] is None else e[name] for e in expected]
+        np.testing.assert_allclose(getattr(stats, name), want, equal_nan=True, **TOL)
+
+
+@pytest.mark.parametrize("fixture", ["pedestrian_run", "cyclist_run"])
+def test_presets_match_per_scan_reference(fixture, request):
+    run = request.getfixturevalue(fixture)
+    cfg = run.data.config
+    assert_same_annotation(run.fused, run.data.scans, run.fused_traj, cfg.vru_kind, cfg.mounts,
+                           cfg.ego_pose)
+
+
+def test_perturbed_preset_matches_per_scan_reference_in_both_modes(perturbed_runs):
+    run = perturbed_runs[0]
+    cfg = run.data.config
+    for result, traj in ((run.fused, run.fused_traj), (run.gnss_only, run.gnss_traj)):
+        assert_same_annotation(result, run.data.scans, traj, cfg.vru_kind, cfg.mounts,
+                               cfg.ego_pose)
+
+
+MOUNTS = (
+    SensorMount("a", Pose(1.0, 0.5, 0.3, frame="ego"), math.radians(70), 40.0),
+    SensorMount("b", Pose(1.0, -0.5, -0.4, frame="ego"), math.radians(70), 40.0),
+)
+EGO = Pose(-6.0, 1.0, 0.2, frame=GLOBAL)
+
+
+def small_drive(rng: np.random.Generator, with_imu: bool) -> ReferenceTrajectory:
+    """A 6 s track that moves, stops and moves again, so the yaw hold engages."""
+    times = np.arange(0.0, 6.0, 0.1)
+    speed = np.where((times > 2.0) & (times < 3.5), 0.0, rng.uniform(0.5, 3.0))
+    heading = rng.uniform(-math.pi, math.pi) + np.cumsum(rng.normal(0.0, 0.1, len(times)))
+    steps = (speed * 0.1)[:, None] * np.column_stack([np.cos(heading), np.sin(heading)])
+    xy = rng.normal(0.0, 2.0, 2) + np.cumsum(steps, axis=0)
+    imu = None
+    if with_imu:
+        imu = [ImuSample(t, w, 0.0) for t, w in zip(np.arange(0.0, 6.0, 0.02).tolist(),
+                                                    rng.normal(0.0, 0.3, 300).tolist())]
+    return ReferenceTrajectory(times, xy, imu=imu)
+
+
+def polar_of(points, mount: SensorMount):
+    local = mount.pose_in_ego.from_parent(EGO.from_parent(points))
+    return np.hypot(local[:, 0], local[:, 1]), np.arctan2(local[:, 1], local[:, 0])
+
+
+def small_scans(rng: np.random.Generator, traj: ReferenceTrajectory) -> list[RadarScan]:
+    """Scans of every shape: empty, one point, collinear (one ray), scattered near the
+    track, and outside the trajectory's support."""
+    scans = []
+    for k in range(int(rng.integers(1, 25))):
+        t = float(rng.choice([rng.uniform(-0.5, 6.5), rng.uniform(0.0, 5.9)]))
+        mount = MOUNTS[int(rng.integers(0, 2))]
+        kind = rng.integers(0, 4)
+        centre = traj.position_at(min(max(t, 0.0), traj.t_end))
+        if kind == 0:  # empty
+            r = az = np.empty(0)
+        elif kind == 1:  # collinear: one azimuth, several ranges
+            r0, az0 = polar_of(centre[None, :], mount)
+            r = r0[0] + rng.uniform(-1.0, 1.0, int(rng.integers(3, 6)))
+            az = np.full(len(r), az0[0])
+        else:  # scattered around the track, one point or more
+            pts = centre + rng.normal(0.0, 0.8, (1 if kind == 2 else int(rng.integers(2, 9)), 2))
+            r, az = polar_of(pts, mount)
+        n = len(r)
+        scans.append(RadarScan(t + 1e-6 * k, mount.sensor_id, Detections(
+            np.abs(r), az, rng.normal(0.0, 1.0, n), rng.normal(20.0, 3.0, n))))
+    return scans
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(VruKind), with_imu=st.booleans())
+def test_small_drives_match_per_scan_reference(seed, kind, with_imu):
+    rng = np.random.default_rng(seed)
+    traj = small_drive(rng, with_imu)
+    scans = small_scans(rng, traj)
+    result = annotate_scenario(radar_table(scans), traj, kind, MOUNTS, EGO)
+    assert_same_annotation(result, scans, traj, kind, MOUNTS, EGO)
