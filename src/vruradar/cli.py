@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -41,11 +40,7 @@ class ConfigError(ValueError):
 
 
 def _number(value) -> float:
-    # bool is an int subclass, float() would also accept a string, and Python's
-    # json module reads NaN and Infinity.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
+    return io.finite_number(value, "value")
 
 
 def _integer(value) -> int:
@@ -396,6 +391,12 @@ def cmd_track(args) -> int:
                 err.abs_yaw_rate_error, err.abs_orientation_error_deg),
         )
         report["final_rmse_centroid"] = float(err.rmse_centroid[-1])
+    nis = np.array([p.nis for p in points[1:]])
+    line = f"track: {len(nis)} position updates"
+    if len(nis):
+        line += (f", mean NIS {nis.mean():.3f}, {np.mean(nis <= eot.NIS_95):.1%} at or below"
+                 f" {eot.NIS_95:.3f} (95% bound of chi-square, 2 dof)")
+    print(line, file=sys.stderr)
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 

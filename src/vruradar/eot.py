@@ -14,9 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fold_axis, rotation_matrix, wrap_angle
+from .core import fold_axis, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
+# 95% quantile of chi-square with 2 dof (-2 ln 0.05), the bound a consistent filter's position
+# NIS stays within in 95% of updates (Bar-Shalom, Li & Kirubarajan 2001)
+NIS_95 = -2.0 * math.log(0.05)
 
 
 class ExtentError(RuntimeError):
@@ -36,16 +39,19 @@ class RmmTrack:
     extent: np.ndarray  # (2, 2) SPD
     dof: float
     timestamp: float
+    nis: float = math.nan  # normalised innovation squared of the update that made this state
 
     def __post_init__(self) -> None:
-        self.kin = np.asarray(self.kin, dtype=float).copy()
-        self.cov = np.asarray(self.cov, dtype=float).copy()
-        self.extent = np.asarray(self.extent, dtype=float).copy()
+        self.kin = np.array(self.kin, dtype=float)
+        self.cov = np.array(self.cov, dtype=float)
+        self.extent = np.array(self.extent, dtype=float)
         if self.kin.shape != (5,) or self.cov.shape != (5, 5) or self.extent.shape != (2, 2):
             raise ValueError("bad state dimensions")
-        if not np.allclose(self.extent, self.extent.T, atol=1e-12):
+        (a, b), (c, d) = self.extent.tolist()
+        # np.allclose(extent, extent.T, atol=1e-12) in closed form; NaN fails every comparison.
+        if not (abs(b - c) <= 1e-12 + 1e-5 * abs(c) and abs(c - b) <= 1e-12 + 1e-5 * abs(b)):
             raise ExtentError("extent matrix is not symmetric")
-        if np.linalg.eigvalsh(self.extent)[0] <= 0.0:
+        if not (a > 0.0 and a * d - c * c > 0.0):
             raise ExtentError("extent matrix is not positive definite")
         if self.dof <= 4.0:
             raise ValueError(f"dof must be > 4, got {self.dof}")
@@ -85,76 +91,84 @@ class TrackerParams:
     extract_scale: float = 1.0
 
 
-def _sqrtm_spd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.T
+def _sym(m: np.ndarray) -> tuple[float, float, float]:
+    """Entries (a, b, d) of a symmetric 2x2 [[a, b], [b, d]], from its lower triangle."""
+    (a, _), (b, d) = m.tolist()
+    return a, b, d
 
 
-def _inv_sqrtm_spd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    if w[0] <= 0.0:
+def _sqrtm_spd(a: float, b: float, d: float) -> tuple[float, float, float]:
+    """Square root of the SPD [[a, b], [b, d]]: (M + s I) / t, s = sqrt(det), t = sqrt(tr + 2s)."""
+    s = math.sqrt(a * d - b * b)
+    t = math.sqrt(a + d + 2.0 * s)
+    return (a + s) / t, b / t, (d + s) / t
+
+
+def _inv_sqrtm_spd(a: float, b: float, d: float) -> tuple[float, float, float]:
+    """Inverse of `_sqrtm_spd`: t (M + s I)^-1, where det(M + s I) = s t^2."""
+    det = a * d - b * b
+    if not (a > 0.0 and det > 0.0):
         raise ExtentError("matrix is not positive definite")
-    return (v / np.sqrt(w)) @ v.T
+    s = math.sqrt(det)
+    st = s * math.sqrt(a + d + 2.0 * s)
+    return (d + s) / st, -b / st, (a + s) / st
 
 
-def _ct_step(kin: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Constant-turn transition and its Jacobian."""
-    x, y, v, h, w = kin
-    out = kin.copy()
-    jac = np.eye(5)
+def _inv_spd(a: float, b: float, d: float) -> tuple[float, float, float]:
+    """Inverse of the SPD [[a, b], [b, d]] by its adjugate."""
+    det = a * d - b * b
+    if not (a > 0.0 and det > 0.0):
+        raise ExtentError("matrix is not positive definite")
+    return d / det, -b / det, a / det
+
+
+def _ct_step(x: float, y: float, v: float, h: float, w: float, dt: float):
+    """Constant-turn transition of the position, and the Jacobian rows d(x, y)/d(speed, heading,
+    yaw_rate); the rest of the Jacobian is the identity but for d heading/d yaw_rate = dt."""
+    sh, ch = math.sin(h), math.cos(h)
     if abs(w) > _OMEGA_EPS:
-        h1 = h + w * dt
-        sh, ch = math.sin(h), math.cos(h)
-        sh1, ch1 = math.sin(h1), math.cos(h1)
-        out[0] = x + (v / w) * (sh1 - sh)
-        out[1] = y - (v / w) * (ch1 - ch)
-        jac[0, 2] = (sh1 - sh) / w
-        jac[0, 3] = (v / w) * (ch1 - ch)
-        jac[0, 4] = v * (dt * ch1 * w - (sh1 - sh)) / w**2
-        jac[1, 2] = -(ch1 - ch) / w
-        jac[1, 3] = (v / w) * (sh1 - sh)
-        jac[1, 4] = v * (dt * sh1 * w + (ch1 - ch)) / w**2
-    else:
-        # Second-order series in w*dt keeps the straight-line limit smooth.
-        sh, ch = math.sin(h), math.cos(h)
-        wd = w * dt
-        out[0] = x + v * dt * (ch - 0.5 * wd * sh - wd * wd / 6.0 * ch)
-        out[1] = y + v * dt * (sh + 0.5 * wd * ch - wd * wd / 6.0 * sh)
-        jac[0, 2] = dt * (ch - 0.5 * wd * sh)
-        jac[0, 3] = -v * dt * (sh + 0.5 * wd * ch)
-        jac[0, 4] = -0.5 * v * dt * dt * sh
-        jac[1, 2] = dt * (sh + 0.5 * wd * ch)
-        jac[1, 3] = v * dt * (ch - 0.5 * wd * sh)
-        jac[1, 4] = 0.5 * v * dt * dt * ch
-    out[3] = h + w * dt
-    jac[3, 4] = dt
-    return out, jac
+        sh1, ch1 = math.sin(h + w * dt), math.cos(h + w * dt)
+        ds, dc = sh1 - sh, ch1 - ch
+        r = v / w
+        return (x + r * ds, y - r * dc, (ds / w, r * dc, v * (dt * ch1 * w - ds) / (w * w)),
+                (-dc / w, r * ds, v * (dt * sh1 * w + dc) / (w * w)))
+    # Second-order series in w*dt keeps the straight-line limit smooth.
+    wd = w * dt
+    cx, cy = ch - 0.5 * wd * sh, sh + 0.5 * wd * ch
+    return (
+        x + v * dt * (cx - wd * wd / 6.0 * ch),
+        y + v * dt * (cy - wd * wd / 6.0 * sh),
+        (dt * cx, -v * dt * cy, -0.5 * v * dt * dt * sh),
+        (dt * cy, v * dt * cx, 0.5 * v * dt * dt * ch),
+    )
+
+
+_EYE5 = np.eye(5)
 
 
 def predict(track: RmmTrack, dt: float, params: TrackerParams = TrackerParams()) -> RmmTrack:
     """Propagate kinematics along a circular arc and rotate the extent with it."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    kin, jac = _ct_step(track.kin, dt)
-    q = np.diag(
-        [
-            params.q_pos * dt,
-            params.q_pos * dt,
-            params.q_speed * dt,
-            params.q_heading * dt,
-            params.q_yaw_rate * dt,
-        ]
-    )
-    cov = jac @ track.cov @ jac.T + q
+    x, y, v, h, w = track.kin.tolist()
+    jac = _EYE5.copy()
+    x1, y1, jac[0, 2:], jac[1, 2:] = _ct_step(x, y, v, h, w, dt)
+    jac[3, 4] = dt
+    cov = jac @ track.cov @ jac.T
+    cov.flat[::6] += (params.q_pos * dt, params.q_pos * dt, params.q_speed * dt,
+                      params.q_heading * dt, params.q_yaw_rate * dt)
     cov = 0.5 * (cov + cov.T)
-    rot = rotation_matrix(track.kin[4] * dt)
-    extent = rot @ track.extent @ rot.T
-    extent = 0.5 * (extent + extent.T)
+    # R X R^T for the rotation R by the turned angle, written out for a symmetric X
+    a, b, d = _sym(track.extent)
+    c, s = math.cos(w * dt), math.sin(w * dt)
+    cc, cs, ss = c * c, c * s, s * s
+    a1, d1 = cc * a - 2.0 * cs * b + ss * d, ss * a + 2.0 * cs * b + cc * d
+    b1 = cs * (a - d) + (cc - ss) * b
     retain = params.dof_retain_per_s**dt
     dof = params.dof_floor + (track.dof - params.dof_floor) * retain
     dof = max(dof, params.dof_floor)
-    return RmmTrack(kin=kin, cov=cov, extent=extent, dof=dof, timestamp=track.timestamp + dt)
+    return RmmTrack(kin=(x1, y1, v, h + w * dt, w), cov=cov, extent=((a1, b1), (b1, d1)),
+                    dof=dof, timestamp=track.timestamp + dt)
 
 
 def update(
@@ -172,85 +186,95 @@ def update(
     covariance that combines the scaled extent with sensor noise; the extent
     becomes a dof-weighted blend of its prediction, the measurement scatter,
     and the innovation outer product.  With `use_doppler`, a scalar update
-    against the scan's mean radial velocity follows.
+    against the scan's mean radial velocity follows.  The result carries the
+    normalised innovation squared of the position update in `nis`.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n == 0:
         raise ValueError("update requires at least one detection")
-    zbar = pts.mean(axis=0)
+    zbar = pts.sum(axis=0) / n
     diffs = pts - zbar
-    scatter = diffs.T @ diffs
+    za, zb, zd = _sym(diffs.T @ diffs)  # measurement scatter Z
 
-    hmat = np.zeros((2, 5))
-    hmat[0, 0] = 1.0
-    hmat[1, 1] = 1.0
-    noise = params.meas_noise_sigma**2 * np.eye(2)
-    spread = params.extent_scale * track.extent + noise
-    innov_cov = hmat @ track.cov @ hmat.T + spread / n
-    innov_cov = 0.5 * (innov_cov + innov_cov.T)
-    gain = track.cov @ hmat.T @ np.linalg.inv(innov_cov)
-    innovation = zbar - track.kin[:2]
-    kin = track.kin + gain @ innovation
-    cov = track.cov - gain @ innov_cov @ gain.T
+    # spread Y = extent_scale X + noise I; innovation covariance S = H P H^T + Y / n,
+    # where H picks the position, so H P H^T = P[:2, :2] and P H^T = P[:, :2]
+    xa, xb, xd = _sym(track.extent)
+    noise = params.meas_noise_sigma**2
+    k = params.extent_scale
+    ya, yb, yd = k * xa + noise, k * xb, k * xd + noise
+    pa, pb, pd = _sym(track.cov[:2, :2])
+    sa, sb, sd = pa + ya / n, pb + yb / n, pd + yd / n
+    ia, ib, id_ = _inv_spd(sa, sb, sd)
+    (zx, zy), (px, py) = zbar.tolist(), track.kin[:2].tolist()
+    nx, ny = zx - px, zy - py  # innovation
+    wx, wy = ia * nx + ib * ny, ib * nx + id_ * ny  # S^-1 innovation
+    pht = track.cov[:, :2]
+    kin = track.kin + pht @ np.array((wx, wy))
+    cov = track.cov - pht @ np.array(((ia, ib), (ib, id_))) @ pht.T
     cov = 0.5 * (cov + cov.T)
 
-    x_sqrt = _sqrtm_spd(track.extent)
-    s_isqrt = _inv_sqrtm_spd(innov_cov)
-    y_isqrt = _inv_sqrtm_spd(spread)
-    n_hat = np.outer(innovation, innovation)
-    n_scaled = x_sqrt @ s_isqrt @ n_hat @ s_isqrt.T @ x_sqrt.T
-    z_scaled = x_sqrt @ y_isqrt @ scatter @ y_isqrt.T @ x_sqrt.T
-    extent = (track.dof * track.extent + n_scaled + z_scaled) / (track.dof + n)
-    extent = 0.5 * (extent + extent.T)
+    # extent: (dof X + X^1/2 S^-1/2 N S^-1/2 X^1/2 + X^1/2 Y^-1/2 Z Y^-1/2 X^1/2) / (dof + n),
+    # with N the innovation outer product, so its term is u u^T for u = X^1/2 S^-1/2 innovation
+    ra, rb, rd = _sqrtm_spd(xa, xb, xd)
+    qa, qb, qd = _inv_sqrtm_spd(sa, sb, sd)
+    vx, vy = qa * nx + qb * ny, qb * nx + qd * ny
+    ux, uy = ra * vx + rb * vy, rb * vx + rd * vy
+    qa, qb, qd = _inv_sqrtm_spd(ya, yb, yd)
+    m11, m12 = ra * qa + rb * qb, ra * qb + rb * qd  # M = X^1/2 Y^-1/2
+    m21, m22 = rb * qa + rd * qb, rb * qb + rd * qd
+    r11, r12 = m11 * za + m12 * zb, m11 * zb + m12 * zd  # M Z
+    r21, r22 = m21 * za + m22 * zb, m21 * zb + m22 * zd
+    dof, weight = track.dof, track.dof + n
+    ea = (dof * xa + ux * ux + r11 * m11 + r12 * m12) / weight
+    eb = (dof * xb + ux * uy + r21 * m11 + r22 * m12) / weight
+    ed = (dof * xd + uy * uy + r21 * m21 + r22 * m22) / weight
 
-    updated = RmmTrack(
-        kin=kin, cov=cov, extent=extent, dof=track.dof + n, timestamp=track.timestamp
-    )
     if use_doppler:
         if radial_velocities is None or sensor_pos is None:
             raise ValueError("doppler update needs radial velocities and the sensor position")
-        updated = _doppler_update(updated, np.mean(radial_velocities), sensor_pos, params)
-    return updated
+        vr = np.asarray(radial_velocities, dtype=float)
+        kin, cov = _doppler_update(kin, cov, vr.sum() / len(vr), sensor_pos, params)
+    return RmmTrack(kin=kin, cov=cov, extent=((ea, eb), (eb, ed)), dof=weight,
+                    timestamp=track.timestamp, nis=float(nx * wx + ny * wy))
 
 
-def _doppler_update(
-    track: RmmTrack, vr_meas: float, sensor_pos, params: TrackerParams
-) -> RmmTrack:
-    x, y, v, h, _ = track.kin
-    los = np.array([x, y]) - np.asarray(sensor_pos, dtype=float)
-    dist = float(np.hypot(los[0], los[1]))
+def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float, sensor_pos,
+                    params: TrackerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar update of the state and its (symmetric) covariance against a radial velocity."""
+    x, y, v, h, _ = kin.tolist()
+    sx, sy = map(float, sensor_pos)
+    dist = math.hypot(x - sx, y - sy)
     if dist < 1e-6:
-        return track
-    u = los / dist
+        return kin, cov
+    ux, uy = (x - sx) / dist, (y - sy) / dist
     ch, sh = math.cos(h), math.sin(h)
-    vr_pred = v * (ch * u[0] + sh * u[1])
-    hvec = np.zeros(5)
-    hvec[2] = ch * u[0] + sh * u[1]
-    hvec[3] = v * (-sh * u[0] + ch * u[1])
-    s = float(hvec @ track.cov @ hvec) + params.doppler_noise_sigma**2
-    gain = track.cov @ hvec / s
-    kin = track.kin + gain * (vr_meas - vr_pred)
-    cov = track.cov - np.outer(gain, gain) * s
-    cov = 0.5 * (cov + cov.T)
-    return RmmTrack(
-        kin=kin, cov=cov, extent=track.extent, dof=track.dof, timestamp=track.timestamp
-    )
+    # the measurement row is zero but for d/d speed (h2) and d/d heading (h3)
+    h2, h3 = ch * ux + sh * uy, v * (-sh * ux + ch * uy)
+    ph = cov[:, 2:4] @ np.array((h2, h3))
+    s = float(h2 * ph[2] + h3 * ph[3]) + params.doppler_noise_sigma**2
+    # P h h^T P / s, formed from the symmetric outer product so that it stays symmetric
+    return kin + ph * ((vr_meas - v * h2) / s), cov - ph[:, None] * ph / s
 
 
 def extract_extent(track: RmmTrack, scale: float = 1.0) -> ExtentEstimate:
-    """Length, width, and orientation from the eigen-structure of the extent."""
+    """Length, width, and orientation from the eigen-structure of the extent.
+
+    The eigenvalues are tr/2 +- r with r = hypot((a - d)/2, b), and the major
+    axis lies at atan2(2b, a - d)/2.
+    """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-    m = scale * track.extent
-    eigval, eigvec = np.linalg.eigh(m)
-    if eigval[0] <= 0.0:
+    a, b, d = (scale * e for e in _sym(track.extent))
+    mid, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    if mid - r <= 0.0:
         raise ExtentError("extent matrix is not positive definite")
-    major = eigvec[:, 1]
+    # An exactly isotropic extent has no major axis; report the y axis, as eigh does.
+    angle = 0.5 * math.atan2(2.0 * b, a - d) if b or a != d else math.pi / 2
     return ExtentEstimate(
-        length=2.0 * math.sqrt(eigval[1]),
-        width=2.0 * math.sqrt(eigval[0]),
-        orientation=fold_axis(math.atan2(major[1], major[0])),
+        length=2.0 * math.sqrt(mid + r),
+        width=2.0 * math.sqrt(mid - r),
+        orientation=fold_axis(angle),
     )
 
 
@@ -275,13 +299,8 @@ def initialize_track(
     eigval = np.maximum(eigval, params.init_extent_floor)
     extent = (eigvec * eigval) @ eigvec.T
     kin = np.array([center[0], center[1], 0.0, 0.0, 0.0])
-    return RmmTrack(
-        kin=kin,
-        cov=np.diag(params.init_cov),
-        extent=extent,
-        dof=params.init_dof,
-        timestamp=timestamp,
-    )
+    return RmmTrack(kin=kin, cov=np.diag(params.init_cov), extent=extent, dof=params.init_dof,
+                    timestamp=timestamp)
 
 
 @dataclass(frozen=True)
@@ -307,6 +326,7 @@ class TrackPoint:
     length: float
     width: float
     orientation: float
+    nis: float = math.nan  # of the position update behind this row; NaN on the first row
 
 
 def run_tracker(
@@ -336,14 +356,9 @@ def run_tracker(
             if dt <= 0:
                 raise ValueError("scan timestamps must be strictly increasing")
             track = predict(track, dt, params)
-            track = update(
-                track,
-                scan.points,
-                params,
-                radial_velocities=scan.radial_velocities,
-                sensor_pos=scan.sensor_pos,
-                use_doppler=use_doppler and seeded,
-            )
+            # through the module global, so that a wrapped `update` sees every call
+            track = update(track, scan.points, params, radial_velocities=scan.radial_velocities,
+                           sensor_pos=scan.sensor_pos, use_doppler=use_doppler and seeded)
             if not seeded and anchor is not None:
                 span = track.timestamp - anchor[0]
                 if span >= params.seed_baseline:
@@ -352,19 +367,9 @@ def run_tracker(
                     track.kin[3] = wrap_angle(float(math.atan2(delta[1], delta[0])))
                     seeded = True
         est = extract_extent(track, params.extract_scale)
-        out.append(
-            TrackPoint(
-                timestamp=track.timestamp,
-                x=float(track.kin[0]),
-                y=float(track.kin[1]),
-                speed=float(track.kin[2]),
-                heading=float(track.kin[3]),
-                yaw_rate=float(track.kin[4]),
-                length=est.length,
-                width=est.width,
-                orientation=est.orientation,
-            )
-        )
+        x, y, speed, heading, yaw_rate = track.kin.tolist()
+        out.append(TrackPoint(track.timestamp, x, y, speed, heading, yaw_rate, est.length,
+                              est.width, est.orientation, track.nis))
     return out
 
 

@@ -205,7 +205,7 @@ def _point_index(value) -> int:
     return value
 
 
-def _finite_number(value, name: str) -> float:
+def finite_number(value, name: str) -> float:
     """`value` as a float if it is a finite JSON number.
 
     A bool is an int subclass and float() would parse a string, and json
@@ -222,7 +222,7 @@ def _finite_number(value, name: str) -> float:
 
 
 def _finite_numbers(values, name: str) -> np.ndarray:
-    """`values` as a float array by the rule of `_finite_number`, types checked once."""
+    """`values` as a float array by the rule of `finite_number`, types checked once."""
     values = list(values)
     if set(map(type, values)) <= {int, float}:
         try:
@@ -232,7 +232,7 @@ def _finite_numbers(values, name: str) -> np.ndarray:
         if np.isfinite(out).all():
             return out
     for value in values:
-        _finite_number(value, name)  # raises on the first bad value
+        finite_number(value, name)  # raises on the first bad value
 
 
 def _points(points: list, keys: Sequence[str]) -> tuple[np.ndarray, list[tuple]]:
@@ -319,7 +319,7 @@ def _read_scans(path, tag: str, what: str, parse) -> list:
     rows, last_t = [], {}
     for i, rec in _load_jsonl(path, tag):
         try:
-            row = (i, _finite_number(rec["t"], "t"), str(rec["sensor_id"]), *parse(rec))
+            row = (i, finite_number(rec["t"], "t"), str(rec["sensor_id"]), *parse(rec))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # idx beyond int64
             raise SchemaError(f"bad {what} record: {exc}", path, i) from None
         _check_scan_order(last_t, row[2], row[1], path, i)
@@ -348,7 +348,7 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
         try:
-            t = _finite_number(rec["t"], "t")
+            t = finite_number(rec["t"], "t")
             key, label = (round(t, 9), _point_index(rec["idx"])), str(rec["label"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad label record: {exc}", path, i) from None
@@ -394,12 +394,12 @@ def write_labeled_jsonl(path, scans: LabeledTable) -> None:
 
 
 def _labeled_record(rec: dict) -> tuple:
-    state = [_finite_number(rec["vru_state"][k], k) for k in STATE_KEYS]
+    state = [finite_number(rec["vru_state"][k], k) for k in STATE_KEYS]
     if state[3] < 0:
         raise ValueError(f"speed must be >= 0, got {state[3]}")
     bounding = [math.nan] * 5
     if rec.get("bounding") is not None:
-        bounding = [_finite_number(rec["bounding"][k], k) for k in BOUNDING_KEYS]
+        bounding = [finite_number(rec["bounding"][k], k) for k in BOUNDING_KEYS]
         if min(bounding[2:4]) <= 0:
             raise ValueError("ellipse axes must be > 0")
     polar, (idx, ego, glob) = _points(rec["assigned"] + rec["rejected"], ("idx", "ego", "global"))
@@ -479,13 +479,13 @@ def read_scenario_json(path) -> dict:
     try:
         rec["vru_kind"] = VruKind(rec["vru_kind"])
         ep = rec["ego_pose"]
-        rec["ego_pose"] = Pose(*(_finite_number(ep[k], k) for k in ("x", "y", "yaw")), frame=GLOBAL)
+        rec["ego_pose"] = Pose(*(finite_number(ep[k], k) for k in ("x", "y", "yaw")), frame=GLOBAL)
         rec["mounts"] = [
             SensorMount(
                 sensor_id=str(m["sensor_id"]),
-                pose_in_ego=Pose(*(_finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
-                fov_azimuth=_finite_number(m["fov_azimuth"], "fov_azimuth"),
-                max_range=_finite_number(m["max_range"], "max_range"),
+                pose_in_ego=Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
+                fov_azimuth=finite_number(m["fov_azimuth"], "fov_azimuth"),
+                max_range=finite_number(m["max_range"], "max_range"),
             )
             for m in rec["mounts"]
         ]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,7 +323,7 @@ def test_track_flag_plumbing(sim_dir, labeled_path, tmp_path):
     assert outs["dop"][1] == header
 
 
-def test_track_output_tracks_truth(sim_dir, labeled_path, tmp_path):
+def test_track_output_tracks_truth(sim_dir, labeled_path, tmp_path, capsys):
     out = tmp_path / "trk"
     assert main([
         "track", "--labeled", str(labeled_path),
@@ -333,6 +334,18 @@ def test_track_output_tracks_truth(sim_dir, labeled_path, tmp_path):
     lines = (out / "errors.csv").read_text().splitlines()
     last = lines[-1].split(",")
     assert float(last[1]) < 0.3  # final running centroid RMSE
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert set(report) == {"final_rmse_centroid", "tracked_scans", "use_doppler"}
+    # one stderr line on the consistency of the position updates
+    match = re.fullmatch(
+        r"track: (\d+) position updates, mean NIS (\S+), (\S+)% at or below 5\.991 "
+        r"\(95% bound of chi-square, 2 dof\)\n", captured.err)
+    assert match, captured.err
+    assert int(match[1]) == report["tracked_scans"] - 1
+    # a consistent filter: chi-square(2) has mean 2, and 95% of it lies within the bound
+    assert 1.0 < float(match[2]) < 4.0
+    assert 80.0 < float(match[3]) <= 100.0
 
 
 def test_missing_config_and_preset_exit_2(tmp_path, capsys):
@@ -551,8 +564,9 @@ def test_pipeline_runs_without_scipy(tmp_path):
     ({"seed": 1.5}, "seed"),
     ({"gnss_rate": float("inf")}, "gnss_rate"),
     ({"perturbation": {"start": 1.0, "duration": 2.0, "flagged": "false"}}, "flagged"),
+    ({"speed": 10**400}, "speed"),  # an integer beyond the float range
 ], ids=["perturbation-null", "speed-null", "seed-null", "bias-number", "seed-float",
-        "rate-infinite", "flagged-string"])
+        "rate-infinite", "flagged-string", "speed-huge-integer"])
 def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, key):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"preset": "cyclist-nominal", **raw}), encoding="utf-8")

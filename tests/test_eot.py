@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vruradar.core import fold_axis
 from vruradar.eot import (
     ExtentError,
     RmmTrack,
@@ -16,6 +17,9 @@ from vruradar.eot import (
     run_tracker,
     tracking_metrics,
     update,
+    _inv_spd,
+    _inv_sqrtm_spd,
+    _sqrtm_spd,
 )
 
 NOISELESS = replace(
@@ -35,11 +39,38 @@ def track(x=0.0, y=0.0, v=0.0, h=0.0, w=0.0, extent=None, dof=10.0):
 
 # --- validation ------------------------------------------------------------
 
+_EXTENT_CASES = [  # (extent, valid)
+    ([[1.0, 0.5], [0.4, 1.0]], False),  # asymmetric
+    ([[2.0, 1.0], [1.0 + 1.1e-5, 2.0]], False),  # just outside np.allclose's rtol 1e-5
+    ([[2.0, 1.0 + 1.1e-5], [1.0, 2.0]], False),
+    ([[2.0, 1.0], [1.0 + 0.9e-5, 2.0]], True),  # just inside it
+    # inside rtol * |larger| but outside rtol * |smaller|: np.allclose tests both ways
+    ([[2.0, 1.0], [1.0 + 1.000005e-5, 2.0]], False),
+    ([[2.0, 1.0 + 1.000005e-5], [1.0, 2.0]], False),
+    ([[2.0, 0.0], [1.1e-12, 2.0]], False),  # outside atol 1e-12 around zero
+    ([[2.0, 0.0], [0.9e-12, 2.0]], True),
+    ([[1.0, 2.0], [2.0, 1.0]], False),  # indefinite: det < 0 with a > 0
+    ([[1.0, 1.0], [1.0, 1.0]], False),  # singular: det = 0 with a > 0
+    ([[0.0, 0.0], [0.0, 1.0]], False),  # a = 0
+    ([[-1.0, 0.0], [0.0, -1.0]], False),  # a < 0 with det > 0
+    ([[math.nan, 0.0], [0.0, 1.0]], False),
+    ([[1.0, math.nan], [0.0, 1.0]], False),
+    ([[1.0, 0.0], [math.nan, 1.0]], False),
+    ([[1.0, 0.0], [0.0, math.nan]], False),
+]
+
+
 def test_track_validates_extent_spd():
-    with pytest.raises(ExtentError):
-        track(extent=[[1.0, 0.5], [0.4, 1.0]])  # asymmetric
-    with pytest.raises(ExtentError):
-        track(extent=[[1.0, 2.0], [2.0, 1.0]])  # indefinite
+    for extent, valid in _EXTENT_CASES:
+        m = np.array(extent)
+        # the closed-form check keeps the rule of np.allclose(m, m.T, atol=1e-12) and eigvalsh > 0
+        with np.errstate(invalid="ignore"):
+            assert valid == (np.allclose(m, m.T, atol=1e-12) and np.linalg.eigvalsh(m)[0] > 0.0)
+        if valid:
+            assert track(extent=m).extent == pytest.approx(m)
+        else:
+            with pytest.raises(ExtentError):
+                track(extent=m)
     with pytest.raises(ValueError):
         track(dof=3.0)
 
@@ -186,6 +217,35 @@ def test_doppler_requires_inputs():
         update(track(), np.array([[0.0, 0.0]]), use_doppler=True)
 
 
+def test_update_records_nis():
+    tr = RmmTrack(
+        kin=np.array([1.0, -0.5, 2.0, 0.3, 0.1]),
+        cov=np.array([
+            [0.30, 0.05, 0.01, 0.00, 0.02],
+            [0.05, 0.20, 0.00, 0.03, 0.01],
+            [0.01, 0.00, 0.50, 0.04, 0.00],
+            [0.00, 0.03, 0.04, 0.40, 0.05],
+            [0.02, 0.01, 0.00, 0.05, 0.25],
+        ]),
+        extent=np.array([[0.6, 0.2], [0.2, 0.3]]),
+        dof=12.0,
+        timestamp=0.0,
+    )
+    pts = np.array([[1.4, -0.2], [1.9, 0.1], [1.2, 0.3]])
+    params = TrackerParams()
+    nu = pts.mean(axis=0) - tr.kin[:2]
+    s = tr.cov[:2, :2] + (
+        params.extent_scale * tr.extent + params.meas_noise_sigma**2 * np.eye(2)
+    ) / len(pts)
+    want = nu @ np.linalg.solve(s, nu)
+    assert update(tr, pts, params).nis == pytest.approx(want, rel=1e-12)
+    # the Doppler step that follows keeps the position update's NIS
+    with_doppler = update(tr, pts, params, radial_velocities=np.array([1.0, 1.2, 0.9]),
+                          sensor_pos=np.array([-5.0, 0.0]), use_doppler=True)
+    assert with_doppler.nis == pytest.approx(want, rel=1e-12)
+    assert math.isnan(tr.nis) and math.isnan(predict(tr, 0.1).nis)
+
+
 def test_update_spd_soak():
     rng = np.random.default_rng(3)
     params = TrackerParams()
@@ -195,6 +255,79 @@ def test_update_spd_soak():
         pts = tr.position + rng.normal(0, 0.4, (int(rng.integers(1, 10)), 2))
         tr = update(tr, pts, params)
         assert np.linalg.eigvalsh(tr.extent)[0] > 0.0
+
+
+# --- closed-form 2x2 algebra ---------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _spd_cases(rng):
+    """(matrix, condition number) over 1,000 random SPD matrices of four kinds."""
+    cases = []
+    for kind in ("random", "ill-conditioned", "near-isotropic", "isotropic"):
+        for _ in range(250):
+            lam = 10.0 ** rng.uniform(-3, 2)
+            if kind in ("random", "ill-conditioned"):
+                kappa = 10.0 ** (rng.uniform(0, 4) if kind == "random" else rng.uniform(7.5, 8.5))
+                a = rng.uniform(-math.pi, math.pi)
+                rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+                m = rot @ np.diag([lam, lam / kappa]) @ rot.T
+                m = 0.5 * (m + m.T)
+            else:
+                b = lam * rng.uniform(-1e-14, 1e-14) if kind == "near-isotropic" else 0.0
+                m = np.array([[lam, b], [b, lam]])
+            w = np.linalg.eigvalsh(m)
+            cases.append((m, w[1] / w[0]))
+    return cases
+
+
+def _sym2(entries):
+    a, b, d = entries
+    return np.array([[a, b], [b, d]])
+
+
+def test_closed_forms_match_linalg():
+    # Each closed form is within 8 eps kappa of np.linalg, relative to the norm of the
+    # result: the perturbation bound of a problem of condition number kappa.
+    for m, kappa in _spd_cases(np.random.default_rng(11)):
+        w, v = np.linalg.eigh(m)
+        entries = (m[0, 0], m[1, 0], m[1, 1])
+        for got, want in (
+            (_sqrtm_spd(*entries), (v * np.sqrt(w)) @ v.T),
+            (_inv_sqrtm_spd(*entries), (v / np.sqrt(w)) @ v.T),
+            (_inv_spd(*entries), np.linalg.inv(m)),
+        ):
+            err = np.abs(_sym2(got) - want).max()
+            assert err <= 8 * EPS * kappa * np.linalg.norm(want, 2), (m, got, want)
+
+
+def test_closed_form_extent_matches_eigh():
+    for m, kappa in _spd_cases(np.random.default_rng(12)):
+        w, v = np.linalg.eigh(m)
+        e = extract_extent(track(extent=m), 1.0)
+        assert e.length == pytest.approx(2 * math.sqrt(w[1]), rel=4 * EPS)
+        assert e.width == pytest.approx(2 * math.sqrt(w[0]), rel=4 * EPS * kappa)
+        major = v[:, 1]
+        eigh_orientation = fold_axis(math.atan2(major[1], major[0]))
+        if m[1, 0] == 0.0 and m[0, 0] == m[1, 1]:
+            # exactly isotropic: no major axis, and the y axis is reported, as eigh does
+            assert e.orientation == eigh_orientation == math.pi / 2
+        # the orientation is the major axis: an eigenvector of the largest eigenvalue
+        u = np.array([math.cos(e.orientation), math.sin(e.orientation)])
+        assert np.abs(m @ u - w[1] * u).max() <= 8 * EPS * w[1]
+        # and agrees with eigh's as far as the eigenvalue gap defines it
+        gap = (w[1] - w[0]) / (w[1] + w[0])
+        if gap > 0:
+            assert abs(fold_axis(e.orientation - eigh_orientation)) <= 8 * EPS / gap
+
+
+def test_closed_forms_reject_non_spd():
+    for entries in ((1.0, 2.0, 1.0), (1.0, 1.0, 1.0), (-1.0, 0.0, -1.0), (math.nan, 0.0, 1.0)):
+        with pytest.raises(ExtentError):
+            _inv_sqrtm_spd(*entries)
+        with pytest.raises(ExtentError):
+            _inv_spd(*entries)
 
 
 # --- extent extraction ----------------------------------------------------------------
@@ -303,6 +436,8 @@ def test_run_tracker_follows_constant_velocity_target():
     true_last = np.array([2.0 * 11.9, 1.0])
     assert np.hypot(last.x - true_last[0], last.y - true_last[1]) < 0.2
     assert last.speed == pytest.approx(2.0, abs=0.3)
+    assert math.isnan(out[0].nis)  # the first row starts the track; every later one is an update
+    assert all(p.nis >= 0.0 for p in out[1:])
 
 
 def test_run_tracker_skips_empty_scans():

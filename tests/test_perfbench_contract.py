@@ -47,15 +47,22 @@ def test_every_traced_and_counted_name_resolves(tracer):
     assert set(tracer.RESULT_COUNTS) <= traced
 
 
-def test_result_counts_read_small_results(tracer):
+@pytest.fixture(scope="module")
+def small_run():
+    """A 4 s drive: config, simulated data, annotate arguments and result, tracker input."""
     cfg = replace(preset("cyclist-nominal", seed=3), duration=4.0)
     data = simulate_scenario(cfg)
     traj = build_fused_trajectory(data.gnss, data.imu)
     annotate_args = (data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     annotated = annotate_scenario(*annotate_args)
-    grid = accumulate(annotated.scans)
     meta = {"mounts": cfg.mounts, "ego_pose": cfg.ego_pose}
     tracker_scans = cli._tracker_scans_from_labeled(annotated.scans, meta)
+    return cfg, data, annotate_args, annotated, tracker_scans
+
+
+def test_result_counts_read_small_results(tracer, small_run):
+    cfg, data, annotate_args, annotated, tracker_scans = small_run
+    grid = accumulate(annotated.scans)
     calls = {
         "simulator.simulate_scenario": ((cfg,), data),
         "annotation.annotate_scenario": (annotate_args, annotated),
@@ -75,3 +82,15 @@ def test_result_counts_read_small_results(tracer):
     binned = counts["signature.points"] + counts["signature.overflow"]
     assert binned == counts["annotation.assigned"]
     assert counts["eot.scans"] == len(tracker_scans) > 0
+
+
+def test_counted_update_sees_every_tracker_update(tracer, small_run, monkeypatch):
+    # The tracer swaps the counted functions in their modules, so run_tracker must call
+    # eot.update through the module global; an inlined update would make eot.updates read 0.
+    *_, tracker_scans = small_run
+    counting = tracer.Tracer()
+    for (layer, fname), name in tracer.COUNTED.items():
+        module = importlib.import_module(f"vruradar.{layer}")
+        monkeypatch.setattr(module, fname, counting.counter(name, getattr(module, fname)))
+    run_tracker(tracker_scans, TrackerParams())
+    assert counting.counts == {"eot.updates": len(tracker_scans) - 1}
