@@ -3,7 +3,8 @@
 Every file starts with a format-version line; readers reject unknown
 versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
-resolution so records can be joined on them exactly.
+resolution so records can be joined on them exactly.  Both codecs work on
+blocks of a few hundred rows or points, with one call per column and block.
 """
 
 from __future__ import annotations
@@ -11,23 +12,16 @@ from __future__ import annotations
 import json
 import math
 import operator
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .annotation import LabeledTable
-from .core import (
-    GLOBAL,
-    Detections,
-    Pose,
-    ScanTable,
-    SensorMount,
-    VruKind,
-    rank_in_scan,
-    scan_offsets,
-)
+from .core import (GLOBAL, LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, SensorMount,
+                   VruKind, rank_in_scan, scan_offsets)
 from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
 
 GNSS_TAG = "vruradar.gnss.v1"
@@ -37,6 +31,10 @@ RADAR_TAG = "vruradar.radar.v1"
 TRUTH_LABELS_TAG = "vruradar.truth-labels.v1"
 LABELED_TAG = "vruradar.labeled.v1"
 SCENARIO_TAG = "vruradar.scenario.v1"
+
+# Rows, or points plus scans, that a codec checks, converts or formats at once.  Larger
+# blocks save no time, and their texts and flat lists raise a command's peak memory.
+_BLOCK = 256
 
 
 class SchemaError(ValueError):
@@ -62,27 +60,6 @@ def _check_jsonl_header(record, tag: str, path) -> None:
         raise SchemaError(f"expected format tag {tag!r}, got {record.get('format')!r}", path, 1)
 
 
-def _parse_float(text: str, name: str, path, line: int) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise SchemaError(f"field {name!r} is not a number: {text!r}", path, line) from None
-    if not math.isfinite(v):
-        raise SchemaError(f"field {name!r} is not finite: {text!r}", path, line)
-    return v
-
-
-def _parse_optional_float(text: str, name: str, path, line: int) -> float | None:
-    return None if text == "" else _parse_float(text, name, path, line)
-
-
-def _parse_quality(text: str, name: str, path, line: int) -> GnssQuality:
-    try:
-        return GnssQuality(text)
-    except ValueError:
-        raise SchemaError(f"unknown {name} {text!r}", path, line) from None
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -91,8 +68,28 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _fmt_t(t: float) -> str:
-    return f"{t:.9f}"
+# Column parsers of read_table, called as (texts of a column, column name).  Each
+# raises a ValueError naming texts[0]: read_table parses a faulty block line by line.
+def _parse_floats(texts: Sequence[str], name: str) -> list[float]:
+    try:
+        values = list(map(float, texts))
+    except ValueError:
+        raise ValueError(f"field {name!r} is not a number: {texts[0]!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"field {name!r} is not finite: {texts[0]!r}")
+    return values
+
+
+def _parse_optional_floats(texts: Sequence[str], name: str) -> list[float | None]:
+    values = _parse_floats([text or "0" for text in texts], name)
+    return [v if text else None for text, v in zip(texts, values)]
+
+
+def _parse_qualities(texts: Sequence[str], name: str) -> list[GnssQuality]:
+    try:
+        return list(map(GnssQuality._value2member_map_.__getitem__, texts))
+    except KeyError:
+        raise ValueError(f"unknown {name} {texts[0]!r}") from None
 
 
 # --- Versioned CSV tables ---------------------------------------------------
@@ -103,46 +100,70 @@ def write_table(path, tag: str, columns: Sequence[str], rows: Iterable[Sequence]
     A `timestamp` column is written with nine fractional digits, other floats
     with `repr`, integers and strings as they are, and None as an empty field.
     """
-    fmts = [_fmt_t if name == "timestamp" else _fmt for name in columns]
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# format={tag}\n{','.join(columns)}\n")
-        for row in rows:
-            fh.write(",".join([f(v) for f, v in zip(fmts, row, strict=True)]) + "\n")
+        while block := list(islice(rows, _BLOCK)):
+            if set(map(len, block)) != {len(columns)}:
+                raise ValueError(f"every row must have {len(columns)} fields")
+            texts = []
+            for name, values in zip(columns, zip(*block)):
+                kinds = set(map(type, values))
+                texts.append(list(map(
+                    "{:.9f}".format if name == "timestamp" else float.__repr__
+                    if kinds <= {float, np.float64} else str if kinds <= {int, str, np.int64}
+                    else _fmt, values)))
+            fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
-def read_table(
-    path, tag: str, columns: Sequence[str], parsers: Mapping[str, Callable] | None = None
-) -> list[list]:
-    """Rows of a table written by :func:`write_table`, parsed field by field.
+def read_table(path, tag: str, columns: Sequence[str],
+               parsers: Mapping[str, Callable] | None = None) -> list[list]:
+    """Rows of a table written by :func:`write_table`, parsed a block of columns at a time.
 
-    A field is parsed by `parsers[column]`, called as (text, column, path,
-    line), or else as a finite float.  A `timestamp` column must be strictly
-    increasing.  Every fault is a SchemaError naming path and line.
+    A column is parsed by `parsers[column]`, called as (texts, column) and
+    returning the values, or else as finite floats.  A `timestamp` column must
+    be strictly increasing.  Every fault is a SchemaError naming path and line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise SchemaError("empty file", path, 1)
-    _check_header(lines[0], tag, path)
-    if len(lines) < 2 or lines[1] != ",".join(columns):
-        raise SchemaError("bad column header", path, 2)
-    parsers = parsers or {}
-    parse = [parsers.get(name, _parse_float) for name in columns]
+    parse = [(parsers or {}).get(name, _parse_floats) for name in columns]
     t_col = columns.index("timestamp") if "timestamp" in columns else None
     rows: list[list] = []
-    for i, line in enumerate(lines[2:], start=3):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
-            raise SchemaError(f"expected {len(columns)} fields, got {len(parts)}", path, i)
-        row = [f(text, name, path, i) for f, text, name in zip(parse, parts, columns)]
-        if t_col is not None and rows and row[t_col] <= rows[-1][t_col]:
-            raise SchemaError(
-                f"timestamp {parts[t_col]} does not follow {rows[-1][t_col]:.9f}", path, i
-            )
-        rows.append(row)
+    last_t, start = -math.inf, 3
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = chain.from_iterable(map(str.splitlines, fh))
+        head = list(islice(lines, 2))
+        if not head:
+            raise SchemaError("empty file", path, 1)
+        _check_header(head[0], tag, path)
+        if len(head) < 2 or head[1] != ",".join(columns):
+            raise SchemaError("bad column header", path, 2)
+        while block := list(islice(lines, _BLOCK)):
+            try:
+                values, last_t = _parse_rows([*filter(None, block)], columns, parse, t_col, last_t)
+            except ValueError:
+                for i, line in enumerate(block, start=start):
+                    try:
+                        last_t = _parse_rows([line] if line else [], columns, parse, t_col,
+                                             last_t)[1]
+                    except ValueError as exc:
+                        raise SchemaError(str(exc), path, i) from None
+                raise
+            rows += map(list, zip(*values))
+            start += len(block)
     return rows
+
+
+def _parse_rows(lines: list[str], columns, parse, t_col, last_t: float) -> tuple[list, float]:
+    """Values by column of CSV lines and the last timestamp; a ValueError names a fault."""
+    fields = list(map(str.split, lines, repeat(",")))
+    if set(map(len, fields)) - {len(columns)}:
+        raise ValueError(f"expected {len(columns)} fields, got {len(fields[0])}")
+    values = [f(texts, name) for f, texts, name in zip(parse, zip(*fields), columns)]
+    if t_col is not None and fields:
+        t = values[t_col]
+        if not (last_t < t[0] and all(map(operator.lt, t, t[1:]))):
+            raise ValueError(f"timestamp {fields[0][t_col]} does not follow {last_t:.9f}")
+        last_t = t[-1]
+    return values, last_t
 
 
 # --- GNSS, IMU and trajectory states ------------------------------------------
@@ -153,49 +174,40 @@ TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
 
 
 def write_gnss_csv(path, samples: Iterable[GnssSample]) -> None:
-    write_table(
-        path, GNSS_TAG, GNSS_COLUMNS, ((s.timestamp, s.x, s.y, s.quality.value) for s in samples)
-    )
+    rows = ((s.timestamp, s.x, s.y, s.quality.value) for s in samples)
+    write_table(path, GNSS_TAG, GNSS_COLUMNS, rows)
 
 
 def read_gnss_csv(path) -> list[GnssSample]:
-    rows = read_table(path, GNSS_TAG, GNSS_COLUMNS, {"quality": _parse_quality})
+    rows = read_table(path, GNSS_TAG, GNSS_COLUMNS, {"quality": _parse_qualities})
     return [GnssSample(*row) for row in rows]
 
 
 def write_imu_csv(path, samples: Iterable[ImuSample]) -> None:
-    write_table(
-        path,
-        IMU_TAG,
-        IMU_COLUMNS,
-        ((s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in samples),
-    )
+    rows = ((s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in samples)
+    write_table(path, IMU_TAG, IMU_COLUMNS, rows)
 
 
 def read_imu_csv(path) -> list[ImuSample]:
-    rows = read_table(path, IMU_TAG, IMU_COLUMNS, {"yaw": _parse_optional_float})
+    rows = read_table(path, IMU_TAG, IMU_COLUMNS, {"yaw": _parse_optional_floats})
     return [ImuSample(*row) for row in rows]
 
 
 def write_traj_csv(path, states: Iterable[TrajectoryState]) -> None:
-    write_table(
-        path,
-        TRAJ_TAG,
-        TRAJ_COLUMNS,
-        ((s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate) for s in states),
-    )
+    rows = ((s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate) for s in states)
+    write_table(path, TRAJ_TAG, TRAJ_COLUMNS, rows)
 
 
 def read_traj_csv(path) -> list[TrajectoryState]:
-    return [
-        TrajectoryState(timestamp=t, pose=Pose(x, y, yaw, frame=GLOBAL), speed=v, yaw_rate=w)
-        for t, x, y, yaw, v, w in read_table(path, TRAJ_TAG, TRAJ_COLUMNS)
-    ]
+    return [TrajectoryState(t, Pose(x, y, yaw, frame=GLOBAL), v, w)
+            for t, x, y, yaw, v, w in read_table(path, TRAJ_TAG, TRAJ_COLUMNS)]
 
 
-# --- Radar scans ----------------------------------------------------------
+# --- Values of JSON records -----------------------------------------------------
 
 POLAR_KEYS = ("range", "azimuth", "vr", "amp")  # JSON point keys, in Detections column order
+STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
+BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
 
 
 def _point_index(value) -> int:
@@ -221,59 +233,50 @@ def finite_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
-def _finite_numbers(values, name: str) -> np.ndarray:
-    """`values` as a float array by the rule of `finite_number`, types checked once."""
-    values = list(values)
-    if set(map(type, values)) <= {int, float}:
-        try:
-            out = np.array(values, dtype=float)
-        except OverflowError:  # an integer literal beyond the float range
-            out = np.full(len(values), math.inf)
-        if np.isfinite(out).all():
+def json_string(value, name: str) -> str:
+    """`value` if it is a JSON string: ids and labels are never made from other types."""
+    if type(value) is not str:
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _floats(values: list, names: Sequence[str]) -> np.ndarray:
+    """`values` as floats if each is a finite JSON number, else a ValueError naming the
+    first other one, values[k] as names[k % len(names)]."""
+    try:
+        out = np.array(values, dtype=float) if set(map(type, values)) <= {int, float} else None
+        if out is not None and np.isfinite(out).all():
             return out
-    for value in values:
-        finite_number(value, name)  # raises on the first bad value
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    return np.array([finite_number(v, names[k % len(names)]) for k, v in enumerate(values)])
 
 
-def _points(points: list, keys: Sequence[str]) -> tuple[np.ndarray, list[tuple]]:
-    """(4, n) polar values of a record's JSON points, and a tuple per one of `keys`."""
-    if type(points) is not list:
-        raise ValueError(f"points must be a list, got {points!r}")
-    rows = list(map(operator.itemgetter(*POLAR_KEYS, *keys), points))
-    columns = list(zip(*rows)) if rows else [()] * (4 + len(keys))
-    polar = _finite_numbers(chain(*columns[:4]), "point value").reshape(4, -1)
-    if np.count_nonzero(polar[0] < 0):
+def _scan_arrays(polar, idx, ego, glob, state, bounding, bounded) -> list[np.ndarray]:
+    """Points' polar (4, n), idx, ego and global columns, scans' vru_state and bounding
+    rows, of flat lists (five bounding values per scan in `bounded`).  A ValueError or
+    OverflowError names the first fault in the order a record's values are checked."""
+    state = _floats(state, STATE_KEYS).reshape(-1, 5)
+    if np.any(state[:, 3] < 0):
+        raise ValueError(f"speed must be >= 0, got {state[:, 3].min()}")
+    full = np.full((len(state), 5), np.nan)
+    full[bounded] = _floats(bounding, BOUNDING_KEYS).reshape(-1, 5)
+    if np.any(full[bounded, 2:4] <= 0):
+        raise ValueError("ellipse axes must be > 0")
+    polar = _floats([*chain(*polar)], ("point value",)).reshape(4, -1)
+    if np.any(polar[0] < 0):
         raise ValueError(f"range must be >= 0, got {polar[0].min()}")
-    return polar, columns[4:]
+    idx = np.array(idx, dtype=np.int64)
+    ego, glob = (_floats(c, ("point value",)).reshape(-1, 2) for c in (ego, glob))
+    return [polar, idx, ego, glob, state, full]
 
 
-def _pairs(column: tuple, key: str) -> np.ndarray:
-    """(n, 2) coordinates of a column of JSON [x, y] pairs."""
-    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {2}):
-        bad = next(p for p in column if not (type(p) is list and len(p) == 2))
-        raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
-    return _finite_numbers(chain.from_iterable(column), "point value").reshape(-1, 2)
+def _json_numbers(values: list) -> list[str]:
+    """Python floats as json.dumps spells them: repr, if all are finite."""
+    return list(map(float.__repr__ if all(map(math.isfinite, values)) else json.dumps, values))
 
 
-def _join(chunks, empty: np.ndarray, axis: int = 0) -> np.ndarray:
-    return np.concatenate(chunks, axis=axis) if chunks else empty
-
-
-def _polar_table(d: Detections, *pairs: np.ndarray) -> np.ndarray:
-    """The polar columns, then the given (n, 2) columns, as one (n, k) table to slice."""
-    return np.column_stack([d.range_m, d.azimuth, d.radial_velocity, d.amplitude, *pairs])
-
-
-def write_radar_jsonl(path, scans: ScanTable) -> None:
-    values, offsets = _polar_table(scans.detections), scans.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": RADAR_TAG}) + "\n")
-        for k, (t, sensor_id) in enumerate(zip(scans.timestamp.tolist(), scans.sensor_id.tolist())):
-            rows = values[offsets[k]:offsets[k + 1]].tolist()
-            rec = {"t": round(t, 9), "sensor_id": sensor_id,
-                   "points": [dict(zip(POLAR_KEYS, row)) for row in rows]}
-            fh.write(json.dumps(rec) + "\n")
-
+# --- JSON Lines ---------------------------------------------------------------
 
 def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")
@@ -301,175 +304,285 @@ def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
         _check_jsonl_header(_decode_json(header, "header line", path, 1), tag, path)
         for i, line in enumerate(fh, start=2):
             if line != "\n":
-                yield i, _decode_json(line, "record", path, i)
+                try:  # the C scanner alone for a line that is one JSON value, else json's checks
+                    rec, end = _DECODER.scan_once(line, 0)
+                except (StopIteration, ValueError):
+                    end = 0
+                yield i, rec if line[end:] in ("\n", "") else _decode_json(line, "record", path, i)
 
 
-def _check_scan_order(last_t: dict[str, float], sensor_id: str, t: float, path, line: int) -> None:
-    """Each sensor's scans must be strictly later than its previous one."""
-    prev = last_t.get(sensor_id, -math.inf)
-    if t <= prev:
-        raise SchemaError(f"scan t={t:.9f} of sensor {sensor_id!r} does not follow t={prev:.9f}",
-                          path, line)
-    last_t[sensor_id] = t
+class _Scans:
+    """The scans of a JSONL scan file, read a block of records at a time.
 
+    A reader checks a record's structure, `add`s it and appends its values to
+    `values`, the flat lists `_scan_arrays` takes, so no decoded record
+    outlives its line.  Every fault is a SchemaError naming the first faulty line.
+    """
 
-def _read_scans(path, tag: str, what: str, parse) -> list:
-    """Per-scan columns of a JSONL scan file: line, time, sensor id, then the values
-    `parse(record)` returns.  Each sensor's scans must follow one another in time."""
-    rows, last_t = [], {}
-    for i, rec in _load_jsonl(path, tag):
+    def __init__(self, path, what: str):
+        self.path, self.what, self.last_t, self.arrays, self.start = path, what, {}, [], 0
+        self.lines, self.times, self.sensors, self.counts, self.n_assigned = [], [], [], [], []
+        self.values = ([], [], [], []), [], [], [], [], [], []  # bounded: block record numbers
+
+    def records(self, tag: str) -> Iterator[tuple[int, object]]:
+        """`_load_jsonl`; a line that does not decode is a fault once the block's are ruled out."""
         try:
-            row = (i, finite_number(rec["t"], "t"), str(rec["sensor_id"]), *parse(rec))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # idx beyond int64
-            raise SchemaError(f"bad {what} record: {exc}", path, i) from None
-        _check_scan_order(last_t, row[2], row[1], path, i)
-        rows.append(row)
-    return [list(column) for column in zip(*rows)] if rows else None
+            yield from _load_jsonl(self.path, tag)
+        except SchemaError:
+            self.close()
+            raise
+
+    def fail(self, line: int, message: str):
+        """Raise the fault of an earlier record of the block, or else `message` at `line`."""
+        self.close()
+        raise SchemaError(message, self.path, line)
+
+    def add(self, line: int, t, sensor_id, n_points: int) -> None:
+        """Start a scan record; each sensor's scans must follow one another in time."""
+        try:
+            if type(t) is not float or t - t:  # not a float, or infinite
+                t = finite_number(t, "t")
+            if type(sensor_id) is not str:
+                json_string(sensor_id, "sensor_id")
+        except ValueError as exc:
+            self.fail(line, f"bad {self.what} record: {exc}")
+        prev = self.last_t.get(sensor_id, -math.inf)
+        if t <= prev:
+            self.fail(line, f"scan t={t:.9f} of sensor {sensor_id!r} does not follow t={prev:.9f}")
+        self.last_t[sensor_id] = t
+        if len(self.lines) - self.start + len(self.values[0][0]) >= _BLOCK:
+            self.close()
+        self.lines.append(line)
+        self.times.append(t)
+        self.sensors.append(sensor_id)
+        self.counts.append(n_points)
+
+    def close(self) -> None:
+        polar, idx, ego, glob, state, bounding, bounded = self.values
+        ends = [*accumulate(self.counts[self.start:], initial=0)]
+
+        def arrays(k: int) -> list[np.ndarray]:  # of the block's first k records
+            q, b = ends[k], bisect_left(bounded, k)
+            return _scan_arrays([c[:q] for c in polar], idx[:q], ego[:2 * q], glob[:2 * q],
+                                state[:5 * k], bounding[:5 * b], bounded[:b])
+        try:
+            self.arrays.append(arrays(len(ends) - 1))
+        except (ValueError, OverflowError):  # the shortest failing prefix ends at the fault
+            for k in range(1, len(ends)):
+                try:
+                    arrays(k)
+                except (ValueError, OverflowError) as exc:
+                    raise SchemaError(f"bad {self.what} record: {exc}", self.path,
+                                      self.lines[self.start + k - 1]) from None
+            raise
+        for values in (*polar, idx, ego, glob, state, bounding, bounded):
+            values.clear()
+        self.start = len(self.lines)
+
+    def columns(self) -> list[np.ndarray]:
+        """Close the last block; `_scan_arrays` of all of them."""
+        self.close()
+        return [np.concatenate(c, axis=-1 if k == 0 else 0) for k, c in enumerate(zip(*self.arrays))]
+
+
+def _json_blocks(scans: ScanTable, point, *index_and_pairs):
+    """Per block of scans: (first, end, `t` texts, `sensor_id` texts, joined point texts).
+
+    `point` formats a point from its texts of the given index column, its polar
+    values and the given (n, 2) columns; joined(starts, ends) joins each scan's."""
+    offsets, m, d = scans.offsets.tolist(), len(scans), scans.detections
+    marks = (scans.offsets + np.arange(m + 1)).tolist()  # points plus scans before each scan
+    index = index_and_pairs[:1]
+    values = np.column_stack([d.range_m, d.azimuth, d.radial_velocity, d.amplitude,
+                              *index_and_pairs[1:]])
+    sensors = {s: json.dumps(s) for s in set(scans.sensor_id.tolist())}
+    k = 0
+    while k < m:
+        end = max(bisect_right(marks, marks[k] + _BLOCK) - 1, k + 1)
+        lo, hi = offsets[k], offsets[end]
+        texts = [list(map(str, i[lo:hi].tolist())) for i in index]
+        points = list(map(point, *texts, *map(_json_numbers, values[lo:hi].T.tolist())))
+        yield (k, end, _json_numbers(list(map(round, scans.timestamp[k:end].tolist(), repeat(9)))),
+               list(map(sensors.__getitem__, scans.sensor_id[k:end].tolist())),
+               lambda starts, ends: [", ".join(points[a - lo:b - lo]) for a, b in zip(starts, ends)])
+        k = end
+
+
+# --- Radar scans ----------------------------------------------------------
+
+_NO_POINTS = ((),) * 7
+_RADAR_SCAN = operator.itemgetter("t", "sensor_id", "points")
+_POLAR = operator.itemgetter(*POLAR_KEYS)
+_JSON_POINT = '{{"range": {}, "azimuth": {}, "vr": {}, "amp": {}}}'.format
+_JSON_RADAR = '{{"t": {}, "sensor_id": {}, "points": [{}]}}\n'.format
+
+
+def write_radar_jsonl(path, scans: ScanTable) -> None:
+    offsets = scans.offsets.tolist()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"format": RADAR_TAG}) + "\n")
+        for k, end, t, sensors, joined in _json_blocks(scans, _JSON_POINT):
+            points = joined(offsets[k:end], offsets[k + 1:end + 1])
+            fh.write("".join(map(_JSON_RADAR, t, sensors, points)))
 
 
 def read_radar_jsonl(path) -> ScanTable:
-    columns = _read_scans(path, RADAR_TAG, "radar", lambda rec: _points(rec["points"], ())[:1])
-    _, times, sensors, polar = columns or ([], [], [], [])
-    offsets = scan_offsets([p.shape[1] for p in polar])
-    detections = Detections(*_join(polar, np.empty((4, 0)), 1), index=rank_in_scan(offsets))
-    return ScanTable(times, sensors, offsets, detections)
+    scans = _Scans(path, "radar")
+    ranges, azimuths, velocities, amplitudes = scans.values[0]
+    for i, rec in scans.records(RADAR_TAG):
+        try:
+            t, sensor_id, points = _RADAR_SCAN(rec)
+            if type(points) is not list:
+                raise ValueError(f"points must be a list, got {points!r}")
+            r, a, v, p = list(zip(*map(_POLAR, points))) or _NO_POINTS[:4]
+        except (KeyError, TypeError, ValueError) as exc:
+            scans.fail(i, f"bad radar record: {exc}")
+        scans.add(i, t, sensor_id, len(r))
+        ranges += r
+        azimuths += a
+        velocities += v
+        amplitudes += p
+    polar, offsets = scans.columns()[0], scan_offsets(scans.counts)
+    return ScanTable(scans.times, scans.sensors, offsets,
+                     Detections(*polar, index=rank_in_scan(offsets)))
 
 
 # --- Truth labels -----------------------------------------------------------
 
+_JSON_LABEL = '{{"t": {}, "idx": {}, "label": {}}}\n'.format
+_TRUTH_LABEL = operator.itemgetter("t", "idx", "label")
+
+
 def write_truth_labels_jsonl(path, labels: Iterable[tuple[float, int, str]]) -> None:
+    labels = iter(labels)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": TRUTH_LABELS_TAG}) + "\n")
-        for t, idx, label in labels:
-            fh.write(json.dumps({"t": round(t, 9), "idx": idx, "label": label}) + "\n")
+        while block := list(islice(labels, _BLOCK)):
+            times, idx, names = zip(*block)
+            # A scan's labels share one time object, so `t` is spelt once per run of it.
+            starts = [True, *map(operator.is_not, times[1:], times[:-1])]
+            spelt = [None, *map(json.dumps, map(round, compress(times, starts), repeat(9)))]
+            named = {name: json.dumps(name) for name in set(names)}
+            fh.write("".join(map(_JSON_LABEL, map(spelt.__getitem__, accumulate(starts)),
+                                 map(str, idx), map(named.__getitem__, names))))
 
 
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
+    t = key_t = None
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
         try:
-            t = finite_number(rec["t"], "t")
-            key, label = (round(t, 9), _point_index(rec["idx"])), str(rec["label"])
+            raw_t, idx, label = _TRUTH_LABEL(rec)
+            if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
+                key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
+            if type(idx) is not int:
+                _point_index(idx)
+            if label not in (LABEL_VRU, LABEL_CLUTTER):
+                raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad label record: {exc}", path, i) from None
-        if key in out:
-            raise SchemaError(f"repeated label for t={key[0]:.9f} point {key[1]}", path, i)
-        out[key] = label
+        if (key_t, idx) in out:
+            raise SchemaError(f"repeated label for t={key_t:.9f} point {idx}", path, i)
+        out[key_t, idx] = label
     return out
 
 
 # --- Labeled scans -----------------------------------------------------------
 
-STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
-BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
+_LABELED_SCAN = operator.itemgetter("t", "sensor_id", "vru_state", "assigned", "rejected",
+                                    "track_id", "vru_kind")
+_LABELED_POINT = operator.itemgetter(*POLAR_KEYS, "idx", "ego", "global")
+_STATE = operator.itemgetter(*STATE_KEYS)
+_BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
+_JSON_LABELED_POINT = ('{{"idx": {}, "range": {}, "azimuth": {}, "vr": {}, "amp": {}, '
+                       '"ego": [{}, {}], "global": [{}, {}]}}').format
+_JSON_LABELED = ('{{"t": {}, "track_id": {}, "vru_kind": {}, "sensor_id": {}, "assigned": [{}], '
+                 '"rejected": [{}], "bounding": {}, "vru_state": {}}}\n').format
+_JSON_STATE = '{{"x": {}, "y": {}, "yaw": {}, "speed": {}, "yaw_rate": {}}}'.format
+_JSON_BOUNDING = '{{"cx": {}, "cy": {}, "ax_major": {}, "ax_minor": {}, "orientation": {}}}'.format
 
 
 def write_labeled_jsonl(path, scans: LabeledTable) -> None:
-    d = scans.detections
-    values, index = _polar_table(d, d.ego, d.global_xy), d.index
-
-    def points(lo: int, hi: int) -> list[dict]:
-        return [{"idx": i, "range": r, "azimuth": a, "vr": v, "amp": p, "ego": [ex, ey],
-                 "global": [gx, gy]}
-                for i, (r, a, v, p, ex, ey, gx, gy) in zip(index[lo:hi].tolist(),
-                                                            values[lo:hi].tolist())]
-
-    offsets, mids = scans.offsets.tolist(), (scans.offsets[:-1] + scans.n_assigned).tolist()
-    scan_values = zip(scans.timestamp.tolist(), scans.sensor_id.tolist(),
-                      scans.vru_state.tolist(), scans.bounding.tolist())
+    d, offsets = scans.detections, scans.offsets.tolist()
+    mids = (scans.offsets[:-1] + scans.n_assigned).tolist()
+    track, kind = json.dumps(scans.track_id), json.dumps(scans.vru_kind.value)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": LABELED_TAG}) + "\n")
-        for k, (t, sensor_id, state, bounding) in enumerate(scan_values):
-            rec = {
-                "t": round(t, 9),
-                "track_id": scans.track_id,
-                "vru_kind": scans.vru_kind.value,
-                "sensor_id": sensor_id,
-                "assigned": points(offsets[k], mids[k]),
-                "rejected": points(mids[k], offsets[k + 1]),
-                "bounding": None if math.isnan(bounding[0]) else dict(zip(BOUNDING_KEYS, bounding)),
-                "vru_state": dict(zip(STATE_KEYS, state)),
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def _labeled_record(rec: dict) -> tuple:
-    state = [finite_number(rec["vru_state"][k], k) for k in STATE_KEYS]
-    if state[3] < 0:
-        raise ValueError(f"speed must be >= 0, got {state[3]}")
-    bounding = [math.nan] * 5
-    if rec.get("bounding") is not None:
-        bounding = [finite_number(rec["bounding"][k], k) for k in BOUNDING_KEYS]
-        if min(bounding[2:4]) <= 0:
-            raise ValueError("ellipse axes must be > 0")
-    polar, (idx, ego, glob) = _points(rec["assigned"] + rec["rejected"], ("idx", "ego", "global"))
-    if not set(map(type, idx)) <= {int}:
-        _point_index(next(v for v in idx if type(v) is not int))
-    if len(set(idx)) < len(idx):
-        raise ValueError(f"point idx {next(v for v in idx if idx.count(v) > 1)} appears more "
-                         "than once")
-    return ((str(rec["track_id"]), VruKind(rec["vru_kind"])), len(rec["assigned"]), state,
-            bounding, polar, np.array(idx, dtype=np.int64), _pairs(ego, "ego"),
-            _pairs(glob, "global"))
+        for k, end, t, sensors, joined in _json_blocks(scans, _JSON_LABELED_POINT, d.index, d.ego,
+                                                       d.global_xy):
+            bounding = scans.bounding[k:end]
+            given = ~np.isnan(bounding[:, 0])
+            boundings = map(_JSON_BOUNDING, *map(_json_numbers, np.where(
+                given[:, None], bounding, 0.0).T.tolist()))
+            fh.write("".join(map(
+                _JSON_LABELED, t, repeat(track), repeat(kind), sensors,
+                joined(offsets[k:end], mids[k:end]), joined(mids[k:end], offsets[k + 1:end + 1]),
+                [text if g else "null" for text, g in zip(boundings, given.tolist())],
+                map(_JSON_STATE, *map(_json_numbers, scans.vru_state[k:end].T.tolist())))))
 
 
 def read_labeled_jsonl(path) -> LabeledTable:
     """The labeled scans of one track; every record must name the same track and kind."""
-    columns = _read_scans(path, LABELED_TAG, "labeled", _labeled_record)
-    lines, times, sensors, tracks, n_assigned, states, boundings, polar, index, ego, glob = (
-        columns or [[]] * 11)
-    for line, track in zip(lines, tracks):
-        if track != tracks[0]:
-            raise SchemaError(f"track {track[0]!r} ({track[1].value}) differs from the first "
-                              f"record's {tracks[0][0]!r} ({tracks[0][1].value})", path, line)
-    track_id, vru_kind = tracks[0] if tracks else ("", VruKind.PEDESTRIAN)
-    pairs = np.empty((0, 2))
-    return LabeledTable(
-        timestamp=times,
-        sensor_id=sensors,
-        offsets=scan_offsets([p.shape[1] for p in polar]),
-        detections=Detections(*_join(polar, np.empty((4, 0)), 1),
-                              index=_join(index, np.empty(0, dtype=np.int64)),
-                              ego=_join(ego, pairs), global_xy=_join(glob, pairs)),
-        n_assigned=np.array(n_assigned, dtype=np.int64),
-        vru_state=np.array(states, dtype=float).reshape(-1, 5),
-        bounding=np.array(boundings, dtype=float).reshape(-1, 5),
-        track_id=track_id,
-        vru_kind=vru_kind,
-    )
+    scans, track, named = _Scans(path, "labeled"), None, None
+    (ranges, azimuths, velocities, amplitudes), index, ego_xy, global_xy, states, boundings, \
+        bounded = scans.values
+    for i, rec in scans.records(LABELED_TAG):
+        try:
+            t, sensor_id, state, assigned, rejected, track_id, kind = _LABELED_SCAN(rec)
+            state, bounding = _STATE(state), rec.get("bounding")
+            bounding = bounding if bounding is None else _BOUNDING(bounding)
+            points = assigned + rejected
+            if type(points) is not list:
+                raise ValueError(f"points must be a list, got {points!r}")
+            r, a, v, p, idx, ego, glob = list(zip(*map(_LABELED_POINT, points))) or _NO_POINTS
+            if not set(map(type, idx)) <= {int}:
+                _point_index(next(x for x in idx if type(x) is not int))
+            if len(set(idx)) < len(idx):
+                raise ValueError(f"point idx {next(x for x in idx if idx.count(x) > 1)} appears "
+                                 "more than once")
+            if (track_id, kind) != track:
+                this = json_string(track_id, "track_id"), VruKind(kind)
+                if track is not None:
+                    raise ValueError(f"track {this[0]!r} ({this[1].value}) differs from the first "
+                                     f"record's {named[0]!r} ({named[1].value})")
+                track, named = (track_id, kind), this
+            pairs = ego + glob
+            if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+                key, bad = next((key, q) for key, column in (("ego", ego), ("global", glob))
+                                for q in column if type(q) is not list or len(q) != 2)
+                raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            scans.fail(i, f"bad labeled record: {exc}")
+        scans.add(i, t, sensor_id, len(idx))
+        ranges += r
+        azimuths += a
+        velocities += v
+        amplitudes += p
+        index += idx
+        ego_xy += chain.from_iterable(ego)
+        global_xy += chain.from_iterable(glob)
+        states += state
+        if bounding is not None:
+            bounded.append(len(scans.lines) - 1 - scans.start)
+            boundings += bounding
+        scans.n_assigned.append(len(assigned))
+    polar, idx, ego, glob, state, bounding = scans.columns()
+    return LabeledTable(scans.times, scans.sensors, scan_offsets(scans.counts),
+                        Detections(*polar, index=idx, ego=ego, global_xy=glob),
+                        np.array(scans.n_assigned, dtype=np.int64), state, bounding,
+                        *(named or ("", VruKind.PEDESTRIAN)))
 
 
 # --- Scenario manifest --------------------------------------------------------
 
-def write_scenario_json(
-    path,
-    *,
-    vru_kind: VruKind,
-    track_id: str,
-    seed: int,
-    ego_pose: Pose,
-    mounts: Iterable[SensorMount],
-    counts: dict[str, int],
-) -> None:
-    rec = {
-        "format": SCENARIO_TAG,
-        "vru_kind": vru_kind.value,
-        "track_id": track_id,
-        "seed": seed,
-        "ego_pose": {"x": ego_pose.x, "y": ego_pose.y, "yaw": ego_pose.yaw},
-        "mounts": [
-            {
-                "sensor_id": m.sensor_id,
-                "x": m.pose_in_ego.x,
-                "y": m.pose_in_ego.y,
-                "yaw": m.pose_in_ego.yaw,
-                "fov_azimuth": m.fov_azimuth,
-                "max_range": m.max_range,
-            }
-            for m in mounts
-        ],
-        "counts": counts,
-    }
+def write_scenario_json(path, *, vru_kind: VruKind, track_id: str, seed: int, ego_pose: Pose,
+                        mounts: Iterable[SensorMount], counts: dict[str, int]) -> None:
+    mounts = [{"sensor_id": m.sensor_id, "x": m.pose_in_ego.x, "y": m.pose_in_ego.y,
+               "yaw": m.pose_in_ego.yaw, "fov_azimuth": m.fov_azimuth, "max_range": m.max_range}
+              for m in mounts]
+    rec = {"format": SCENARIO_TAG, "vru_kind": vru_kind.value, "track_id": track_id, "seed": seed,
+           "ego_pose": {"x": ego_pose.x, "y": ego_pose.y, "yaw": ego_pose.yaw}, "mounts": mounts,
+           "counts": counts}
     Path(path).write_text(json.dumps(rec, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -478,17 +591,13 @@ def read_scenario_json(path) -> dict:
     _check_jsonl_header(rec, SCENARIO_TAG, path)
     try:
         rec["vru_kind"] = VruKind(rec["vru_kind"])
+        json_string(rec["track_id"], "track_id")
         ep = rec["ego_pose"]
         rec["ego_pose"] = Pose(*(finite_number(ep[k], k) for k in ("x", "y", "yaw")), frame=GLOBAL)
-        rec["mounts"] = [
-            SensorMount(
-                sensor_id=str(m["sensor_id"]),
-                pose_in_ego=Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
-                fov_azimuth=finite_number(m["fov_azimuth"], "fov_azimuth"),
-                max_range=finite_number(m["max_range"], "max_range"),
-            )
-            for m in rec["mounts"]
-        ]
+        rec["mounts"] = [SensorMount(
+            json_string(m["sensor_id"], "sensor_id"),
+            Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
+            *(finite_number(m[k], k) for k in ("fov_azimuth", "max_range"))) for m in rec["mounts"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad scenario manifest: {exc}", path, 1) from None
     return rec

@@ -1,19 +1,29 @@
-"""Per-scan reference implementations of annotation and cycle statistics.
+"""Per-scan and per-record reference implementations, kept as test oracles.
 
-These are the scan-by-scan loops that the whole-run code in `annotation` and
-`evaluation` replaced, kept as test oracles.  They use only scalar geometry
+Annotation and cycle statistics: the scan-by-scan loops that the whole-run
+code in `annotation` and `evaluation` replaced.  They use only scalar geometry
 (one pose and one shape per scan) and the library's frame transforms.  One
 rule differs from the loops they came from: a confidence ellipse whose
 covariance has an eigenvalue ratio at most `COLLINEAR_RATIO` is degenerate,
 not only one with a non-positive eigenvalue.
+
+File readers: the record-by-record and field-by-field readers that the block
+codecs in `io` replaced.  Two rules differ from the readers they came from:
+ids and labels must be JSON strings (a truth label `vru` or `clutter`), and a
+labeled record naming another track is a fault at its own line, so that
+every fault is named at the first faulty line in file order.
 """
 
+import json
 import math
+import operator
+from itertools import chain
 
 import numpy as np
 
-from vruradar.annotation import LabeledScan
-from vruradar.core import GLOBAL, Pose, VruKind, ego_to_global, polar_to_ego
+from vruradar.annotation import LabeledScan, LabeledTable
+from vruradar.core import (GLOBAL, LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, VruKind,
+                           ego_to_global, polar_to_ego, rank_in_scan, scan_offsets)
 from vruradar.evaluation import COLLINEAR_RATIO, WEIGHTED_COUNT_REF_RANGE, r4_compensate
 from vruradar.selection import (
     CYCLIST_LENGTH,
@@ -27,7 +37,10 @@ from vruradar.selection import (
     YAW_RATE_TO_WIDTH,
     OrientedEllipse,
 )
-from vruradar.trajectory import STANDSTILL_SPEED, TrajectoryState
+from vruradar.io import (BOUNDING_KEYS, LABELED_TAG, POLAR_KEYS, RADAR_TAG, STATE_KEYS,
+                         TRUTH_LABELS_TAG, SchemaError, _check_header, _check_jsonl_header,
+                         _decode_json, _point_index, finite_number, json_string)
+from vruradar.trajectory import STANDSTILL_SPEED, GnssQuality, TrajectoryState
 
 
 def state_at(traj, t: float) -> TrajectoryState:
@@ -122,3 +135,263 @@ def cycle_stats(scan: LabeledScan) -> dict:
         "conf_minor": conf_minor,
         "weighted_count": n * (mean_range / WEIGHTED_COUNT_REF_RANGE) ** 2,
     }
+
+
+# --- File readers ---------------------------------------------------------------
+
+def _parse_float(text: str, name: str, path, line: int) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise SchemaError(f"field {name!r} is not a number: {text!r}", path, line) from None
+    if not math.isfinite(v):
+        raise SchemaError(f"field {name!r} is not finite: {text!r}", path, line)
+    return v
+
+
+def parse_optional_float(text: str, name: str, path, line: int) -> float | None:
+    return None if text == "" else _parse_float(text, name, path, line)
+
+
+def parse_quality(text: str, name: str, path, line: int) -> GnssQuality:
+    try:
+        return GnssQuality(text)
+    except ValueError:
+        raise SchemaError(f"unknown {name} {text!r}", path, line) from None
+
+
+def read_table(path, tag: str, columns, parsers=None) -> list[list]:
+    """Rows of a versioned CSV table, parsed field by field: `parsers[column]` is called as
+    (text, column, path, line), the default parses a finite float."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise SchemaError("empty file", path, 1)
+    _check_header(lines[0], tag, path)
+    if len(lines) < 2 or lines[1] != ",".join(columns):
+        raise SchemaError("bad column header", path, 2)
+    parsers = parsers or {}
+    parse = [parsers.get(name, _parse_float) for name in columns]
+    t_col = columns.index("timestamp") if "timestamp" in columns else None
+    rows: list[list] = []
+    for i, line in enumerate(lines[2:], start=3):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise SchemaError(f"expected {len(columns)} fields, got {len(parts)}", path, i)
+        row = [f(text, name, path, i) for f, text, name in zip(parse, parts, columns)]
+        if t_col is not None and rows and row[t_col] <= rows[-1][t_col]:
+            raise SchemaError(
+                f"timestamp {parts[t_col]} does not follow {rows[-1][t_col]:.9f}", path, i
+            )
+        rows.append(row)
+    return rows
+
+
+def _load_jsonl(path, tag: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header:
+            raise SchemaError("empty file", path, 1)
+        _check_jsonl_header(_decode_json(header, "header line", path, 1), tag, path)
+        for i, line in enumerate(fh, start=2):
+            if line != "\n":
+                yield i, _decode_json(line, "record", path, i)
+
+
+def _finite_numbers(values, name: str) -> np.ndarray:
+    values = list(values)
+    if set(map(type, values)) <= {int, float}:
+        try:
+            out = np.array(values, dtype=float)
+        except OverflowError:  # an integer literal beyond the float range
+            out = np.full(len(values), math.inf)
+        if np.isfinite(out).all():
+            return out
+    for value in values:
+        finite_number(value, name)  # raises on the first bad value
+
+
+def _points(points: list, keys) -> tuple[np.ndarray, list[tuple]]:
+    """(4, n) polar values of a record's JSON points, and a tuple per one of `keys`."""
+    if type(points) is not list:
+        raise ValueError(f"points must be a list, got {points!r}")
+    rows = list(map(operator.itemgetter(*POLAR_KEYS, *keys), points))
+    columns = list(zip(*rows)) if rows else [()] * (4 + len(keys))
+    polar = _finite_numbers(chain(*columns[:4]), "point value").reshape(4, -1)
+    if np.count_nonzero(polar[0] < 0):
+        raise ValueError(f"range must be >= 0, got {polar[0].min()}")
+    return polar, columns[4:]
+
+
+def _pairs(column: tuple, key: str) -> np.ndarray:
+    """(n, 2) coordinates of a column of JSON [x, y] pairs."""
+    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {2}):
+        bad = next(p for p in column if not (type(p) is list and len(p) == 2))
+        raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
+    return _finite_numbers(chain.from_iterable(column), "point value").reshape(-1, 2)
+
+
+def _join(chunks, empty: np.ndarray, axis: int = 0) -> np.ndarray:
+    return np.concatenate(chunks, axis=axis) if chunks else empty
+
+
+def _read_scans(path, tag: str, what: str, parse) -> list:
+    """Per-scan columns of a JSONL scan file: line, time, sensor id, then the values
+    `parse(record)` returns.  Each sensor's scans must follow one another in time."""
+    rows, last_t = [], {}
+    for i, rec in _load_jsonl(path, tag):
+        try:
+            row = (i, finite_number(rec["t"], "t"), json_string(rec["sensor_id"], "sensor_id"),
+                   *parse(rec))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # idx beyond int64
+            raise SchemaError(f"bad {what} record: {exc}", path, i) from None
+        t, sensor_id = row[1], row[2]
+        prev = last_t.get(sensor_id, -math.inf)
+        if t <= prev:
+            raise SchemaError(f"scan t={t:.9f} of sensor {sensor_id!r} does not follow "
+                              f"t={prev:.9f}", path, i)
+        last_t[sensor_id] = t
+        rows.append(row)
+    return [list(column) for column in zip(*rows)] if rows else None
+
+
+def read_radar_jsonl(path) -> ScanTable:
+    columns = _read_scans(path, RADAR_TAG, "radar", lambda rec: _points(rec["points"], ())[:1])
+    _, times, sensors, polar = columns or ([], [], [], [])
+    offsets = scan_offsets([p.shape[1] for p in polar])
+    detections = Detections(*_join(polar, np.empty((4, 0)), 1), index=rank_in_scan(offsets))
+    return ScanTable(times, sensors, offsets, detections)
+
+
+def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
+    out: dict[tuple[float, int], str] = {}
+    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
+        try:
+            t = finite_number(rec["t"], "t")
+            key, label = (round(t, 9), _point_index(rec["idx"])), rec["label"]
+            if label not in (LABEL_VRU, LABEL_CLUTTER):
+                raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"bad label record: {exc}", path, i) from None
+        if key in out:
+            raise SchemaError(f"repeated label for t={key[0]:.9f} point {key[1]}", path, i)
+        out[key] = label
+    return out
+
+
+def _labeled_record(rec: dict) -> tuple:
+    state = [finite_number(rec["vru_state"][k], k) for k in STATE_KEYS]
+    if state[3] < 0:
+        raise ValueError(f"speed must be >= 0, got {state[3]}")
+    bounding = [math.nan] * 5
+    if rec.get("bounding") is not None:
+        bounding = [finite_number(rec["bounding"][k], k) for k in BOUNDING_KEYS]
+        if min(bounding[2:4]) <= 0:
+            raise ValueError("ellipse axes must be > 0")
+    polar, (idx, ego, glob) = _points(rec["assigned"] + rec["rejected"], ("idx", "ego", "global"))
+    if not set(map(type, idx)) <= {int}:
+        _point_index(next(v for v in idx if type(v) is not int))
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"point idx {next(v for v in idx if idx.count(v) > 1)} appears more "
+                         "than once")
+    return ((json_string(rec["track_id"], "track_id"), VruKind(rec["vru_kind"])),
+            len(rec["assigned"]), state, bounding, polar, np.array(idx, dtype=np.int64),
+            _pairs(ego, "ego"), _pairs(glob, "global"))
+
+
+def read_labeled_jsonl(path) -> LabeledTable:
+    """The labeled scans of one track; a record naming another track or kind than the
+    first record is a fault at its line."""
+    first = []
+
+    def parse(rec):
+        row = _labeled_record(rec)
+        first[:] = first or [row[0]]
+        if row[0] != first[0]:
+            raise ValueError(f"track {row[0][0]!r} ({row[0][1].value}) differs from the first "
+                             f"record's {first[0][0]!r} ({first[0][1].value})")
+        return row
+
+    columns = _read_scans(path, LABELED_TAG, "labeled", parse)
+    _, times, sensors, tracks, n_assigned, states, boundings, polar, index, ego, glob = (
+        columns or [[]] * 11)
+    track_id, vru_kind = tracks[0] if tracks else ("", VruKind.PEDESTRIAN)
+    pairs = np.empty((0, 2))
+    return LabeledTable(
+        timestamp=times,
+        sensor_id=sensors,
+        offsets=scan_offsets([p.shape[1] for p in polar]),
+        detections=Detections(*_join(polar, np.empty((4, 0)), 1),
+                              index=_join(index, np.empty(0, dtype=np.int64)),
+                              ego=_join(ego, pairs), global_xy=_join(glob, pairs)),
+        n_assigned=np.array(n_assigned, dtype=np.int64),
+        vru_state=np.array(states, dtype=float).reshape(-1, 5),
+        bounding=np.array(boundings, dtype=float).reshape(-1, 5),
+        track_id=track_id,
+        vru_kind=vru_kind,
+    )
+
+
+# --- File writers ---------------------------------------------------------------
+
+def _fmt(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return repr(float(v))
+
+
+def write_table(path, tag: str, columns, rows) -> None:
+    """A versioned CSV table, formatted field by field."""
+    fmts = [(lambda t: f"{t:.9f}") if name == "timestamp" else _fmt for name in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# format={tag}\n{','.join(columns)}\n")
+        for row in rows:
+            fh.write(",".join([f(v) for f, v in zip(fmts, row, strict=True)]) + "\n")
+
+
+def _polar_rows(d, *pairs) -> list[list[float]]:
+    return np.column_stack([d.range_m, d.azimuth, d.radial_velocity, d.amplitude,
+                            *pairs]).tolist()
+
+
+def radar_records(scans: ScanTable) -> list[dict]:
+    """The records of a radar file, one dict per scan."""
+    values, offsets = _polar_rows(scans.detections), scans.offsets.tolist()
+    return [{"t": round(t, 9), "sensor_id": sensor_id,
+             "points": [dict(zip(POLAR_KEYS, row)) for row in values[offsets[k]:offsets[k + 1]]]}
+            for k, (t, sensor_id) in enumerate(zip(scans.timestamp.tolist(),
+                                                   scans.sensor_id.tolist()))]
+
+
+def truth_label_records(labels) -> list[dict]:
+    return [{"t": round(t, 9), "idx": idx, "label": label} for t, idx, label in labels]
+
+
+def labeled_records(scans: LabeledTable) -> list[dict]:
+    """The records of a labeled file, one dict per scan."""
+    d = scans.detections
+    values, index = _polar_rows(d, d.ego, d.global_xy), d.index.tolist()
+
+    def points(lo: int, hi: int) -> list[dict]:
+        return [{"idx": i, "range": r, "azimuth": a, "vr": v, "amp": p, "ego": [ex, ey],
+                 "global": [gx, gy]}
+                for i, (r, a, v, p, ex, ey, gx, gy) in zip(index[lo:hi], values[lo:hi])]
+
+    offsets, mids = scans.offsets.tolist(), (scans.offsets[:-1] + scans.n_assigned).tolist()
+    scan_values = zip(scans.timestamp.tolist(), scans.sensor_id.tolist(),
+                      scans.vru_state.tolist(), scans.bounding.tolist())
+    return [{"t": round(t, 9), "track_id": scans.track_id, "vru_kind": scans.vru_kind.value,
+             "sensor_id": sensor_id, "assigned": points(offsets[k], mids[k]),
+             "rejected": points(mids[k], offsets[k + 1]),
+             "bounding": None if math.isnan(bounding[0]) else dict(zip(BOUNDING_KEYS, bounding)),
+             "vru_state": dict(zip(STATE_KEYS, state))}
+            for k, (t, sensor_id, state, bounding) in enumerate(scan_values)]
+
+
+def jsonl_text(tag: str, records) -> str:
+    """A JSONL file of `records` under the header of `tag`, written record by record."""
+    return "".join(json.dumps(rec) + "\n" for rec in [{"format": tag}, *records])

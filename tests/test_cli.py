@@ -396,10 +396,10 @@ def test_every_output_table_reads_back(sim_dir, labeled_path, tmp_path, capsys):
     tracked = json.loads(capsys.readouterr().out)["tracked_scans"]
     assert main(["signature", "--labeled", str(labeled_path), "--out", str(sig)]) == 0
 
-    def text(value, *_):
-        return value
+    def text(texts, _name):
+        return list(texts)
 
-    optional = io._parse_optional_float
+    optional = io._parse_optional_floats
     hist = ("vruradar.histogram.v1", "bin_left,bin_right,count", {})
     tables = {
         ev / "scores.csv": ("vruradar.scores.v1", "averaging,tp,fp,fn,precision,recall",
@@ -623,3 +623,17 @@ def test_nearest_state_index_matches_argmin():
     argmin = [min(range(len(times)), key=lambda i: abs(times[i] - t)) for t in stamps]
     assert cli._nearest(times, stamps).tolist() == argmin
     assert cli._nearest([2.0], [1.0, 3.0]).tolist() == [0, 0]
+
+
+def test_evaluate_rejects_an_unknown_truth_label(tmp_path, sim_dir, labeled_path, capsys):
+    bad = tmp_path / "truth_labels.jsonl"
+    lines = (sim_dir / "truth_labels.jsonl").read_text().splitlines()
+    lines[6] = lines[6].replace('"label": "vru"', '"label": null').replace(
+        '"label": "clutter"', '"label": null')
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["evaluate", "--labeled", str(labeled_path), "--truth-labels", str(bad),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert f"{bad}:7: bad label record: label must be 'vru' or 'clutter', got None" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "eval" / "scores.csv").exists()

@@ -1,0 +1,320 @@
+"""The block codecs of `io` against the record-by-record readers and writers they replaced.
+
+A reader must return the reference reader's table, or raise a SchemaError at
+the same line, with the same message when the file holds one fault.  A writer
+must write the bytes that json.dumps of the reference records, or the
+reference field-by-field CSV writer, gives; and write -> read -> write must
+repeat them.  Blocks are made small as well, so that faults and scans fall on
+both sides of block boundaries.
+"""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import reference as ref
+from vruradar import io
+from vruradar.annotation import LabeledTable, annotate_scenario
+from vruradar.core import Detections, ScanTable, VruKind, scan_offsets
+from vruradar.simulator import preset, simulate_scenario
+from vruradar.trajectory import build_trajectory
+
+CSV = {  # kind -> (tag, columns, block parsers, reference field parsers)
+    "gnss": (io.GNSS_TAG, io.GNSS_COLUMNS, {"quality": io._parse_qualities},
+             {"quality": ref.parse_quality}),
+    "imu": (io.IMU_TAG, io.IMU_COLUMNS, {"yaw": io._parse_optional_floats},
+            {"yaw": ref.parse_optional_float}),
+    "traj": (io.TRAJ_TAG, io.TRAJ_COLUMNS, {}, {}),
+}
+JSONL = {  # kind -> (reader, reference reader)
+    "radar": (io.read_radar_jsonl, ref.read_radar_jsonl),
+    "labeled": (io.read_labeled_jsonl, ref.read_labeled_jsonl),
+    "truth_labels": (io.read_truth_labels_jsonl, ref.read_truth_labels_jsonl),
+}
+RAW_VALUES = ["NaN", "1e400", '"5"', "true", "null", "{}"]
+CSV_VALUES = ["nan", "1e400", "x", "", "true", "5"]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The text of a small real file of each format: a 4 s drive, simulated and annotated."""
+    cfg = replace(preset("pedestrian-nominal", seed=7), duration=4.0)
+    data = simulate_scenario(cfg)
+    labeled = annotate_scenario(data.scans, build_trajectory(data.gnss), cfg.vru_kind,
+                                cfg.mounts, cfg.ego_pose).scans
+    rows = {
+        "gnss": [(s.timestamp, s.x, s.y, s.quality.value) for s in data.gnss],
+        "imu": [(s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in data.imu],
+        "traj": [(s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate)
+                 for s in data.truth],
+    }
+    out = {
+        "radar": ref.jsonl_text(io.RADAR_TAG, ref.radar_records(data.scans)),
+        "labeled": ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(labeled)),
+        "truth_labels": ref.jsonl_text(io.TRUTH_LABELS_TAG, ref.truth_label_records(data.labels)),
+    }
+    path = tmp_path_factory.mktemp("files") / "table.csv"
+    for kind, (tag, columns, _, _) in CSV.items():
+        ref.write_table(path, tag, columns, rows[kind])
+        out[kind] = path.read_text(encoding="utf-8")
+    return out
+
+
+def _paths(value, path=()):
+    """The path of every value inside a decoded JSON value, containers included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+def _get(rec, path):
+    for key in path:
+        rec = rec[key]
+    return rec
+
+
+def _set(rec, path, value):
+    _get(rec, path[:-1])[path[-1]] = value
+
+
+def _mutate_jsonl(lines: list[str], kind: str, data) -> None:
+    """Apply one random fault to the lines of a JSONL file, in place."""
+    k = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "swap", "duplicate", "inject", "remove", "big-idx",
+                                    "repeat-idx", "negative-range", "backward"]))
+    if op == "drop":
+        del lines[k]
+        return
+    if op == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+        return
+    if op == "duplicate":
+        lines.insert(k, lines[k])
+        return
+    rec = json.loads(lines[k])
+    paths = [p for p in _paths(rec) if p]
+    keys = [p for p in paths if isinstance(p[-1], str)]
+    if op == "inject" and paths:
+        _set(rec, data.draw(st.sampled_from(paths)), "@raw@")
+        lines[k] = json.dumps(rec).replace('"@raw@"', data.draw(st.sampled_from(RAW_VALUES)))
+        return
+    points = [p for p in paths if p[-1] == "idx"]
+    if op == "remove" and keys:
+        path = data.draw(st.sampled_from(keys))
+        del _get(rec, path[:-1])[path[-1]]
+    elif op == "big-idx" and points:
+        _set(rec, data.draw(st.sampled_from(points)), 2**63)
+    elif op == "repeat-idx" and len(points) > 1:
+        a, b = data.draw(st.lists(st.sampled_from(points), min_size=2, max_size=2, unique=True))
+        _set(rec, b, _get(rec, a))
+    elif op == "negative-range":
+        ranges = [p for p in paths if p[-1] == "range"]
+        if ranges:
+            _set(rec, data.draw(st.sampled_from(ranges)), -0.5)
+    elif op == "backward" and "t" in rec:
+        _set(rec, ("t",), rec["t"] - data.draw(st.sampled_from([0.05, 0.2, 1.0])))
+    lines[k] = json.dumps(rec)
+
+
+def _mutate_csv(lines: list[str], data) -> None:
+    """Apply one random fault to the lines of a CSV file, in place."""
+    k = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "swap", "duplicate", "inject", "remove",
+                                    "backward"]))
+    fields = lines[k].split(",")
+    if op == "drop":
+        del lines[k]
+    elif op == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1))
+        lines[k], lines[j] = lines[j], lines[k]
+    elif op == "duplicate":
+        lines.insert(k, lines[k])
+    elif op == "inject":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(CSV_VALUES))
+        lines[k] = ",".join(fields)
+    elif op == "remove":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+        lines[k] = ",".join(fields)
+    elif k > 2:
+        fields[0] = lines[k - 1].split(",")[0]
+        lines[k] = ",".join(fields)
+
+
+def _outcome(read, path):
+    try:
+        return True, read(path)
+    except io.SchemaError as exc:
+        return False, (exc.line, str(exc))
+
+
+def assert_same_table(a, b) -> None:
+    if isinstance(a, ScanTable):
+        assert type(a) is type(b)
+        for name in ("timestamp", "sensor_id", "offsets"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.detections == b.detections
+        if isinstance(a, LabeledTable):
+            assert np.array_equal(a.n_assigned, b.n_assigned)
+            assert np.array_equal(a.vru_state, b.vru_state)
+            assert np.array_equal(a.bounding, b.bounding, equal_nan=True)
+            assert (a.track_id, a.vru_kind) == (b.track_id, b.vru_kind)
+    else:
+        assert a == b
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from([*JSONL, *CSV]), faults=st.integers(1, 3),
+       block=st.sampled_from([5, 64, io._BLOCK]), data=st.data())
+def test_readers_match_the_reference_readers(files, tmp_path_factory, kind, faults, block, data):
+    lines = files[kind].splitlines()
+    for _ in range(faults):
+        _mutate_csv(lines, data) if kind in CSV else _mutate_jsonl(lines, kind, data)
+    path = tmp_path_factory.mktemp(kind) / f"{kind}.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if kind in CSV:
+        tag, columns, parsers, ref_parsers = CSV[kind]
+        read = lambda p: io.read_table(p, tag, columns, parsers)  # noqa: E731
+        read_ref = lambda p: ref.read_table(p, tag, columns, ref_parsers)  # noqa: E731
+    else:
+        read, read_ref = JSONL[kind]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        ok, got = _outcome(read, path)
+    ok_ref, expected = _outcome(read_ref, path)
+    assert ok == ok_ref, (got, expected)
+    if ok:
+        assert_same_table(got, expected)
+    else:
+        assert got[0] == expected[0], (got, expected)
+        if faults == 1:
+            assert got[1] == expected[1]
+
+
+# --- Writers ---------------------------------------------------------------------
+
+SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.0 / 3.0]
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL)
+ids = st.text(alphabet='ab"\\é\u00fc\u4e2d\n', min_size=1, max_size=4)
+
+
+@st.composite
+def scan_tables(draw, labeled: bool, readable: bool = True):
+    """A radar or labeled table of a few scans, some of them empty or without assigned rows.
+
+    A readable table has increasing scan times and values the readers accept."""
+    value = finite if readable else finite | st.sampled_from([math.nan, math.inf, -math.inf])
+    positive = st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1e16, 1e-7])
+    counts = draw(st.lists(st.integers(0, 4), max_size=6))
+    times = sorted(draw(st.lists(finite, min_size=len(counts), max_size=len(counts),
+                                 unique_by=lambda t: round(t, 9))), key=lambda t: round(t, 9))
+    sensors = draw(st.lists(ids, min_size=len(counts), max_size=len(counts)))
+    n = sum(counts)
+    cols = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(8)]
+    cols[0] = list(map(abs, cols[0]))  # a table holds no negative range
+    index = [draw(st.lists(st.integers(-2**63, 2**63 - 1) | st.just(2**53 + 1), min_size=c,
+                           max_size=c, unique=True)) for c in counts]
+    d = Detections(*cols[:4], index=[i for scan in index for i in scan],
+                   ego=np.reshape(cols[4:6], (2, -1)).T, global_xy=np.reshape(cols[6:], (2, -1)).T)
+    offsets = scan_offsets(counts)
+    if not labeled:
+        return ScanTable(times, sensors, offsets, replace(d, ego=None, global_xy=None))
+    n_assigned = [draw(st.integers(0, c)) for c in counts]
+    state = [draw(st.lists(value, min_size=5, max_size=5)) for _ in counts]
+    for row in state:
+        row[3] = abs(row[3])
+    bounding = [[*draw(st.lists(value, min_size=2, max_size=2)),
+                 *draw(st.lists(positive, min_size=2, max_size=2)), draw(value)] if a else
+                [math.nan] * 5 for a in n_assigned]
+    return LabeledTable(times, sensors, offsets, d, n_assigned, np.reshape(state, (-1, 5)),
+                        np.reshape(bounding, (-1, 5)), draw(ids),
+                        draw(st.sampled_from(list(VruKind))))
+
+
+def _written(write, path, table) -> str:
+    write(path, table)
+    return path.read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=scan_tables(labeled=False, readable=False), block=st.sampled_from([3, io._BLOCK]))
+def test_radar_writer_writes_the_reference_bytes(tmp_path_factory, table, block):
+    path = tmp_path_factory.mktemp("radar") / "radar.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        text = _written(io.write_radar_jsonl, path, table)
+    assert text == ref.jsonl_text(io.RADAR_TAG, ref.radar_records(table))
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=scan_tables(labeled=True, readable=False), block=st.sampled_from([3, io._BLOCK]))
+def test_labeled_writer_writes_the_reference_bytes(tmp_path_factory, table, block):
+    path = tmp_path_factory.mktemp("labeled") / "labeled.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        text = _written(io.write_labeled_jsonl, path, table)
+    assert text == ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(table))
+
+
+@settings(max_examples=50, deadline=None)
+@given(labeled=st.booleans(), data=st.data())
+def test_scan_files_survive_write_read_write(tmp_path_factory, labeled, data):
+    table = data.draw(scan_tables(labeled=labeled))
+    write = io.write_labeled_jsonl if labeled else io.write_radar_jsonl
+    read = io.read_labeled_jsonl if labeled else io.read_radar_jsonl
+    path = tmp_path_factory.mktemp("scans") / "scans.jsonl"
+    first = _written(write, path, table)
+    assert _written(write, path, read(path)) == first
+
+
+@settings(max_examples=120, deadline=None)
+@given(scans=st.lists(st.tuples(finite | st.integers(-3, 3) | st.sampled_from([math.nan]),
+                                st.integers(0, 4), st.booleans()), max_size=8),
+       labels=st.lists(st.sampled_from(["vru", "clutter", 'x"\u00e9']), min_size=4, max_size=4),
+       block=st.sampled_from([2, io._BLOCK]))
+def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, labels, block):
+    rows = []  # points of a shared-time scan hold one time object, as the simulator's do
+    for t, n, shared in scans:
+        rows += [(t if shared or type(t) is not float else float(repr(t)), i, labels[i % 4])
+                 for i in range(n)]
+    path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        text = _written(io.write_truth_labels_jsonl, path, rows)
+    assert text == ref.jsonl_text(io.TRUTH_LABELS_TAG, ref.truth_label_records(rows))
+
+
+cells = (finite | st.sampled_from([math.nan, math.inf]) | st.integers(-2**70, 2**70)
+         | st.builds(np.float64, finite) | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+         | st.none() | st.text(alphabet="ab\u00e9", max_size=3) | st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=st.lists(st.sampled_from(["timestamp", "x", "n", "name"]), min_size=1,
+                        max_size=4, unique=True),
+       data=st.data(), block=st.sampled_from([2, io._BLOCK]))
+def test_table_writer_writes_the_reference_bytes(tmp_path_factory, columns, data, block):
+    timestamps = st.floats(-1e9, 1e9) | st.integers(-10**6, 10**6)
+    rows = data.draw(st.lists(st.tuples(*(timestamps if c == "timestamp" else cells
+                                          for c in columns)), max_size=7))
+    d = tmp_path_factory.mktemp("table")
+    ref.write_table(d / "ref.csv", "vruradar.test.v1", columns, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        io.write_table(d / "new.csv", "vruradar.test.v1", columns, iter(rows))
+    assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", list(CSV))
+def test_csv_files_survive_write_read_write(tmp_path, files, kind):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(files[kind], encoding="utf-8")
+    samples = getattr(io, f"read_{kind}_csv")(path)
+    getattr(io, f"write_{kind}_csv")(path, samples)
+    assert path.read_text(encoding="utf-8") == files[kind]

@@ -488,3 +488,31 @@ def test_jsonl_readers_require_finite_json_point_values(tmp_path, small_scenario
     with pytest.raises(io.SchemaError, match="point value must be a finite number") as err:
         getattr(io, f"read_{kind}_jsonl")(path)
     assert (err.value.path, err.value.line) == (path, line)
+
+
+# A label or id is never coerced with str(): null would become "None" and 1 "1", and a
+# point labeled "VRU " would be scored as clutter without an error.
+@pytest.mark.parametrize("raw", ["null", '"VRU "', "1", '"Vru"', "true"])
+def test_truth_labels_reader_requires_a_known_label(tmp_path, small_scenario, raw):
+    path = tmp_path / "labels.jsonl"
+    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    _set_raw(path, 4, ("label",), raw)
+    with pytest.raises(io.SchemaError, match="label must be 'vru' or 'clutter'") as err:
+        io.read_truth_labels_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, 4)
+
+
+@pytest.mark.parametrize("raw", ["null", "1", "true", '["r"]'])
+@pytest.mark.parametrize("kind,key", [("radar", "sensor_id"), ("labeled", "sensor_id"),
+                                      ("labeled", "track_id")])
+def test_scan_readers_require_string_ids(tmp_path, small_scenario, labeled_result, kind, key,
+                                         raw):
+    path = tmp_path / f"{kind}.jsonl"
+    if kind == "radar":
+        io.write_radar_jsonl(path, small_scenario.scans)
+    else:
+        io.write_labeled_jsonl(path, labeled_result.scans)
+    _set_raw(path, 4, (key,), raw)
+    with pytest.raises(io.SchemaError, match=f"{key} must be a string") as err:
+        getattr(io, f"read_{kind}_jsonl")(path)
+    assert (err.value.path, err.value.line) == (path, 4)

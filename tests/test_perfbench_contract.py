@@ -1,14 +1,18 @@
-"""The names and result fields that perfbench/tracer.py relies on still exist.
+"""The names and result fields that perfbench/tracer.py relies on still exist, and the
+files the CLI writes pass perfbench/run.py's own output checks.
 
 `perfbench/run.py --trace 1` wraps package functions by name and counts
 fields of their return values.  These checks load tracer.py without running
 it, so a renamed function or a changed result type fails here in seconds
-instead of in a traced benchmark run.
+instead of in a traced benchmark run.  A short traced pipeline then runs the
+real commands and checks their files as the benchmark does, so that a change
+the benchmark would refuse as incorrect output fails here too.
 """
 
 import importlib
 import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,15 +25,20 @@ from vruradar.signature import accumulate
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_fused_trajectory
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it executes
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_and_counted_name_resolves(tracer):
@@ -94,3 +103,20 @@ def test_counted_update_sees_every_tracker_update(tracer, small_run, monkeypatch
         monkeypatch.setattr(module, fname, counting.counter(name, getattr(module, fname)))
     run_tracker(tracker_scans, TrackerParams())
     assert counting.counts == {"eot.updates": len(tracker_scans) - 1}
+
+
+def test_traced_pipeline_passes_the_benchmark_output_checks(tmp_path):
+    # An 8 s drive shaped like the sparse-long workload: both annotate modes,
+    # evaluate --compare, signature and track against the truth trajectory.
+    run = _load("run")
+    sparse = run.WORKLOADS["sparse-long"]
+    w = replace(sparse, scenario={**sparse.scenario, "duration": 8.0})
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**w.scenario, "seed": 0}), encoding="utf-8")
+    tally = run.Tally()
+    p = run.run_pipeline(w, cfg, tmp_path / "p", run.child_env(), True, tally)
+    assert p is not None and not tally.failed, tally.failed
+    run.check_outputs(w, p, tmp_path / "p" / "out", tally)
+    # Precision and recall bounds are the benchmark's to judge on its full-length drives.
+    formats = [name for name in tally.failed if "precision" not in name and "recall" not in name]
+    assert tally.attempted - len(p.invocations) >= 4 and not formats, formats
