@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    GLOBAL,
     Detections,
     Pose,
     ScanTable,
     SensorMount,
     VruKind,
     ego_to_global,
+    mounts_by_id,
     polar_to_ego,
     rank_in_scan,
     to_local,
@@ -32,7 +32,7 @@ from .selection import (
     cyclist_rectangle,
     pedestrian_ellipse,
 )
-from .trajectory import ReferenceTrajectory, TrajectoryState
+from .trajectory import ReferenceTrajectory
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class LabeledScan:
     assigned: Detections
     rejected: Detections
     bounding: OrientedEllipse | None
-    vru_state: TrajectoryState
+    vru_state: np.ndarray  # (5,) x, y, yaw, speed, yaw rate
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +74,12 @@ class LabeledTable(ScanTable):
 
     def __getitem__(self, k: int) -> LabeledScan:
         lo, mid, hi = self.offsets[k], self.offsets[k] + self.n_assigned[k], self.offsets[k + 1]
-        t = float(self.timestamp[k])
-        x, y, yaw, speed, yaw_rate = self.vru_state[k].tolist()
         cx, cy, major, minor, orientation = self.bounding[k].tolist()
         ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
                                                                  orientation)
-        return LabeledScan(t, self.track_id, self.vru_kind, str(self.sensor_id[k]),
-                           self.detections[lo:mid], self.detections[mid:hi], ellipse,
-                           TrajectoryState(t, Pose(x, y, yaw, frame=GLOBAL), speed, yaw_rate))
+        return LabeledScan(float(self.timestamp[k]), self.track_id, self.vru_kind,
+                           str(self.sensor_id[k]), self.detections[lo:mid],
+                           self.detections[mid:hi], ellipse, self.vru_state[k])
 
 
 @dataclass(frozen=True)
@@ -99,9 +97,12 @@ def annotate_scenario(
     *,
     track_id: str = "vru-0",
 ) -> AnnotationResult:
-    """Label every scan against the reference track, in (timestamp, sensor) order."""
+    """Label every scan against the reference track, in (timestamp, sensor) order.
+
+    A ValueError names a sensor that `mounts` lists more than once.
+    """
     if isinstance(mounts, (list, tuple)):
-        mounts = {m.sensor_id: m for m in mounts}
+        mounts = mounts_by_id(mounts)
     if not mounts:
         raise ValueError("at least one sensor mount is required")
     order = np.lexsort((scans.sensor_id, scans.timestamp))

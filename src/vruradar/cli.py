@@ -17,7 +17,7 @@ import numpy as np
 
 from . import eot, evaluation, io, signature
 from .annotation import annotate_scenario
-from .core import VruKind, compose_pose
+from .core import VruKind, compose_pose, mounts_by_id, table
 from .simulator import (
     BODY_SIGMA,
     PRESET_NAMES,
@@ -162,7 +162,7 @@ def cmd_simulate(args) -> int:
     io.write_gnss_csv(out / "gnss.csv", data.gnss)
     io.write_imu_csv(out / "imu.csv", data.imu)
     io.write_radar_jsonl(out / "radar.jsonl", data.scans)
-    io.write_truth_labels_jsonl(out / "truth_labels.jsonl", data.labels)
+    io.write_truth_labels_jsonl(out / "truth_labels.jsonl", data.scans, data.is_vru)
     io.write_traj_csv(out / "truth_traj.csv", data.truth)
     counts = {
         "gnss_samples": len(data.gnss),
@@ -216,18 +216,15 @@ def cmd_annotate(args) -> int:
 
 def _write_histogram_csv(path, values) -> None:
     hist = evaluation.histogram(values, 0.05, (0.0, values.max() + 1e-9))
-    rows = zip(hist.edges[:-1], hist.edges[1:], hist.counts)
-    io.write_table(path, "vruradar.histogram.v1", ("bin_left", "bin_right", "count"), rows)
+    io.write_table(path, "vruradar.histogram.v1", table(
+        ("bin_left", "bin_right", "count"), (hist.edges[:-1], hist.edges[1:], hist.counts)))
 
 
-CYCLE_COLUMNS = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
-                 "conf_minor", "weighted_count")
-
-
-def _cycle_stats(labeled) -> dict[str, np.ndarray]:
-    """Columns of `evaluation.cycle_stats`; empty when no scan has assigned detections."""
-    stats = evaluation.cycle_stats(labeled) if labeled.n_assigned.any() else None
-    return {name: np.empty(0) if stats is None else getattr(stats, name) for name in CYCLE_COLUMNS}
+def _cycle_stats(labeled) -> np.ndarray:
+    """`evaluation.cycle_stats`; no rows when no scan has assigned detections."""
+    if labeled.n_assigned.any():
+        return evaluation.cycle_stats(labeled)
+    return table(evaluation.CYCLE_COLUMNS, [np.empty(0)] * len(evaluation.CYCLE_COLUMNS))
 
 
 def cmd_evaluate(args) -> int:
@@ -236,21 +233,14 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = evaluation.per_scan_counts(labeled, truth)
-    scores = [
-        (avg.value, evaluation.score_from_counts(counts, avg))
-        for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)
-    ]
-    io.write_table(
-        out / "scores.csv",
-        "vruradar.scores.v1",
-        ("averaging", "tp", "fp", "fn", "precision", "recall"),
-        ((name, s.tp, s.fp, s.fn, s.precision, s.recall) for name, s in scores),
-    )
+    scores = [(avg.value, *dataclasses.astuple(evaluation.score_from_counts(counts, avg)))
+              for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)]
+    io.write_table(out / "scores.csv", "vruradar.scores.v1", table(
+        ("averaging", "tp", "fp", "fn", "precision", "recall"), list(zip(*scores))))
     stats = _cycle_stats(labeled)
     # An undefined confidence ellipse is NaN in memory and an empty field on file.
-    written = [np.where(np.isnan(col), None, col).tolist() for col in stats.values()]
-    io.write_table(out / "cycle_stats.csv", "vruradar.cycle-stats.v1", CYCLE_COLUMNS,
-                   zip(*written))
+    io.write_table(out / "cycle_stats.csv", "vruradar.cycle-stats.v1",
+                   io.with_missing(stats, "conf_major", "conf_minor"))
     for name in ("conf_minor", "doppler_std"):
         values = stats[name][~np.isnan(stats[name])]
         if len(values):
@@ -258,15 +248,15 @@ def cmd_evaluate(args) -> int:
     if args.compare is not None:
         other_stats = _cycle_stats(io.read_labeled_jsonl(args.compare))
         rows = []
-        for name in CYCLE_COLUMNS[2:]:
+        for name in evaluation.CYCLE_COLUMNS[2:]:
             a, b = (s[name][~np.isnan(s[name])] for s in (stats, other_stats))
             if len(a) >= 2 and len(b) >= 2:
                 res = evaluation.welch_t_test(a, b)
                 rows.append((name, res.t, res.dof, res.p_two_sided))
-        io.write_table(
-            out / "ttests.csv", "vruradar.ttests.v1", ("statistic", "t", "dof", "p_two_sided"), rows
-        )
-    report = {"scans": len(labeled), "cycles_with_detections": len(stats["timestamp"])}
+        columns = ("statistic", "t", "dof", "p_two_sided")
+        io.write_table(out / "ttests.csv", "vruradar.ttests.v1",
+                       table(columns, list(zip(*rows)) or [[]] * len(columns)))
+    report = {"scans": len(labeled), "cycles_with_detections": len(stats)}
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
@@ -276,8 +266,8 @@ def cmd_signature(args) -> int:
     states = None
     if args.truth_traj is not None:
         truth = io.read_traj_csv(args.truth_traj)
-        rows = np.array([(s.pose.x, s.pose.y, s.pose.yaw) for s in truth]).reshape(-1, 3)
-        states = rows[_nearest([s.timestamp for s in truth], labeled.timestamp)]
+        rows = np.column_stack([truth["x"], truth["y"], truth["yaw"]])
+        states = rows[_nearest(truth["timestamp"], labeled.timestamp)]
     grid = signature.accumulate(
         labeled,
         resolution=args.resolution,
@@ -303,7 +293,7 @@ def cmd_signature(args) -> int:
 
 def _tracker_scans_from_labeled(labeled, meta) -> list[eot.TrackerScan]:
     """One tracker input per scan with assigned points: slices of the run's columns."""
-    mounts = {m.sensor_id: m for m in meta["mounts"]}
+    mounts = mounts_by_id(meta["mounts"])
     keep = np.flatnonzero(labeled.n_assigned)
     unknown = set(labeled.sensor_id[keep].tolist()) - set(mounts)
     if unknown:
@@ -332,24 +322,14 @@ def _nearest(times, timestamps) -> np.ndarray:
     return after - (timestamps - times[after - 1] <= times[after] - timestamps)
 
 
-def truth_track_points(truth_states, timestamps, body_extent) -> list[eot.TrackPoint]:
-    """Ground-truth rows aligned with tracker output timestamps."""
+def truth_track_points(truth: np.ndarray, timestamps, body_extent) -> np.ndarray:
+    """A track table of the truth trajectory's rows nearest the given timestamps, at them."""
+    nearest = truth[_nearest(truth["timestamp"], timestamps)]
     length, width = body_extent
-    return [
-        eot.TrackPoint(
-            timestamp=t,
-            x=s.pose.x,
-            y=s.pose.y,
-            speed=s.speed,
-            heading=s.pose.yaw,
-            yaw_rate=s.yaw_rate,
-            length=length,
-            width=width,
-            orientation=s.pose.yaw,
-        )
-        for t, k in zip(timestamps, _nearest([s.timestamp for s in truth_states], timestamps))
-        for s in (truth_states[k],)
-    ]
+    n = len(nearest)
+    return table(eot.TRACK_COLUMNS, (
+        timestamps, nearest["x"], nearest["y"], nearest["speed"], nearest["yaw"],
+        nearest["yaw_rate"], np.full(n, length), np.full(n, width), nearest["yaw"]))
 
 
 def _body_extent_for_kind(kind: VruKind) -> tuple[float, float]:
@@ -365,33 +345,15 @@ def cmd_track(args) -> int:
     points = eot.run_tracker(scans, eot.TrackerParams(), use_doppler=args.use_doppler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = ("timestamp", "x", "y", "speed", "heading", "yaw_rate", "length", "width",
-               "orientation")
-    io.write_table(
-        out / "track.csv",
-        "vruradar.track.v1",
-        columns,
-        ([getattr(p, name) for name in columns] for p in points),
-    )
+    io.write_table(out / "track.csv", "vruradar.track.v1", points[list(eot.TRACK_COLUMNS)])
     report = {"tracked_scans": len(points), "use_doppler": bool(args.use_doppler)}
-    if args.truth_traj is not None and points:
-        truth_states = io.read_traj_csv(args.truth_traj)
-        truth = truth_track_points(
-            truth_states,
-            [p.timestamp for p in points],
-            _body_extent_for_kind(meta["vru_kind"]),
-        )
+    if args.truth_traj is not None and len(points):
+        truth = truth_track_points(io.read_traj_csv(args.truth_traj), points["timestamp"],
+                                   _body_extent_for_kind(meta["vru_kind"]))
         err = eot.tracking_metrics(points, truth)
-        io.write_table(
-            out / "errors.csv",
-            "vruradar.track-errors.v1",
-            ("timestamp", "rmse_centroid", "rmse_length", "rmse_width", "abs_yaw_rate_error",
-             "abs_orientation_error_deg"),
-            zip(err.timestamps, err.rmse_centroid, err.rmse_length, err.rmse_width,
-                err.abs_yaw_rate_error, err.abs_orientation_error_deg),
-        )
-        report["final_rmse_centroid"] = float(err.rmse_centroid[-1])
-    nis = np.array([p.nis for p in points[1:]])
+        io.write_table(out / "errors.csv", "vruradar.track-errors.v1", err)
+        report["final_rmse_centroid"] = float(err["rmse_centroid"][-1])
+    nis = points["nis"][1:]
     line = f"track: {len(nis)} position updates"
     if len(nis):
         line += (f", mean NIS {nis.mean():.3f}, {np.mean(nis <= eot.NIS_95):.1%} at or below"

@@ -42,12 +42,33 @@ def wrap_angle(a: float) -> float:
     return w
 
 
+def wrap_angles(a) -> np.ndarray:
+    """:func:`wrap_angle` of each entry of an array."""
+    a = np.array(a, dtype=float)
+    outside = (a <= -math.pi) | (a > math.pi)
+    a[outside] = list(map(wrap_angle, a[outside].tolist()))
+    return a
+
+
 def fold_axis(angle: float) -> float:
     """Fold a direction into (-pi/2, pi/2]: an axis and its reverse are the same axis."""
     a = math.remainder(angle, math.pi)
     if a <= -math.pi / 2:
         a += math.pi
     return a
+
+
+def table(names, columns) -> np.ndarray:
+    """Equal-length columns as one structured array whose fields carry the given names.
+
+    A time series is such a table, one row per sample, with the column names
+    of its CSV header.
+    """
+    columns = [np.asarray(c) for c in columns]
+    out = np.empty(len(columns[0]), [(name, c.dtype) for name, c in zip(names, columns)])
+    for name, column in zip(names, columns):
+        out[name] = column
+    return out
 
 
 def rotation_matrix(angle: float) -> np.ndarray:
@@ -170,6 +191,16 @@ class SensorMount:
             raise ValueError(f"fov_azimuth must be in (0, pi], got {self.fov_azimuth}")
         if self.max_range <= 0.0:
             raise ValueError(f"max_range must be > 0, got {self.max_range}")
+
+
+def mounts_by_id(mounts) -> dict[str, SensorMount]:
+    """The mounts keyed by sensor id; a ValueError names a sensor that is mounted twice."""
+    out: dict[str, SensorMount] = {}
+    for mount in mounts:
+        if mount.sensor_id in out:
+            raise ValueError(f"sensor {mount.sensor_id!r} has more than one mount")
+        out[mount.sensor_id] = mount
+    return out
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fold_axis, wrap_angle
+from .core import fold_axis, table, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
 # 95% quantile of chi-square with 2 dof (-2 ln 0.05), the bound a consistent filter's position
 # NIS stays within in 95% of updates (Bar-Shalom, Li & Kirubarajan 2001)
 NIS_95 = -2.0 * math.log(0.05)
+# The columns of a track table, as named in the header of track.csv.  run_tracker's tables
+# carry a further `nis` column: the NIS of the update behind each row, NaN on the first row.
+TRACK_COLUMNS = ("timestamp", "x", "y", "speed", "heading", "yaw_rate", "length", "width",
+                 "orientation")
+ERROR_COLUMNS = ("timestamp", "rmse_centroid", "rmse_length", "rmse_width", "abs_yaw_rate_error",
+                 "abs_orientation_error_deg")
 
 
 class ExtentError(RuntimeError):
@@ -313,29 +319,13 @@ class TrackerScan:
     sensor_pos: np.ndarray  # (2,) global
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One row of a tracked (or ground-truth) series."""
-
-    timestamp: float
-    x: float
-    y: float
-    speed: float
-    heading: float
-    yaw_rate: float
-    length: float
-    width: float
-    orientation: float
-    nis: float = math.nan  # of the position update behind this row; NaN on the first row
-
-
 def run_tracker(
     scans: list[TrackerScan],
     params: TrackerParams = TrackerParams(),
     *,
     use_doppler: bool = False,
-) -> list[TrackPoint]:
-    """Drive the filter over a scan sequence and emit one state row per scan.
+) -> np.ndarray:
+    """Drive the filter over a scan sequence and emit a track table, one row per scan.
 
     The track starts on the first non-empty scan; heading and speed are seeded
     from the track displacement once `seed_baseline` seconds have passed, and
@@ -344,7 +334,7 @@ def run_tracker(
     track: RmmTrack | None = None
     seeded = False
     anchor: tuple[float, np.ndarray] | None = None
-    out: list[TrackPoint] = []
+    out: list[tuple[float, ...]] = []
     for scan in scans:
         if len(scan.points) == 0:
             continue
@@ -368,49 +358,38 @@ def run_tracker(
                     seeded = True
         est = extract_extent(track, params.extract_scale)
         x, y, speed, heading, yaw_rate = track.kin.tolist()
-        out.append(TrackPoint(track.timestamp, x, y, speed, heading, yaw_rate, est.length,
-                              est.width, est.orientation, track.nis))
-    return out
+        out.append((track.timestamp, x, y, speed, heading, yaw_rate, est.length, est.width,
+                    est.orientation, track.nis))
+    return np.array(out, dtype=[(name, float) for name in (*TRACK_COLUMNS, "nis")])
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
-    timestamps: np.ndarray
-    rmse_centroid: np.ndarray  # running RMSE up to each step
-    rmse_length: np.ndarray
-    rmse_width: np.ndarray
-    abs_yaw_rate_error: np.ndarray  # per-step absolute errors
-    abs_orientation_error_deg: np.ndarray  # folded modulo pi
-
-
-def tracking_metrics(estimates: list[TrackPoint], truth: list[TrackPoint]) -> ErrorSeries:
-    """Running RMSE and absolute-error series of a track against ground truth."""
+def tracking_metrics(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Running RMSE and absolute-error series of a track table against a ground-truth track
+    table, as a table of ERROR_COLUMNS.  The RMSEs run up to each step, orientation errors
+    are folded modulo pi."""
     if len(estimates) != len(truth):
         raise ValueError("estimate and truth series differ in length")
     if len(estimates) == 0:
         raise ValueError("empty series")
-    for e, g in zip(estimates, truth):
-        if abs(e.timestamp - g.timestamp) > 1e-9:
-            raise ValueError(f"series misaligned at t={e.timestamp} vs {g.timestamp}")
-    ts = np.array([e.timestamp for e in estimates])
-    sq_cent = np.array(
-        [(e.x - g.x) ** 2 + (e.y - g.y) ** 2 for e, g in zip(estimates, truth)]
-    )
-    sq_len = np.array([(e.length - g.length) ** 2 for e, g in zip(estimates, truth)])
-    sq_wid = np.array([(e.width - g.width) ** 2 for e, g in zip(estimates, truth)])
+    ts, truth_ts = estimates["timestamp"], truth["timestamp"]
+    misaligned = np.flatnonzero(np.abs(ts - truth_ts) > 1e-9)
+    if len(misaligned):
+        k = misaligned[0]
+        raise ValueError(f"series misaligned at t={ts[k].item()} vs {truth_ts[k].item()}")
+
+    # Squared by Python's `**` (libm pow): numpy's x*x differs from it in the last bit for
+    # some values, and errors.csv would change.
+    def squared_error(name: str) -> np.ndarray:
+        return np.array([(a - b) ** 2 for a, b in zip(estimates[name].tolist(),
+                                                      truth[name].tolist())])
+
     steps = np.arange(1, len(ts) + 1)
-    return ErrorSeries(
-        timestamps=ts,
-        rmse_centroid=np.sqrt(np.cumsum(sq_cent) / steps),
-        rmse_length=np.sqrt(np.cumsum(sq_len) / steps),
-        rmse_width=np.sqrt(np.cumsum(sq_wid) / steps),
-        abs_yaw_rate_error=np.array(
-            [abs(e.yaw_rate - g.yaw_rate) for e, g in zip(estimates, truth)]
-        ),
-        abs_orientation_error_deg=np.array(
-            [
-                abs(math.degrees(fold_axis(e.orientation - g.orientation)))
-                for e, g in zip(estimates, truth)
-            ]
-        ),
-    )
+    orientation = (estimates["orientation"] - truth["orientation"]).tolist()
+    return table(ERROR_COLUMNS, (
+        ts,
+        np.sqrt(np.cumsum(squared_error("x") + squared_error("y")) / steps),
+        np.sqrt(np.cumsum(squared_error("length")) / steps),
+        np.sqrt(np.cumsum(squared_error("width")) / steps),
+        np.abs(estimates["yaw_rate"] - truth["yaw_rate"]),
+        np.array([abs(math.degrees(fold_axis(d))) for d in orientation]),
+    ))

@@ -13,12 +13,17 @@ from typing import Mapping
 import numpy as np
 
 from .annotation import LabeledTable
-from .core import LABEL_VRU, EmptyScanError, scan_offsets
+from .core import LABEL_VRU, EmptyScanError, scan_offsets, table
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
 # A covariance whose minor-to-major eigenvalue ratio is at most this is
 # degenerate: collinear points leave only rounding noise of that size.
 COLLINEAR_RATIO = 1e-12
+# The columns of a cycle_stats table, as named in the header of cycle_stats.csv: mean_comp_power
+# in dB, R^4-compensated; doppler_std in m/s, the sample std of radial velocities; the 95%
+# confidence ellipse axes in m, NaN below 3 points or for collinear points.
+CYCLE_COLUMNS = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
+                 "conf_minor", "weighted_count")
 
 
 class Averaging(str, Enum):
@@ -33,19 +38,6 @@ class AssignmentScore:
     fn: int
     precision: float
     recall: float
-
-
-@dataclass(frozen=True)
-class CycleStats:
-    """Per-cycle radar statistics as columns, one row per scan with assigned detections."""
-
-    timestamp: np.ndarray
-    n_assigned: np.ndarray
-    mean_comp_power: np.ndarray  # dB, R^4-compensated
-    doppler_std: np.ndarray  # m/s, sample std of radial velocities
-    conf_major: np.ndarray  # m, 95% confidence ellipse axes (NaN below 3 points or collinear)
-    conf_minor: np.ndarray
-    weighted_count: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -163,8 +155,9 @@ def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
     return float(major), float(minor)
 
 
-def cycle_stats(scans: LabeledTable) -> CycleStats:
-    """Radar statistics of every scan with assigned detections, over those detections."""
+def cycle_stats(scans: LabeledTable) -> np.ndarray:
+    """Radar statistics of every scan with assigned detections, over those detections: a
+    table of CYCLE_COLUMNS, one row per such scan."""
     if not scans.n_assigned.any():
         raise EmptyScanError("no scan has assigned detections")
     keep = np.flatnonzero(scans.n_assigned)
@@ -183,15 +176,15 @@ def cycle_stats(scans: LabeledTable) -> CycleStats:
     conf_major, conf_minor = _ellipse_axes(covariance(x, x), covariance(y, y), covariance(x, y),
                                            0.95)
     conf_major[n < 3] = conf_minor[n < 3] = np.nan
-    return CycleStats(
-        timestamp=scans.timestamp[keep],
-        n_assigned=n,
-        mean_comp_power=mean(r4_compensate(d.amplitude, d.range_m)),
-        doppler_std=np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
-        conf_major=conf_major,
-        conf_minor=conf_minor,
-        weighted_count=n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,
-    )
+    return table(CYCLE_COLUMNS, (
+        scans.timestamp[keep],
+        n,
+        mean(r4_compensate(d.amplitude, d.range_m)),
+        np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
+        conf_major,
+        conf_minor,
+        n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,
+    ))
 
 
 def student_t_two_sided_p(t: float, dof: float) -> float:

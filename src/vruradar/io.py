@@ -13,7 +13,7 @@ import json
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -21,8 +21,8 @@ import numpy as np
 
 from .annotation import LabeledTable
 from .core import (GLOBAL, LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, SensorMount,
-                   VruKind, rank_in_scan, scan_offsets)
-from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
+                   VruKind, mounts_by_id, rank_in_scan, scan_offsets, table, wrap_angles)
+from .trajectory import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"
@@ -60,73 +60,79 @@ def _check_jsonl_header(record, tag: str, path) -> None:
         raise SchemaError(f"expected format tag {tag!r}, got {record.get('format')!r}", path, 1)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (str, int, np.integer)):
-        return str(v)
-    return repr(float(v))
-
-
-# Column parsers of read_table, called as (texts of a column, column name).  Each
-# raises a ValueError naming texts[0]: read_table parses a faulty block line by line.
-def _parse_floats(texts: Sequence[str], name: str) -> list[float]:
+# Column parsers of read_table, called as (texts of a column, column name) and returning
+# an array.  Each raises a ValueError naming texts[0]: read_table parses a faulty block
+# line by line.
+def _parse_floats(texts: Sequence[str], name: str) -> np.ndarray:
     try:
-        values = list(map(float, texts))
+        values = np.array(list(map(float, texts)), dtype=float)
     except ValueError:
         raise ValueError(f"field {name!r} is not a number: {texts[0]!r}") from None
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"field {name!r} is not finite: {texts[0]!r}")
     return values
 
 
-def _parse_optional_floats(texts: Sequence[str], name: str) -> list[float | None]:
+def _parse_optional_floats(texts: Sequence[str], name: str) -> np.ndarray:
+    """Finite floats, and NaN for an empty field: a missing value."""
     values = _parse_floats([text or "0" for text in texts], name)
-    return [v if text else None for text, v in zip(texts, values)]
+    values[[not text for text in texts]] = np.nan
+    return values
 
 
-def _parse_qualities(texts: Sequence[str], name: str) -> list[GnssQuality]:
-    try:
-        return list(map(GnssQuality._value2member_map_.__getitem__, texts))
-    except KeyError:
-        raise ValueError(f"unknown {name} {texts[0]!r}") from None
+def _parse_speeds(texts: Sequence[str], name: str) -> np.ndarray:
+    values = _parse_floats(texts, name)
+    if np.any(values < 0):
+        raise ValueError(f"speed must be >= 0, got {values.min()}")
+    return values
+
+
+def _parse_qualities(texts: Sequence[str], name: str) -> np.ndarray:
+    if not set(texts) <= set(GnssQuality._value2member_map_):
+        raise ValueError(f"unknown {name} {texts[0]!r}")
+    return np.array(texts, dtype=QUALITY_DTYPE)
 
 
 # --- Versioned CSV tables ---------------------------------------------------
 
-def write_table(path, tag: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """CSV with a `# format=<tag>` line, the column header and one line per row.
+def write_table(path, tag: str, rows: np.ndarray) -> None:
+    """CSV with a `# format=<tag>` line, the header of the structured array's field names
+    and one line per row.
 
-    A `timestamp` column is written with nine fractional digits, other floats
-    with `repr`, integers and strings as they are, and None as an empty field.
+    A `timestamp` column is written with nine fractional digits, other float
+    columns with `repr`, and any other column as `str` of its values.
     """
-    rows = iter(rows)
+    names = rows.dtype.names
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# format={tag}\n{','.join(columns)}\n")
-        while block := list(islice(rows, _BLOCK)):
-            if set(map(len, block)) != {len(columns)}:
-                raise ValueError(f"every row must have {len(columns)} fields")
-            texts = []
-            for name, values in zip(columns, zip(*block)):
-                kinds = set(map(type, values))
-                texts.append(list(map(
-                    "{:.9f}".format if name == "timestamp" else float.__repr__
-                    if kinds <= {float, np.float64} else str if kinds <= {int, str, np.int64}
-                    else _fmt, values)))
+        fh.write(f"# format={tag}\n{','.join(names)}\n")
+        for lo in range(0, len(rows), _BLOCK):
+            block = rows[lo:lo + _BLOCK]
+            texts = [list(map("{:.9f}".format if name == "timestamp" else float.__repr__
+                              if block.dtype[name].kind == "f" else str, block[name].tolist()))
+                     for name in names]
             fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
 
 
+def with_missing(rows: np.ndarray, *names: str) -> np.ndarray:
+    """`rows` with the named float columns as text for :func:`write_table`: `repr` of each
+    value, and an empty field, a missing value, for NaN."""
+    return table(rows.dtype.names, [
+        np.array([repr(v) if v == v else "" for v in rows[name].tolist()], dtype=str)
+        if name in names else rows[name] for name in rows.dtype.names])
+
+
 def read_table(path, tag: str, columns: Sequence[str],
-               parsers: Mapping[str, Callable] | None = None) -> list[list]:
-    """Rows of a table written by :func:`write_table`, parsed a block of columns at a time.
+               parsers: Mapping[str, Callable] | None = None) -> np.ndarray:
+    """The rows of a table written by :func:`write_table` as a structured array with the
+    given columns, parsed a block of columns at a time.
 
     A column is parsed by `parsers[column]`, called as (texts, column) and
-    returning the values, or else as finite floats.  A `timestamp` column must
+    returning an array, or else as finite floats.  A `timestamp` column must
     be strictly increasing.  Every fault is a SchemaError naming path and line.
     """
     parse = [(parsers or {}).get(name, _parse_floats) for name in columns]
     t_col = columns.index("timestamp") if "timestamp" in columns else None
-    rows: list[list] = []
+    blocks = [_parse_rows([], columns, parse, None, 0.0)[0]]  # typed columns of no rows
     last_t, start = -math.inf, 3
     with open(path, "r", encoding="utf-8") as fh:
         lines = chain.from_iterable(map(str.splitlines, fh))
@@ -147,19 +153,20 @@ def read_table(path, tag: str, columns: Sequence[str],
                     except ValueError as exc:
                         raise SchemaError(str(exc), path, i) from None
                 raise
-            rows += map(list, zip(*values))
+            blocks.append(values)
             start += len(block)
-    return rows
+    return table(columns, map(np.concatenate, zip(*blocks)))
 
 
 def _parse_rows(lines: list[str], columns, parse, t_col, last_t: float) -> tuple[list, float]:
-    """Values by column of CSV lines and the last timestamp; a ValueError names a fault."""
+    """Column arrays of CSV lines and the last timestamp; a ValueError names a fault."""
     fields = list(map(str.split, lines, repeat(",")))
     if set(map(len, fields)) - {len(columns)}:
         raise ValueError(f"expected {len(columns)} fields, got {len(fields[0])}")
-    values = [f(texts, name) for f, texts, name in zip(parse, zip(*fields), columns)]
+    texts = list(zip(*fields)) or [()] * len(columns)
+    values = [f(list(t), name) for f, t, name in zip(parse, texts, columns)]
     if t_col is not None and fields:
-        t = values[t_col]
+        t = values[t_col].tolist()
         if not (last_t < t[0] and all(map(operator.lt, t, t[1:]))):
             raise ValueError(f"timestamp {fields[0][t_col]} does not follow {last_t:.9f}")
         last_t = t[-1]
@@ -168,39 +175,31 @@ def _parse_rows(lines: list[str], columns, parse, t_col, last_t: float) -> tuple
 
 # --- GNSS, IMU and trajectory states ------------------------------------------
 
-GNSS_COLUMNS = ("timestamp", "x", "y", "quality")
-IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
-TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
+def write_gnss_csv(path, gnss: np.ndarray) -> None:
+    write_table(path, GNSS_TAG, gnss)
 
 
-def write_gnss_csv(path, samples: Iterable[GnssSample]) -> None:
-    rows = ((s.timestamp, s.x, s.y, s.quality.value) for s in samples)
-    write_table(path, GNSS_TAG, GNSS_COLUMNS, rows)
+def read_gnss_csv(path) -> np.ndarray:
+    return read_table(path, GNSS_TAG, GNSS_COLUMNS, {"quality": _parse_qualities})
 
 
-def read_gnss_csv(path) -> list[GnssSample]:
-    rows = read_table(path, GNSS_TAG, GNSS_COLUMNS, {"quality": _parse_qualities})
-    return [GnssSample(*row) for row in rows]
+def write_imu_csv(path, imu: np.ndarray) -> None:
+    write_table(path, IMU_TAG, with_missing(imu, "yaw"))
 
 
-def write_imu_csv(path, samples: Iterable[ImuSample]) -> None:
-    rows = ((s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in samples)
-    write_table(path, IMU_TAG, IMU_COLUMNS, rows)
+def read_imu_csv(path) -> np.ndarray:
+    return read_table(path, IMU_TAG, IMU_COLUMNS, {"yaw": _parse_optional_floats})
 
 
-def read_imu_csv(path) -> list[ImuSample]:
-    rows = read_table(path, IMU_TAG, IMU_COLUMNS, {"yaw": _parse_optional_floats})
-    return [ImuSample(*row) for row in rows]
+def write_traj_csv(path, traj: np.ndarray) -> None:
+    write_table(path, TRAJ_TAG, traj)
 
 
-def write_traj_csv(path, states: Iterable[TrajectoryState]) -> None:
-    rows = ((s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate) for s in states)
-    write_table(path, TRAJ_TAG, TRAJ_COLUMNS, rows)
-
-
-def read_traj_csv(path) -> list[TrajectoryState]:
-    return [TrajectoryState(t, Pose(x, y, yaw, frame=GLOBAL), v, w)
-            for t, x, y, yaw, v, w in read_table(path, TRAJ_TAG, TRAJ_COLUMNS)]
+def read_traj_csv(path) -> np.ndarray:
+    """A trajectory table; a yaw beyond (-pi, pi] is wrapped into it."""
+    traj = read_table(path, TRAJ_TAG, TRAJ_COLUMNS, {"speed": _parse_speeds})
+    traj["yaw"] = wrap_angles(traj["yaw"])
+    return traj
 
 
 # --- Values of JSON records -----------------------------------------------------
@@ -453,18 +452,20 @@ _JSON_LABEL = '{{"t": {}, "idx": {}, "label": {}}}\n'.format
 _TRUTH_LABEL = operator.itemgetter("t", "idx", "label")
 
 
-def write_truth_labels_jsonl(path, labels: Iterable[tuple[float, int, str]]) -> None:
-    labels = iter(labels)
+def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
+    """One record per row of `scans`, labeled by the (n,) bool column `is_vru`."""
+    is_vru = np.asarray(is_vru, dtype=bool)
+    if is_vru.shape != (len(scans.detections),):
+        raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
+    spelt = _json_numbers(list(map(round, scans.timestamp.tolist(), repeat(9))))
+    lines = map(_JSON_LABEL, map(spelt.__getitem__, scans.scan_of_row.tolist()),
+                map(str, scans.detections.index.tolist()),
+                map((json.dumps(LABEL_CLUTTER), json.dumps(LABEL_VRU)).__getitem__,
+                    is_vru.tolist()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"format": TRUTH_LABELS_TAG}) + "\n")
-        while block := list(islice(labels, _BLOCK)):
-            times, idx, names = zip(*block)
-            # A scan's labels share one time object, so `t` is spelt once per run of it.
-            starts = [True, *map(operator.is_not, times[1:], times[:-1])]
-            spelt = [None, *map(json.dumps, map(round, compress(times, starts), repeat(9)))]
-            named = {name: json.dumps(name) for name in set(names)}
-            fh.write("".join(map(_JSON_LABEL, map(spelt.__getitem__, accumulate(starts)),
-                                 map(str, idx), map(named.__getitem__, names))))
+        while block := list(islice(lines, _BLOCK)):
+            fh.write("".join(block))
 
 
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
@@ -598,6 +599,7 @@ def read_scenario_json(path) -> dict:
             json_string(m["sensor_id"], "sensor_id"),
             Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
             *(finite_number(m[k], k) for k in ("fov_azimuth", "max_range"))) for m in rec["mounts"]]
+        mounts_by_id(rec["mounts"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad scenario manifest: {exc}", path, 1) from None
     return rec

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annotation import LabeledTable
-from .core import fold_axis, to_local
+from .core import fold_axis, table, to_local
 from .io import write_table
 
 
@@ -130,5 +130,5 @@ def write_grid_csv(grid: SignatureGrid, path) -> None:
     """Cell-center coordinates and counts as CSV, one row per cell, empty cells included."""
     xs, ys = grid.cell_centers()
     nx, ny = grid.counts.shape
-    rows = ((xs[ix], ys[iy], grid.counts[ix, iy]) for ix in range(nx) for iy in range(ny))
-    write_table(path, "vruradar.grid-csv.v1", ("x", "y", "count"), rows)
+    write_table(path, "vruradar.grid-csv.v1", table(
+        ("x", "y", "count"), (np.repeat(xs, ny), np.tile(ys, nx), grid.counts.ravel())))

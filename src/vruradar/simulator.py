@@ -29,8 +29,10 @@ from .core import (
     global_to_ego,
     rank_in_scan,
     scan_offsets,
+    table,
+    wrap_angles,
 )
-from .trajectory import GnssQuality, GnssSample, ImuSample, TrajectoryState
+from .trajectory import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality
 
 # Default body scatter: standard deviations (along, across) the movement
 # direction, truncated at SCATTER_TRUNC sigma.
@@ -176,50 +178,44 @@ class EightCourse:
         xy = np.column_stack([a * np.sin(p2), 0.5 * a * np.sin(p4)])
         return xy, np.arctan2(dy, dx), np.full(len(s), self.speed), curvature * self.speed
 
-    def state_at(self, t: float) -> TrajectoryState:
-        return _trajectory_states([t], *self.states([t]))[0]
-
-
-def _trajectory_states(times, xy, yaw, speed, yaw_rate) -> list[TrajectoryState]:
-    """One state per row of the columns that `EightCourse.states` returns."""
-    columns = (np.asarray(times, dtype=float), yaw, speed, yaw_rate)
-    return [
-        TrajectoryState(timestamp=t, pose=Pose(x, y, h, frame=GLOBAL), speed=v, yaw_rate=w)
-        for (x, y), t, h, v, w in zip(xy.tolist(), *(c.tolist() for c in columns))
-    ]
-
 
 @dataclass
 class ScenarioData:
     """Everything one simulated scenario produces.
 
-    `labels` holds one (scan timestamp, point index, label) tuple per row of
-    `scans`; `raw_vru_points` holds, per row, the pre-quantization global
-    position of a VRU-labeled point and NaN for clutter.
+    `truth`, `gnss` and `imu` are tables of TRAJ_COLUMNS, GNSS_COLUMNS and
+    IMU_COLUMNS.  `is_vru` tells, per row of `scans`, whether the point is
+    the VRU's; `raw_vru_points` holds, per row, the pre-quantization global
+    position of a VRU point and NaN for clutter.
     """
 
     config: ScenarioConfig
     course: EightCourse
-    truth: list[TrajectoryState]
-    gnss: list[GnssSample]
-    imu: list[ImuSample]
+    truth: np.ndarray
+    gnss: np.ndarray
+    imu: np.ndarray
     scans: ScanTable
-    labels: list[tuple[float, int, str]]  # (scan timestamp, point index, label)
+    is_vru: np.ndarray  # (n,) bool, aligned with the rows of scans
     raw_vru_points: np.ndarray  # (n, 2), aligned with the rows of scans
 
     def label_map(self) -> dict[tuple[float, int], str]:
-        return {(round(t, 9), idx): label for t, idx, label in self.labels}
+        """Truth label by (scan timestamp rounded to ns, point index), as the truth file keys it."""
+        times = [round(t, 9) for t in self.scans.timestamp.tolist()]
+        labels = np.where(self.is_vru, LABEL_VRU, LABEL_CLUTTER).tolist()
+        return dict(zip(zip(map(times.__getitem__, self.scans.scan_of_row.tolist()),
+                            self.scans.detections.index.tolist()), labels))
 
 
-def generate_truth(cfg: ScenarioConfig, course: EightCourse | None = None) -> list[TrajectoryState]:
+def generate_truth(cfg: ScenarioConfig, course: EightCourse | None = None) -> np.ndarray:
     course = course or EightCourse(cfg.course_half_width, cfg.speed)
     times = np.arange(round(cfg.duration * cfg.truth_rate) + 1) / cfg.truth_rate
-    return _trajectory_states(times, *course.states(times))
+    xy, yaw, speed, yaw_rate = course.states(times)
+    return table(TRAJ_COLUMNS, (times, xy[:, 0], xy[:, 1], wrap_angles(yaw), speed, yaw_rate))
 
 
 def generate_gnss(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
-) -> list[GnssSample]:
+) -> np.ndarray:
     times = np.arange(round(cfg.duration * cfg.gnss_rate) + 1) / cfg.gnss_rate
     pos = course.states(times)[0] + rng.normal(0.0, cfg.gnss_sigma, (len(times), 2))
     degraded = np.zeros(len(times), dtype=bool)
@@ -233,16 +229,13 @@ def generate_gnss(
             steps = rng.normal(0.0, pert.random_walk_sigma, (np.count_nonzero(inside), 2))
             pos[inside] += np.cumsum(steps, axis=0)
         degraded = inside & pert.flagged
-    return [
-        GnssSample(timestamp=t, x=x, y=y,
-                   quality=GnssQuality.DEGRADED if d else GnssQuality.FIX_RTK)
-        for t, (x, y), d in zip(times.tolist(), pos.tolist(), degraded.tolist())
-    ]
+    quality = np.where(degraded, GnssQuality.DEGRADED, GnssQuality.FIX_RTK).astype(QUALITY_DTYPE)
+    return table(GNSS_COLUMNS, (times, pos[:, 0], pos[:, 1], quality))
 
 
 def generate_imu(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
-) -> list[ImuSample]:
+) -> np.ndarray:
     gyro_bias, accel_bias = rng.normal(0.0, (cfg.gyro_bias_sigma, cfg.accel_bias_sigma))
     dt = 1.0 / cfg.imu_rate
     times = np.arange(round(cfg.duration * cfg.imu_rate) + 1) * dt
@@ -257,10 +250,7 @@ def generate_imu(
     wrapped = np.fmod(integrated, TWO_PI)
     wrapped[wrapped > math.pi] -= TWO_PI
     wrapped[wrapped < -math.pi] += TWO_PI
-    return [
-        ImuSample(timestamp=t, yaw_rate=w, accel_forward=a, yaw=h)
-        for t, w, a, h in zip(times.tolist(), yaw_rate.tolist(), accel.tolist(), wrapped.tolist())
-    ]
+    return table(IMU_COLUMNS, (times, yaw_rate, accel, wrapped))
 
 
 def _quantize(values: np.ndarray, step: float) -> np.ndarray:
@@ -299,11 +289,11 @@ def _polar_by_sensor(points_ego, sensor, mounts) -> tuple[np.ndarray, np.ndarray
 
 def generate_radar(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
-) -> tuple[ScanTable, list[tuple[float, int, str]], np.ndarray]:
-    """Radar scans plus truth labels keyed by (scan timestamp, point index).
+) -> tuple[ScanTable, np.ndarray, np.ndarray]:
+    """Radar scans, whether each row is a VRU point, and each row's raw global position.
 
     Sensors fire phase-shifted so every scan timestamp in the scenario is
-    unique.  Each emitted point is VRU- or clutter-labeled, VRU points first
+    unique.  Each emitted point is the VRU's or clutter, VRU points first
     within a scan.  The third value holds, for each row of the scan table,
     the raw (pre-quantization) global position of a VRU point and NaN for a
     clutter point.
@@ -367,15 +357,12 @@ def generate_radar(
                            ((vr, vr_c), cfg.radial_velocity_step), ((amp, amp_c), 0.0))
     ]
     offsets = scan_offsets(n_vru + n_clutter)
-    index = rank_in_scan(offsets)
-    table = ScanTable(times, sensor_ids, offsets, Detections(*columns, index=index))
+    scans = ScanTable(times, sensor_ids, offsets,
+                      Detections(*columns, index=rank_in_scan(offsets)))
     is_vru = rows < len(scan)
-    # Rows share their scan's time and label objects, as one tuple per row is kept.
-    labels = list(zip(map(times.tolist().__getitem__, table.scan_of_row), index.tolist(),
-                      map((LABEL_CLUTTER, LABEL_VRU).__getitem__, is_vru.astype(np.int8))))
     raw = np.full((len(rows), 2), np.nan)
     raw[is_vru] = points[rows[is_vru]]
-    return table, labels, raw
+    return scans, is_vru, raw
 
 
 def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:
@@ -385,7 +372,7 @@ def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:
     truth = generate_truth(cfg, course)
     gnss = generate_gnss(course, cfg, rng)
     imu = generate_imu(course, cfg, rng)
-    scans, labels, raw = generate_radar(course, cfg, rng)
+    scans, is_vru, raw = generate_radar(course, cfg, rng)
     return ScenarioData(
         config=cfg,
         course=course,
@@ -393,7 +380,7 @@ def simulate_scenario(cfg: ScenarioConfig) -> ScenarioData:
         gnss=gnss,
         imu=imu,
         scans=scans,
-        labels=labels,
+        is_vru=is_vru,
         raw_vru_points=raw,
     )
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import GLOBAL, Pose, wrap_angle
+from .core import wrap_angle
 
 STANDSTILL_SPEED = 0.05  # m/s, shared branch threshold for standstill handling
 
@@ -26,35 +26,17 @@ class GnssQuality(str, Enum):
     FIX_FLOAT = "FIX_FLOAT"
     DEGRADED = "DEGRADED"
 
-
-@dataclass(frozen=True)
-class GnssSample:
-    timestamp: float
-    x: float
-    y: float
-    quality: GnssQuality = GnssQuality.FIX_RTK
+    # numpy converts a member by str(): let that be its value, not "GnssQuality.DEGRADED"
+    __str__ = str.__str__
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp: float
-    yaw_rate: float
-    accel_forward: float
-    yaw: float | None = None  # device-integrated heading, optional
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    """Pose, speed, and yaw rate of a reference track at one instant."""
-
-    timestamp: float
-    pose: Pose
-    speed: float
-    yaw_rate: float
-
-    def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError(f"speed must be >= 0, got {self.speed}")
+QUALITY_DTYPE = np.dtype("U9")  # of a `quality` column: holds every GnssQuality value whole
+# The columns of each time series, as named in its CSV header.  A series is a structured
+# array (`core.table`) with these fields, one row per sample; an IMU without a heading of
+# its own gives a `yaw` of NaN.
+GNSS_COLUMNS = ("timestamp", "x", "y", "quality")
+IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
+TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
 
 
 class OutOfRangeError(ValueError):
@@ -87,14 +69,6 @@ def moving_average(values, window: int = 9) -> np.ndarray:
     hi = np.minimum(n, idx + half + 1)
     out = (csum[hi] - csum[lo]) / (hi - lo)[:, None]
     return out.reshape(arr.shape)
-
-
-def smooth_gnss(samples: list[GnssSample], window: int = 9) -> list[GnssSample]:
-    """GNSS stream with positions smoothed; timestamps and quality unchanged."""
-    if not samples:
-        return []
-    xy = moving_average([[s.x, s.y] for s in samples], window)
-    return [replace(s, x=float(p[0]), y=float(p[1])) for s, p in zip(samples, xy)]
 
 
 class NaturalCubicSpline:
@@ -171,7 +145,7 @@ class ReferenceTrajectory:
     spline curvature otherwise.
     """
 
-    def __init__(self, times, positions, *, imu: list[ImuSample] | None = None):
+    def __init__(self, times, positions, *, imu: np.ndarray | None = None):
         t = np.asarray(times, dtype=float)
         xy = np.asarray(positions, dtype=float)
         if t.ndim != 1 or len(t) < 2:
@@ -182,9 +156,9 @@ class ReferenceTrajectory:
             raise ValueError(f"positions must be (n, 2), got {xy.shape}")
         self._times = t
         self._spline = NaturalCubicSpline(t, xy)
-        if imu:
-            self._imu_t = np.array([s.timestamp for s in imu])
-            self._imu_w = moving_average([s.yaw_rate for s in imu])
+        if imu is not None and len(imu):
+            self._imu_t = np.array(imu["timestamp"])
+            self._imu_w = moving_average(imu["yaw_rate"])
         else:
             self._imu_t = None
             self._imu_w = None
@@ -207,9 +181,6 @@ class ReferenceTrajectory:
     @property
     def t_end(self) -> float:
         return float(self._times[-1])
-
-    def position_at(self, t: float) -> np.ndarray:
-        return self.states_at([t])[0, :2]
 
     def states_at(self, times) -> np.ndarray:
         """(n, 5) rows of x, y, yaw, speed and yaw rate at `times`, all inside the support."""
@@ -237,18 +208,16 @@ class ReferenceTrajectory:
             yaw_rate[turning] = (vx * ay - vy * ax)[turning] / speed[turning] ** 2
         return np.column_stack([*pos, yaw, speed, yaw_rate])
 
-    def state_at(self, t: float) -> TrajectoryState:
-        x, y, yaw, speed, yaw_rate = self.states_at([t])[0].tolist()
-        return TrajectoryState(timestamp=float(t), pose=Pose(x, y, yaw, frame=GLOBAL),
-                               speed=speed, yaw_rate=yaw_rate)
 
-
-def build_trajectory(gnss: list[GnssSample]) -> ReferenceTrajectory:
-    """Smooth a GNSS stream and wrap it as a queryable reference trajectory."""
+def build_trajectory(gnss: np.ndarray) -> ReferenceTrajectory:
+    """Smooth the positions of a GNSS stream and wrap them as a queryable reference trajectory."""
     if len(gnss) < 2:
         raise ValueError("need at least two GNSS samples")
-    smoothed = smooth_gnss(gnss)
-    return ReferenceTrajectory([s.timestamp for s in smoothed], [[s.x, s.y] for s in smoothed])
+    return ReferenceTrajectory(gnss["timestamp"], moving_average(_xy(gnss)))
+
+
+def _xy(series: np.ndarray) -> np.ndarray:
+    return np.column_stack([series["x"], series["y"]])
 
 
 @dataclass(frozen=True)
@@ -278,21 +247,22 @@ class FusionParams:
 
 
 def fuse_gnss_imu(
-    gnss: list[GnssSample],
-    imu: list[ImuSample],
+    gnss: np.ndarray,
+    imu: np.ndarray,
     params: FusionParams = FusionParams(),
-) -> list[TrajectoryState]:
+) -> np.ndarray:
     """Dead-reckon on IMU data and apply gated GNSS position corrections.
 
-    Output states are emitted at the IMU timestamps that fall inside the
-    overlap of both streams.  While GNSS is gated out (perturbation) or
-    flagged DEGRADED the filter coasts on the IMU alone; below the standstill
-    thresholds the position freezes and speed resets to zero.
+    Output states, a table of TRAJ_COLUMNS, are emitted at the IMU timestamps
+    that fall inside the overlap of both streams.  While GNSS is gated out
+    (perturbation) or flagged DEGRADED the filter coasts on the IMU alone;
+    below the standstill thresholds the position freezes and speed resets to
+    zero.
     """
-    if not gnss or not imu:
+    if not len(gnss) or not len(imu):
         raise ValueError("both GNSS and IMU streams must be non-empty")
     for name, stream in (("GNSS", gnss), ("IMU", imu)):
-        times = np.array([s.timestamp for s in stream])
+        times = stream["timestamp"]
         bad = np.flatnonzero(np.diff(times) <= 0)
         if len(bad):
             k = int(bad[0]) + 1
@@ -300,35 +270,39 @@ def fuse_gnss_imu(
                 f"{name} timestamps must be strictly increasing: sample {k} at t={times[k]:.9f}"
                 f" follows t={times[k - 1]:.9f}"
             )
-    t0 = max(gnss[0].timestamp, imu[0].timestamp)
-    t1 = min(gnss[-1].timestamp, imu[-1].timestamp)
+    unknown = set(gnss["quality"].tolist()) - set(GnssQuality._value2member_map_)
+    if unknown:  # e.g. a value cut short by a narrow text column
+        raise ValueError(f"unknown GNSS quality {min(unknown)!r}")
+    fixes = list(zip(*(gnss[name].tolist() for name in ("timestamp", "x", "y")),
+                     (gnss["quality"] == GnssQuality.DEGRADED).tolist()))
+    t0 = max(fixes[0][0], float(imu["timestamp"][0]))
+    t1 = min(fixes[-1][0], float(imu["timestamp"][-1]))
     if t0 >= t1:
         raise ValueError("GNSS and IMU streams do not overlap in time")
 
     # Snap to the first usable fix; the filter engages once the fix window
     # establishes course and speed (or confirms a standstill start).
     g_idx = 0
-    while gnss[g_idx].timestamp < t0:
+    while fixes[g_idx][0] < t0:
         g_idx += 1
-    x, y = gnss[g_idx].x, gnss[g_idx].y
+    last_accept_t, x, y, _ = fixes[g_idx]
     yaw = 0.0
     speed = 0.0
     gyro_bias = 0.0
     accel_bias = 0.0
     initializing = True
-    recent: deque[GnssSample] = deque(maxlen=params.course_window)
-    last_accept_t = gnss[g_idx].timestamp
+    recent: deque[tuple[float, float, float]] = deque(maxlen=params.course_window)  # (t, x, y)
 
-    out: list[TrajectoryState] = []
+    out: list[tuple[float, ...]] = []
     prev_t: float | None = None
-    for sample in imu:
-        t = sample.timestamp
+    for t, yaw_rate, accel_forward in zip(
+            *(imu[name].tolist() for name in ("timestamp", "yaw_rate", "accel_forward"))):
         if t < t0 or t > t1:
             continue
         dt = 0.0 if prev_t is None else t - prev_t
         prev_t = t
-        w = sample.yaw_rate - gyro_bias
-        a = sample.accel_forward - accel_bias
+        w = yaw_rate - gyro_bias
+        a = accel_forward - accel_bias
         standstill = speed < params.v_min and abs(w) < params.omega_min
         if dt > 0.0 and not initializing:
             if standstill:
@@ -339,35 +313,35 @@ def fuse_gnss_imu(
                 y += speed * math.sin(yaw) * dt
                 speed = min(max(speed + a * dt, 0.0), params.v_max)
 
-        while g_idx < len(gnss) and gnss[g_idx].timestamp <= t:
-            fix = gnss[g_idx]
+        while g_idx < len(fixes) and fixes[g_idx][0] <= t:
+            fix_t, fix_x, fix_y, degraded = fixes[g_idx]
             g_idx += 1
-            if fix.quality == GnssQuality.DEGRADED:
+            if degraded:
                 continue
             if not initializing:
-                innovation = math.hypot(fix.x - x, fix.y - y)
+                innovation = math.hypot(fix_x - x, fix_y - y)
                 gate = min(
                     params.gate_max,
-                    params.gate + params.gate_growth * max(0.0, fix.timestamp - last_accept_t),
+                    params.gate + params.gate_growth * max(0.0, fix_t - last_accept_t),
                 )
                 if innovation >= gate:
-                    if fix.timestamp - last_accept_t > params.max_reject_time:
+                    if fix_t - last_accept_t > params.max_reject_time:
                         # Persistent disagreement: reinitialize on the fix.
-                        x, y = fix.x, fix.y
+                        x, y = fix_x, fix_y
                         recent.clear()
-                        last_accept_t = fix.timestamp
+                        last_accept_t = fix_t
                     continue
-            last_accept_t = fix.timestamp
-            if recent and fix.timestamp - recent[-1].timestamp > params.max_fix_gap:
+            last_accept_t = fix_t
+            if recent and fix_t - recent[-1][0] > params.max_fix_gap:
                 recent.clear()
-            recent.append(fix)
-            oldest = recent[0]
-            dx, dy = fix.x - oldest.x, fix.y - oldest.y
+            recent.append((fix_t, fix_x, fix_y))
+            oldest_t, oldest_x, oldest_y = recent[0]
+            dx, dy = fix_x - oldest_x, fix_y - oldest_y
             dist = math.hypot(dx, dy)
-            span = fix.timestamp - oldest.timestamp
+            span = fix_t - oldest_t
 
             if initializing:
-                x, y = fix.x, fix.y
+                x, y = fix_x, fix_y
                 if span >= params.course_min_span and dist >= params.course_min_dist:
                     # Moving start: seed course and speed from the fix window.
                     half_turn = 0.5 * w * span
@@ -382,8 +356,8 @@ def fuse_gnss_imu(
                 continue
 
             if not standstill:
-                x += params.pos_gain * (fix.x - x)
-                y += params.pos_gain * (fix.y - y)
+                x += params.pos_gain * (fix_x - x)
+                y += params.pos_gain * (fix_y - y)
             if span >= params.course_min_span:
                 # The fix-window secant measures speed and course at the
                 # window midpoint; while turning, rotate it forward by half
@@ -403,26 +377,20 @@ def fuse_gnss_imu(
                     if abs(err_c) < params.bias_adapt_max_cerr:
                         gyro_bias -= params.gyro_bias_gain * err_c
 
-        out.append(
-            TrajectoryState(
-                timestamp=t,
-                pose=Pose(x, y, yaw, frame=GLOBAL),
-                speed=speed,
-                yaw_rate=w,
-            )
-        )
-    return out
+        out.append((t, x, y, yaw, speed, w))
+    states = np.array(out, dtype=[(name, float) for name in TRAJ_COLUMNS])
+    if not np.isfinite(states["x"]).all() or not np.isfinite(states["y"]).all():
+        raise ValueError("pose position must be finite")
+    return states
 
 
 def build_fused_trajectory(
-    gnss: list[GnssSample],
-    imu: list[ImuSample],
+    gnss: np.ndarray,
+    imu: np.ndarray,
     params: FusionParams = FusionParams(),
 ) -> ReferenceTrajectory:
     """Fusion filter output smoothed and wrapped as a reference trajectory."""
     states = fuse_gnss_imu(gnss, imu, params)
     if len(states) < 2:
         raise ValueError("fusion produced fewer than two states")
-    times = [s.timestamp for s in states]
-    xy = moving_average([[s.pose.x, s.pose.y] for s in states])
-    return ReferenceTrajectory(times, xy, imu=imu)
+    return ReferenceTrajectory(states["timestamp"], moving_average(_xy(states)), imu=imu)

@@ -7,7 +7,6 @@ import pytest
 
 from vruradar.annotation import AnnotationResult, LabeledTable, annotate_scenario
 from vruradar.core import (
-    LABEL_VRU,
     Detections,
     ScanTable,
     VruKind,
@@ -15,6 +14,7 @@ from vruradar.core import (
     ego_to_global,
     polar_to_ego,
     scan_offsets,
+    table,
 )
 from vruradar.eot import TrackerScan
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
@@ -24,6 +24,12 @@ from vruradar.trajectory import (
     build_fused_trajectory,
     build_trajectory,
 )
+
+
+def series(columns, times, *values) -> np.ndarray:
+    """A time-series table: `times`, then each further column's values or one value for all."""
+    times = np.asarray(times, dtype=float)
+    return table(columns, [times, *(np.broadcast_to(v, times.shape) for v in values)])
 
 
 @dataclass
@@ -58,11 +64,8 @@ def truth_assigned_scans(data: ScenarioData) -> list[TrackerScan]:
     """Tracker inputs using the simulator's own labels (perfect association)."""
     cfg = data.config
     mounts = {m.sensor_id: m for m in cfg.mounts}
-    # `data.labels` lists every scan's points in scan order.
-    is_vru = np.array([label == LABEL_VRU for _, _, label in data.labels], dtype=bool)
-    ends = np.cumsum([len(scan.detections) for scan in data.scans])
     out = []
-    for scan, keep in zip(data.scans, np.split(is_vru, ends[:-1])):
+    for scan, keep in zip(data.scans, np.split(data.is_vru, data.scans.offsets[1:-1])):
         if keep.any():
             mount = mounts[scan.sensor_id]
             sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
@@ -97,8 +100,7 @@ def radar_table(scans) -> ScanTable:
 
 def labeled_table(scans) -> LabeledTable:
     """A LabeledTable holding the given LabeledScans, in order."""
-    states = [(s.vru_state.pose.x, s.vru_state.pose.y, s.vru_state.pose.yaw, s.vru_state.speed,
-               s.vru_state.yaw_rate) for s in scans]
+    states = [s.vru_state for s in scans]
     bounding = [(np.nan,) * 5 if s.bounding is None else
                 (*s.bounding.center, s.bounding.ax_major, s.bounding.ax_minor,
                  s.bounding.orientation) for s in scans]

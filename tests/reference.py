@@ -22,8 +22,8 @@ from itertools import chain
 import numpy as np
 
 from vruradar.annotation import LabeledScan, LabeledTable
-from vruradar.core import (GLOBAL, LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, VruKind,
-                           ego_to_global, polar_to_ego, rank_in_scan, scan_offsets)
+from vruradar.core import (LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, VruKind,
+                           ego_to_global, polar_to_ego, rank_in_scan, scan_offsets, wrap_angle)
 from vruradar.evaluation import COLLINEAR_RATIO, WEIGHTED_COUNT_REF_RANGE, r4_compensate
 from vruradar.selection import (
     CYCLIST_LENGTH,
@@ -40,11 +40,12 @@ from vruradar.selection import (
 from vruradar.io import (BOUNDING_KEYS, LABELED_TAG, POLAR_KEYS, RADAR_TAG, STATE_KEYS,
                          TRUTH_LABELS_TAG, SchemaError, _check_header, _check_jsonl_header,
                          _decode_json, _point_index, finite_number, json_string)
-from vruradar.trajectory import STANDSTILL_SPEED, GnssQuality, TrajectoryState
+from vruradar.trajectory import STANDSTILL_SPEED, GnssQuality
 
 
-def state_at(traj, t: float) -> TrajectoryState:
-    """The trajectory state at one time, evaluated as a scalar query."""
+def state_at(traj, t: float) -> np.ndarray:
+    """The trajectory state (x, y, yaw, speed, yaw rate) at one time, evaluated as a scalar
+    query."""
     pos, (vx, vy), (ax, ay) = traj._spline(t)
     speed = float(math.hypot(vx, vy))
     if speed >= STANDSTILL_SPEED:
@@ -59,8 +60,7 @@ def state_at(traj, t: float) -> TrajectoryState:
         yaw_rate = float(np.interp(t, traj._imu_t, traj._imu_w))
     else:
         yaw_rate = float((vx * ay - vy * ax) / (speed * speed)) if speed > 1e-9 else 0.0
-    return TrajectoryState(float(t), Pose(float(pos[0]), float(pos[1]), float(yaw), GLOBAL),
-                           speed, yaw_rate)
+    return np.array([pos[0], pos[1], wrap_angle(yaw), speed, yaw_rate])
 
 
 def _shape_frame(points, x, y, yaw):
@@ -68,9 +68,9 @@ def _shape_frame(points, x, y, yaw):
     return local[:, 0], local[:, 1]
 
 
-def _inside(p_glob, state: TrajectoryState, vru_kind: VruKind) -> np.ndarray:
-    u, v = _shape_frame(p_glob, state.pose.x, state.pose.y, state.pose.yaw)
-    speed, yaw_rate = state.speed, state.yaw_rate
+def _inside(p_glob, state: np.ndarray, vru_kind: VruKind) -> np.ndarray:
+    x, y, yaw, speed, yaw_rate = state.tolist()
+    u, v = _shape_frame(p_glob, x, y, yaw)
     if vru_kind == VruKind.PEDESTRIAN:
         if speed >= STANDSTILL_SPEED:
             major = PEDESTRIAN_MIN_MAJOR + min(abs(speed) * SPEED_TO_LENGTH, GROWTH_CAP)
@@ -82,14 +82,14 @@ def _inside(p_glob, state: TrajectoryState, vru_kind: VruKind) -> np.ndarray:
     return (np.abs(u) <= CYCLIST_LENGTH / 2.0) & (np.abs(v) <= width / 2.0)
 
 
-def _bounding(points, state: TrajectoryState) -> OrientedEllipse:
-    u, v = _shape_frame(points, state.pose.x, state.pose.y, state.pose.yaw)
+def _bounding(points, state: np.ndarray) -> OrientedEllipse:
+    x, y, yaw = state[:3].tolist()
+    u, v = _shape_frame(points, x, y, yaw)
     half_floor = MIN_BOUNDING_AXIS / 2.0
     a = max(float(np.max(np.abs(u))), half_floor)
     b = max(float(np.max(np.abs(v))), half_floor)
     scale = max(1.0, float(np.sqrt(np.max((u / a) ** 2 + (v / b) ** 2))))
-    return OrientedEllipse((state.pose.x, state.pose.y), 2.0 * a * scale, 2.0 * b * scale,
-                           state.pose.yaw)
+    return OrientedEllipse((x, y), 2.0 * a * scale, 2.0 * b * scale, yaw)
 
 
 def annotate(scans, traj, vru_kind, mounts, ego_pose, track_id="vru-0"):
@@ -367,8 +367,11 @@ def radar_records(scans: ScanTable) -> list[dict]:
                                                    scans.sensor_id.tolist()))]
 
 
-def truth_label_records(labels) -> list[dict]:
-    return [{"t": round(t, 9), "idx": idx, "label": label} for t, idx, label in labels]
+def truth_label_records(scans: ScanTable, is_vru) -> list[dict]:
+    """The records of a truth label file, one dict per point of `scans`."""
+    times = scans.timestamp[scans.scan_of_row].tolist()
+    return [{"t": round(t, 9), "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER}
+            for t, idx, vru in zip(times, scans.detections.index.tolist(), list(is_vru))]
 
 
 def labeled_records(scans: LabeledTable) -> list[dict]:

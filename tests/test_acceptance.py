@@ -200,9 +200,8 @@ def test_criterion_08_doppler_benefit():
         scans = truth_assigned_scans(data)
         for use_doppler in (True, False):
             points = eot.run_tracker(scans, eot.TrackerParams(), use_doppler=use_doppler)
-            xy = data.course.states([p.timestamp for p in points])[0]
-            errs = ((np.array([p.x for p in points]) - xy[:, 0]) ** 2
-                    + (np.array([p.y for p in points]) - xy[:, 1]) ** 2)
+            xy = data.course.states(points["timestamp"])[0]
+            errs = (points["x"] - xy[:, 0]) ** 2 + (points["y"] - xy[:, 1]) ** 2
             rms[use_doppler].append(float(np.sqrt(np.mean(errs))))
     wins = sum(d < n for d, n in zip(rms[True], rms[False]))
     mean_d, mean_n = float(np.mean(rms[True])), float(np.mean(rms[False]))

@@ -132,6 +132,16 @@ def test_unknown_sensor_raises():
         annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
 
 
+def test_repeated_mount_id_raises():
+    # One radar's points would be placed with the other mount's pose.
+    other = SensorMount(MOUNT.sensor_id, Pose(1.0, -0.5, 0.0, frame="ego"), MOUNT.fov_azimuth,
+                        MOUNT.max_range)
+    scans = [scan_with_points(5.0, [(5.0, 0.0)])]
+    with pytest.raises(ValueError, match=f"sensor {MOUNT.sensor_id!r} has more than one mount"):
+        annotate_scenario(radar_table(scans), straight_trajectory(), VruKind.PEDESTRIAN,
+                          [MOUNT, other], EGO)
+
+
 def test_annotation_deterministic():
     cfg = preset("pedestrian-nominal", seed=2)
     data = simulate_scenario(cfg)
@@ -140,7 +150,11 @@ def test_annotation_deterministic():
     traj = build_trajectory(data.gnss)
     r1 = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     r2 = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
-    assert list(r1.scans) == list(r2.scans) and r1.skipped == r2.skipped
+    a, b = r1.scans, r2.scans
+    assert a.detections == b.detections and r1.skipped == r2.skipped
+    for name in ("timestamp", "sensor_id", "offsets", "n_assigned", "vru_state"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.bounding, b.bounding, equal_nan=True)
 
 
 def test_nominal_scores_match_across_modes():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vruradar
@@ -237,7 +238,7 @@ def test_evaluate_compare_detects_extent_shift(tmp_path):
         data = simulate_scenario(cfg)
         root = out[tag]
         vio.write_radar_jsonl(root / "radar.jsonl", data.scans)
-        vio.write_truth_labels_jsonl(root / "truth_labels.jsonl", data.labels)
+        vio.write_truth_labels_jsonl(root / "truth_labels.jsonl", data.scans, data.is_vru)
         labeled = root / "labeled.jsonl"
         assert main([
             "annotate", "--scenario", str(root / "scenario.json"),
@@ -397,7 +398,7 @@ def test_every_output_table_reads_back(sim_dir, labeled_path, tmp_path, capsys):
     assert main(["signature", "--labeled", str(labeled_path), "--out", str(sig)]) == 0
 
     def text(texts, _name):
-        return list(texts)
+        return np.array(texts, dtype=str)
 
     optional = io._parse_optional_floats
     hist = ("vruradar.histogram.v1", "bin_left,bin_right,count", {})

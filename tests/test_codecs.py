@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import reference as ref
 from vruradar import io
 from vruradar.annotation import LabeledTable, annotate_scenario
-from vruradar.core import Detections, ScanTable, VruKind, scan_offsets
+from vruradar.core import Detections, ScanTable, VruKind, scan_offsets, table
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
@@ -28,7 +28,7 @@ CSV = {  # kind -> (tag, columns, block parsers, reference field parsers)
              {"quality": ref.parse_quality}),
     "imu": (io.IMU_TAG, io.IMU_COLUMNS, {"yaw": io._parse_optional_floats},
             {"yaw": ref.parse_optional_float}),
-    "traj": (io.TRAJ_TAG, io.TRAJ_COLUMNS, {}, {}),
+    "traj": (io.TRAJ_TAG, io.TRAJ_COLUMNS, {"speed": io._parse_speeds}, {}),
 }
 JSONL = {  # kind -> (reader, reference reader)
     "radar": (io.read_radar_jsonl, ref.read_radar_jsonl),
@@ -46,22 +46,24 @@ def files(tmp_path_factory):
     data = simulate_scenario(cfg)
     labeled = annotate_scenario(data.scans, build_trajectory(data.gnss), cfg.vru_kind,
                                 cfg.mounts, cfg.ego_pose).scans
-    rows = {
-        "gnss": [(s.timestamp, s.x, s.y, s.quality.value) for s in data.gnss],
-        "imu": [(s.timestamp, s.yaw_rate, s.accel_forward, s.yaw) for s in data.imu],
-        "traj": [(s.timestamp, s.pose.x, s.pose.y, s.pose.yaw, s.speed, s.yaw_rate)
-                 for s in data.truth],
-    }
     out = {
         "radar": ref.jsonl_text(io.RADAR_TAG, ref.radar_records(data.scans)),
         "labeled": ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(labeled)),
-        "truth_labels": ref.jsonl_text(io.TRUTH_LABELS_TAG, ref.truth_label_records(data.labels)),
+        "truth_labels": ref.jsonl_text(io.TRUTH_LABELS_TAG,
+                                       ref.truth_label_records(data.scans, data.is_vru)),
     }
     path = tmp_path_factory.mktemp("files") / "table.csv"
     for kind, (tag, columns, _, _) in CSV.items():
-        ref.write_table(path, tag, columns, rows[kind])
+        series = data.truth if kind == "traj" else getattr(data, kind)
+        ref.write_table(path, tag, columns, _rows(series))
         out[kind] = path.read_text(encoding="utf-8")
     return out
+
+
+def _rows(table: np.ndarray) -> list[tuple]:
+    """The rows of a table as tuples of Python values, None for NaN."""
+    columns = [table[name].tolist() for name in table.dtype.names]
+    return [tuple(None if v != v else v for v in row) for row in zip(*columns)]
 
 
 def _paths(value, path=()):
@@ -155,7 +157,10 @@ def _outcome(read, path):
 
 
 def assert_same_table(a, b) -> None:
-    if isinstance(a, ScanTable):
+    """Tables equal column by column; a CSV table `a` is compared with the reference's rows."""
+    if isinstance(a, np.ndarray):
+        assert _rows(a) == [tuple(row) for row in b]
+    elif isinstance(a, ScanTable):
         assert type(a) is type(b)
         for name in ("timestamp", "sensor_id", "offsets"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -274,40 +279,47 @@ def test_scan_files_survive_write_read_write(tmp_path_factory, labeled, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(scans=st.lists(st.tuples(finite | st.integers(-3, 3) | st.sampled_from([math.nan]),
-                                st.integers(0, 4), st.booleans()), max_size=8),
-       labels=st.lists(st.sampled_from(["vru", "clutter", 'x"\u00e9']), min_size=4, max_size=4),
-       block=st.sampled_from([2, io._BLOCK]))
-def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, labels, block):
-    rows = []  # points of a shared-time scan hold one time object, as the simulator's do
-    for t, n, shared in scans:
-        rows += [(t if shared or type(t) is not float else float(repr(t)), i, labels[i % 4])
-                 for i in range(n)]
+@given(scans=st.lists(st.tuples(finite | st.sampled_from([math.nan, math.inf]),
+                                st.integers(0, 4)), max_size=8),
+       data=st.data(), block=st.sampled_from([2, io._BLOCK]))
+def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, data, block):
+    times, counts = zip(*scans) if scans else ((), ())
+    offsets = scan_offsets(counts)
+    n = int(offsets[-1])
+    index = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    table = ScanTable(times, ["r"] * len(times), offsets,
+                      Detections(*np.zeros((4, n)), index=np.array(index, dtype=np.int64)))
+    is_vru = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_BLOCK", block)
-        text = _written(io.write_truth_labels_jsonl, path, rows)
-    assert text == ref.jsonl_text(io.TRUTH_LABELS_TAG, ref.truth_label_records(rows))
+        io.write_truth_labels_jsonl(path, table, is_vru)
+    assert path.read_text(encoding="utf-8") == ref.jsonl_text(
+        io.TRUTH_LABELS_TAG, ref.truth_label_records(table, is_vru))
 
 
-cells = (finite | st.sampled_from([math.nan, math.inf]) | st.integers(-2**70, 2**70)
-         | st.builds(np.float64, finite) | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
-         | st.none() | st.text(alphabet="ab\u00e9", max_size=3) | st.booleans())
+CELLS = {  # column name -> its values; "missing" is written by `with_missing`
+    "timestamp": st.floats(-1e9, 1e9),
+    "x": finite | st.sampled_from([math.nan, math.inf, -math.inf]),
+    "n": st.integers(-2**63, 2**63 - 1),
+    "name": st.text(alphabet="ab\u00e9", max_size=3),
+    "missing": finite | st.just(math.nan),
+}
 
 
 @settings(max_examples=150, deadline=None)
-@given(columns=st.lists(st.sampled_from(["timestamp", "x", "n", "name"]), min_size=1,
-                        max_size=4, unique=True),
-       data=st.data(), block=st.sampled_from([2, io._BLOCK]))
-def test_table_writer_writes_the_reference_bytes(tmp_path_factory, columns, data, block):
-    timestamps = st.floats(-1e9, 1e9) | st.integers(-10**6, 10**6)
-    rows = data.draw(st.lists(st.tuples(*(timestamps if c == "timestamp" else cells
-                                          for c in columns)), max_size=7))
+@given(columns=st.lists(st.sampled_from(list(CELLS)), min_size=1, max_size=5, unique=True),
+       n=st.integers(0, 7), data=st.data(), block=st.sampled_from([2, io._BLOCK]))
+def test_table_writer_writes_the_reference_bytes(tmp_path_factory, columns, n, data, block):
+    values = [data.draw(st.lists(CELLS[c], min_size=n, max_size=n)) for c in columns]
+    rows = [tuple(None if c == "missing" and v != v else v for c, v in zip(columns, row))
+            for row in zip(*values)]
     d = tmp_path_factory.mktemp("table")
     ref.write_table(d / "ref.csv", "vruradar.test.v1", columns, rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_BLOCK", block)
-        io.write_table(d / "new.csv", "vruradar.test.v1", columns, iter(rows))
+        io.write_table(d / "new.csv", "vruradar.test.v1",
+                       io.with_missing(table(columns, values), "missing"))
     assert (d / "new.csv").read_bytes() == (d / "ref.csv").read_bytes()
 
 

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vruradar.core import fold_axis
+from vruradar.core import fold_axis, table
 from vruradar.eot import (
     ExtentError,
     RmmTrack,
     TrackerParams,
+    TRACK_COLUMNS,
     TrackerScan,
-    TrackPoint,
     extract_extent,
     initialize_track,
     predict,
@@ -377,46 +377,43 @@ def test_extract_rejects_bad_scale():
 # --- metrics -----------------------------------------------------------------------------
 
 def _tp(t, x=0.0, y=0.0, yaw_rate=0.0, length=1.0, width=0.5, orientation=0.0):
-    return TrackPoint(
-        timestamp=t, x=x, y=y, speed=1.0, heading=0.0, yaw_rate=yaw_rate,
-        length=length, width=width, orientation=orientation,
-    )
+    """A track table with one row per time of `t`; the other arguments are numbers or
+    per-row values."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    values = (t, x, y, 1.0, 0.0, yaw_rate, length, width, orientation)
+    return table(TRACK_COLUMNS, [np.broadcast_to(v, t.shape) for v in values])
 
 
 def test_metrics_zero_for_identical_series():
-    series = [_tp(float(k)) for k in range(5)]
+    series = _tp(np.arange(5.0))
     err = tracking_metrics(series, series)
-    assert np.all(err.rmse_centroid == 0.0)
-    assert np.all(err.rmse_length == 0.0)
-    assert np.all(err.abs_orientation_error_deg == 0.0)
+    assert np.all(err["rmse_centroid"] == 0.0)
+    assert np.all(err["rmse_length"] == 0.0)
+    assert np.all(err["abs_orientation_error_deg"] == 0.0)
 
 
 def test_metrics_constant_offset_rmse():
-    est = [_tp(float(k), x=1.0) for k in range(6)]
-    tru = [_tp(float(k), x=0.0) for k in range(6)]
-    err = tracking_metrics(est, tru)
-    assert err.rmse_centroid == pytest.approx([1.0] * 6)
+    err = tracking_metrics(_tp(np.arange(6.0), x=1.0), _tp(np.arange(6.0), x=0.0))
+    assert err["rmse_centroid"] == pytest.approx([1.0] * 6)
 
 
 def test_metrics_orientation_folding():
-    est = [_tp(0.0, orientation=math.radians(-5.0))]
-    tru = [_tp(0.0, orientation=math.radians(170.0))]
+    est = _tp(0.0, orientation=math.radians(-5.0))
+    tru = _tp(0.0, orientation=math.radians(170.0))
     err = tracking_metrics(est, tru)
-    assert err.abs_orientation_error_deg[0] == pytest.approx(5.0, abs=1e-9)
+    assert err["abs_orientation_error_deg"][0] == pytest.approx(5.0, abs=1e-9)
 
 
 def test_metrics_misaligned_raises():
+    with pytest.raises(ValueError, match="misaligned at t=0.0 vs 0.5"):
+        tracking_metrics(_tp(0.0), _tp(0.5))
     with pytest.raises(ValueError):
-        tracking_metrics([_tp(0.0)], [_tp(0.5)])
-    with pytest.raises(ValueError):
-        tracking_metrics([_tp(0.0)], [_tp(0.0), _tp(1.0)])
+        tracking_metrics(_tp(0.0), _tp([0.0, 1.0]))
 
 
 def test_metrics_running_rmse_definition():
-    est = [_tp(0.0, x=1.0), _tp(1.0, x=0.0)]
-    tru = [_tp(0.0, x=0.0), _tp(1.0, x=0.0)]
-    err = tracking_metrics(est, tru)
-    assert err.rmse_centroid == pytest.approx([1.0, math.sqrt(0.5)])
+    err = tracking_metrics(_tp([0.0, 1.0], x=[1.0, 0.0]), _tp([0.0, 1.0], x=0.0))
+    assert err["rmse_centroid"] == pytest.approx([1.0, math.sqrt(0.5)])
 
 
 # --- runner ------------------------------------------------------------------------------
@@ -431,13 +428,13 @@ def test_run_tracker_follows_constant_velocity_target():
         vels = np.full(8, 2.0)  # sensor at origin looking along +x
         scans.append(TrackerScan(t, pts, vels, np.array([0.0, 0.0])))
     out = run_tracker(scans, TrackerParams(), use_doppler=False)
-    assert len(out) == 120
+    assert out.dtype.names == (*TRACK_COLUMNS, "nis") and len(out) == 120
     last = out[-1]
     true_last = np.array([2.0 * 11.9, 1.0])
-    assert np.hypot(last.x - true_last[0], last.y - true_last[1]) < 0.2
-    assert last.speed == pytest.approx(2.0, abs=0.3)
-    assert math.isnan(out[0].nis)  # the first row starts the track; every later one is an update
-    assert all(p.nis >= 0.0 for p in out[1:])
+    assert np.hypot(last["x"] - true_last[0], last["y"] - true_last[1]) < 0.2
+    assert last["speed"] == pytest.approx(2.0, abs=0.3)
+    assert math.isnan(out["nis"][0])  # the first row starts the track; every later one updates
+    assert (out["nis"][1:] >= 0.0).all()
 
 
 def test_run_tracker_skips_empty_scans():

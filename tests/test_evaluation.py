@@ -6,7 +6,7 @@ from scipy import stats as sps
 from scipy.special import stdtr
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import EmptyScanError, GLOBAL, Detections, Pose, VruKind
+from vruradar.core import EmptyScanError, Detections, VruKind
 from vruradar.evaluation import (
     Averaging,
     confidence_ellipse,
@@ -17,7 +17,6 @@ from vruradar.evaluation import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from vruradar.trajectory import TrajectoryState
 
 from conftest import labeled_table
 
@@ -35,7 +34,7 @@ def make_scan(t, assigned_idx, rejected_idx, *, vr=None, amp=20.0, rng_m=10.0, p
     def rows(idx):
         return dets[np.asarray(idx, dtype=int)]
 
-    state = TrajectoryState(t, Pose(0, 0, 0, frame=GLOBAL), 1.0, 0.0)
+    state = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     return LabeledScan(
         timestamp=t, track_id="vru-0", vru_kind=VruKind.PEDESTRIAN, sensor_id="r0",
         assigned=rows(assigned_idx), rejected=rows(rejected_idx),
@@ -222,7 +221,7 @@ def test_confidence_requires_3_noncollinear_points():
 def one_cycle(scan):
     """`cycle_stats` of a one-scan table, as one row of values."""
     stats = cycle_stats(labeled_table([scan]))
-    return {name: getattr(stats, name)[0] for name in (
+    return {name: stats[name][0] for name in (
         "n_assigned", "mean_comp_power", "doppler_std", "conf_major", "conf_minor",
         "weighted_count")}
 

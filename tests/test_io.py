@@ -2,19 +2,16 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from vruradar import io
 from vruradar.annotation import annotate_scenario
 from vruradar.simulator import preset, simulate_scenario
-from vruradar.trajectory import (
-    GnssQuality,
-    GnssSample,
-    ImuSample,
-    build_trajectory,
-)
+from vruradar.trajectory import (GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, GnssQuality,
+                                 build_trajectory)
 
-from conftest import reorder_scans
+from conftest import reorder_scans, series
 
 
 @pytest.fixture(scope="module")
@@ -28,25 +25,22 @@ def small_scenario():
 def test_gnss_round_trip(tmp_path, small_scenario):
     path = tmp_path / "gnss.csv"
     io.write_gnss_csv(path, small_scenario.gnss)
-    back = io.read_gnss_csv(path)
-    assert len(back) == len(small_scenario.gnss)
-    for a, b in zip(back, small_scenario.gnss):
-        assert a.timestamp == pytest.approx(b.timestamp, abs=1e-9)
-        assert (a.x, a.y) == (b.x, b.y)
-        assert a.quality == b.quality
+    back, gnss = io.read_gnss_csv(path), small_scenario.gnss
+    assert back.dtype.names == GNSS_COLUMNS and len(back) == len(gnss)
+    assert back["timestamp"] == pytest.approx(gnss["timestamp"], abs=1e-9)
+    for name in ("x", "y", "quality"):
+        assert np.array_equal(back[name], gnss[name])
 
 
 def test_imu_round_trip_with_optional_yaw(tmp_path):
-    samples = [
-        ImuSample(timestamp=0.0, yaw_rate=0.1, accel_forward=-0.2, yaw=1.5),
-        ImuSample(timestamp=0.5, yaw_rate=-0.3, accel_forward=0.0, yaw=None),
-    ]
+    imu = series(IMU_COLUMNS, [0.0, 0.5], [0.1, -0.3], [-0.2, 0.0], [1.5, np.nan])
     path = tmp_path / "imu.csv"
-    io.write_imu_csv(path, samples)
+    io.write_imu_csv(path, imu)
+    assert path.read_text(encoding="utf-8").splitlines()[3] == "0.500000000,-0.3,0.0,"
     back = io.read_imu_csv(path)
-    assert back[0].yaw == 1.5
-    assert back[1].yaw is None
-    assert back[1].yaw_rate == -0.3
+    assert back["yaw"][0] == 1.5
+    assert np.isnan(back["yaw"][1])  # an empty field is NaN in memory
+    assert back["yaw_rate"][1] == -0.3
 
 
 def test_radar_round_trip(tmp_path, small_scenario):
@@ -61,7 +55,7 @@ def test_radar_round_trip(tmp_path, small_scenario):
 
 def test_truth_labels_round_trip(tmp_path, small_scenario):
     path = tmp_path / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     back = io.read_truth_labels_jsonl(path)
     assert back == small_scenario.label_map()
 
@@ -69,12 +63,32 @@ def test_truth_labels_round_trip(tmp_path, small_scenario):
 def test_traj_round_trip(tmp_path, small_scenario):
     path = tmp_path / "traj.csv"
     io.write_traj_csv(path, small_scenario.truth)
-    back = io.read_traj_csv(path)
-    assert len(back) == len(small_scenario.truth)
-    for a, b in zip(back[::50], small_scenario.truth[::50]):
-        assert a.pose.x == b.pose.x
-        assert a.speed == b.speed
-        assert a.yaw_rate == b.yaw_rate
+    back, truth = io.read_traj_csv(path), small_scenario.truth
+    assert len(back) == len(truth)
+    for name in ("x", "y", "yaw", "speed", "yaw_rate"):
+        assert np.array_equal(back[name], truth[name])
+
+
+def test_traj_reader_wraps_yaw(tmp_path):
+    path = tmp_path / "traj.csv"
+    path.write_text("# format=vruradar.traj.v1\ntimestamp,x,y,yaw,speed,yaw_rate\n"
+                    f"0.0,0.0,0.0,{-math.pi!r},1.0,0.0\n1.0,0.0,0.0,7.0,1.0,0.0\n",
+                    encoding="utf-8")
+    assert io.read_traj_csv(path)["yaw"].tolist() == [math.pi, 7.0 - 2.0 * math.pi]
+
+
+def test_traj_reader_rejects_negative_speed_at_its_line(tmp_path, small_scenario):
+    path = tmp_path / "traj.csv"
+    io.write_traj_csv(path, small_scenario.truth)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[300].split(",")
+    fields[4] = "-1.0"
+    lines[300] = ",".join(fields)
+    lines[400] = lines[400].replace(",", ",oops,", 1)  # a later fault does not mask it
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="speed must be >= 0, got -1.0") as err:
+        io.read_traj_csv(path)
+    assert (err.value.path, err.value.line) == (path, 301)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +111,7 @@ def test_labeled_round_trip_preserves_partition(tmp_path, labeled_result):
         assert (a.bounding is None) == (b.bounding is None)
         if a.bounding is not None:
             assert a.bounding.ax_major == b.bounding.ax_major
-        assert a.vru_state.pose.x == b.vru_state.pose.x
+        assert np.array_equal(a.vru_state, b.vru_state)
         assert a.assigned == b.assigned
         assert a.rejected == b.rejected
 
@@ -115,6 +129,23 @@ def test_scenario_manifest_round_trip(tmp_path, small_scenario):
     assert meta["ego_pose"].x == cfg.ego_pose.x
     assert [m.sensor_id for m in meta["mounts"]] == [m.sensor_id for m in cfg.mounts]
     assert meta["mounts"][0].fov_azimuth == pytest.approx(math.radians(60))
+
+
+def test_scenario_reader_rejects_a_repeated_sensor_id(tmp_path, small_scenario):
+    # Two mounts of one id would place one radar's points with the other's pose.
+    cfg = small_scenario.config
+    path = tmp_path / "scenario.json"
+    io.write_scenario_json(
+        path, vru_kind=cfg.vru_kind, track_id="vru-0", seed=cfg.rng_seed,
+        ego_pose=cfg.ego_pose, mounts=cfg.mounts, counts={"radar_scans": 3},
+    )
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    rec["mounts"][1]["sensor_id"] = rec["mounts"][0]["sensor_id"]
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    with pytest.raises(io.SchemaError,
+                       match="sensor 'radar-left' has more than one mount") as err:
+        io.read_scenario_json(path)
+    assert (err.value.path, err.value.line) == (path, 1)
 
 
 @pytest.mark.parametrize("reader,header", [
@@ -180,10 +211,10 @@ def test_gnss_quality_values_validated(tmp_path):
 
 
 def test_degraded_quality_round_trips(tmp_path):
-    samples = [GnssSample(timestamp=0.0, x=0.0, y=0.0, quality=GnssQuality.DEGRADED)]
     path = tmp_path / "gnss.csv"
-    io.write_gnss_csv(path, samples)
-    assert io.read_gnss_csv(path)[0].quality == GnssQuality.DEGRADED
+    io.write_gnss_csv(path, series(GNSS_COLUMNS, [0.0], 0.0, 0.0, GnssQuality.DEGRADED))
+    assert io.read_gnss_csv(path)["quality"].dtype == QUALITY_DTYPE
+    assert io.read_gnss_csv(path)["quality"].tolist() == ["DEGRADED"]
 
 
 @pytest.mark.parametrize("kind", ["gnss", "imu", "traj"])
@@ -230,7 +261,7 @@ def test_radar_reader_rejects_non_finite_numbers(tmp_path, small_scenario, const
 @pytest.mark.parametrize("constant", NON_FINITE)
 def test_truth_labels_reader_rejects_non_finite_numbers(tmp_path, small_scenario, constant):
     path = tmp_path / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     line = _inject(path, "t", constant)
     with pytest.raises(io.SchemaError, match="non-finite") as err:
         io.read_truth_labels_jsonl(path)
@@ -345,7 +376,7 @@ def test_labeled_reader_rejects_point_index_beyond_int64(tmp_path, labeled_resul
 @pytest.mark.parametrize("value", [0.5, "0", True])
 def test_truth_labels_reader_requires_integer_point_index(tmp_path, small_scenario, value):
     path = tmp_path / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     lines = path.read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[3])
     rec["idx"] = value
@@ -358,7 +389,7 @@ def test_truth_labels_reader_requires_integer_point_index(tmp_path, small_scenar
 
 def test_truth_labels_reader_rejects_repeated_keys(tmp_path, small_scenario):
     path = tmp_path / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     lines = path.read_text(encoding="utf-8").splitlines()
     rec = json.loads(lines[1])
     rec["label"] = "clutter" if rec["label"] == "vru" else "vru"
@@ -437,7 +468,7 @@ def test_jsonl_readers_require_finite_json_numbers(tmp_path, small_scenario, lab
     if kind == "radar":
         io.write_radar_jsonl(path, small_scenario.scans)
     elif kind == "truth_labels":
-        io.write_truth_labels_jsonl(path, small_scenario.labels)
+        io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     else:
         io.write_labeled_jsonl(path, labeled_result.scans)
         line = 2 + next(k for k, s in enumerate(labeled_result.scans) if s.bounding is not None)
@@ -495,7 +526,7 @@ def test_jsonl_readers_require_finite_json_point_values(tmp_path, small_scenario
 @pytest.mark.parametrize("raw", ["null", '"VRU "', "1", '"Vru"', "true"])
 def test_truth_labels_reader_requires_a_known_label(tmp_path, small_scenario, raw):
     path = tmp_path / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, small_scenario.labels)
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     _set_raw(path, 4, ("label",), raw)
     with pytest.raises(io.SchemaError, match="label must be 'vru' or 'clutter'") as err:
         io.read_truth_labels_jsonl(path)

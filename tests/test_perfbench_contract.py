@@ -69,7 +69,7 @@ def small_run():
     return cfg, data, annotate_args, annotated, tracker_scans
 
 
-def test_result_counts_read_small_results(tracer, small_run):
+def test_result_counts_read_small_results(tracer, small_run, tmp_path):
     cfg, data, annotate_args, annotated, tracker_scans = small_run
     grid = accumulate(annotated.scans)
     calls = {
@@ -85,6 +85,11 @@ def test_result_counts_read_small_results(tracer, small_run):
     json.dumps(counts)  # the tracer writes them as JSON
     assert counts["simulator.scans"] == len(data.scans) > 0
     assert counts["simulator.detections"] == len(data.scans.detections) > 0
+    for stream in ("gnss", "imu"):  # a stream's len() is its count of samples on file
+        path = tmp_path / f"{stream}.csv"
+        getattr(cli.io, f"write_{stream}_csv")(path, getattr(data, stream))
+        written = len(path.read_text(encoding="utf-8").splitlines()) - 2  # tag and header
+        assert counts[f"simulator.{stream}_samples"] == written > 0
     labeled_rows = counts["annotation.assigned"] + counts["annotation.rejected"]
     assert labeled_rows == len(annotated.scans.detections)
     assert counts["annotation.assigned"] == int(annotated.scans.n_assigned.sum()) > 0

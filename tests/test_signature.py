@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import GLOBAL, Detections, Pose, VruKind
+from vruradar.core import Detections, Pose, VruKind
 from vruradar.signature import (
     accumulate,
     grid_stats,
     write_grid_csv,
     write_pgm,
 )
-from vruradar.trajectory import TrajectoryState
 
 from conftest import labeled_table
 
 
-def vru_state(x=0.0, y=0.0, yaw=0.0, t=0.0):
-    return TrajectoryState(timestamp=t, pose=Pose(x, y, yaw, frame=GLOBAL), speed=1.0, yaw_rate=0.0)
+def vru_state(x=0.0, y=0.0, yaw=0.0):
+    """A labeled scan's state row: x, y, yaw, speed and yaw rate."""
+    return np.array([x, y, yaw, 1.0, 0.0])
+
+
+def pose(state) -> Pose:
+    return Pose(*state[:3])
 
 
 def labeled_scan(t, points_global, state):
@@ -34,12 +38,12 @@ def labeled_scan(t, points_global, state):
 
 def test_to_object_frame_center_maps_to_origin():
     st = vru_state(3.0, -2.0, 0.7)
-    assert st.pose.from_parent([3.0, -2.0]) == pytest.approx([0.0, 0.0])
+    assert pose(st).from_parent([3.0, -2.0]) == pytest.approx([0.0, 0.0])
 
 
 def test_to_object_frame_rotation():
     st = vru_state(0.0, 0.0, math.pi / 2)
-    assert st.pose.from_parent([0.0, 1.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert pose(st).from_parent([0.0, 1.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_object_frame_round_trip():
@@ -47,7 +51,7 @@ def test_object_frame_round_trip():
     for _ in range(100):
         st = vru_state(*rng.normal(0, 5, 2), rng.uniform(-math.pi, math.pi))
         p = rng.normal(0, 3, 2)
-        back = st.pose.to_parent(st.pose.from_parent(p))
+        back = pose(st).to_parent(pose(st).from_parent(p))
         assert back == pytest.approx(p, abs=1e-9)
 
 
@@ -165,8 +169,8 @@ def test_exports_carry_format_headers(tmp_path):
 def test_states_aligned_with_scans_replace_track_states():
     # Both scans see a point 1 m ahead of their own state; the given states
     # put the first point at the origin and the second 1 m behind it.
-    scans = [labeled_scan(0.0, [(1.0, 0.0)], vru_state(0.0, 0.0, t=0.0)),
-             labeled_scan(1.0, [(2.0, 0.0)], vru_state(1.0, 0.0, t=1.0))]
+    scans = [labeled_scan(0.0, [(1.0, 0.0)], vru_state(0.0, 0.0)),
+             labeled_scan(1.0, [(2.0, 0.0)], vru_state(1.0, 0.0))]
     states = np.array([(1.0, 0.0, 0.0), (3.0, 0.0, 0.0)])  # x, y, yaw
     grid = accumulate(labeled_table(scans), resolution=0.5, states=states)
     xs, ys = grid.cell_centers()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vruradar.core import LABEL_VRU, VruKind, compose_pose
+from vruradar.core import VruKind, compose_pose
 from vruradar.simulator import (
     EightCourse,
     Perturbation,
@@ -27,11 +27,8 @@ def ped_data():
 
 def test_course_passes_origin_twice_per_lap():
     course = EightCourse(6.0, 1.5)
-    hits = 0
-    for t in np.linspace(0, course.period, 4000, endpoint=False):
-        s = course.state_at(t)
-        if math.hypot(s.pose.x, s.pose.y) < 0.02:
-            hits += 1
+    xy = course.states(np.linspace(0, course.period, 4000, endpoint=False))[0]
+    hits = np.count_nonzero(np.hypot(xy[:, 0], xy[:, 1]) < 0.02)
     # two crossings, each seen over a couple of consecutive samples
     assert hits >= 2
 
@@ -39,23 +36,22 @@ def test_course_passes_origin_twice_per_lap():
 def test_course_constant_arc_speed():
     course = EightCourse(6.0, 2.0)
     ts = np.linspace(0.1, course.period, 500)
-    xy = np.array([[course.state_at(t).pose.x, course.state_at(t).pose.y] for t in ts])
+    xy = course.states(ts)[0]
     d = np.linalg.norm(np.diff(xy, axis=0), axis=1) / np.diff(ts)
     assert np.all(np.abs(d - 2.0) / 2.0 < 1e-3)
 
 
 def test_course_closes_after_one_period():
     course = EightCourse(8.0, 1.4)
-    s0 = course.state_at(0.0)
-    s1 = course.state_at(course.period)
-    assert math.hypot(s1.pose.x - s0.pose.x, s1.pose.y - s0.pose.y) < 1e-6
+    p0, p1 = course.states([0.0, course.period])[0]
+    assert math.hypot(*(p1 - p0)) < 1e-6
 
 
 def test_truth_stream_covers_duration():
     cfg = preset("pedestrian-nominal")
     truth = generate_truth(cfg)
-    assert truth[0].timestamp == 0.0
-    assert truth[-1].timestamp == pytest.approx(cfg.duration)
+    assert truth["timestamp"][0] == 0.0
+    assert truth["timestamp"][-1] == pytest.approx(cfg.duration)
 
 
 # --- GNSS ----------------------------------------------------------------------
@@ -64,21 +60,18 @@ def test_gnss_exact_when_noiseless():
     cfg = replace(preset("pedestrian-nominal"), gnss_sigma=0.0, duration=10.0)
     course = EightCourse(cfg.course_half_width, cfg.speed)
     rng = np.random.default_rng(0)
-    for s in generate_gnss(course, cfg, rng):
-        truth = course.state_at(s.timestamp)
-        assert (s.x, s.y) == pytest.approx((truth.pose.x, truth.pose.y), abs=1e-12)
+    gnss = generate_gnss(course, cfg, rng)
+    truth = course.states(gnss["timestamp"])[0]
+    np.testing.assert_allclose(np.column_stack([gnss["x"], gnss["y"]]), truth, rtol=0, atol=1e-12)
 
 
 def test_gnss_noise_rms_matches_sigma():
     cfg = replace(preset("pedestrian-nominal"), duration=60.0, gnss_sigma=0.02)
     course = EightCourse(cfg.course_half_width, cfg.speed)
     rng = np.random.default_rng(1)
-    samples = generate_gnss(course, cfg, rng)
-    assert len(samples) > 1000
-    errs = []
-    for s in samples:
-        truth = course.state_at(s.timestamp)
-        errs.append([s.x - truth.pose.x, s.y - truth.pose.y])
+    gnss = generate_gnss(course, cfg, rng)
+    assert len(gnss) > 1000
+    errs = np.column_stack([gnss["x"], gnss["y"]]) - course.states(gnss["timestamp"])[0]
     rms = float(np.sqrt(np.mean(np.square(errs))))
     assert rms == pytest.approx(cfg.gnss_sigma, rel=0.1)
 
@@ -87,13 +80,11 @@ def test_gnss_bias_window_sample_count():
     pert = Perturbation(start=5.0, duration=3.0, bias=(2.0, 0.0), onset=1e-9)
     cfg = replace(preset("pedestrian-nominal"), duration=15.0, gnss_sigma=0.0, perturbation=pert)
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    samples = generate_gnss(course, cfg, np.random.default_rng(0))
-    displaced = 0
-    for s in samples:
-        truth = course.state_at(s.timestamp)
-        if math.hypot(s.x - truth.pose.x, s.y - truth.pose.y) > 1.0:
-            displaced += 1
-    expect = sum(1 for s in samples if pert.start < s.timestamp < pert.start + pert.duration)
+    gnss = generate_gnss(course, cfg, np.random.default_rng(0))
+    t = gnss["timestamp"]
+    err = np.column_stack([gnss["x"], gnss["y"]]) - course.states(t)[0]
+    displaced = np.count_nonzero(np.hypot(err[:, 0], err[:, 1]) > 1.0)
+    expect = np.count_nonzero((pert.start < t) & (t < pert.start + pert.duration))
     assert displaced == expect
     assert displaced == pytest.approx(3.0 * cfg.gnss_rate, abs=2)
 
@@ -102,9 +93,9 @@ def test_gnss_random_walk_inside_window_only():
     pert = Perturbation(start=5.0, duration=10.0, random_walk_sigma=0.1)
     cfg = replace(preset("pedestrian-nominal"), duration=20.0, gnss_sigma=0.0, perturbation=pert)
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    samples = generate_gnss(course, cfg, np.random.default_rng(2))
-    t = np.array([s.timestamp for s in samples])
-    offset = np.array([[s.x, s.y] for s in samples]) - course.states(t)[0]
+    gnss = generate_gnss(course, cfg, np.random.default_rng(2))
+    t = gnss["timestamp"]
+    offset = np.column_stack([gnss["x"], gnss["y"]]) - course.states(t)[0]
     inside = (t > pert.start) & (t < pert.start + pert.duration)
     assert not offset[~inside].any()
     steps = np.diff(offset[inside], axis=0, prepend=np.zeros((1, 2)))
@@ -116,8 +107,9 @@ def test_gnss_degraded_flagging_optional():
     pert = Perturbation(start=2.0, duration=2.0, bias=(2.0, 0.0), flagged=True)
     cfg = replace(preset("pedestrian-nominal"), duration=6.0, perturbation=pert)
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    samples = generate_gnss(course, cfg, np.random.default_rng(0))
-    flags = {s.quality.value for s in samples if 2.5 <= s.timestamp <= 3.5}
+    gnss = generate_gnss(course, cfg, np.random.default_rng(0))
+    t = gnss["timestamp"]
+    flags = set(gnss["quality"][(2.5 <= t) & (t <= 3.5)].tolist())
     assert flags == {"DEGRADED"}
 
 
@@ -129,10 +121,10 @@ def test_imu_noiseless_matches_analytic():
         gyro_sigma=0.0, gyro_bias_sigma=0.0, accel_sigma=0.0, accel_bias_sigma=0.0,
     )
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    for s in generate_imu(course, cfg, np.random.default_rng(0)):
-        truth = course.state_at(s.timestamp)
-        assert s.yaw_rate == pytest.approx(truth.yaw_rate, abs=1e-12)
-        assert s.accel_forward == 0.0
+    imu = generate_imu(course, cfg, np.random.default_rng(0))
+    truth_rate = course.states(imu["timestamp"])[3]
+    np.testing.assert_allclose(imu["yaw_rate"], truth_rate, rtol=0, atol=1e-12)
+    assert not imu["accel_forward"].any()
 
 
 def test_imu_integrating_yaw_rate_recovers_heading():
@@ -141,12 +133,13 @@ def test_imu_integrating_yaw_rate_recovers_heading():
         gyro_sigma=0.0, gyro_bias_sigma=0.0, accel_sigma=0.0, accel_bias_sigma=0.0,
     )
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    samples = generate_imu(course, cfg, np.random.default_rng(0))
-    yaw = course.state_at(0.0).pose.yaw
+    imu = generate_imu(course, cfg, np.random.default_rng(0))
+    rate = imu["yaw_rate"].tolist()
+    yaw = float(course.states([0.0])[1][0])
     dt = 1.0 / cfg.imu_rate
-    for prev, cur in zip(samples, samples[1:]):
-        yaw += 0.5 * (prev.yaw_rate + cur.yaw_rate) * dt
-    expect = course.state_at(samples[-1].timestamp).pose.yaw
+    for prev, cur in zip(rate, rate[1:]):
+        yaw += 0.5 * (prev + cur) * dt
+    expect = float(course.states(imu["timestamp"][-1:])[1][0])
     assert math.remainder(yaw - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-3)
 
 
@@ -156,14 +149,12 @@ def test_imu_constant_bias_drifts_linearly():
         gyro_sigma=0.0, gyro_bias_sigma=0.05, accel_sigma=0.0, accel_bias_sigma=0.0,
     )
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    samples = generate_imu(course, cfg, np.random.default_rng(3))
-    bias = samples[0].yaw_rate - course.state_at(0.0).yaw_rate
+    imu = generate_imu(course, cfg, np.random.default_rng(3))
+    error = imu["yaw_rate"] - course.states(imu["timestamp"])[3]
+    bias = error[0]
     assert abs(bias) > 1e-4
-    drift = 0.0
-    dt = 1.0 / cfg.imu_rate
-    for s in samples[1:]:
-        drift += (s.yaw_rate - course.state_at(s.timestamp).yaw_rate) * dt
-    assert drift == pytest.approx(bias * samples[-1].timestamp, rel=1e-6)
+    drift = error[1:].sum() / cfg.imu_rate
+    assert drift == pytest.approx(bias * imu["timestamp"][-1], rel=1e-6)
 
 
 # --- radar -------------------------------------------------------------------------
@@ -182,9 +173,9 @@ def test_radar_quantization_steps(ped_data):
 def test_radar_zero_clutter_all_vru():
     cfg = replace(preset("pedestrian-nominal"), duration=10.0, clutter_rate=0.0)
     course = EightCourse(cfg.course_half_width, cfg.speed)
-    scans, labels, _ = generate_radar(course, cfg, np.random.default_rng(0))
-    assert len(labels) > 0
-    assert all(label == LABEL_VRU for _, _, label in labels)
+    scans, is_vru, _ = generate_radar(course, cfg, np.random.default_rng(0))
+    assert len(is_vru) == len(scans.detections) > 0
+    assert is_vru.all()
 
 
 def test_radar_scan_timestamps_unique(ped_data):
@@ -203,11 +194,10 @@ def test_radar_detection_count_halves_at_double_range():
     r0 = cfg.detection_rate.r0
     counts = {r0: [], 2 * r0: []}
     mounts = {m.sensor_id: m for m in cfg.mounts}
-    for scan in data.scans:
-        state = data.course.state_at(scan.timestamp)
+    for scan, (x, y) in zip(data.scans, data.course.states(data.scans.timestamp)[0].tolist()):
         mount = mounts[scan.sensor_id]
         sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
-        r = math.hypot(state.pose.x - sensor.x, state.pose.y - sensor.y)
+        r = math.hypot(x - sensor.x, y - sensor.y)
         for target in counts:
             if abs(r - target) < 0.75:
                 counts[target].append(len(scan.detections))
@@ -220,13 +210,13 @@ def test_radar_vru_points_within_4_sigma(ped_data):
     cfg = ped_data.config
     sx, sy = cfg.body_sigma()
     offsets = ped_data.scans.offsets
-    for k, scan in enumerate(ped_data.scans):
+    xy, yaw, _, _ = ped_data.course.states(ped_data.scans.timestamp)
+    for k in range(len(ped_data.scans)):
         raw = ped_data.raw_vru_points[offsets[k]:offsets[k + 1]]
         raw = raw[~np.isnan(raw[:, 0])]  # NaN rows are clutter
-        state = ped_data.course.state_at(scan.timestamp)
-        c, s = math.cos(state.pose.yaw), math.sin(state.pose.yaw)
+        c, s = math.cos(yaw[k]), math.sin(yaw[k])
         for p in raw:
-            dx, dy = p[0] - state.pose.x, p[1] - state.pose.y
+            dx, dy = p[0] - xy[k, 0], p[1] - xy[k, 1]
             u, v = c * dx + s * dy, -s * dx + c * dy
             assert (u / (4 * sx)) ** 2 + (v / (4 * sy)) ** 2 <= 1.0
 
@@ -251,8 +241,9 @@ def test_simulation_deterministic_under_seed():
     for sa, sb in zip(a.scans, b.scans):
         for column in ("index", "range_m", "azimuth", "radial_velocity", "amplitude"):
             assert getattr(sa.detections, column).tolist() == getattr(sb.detections, column).tolist()
-    assert a.labels == b.labels
-    assert [(g.x, g.y) for g in a.gnss] == [(g.x, g.y) for g in b.gnss]
+    assert np.array_equal(a.is_vru, b.is_vru)
+    for name in ("gnss", "imu", "truth"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_presets():

@@ -4,24 +4,39 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from conftest import series
 from vruradar.simulator import Perturbation, preset, simulate_scenario
 from vruradar.trajectory import (
+    GNSS_COLUMNS,
+    IMU_COLUMNS,
+    QUALITY_DTYPE,
+    TRAJ_COLUMNS,
     FusionParams,
     GnssQuality,
-    GnssSample,
-    ImuSample,
     NaturalCubicSpline,
     OutOfRangeError,
     ReferenceTrajectory,
     STANDSTILL_SPEED,
-    TrajectoryState,
     build_fused_trajectory,
     build_trajectory,
     fuse_gnss_imu,
     moving_average,
-    smooth_gnss,
 )
 from dataclasses import replace
+
+
+def state_at(traj, t):
+    """x, y, yaw, speed and yaw rate at one time."""
+    return traj.states_at([t])[0].tolist()
+
+
+def gnss_series(times, x, y=0.0):
+    return series(GNSS_COLUMNS, times, x, y, np.array(GnssQuality.FIX_RTK, dtype=QUALITY_DTYPE))
+
+
+def imu_series(times):
+    """A still IMU: no turn, no acceleration, no heading of its own."""
+    return series(IMU_COLUMNS, times, 0.0, 0.0, np.nan)
 
 
 # --- moving average --------------------------------------------------------
@@ -72,7 +87,7 @@ def test_spline_passes_through_knots():
     xy = rng.normal(0, 3, (40, 2))
     traj = ReferenceTrajectory(times, xy)
     for t, p in zip(times[::5], xy[::5]):
-        assert traj.position_at(t) == pytest.approx(p, abs=1e-9)
+        assert state_at(traj, t)[:2] == pytest.approx(p, abs=1e-9)
 
 
 def _assert_spline_matches_scipy(times, values, tol_value, tol_first, tol_second):
@@ -115,9 +130,9 @@ def test_straight_line_speed_and_yaw():
     times = np.linspace(0, 5, 26)
     xy = np.stack([2.0 * times, np.zeros_like(times)], axis=1)
     traj = ReferenceTrajectory(times, xy)
-    st = traj.state_at(2.37)
-    assert st.speed == pytest.approx(2.0, abs=1e-6)
-    assert st.pose.yaw == pytest.approx(0.0, abs=1e-9)
+    _, _, yaw, speed, _ = state_at(traj, 2.37)
+    assert speed == pytest.approx(2.0, abs=1e-6)
+    assert yaw == pytest.approx(0.0, abs=1e-9)
 
 
 def test_circle_interpolation_under_1mm():
@@ -128,15 +143,15 @@ def test_circle_interpolation_under_1mm():
     traj = ReferenceTrajectory(times, xy)
     for t in np.linspace(0.5, 11.0, 57):
         expect = [radius * math.cos(omega * t), radius * math.sin(omega * t)]
-        assert np.linalg.norm(traj.position_at(t) - expect) < 1e-3
+        assert np.linalg.norm(traj.states_at([t])[0, :2] - expect) < 1e-3
 
 
 def test_out_of_range_raises():
     traj = ReferenceTrajectory([0.0, 1.0, 2.0], [[0, 0], [1, 0], [2, 0]])
     with pytest.raises(OutOfRangeError):
-        traj.state_at(-0.1)
+        traj.states_at([-0.1])
     with pytest.raises(OutOfRangeError):
-        traj.state_at(2.1)
+        traj.states_at([1.0, 2.1])
 
 
 def test_yaw_rate_from_curvature_on_circle():
@@ -144,8 +159,7 @@ def test_yaw_rate_from_curvature_on_circle():
     times = np.arange(0, 12.0, 0.05)
     xy = np.stack([radius * np.cos(omega * times), radius * np.sin(omega * times)], axis=1)
     traj = ReferenceTrajectory(times, xy)
-    st = traj.state_at(6.0)
-    assert st.yaw_rate == pytest.approx(omega, rel=1e-3)
+    assert state_at(traj, 6.0)[4] == pytest.approx(omega, rel=1e-3)
 
 
 def test_yaw_hold_at_standstill():
@@ -157,10 +171,10 @@ def test_yaw_hold_at_standstill():
     times = np.concatenate([t1, t2])
     xy = np.vstack([xy1, xy2])
     traj = ReferenceTrajectory(times, xy)
-    st = traj.state_at(8.0)
-    assert st.speed < 0.05
-    assert math.isfinite(st.pose.yaw)
-    assert st.pose.yaw == pytest.approx(0.0, abs=0.2)
+    _, _, yaw, speed, _ = state_at(traj, 8.0)
+    assert speed < 0.05
+    assert math.isfinite(yaw)
+    assert yaw == pytest.approx(0.0, abs=0.2)
 
 
 def _held_yaw_by_loop(times, xy):
@@ -191,40 +205,39 @@ def test_yaw_holds_through_the_stops_of_a_stop_and_go_track():
     stops = {"start": (0.2, 1.5), "first stop": (5.5, 7.0), "second stop": (11.0, 12.3)}
     for name, (t0, t1) in stops.items():
         for t in np.linspace(t0, t1, 7):
-            st = traj.state_at(t)
-            assert st.speed < STANDSTILL_SPEED, (name, t)
+            _, _, yaw, speed, _ = state_at(traj, t)
+            assert speed < STANDSTILL_SPEED, (name, t)
             knot = int(np.searchsorted(times, t, side="right") - 1)
-            assert st.pose.yaw == held[knot], (name, t)
-    assert traj.state_at(1.0).pose.yaw == pytest.approx(0.3, abs=1e-12)  # first moving chord
-    assert traj.state_at(6.0).pose.yaw == pytest.approx(0.3, abs=1e-12)
-    assert traj.state_at(12.0).pose.yaw == pytest.approx(2.0, abs=1e-12)
-    assert traj.state_at(9.5).pose.yaw == pytest.approx(2.0, abs=1e-9)  # moving: tangent
+            assert yaw == held[knot], (name, t)
+    yaw = traj.states_at([1.0, 6.0, 12.0, 9.5])[:, 2]
+    assert yaw[:3] == pytest.approx([0.3, 0.3, 2.0], abs=1e-12)  # from 1.0: first moving chord
+    assert yaw[3] == pytest.approx(2.0, abs=1e-9)  # moving: tangent
 
 
-def test_smooth_gnss_preserves_metadata():
-    samples = [GnssSample(timestamp=k * 0.1, x=float(k), y=0.0) for k in range(10)]
-    out = smooth_gnss(samples, 3)
-    assert [s.timestamp for s in out] == [s.timestamp for s in samples]
-    assert all(s.quality == GnssQuality.FIX_RTK for s in out)
+def test_build_trajectory_smooths_gnss_positions():
+    gnss = gnss_series(np.arange(10) * 0.1, np.arange(10.0) ** 2, np.arange(10.0))
+    traj = build_trajectory(gnss)
+    expected = moving_average(np.column_stack([gnss["x"], gnss["y"]]))
+    np.testing.assert_allclose(traj.states_at(gnss["timestamp"])[:, :2], expected, atol=1e-12)
 
 
 # --- fusion -------------------------------------------------------------------
 
 def test_fusion_rejects_empty_and_disjoint():
-    gnss = [GnssSample(timestamp=0.0, x=0, y=0), GnssSample(timestamp=1.0, x=0, y=0)]
-    imu = [ImuSample(timestamp=5.0, yaw_rate=0, accel_forward=0)]
+    gnss = gnss_series([0.0, 1.0], 0.0)
+    imu = imu_series([5.0])
     with pytest.raises(ValueError):
-        fuse_gnss_imu([], imu)
+        fuse_gnss_imu(gnss[:0], imu)
     with pytest.raises(ValueError):
         fuse_gnss_imu(gnss, imu)
 
 
 @pytest.mark.parametrize("stream", ["GNSS", "IMU"])
 def test_fusion_rejects_disordered_stream(stream):
-    gnss = [GnssSample(timestamp=k / 18.0, x=1.4 * k / 18.0, y=0.0) for k in range(37)]
-    imu = [ImuSample(timestamp=k / 90.0, yaw_rate=0.0, accel_forward=0.0) for k in range(181)]
+    gnss = gnss_series(np.arange(37) / 18.0, 1.4 * np.arange(37) / 18.0)
+    imu = imu_series(np.arange(181) / 90.0)
     samples = gnss if stream == "GNSS" else imu
-    samples[5], samples[6] = samples[6], samples[5]
+    samples[[5, 6]] = samples[[6, 5]]
     with pytest.raises(ValueError, match=f"{stream} timestamps must be strictly increasing: sample 6"):
         fuse_gnss_imu(gnss, imu)
 
@@ -235,8 +248,8 @@ def test_fusion_clean_matches_smoothed_gnss():
     tg = build_trajectory(data.gnss)
     tf = build_fused_trajectory(data.gnss, data.imu, FusionParams())
     tq = np.linspace(1.0, cfg.duration - 1.0, 400)
-    pg = np.array([tg.position_at(t) for t in tq])
-    pf = np.array([tf.position_at(t) for t in tq])
+    pg = tg.states_at(tq)[:, :2]
+    pf = tf.states_at(tq)[:, :2]
     rms = math.sqrt(np.mean(np.sum((pf - pg) ** 2, axis=1)))
     assert rms < 0.05
 
@@ -250,39 +263,43 @@ def test_fusion_rides_out_gnss_bias_window():
     )
     data = simulate_scenario(cfg)
     states = fuse_gnss_imu(data.gnss, data.imu, FusionParams())
-    ts = np.array([s.timestamp for s in states])
-    xy = np.array([[s.pose.x, s.pose.y] for s in states])
-    truth = np.array(
-        [[data.course.state_at(t).pose.x, data.course.state_at(t).pose.y] for t in ts]
-    )
+    assert states.dtype.names == TRAJ_COLUMNS
+    ts = states["timestamp"]
+    xy = np.column_stack([states["x"], states["y"]])
+    truth = data.course.states(ts)[0]
     err = np.linalg.norm(xy - truth, axis=1)
     sel = (ts >= 24.0) & (ts <= 34.0)
     assert err[sel].max() < 0.5
     tg = build_trajectory(data.gnss)
-    pg = np.array([tg.position_at(t) for t in ts[sel]])
+    pg = tg.states_at(ts[sel])[:, :2]
     err_g = np.linalg.norm(pg - truth[sel], axis=1)
     assert err_g.max() > 1.5
 
 
 def test_fusion_standstill_freeze():
-    gnss = [GnssSample(timestamp=k / 18.0, x=5.0, y=-2.0) for k in range(181)]
-    imu = [ImuSample(timestamp=k / 90.0, yaw_rate=0.0, accel_forward=0.0) for k in range(901)]
-    states = fuse_gnss_imu(gnss, imu)
-    assert len({(s.pose.x, s.pose.y) for s in states}) == 1
-    assert all(s.speed == 0.0 for s in states)
+    gnss = gnss_series(np.arange(181) / 18.0, 5.0, -2.0)
+    states = fuse_gnss_imu(gnss, imu_series(np.arange(901) / 90.0))
+    assert set(states["x"].tolist()) == {5.0} and set(states["y"].tolist()) == {-2.0}
+    assert not states["speed"].any()
 
 
 def test_fusion_skips_degraded_fixes():
     # flagged samples must not pull the estimate even inside the gate
-    base = [GnssSample(timestamp=k / 18.0, x=1.4 * k / 18.0, y=0.0) for k in range(181)]
-    flagged = [
-        replace(s, y=0.4, quality=GnssQuality.DEGRADED) if 4.0 <= s.timestamp <= 6.0 else s
-        for s in base
-    ]
-    imu = [ImuSample(timestamp=k / 90.0, yaw_rate=0.0, accel_forward=0.0) for k in range(901)]
-    states = fuse_gnss_imu(flagged, imu)
-    mid = [s for s in states if 4.5 <= s.timestamp <= 6.0]
-    assert max(abs(s.pose.y) for s in mid) < 0.1
+    flagged = gnss_series(np.arange(181) / 18.0, 1.4 * np.arange(181) / 18.0)
+    window = (flagged["timestamp"] >= 4.0) & (flagged["timestamp"] <= 6.0)
+    flagged["y"][window], flagged["quality"][window] = 0.4, GnssQuality.DEGRADED
+    states = fuse_gnss_imu(flagged, imu_series(np.arange(901) / 90.0))
+    mid = (states["timestamp"] >= 4.5) & (states["timestamp"] <= 6.0)
+    assert np.abs(states["y"][mid]).max() < 0.1
+
+
+def test_fusion_rejects_an_unknown_quality():
+    # "DEGRADED" stored in a column of 7 characters reads "DEGRADE", which is no quality.
+    gnss = series(GNSS_COLUMNS, np.arange(37) / 18.0, 1.4 * np.arange(37) / 18.0, 0.0,
+                  GnssQuality.FIX_RTK)
+    gnss["quality"][5] = GnssQuality.DEGRADED
+    with pytest.raises(ValueError, match="unknown GNSS quality 'DEGRADE'"):
+        fuse_gnss_imu(gnss, imu_series(np.arange(181) / 90.0))
 
 
 def test_fused_output_is_continuous():
@@ -290,8 +307,8 @@ def test_fused_output_is_continuous():
     data = simulate_scenario(cfg)
     params = FusionParams()
     states = fuse_gnss_imu(data.gnss, data.imu, params)
-    xy = np.array([[s.pose.x, s.pose.y] for s in states])
-    ts = np.array([s.timestamp for s in states])
+    xy = np.column_stack([states["x"], states["y"]])
+    ts = states["timestamp"]
     step = np.linalg.norm(np.diff(xy, axis=0), axis=1)
     bound = params.v_max * np.diff(ts) + params.pos_gain * params.gate_max
     assert np.all(step <= bound)
@@ -301,9 +318,11 @@ def test_fused_yaw_never_nan():
     cfg = preset("cyclist-perturbed", seed=2)
     data = simulate_scenario(cfg)
     states = fuse_gnss_imu(data.gnss, data.imu)
-    assert all(math.isfinite(s.pose.yaw) for s in states)
+    assert np.isfinite(states["yaw"]).all()
 
 
-def test_trajectory_state_validation():
-    with pytest.raises(ValueError):
-        TrajectoryState(0.0, pose=None, speed=-1.0, yaw_rate=0.0)
+def test_fusion_rejects_a_non_finite_fix():
+    gnss = gnss_series(np.arange(37) / 18.0, 1.4 * np.arange(37) / 18.0)
+    gnss["x"][20] = np.nan
+    with pytest.raises(ValueError, match="pose position must be finite"):
+        fuse_gnss_imu(gnss, imu_series(np.arange(181) / 90.0))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from conftest import radar_table
+from conftest import radar_table, series
 from vruradar.annotation import annotate_scenario
 from vruradar.core import GLOBAL, Detections, Pose, RadarScan, SensorMount, VruKind
 from vruradar.evaluation import cycle_stats
-from vruradar.trajectory import ImuSample, ReferenceTrajectory
+from vruradar.trajectory import IMU_COLUMNS, ReferenceTrajectory
 
 TOL = {"rtol": 1e-12, "atol": 1e-12}
 
@@ -31,10 +31,7 @@ def assert_same_annotation(result, scans, traj, vru_kind, mounts, ego_pose):
                 assert np.array_equal(getattr(da, name), getattr(db, name))
             np.testing.assert_allclose(da.ego, db.ego, **TOL)
             np.testing.assert_allclose(da.global_xy, db.global_xy, **TOL)
-        sa, sb = a.vru_state, b.vru_state
-        np.testing.assert_allclose(
-            [sa.pose.x, sa.pose.y, sa.pose.yaw, sa.speed, sa.yaw_rate],
-            [sb.pose.x, sb.pose.y, sb.pose.yaw, sb.speed, sb.yaw_rate], **TOL)
+        np.testing.assert_allclose(a.vru_state, b.vru_state, **TOL)
         assert (a.bounding is None) == (b.bounding is None)
         if a.bounding is not None:
             ea, eb = a.bounding, b.bounding
@@ -48,12 +45,12 @@ def assert_same_annotation(result, scans, traj, vru_kind, mounts, ego_pose):
 def assert_same_cycle_stats(table, expected_scans):
     stats = cycle_stats(table)
     expected = [reference.cycle_stats(s) for s in expected_scans if len(s.assigned)]
-    assert stats.timestamp.tolist() == [e["timestamp"] for e in expected]
-    assert stats.n_assigned.tolist() == [e["n_assigned"] for e in expected]
+    assert stats["timestamp"].tolist() == [e["timestamp"] for e in expected]
+    assert stats["n_assigned"].tolist() == [e["n_assigned"] for e in expected]
     for name in ("mean_comp_power", "doppler_std", "conf_major", "conf_minor",
                  "weighted_count"):
         want = [math.nan if e[name] is None else e[name] for e in expected]
-        np.testing.assert_allclose(getattr(stats, name), want, equal_nan=True, **TOL)
+        np.testing.assert_allclose(stats[name], want, equal_nan=True, **TOL)
 
 
 @pytest.mark.parametrize("fixture", ["pedestrian_run", "cyclist_run"])
@@ -88,8 +85,8 @@ def small_drive(rng: np.random.Generator, with_imu: bool) -> ReferenceTrajectory
     xy = rng.normal(0.0, 2.0, 2) + np.cumsum(steps, axis=0)
     imu = None
     if with_imu:
-        imu = [ImuSample(t, w, 0.0) for t, w in zip(np.arange(0.0, 6.0, 0.02).tolist(),
-                                                    rng.normal(0.0, 0.3, 300).tolist())]
+        imu = series(IMU_COLUMNS, np.arange(0.0, 6.0, 0.02), rng.normal(0.0, 0.3, 300), 0.0,
+                     np.nan)
     return ReferenceTrajectory(times, xy, imu=imu)
 
 
@@ -106,7 +103,7 @@ def small_scans(rng: np.random.Generator, traj: ReferenceTrajectory) -> list[Rad
         t = float(rng.choice([rng.uniform(-0.5, 6.5), rng.uniform(0.0, 5.9)]))
         mount = MOUNTS[int(rng.integers(0, 2))]
         kind = rng.integers(0, 4)
-        centre = traj.position_at(min(max(t, 0.0), traj.t_end))
+        centre = traj.states_at([min(max(t, 0.0), traj.t_end)])[0, :2]
         if kind == 0:  # empty
             r = az = np.empty(0)
         elif kind == 1:  # collinear: one azimuth, several ranges
