@@ -9,77 +9,15 @@ assigned points.  Each step runs on whole columns of the run's table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    Detections,
-    Pose,
-    ScanTable,
-    SensorMount,
-    VruKind,
-    ego_to_global,
-    mounts_by_id,
-    polar_to_ego,
-    rank_in_scan,
-    to_local,
-)
-from .selection import (
-    OrientedEllipse,
-    bounding_axes,
-    cyclist_rectangle,
-    pedestrian_ellipse,
-)
+# LabeledScan and LabeledTable are defined in core and importable from here as before.
+from .core import (LabeledScan, LabeledTable, Pose, ScanTable, SensorMount, VruKind,
+                   ego_to_global, mounts_by_id, polar_to_ego, to_local)
+from .selection import bounding_axes, cyclist_rectangle, pedestrian_ellipse
 from .trajectory import ReferenceTrajectory
-
-
-@dataclass(frozen=True)
-class LabeledScan:
-    """One scan's detections, coordinates filled in, split into assigned and rejected rows:
-    a view of one LabeledTable row."""
-
-    timestamp: float
-    track_id: str
-    vru_kind: VruKind
-    sensor_id: str
-    assigned: Detections
-    rejected: Detections
-    bounding: OrientedEllipse | None
-    vru_state: np.ndarray  # (5,) x, y, yaw, speed, yaw rate
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledTable(ScanTable):
-    """Every labeled scan of a run in one table.
-
-    The detections carry `ego` and `global_xy`; within each scan the first
-    `n_assigned[k]` rows are assigned to the track and the rest rejected.
-    `vru_state[k]` holds the track's x, y, yaw, speed and yaw rate at the
-    scan, `bounding[k]` the bounding ellipse's cx, cy, ax_major, ax_minor and
-    orientation, NaN for a scan without assigned rows.
-    """
-
-    n_assigned: np.ndarray  # (m,)
-    vru_state: np.ndarray  # (m, 5)
-    bounding: np.ndarray  # (m, 5)
-    track_id: str
-    vru_kind: VruKind
-
-    @property
-    def assigned(self) -> np.ndarray:
-        """Row mask of the assigned detections."""
-        return rank_in_scan(self.offsets) < np.repeat(self.n_assigned, np.diff(self.offsets))
-
-    def __getitem__(self, k: int) -> LabeledScan:
-        lo, mid, hi = self.offsets[k], self.offsets[k] + self.n_assigned[k], self.offsets[k + 1]
-        cx, cy, major, minor, orientation = self.bounding[k].tolist()
-        ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
-                                                                 orientation)
-        return LabeledScan(float(self.timestamp[k]), self.track_id, self.vru_kind,
-                           str(self.sensor_id[k]), self.detections[lo:mid],
-                           self.detections[mid:hi], ellipse, self.vru_state[k])
 
 
 @dataclass(frozen=True)

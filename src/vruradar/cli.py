@@ -15,20 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import eot, evaluation, io, signature
-from .annotation import annotate_scenario
-from .core import VruKind, compose_pose, mounts_by_id, table
-from .simulator import (
-    BODY_SIGMA,
-    PRESET_NAMES,
-    SCATTER_TRUNC,
-    DetectionRateParams,
-    Perturbation,
-    ScenarioConfig,
-    preset,
-    simulate_scenario,
-)
-from .trajectory import FusionParams, build_fused_trajectory, build_trajectory
+# Lazy modules (see __init__): a command loads only the layers whose attributes it reads.
+from . import annotation, eot, evaluation, io, signature, simulator, trajectory
+from .core import BODY_SIGMA, SCATTER_TRUNC, VruKind, compose_pose, mounts_by_id, table
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -97,7 +86,7 @@ def _converted(raw: dict, converters: dict, section: str) -> dict:
     return out
 
 
-def _parse_perturbation(raw) -> Perturbation:
+def _parse_perturbation(raw) -> simulator.Perturbation:
     if not isinstance(raw, dict):
         raise ConfigError(f"config key 'perturbation' must be a JSON object, got {raw!r}")
     unknown = set(raw) - set(_PERTURBATION_KEYS)
@@ -106,10 +95,10 @@ def _parse_perturbation(raw) -> Perturbation:
     for key in ("start", "duration"):
         if key not in raw:
             raise ConfigError(f"missing required perturbation key: {key}")
-    return Perturbation(**_converted(raw, _PERTURBATION_KEYS, "perturbation"))
+    return simulator.Perturbation(**_converted(raw, _PERTURBATION_KEYS, "perturbation"))
 
 
-def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
+def scenario_config_from_dict(raw: dict) -> simulator.ScenarioConfig:
     """Build a scenario config from a parsed JSON dict, rejecting unknown keys and bad values."""
     unknown = set(raw) - _SCENARIO_KEYS
     if unknown:
@@ -122,13 +111,13 @@ def scenario_config_from_dict(raw: dict) -> ScenarioConfig:
     kwargs = _converted(raw, _FIELD_KEYS, "config")
     rate = _converted(raw, _DETECTION_RATE_KEYS, "config")
     if rate:
-        kwargs["detection_rate"] = DetectionRateParams(**rate)
+        kwargs["detection_rate"] = simulator.DetectionRateParams(**rate)
     if "perturbation" in raw:
         kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
     try:
         if "preset" in raw:
-            return dataclasses.replace(preset(str(raw["preset"]), seed=seed), **kwargs)
-        return ScenarioConfig(rng_seed=seed, **kwargs)
+            return dataclasses.replace(simulator.preset(str(raw["preset"]), seed=seed), **kwargs)
+        return simulator.ScenarioConfig(rng_seed=seed, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -156,7 +145,7 @@ def cmd_simulate(args) -> int:
         raw["seed"] = args.seed
     cfg = scenario_config_from_dict(raw)
 
-    data = simulate_scenario(cfg)
+    data = simulator.simulate_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_gnss_csv(out / "gnss.csv", data.gnss)
@@ -193,10 +182,10 @@ def cmd_annotate(args) -> int:
         imu = io.read_imu_csv(args.imu) if args.imu else None
         if imu is None:
             raise ConfigError("--imu is required in gnss-imu mode")
-        traj = build_fused_trajectory(gnss, imu, FusionParams())
+        traj = trajectory.build_fused_trajectory(gnss, imu, trajectory.FusionParams())
     else:
-        traj = build_trajectory(gnss)
-    result = annotate_scenario(
+        traj = trajectory.build_trajectory(gnss)
+    result = annotation.annotate_scenario(
         scans,
         traj,
         meta["vru_kind"],
@@ -363,6 +352,16 @@ def cmd_track(args) -> int:
     return EXIT_OK
 
 
+class _PresetNames:
+    """`simulator.PRESET_NAMES`, read only when a --preset value is checked or shown."""
+
+    def __contains__(self, name) -> bool:
+        return name in simulator.PRESET_NAMES
+
+    def __iter__(self):
+        return iter(simulator.PRESET_NAMES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vruradar",
@@ -372,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
     p.add_argument("--config", help="JSON scenario config")
-    p.add_argument("--preset", choices=PRESET_NAMES, help="named scenario preset")
+    p.add_argument("--preset", choices=_PresetNames(), metavar="NAME",
+                   help="named scenario preset: %(choices)s")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
@@ -417,10 +417,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, io.SchemaError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and io.SchemaError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, eot.ExtentError) as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,4 +1,7 @@
-"""Planar frames, rigid transforms, and the radar measurement types shared by all modules.
+"""Planar frames, rigid transforms, and the declarations shared by all modules.
+
+Radar and labeled scan tables, series columns and the body model live here, so that a
+command loads no layer it does not run (see `__init__`).
 
 The world model is strictly 2D: a global east-north tangent plane in meters,
 an ego-vehicle frame, one frame per radar sensor, and an object frame whose
@@ -26,6 +29,30 @@ LABEL_CLUTTER = "clutter"
 class VruKind(str, Enum):
     PEDESTRIAN = "pedestrian"
     CYCLIST = "cyclist"
+
+
+# Default body scatter: standard deviations (along, across) the movement
+# direction, truncated at SCATTER_TRUNC sigma.
+BODY_SIGMA = {VruKind.PEDESTRIAN: (0.15, 0.15), VruKind.CYCLIST: (0.6, 0.2)}
+SCATTER_TRUNC = 1.8
+
+
+class GnssQuality(str, Enum):
+    FIX_RTK = "FIX_RTK"
+    FIX_FLOAT = "FIX_FLOAT"
+    DEGRADED = "DEGRADED"
+
+    # numpy converts a member by str(): let that be its value, not "GnssQuality.DEGRADED"
+    __str__ = str.__str__
+
+
+QUALITY_DTYPE = np.dtype("U9")  # of a `quality` column: holds every GnssQuality value whole
+# The columns of each time series, as named in its CSV header.  A series is a structured
+# array (`table`) with these fields, one row per sample; an IMU without a heading of
+# its own gives a `yaw` of NaN.
+GNSS_COLUMNS = ("timestamp", "x", "y", "quality")
+IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
+TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
 
 
 class EmptyScanError(ValueError):
@@ -226,8 +253,8 @@ def rank_in_scan(offsets: np.ndarray) -> np.ndarray:
 class ScanTable:
     """Every radar scan of a run in one table.
 
-    Scan k has the per-scan values `timestamp[k]` and `sensor_id[k]` and owns
-    rows offsets[k]:offsets[k + 1] of the run-wide `detections`, whose `index`
+    Scan k has the per-scan values `timestamp[k]` (finite) and `sensor_id[k]` and
+    owns rows offsets[k]:offsets[k + 1] of the run-wide `detections`, whose `index`
     column numbers each point within its scan.  `table[k]` and iteration give
     RadarScan views of single scans.
     """
@@ -246,6 +273,8 @@ class ScanTable:
                 or offsets.shape != (m + 1,) or offsets[0] != 0
                 or offsets[-1] != len(self.detections) or np.any(np.diff(offsets) < 0)):
             raise ValueError("scan columns do not match the detections table")
+        if not np.isfinite(self.timestamp).all():
+            raise ValueError("scan timestamps must be finite")
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -268,6 +297,53 @@ class ScanTable:
         rows = rank_in_scan(offsets) + np.repeat(self.offsets[scans], counts)
         return ScanTable(self.timestamp[scans], self.sensor_id[scans], offsets,
                          self.detections[rows])
+
+
+@dataclass(frozen=True)
+class LabeledScan:
+    """One scan's detections, coordinates filled in, split into assigned and rejected rows:
+    a view of one LabeledTable row."""
+
+    timestamp: float
+    track_id: str
+    vru_kind: VruKind
+    sensor_id: str
+    assigned: Detections
+    rejected: Detections
+    bounding: OrientedEllipse | None
+    vru_state: np.ndarray  # (5,) x, y, yaw, speed, yaw rate
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledTable(ScanTable):
+    """Every labeled scan of a run in one table.
+
+    The detections carry `ego` and `global_xy`; within each scan the first
+    `n_assigned[k]` rows are assigned to the track and the rest rejected.
+    `vru_state[k]` holds the track's x, y, yaw, speed and yaw rate at the
+    scan, `bounding[k]` the bounding ellipse's cx, cy, ax_major, ax_minor and
+    orientation, NaN for a scan without assigned rows.
+    """
+
+    n_assigned: np.ndarray  # (m,)
+    vru_state: np.ndarray  # (m, 5)
+    bounding: np.ndarray  # (m, 5)
+    track_id: str
+    vru_kind: VruKind
+
+    @property
+    def assigned(self) -> np.ndarray:
+        """Row mask of the assigned detections."""
+        return rank_in_scan(self.offsets) < np.repeat(self.n_assigned, np.diff(self.offsets))
+
+    def __getitem__(self, k: int) -> LabeledScan:
+        lo, mid, hi = self.offsets[k], self.offsets[k] + self.n_assigned[k], self.offsets[k + 1]
+        cx, cy, major, minor, orientation = self.bounding[k].tolist()
+        ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
+                                                                 orientation)
+        return LabeledScan(float(self.timestamp[k]), self.track_id, self.vru_kind,
+                           str(self.sensor_id[k]), self.detections[lo:mid],
+                           self.detections[mid:hi], ellipse, self.vru_state[k])
 
 
 def polar_to_ego(scan: RadarScan | ScanTable, mount: SensorMount) -> np.ndarray:
@@ -311,3 +387,29 @@ def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
     dx, dy = pts[..., 0] - x, pts[..., 1] - y
     c, s = np.cos(yaw), np.sin(yaw)
     return c * dx + s * dy, c * dy - s * dx
+
+
+@dataclass(frozen=True)
+class OrientedEllipse:
+    """Ellipse with full axis lengths; `ax_major` lies along `orientation`.
+
+    The names follow the movement-aligned convention: with high yaw rates at
+    low speed the across-track axis may exceed the along-track one.  Every
+    field may hold one value per point instead of a number; `contains` then
+    tests each point against its own ellipse.
+    """
+
+    center: tuple  # (x, y)
+    ax_major: float | np.ndarray
+    ax_minor: float | np.ndarray
+    orientation: float | np.ndarray
+
+    def __post_init__(self) -> None:
+        if (np.asarray(self.ax_major) <= 0).any() or (np.asarray(self.ax_minor) <= 0).any():
+            raise ValueError("ellipse axes must be > 0")
+
+    def contains(self, points):
+        """Membership test for a (2,) point or an (n, 2) array (boundary inclusive)."""
+        u, v = to_local(points, *self.center, self.orientation)
+        q = (u / (self.ax_major / 2.0)) ** 2 + (v / (self.ax_minor / 2.0)) ** 2
+        return q <= 1.0

@@ -12,8 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .annotation import LabeledTable
-from .core import LABEL_VRU, EmptyScanError, scan_offsets, table
+from .core import LABEL_VRU, EmptyScanError, LabeledTable, scan_offsets, table
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
 # A covariance whose minor-to-major eigenvalue ratio is at most this is

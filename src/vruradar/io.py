@@ -19,10 +19,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .annotation import LabeledTable
-from .core import (GLOBAL, LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, SensorMount,
-                   VruKind, mounts_by_id, rank_in_scan, scan_offsets, table, wrap_angles)
-from .trajectory import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality
+from .core import (GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
+                   TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
+                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_offsets, table,
+                   wrap_angles)
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyScanError, to_local
+from .core import EmptyScanError, OrientedEllipse, to_local
 from .trajectory import STANDSTILL_SPEED
 
 PEDESTRIAN_MIN_MAJOR = 1.5  # m
@@ -24,32 +24,6 @@ SPEED_TO_LENGTH = 1.0  # s, converts speed to extra major-axis length
 YAW_RATE_TO_WIDTH = 5.0  # m*s/rad, converts yaw rate to extra width
 GROWTH_CAP = 1.0  # m, both growth terms saturate here
 MIN_BOUNDING_AXIS = 0.1  # m, full-extent floor of the fitted bounding ellipse
-
-
-@dataclass(frozen=True)
-class OrientedEllipse:
-    """Ellipse with full axis lengths; `ax_major` lies along `orientation`.
-
-    The names follow the movement-aligned convention: with high yaw rates at
-    low speed the across-track axis may exceed the along-track one.  Every
-    field may hold one value per point instead of a number; `contains` then
-    tests each point against its own ellipse.
-    """
-
-    center: tuple  # (x, y)
-    ax_major: float | np.ndarray
-    ax_minor: float | np.ndarray
-    orientation: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if (np.asarray(self.ax_major) <= 0).any() or (np.asarray(self.ax_minor) <= 0).any():
-            raise ValueError("ellipse axes must be > 0")
-
-    def contains(self, points):
-        """Membership test for a (2,) point or an (n, 2) array (boundary inclusive)."""
-        u, v = to_local(points, *self.center, self.orientation)
-        q = (u / (self.ax_major / 2.0)) ** 2 + (v / (self.ax_minor / 2.0)) ** 2
-        return q <= 1.0
 
 
 @dataclass(frozen=True)

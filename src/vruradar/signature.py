@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annotation import LabeledTable
-from .core import fold_axis, table, to_local
+from .core import LabeledTable, fold_axis, table, to_local
 from .io import write_table
 
 

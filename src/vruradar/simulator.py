@@ -14,30 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    GLOBAL,
-    LABEL_CLUTTER,
-    LABEL_VRU,
-    TWO_PI,
-    Detections,
-    Pose,
-    ScanTable,
-    SensorMount,
-    VruKind,
-    compose_pose,
-    ego_to_polar,
-    global_to_ego,
-    rank_in_scan,
-    scan_offsets,
-    table,
-    wrap_angles,
-)
-from .trajectory import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality
-
-# Default body scatter: standard deviations (along, across) the movement
-# direction, truncated at SCATTER_TRUNC sigma.
-BODY_SIGMA = {VruKind.PEDESTRIAN: (0.15, 0.15), VruKind.CYCLIST: (0.6, 0.2)}
-SCATTER_TRUNC = 1.8
+from .core import (BODY_SIGMA, GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU,
+                   QUALITY_DTYPE, SCATTER_TRUNC, TRAJ_COLUMNS, TWO_PI, Detections, GnssQuality,
+                   Pose, ScanTable, SensorMount, VruKind, compose_pose, ego_to_polar,
+                   global_to_ego, rank_in_scan, scan_offsets, table, wrap_angles)
 
 
 @dataclass(frozen=True)

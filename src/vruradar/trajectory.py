@@ -12,31 +12,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import wrap_angle
+# The series declarations are defined in core and importable from here as before.
+from .core import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality, wrap_angle
 
 STANDSTILL_SPEED = 0.05  # m/s, shared branch threshold for standstill handling
 
 
-class GnssQuality(str, Enum):
-    FIX_RTK = "FIX_RTK"
-    FIX_FLOAT = "FIX_FLOAT"
-    DEGRADED = "DEGRADED"
-
-    # numpy converts a member by str(): let that be its value, not "GnssQuality.DEGRADED"
-    __str__ = str.__str__
-
-
-QUALITY_DTYPE = np.dtype("U9")  # of a `quality` column: holds every GnssQuality value whole
-# The columns of each time series, as named in its CSV header.  A series is a structured
-# array (`core.table`) with these fields, one row per sample; an IMU without a heading of
-# its own gives a `yaw` of NaN.
-GNSS_COLUMNS = ("timestamp", "x", "y", "quality")
-IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
-TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
+class FusionError(RuntimeError):
+    """The fusion filter gave too few states to build a trajectory from."""
 
 
 class OutOfRangeError(ValueError):
@@ -392,5 +378,5 @@ def build_fused_trajectory(
     """Fusion filter output smoothed and wrapped as a reference trajectory."""
     states = fuse_gnss_imu(gnss, imu, params)
     if len(states) < 2:
-        raise ValueError("fusion produced fewer than two states")
+        raise FusionError("fusion produced fewer than two states")
     return ReferenceTrajectory(states["timestamp"], moving_average(_xy(states)), imu=imu)

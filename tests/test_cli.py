@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vruradar
-from vruradar import cli, eot, io
+from vruradar import cli, eot, io, trajectory
 from vruradar.cli import main
 
 from conftest import reorder_scans
@@ -353,6 +353,17 @@ def test_missing_config_and_preset_exit_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_unknown_preset_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["simulate", "--preset", "cyclist", "--out", str(tmp_path / "x")])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --preset: invalid choice: 'cyclist'" in err
+    for name in ("pedestrian-nominal", "cyclist-nominal", "cyclist-perturbed"):
+        assert repr(name) in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_preset_flag_runs(tmp_path):
     out = tmp_path / "p"
     assert main(["simulate", "--preset", "cyclist-nominal", "--seed", "3", "--out", str(out)]) == 0
@@ -479,40 +490,49 @@ def test_commands_reject_bad_labeled_points(sim_dir, labeled_path, tmp_path, cap
     assert f"{bad}:{line}:" in capsys.readouterr().err
 
 
-# Runs one CLI command (none for a bare import) and prints the scipy modules it loaded.
+# Runs one CLI command (none for a bare import) and prints the scipy modules it loaded and
+# the package modules that ran; the others are still lazy modules that no code has read.
 _SCIPY_PROBE = """
-import json, sys
+import json, sys, types
 from vruradar import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
-print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "ran": sorted(name.removeprefix("vruradar.") for name, m in sys.modules.items()
+                                if name.startswith("vruradar.") and type(m) is types.ModuleType)}))
 """
 
 
 def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
     labeled, truth = str(labeled_path), str(sim_dir / "truth_labels.jsonl")
     evaluate = ["evaluate", "--labeled", labeled, "--truth-labels", truth]
+    # Each command with the layers it runs besides cli and core.
     commands = {
-        "import": [],
-        "simulate": ["simulate", "--config", str(write_config(tmp_path / "config.json",
-                                                                duration=5.0)),
-                     "--out", str(tmp_path / "sim")],
-        "annotate": ["annotate", "--scenario", str(sim_dir / "scenario.json"),
-                     "--radar", str(sim_dir / "radar.jsonl"), "--gnss", str(sim_dir / "gnss.csv"),
-                     "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")],
-        "evaluate": [*evaluate, "--out", str(tmp_path / "eval")],
-        "signature": ["signature", "--labeled", labeled, "--out", str(tmp_path / "sig")],
-        "track": ["track", "--labeled", labeled, "--scenario", str(sim_dir / "scenario.json"),
-                  "--truth-traj", str(sim_dir / "truth_traj.csv"), "--out", str(tmp_path / "trk")],
-        "evaluate --compare": [*evaluate, "--compare", labeled, "--out", str(tmp_path / "cmp")],
+        "import": ([], []),
+        "simulate": (["simulate", "--config", str(write_config(tmp_path / "config.json",
+                                                                 duration=5.0)),
+                      "--out", str(tmp_path / "sim")], ["io", "simulator"]),
+        "annotate": (["annotate", "--scenario", str(sim_dir / "scenario.json"),
+                      "--radar", str(sim_dir / "radar.jsonl"), "--gnss", str(sim_dir / "gnss.csv"),
+                      "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")],
+                     ["annotation", "io", "selection", "trajectory"]),
+        "evaluate": ([*evaluate, "--out", str(tmp_path / "eval")], ["evaluation", "io"]),
+        "signature": (["signature", "--labeled", labeled, "--out", str(tmp_path / "sig")],
+                      ["io", "signature"]),
+        "track": (["track", "--labeled", labeled, "--scenario", str(sim_dir / "scenario.json"),
+                   "--truth-traj", str(sim_dir / "truth_traj.csv"),
+                   "--out", str(tmp_path / "trk")], ["eot", "io"]),
+        "evaluate --compare": ([*evaluate, "--compare", labeled, "--out", str(tmp_path / "cmp")],
+                               ["evaluation", "io"]),
     }
-    for name, argv in commands.items():
+    for name, (argv, layers) in commands.items():
         proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rc"] == 0, (name, proc.stderr)
         assert result["scipy"] == [], name
+        assert result["ran"] == sorted(["cli", "core", *layers]), name
 
 
 # Refuses every scipy import, then runs each argv of a JSON list through the CLI
@@ -606,6 +626,17 @@ def test_track_extent_error_exit_1(sim_dir, labeled_path, tmp_path, capsys, monk
                "--scenario", str(sim_dir / "scenario.json"), "--out", str(tmp_path / "trk")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: extent matrix is not positive definite"]
+
+
+def test_annotate_fusion_failure_exit_1(sim_dir, tmp_path, capsys, monkeypatch):
+    fuse = trajectory.fuse_gnss_imu
+    monkeypatch.setattr(trajectory, "fuse_gnss_imu", lambda *args: fuse(*args)[:1])
+    rc = main(["annotate", "--scenario", str(sim_dir / "scenario.json"),
+               "--radar", str(sim_dir / "radar.jsonl"), "--gnss", str(sim_dir / "gnss.csv"),
+               "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: fusion produced fewer than two states"]
+    assert not (tmp_path / "labeled.jsonl").exists()
 
 
 @pytest.mark.parametrize("timestamps,expected", [

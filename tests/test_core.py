@@ -6,9 +6,12 @@ from hypothesis import given, strategies as st
 
 from vruradar.core import (
     Detections,
+    LabeledTable,
     Pose,
     RadarScan,
+    ScanTable,
     SensorMount,
+    VruKind,
     compose_pose,
     ego_to_global,
     ego_to_polar,
@@ -126,6 +129,18 @@ def test_detections_reject_unequal_columns():
         Detections([1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0])
     with pytest.raises(ValueError, match="global_xy"):
         Detections([1.0], [0.0], [0.0], [0.0], global_xy=[[0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scan_tables_reject_a_non_finite_timestamp(bad):
+    # The JSONL writers would write it as a bare NaN or Infinity, which no reader accepts.
+    d = Detections([1.0, 2.0], [0.0, 0.1], [0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="timestamps must be finite"):
+        ScanTable([0.0, bad], ["r0", "r0"], [0, 1, 2], d)
+    with pytest.raises(ValueError, match="timestamps must be finite"):
+        LabeledTable([bad, 1.0], ["r0", "r0"], [0, 1, 2], d, [1, 0], np.zeros((2, 5)),
+                     np.zeros((2, 5)), "vru-0", VruKind.CYCLIST)
+    assert len(ScanTable([0.0, 1.0], ["r0", "r0"], [0, 1, 2], d)) == 2
 
 
 def test_polar_to_ego_sensor_mismatch():
