@@ -10,6 +10,7 @@ assigned points.  Each step runs on whole columns of the run's table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def annotate_scenario(
     scans: ScanTable,
     traj: ReferenceTrajectory,
     vru_kind: VruKind,
-    mounts: dict[str, SensorMount] | list[SensorMount] | tuple[SensorMount, ...],
+    mounts: Sequence[SensorMount],
     ego_pose: Pose,
     *,
     track_id: str = "vru-0",
@@ -39,8 +40,7 @@ def annotate_scenario(
 
     A ValueError names a sensor that `mounts` lists more than once.
     """
-    if isinstance(mounts, (list, tuple)):
-        mounts = mounts_by_id(mounts)
+    mounts = mounts_by_id(mounts)
     if not mounts:
         raise ValueError("at least one sensor mount is required")
     order = np.lexsort((scans.sensor_id, scans.timestamp))

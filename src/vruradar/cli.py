@@ -17,7 +17,7 @@ import numpy as np
 
 # Lazy modules (see __init__): a command loads only the layers whose attributes it reads.
 from . import annotation, eot, evaluation, io, signature, simulator, trajectory
-from .core import BODY_SIGMA, SCATTER_TRUNC, VruKind, compose_pose, mounts_by_id, table
+from .core import BODY_SIGMA, SCATTER_TRUNC, VruKind, compose_pose, table
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -209,13 +209,6 @@ def _write_histogram_csv(path, values) -> None:
         ("bin_left", "bin_right", "count"), (hist.edges[:-1], hist.edges[1:], hist.counts)))
 
 
-def _cycle_stats(labeled) -> np.ndarray:
-    """`evaluation.cycle_stats`; no rows when no scan has assigned detections."""
-    if labeled.n_assigned.any():
-        return evaluation.cycle_stats(labeled)
-    return table(evaluation.CYCLE_COLUMNS, [np.empty(0)] * len(evaluation.CYCLE_COLUMNS))
-
-
 def cmd_evaluate(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     truth = io.read_truth_labels_jsonl(args.truth_labels)
@@ -226,7 +219,7 @@ def cmd_evaluate(args) -> int:
               for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)]
     io.write_table(out / "scores.csv", "vruradar.scores.v1", table(
         ("averaging", "tp", "fp", "fn", "precision", "recall"), list(zip(*scores))))
-    stats = _cycle_stats(labeled)
+    stats = evaluation.cycle_stats(labeled)
     # An undefined confidence ellipse is NaN in memory and an empty field on file.
     io.write_table(out / "cycle_stats.csv", "vruradar.cycle-stats.v1",
                    io.with_missing(stats, "conf_major", "conf_minor"))
@@ -235,7 +228,7 @@ def cmd_evaluate(args) -> int:
         if len(values):
             _write_histogram_csv(out / f"hist_{name}.csv", values)
     if args.compare is not None:
-        other_stats = _cycle_stats(io.read_labeled_jsonl(args.compare))
+        other_stats = evaluation.cycle_stats(io.read_labeled_jsonl(args.compare))
         rows = []
         for name in evaluation.CYCLE_COLUMNS[2:]:
             a, b = (s[name][~np.isnan(s[name])] for s in (stats, other_stats))
@@ -280,26 +273,6 @@ def cmd_signature(args) -> int:
     return EXIT_OK
 
 
-def _tracker_scans_from_labeled(labeled, meta) -> list[eot.TrackerScan]:
-    """One tracker input per scan with assigned points: slices of the run's columns."""
-    mounts = mounts_by_id(meta["mounts"])
-    keep = np.flatnonzero(labeled.n_assigned)
-    unknown = set(labeled.sensor_id[keep].tolist()) - set(mounts)
-    if unknown:
-        raise ConfigError(f"no mount configured for sensor {min(unknown)!r}")
-    sensor_xy = {sensor_id: compose_pose(meta["ego_pose"], m.pose_in_ego).xy
-                 for sensor_id, m in mounts.items()}
-    starts = labeled.offsets[keep]
-    xy, vr = labeled.detections.global_xy, labeled.detections.radial_velocity
-    return [
-        eot.TrackerScan(timestamp=t, points=xy[lo:hi], radial_velocities=vr[lo:hi],
-                        sensor_pos=sensor_xy[sensor_id])
-        for t, sensor_id, lo, hi in zip(labeled.timestamp[keep].tolist(),
-                                        labeled.sensor_id[keep].tolist(), starts.tolist(),
-                                        (starts + labeled.n_assigned[keep]).tolist())
-    ]
-
-
 def _nearest(times, timestamps) -> np.ndarray:
     """Index of the time closest to each timestamp; the earlier one on a tie."""
     times, timestamps = np.asarray(times, dtype=float), np.asarray(timestamps, dtype=float)
@@ -330,8 +303,13 @@ def _body_extent_for_kind(kind: VruKind) -> tuple[float, float]:
 def cmd_track(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     meta = io.read_scenario_json(args.scenario)
-    scans = _tracker_scans_from_labeled(labeled, meta)
-    points = eot.run_tracker(scans, eot.TrackerParams(), use_doppler=args.use_doppler)
+    scans = labeled.where(labeled.assigned)
+    sensor_xy = {m.sensor_id: compose_pose(meta["ego_pose"], m.pose_in_ego).xy
+                 for m in meta["mounts"]}
+    unknown = set(scans.sensor_id.tolist()) - set(sensor_xy)
+    if unknown:
+        raise ConfigError(f"no mount configured for sensor {min(unknown)!r}")
+    points = eot.run_tracker(scans, sensor_xy, eot.TrackerParams(), use_doppler=args.use_doppler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_table(out / "track.csv", "vruradar.track.v1", points[list(eot.TRACK_COLUMNS)])
@@ -370,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic scenario")
-    p.add_argument("--config", help="JSON scenario config")
-    p.add_argument("--preset", choices=_PresetNames(), metavar="NAME",
-                   help="named scenario preset: %(choices)s")
+    scene = p.add_mutually_exclusive_group()
+    scene.add_argument("--config", help="JSON scenario config")
+    scene.add_argument("--preset", choices=_PresetNames(), metavar="NAME",
+                       help="named scenario preset: %(choices)s")
     p.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)

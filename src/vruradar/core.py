@@ -298,6 +298,13 @@ class ScanTable:
         return ScanTable(self.timestamp[scans], self.sensor_id[scans], offsets,
                          self.detections[rows])
 
+    def where(self, rows: np.ndarray) -> "ScanTable":
+        """The rows of a row mask, in order, as a table of the scans that hold any of them."""
+        counts = np.bincount(self.scan_of_row[rows], minlength=len(self))
+        keep = counts > 0
+        return ScanTable(self.timestamp[keep], self.sensor_id[keep], scan_offsets(counts[keep]),
+                         self.detections[rows])
+
 
 @dataclass(frozen=True)
 class LabeledScan:

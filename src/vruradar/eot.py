@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .core import fold_axis, table, wrap_angle
+from .core import ScanTable, fold_axis, table, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
 # 95% quantile of chi-square with 2 dof (-2 ln 0.05), the bound a consistent filter's position
@@ -94,7 +95,6 @@ class TrackerParams:
     init_extent_floor: float = 0.04  # m^2, eigenvalue floor of the initial extent
     init_cov: tuple[float, ...] = (0.25, 0.25, 1.0, 1.0, 0.25)
     seed_baseline: float = 0.5  # s of track before heading/speed are seeded from displacement
-    extract_scale: float = 1.0
 
 
 def _sym(m: np.ndarray) -> tuple[float, float, float]:
@@ -263,15 +263,13 @@ def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float, sensor_pos
     return kin + ph * ((vr_meas - v * h2) / s), cov - ph[:, None] * ph / s
 
 
-def extract_extent(track: RmmTrack, scale: float = 1.0) -> ExtentEstimate:
+def extract_extent(track: RmmTrack) -> ExtentEstimate:
     """Length, width, and orientation from the eigen-structure of the extent.
 
     The eigenvalues are tr/2 +- r with r = hypot((a - d)/2, b), and the major
     axis lies at atan2(2b, a - d)/2.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    a, b, d = (scale * e for e in _sym(track.extent))
+    a, b, d = _sym(track.extent)
     mid, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
     if mid - r <= 0.0:
         raise ExtentError("extent matrix is not positive definite")
@@ -309,23 +307,16 @@ def initialize_track(
                     timestamp=timestamp)
 
 
-@dataclass(frozen=True)
-class TrackerScan:
-    """Minimal per-scan tracker input."""
-
-    timestamp: float
-    points: np.ndarray  # (n, 2) global
-    radial_velocities: np.ndarray  # (n,)
-    sensor_pos: np.ndarray  # (2,) global
-
-
 def run_tracker(
-    scans: list[TrackerScan],
+    scans: ScanTable,
+    sensor_pos: Mapping[str, np.ndarray],
     params: TrackerParams = TrackerParams(),
     *,
     use_doppler: bool = False,
 ) -> np.ndarray:
-    """Drive the filter over a scan sequence and emit a track table, one row per scan.
+    """Drive the filter over a table of scans and emit a track table, one row per non-empty
+    scan.  A scan's points are its `global_xy` rows; `sensor_pos` maps each of its sensors to
+    the sensor's (2,) global position, which the Doppler update needs.
 
     The track starts on the first non-empty scan; heading and speed are seeded
     from the track displacement once `seed_baseline` seconds have passed, and
@@ -335,20 +326,22 @@ def run_tracker(
     seeded = False
     anchor: tuple[float, np.ndarray] | None = None
     out: list[tuple[float, ...]] = []
-    for scan in scans:
-        if len(scan.points) == 0:
+    xy, vr, offsets = scans.detections.global_xy, scans.detections.radial_velocity, scans.offsets
+    for t, sensor_id, lo, hi in zip(scans.timestamp.tolist(), scans.sensor_id.tolist(),
+                                    offsets[:-1].tolist(), offsets[1:].tolist()):
+        if lo == hi:
             continue
         if track is None:
-            track = initialize_track(scan.points, scan.timestamp, params)
-            anchor = (scan.timestamp, track.position)
+            track = initialize_track(xy[lo:hi], t, params)
+            anchor = (t, track.position)
         else:
-            dt = scan.timestamp - track.timestamp
+            dt = t - track.timestamp
             if dt <= 0:
                 raise ValueError("scan timestamps must be strictly increasing")
             track = predict(track, dt, params)
             # through the module global, so that a wrapped `update` sees every call
-            track = update(track, scan.points, params, radial_velocities=scan.radial_velocities,
-                           sensor_pos=scan.sensor_pos, use_doppler=use_doppler and seeded)
+            track = update(track, xy[lo:hi], params, radial_velocities=vr[lo:hi],
+                           sensor_pos=sensor_pos[sensor_id], use_doppler=use_doppler and seeded)
             if not seeded and anchor is not None:
                 span = track.timestamp - anchor[0]
                 if span >= params.seed_baseline:
@@ -356,7 +349,7 @@ def run_tracker(
                     track.kin[2] = float(np.hypot(delta[0], delta[1])) / span
                     track.kin[3] = wrap_angle(float(math.atan2(delta[1], delta[0])))
                     seeded = True
-        est = extract_extent(track, params.extract_scale)
+        est = extract_extent(track)
         x, y, speed, heading, yaw_rate = track.kin.tolist()
         out.append((track.timestamp, x, y, speed, heading, yaw_rate, est.length, est.width,
                     est.orientation, track.nis))

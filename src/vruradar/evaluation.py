@@ -12,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import LABEL_VRU, EmptyScanError, LabeledTable, scan_offsets, table
+from .core import LABEL_VRU, LabeledTable, table
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
 # A covariance whose minor-to-major eigenvalue ratio is at most this is
@@ -156,14 +156,11 @@ def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
 
 def cycle_stats(scans: LabeledTable) -> np.ndarray:
     """Radar statistics of every scan with assigned detections, over those detections: a
-    table of CYCLE_COLUMNS, one row per such scan."""
-    if not scans.n_assigned.any():
-        raise EmptyScanError("no scan has assigned detections")
-    keep = np.flatnonzero(scans.n_assigned)
-    n, k = scans.n_assigned[keep], len(keep)
-    seg = np.repeat(np.arange(k), n)
-    first = scan_offsets(n)[:-1]
-    d = scans.detections[scans.assigned]
+    table of CYCLE_COLUMNS, one row per such scan, and no rows when there is none."""
+    cycles = scans.where(scans.assigned)
+    n, k, first = np.diff(cycles.offsets), len(cycles), cycles.offsets[:-1]
+    seg = cycles.scan_of_row
+    d = cycles.detections
 
     def mean(values):  # about each scan's first value, so that equal values give it exactly
         return values[first] + np.bincount(seg, values - values[first][seg], k) / n
@@ -176,7 +173,7 @@ def cycle_stats(scans: LabeledTable) -> np.ndarray:
                                            0.95)
     conf_major[n < 3] = conf_minor[n < 3] = np.nan
     return table(CYCLE_COLUMNS, (
-        scans.timestamp[keep],
+        cycles.timestamp,
         n,
         mean(r4_compensate(d.amplitude, d.range_m)),
         np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),

@@ -1,6 +1,6 @@
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,11 +12,11 @@ from vruradar.core import (
     VruKind,
     compose_pose,
     ego_to_global,
+    mounts_by_id,
     polar_to_ego,
     scan_offsets,
     table,
 )
-from vruradar.eot import TrackerScan
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
 from vruradar.trajectory import (
     FusionParams,
@@ -60,25 +60,17 @@ def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
     )
 
 
-def truth_assigned_scans(data: ScenarioData) -> list[TrackerScan]:
-    """Tracker inputs using the simulator's own labels (perfect association)."""
+def truth_assigned_scans(data: ScenarioData) -> tuple[ScanTable, dict]:
+    """Tracker input from the simulator's own labels (perfect association): the VRU rows
+    with their global positions, and each sensor's global position."""
     cfg = data.config
-    mounts = {m.sensor_id: m for m in cfg.mounts}
-    out = []
-    for scan, keep in zip(data.scans, np.split(data.is_vru, data.scans.offsets[1:-1])):
-        if keep.any():
-            mount = mounts[scan.sensor_id]
-            sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
-            pts = ego_to_global(polar_to_ego(scan, mount), cfg.ego_pose)[keep]
-            out.append(
-                TrackerScan(
-                    timestamp=scan.timestamp,
-                    points=pts,
-                    radial_velocities=scan.detections.radial_velocity[keep],
-                    sensor_pos=sensor.xy,
-                )
-            )
-    return out
+    mounts = mounts_by_id(cfg.mounts)
+    glob = [ego_to_global(polar_to_ego(scan, mounts[scan.sensor_id]), cfg.ego_pose)
+            for scan in data.scans]
+    scans = replace(data.scans, detections=replace(data.scans.detections,
+                                                   global_xy=np.concatenate(glob)))
+    return scans.where(data.is_vru), {sensor_id: compose_pose(cfg.ego_pose, m.pose_in_ego).xy
+                                      for sensor_id, m in mounts.items()}
 
 
 def _concat(tables, names) -> Detections:

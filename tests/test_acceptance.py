@@ -181,7 +181,7 @@ def test_criterion_07_rmm_filter_properties():
         m = rng.normal(0, 1, (2, 2))
         x = m @ m.T + 0.05 * np.eye(2)
         tr = eot.RmmTrack(kin=np.zeros(5), cov=np.eye(5), extent=x, dof=8.0, timestamp=0.0)
-        e = eot.extract_extent(tr, 1.0)
+        e = eot.extract_extent(tr)
         c, s = math.cos(e.orientation), math.sin(e.orientation)
         rot = np.array([[c, -s], [s, c]])
         rebuilt = rot @ np.diag([(e.length / 2) ** 2, (e.width / 2) ** 2]) @ rot.T
@@ -197,9 +197,10 @@ def test_criterion_08_doppler_benefit():
     rms = {True: [], False: []}
     for seed in range(10):
         data = simulate_scenario(preset("cyclist-nominal", seed=seed))
-        scans = truth_assigned_scans(data)
+        scans, sensor_pos = truth_assigned_scans(data)
         for use_doppler in (True, False):
-            points = eot.run_tracker(scans, eot.TrackerParams(), use_doppler=use_doppler)
+            points = eot.run_tracker(scans, sensor_pos, eot.TrackerParams(),
+                                     use_doppler=use_doppler)
             xy = data.course.states(points["timestamp"])[0]
             errs = (points["x"] - xy[:, 0]) ** 2 + (points["y"] - xy[:, 1]) ** 2
             rms[use_doppler].append(float(np.sqrt(np.mean(errs))))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -349,8 +350,62 @@ def test_track_output_tracks_truth(sim_dir, labeled_path, tmp_path, capsys):
     assert 80.0 < float(match[3]) <= 100.0
 
 
+def test_evaluate_and_track_on_a_file_without_assigned_points(sim_dir, labeled_path, tmp_path,
+                                                               capsys):
+    labeled = io.read_labeled_jsonl(labeled_path)
+    rejected = tmp_path / "rejected.jsonl"
+    io.write_labeled_jsonl(rejected, dataclasses.replace(
+        labeled, n_assigned=np.zeros(len(labeled), dtype=np.int64),
+        bounding=np.full_like(labeled.bounding, np.nan)))
+    capsys.readouterr()
+    ev = tmp_path / "eval"
+    assert main(["evaluate", "--labeled", str(rejected), "--compare", str(rejected),
+                 "--truth-labels", str(sim_dir / "truth_labels.jsonl"), "--out", str(ev)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cycles_with_detections": 0,
+                                                   "scans": len(labeled)}
+    assert (ev / "cycle_stats.csv").read_text(encoding="utf-8") == (
+        "# format=vruradar.cycle-stats.v1\n"
+        "timestamp,n_assigned,mean_comp_power,doppler_std,conf_major,conf_minor,weighted_count\n")
+    assert (ev / "ttests.csv").read_text(encoding="utf-8") == (
+        "# format=vruradar.ttests.v1\nstatistic,t,dof,p_two_sided\n")
+    assert sorted(p.name for p in ev.iterdir()) == ["cycle_stats.csv", "scores.csv", "ttests.csv"]
+
+    trk = tmp_path / "trk"
+    assert main(["track", "--labeled", str(rejected), "--scenario", str(sim_dir / "scenario.json"),
+                 "--truth-traj", str(sim_dir / "truth_traj.csv"), "--use-doppler",
+                 "--out", str(trk)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"tracked_scans": 0, "use_doppler": True}
+    assert captured.err == "track: 0 position updates\n"
+    assert (trk / "track.csv").read_text(encoding="utf-8") == (
+        "# format=vruradar.track.v1\n"
+        "timestamp,x,y,speed,heading,yaw_rate,length,width,orientation\n")
+    assert sorted(p.name for p in trk.iterdir()) == ["track.csv"]
+
+
+def test_track_names_an_unmounted_sensor(sim_dir, labeled_path, tmp_path, capsys):
+    meta = json.loads((sim_dir / "scenario.json").read_text(encoding="utf-8"))
+    meta["mounts"] = [m for m in meta["mounts"] if m["sensor_id"] != "radar-left"]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(meta), encoding="utf-8")
+    assert main(["track", "--labeled", str(labeled_path), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "trk")]) == 2
+    assert capsys.readouterr().err == "error: no mount configured for sensor 'radar-left'\n"
+    assert not (tmp_path / "trk").exists()
+
+
 def test_missing_config_and_preset_exit_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_config_and_preset_together_are_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    with pytest.raises(SystemExit) as exited:
+        main(["simulate", "--config", str(cfg), "--preset", "cyclist-perturbed",
+              "--out", str(tmp_path / "x")])
+    assert exited.value.code == 2
+    assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_preset_is_a_usage_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ from vruradar.core import (
     ego_to_polar,
     global_to_ego,
     polar_to_ego,
+    scan_offsets,
     wrap_angle,
 )
 
@@ -141,6 +142,48 @@ def test_scan_tables_reject_a_non_finite_timestamp(bad):
         LabeledTable([bad, 1.0], ["r0", "r0"], [0, 1, 2], d, [1, 0], np.zeros((2, 5)),
                      np.zeros((2, 5)), "vru-0", VruKind.CYCLIST)
     assert len(ScanTable([0.0, 1.0], ["r0", "r0"], [0, 1, 2], d)) == 2
+
+
+def _table(counts, table_type=ScanTable, **labels) -> ScanTable:
+    """Scans at t = 0, 1, ... holding `counts` rows; row i has range i and index i."""
+    n = sum(counts)
+    d = Detections(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n), index=np.arange(n),
+                   global_xy=np.zeros((n, 2)))
+    m = len(counts)
+    return table_type(np.arange(float(m)), [f"r{k}" for k in range(m)], scan_offsets(counts), d,
+                      **labels)
+
+
+def test_where_keeps_masked_rows_in_order():
+    scans = _table([3, 2, 4])
+    got = scans.where(np.array([True, False, True, False, True, True, False, True, False]))
+    assert got.timestamp.tolist() == [0.0, 1.0, 2.0]
+    assert got.sensor_id.tolist() == ["r0", "r1", "r2"]
+    assert got.offsets.tolist() == [0, 2, 3, 5]
+    assert got.detections.index.tolist() == [0, 2, 4, 5, 7]
+    assert got.detections.global_xy.shape == (5, 2)
+
+
+def test_where_drops_scans_without_masked_rows():
+    scans = _table([2, 0, 3, 1])
+    got = scans.where(np.array([False, False, False, True, False, True]))
+    assert got.timestamp.tolist() == [2.0, 3.0]
+    assert got.offsets.tolist() == [0, 1, 2]
+    assert got.detections.range_m.tolist() == [3.0, 5.0]
+
+
+def test_where_all_false_gives_an_empty_table():
+    got = _table([2, 3]).where(np.zeros(5, dtype=bool))
+    assert len(got) == 0 and len(got.detections) == 0
+    assert got.offsets.tolist() == [0]
+
+
+def test_where_on_a_labeled_table_gives_a_plain_scan_table():
+    labeled = _table([2, 2], LabeledTable, n_assigned=[1, 0], vru_state=np.zeros((2, 5)),
+                     bounding=np.zeros((2, 5)), track_id="vru-0", vru_kind=VruKind.CYCLIST)
+    got = labeled.where(labeled.assigned)
+    assert type(got) is ScanTable
+    assert got.timestamp.tolist() == [0.0] and got.detections.index.tolist() == [0]
 
 
 def test_polar_to_ego_sensor_mismatch():

@@ -4,13 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vruradar.core import fold_axis, table
+from vruradar.core import Detections, ScanTable, fold_axis, scan_offsets, table
 from vruradar.eot import (
     ExtentError,
     RmmTrack,
     TrackerParams,
     TRACK_COLUMNS,
-    TrackerScan,
     extract_extent,
     initialize_track,
     predict,
@@ -305,7 +304,7 @@ def test_closed_forms_match_linalg():
 def test_closed_form_extent_matches_eigh():
     for m, kappa in _spd_cases(np.random.default_rng(12)):
         w, v = np.linalg.eigh(m)
-        e = extract_extent(track(extent=m), 1.0)
+        e = extract_extent(track(extent=m))
         assert e.length == pytest.approx(2 * math.sqrt(w[1]), rel=4 * EPS)
         assert e.width == pytest.approx(2 * math.sqrt(w[0]), rel=4 * EPS * kappa)
         major = v[:, 1]
@@ -333,7 +332,7 @@ def test_closed_forms_reject_non_spd():
 # --- extent extraction ----------------------------------------------------------------
 
 def test_extract_diagonal():
-    e = extract_extent(track(extent=np.diag([1.0, 0.25])), 1.0)
+    e = extract_extent(track(extent=np.diag([1.0, 0.25])))
     assert (e.length, e.width) == pytest.approx((2.0, 1.0))
     assert e.orientation == pytest.approx(0.0)
 
@@ -342,7 +341,7 @@ def test_extract_rotated_30_degrees():
     a = math.radians(30)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     x = rot @ np.diag([1.0, 0.25]) @ rot.T
-    e = extract_extent(track(extent=x), 1.0)
+    e = extract_extent(track(extent=x))
     assert (e.length, e.width) == pytest.approx((2.0, 1.0), abs=1e-12)
     assert e.orientation == pytest.approx(a, abs=1e-12)
 
@@ -353,7 +352,7 @@ def test_extract_reconstruct_round_trip():
         m = rng.normal(0, 1, (2, 2))
         x = m @ m.T + 0.05 * np.eye(2)
         scale = rng.uniform(0.5, 4.0)
-        e = extract_extent(track(extent=x), scale)
+        e = extract_extent(track(extent=scale * x))
         c, s = math.cos(e.orientation), math.sin(e.orientation)
         rot = np.array([[c, -s], [s, c]])
         rebuilt = rot @ np.diag([(e.length / 2) ** 2, (e.width / 2) ** 2]) @ rot.T
@@ -364,14 +363,9 @@ def test_extract_orientation_folded():
     a = math.radians(120)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     x = rot @ np.diag([1.0, 0.25]) @ rot.T
-    e = extract_extent(track(extent=x), 1.0)
+    e = extract_extent(track(extent=x))
     assert -math.pi / 2 < e.orientation <= math.pi / 2
     assert e.orientation == pytest.approx(math.radians(-60), abs=1e-9)
-
-
-def test_extract_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        extract_extent(track(), 0.0)
 
 
 # --- metrics -----------------------------------------------------------------------------
@@ -418,16 +412,21 @@ def test_metrics_running_rmse_definition():
 
 # --- runner ------------------------------------------------------------------------------
 
+def tracker_scans(times, counts, points, radial_velocities) -> ScanTable:
+    """A table of sensor r0's scans at `times`, holding `counts` of the global points each."""
+    n = len(radial_velocities)
+    return ScanTable(times, ["r0"] * len(times), scan_offsets(counts), Detections(
+        np.ones(n), np.zeros(n), radial_velocities, np.zeros(n), global_xy=points))
+
+
 def test_run_tracker_follows_constant_velocity_target():
     rng = np.random.default_rng(5)
-    scans = []
-    for k in range(120):
-        t = 0.1 * k
-        center = np.array([2.0 * t, 1.0])
-        pts = center + rng.normal(0, 0.2, (8, 2))
-        vels = np.full(8, 2.0)  # sensor at origin looking along +x
-        scans.append(TrackerScan(t, pts, vels, np.array([0.0, 0.0])))
-    out = run_tracker(scans, TrackerParams(), use_doppler=False)
+    t = 0.1 * np.arange(120)
+    center = np.column_stack([2.0 * t, np.ones(120)])
+    pts = np.repeat(center, 8, axis=0) + rng.normal(0, 0.2, (960, 2))
+    vels = np.full(960, 2.0)  # sensor at origin looking along +x
+    out = run_tracker(tracker_scans(t, [8] * 120, pts, vels), {"r0": np.zeros(2)},
+                      TrackerParams(), use_doppler=False)
     assert out.dtype.names == (*TRACK_COLUMNS, "nis") and len(out) == 120
     last = out[-1]
     true_last = np.array([2.0 * 11.9, 1.0])
@@ -438,9 +437,6 @@ def test_run_tracker_follows_constant_velocity_target():
 
 
 def test_run_tracker_skips_empty_scans():
-    scans = [
-        TrackerScan(0.0, np.zeros((0, 2)), np.zeros(0), np.zeros(2)),
-        TrackerScan(1.0, np.array([[0.0, 0.0]]), np.array([0.0]), np.zeros(2)),
-    ]
-    out = run_tracker(scans, TrackerParams())
-    assert len(out) == 1
+    scans = tracker_scans([0.0, 1.0], [0, 1], [[0.0, 0.0]], [0.0])
+    out = run_tracker(scans, {"r0": np.zeros(2)}, TrackerParams())
+    assert out["timestamp"].tolist() == [1.0]

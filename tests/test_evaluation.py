@@ -6,8 +6,9 @@ from scipy import stats as sps
 from scipy.special import stdtr
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import EmptyScanError, Detections, VruKind
+from vruradar.core import Detections, VruKind
 from vruradar.evaluation import (
+    CYCLE_COLUMNS,
     Averaging,
     confidence_ellipse,
     cycle_stats,
@@ -248,9 +249,9 @@ def test_cycle_stats_mean_comp_power():
     assert s["mean_comp_power"] == pytest.approx(5.0 + 40.0, abs=1e-9)
 
 
-def test_cycle_stats_empty_raises():
-    with pytest.raises(EmptyScanError):
-        cycle_stats(labeled_table([make_scan(0.0, [], [0])]))
+def test_cycle_stats_without_assigned_detections_has_no_rows():
+    stats = cycle_stats(labeled_table([make_scan(0.0, [], [0]), make_scan(0.1, [], [])]))
+    assert len(stats) == 0 and stats.dtype.names == CYCLE_COLUMNS
 
 
 def test_cycle_stats_conf_axes_from_positions():

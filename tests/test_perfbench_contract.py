@@ -16,10 +16,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vruradar import cli
 from vruradar.annotation import annotate_scenario
+from vruradar.core import compose_pose
 from vruradar.eot import TrackerParams, run_tracker
 from vruradar.signature import accumulate
 from vruradar.simulator import preset, simulate_scenario
@@ -64,19 +66,21 @@ def small_run():
     traj = build_fused_trajectory(data.gnss, data.imu)
     annotate_args = (data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     annotated = annotate_scenario(*annotate_args)
-    meta = {"mounts": cfg.mounts, "ego_pose": cfg.ego_pose}
-    tracker_scans = cli._tracker_scans_from_labeled(annotated.scans, meta)
-    return cfg, data, annotate_args, annotated, tracker_scans
+    # as cmd_track builds it: the assigned rows, and each sensor's global position
+    tracker_input = (annotated.scans.where(annotated.scans.assigned),
+                     {m.sensor_id: compose_pose(cfg.ego_pose, m.pose_in_ego).xy
+                      for m in cfg.mounts})
+    return cfg, data, annotate_args, annotated, tracker_input
 
 
 def test_result_counts_read_small_results(tracer, small_run, tmp_path):
-    cfg, data, annotate_args, annotated, tracker_scans = small_run
+    cfg, data, annotate_args, annotated, tracker_input = small_run
     grid = accumulate(annotated.scans)
     calls = {
         "simulator.simulate_scenario": ((cfg,), data),
         "annotation.annotate_scenario": (annotate_args, annotated),
         "signature.accumulate": ((annotated.scans,), grid),
-        "eot.run_tracker": ((tracker_scans,), run_tracker(tracker_scans, TrackerParams())),
+        "eot.run_tracker": (tracker_input, run_tracker(*tracker_input, TrackerParams())),
     }
     assert set(calls) == set(tracer.RESULT_COUNTS)
     counts = {}
@@ -95,19 +99,20 @@ def test_result_counts_read_small_results(tracer, small_run, tmp_path):
     assert counts["annotation.assigned"] == int(annotated.scans.n_assigned.sum()) > 0
     binned = counts["signature.points"] + counts["signature.overflow"]
     assert binned == counts["annotation.assigned"]
-    assert counts["eot.scans"] == len(tracker_scans) > 0
+    assert counts["eot.scans"] == np.count_nonzero(annotated.scans.n_assigned) > 0
 
 
 def test_counted_update_sees_every_tracker_update(tracer, small_run, monkeypatch):
     # The tracer swaps the counted functions in their modules, so run_tracker must call
     # eot.update through the module global; an inlined update would make eot.updates read 0.
-    *_, tracker_scans = small_run
+    *_, annotated, tracker_input = small_run
     counting = tracer.Tracer()
     for (layer, fname), name in tracer.COUNTED.items():
         module = importlib.import_module(f"vruradar.{layer}")
         monkeypatch.setattr(module, fname, counting.counter(name, getattr(module, fname)))
-    run_tracker(tracker_scans, TrackerParams())
-    assert counting.counts == {"eot.updates": len(tracker_scans) - 1}
+    run_tracker(*tracker_input, TrackerParams())
+    updates = np.count_nonzero(annotated.scans.n_assigned) - 1
+    assert counting.counts == {"eot.updates": updates}
 
 
 def test_traced_pipeline_passes_the_benchmark_output_checks(tmp_path):

@@ -39,10 +39,10 @@ def assert_same_annotation(result, scans, traj, vru_kind, mounts, ego_pose):
                 [*ea.center, ea.ax_major, ea.ax_minor, ea.orientation],
                 [*eb.center, eb.ax_major, eb.ax_minor, eb.orientation], **TOL)
     if any(len(s.assigned) for s in expected):
-        assert_same_cycle_stats(result.scans, expected)
+        assert_cycle_stats_match(result.scans, expected)
 
 
-def assert_same_cycle_stats(table, expected_scans):
+def assert_cycle_stats_match(table, expected_scans):
     stats = cycle_stats(table)
     expected = [reference.cycle_stats(s) for s in expected_scans if len(s.assigned)]
     assert stats["timestamp"].tolist() == [e["timestamp"] for e in expected]
