@@ -129,6 +129,9 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
     return raw

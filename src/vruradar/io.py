@@ -5,6 +5,7 @@ versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
 resolution so records can be joined on them exactly.  Both codecs work on
 blocks of a few hundred rows or points, with one call per column and block.
+orjson decodes JSON-Lines, and json each line that orjson rejects.
 """
 
 from __future__ import annotations
@@ -47,9 +48,26 @@ class SchemaError(ValueError):
         self.line = line
 
 
+def _open_text(path):
+    """`path` opened for reading text.  A byte that is not UTF-8 reads as a lone surrogate,
+    so that `_check_utf8` can name its line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(text: str, path, line: int) -> None:
+    """Raise a SchemaError if `text`, read by `_open_text` from `line` on, holds a byte that
+    is not UTF-8; it names the line of the first such byte."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"byte {ord(text[exc.start]) - 0xDC00:#04x} is not UTF-8", path,
+                          line + text.count("\n", 0, exc.start)) from None
+
+
 def _check_header(line: str, tag: str, path) -> None:
     expected = f"# format={tag}"
     if line.rstrip("\n") != expected:
+        _check_utf8(line, path, 1)
         raise SchemaError(f"expected header {expected!r}, got {line.strip()!r}", path, 1)
 
 
@@ -134,19 +152,22 @@ def read_table(path, tag: str, columns: Sequence[str],
     t_col = columns.index("timestamp") if "timestamp" in columns else None
     blocks = [_parse_rows([], columns, parse, None, 0.0)[0]]  # typed columns of no rows
     last_t, start = -math.inf, 3
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = chain.from_iterable(map(str.splitlines, fh))
         head = list(islice(lines, 2))
         if not head:
             raise SchemaError("empty file", path, 1)
         _check_header(head[0], tag, path)
         if len(head) < 2 or head[1] != ",".join(columns):
+            if len(head) == 2:
+                _check_utf8(head[1], path, 2)
             raise SchemaError("bad column header", path, 2)
         while block := list(islice(lines, _BLOCK)):
             try:
                 values, last_t = _parse_rows([*filter(None, block)], columns, parse, t_col, last_t)
             except ValueError:
                 for i, line in enumerate(block, start=start):
+                    _check_utf8(line, path, i)
                     try:
                         last_t = _parse_rows([line] if line else [], columns, parse, t_col,
                                              last_t)[1]
@@ -209,10 +230,15 @@ STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
 BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
 
 
+_INT64 = range(-2**63, 2**63)  # the idx values a point table holds
+
+
 def _point_index(value) -> int:
     # bool is an int subclass, and a float or string index would be silently truncated.
     if type(value) is not int:
         raise ValueError(f"point idx must be an integer, got {value!r}")
+    if value not in _INT64:
+        raise ValueError(f"point idx {value} is outside int64")
     return value
 
 
@@ -286,6 +312,7 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _decode_json(text: str, what: str, path, line: int):
+    _check_utf8(text, path, line)
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError:
@@ -295,19 +322,25 @@ def _decode_json(text: str, what: str, path, line: int):
 
 
 def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
-    """Check the header line, then decode and yield one (line number, record) at a time."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Check the header line, then decode and yield one (line number, record) at a time.
+
+    orjson decodes a line.  `_decode_json` decodes a line that orjson rejects,
+    or names its fault: NaN, 1e400, a lone surrogate escape, a byte that is not
+    UTF-8, or text after the JSON value."""
+    from orjson import loads  # here, so that a command that reads no JSONL never loads it
+
+    with _open_text(path) as fh:
         header = fh.readline()
         if not header:
             raise SchemaError("empty file", path, 1)
         _check_jsonl_header(_decode_json(header, "header line", path, 1), tag, path)
         for i, line in enumerate(fh, start=2):
             if line != "\n":
-                try:  # the C scanner alone for a line that is one JSON value, else json's checks
-                    rec, end = _DECODER.scan_once(line, 0)
-                except (StopIteration, ValueError):
-                    end = 0
-                yield i, rec if line[end:] in ("\n", "") else _decode_json(line, "record", path, i)
+                try:
+                    rec = loads(line)
+                except ValueError:
+                    rec = _decode_json(line, "record", path, i)
+                yield i, rec
 
 
 class _Scans:
@@ -384,6 +417,24 @@ class _Scans:
         return [np.concatenate(c, axis=-1 if k == 0 else 0) for k, c in enumerate(zip(*self.arrays))]
 
 
+def _json_column(column: np.ndarray) -> Callable[[int, int], list[str]]:
+    """The JSON texts of column[lo:hi] as a function of (lo, hi).
+
+    A value that occurs more than once in the column is formatted once, and
+    told apart by its bits, so that -0.0 and 0.0 stay apart."""
+    distinct, inverse, counts = np.unique(column.view(np.int64), return_inverse=True,
+                                          return_counts=True)
+    repeated = counts > 1
+    texts = np.array([*_json_numbers(distinct[repeated].view(float).tolist()), None], dtype=object)
+    code = np.where(repeated, np.cumsum(repeated) - 1, -1)[inverse]  # -1 for a value seen once
+
+    def spelt(lo: int, hi: int) -> list[str]:
+        out, once = texts[code[lo:hi]], code[lo:hi] < 0
+        out[once] = np.array(_json_numbers(column[lo:hi][once].tolist()), dtype=object)
+        return out.tolist()
+    return spelt
+
+
 def _json_blocks(scans: ScanTable, point, *index_and_pairs):
     """Per block of scans: (first, end, `t` texts, `sensor_id` texts, joined point texts).
 
@@ -392,15 +443,15 @@ def _json_blocks(scans: ScanTable, point, *index_and_pairs):
     offsets, m, d = scans.offsets.tolist(), len(scans), scans.detections
     marks = (scans.offsets + np.arange(m + 1)).tolist()  # points plus scans before each scan
     index = index_and_pairs[:1]
-    values = np.column_stack([d.range_m, d.azimuth, d.radial_velocity, d.amplitude,
-                              *index_and_pairs[1:]])
+    columns = [_json_column(c) for c in (d.range_m, d.azimuth, d.radial_velocity, d.amplitude,
+                                         *chain.from_iterable(p.T for p in index_and_pairs[1:]))]
     sensors = {s: json.dumps(s) for s in set(scans.sensor_id.tolist())}
     k = 0
     while k < m:
         end = max(bisect_right(marks, marks[k] + _BLOCK) - 1, k + 1)
         lo, hi = offsets[k], offsets[end]
         texts = [list(map(str, i[lo:hi].tolist())) for i in index]
-        points = list(map(point, *texts, *map(_json_numbers, values[lo:hi].T.tolist())))
+        points = list(map(point, *texts, *(spelt(lo, hi) for spelt in columns)))
         yield (k, end, _json_numbers(list(map(round, scans.timestamp[k:end].tolist(), repeat(9)))),
                list(map(sensors.__getitem__, scans.sensor_id[k:end].tolist())),
                lambda starts, ends: [", ".join(points[a - lo:b - lo]) for a, b in zip(starts, ends)])
@@ -476,7 +527,7 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
             raw_t, idx, label = _TRUTH_LABEL(rec)
             if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
                 key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
-            if type(idx) is not int:
+            if type(idx) is not int or idx not in _INT64:
                 _point_index(idx)
             if label not in (LABEL_VRU, LABEL_CLUTTER):
                 raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
@@ -588,7 +639,8 @@ def write_scenario_json(path, *, vru_kind: VruKind, track_id: str, seed: int, eg
 
 
 def read_scenario_json(path) -> dict:
-    rec = _decode_json(Path(path).read_text(encoding="utf-8"), "scenario manifest", path, 1)
+    with _open_text(path) as fh:
+        rec = _decode_json(fh.read(), "scenario manifest", path, 1)
     _check_jsonl_header(rec, SCENARIO_TAG, path)
     try:
         rec["vru_kind"] = VruKind(rec["vru_kind"])

@@ -147,6 +147,22 @@ def test_annotate_infinite_scan_time_exit_2(tmp_path, sim_dir, capsys):
     assert f"{bad}:4: " in capsys.readouterr().err
 
 
+def test_annotate_names_a_byte_that_is_not_utf8(tmp_path, sim_dir, capsys):
+    bad = tmp_path / "radar.jsonl"
+    lines = (sim_dir / "radar.jsonl").read_bytes().split(b"\n")
+    lines[6] = lines[6].replace(b'"sensor_id": "', b'"sensor_id": "\xff', 1)
+    bad.write_bytes(b"\n".join(lines))
+    rc = main([
+        "annotate", "--scenario", str(sim_dir / "scenario.json"),
+        "--radar", str(bad),
+        "--gnss", str(sim_dir / "gnss.csv"),
+        "--imu", str(sim_dir / "imu.csv"),
+        "--out", str(tmp_path / "labeled.jsonl"),
+    ])
+    assert rc == 2
+    assert f"error: {bad}:7: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
 def test_annotate_string_point_value_exit_2(tmp_path, sim_dir, capsys):
     # A point value must be a JSON number: "5" is not read as 5.0.
     bad = tmp_path / "radar.jsonl"
@@ -398,6 +414,14 @@ def test_missing_config_and_preset_exit_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_config_file_not_utf8_names_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path / "config.json")
+    cfg.write_bytes(cfg.read_bytes().replace(b'"seed"', b'"s\xffeed"'))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert f"config file {cfg} is not UTF-8: byte 0xff" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_and_preset_together_are_a_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "config.json")
     with pytest.raises(SystemExit) as exited:
@@ -545,14 +569,16 @@ def test_commands_reject_bad_labeled_points(sim_dir, labeled_path, tmp_path, cap
     assert f"{bad}:{line}:" in capsys.readouterr().err
 
 
-# Runs one CLI command (none for a bare import) and prints the scipy modules it loaded and
-# the package modules that ran; the others are still lazy modules that no code has read.
+# Runs one CLI command (none for a bare import) and prints the scipy modules it loaded,
+# whether it loaded orjson, and the package modules that ran; the others are still lazy
+# modules that no code has read.
 _SCIPY_PROBE = """
 import json, sys, types
 from vruradar import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "orjson": "orjson" in sys.modules,
                   "ran": sorted(name.removeprefix("vruradar.") for name, m in sys.modules.items()
                                 if name.startswith("vruradar.") and type(m) is types.ModuleType)}))
 """
@@ -587,6 +613,8 @@ def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rc"] == 0, (name, proc.stderr)
         assert result["scipy"] == [], name
+        # orjson only decodes JSONL, which neither a bare import nor simulate reads.
+        assert result["orjson"] == (name not in ("import", "simulate")), name
         assert result["ran"] == sorted(["cli", "core", *layers]), name
 
 

@@ -35,7 +35,8 @@ JSONL = {  # kind -> (reader, reference reader)
     "labeled": (io.read_labeled_jsonl, ref.read_labeled_jsonl),
     "truth_labels": (io.read_truth_labels_jsonl, ref.read_truth_labels_jsonl),
 }
-RAW_VALUES = ["NaN", "1e400", '"5"', "true", "null", "{}"]
+# '"\\ud800"' is JSON that orjson rejects and json reads, so the fallback decoder takes it.
+RAW_VALUES = ["NaN", "1e400", '"5"', "true", "null", "{}", '"\\ud800"']
 CSV_VALUES = ["nan", "1e400", "x", "", "true", "5"]
 
 
@@ -264,6 +265,21 @@ def test_labeled_writer_writes_the_reference_bytes(tmp_path_factory, table, bloc
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_BLOCK", block)
         text = _written(io.write_labeled_jsonl, path, table)
+    assert text == ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(table))
+
+
+def test_labeled_writer_formats_repeated_values_by_their_bits(tmp_path):
+    # A repeated value is formatted once, found by its bits: -0.0 == 0.0, yet each keeps its
+    # sign, and NaN and the infinities repeat too.
+    column = [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e16]
+    pairs = np.column_stack([column, column[::-1]])
+    d = Detections(list(map(abs, column)), column[::-1], column, column[::-1],
+                   index=range(len(column)), ego=pairs, global_xy=pairs[::-1])
+    table = LabeledTable([0.0, 1.0], ["r", "r"], scan_offsets([5, len(column) - 5]), d, [2, 0],
+                         np.zeros((2, 5)), np.full((2, 5), math.nan), "vru-0", VruKind.CYCLIST)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", 3)
+        text = _written(io.write_labeled_jsonl, tmp_path / "labeled.jsonl", table)
     assert text == ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(table))
 
 

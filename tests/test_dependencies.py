@@ -1,0 +1,32 @@
+"""The runtime dependencies that pyproject.toml declares are the ones the package imports."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_packages() -> set[str]:
+    """The top-level names of every absolute import in src/vruradar, function bodies included."""
+    names = set()
+    for path in (ROOT / "src" / "vruradar").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in project["dependencies"]}
+    third_party = _imported_packages() - set(sys.stdlib_module_names) - {"vruradar"}
+    assert third_party == declared

@@ -11,6 +11,7 @@ from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import (GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, GnssQuality,
                                  build_trajectory)
 
+import reference as ref
 from conftest import reorder_scans, series
 
 
@@ -364,13 +365,30 @@ def test_labeled_reader_requires_one_track(tmp_path, labeled_result):
     assert (err.value.path, err.value.line) == (path, 3)
 
 
-def test_labeled_reader_rejects_point_index_beyond_int64(tmp_path, labeled_result):
-    path = tmp_path / "labeled.jsonl"
-    io.write_labeled_jsonl(path, labeled_result.scans)
-    line = _edit_record(path, lambda rec: rec["assigned"][0].update(idx=2**70))
+# orjson reads an integer literal outside [-2**63, 2**64) as a float, and json reads it as
+# an int; either way no point table holds the idx, so both are refused at their line.
+@pytest.mark.parametrize("raw", ["9223372036854775808", "18446744073709551616",
+                                 "-9223372036854775809", str(2**70)])
+@pytest.mark.parametrize("kind", ["truth_labels", "labeled"])
+def test_readers_reject_point_index_outside_int64(tmp_path, small_scenario, labeled_result,
+                                                  kind, raw):
+    path, line = tmp_path / f"{kind}.jsonl", 4
+    if kind == "truth_labels":
+        io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
+        keys = ("idx",)
+    else:
+        io.write_labeled_jsonl(path, labeled_result.scans)
+        line = 2 + next(k for k, n in enumerate(labeled_result.scans.n_assigned) if n)
+        keys = ("assigned", 0, "idx")
+    _set_raw(path, line, keys, raw)
     with pytest.raises(io.SchemaError) as err:
-        io.read_labeled_jsonl(path)
+        getattr(io, f"read_{kind}_jsonl")(path)
     assert (err.value.path, err.value.line) == (path, line)
+    if kind == "truth_labels":
+        assert re.search(r"point idx (\S+ is outside int64|must be an integer)", str(err.value))
+        with pytest.raises(io.SchemaError, match="is outside int64") as err:
+            ref.read_truth_labels_jsonl(path)
+        assert err.value.line == line
 
 
 @pytest.mark.parametrize("value", [0.5, "0", True])
@@ -434,6 +452,52 @@ def test_jsonl_reader_line_numbers_count_blank_lines_and_crlf(tmp_path):
     with pytest.raises(io.SchemaError, match="not valid JSON") as err:
         io.read_radar_jsonl(path)
     assert err.value.line == 5
+
+
+def _insert_byte(path, line: int, byte: bytes) -> None:
+    """Put `byte` after the third byte of `line` of a file with "\\n" line ends."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + byte + lines[line - 1][3:]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _write(kind: str, path, small_scenario, labeled_result) -> None:
+    scans = small_scenario.scans
+    if kind == "scenario":
+        cfg = small_scenario.config
+        io.write_scenario_json(path, vru_kind=cfg.vru_kind, track_id="vru-0", seed=cfg.rng_seed,
+                               ego_pose=cfg.ego_pose, mounts=cfg.mounts, counts={})
+    elif kind == "labeled":
+        io.write_labeled_jsonl(path, labeled_result.scans)
+    elif kind == "truth_labels":
+        io.write_truth_labels_jsonl(path, scans, small_scenario.is_vru)
+    elif kind == "radar":
+        io.write_radar_jsonl(path, scans)
+    else:
+        getattr(io, f"write_{kind}_csv")(path, getattr(small_scenario, kind))
+
+
+READERS = {"radar": io.read_radar_jsonl, "truth_labels": io.read_truth_labels_jsonl,
+           "labeled": io.read_labeled_jsonl, "scenario": io.read_scenario_json,
+           "gnss": io.read_gnss_csv, "imu": io.read_imu_csv}
+
+
+# A byte that is not UTF-8 is a SchemaError at its line in every codec, also where
+# json alone would take it: inside a string, such as a key.
+@pytest.mark.parametrize("kind,line,byte", [
+    ("radar", 1, b"\xff"), ("radar", 5, b"\xff"), ("radar", 5, b"\xc3("),
+    ("radar", 5, b"\xed\xa0\x80"), ("truth_labels", 7, b"\xfe"), ("labeled", 3, b"\x80"),
+    ("scenario", 4, b"\xff"), ("gnss", 1, b"\xff"), ("gnss", 2, b"\xff"), ("gnss", 9, b"\xff"),
+    ("imu", 6, b"\xc0"),
+])
+def test_readers_name_a_byte_that_is_not_utf8(tmp_path, small_scenario, labeled_result, kind,
+                                              line, byte):
+    path = tmp_path / kind
+    _write(kind, path, small_scenario, labeled_result)
+    _insert_byte(path, line, byte)
+    with pytest.raises(io.SchemaError, match=f"byte {byte[0]:#04x} is not UTF-8") as err:
+        READERS[kind](path)
+    assert (err.value.path, err.value.line) == (path, line)
 
 
 # Raw JSON for values that are not finite JSON numbers: json reads 1e400 as
