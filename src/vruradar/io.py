@@ -3,9 +3,10 @@
 Every file starts with a format-version line; readers reject unknown
 versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
-resolution so records can be joined on them exactly.  Both codecs work on
-blocks of a few hundred rows or points, with one call per column and block.
-orjson decodes JSON-Lines, and json each line that orjson rejects.
+resolution so records can be joined on them exactly.  The CSV codec and the
+JSON-Lines readers work on blocks of a few hundred rows or points, with one
+call per column and block.  orjson encodes JSON-Lines one record at a time and
+decodes it, and json decodes each line that orjson rejects.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .core import (GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
@@ -259,9 +261,14 @@ def finite_number(value, name: str) -> float:
 
 
 def json_string(value, name: str) -> str:
-    """`value` if it is a JSON string: ids and labels are never made from other types."""
+    """`value` if it is a JSON string that UTF-8 can encode: ids and labels are never made
+    from other types, and json reads an escape such as `\\ud800` as a lone surrogate."""
     if type(value) is not str:
         raise ValueError(f"{name} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{name} holds a lone surrogate {value[exc.start]!r}") from None
     return value
 
 
@@ -279,8 +286,8 @@ def _floats(values: list, names: Sequence[str]) -> np.ndarray:
 
 def _scan_arrays(polar, idx, ego, glob, state, bounding, bounded) -> list[np.ndarray]:
     """Points' polar (4, n), idx, ego and global columns, scans' vru_state and bounding
-    rows, of flat lists (five bounding values per scan in `bounded`).  A ValueError or
-    OverflowError names the first fault in the order a record's values are checked."""
+    rows, of flat lists (five bounding values per scan in `bounded`).  A ValueError
+    names the first fault in the order a record's values are checked."""
     state = _floats(state, STATE_KEYS).reshape(-1, 5)
     if np.any(state[:, 3] < 0):
         raise ValueError(f"speed must be >= 0, got {state[:, 3].min()}")
@@ -291,14 +298,12 @@ def _scan_arrays(polar, idx, ego, glob, state, bounding, bounded) -> list[np.nda
     polar = _floats([*chain(*polar)], ("point value",)).reshape(4, -1)
     if np.any(polar[0] < 0):
         raise ValueError(f"range must be >= 0, got {polar[0].min()}")
-    idx = np.array(idx, dtype=np.int64)
+    try:
+        idx = np.array(idx, dtype=np.int64)
+    except OverflowError:
+        _point_index(next(i for i in idx if i not in _INT64))
     ego, glob = (_floats(c, ("point value",)).reshape(-1, 2) for c in (ego, glob))
     return [polar, idx, ego, glob, state, full]
-
-
-def _json_numbers(values: list) -> list[str]:
-    """Python floats as json.dumps spells them: repr, if all are finite."""
-    return list(map(float.__repr__ if all(map(math.isfinite, values)) else json.dumps, values))
 
 
 # --- JSON Lines ---------------------------------------------------------------
@@ -327,8 +332,6 @@ def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
     orjson decodes a line.  `_decode_json` decodes a line that orjson rejects,
     or names its fault: NaN, 1e400, a lone surrogate escape, a byte that is not
     UTF-8, or text after the JSON value."""
-    from orjson import loads  # here, so that a command that reads no JSONL never loads it
-
     with _open_text(path) as fh:
         header = fh.readline()
         if not header:
@@ -337,10 +340,18 @@ def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
         for i, line in enumerate(fh, start=2):
             if line != "\n":
                 try:
-                    rec = loads(line)
+                    rec = orjson.loads(line)
                 except ValueError:
                     rec = _decode_json(line, "record", path, i)
                 yield i, rec
+
+
+def _json_record(path, line: int):
+    """The record at `line` of a JSONL file as json decodes it.  orjson reads an integer
+    literal beyond 64 bits as a float and json as an int, so a reader that finds a faulty
+    point idx reads its line again here, to name the idx by its literal."""
+    with _open_text(path) as fh:
+        return _DECODER.decode(next(islice(fh, line - 1, None)))
 
 
 class _Scans:
@@ -374,7 +385,7 @@ class _Scans:
         try:
             if type(t) is not float or t - t:  # not a float, or infinite
                 t = finite_number(t, "t")
-            if type(sensor_id) is not str:
+            if type(sensor_id) is not str or sensor_id not in self.last_t:
                 json_string(sensor_id, "sensor_id")
         except ValueError as exc:
             self.fail(line, f"bad {self.what} record: {exc}")
@@ -399,11 +410,11 @@ class _Scans:
                                 state[:5 * k], bounding[:5 * b], bounded[:b])
         try:
             self.arrays.append(arrays(len(ends) - 1))
-        except (ValueError, OverflowError):  # the shortest failing prefix ends at the fault
+        except ValueError:  # the shortest failing prefix ends at the fault
             for k in range(1, len(ends)):
                 try:
                     arrays(k)
-                except (ValueError, OverflowError) as exc:
+                except ValueError as exc:
                     raise SchemaError(f"bad {self.what} record: {exc}", self.path,
                                       self.lines[self.start + k - 1]) from None
             raise
@@ -417,45 +428,29 @@ class _Scans:
         return [np.concatenate(c, axis=-1 if k == 0 else 0) for k, c in enumerate(zip(*self.arrays))]
 
 
-def _json_column(column: np.ndarray) -> Callable[[int, int], list[str]]:
-    """The JSON texts of column[lo:hi] as a function of (lo, hi).
-
-    A value that occurs more than once in the column is formatted once, and
-    told apart by its bits, so that -0.0 and 0.0 stay apart."""
-    distinct, inverse, counts = np.unique(column.view(np.int64), return_inverse=True,
-                                          return_counts=True)
-    repeated = counts > 1
-    texts = np.array([*_json_numbers(distinct[repeated].view(float).tolist()), None], dtype=object)
-    code = np.where(repeated, np.cumsum(repeated) - 1, -1)[inverse]  # -1 for a value seen once
-
-    def spelt(lo: int, hi: int) -> list[str]:
-        out, once = texts[code[lo:hi]], code[lo:hi] < 0
-        out[once] = np.array(_json_numbers(column[lo:hi][once].tolist()), dtype=object)
-        return out.tolist()
-    return spelt
+def _polar_columns(d: Detections) -> dict[str, np.ndarray]:
+    return {"range_m": d.range_m, "azimuth": d.azimuth, "radial_velocity": d.radial_velocity,
+            "amplitude": d.amplitude}
 
 
-def _json_blocks(scans: ScanTable, point, *index_and_pairs):
-    """Per block of scans: (first, end, `t` texts, `sensor_id` texts, joined point texts).
+def _write_jsonl(path, tag: str, records: Iterable[dict], **columns: np.ndarray) -> None:
+    """The format line, then one line per record, each encoded as it is made from the
+    named float columns.  Before the file is opened, a ValueError names the first column
+    that holds NaN or an infinity, which JSON cannot hold."""
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise ValueError(f"column {name!r} holds a non-finite value")
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps({"format": tag}, option=orjson.OPT_APPEND_NEWLINE))
+        for rec in records:
+            fh.write(orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE))
 
-    `point` formats a point from its texts of the given index column, its polar
-    values and the given (n, 2) columns; joined(starts, ends) joins each scan's."""
-    offsets, m, d = scans.offsets.tolist(), len(scans), scans.detections
-    marks = (scans.offsets + np.arange(m + 1)).tolist()  # points plus scans before each scan
-    index = index_and_pairs[:1]
-    columns = [_json_column(c) for c in (d.range_m, d.azimuth, d.radial_velocity, d.amplitude,
-                                         *chain.from_iterable(p.T for p in index_and_pairs[1:]))]
-    sensors = {s: json.dumps(s) for s in set(scans.sensor_id.tolist())}
-    k = 0
-    while k < m:
-        end = max(bisect_right(marks, marks[k] + _BLOCK) - 1, k + 1)
-        lo, hi = offsets[k], offsets[end]
-        texts = [list(map(str, i[lo:hi].tolist())) for i in index]
-        points = list(map(point, *texts, *(spelt(lo, hi) for spelt in columns)))
-        yield (k, end, _json_numbers(list(map(round, scans.timestamp[k:end].tolist(), repeat(9)))),
-               list(map(sensors.__getitem__, scans.sensor_id[k:end].tolist())),
-               lambda starts, ends: [", ".join(points[a - lo:b - lo]) for a, b in zip(starts, ends)])
-        k = end
+
+def _scan_keys(scans: ScanTable) -> Iterator[tuple[float, str, int, int]]:
+    """Each scan's `t` as written, to the nanosecond, its sensor id and its rows lo:hi."""
+    offsets = scans.offsets.tolist()
+    return zip(map(round, scans.timestamp.tolist(), repeat(9)), scans.sensor_id.tolist(),
+               offsets, offsets[1:])
 
 
 # --- Radar scans ----------------------------------------------------------
@@ -463,17 +458,16 @@ def _json_blocks(scans: ScanTable, point, *index_and_pairs):
 _NO_POINTS = ((),) * 7
 _RADAR_SCAN = operator.itemgetter("t", "sensor_id", "points")
 _POLAR = operator.itemgetter(*POLAR_KEYS)
-_JSON_POINT = '{{"range": {}, "azimuth": {}, "vr": {}, "amp": {}}}'.format
-_JSON_RADAR = '{{"t": {}, "sensor_id": {}, "points": [{}]}}\n'.format
 
 
 def write_radar_jsonl(path, scans: ScanTable) -> None:
-    offsets = scans.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": RADAR_TAG}) + "\n")
-        for k, end, t, sensors, joined in _json_blocks(scans, _JSON_POINT):
-            points = joined(offsets[k:end], offsets[k + 1:end + 1])
-            fh.write("".join(map(_JSON_RADAR, t, sensors, points)))
+    columns = _polar_columns(scans.detections)
+    polar = np.column_stack(list(columns.values()))
+    _write_jsonl(path, RADAR_TAG, (
+        {"t": t, "sensor_id": sensor_id,
+         "points": [{"range": r, "azimuth": a, "vr": v, "amp": p}
+                    for r, a, v, p in polar[lo:hi].tolist()]}
+        for t, sensor_id, lo, hi in _scan_keys(scans)), timestamp=scans.timestamp, **columns)
 
 
 def read_radar_jsonl(path) -> ScanTable:
@@ -499,7 +493,6 @@ def read_radar_jsonl(path) -> ScanTable:
 
 # --- Truth labels -----------------------------------------------------------
 
-_JSON_LABEL = '{{"t": {}, "idx": {}, "label": {}}}\n'.format
 _TRUTH_LABEL = operator.itemgetter("t", "idx", "label")
 
 
@@ -508,15 +501,12 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
     is_vru = np.asarray(is_vru, dtype=bool)
     if is_vru.shape != (len(scans.detections),):
         raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
-    spelt = _json_numbers(list(map(round, scans.timestamp.tolist(), repeat(9))))
-    lines = map(_JSON_LABEL, map(spelt.__getitem__, scans.scan_of_row.tolist()),
-                map(str, scans.detections.index.tolist()),
-                map((json.dumps(LABEL_CLUTTER), json.dumps(LABEL_VRU)).__getitem__,
-                    is_vru.tolist()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": TRUTH_LABELS_TAG}) + "\n")
-        while block := list(islice(lines, _BLOCK)):
-            fh.write("".join(block))
+    index = scans.detections.index
+    _write_jsonl(path, TRUTH_LABELS_TAG, (
+        {"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER}
+        for t, _, lo, hi in _scan_keys(scans)
+        for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())),
+        timestamp=scans.timestamp)
 
 
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
@@ -528,7 +518,7 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
             if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
                 key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
             if type(idx) is not int or idx not in _INT64:
-                _point_index(idx)
+                _point_index(_json_record(path, i)["idx"])
             if label not in (LABEL_VRU, LABEL_CLUTTER):
                 raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -546,31 +536,31 @@ _LABELED_SCAN = operator.itemgetter("t", "sensor_id", "vru_state", "assigned", "
 _LABELED_POINT = operator.itemgetter(*POLAR_KEYS, "idx", "ego", "global")
 _STATE = operator.itemgetter(*STATE_KEYS)
 _BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
-_JSON_LABELED_POINT = ('{{"idx": {}, "range": {}, "azimuth": {}, "vr": {}, "amp": {}, '
-                       '"ego": [{}, {}], "global": [{}, {}]}}').format
-_JSON_LABELED = ('{{"t": {}, "track_id": {}, "vru_kind": {}, "sensor_id": {}, "assigned": [{}], '
-                 '"rejected": [{}], "bounding": {}, "vru_state": {}}}\n').format
-_JSON_STATE = '{{"x": {}, "y": {}, "yaw": {}, "speed": {}, "yaw_rate": {}}}'.format
-_JSON_BOUNDING = '{{"cx": {}, "cy": {}, "ax_major": {}, "ax_minor": {}, "orientation": {}}}'.format
 
 
 def write_labeled_jsonl(path, scans: LabeledTable) -> None:
-    d, offsets = scans.detections, scans.offsets.tolist()
-    mids = (scans.offsets[:-1] + scans.n_assigned).tolist()
-    track, kind = json.dumps(scans.track_id), json.dumps(scans.vru_kind.value)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"format": LABELED_TAG}) + "\n")
-        for k, end, t, sensors, joined in _json_blocks(scans, _JSON_LABELED_POINT, d.index, d.ego,
-                                                       d.global_xy):
-            bounding = scans.bounding[k:end]
-            given = ~np.isnan(bounding[:, 0])
-            boundings = map(_JSON_BOUNDING, *map(_json_numbers, np.where(
-                given[:, None], bounding, 0.0).T.tolist()))
-            fh.write("".join(map(
-                _JSON_LABELED, t, repeat(track), repeat(kind), sensors,
-                joined(offsets[k:end], mids[k:end]), joined(mids[k:end], offsets[k + 1:end + 1]),
-                [text if g else "null" for text, g in zip(boundings, given.tolist())],
-                map(_JSON_STATE, *map(_json_numbers, scans.vru_state[k:end].T.tolist())))))
+    """One record per scan; a scan whose `bounding` row is NaN has no bounding ellipse, and
+    a null `bounding`."""
+    d, given = scans.detections, ~np.isnan(scans.bounding[:, 0])
+    columns = {**_polar_columns(d), "ego": d.ego, "global_xy": d.global_xy}
+    values = np.column_stack(list(columns.values()))
+
+    def points(lo: int, hi: int) -> list[dict]:
+        return [{"idx": i, "range": r, "azimuth": a, "vr": v, "amp": p, "ego": [ex, ey],
+                 "global": [gx, gy]}
+                for i, (r, a, v, p, ex, ey, gx, gy) in zip(d.index[lo:hi].tolist(),
+                                                             values[lo:hi].tolist())]
+    _write_jsonl(path, LABELED_TAG, (
+        {"t": t, "track_id": scans.track_id, "vru_kind": scans.vru_kind.value,
+         "sensor_id": sensor_id,
+         "assigned": points(lo, mid), "rejected": points(mid, hi),
+         "bounding": dict(zip(BOUNDING_KEYS, bounding)) if has else None,
+         "vru_state": dict(zip(STATE_KEYS, state))}
+        for (t, sensor_id, lo, hi), mid, state, bounding, has in zip(
+            _scan_keys(scans), (scans.offsets[:-1] + scans.n_assigned).tolist(),
+            scans.vru_state.tolist(), scans.bounding.tolist(), given.tolist())),
+        timestamp=scans.timestamp, **columns, vru_state=scans.vru_state,
+        bounding=scans.bounding[given])
 
 
 def read_labeled_jsonl(path) -> LabeledTable:
@@ -588,7 +578,9 @@ def read_labeled_jsonl(path) -> LabeledTable:
                 raise ValueError(f"points must be a list, got {points!r}")
             r, a, v, p, idx, ego, glob = list(zip(*map(_LABELED_POINT, points))) or _NO_POINTS
             if not set(map(type, idx)) <= {int}:
-                _point_index(next(x for x in idx if type(x) is not int))
+                literal = _json_record(path, i)
+                literal = [q["idx"] for q in literal["assigned"] + literal["rejected"]]
+                _point_index(next(x for x in literal if type(x) is not int or x not in _INT64))
             if len(set(idx)) < len(idx):
                 raise ValueError(f"point idx {next(x for x in idx if idx.count(x) > 1)} appears "
                                  "more than once")

@@ -8,10 +8,14 @@ covariance has an eigenvalue ratio at most `COLLINEAR_RATIO` is degenerate,
 not only one with a non-positive eigenvalue.
 
 File readers: the record-by-record and field-by-field readers that the block
-codecs in `io` replaced.  Two rules differ from the readers they came from:
-ids and labels must be JSON strings (a truth label `vru` or `clutter`), and a
-labeled record naming another track is a fault at its own line, so that
-every fault is named at the first faulty line in file order.
+codecs in `io` replaced.  Three rules differ from the readers they came from:
+ids and labels must be JSON strings that UTF-8 can encode (a truth label `vru`
+or `clutter`), a point idx outside int64 is named as such, and a labeled record
+naming another track is a fault at its own line, so that every fault is named
+at the first faulty line in file order.
+
+File writers: the field-by-field records the JSONL writers encode, and the
+CSV writer's field-by-field formatting.
 """
 
 import json
@@ -20,6 +24,7 @@ import operator
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from vruradar.annotation import LabeledScan, LabeledTable
 from vruradar.core import (LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, VruKind,
@@ -245,7 +250,7 @@ def _read_scans(path, tag: str, what: str, parse) -> list:
         try:
             row = (i, finite_number(rec["t"], "t"), json_string(rec["sensor_id"], "sensor_id"),
                    *parse(rec))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # idx beyond int64
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad {what} record: {exc}", path, i) from None
         t, sensor_id = row[1], row[2]
         prev = last_t.get(sensor_id, -math.inf)
@@ -291,8 +296,9 @@ def _labeled_record(rec: dict) -> tuple:
         if min(bounding[2:4]) <= 0:
             raise ValueError("ellipse axes must be > 0")
     polar, (idx, ego, glob) = _points(rec["assigned"] + rec["rejected"], ("idx", "ego", "global"))
-    if not set(map(type, idx)) <= {int}:
-        _point_index(next(v for v in idx if type(v) is not int))
+    bad = [v for v in idx if type(v) is not int or not -2**63 <= v < 2**63]
+    if bad:
+        _point_index(bad[0])
     if len(set(idx)) < len(idx):
         raise ValueError(f"point idx {next(v for v in idx if idx.count(v) > 1)} appears more "
                          "than once")
@@ -396,5 +402,11 @@ def labeled_records(scans: LabeledTable) -> list[dict]:
 
 
 def jsonl_text(tag: str, records) -> str:
-    """A JSONL file of `records` under the header of `tag`, written record by record."""
+    """A JSONL file of `records` under the header of `tag`, written record by record as
+    json.dumps spells them, as earlier versions wrote it."""
     return "".join(json.dumps(rec) + "\n" for rec in [{"format": tag}, *records])
+
+
+def orjson_text(tag: str, records) -> str:
+    """The same file as orjson spells it."""
+    return b"".join(orjson.dumps(rec) + b"\n" for rec in [{"format": tag}, *records]).decode()

@@ -150,7 +150,7 @@ def test_annotate_infinite_scan_time_exit_2(tmp_path, sim_dir, capsys):
 def test_annotate_names_a_byte_that_is_not_utf8(tmp_path, sim_dir, capsys):
     bad = tmp_path / "radar.jsonl"
     lines = (sim_dir / "radar.jsonl").read_bytes().split(b"\n")
-    lines[6] = lines[6].replace(b'"sensor_id": "', b'"sensor_id": "\xff', 1)
+    lines[6] = re.sub(rb'("sensor_id":\s*")', b"\\1\xff", lines[6], count=1)
     bad.write_bytes(b"\n".join(lines))
     rc = main([
         "annotate", "--scenario", str(sim_dir / "scenario.json"),
@@ -161,6 +161,27 @@ def test_annotate_names_a_byte_that_is_not_utf8(tmp_path, sim_dir, capsys):
     ])
     assert rc == 2
     assert f"error: {bad}:7: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+# json reads the escape \ud800 as a lone surrogate, which no writer can encode again.
+@pytest.mark.parametrize("name,line,what", [("radar.jsonl", 2, "radar record"),
+                                            ("scenario.json", 1, "scenario manifest")])
+def test_annotate_refuses_a_lone_surrogate_in_a_sensor_id(tmp_path, sim_dir, capsys, name, line,
+                                                          what):
+    files = {name: sim_dir / name for name in ("scenario.json", "radar.jsonl")}
+    files[name] = bad = tmp_path / name
+    text = (sim_dir / name).read_text(encoding="utf-8")
+    bad.write_text(re.sub(r'("sensor_id":\s*")', r"\1\\ud800", text, count=1), encoding="utf-8")
+    rc = main([
+        "annotate", "--scenario", str(files["scenario.json"]),
+        "--radar", str(files["radar.jsonl"]),
+        "--gnss", str(sim_dir / "gnss.csv"),
+        "--imu", str(sim_dir / "imu.csv"),
+        "--out", str(tmp_path / "labeled.jsonl"),
+    ])
+    assert rc == 2
+    assert (f"error: {bad}:{line}: bad {what}: sensor_id holds a lone surrogate '\\ud800'"
+            in capsys.readouterr().err)
 
 
 def test_annotate_string_point_value_exit_2(tmp_path, sim_dir, capsys):
@@ -613,8 +634,8 @@ def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rc"] == 0, (name, proc.stderr)
         assert result["scipy"] == [], name
-        # orjson only decodes JSONL, which neither a bare import nor simulate reads.
-        assert result["orjson"] == (name not in ("import", "simulate")), name
+        # orjson encodes and decodes JSONL, which every command but a bare import writes or reads.
+        assert result["orjson"] == (name != "import"), name
         assert result["ran"] == sorted(["cli", "core", *layers]), name
 
 
@@ -743,8 +764,7 @@ def test_nearest_state_index_matches_argmin():
 def test_evaluate_rejects_an_unknown_truth_label(tmp_path, sim_dir, labeled_path, capsys):
     bad = tmp_path / "truth_labels.jsonl"
     lines = (sim_dir / "truth_labels.jsonl").read_text().splitlines()
-    lines[6] = lines[6].replace('"label": "vru"', '"label": null').replace(
-        '"label": "clutter"', '"label": null')
+    lines[6] = re.sub(r'"label":\s*"(vru|clutter)"', '"label": null', lines[6])
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc = main(["evaluate", "--labeled", str(labeled_path), "--truth-labels", str(bad),
                "--out", str(tmp_path / "eval")])

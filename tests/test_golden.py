@@ -55,17 +55,17 @@ GOLDEN = {
         'eval/scores.csv':
             'f0adf45968ef9894f8e83961fa375490361d62d66af23b3ffc5682d8e3ccd4b8',
         'labeled-gnss-imu.jsonl':
-            '5c07285258af16366865ac38705baebc2ed6d5d4c05d4e72134e7c921401aa25',
+            '1ed5c66a646a36f9c9767da4809708e6f156fd91b34c1a9179c54bfdc61e33f1',
         'out/gnss.csv':
             'e5f9654f03bea0a11b615e792a384bfc9a649e8cfaf1b74c5adcaa066edbc801',
         'out/imu.csv':
             'a735722455ea23781ff150aab002f55391af1cb383297e532be0d545573b47b8',
         'out/radar.jsonl':
-            'd12d568ba59fa7781bc6b10e408f93f255ca3fd68b46c09e50d27d802526c491',
+            '824a88e6d26f617eee23625e0124c40062d3dd034ebd22586d9725a204434f9c',
         'out/scenario.json':
             'b2972f82206d913fcdf77cb29569eafd430e9f8db675215e85e6bebd8ef4a0c6',
         'out/truth_labels.jsonl':
-            '5807163ba8aef50d7a993bbf634dc78c8275887dd4c028c1b9da031b63241889',
+            '749bc29610c16009d8433be63b6578f5268d4ecfde9cad24eedd9fa818589380',
         'out/truth_traj.csv':
             '56dc3d9260d7f28dfe4127b4c08442fded039d6bdfdf608b8587a291dc43142a',
         'sig/grid.csv':
@@ -97,17 +97,17 @@ GOLDEN = {
         'eval/scores.csv':
             '229723b2ff5943b7fdac45a66aaf46b8f4143e7d11984a821772b8f0b197cfd4',
         'labeled-gnss-imu.jsonl':
-            'faaa5d16f49d40f5a3ea4282a5c1572bee8a535ef2eeb1e27167ebe79e1141d2',
+            '5f7e9ec1bff7120f1810c75446310101c8fd2c8f62bdee5ba53c2c179e37640f',
         'out/gnss.csv':
             'bcd279d9687917ef2c76af38e5d6d78d8132e816194949927ce06ff6cd251f30',
         'out/imu.csv':
             '28ce2811c25d2c43a297544c9f5af0c11f904c8423a93345251f56536f458908',
         'out/radar.jsonl':
-            '3d4426085dc00a7654032bee5eda454770a64a5db0f36d78c40afcafbaaf4f87',
+            '48d2b671840bc3af840d5875c9e2aa72605f9cf9c11c18ecaa00409c771ca6a4',
         'out/scenario.json':
             'db359edfed9c0f097de519a3b3485e56302db396e980c52c9f005a680db0df45',
         'out/truth_labels.jsonl':
-            'cb5a02c51ee84f790630630382c0feeb8cd6539dfbd8d20c6098a72cd5067d45',
+            '74f2436d7c32526b9ae06811ef52b28517962d4899e9eebea3489483a5a38c6a',
         'out/truth_traj.csv':
             'f3f9598088d51f848c522dfe432b3eda7f924ae7ca9adddc48148ea37a882750',
         'sig/grid.csv':
@@ -143,19 +143,19 @@ GOLDEN = {
         'eval/ttests.csv':
             'e4812a24786bca4446f82a25086042358ef6c30bbbe9a599b6cc39d722c7cee8',
         'labeled-gnss-imu.jsonl':
-            'c07b60efb45f9892ee7c2c76271d155e16f2a45d30bbd993b9ab2bcea363ecdd',
+            '8dec29eaac9b765b016656fb8da45006175d56e3143931320f9770cd81731454',
         'labeled-gnss-only.jsonl':
-            '01c28a518a2cc43c66cf898a947e73ba570a8071aa7cc64190291639db0c2c25',
+            '902e7bf9ed792f29f2cf2dae5baaf68ce2831f863b938fdf9538f0e7a26eb29e',
         'out/gnss.csv':
             'b147f64bef78b830ddfe02914135de7d0d192c2af8d98d72839ad1a0a3c016c9',
         'out/imu.csv':
             '88aca34a6c4759160b394a2d5334628fe595f6fd13e0f59f8629265c45ab3a58',
         'out/radar.jsonl':
-            '853fb0c3ed6f2ce06a4f47dab708252cb7caed5e85e01ba15e35b396d4648d8c',
+            '7ac3a96e84d208c2b139931ed56a000e9804547d3fbfec6bc7ed93f6d5ff70db',
         'out/scenario.json':
             'f0bc4fdaf28329dc3d74c1725d06b0572a6d8e4ed187892e609eee7948d82445',
         'out/truth_labels.jsonl':
-            '50844ad6999204c678fc2995ba39b17e09851872d314fe7f1aea7ebc0bbcff3e',
+            '77e72988bebb6a2091da3e27c73b30767fabb3fd2699092d523779ee6d28373f',
         'out/truth_traj.csv':
             '099e42c4b29d699ad771971b4c86b18e258285e66b1924d58613a216fa7e6864',
         'sig/grid.csv':

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from conftest import reorder_scans, series
 @pytest.fixture(scope="module")
 def small_scenario():
     cfg = preset("cyclist-nominal", seed=13)
-    from dataclasses import replace
-
     return simulate_scenario(replace(cfg, duration=12.0))
 
 
@@ -115,6 +114,50 @@ def test_labeled_round_trip_preserves_partition(tmp_path, labeled_result):
         assert np.array_equal(a.vru_state, b.vru_state)
         assert a.assigned == b.assigned
         assert a.rejected == b.rejected
+
+
+# JSON has no NaN or infinity, so a writer refuses such a value, naming its column, before it
+# opens the file: its own reader would refuse the file.
+def test_radar_writer_refuses_a_non_finite_value(tmp_path, small_scenario):
+    scans, path = small_scenario.scans, tmp_path / "radar.jsonl"
+    amplitude = scans.detections.amplitude.copy()
+    amplitude[3] = math.nan
+    with pytest.raises(ValueError, match="column 'amplitude' holds a non-finite value"):
+        io.write_radar_jsonl(path, replace(scans, detections=replace(scans.detections,
+                                                                      amplitude=amplitude)))
+    assert not path.exists()
+
+
+def test_truth_label_writer_refuses_a_non_finite_value(tmp_path, small_scenario):
+    # A table refuses a non-finite timestamp when it is made, not when it is changed later.
+    scans, path = small_scenario.scans, tmp_path / "labels.jsonl"
+    scans = replace(scans, timestamp=scans.timestamp.copy())
+    scans.timestamp[2] = math.inf
+    with pytest.raises(ValueError, match="column 'timestamp' holds a non-finite value"):
+        io.write_truth_labels_jsonl(path, scans, small_scenario.is_vru)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("column", ["global_xy", "vru_state", "bounding"])
+def test_labeled_writer_refuses_a_non_finite_value(tmp_path, labeled_result, column):
+    scans, path = labeled_result.scans, tmp_path / "labeled.jsonl"
+    k = next(k for k, n in enumerate(scans.n_assigned) if n)  # a scan with a bounding ellipse
+    if column == "global_xy":
+        values = scans.detections.global_xy.copy()
+        values[scans.offsets[k], 1] = -math.inf
+        spoilt = replace(scans, detections=replace(scans.detections, global_xy=values))
+    else:
+        values = getattr(scans, column).copy()
+        values[k, 3] = math.nan
+        spoilt = replace(scans, **{column: values})
+    with pytest.raises(ValueError, match=f"column '{column}' holds a non-finite value"):
+        io.write_labeled_jsonl(path, spoilt)
+    assert not path.exists()
+    # A scan without a bounding ellipse, a NaN row, has a null bounding.
+    io.write_labeled_jsonl(path, scans)
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [rec["bounding"] is None for rec in records] == np.isnan(scans.bounding[:, 0]).tolist()
+    assert any(rec["bounding"] is None for rec in records)
 
 
 def test_scenario_manifest_round_trip(tmp_path, small_scenario):
@@ -236,10 +279,11 @@ def test_csv_readers_reject_out_of_order_timestamps(tmp_path, small_scenario, ki
 
 
 def _inject(path, key: str, constant: str) -> int:
-    """Replace the first number after `"key": ` (or `"key": [`) below line 1; return its line."""
+    """Replace the first number after `"key":` (or `"key": [`) below line 1; return its line."""
     lines = path.read_text(encoding="utf-8").splitlines()
     for k in range(1, len(lines)):
-        lines[k], n = re.subn(rf'("{key}": \[?)[-+0-9.e]+', rf"\g<1>{constant}", lines[k], count=1)
+        lines[k], n = re.subn(rf'("{key}":\s*\[?\s*)[-+0-9.e]+', rf"\g<1>{constant}", lines[k],
+                              count=1)
         if n:
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             return k + 1
@@ -366,7 +410,7 @@ def test_labeled_reader_requires_one_track(tmp_path, labeled_result):
 
 
 # orjson reads an integer literal outside [-2**63, 2**64) as a float, and json reads it as
-# an int; either way no point table holds the idx, so both are refused at their line.
+# an int; either way no point table holds the idx, and the message names the literal.
 @pytest.mark.parametrize("raw", ["9223372036854775808", "18446744073709551616",
                                  "-9223372036854775809", str(2**70)])
 @pytest.mark.parametrize("kind", ["truth_labels", "labeled"])
@@ -384,11 +428,10 @@ def test_readers_reject_point_index_outside_int64(tmp_path, small_scenario, labe
     with pytest.raises(io.SchemaError) as err:
         getattr(io, f"read_{kind}_jsonl")(path)
     assert (err.value.path, err.value.line) == (path, line)
-    if kind == "truth_labels":
-        assert re.search(r"point idx (\S+ is outside int64|must be an integer)", str(err.value))
-        with pytest.raises(io.SchemaError, match="is outside int64") as err:
-            ref.read_truth_labels_jsonl(path)
-        assert err.value.line == line
+    assert f"point idx {raw} is outside int64" in str(err.value)
+    with pytest.raises(io.SchemaError, match=f"point idx {raw} is outside int64") as err:
+        getattr(ref, f"read_{kind}_jsonl")(path)
+    assert err.value.line == line
 
 
 @pytest.mark.parametrize("value", [0.5, "0", True])
@@ -611,3 +654,24 @@ def test_scan_readers_require_string_ids(tmp_path, small_scenario, labeled_resul
     with pytest.raises(io.SchemaError, match=f"{key} must be a string") as err:
         getattr(io, f"read_{kind}_jsonl")(path)
     assert (err.value.path, err.value.line) == (path, 4)
+
+
+# json reads the escape \ud800 as a lone surrogate, which UTF-8 cannot encode, so no
+# writer could write the id again: it is refused like a byte that is not UTF-8.
+@pytest.mark.parametrize("kind,keys", [
+    ("radar", ("sensor_id",)), ("labeled", ("sensor_id",)), ("labeled", ("track_id",)),
+    ("scenario", ("track_id",)), ("scenario", ("mounts", 0, "sensor_id")),
+])
+def test_readers_refuse_a_lone_surrogate_in_an_id(tmp_path, small_scenario, labeled_result,
+                                                  kind, keys):
+    path = tmp_path / kind
+    _write(kind, path, small_scenario, labeled_result)
+    if kind == "scenario":
+        path.write_text(json.dumps(json.loads(path.read_text(encoding="utf-8"))) + "\n",
+                        encoding="utf-8")
+    line = 1 if kind == "scenario" else 4
+    _set_raw(path, line, keys, '"r\\ud800"')
+    message = f"{keys[-1]} holds a lone surrogate '\\ud800'"
+    with pytest.raises(io.SchemaError, match=re.escape(message)) as err:
+        READERS[kind](path)
+    assert (err.value.path, err.value.line) == (path, line)
