@@ -6,7 +6,9 @@ with variable-length point lists.  Timestamps are written with nanosecond
 resolution so records can be joined on them exactly.  The CSV codec and the
 JSON-Lines readers work on blocks of a few hundred rows or points, with one
 call per column and block.  orjson encodes JSON-Lines one record at a time and
-decodes it, and json decodes each line that orjson rejects.
+decodes it, and json decodes each line that orjson rejects.  Each JSON-Lines
+writer also writes a column sidecar, which a reader uses instead of decoding
+when it matches the file (see `sidecar`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
+import stat
+import zlib
 from bisect import bisect_left
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -22,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 import orjson
 
+from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
 from .core import (GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
                    SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_offsets, table,
@@ -433,24 +440,55 @@ def _polar_columns(d: Detections) -> dict[str, np.ndarray]:
             "amplitude": d.amplitude}
 
 
-def _write_jsonl(path, tag: str, records: Iterable[dict], **columns: np.ndarray) -> None:
-    """The format line, then one line per record, each encoded as it is made from the
-    named float columns.  Before the file is opened, a ValueError names the first column
-    that holds NaN or an infinity, which JSON cannot hold."""
+_LINE = partial(orjson.dumps, option=orjson.OPT_APPEND_NEWLINE)  # one JSON-Lines line
+
+
+def _write_jsonl(path, tag: str, chunks: Iterable[bytes], columns: dict[str, np.ndarray],
+                 strings: dict) -> None:
+    """The format line, then each chunk of encoded lines; then the column sidecar
+    `<path>.cols` of `columns` and `strings` (see `sidecar`).
+
+    Before the file is opened, a ValueError names the first float column that
+    holds NaN or an infinity, which JSON cannot hold (a `bounding` row whose
+    first value is NaN is a scan without a bounding ellipse, written as null),
+    and an old sidecar is removed, so that a failed write leaves none.
+    """
     for name, column in columns.items():
-        if not np.isfinite(column).all():
+        if name == "bounding":
+            column = column[~np.isnan(column[:, 0])]
+        if column.dtype.kind == "f" and not np.isfinite(column).all():
             raise ValueError(f"column {name!r} holds a non-finite value")
+    sidecar.path_of(path).unlink(missing_ok=True)
+    crc = 0
     with open(path, "wb") as fh:
-        fh.write(orjson.dumps({"format": tag}, option=orjson.OPT_APPEND_NEWLINE))
-        for rec in records:
-            fh.write(orjson.dumps(rec, option=orjson.OPT_APPEND_NEWLINE))
+        for chunk in chain([_LINE({"format": tag})], chunks):
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        size = fh.tell() if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
+    if size is not None:  # a pipe or a device keeps no bytes to tie a sidecar to
+        sidecar.write(path, size, crc, columns, strings)
 
 
-def _scan_keys(scans: ScanTable) -> Iterator[tuple[float, str, int, int]]:
-    """Each scan's `t` as written, to the nanosecond, its sensor id and its rows lo:hi."""
+def _written_times(scans: ScanTable) -> list[float]:
+    """Each scan's `t` as written, to the nanosecond."""
+    return list(map(round, scans.timestamp.tolist(), repeat(9)))
+
+
+def _scan_keys(scans: ScanTable, times: list[float]) -> Iterator[tuple[float, str, int, int]]:
+    """Each scan's written `t`, its sensor id and its rows lo:hi."""
     offsets = scans.offsets.tolist()
-    return zip(map(round, scans.timestamp.tolist(), repeat(9)), scans.sensor_id.tolist(),
-               offsets, offsets[1:])
+    return zip(times, scans.sensor_id.tolist(), offsets, offsets[1:])
+
+
+def _scan_columns(scans: ScanTable, times: list[float]) -> tuple[dict[str, np.ndarray], list[str]]:
+    """The sidecar's scan columns and the distinct sensor ids they number.  A ValueError
+    names an id that UTF-8 cannot encode, which JSON cannot hold."""
+    names, codes = np.unique(scans.sensor_id, return_inverse=True)
+    names = names.tolist()
+    for name in names:
+        json_string(name, "column 'sensor_id'")
+    return {"timestamp": np.array(times, dtype=float), "sensor": codes.astype(np.int64, copy=False),
+            "offsets": scans.offsets}, names
 
 
 # --- Radar scans ----------------------------------------------------------
@@ -463,14 +501,23 @@ _POLAR = operator.itemgetter(*POLAR_KEYS)
 def write_radar_jsonl(path, scans: ScanTable) -> None:
     columns = _polar_columns(scans.detections)
     polar = np.column_stack(list(columns.values()))
-    _write_jsonl(path, RADAR_TAG, (
+    times = _written_times(scans)
+    scan_columns, names = _scan_columns(scans, times)
+    _write_jsonl(path, RADAR_TAG, map(_LINE, (
         {"t": t, "sensor_id": sensor_id,
          "points": [{"range": r, "azimuth": a, "vr": v, "amp": p}
                     for r, a, v, p in polar[lo:hi].tolist()]}
-        for t, sensor_id, lo, hi in _scan_keys(scans)), timestamp=scans.timestamp, **columns)
+        for t, sensor_id, lo, hi in _scan_keys(scans, times))),
+        {**scan_columns, **columns}, {"sensor_ids": names})
 
 
 def read_radar_jsonl(path) -> ScanTable:
+    """The radar scans of a file; from its column sidecar if one matches it (see `sidecar`)."""
+    table = sidecar.radar_table(path)
+    return _decode_radar_jsonl(path) if table is None else table
+
+
+def _decode_radar_jsonl(path) -> ScanTable:
     scans = _Scans(path, "radar")
     ranges, azimuths, velocities, amplitudes = scans.values[0]
     for i, rec in scans.records(RADAR_TAG):
@@ -501,15 +548,23 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
     is_vru = np.asarray(is_vru, dtype=bool)
     if is_vru.shape != (len(scans.detections),):
         raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
-    index = scans.detections.index
+    index, times = scans.detections.index, _written_times(scans)
     _write_jsonl(path, TRUTH_LABELS_TAG, (
-        {"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER}
-        for t, _, lo, hi in _scan_keys(scans)
-        for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())),
-        timestamp=scans.timestamp)
+        b"".join([_LINE({"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER})
+                  for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())])
+        for t, _, lo, hi in _scan_keys(scans, times)),
+        {"timestamp": np.array(times, dtype=float), "offsets": scans.offsets, "index": index,
+         "is_vru": is_vru.view(np.uint8)}, {})
 
 
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
+    """The truth labels of a file, keyed by (t, idx); from its column sidecar if one matches
+    it (see `sidecar`)."""
+    labels = sidecar.truth_labels(path)
+    return _decode_truth_labels_jsonl(path) if labels is None else labels
+
+
+def _decode_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     out: dict[tuple[float, int], str] = {}
     t = key_t = None
     for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
@@ -541,30 +596,44 @@ _BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
 def write_labeled_jsonl(path, scans: LabeledTable) -> None:
     """One record per scan; a scan whose `bounding` row is NaN has no bounding ellipse, and
     a null `bounding`."""
+    n_assigned = np.asarray(scans.n_assigned, dtype=np.int64)
+    if np.any(n_assigned < 0) or np.any(n_assigned > np.diff(scans.offsets)):
+        raise ValueError("column 'n_assigned' is outside its scan")
     d, given = scans.detections, ~np.isnan(scans.bounding[:, 0])
     columns = {**_polar_columns(d), "ego": d.ego, "global_xy": d.global_xy}
     values = np.column_stack(list(columns.values()))
+    times = _written_times(scans)
+    scan_columns, names = _scan_columns(scans, times)
+    json_string(scans.track_id, "column 'track_id'")
 
     def points(lo: int, hi: int) -> list[dict]:
         return [{"idx": i, "range": r, "azimuth": a, "vr": v, "amp": p, "ego": [ex, ey],
                  "global": [gx, gy]}
                 for i, (r, a, v, p, ex, ey, gx, gy) in zip(d.index[lo:hi].tolist(),
                                                              values[lo:hi].tolist())]
-    _write_jsonl(path, LABELED_TAG, (
+    _write_jsonl(path, LABELED_TAG, map(_LINE, (
         {"t": t, "track_id": scans.track_id, "vru_kind": scans.vru_kind.value,
          "sensor_id": sensor_id,
          "assigned": points(lo, mid), "rejected": points(mid, hi),
          "bounding": dict(zip(BOUNDING_KEYS, bounding)) if has else None,
          "vru_state": dict(zip(STATE_KEYS, state))}
         for (t, sensor_id, lo, hi), mid, state, bounding, has in zip(
-            _scan_keys(scans), (scans.offsets[:-1] + scans.n_assigned).tolist(),
-            scans.vru_state.tolist(), scans.bounding.tolist(), given.tolist())),
-        timestamp=scans.timestamp, **columns, vru_state=scans.vru_state,
-        bounding=scans.bounding[given])
+            _scan_keys(scans, times), (scans.offsets[:-1] + n_assigned).tolist(),
+            scans.vru_state.tolist(), scans.bounding.tolist(), given.tolist()))),
+        {**scan_columns, **columns, "index": d.index, "n_assigned": n_assigned,
+         "vru_state": scans.vru_state,
+         "bounding": np.where(given[:, None], scans.bounding, np.nan)},
+        {"sensor_ids": names, "track_id": scans.track_id, "vru_kind": scans.vru_kind.value})
 
 
 def read_labeled_jsonl(path) -> LabeledTable:
-    """The labeled scans of one track; every record must name the same track and kind."""
+    """The labeled scans of one track; every record must name the same track and kind.
+    From the file's column sidecar if one matches it (see `sidecar`)."""
+    table = sidecar.labeled_table(path)
+    return _decode_labeled_jsonl(path) if table is None else table
+
+
+def _decode_labeled_jsonl(path) -> LabeledTable:
     scans, track, named = _Scans(path, "labeled"), None, None
     (ranges, azimuths, velocities, amplitudes), index, ego_xy, global_xy, states, boundings, \
         bounded = scans.values

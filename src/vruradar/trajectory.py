@@ -22,7 +22,8 @@ STANDSTILL_SPEED = 0.05  # m/s, shared branch threshold for standstill handling
 
 
 class FusionError(RuntimeError):
-    """The fusion filter gave too few states to build a trajectory from."""
+    """No trajectory could be built from valid streams: the fusion filter gave too few
+    states, or a stage's arithmetic overflowed on finite but huge coordinates."""
 
 
 class OutOfRangeError(ValueError):
@@ -140,20 +141,25 @@ class ReferenceTrajectory:
             raise ValueError("timestamps must be strictly increasing")
         if xy.shape != (len(t), 2):
             raise ValueError(f"positions must be (n, 2), got {xy.shape}")
+        if not np.isfinite(xy).all():
+            raise ValueError("positions must be finite")
         self._times = t
-        self._spline = NaturalCubicSpline(t, xy)
-        if imu is not None and len(imu):
-            self._imu_t = np.array(imu["timestamp"])
-            self._imu_w = moving_average(imu["yaw_rate"])
-        else:
-            self._imu_t = None
-            self._imu_w = None
-        # Per knot, the chord whose direction the standstill hold keeps: the
-        # last moving chord before the knot, or else the first moving chord.
-        # Knot-to-knot chords are used instead of spline tangents: the natural
-        # spline rings at an abrupt stop and can point backwards there.
-        self._chords = np.diff(xy, axis=0)
-        moving = np.hypot(self._chords[:, 0], self._chords[:, 1]) / np.diff(t) >= STANDSTILL_SPEED
+        self._imu_t = self._imu_w = None
+        # Finite values far beyond any real position or rate can still overflow; a spline
+        # that does is refused, and `states_at` refuses states that do.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._spline = NaturalCubicSpline(t, xy)
+            if imu is not None and len(imu):
+                self._imu_t = np.array(imu["timestamp"])
+                self._imu_w = moving_average(imu["yaw_rate"])
+            # Per knot, the chord whose direction the standstill hold keeps: the
+            # last moving chord before the knot, or else the first moving chord.
+            # Knot-to-knot chords are used instead of spline tangents: the natural
+            # spline rings at an abrupt stop and can point backwards there.
+            self._chords = np.diff(xy, axis=0)
+            moving = np.hypot(*self._chords.T) / np.diff(t) >= STANDSTILL_SPEED
+        if not (np.isfinite(self._spline._coef).all() and np.isfinite(self._chords).all()):
+            raise FusionError("the spline through the trajectory positions overflows")
         self._held_chord = None  # no moving chord: yaw holds 0
         if moving.any():
             k0 = int(np.argmax(moving))
@@ -175,35 +181,60 @@ class ReferenceTrajectory:
         if outside.any():
             raise OutOfRangeError(f"t={t[outside][0]} outside trajectory support "
                                   f"[{self.t_start}, {self.t_end}]")
-        pos, (vx, vy), (ax, ay) = (c.T for c in self._spline(t))
-        speed = np.hypot(vx, vy)
-        yaw = np.arctan2(vy, vx)
-        hold = speed < STANDSTILL_SPEED
-        if self._held_chord is None:
-            yaw[hold] = 0.0
-        else:
-            knot = np.searchsorted(self._times, t[hold], side="right") - 1
-            dx, dy = self._chords[self._held_chord[knot]].T
-            yaw[hold] = np.arctan2(dy, dx)
-        yaw[yaw == -math.pi] = math.pi  # wrapped as Pose wraps it
-        if self._imu_t is not None:
-            yaw_rate = np.interp(t, self._imu_t, self._imu_w)
-        else:
-            turning = speed > 1e-9
-            yaw_rate = np.zeros(len(t))
-            yaw_rate[turning] = (vx * ay - vy * ax)[turning] / speed[turning] ** 2
-        return np.column_stack([*pos, yaw, speed, yaw_rate])
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos, (vx, vy), (ax, ay) = (c.T for c in self._spline(t))
+            speed = np.hypot(vx, vy)
+            yaw = np.arctan2(vy, vx)
+            hold = speed < STANDSTILL_SPEED
+            if self._held_chord is None:
+                yaw[hold] = 0.0
+            else:
+                knot = np.searchsorted(self._times, t[hold], side="right") - 1
+                dx, dy = self._chords[self._held_chord[knot]].T
+                yaw[hold] = np.arctan2(dy, dx)
+            yaw[yaw == -math.pi] = math.pi  # wrapped as Pose wraps it
+            if self._imu_t is not None:
+                yaw_rate = np.interp(t, self._imu_t, self._imu_w)
+            else:
+                turning = speed > 1e-9
+                yaw_rate = np.zeros(len(t))
+                yaw_rate[turning] = (vx * ay - vy * ax)[turning] / speed[turning] ** 2
+            states = np.column_stack([*pos, yaw, speed, yaw_rate])
+        if not np.isfinite(states).all():
+            raise FusionError("the trajectory's states overflow at the query times")
+        return states
 
 
 def build_trajectory(gnss: np.ndarray) -> ReferenceTrajectory:
     """Smooth the positions of a GNSS stream and wrap them as a queryable reference trajectory."""
     if len(gnss) < 2:
         raise ValueError("need at least two GNSS samples")
-    return ReferenceTrajectory(gnss["timestamp"], moving_average(_xy(gnss)))
+    _check_finite(gnss, "GNSS", ("x", "y"))
+    return ReferenceTrajectory(gnss["timestamp"], _smoothed(gnss, "GNSS"))
 
 
 def _xy(series: np.ndarray) -> np.ndarray:
     return np.column_stack([series["x"], series["y"]])
+
+
+def _check_finite(series: np.ndarray, name: str, columns: tuple[str, ...]) -> None:
+    """Raise a ValueError naming the first sample of `series` whose `columns` are not finite."""
+    bad = ~np.isfinite(np.column_stack([series[c] for c in columns])).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        what = "pose position" if columns == ("x", "y") else " and ".join(columns)
+        raise ValueError(f"{name} sample {k} at t={series['timestamp'][k]:.9f}: "
+                         f"{what} must be finite")
+
+
+def _smoothed(series: np.ndarray, stage: str) -> np.ndarray:
+    """`moving_average` of a series' positions; a FusionError names `stage` if they are
+    so large that its running sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xy = moving_average(_xy(series))
+    if not np.isfinite(xy).all():
+        raise FusionError(f"smoothing the {stage} positions overflows")
+    return xy
 
 
 @dataclass(frozen=True)
@@ -247,6 +278,8 @@ def fuse_gnss_imu(
     """
     if not len(gnss) or not len(imu):
         raise ValueError("both GNSS and IMU streams must be non-empty")
+    _check_finite(gnss, "GNSS", ("x", "y"))
+    _check_finite(imu, "IMU", ("yaw_rate", "accel_forward"))
     for name, stream in (("GNSS", gnss), ("IMU", imu)):
         times = stream["timestamp"]
         bad = np.flatnonzero(np.diff(times) <= 0)
@@ -366,7 +399,7 @@ def fuse_gnss_imu(
         out.append((t, x, y, yaw, speed, w))
     states = np.array(out, dtype=[(name, float) for name in TRAJ_COLUMNS])
     if not np.isfinite(states["x"]).all() or not np.isfinite(states["y"]).all():
-        raise ValueError("pose position must be finite")
+        raise FusionError("the fusion filter's positions overflow")
     return states
 
 
@@ -379,4 +412,4 @@ def build_fused_trajectory(
     states = fuse_gnss_imu(gnss, imu, params)
     if len(states) < 2:
         raise FusionError("fusion produced fewer than two states")
-    return ReferenceTrajectory(states["timestamp"], moving_average(_xy(states)), imu=imu)
+    return ReferenceTrajectory(states["timestamp"], _smoothed(states, "fused"), imu=imu)

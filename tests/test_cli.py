@@ -591,15 +591,15 @@ def test_commands_reject_bad_labeled_points(sim_dir, labeled_path, tmp_path, cap
 
 
 # Runs one CLI command (none for a bare import) and prints the scipy modules it loaded,
-# whether it loaded orjson, and the package modules that ran; the others are still lazy
-# modules that no code has read.
+# whether it loaded orjson and OpenSSL's `_hashlib`, and the package modules that ran; the
+# others are still lazy modules that no code has read.
 _SCIPY_PROBE = """
 import json, sys, types
 from vruradar import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-                  "orjson": "orjson" in sys.modules,
+                  "orjson": "orjson" in sys.modules, "hashlib": "_hashlib" in sys.modules,
                   "ran": sorted(name.removeprefix("vruradar.") for name, m in sys.modules.items()
                                 if name.startswith("vruradar.") and type(m) is types.ModuleType)}))
 """
@@ -608,24 +608,26 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
 def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
     labeled, truth = str(labeled_path), str(sim_dir / "truth_labels.jsonl")
     evaluate = ["evaluate", "--labeled", labeled, "--truth-labels", truth]
-    # Each command with the layers it runs besides cli and core.
+    # Each command with the layers it runs besides cli and core; every command but a bare
+    # import reads or writes JSON-Lines files and their column sidecars.
     commands = {
         "import": ([], []),
         "simulate": (["simulate", "--config", str(write_config(tmp_path / "config.json",
                                                                  duration=5.0)),
-                      "--out", str(tmp_path / "sim")], ["io", "simulator"]),
+                      "--out", str(tmp_path / "sim")], ["io", "sidecar", "simulator"]),
         "annotate": (["annotate", "--scenario", str(sim_dir / "scenario.json"),
                       "--radar", str(sim_dir / "radar.jsonl"), "--gnss", str(sim_dir / "gnss.csv"),
                       "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")],
-                     ["annotation", "io", "selection", "trajectory"]),
-        "evaluate": ([*evaluate, "--out", str(tmp_path / "eval")], ["evaluation", "io"]),
+                     ["annotation", "io", "selection", "sidecar", "trajectory"]),
+        "evaluate": ([*evaluate, "--out", str(tmp_path / "eval")],
+                     ["evaluation", "io", "sidecar"]),
         "signature": (["signature", "--labeled", labeled, "--out", str(tmp_path / "sig")],
-                      ["io", "signature"]),
+                      ["io", "sidecar", "signature"]),
         "track": (["track", "--labeled", labeled, "--scenario", str(sim_dir / "scenario.json"),
                    "--truth-traj", str(sim_dir / "truth_traj.csv"),
-                   "--out", str(tmp_path / "trk")], ["eot", "io"]),
+                   "--out", str(tmp_path / "trk")], ["eot", "io", "sidecar"]),
         "evaluate --compare": ([*evaluate, "--compare", labeled, "--out", str(tmp_path / "cmp")],
-                               ["evaluation", "io"]),
+                               ["evaluation", "io", "sidecar"]),
     }
     for name, (argv, layers) in commands.items():
         proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
@@ -636,6 +638,9 @@ def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
         assert result["scipy"] == [], name
         # orjson encodes and decodes JSONL, which every command but a bare import writes or reads.
         assert result["orjson"] == (name != "import"), name
+        # The sidecar CRCs use zlib: OpenSSL's hashlib would add about 3.7 MB to each process.
+        # numpy.random loads it (through `secrets`), so only simulate does.
+        assert result["hashlib"] == (name == "simulate"), name
         assert result["ran"] == sorted(["cli", "core", *layers]), name
 
 
@@ -740,6 +745,24 @@ def test_annotate_fusion_failure_exit_1(sim_dir, tmp_path, capsys, monkeypatch):
                "--imu", str(sim_dir / "imu.csv"), "--out", str(tmp_path / "labeled.jsonl")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: fusion produced fewer than two states"]
+    assert not (tmp_path / "labeled.jsonl").exists()
+
+
+@pytest.mark.parametrize("mode,stage", [("gnss-imu", "fused"), ("gnss-only", "GNSS")])
+def test_annotate_overflowing_gnss_coordinates_exit_1(sim_dir, tmp_path, mode, stage):
+    # Finite coordinates, so the GNSS file reads; smoothing them overflows, a runtime failure
+    # that names its stage, with no numpy warning on stderr.
+    gnss = io.read_gnss_csv(sim_dir / "gnss.csv")
+    gnss["x"] *= 1e306
+    io.write_gnss_csv(tmp_path / "gnss.csv", gnss)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vruradar.cli", "annotate", "--scenario",
+         str(sim_dir / "scenario.json"), "--radar", str(sim_dir / "radar.jsonl"),
+         "--gnss", str(tmp_path / "gnss.csv"), "--imu", str(sim_dir / "imu.csv"),
+         "--mode", mode, "--out", str(tmp_path / "labeled.jsonl")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: smoothing the {stage} positions overflows\n"
     assert not (tmp_path / "labeled.jsonl").exists()
 
 

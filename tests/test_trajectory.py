@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from vruradar.trajectory import (
     IMU_COLUMNS,
     QUALITY_DTYPE,
     TRAJ_COLUMNS,
+    FusionError,
     FusionParams,
     GnssQuality,
     NaturalCubicSpline,
@@ -326,3 +328,39 @@ def test_fusion_rejects_a_non_finite_fix():
     gnss["x"][20] = np.nan
     with pytest.raises(ValueError, match="pose position must be finite"):
         fuse_gnss_imu(gnss, imu_series(np.arange(181) / 90.0))
+    with pytest.raises(ValueError, match="GNSS sample 20 at t=1.111111111: pose position"):
+        build_trajectory(gnss)
+
+
+def test_fusion_rejects_a_non_finite_imu_sample():
+    imu = imu_series(np.arange(181) / 90.0)
+    imu["accel_forward"][7] = np.inf
+    with pytest.raises(ValueError, match="IMU sample 7 .* yaw_rate and accel_forward must be "
+                                         "finite"):
+        fuse_gnss_imu(gnss_series(np.arange(37) / 18.0, 1.4 * np.arange(37) / 18.0), imu)
+
+
+@pytest.mark.parametrize("scale,stage", [
+    (1e306, "smoothing the fused positions overflows"),
+    (1e305, "the spline through the trajectory positions overflows"),
+])
+def test_overflowing_coordinates_are_a_fusion_error(scale, stage):
+    # Each scale overflows one stage of the fused trajectory first; none warns.
+    data = simulate_scenario(replace(preset("cyclist-nominal", seed=1), duration=6.0))
+    gnss = data.gnss.copy()
+    gnss["x"] *= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FusionError, match=stage):
+            build_fused_trajectory(gnss, data.imu)
+
+
+def test_trajectory_states_that_overflow_are_a_fusion_error():
+    # A finite spline whose speed, the hypotenuse of its velocity, overflows.
+    traj = ReferenceTrajectory([0.0, 1.0], [[0.0, 0.0], [1.5e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FusionError, match="states overflow at the query times"):
+            traj.states_at([0.5])
+    with pytest.raises(ValueError, match="positions must be finite"):
+        ReferenceTrajectory([0.0, 1.0], [[0.0, 0.0], [np.nan, 1.0]])
