@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -247,6 +248,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_signature(args) -> int:
+    for option in ("resolution", "half_extent_x", "half_extent_y"):
+        value = getattr(args, option)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"--{option.replace('_', '-')} must be finite and > 0, got {value}")
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:
@@ -402,7 +407,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and io.SchemaError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

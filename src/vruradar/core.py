@@ -55,10 +55,6 @@ IMU_COLUMNS = ("timestamp", "yaw_rate", "accel_forward", "yaw")
 TRAJ_COLUMNS = ("timestamp", "x", "y", "yaw", "speed", "yaw_rate")
 
 
-class EmptyScanError(ValueError):
-    """Raised when an operation needs at least one detection and got none."""
-
-
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi].  Idempotent; result differs from `a` by a multiple of 2*pi."""
     if not math.isfinite(a):
@@ -244,6 +240,15 @@ def scan_offsets(counts) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
 
 
+def scan_counts(offsets: np.ndarray, n: int) -> np.ndarray:
+    """The rows of each scan at row `offsets`; a ValueError unless the offsets cut `n` rows
+    into scans."""
+    counts = np.diff(offsets)
+    if offsets[0] != 0 or offsets[-1] != n or np.any(counts < 0):
+        raise ValueError("scan columns do not match the detections table")
+    return counts
+
+
 def rank_in_scan(offsets: np.ndarray) -> np.ndarray:
     """Each row's position within its scan, for scans at row `offsets`."""
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
@@ -268,11 +273,11 @@ class ScanTable:
         object.__setattr__(self, "timestamp", np.asarray(self.timestamp, dtype=float))
         object.__setattr__(self, "sensor_id", np.asarray(self.sensor_id, dtype=str))
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64))
-        m, offsets = len(self.timestamp), self.offsets
+        m = len(self.timestamp)
         if (self.timestamp.shape != (m,) or self.sensor_id.shape != (m,)
-                or offsets.shape != (m + 1,) or offsets[0] != 0
-                or offsets[-1] != len(self.detections) or np.any(np.diff(offsets) < 0)):
+                or self.offsets.shape != (m + 1,)):
             raise ValueError("scan columns do not match the detections table")
+        scan_counts(self.offsets, len(self.detections))
         if not np.isfinite(self.timestamp).all():
             raise ValueError("scan timestamps must be finite")
 
@@ -337,6 +342,12 @@ class LabeledTable(ScanTable):
     bounding: np.ndarray  # (m, 5)
     track_id: str
     vru_kind: VruKind
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "n_assigned", np.asarray(self.n_assigned, dtype=np.int64))
+        if np.any(self.n_assigned < 0) or np.any(self.n_assigned > np.diff(self.offsets)):
+            raise ValueError("column 'n_assigned' is outside its scan")
 
     @property
     def assigned(self) -> np.ndarray:

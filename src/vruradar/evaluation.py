@@ -132,31 +132,19 @@ def _ellipse_axes(cxx, cyy, cxy, level: float):
     mean = 0.5 * (cxx + cyy)
     radius = np.hypot(0.5 * (cxx - cyy), cxy)
     big, small = mean + radius, mean - radius
-    flat = ~(small > COLLINEAR_RATIO * big)
+    flat = np.isfinite(big) & ~(small > COLLINEAR_RATIO * big)  # an overflow is no degenerate one
     q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
     major = 2.0 * np.sqrt(np.where(flat, np.nan, big) * q)
     minor = 2.0 * np.sqrt(np.where(flat, np.nan, small) * q)
     return major, minor
 
 
-def confidence_ellipse(points, level: float = 0.95) -> tuple[float, float]:
-    """Full axis lengths (major, minor) of the sample confidence ellipse.
-
-    Requires at least 3 points and a non-degenerate covariance.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) < 3:
-        raise ValueError("need at least 3 points for a confidence ellipse")
-    (cxx, cxy), (_, cyy) = np.cov(pts, rowvar=False, ddof=1)
-    major, minor = _ellipse_axes(cxx, cyy, cxy, level)
-    if np.isnan(major):
-        raise ValueError("degenerate covariance; points are collinear")
-    return float(major), float(minor)
-
-
 def cycle_stats(scans: LabeledTable) -> np.ndarray:
     """Radar statistics of every scan with assigned detections, over those detections: a
-    table of CYCLE_COLUMNS, one row per such scan, and no rows when there is none."""
+    table of CYCLE_COLUMNS, one row per such scan, and no rows when there is none.
+
+    A RuntimeError names the first statistic, and its scan's `t`, that overflows.
+    """
     cycles = scans.where(scans.assigned)
     n, k, first = np.diff(cycles.offsets), len(cycles), cycles.offsets[:-1]
     seg = cycles.scan_of_row
@@ -169,18 +157,28 @@ def cycle_stats(scans: LabeledTable) -> np.ndarray:
         return np.bincount(seg, (a - mean(a)[seg]) * (b - mean(b)[seg]), k) / np.maximum(n - 1, 1)
 
     x, y = d.global_xy.T
-    conf_major, conf_minor = _ellipse_axes(covariance(x, x), covariance(y, y), covariance(x, y),
-                                           0.95)
-    conf_major[n < 3] = conf_minor[n < 3] = np.nan
-    return table(CYCLE_COLUMNS, (
-        cycles.timestamp,
-        n,
-        mean(r4_compensate(d.amplitude, d.range_m)),
-        np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
-        conf_major,
-        conf_minor,
-        n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,
-    ))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        cov = np.array([covariance(x, x), covariance(y, y), covariance(x, y)])
+        conf_major, conf_minor = _ellipse_axes(*cov, 0.95)
+        conf_major[n < 3] = conf_minor[n < 3] = np.nan
+        stats = table(CYCLE_COLUMNS, (
+            cycles.timestamp,
+            n,
+            mean(r4_compensate(d.amplitude, d.range_m)),
+            np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
+            conf_major,
+            conf_minor,
+            n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,
+        ))
+    # A degenerate covariance leaves the axes NaN; only one that overflows is a fault.
+    finite = {name: np.isfinite(stats[name]) for name in CYCLE_COLUMNS[2:]}
+    finite["conf_major"] = finite["conf_minor"] = (n < 3) | (
+        np.isfinite(cov).all(axis=0) & ~np.isinf(stats["conf_major"]))
+    for name, ok in finite.items():
+        if not ok.all():
+            raise RuntimeError(f"cycle statistic {name} overflows at scan "
+                               f"t={cycles.timestamp[ok.argmin()]:.9f}")
+    return stats
 
 
 def student_t_two_sided_p(t: float, dof: float) -> float:

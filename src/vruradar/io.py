@@ -3,12 +3,12 @@
 Every file starts with a format-version line; readers reject unknown
 versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
-resolution so records can be joined on them exactly.  The CSV codec and the
-JSON-Lines readers work on blocks of a few hundred rows or points, with one
-call per column and block.  orjson encodes JSON-Lines one record at a time and
-decodes it, and json decodes each line that orjson rejects.  Each JSON-Lines
-writer also writes a column sidecar, which a reader uses instead of decoding
-when it matches the file (see `sidecar`).
+resolution so records can be joined on them exactly.  orjson encodes and
+decodes JSON-Lines a record at a time; json decodes a line orjson rejects.
+Every value rule of a JSON-Lines file kind is written once, in the function
+that builds its table from columns (`_scan_table`, `truth_labels`).  A reader
+takes the columns from the file's column sidecar (`sidecar`, a byte codec)
+when one matches the file and they hold no fault, and else decodes the file.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import operator
 import os
 import stat
 import zlib
-from bisect import bisect_left
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -31,8 +30,8 @@ import orjson
 from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
 from .core import (GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
-                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_offsets, table,
-                   wrap_angles)
+                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_counts, scan_offsets,
+                   table, wrap_angles)
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"
@@ -279,38 +278,170 @@ def json_string(value, name: str) -> str:
     return value
 
 
-def _floats(values: list, names: Sequence[str]) -> np.ndarray:
-    """`values` as floats if each is a finite JSON number, else a ValueError naming the
-    first other one, values[k] as names[k % len(names)]."""
-    try:
-        out = np.array(values, dtype=float) if set(map(type, values)) <= {int, float} else None
-        if out is not None and np.isfinite(out).all():
-            return out
-    except OverflowError:  # an integer literal beyond the float range
-        pass
-    return np.array([finite_number(v, names[k % len(names)]) for k, v in enumerate(values)])
+_POINT = ("point value",)
 
 
-def _scan_arrays(polar, idx, ego, glob, state, bounding, bounded) -> list[np.ndarray]:
-    """Points' polar (4, n), idx, ego and global columns, scans' vru_state and bounding
-    rows, of flat lists (five bounding values per scan in `bounded`).  A ValueError
-    names the first fault in the order a record's values are checked."""
-    state = _floats(state, STATE_KEYS).reshape(-1, 5)
-    if np.any(state[:, 3] < 0):
-        raise ValueError(f"speed must be >= 0, got {state[:, 3].min()}")
-    full = np.full((len(state), 5), np.nan)
-    full[bounded] = _floats(bounding, BOUNDING_KEYS).reshape(-1, 5)
-    if np.any(full[bounded, 2:4] <= 0):
-        raise ValueError("ellipse axes must be > 0")
-    polar = _floats([*chain(*polar)], ("point value",)).reshape(4, -1)
-    if np.any(polar[0] < 0):
-        raise ValueError(f"range must be >= 0, got {polar[0].min()}")
+def _check_numbers(values: Sequence, names: Sequence[str]) -> None:
+    """A ValueError names the first of `values` that is not a JSON number a float can hold,
+    values[k] as names[k % len(names)].  Whether a number is finite is a value rule, which
+    the table builders check."""
+    if not set(map(type, values)) <= {float}:
+        for k, v in enumerate(values):
+            if type(v) is not float:
+                finite_number(v, names[k % len(names)])
+
+
+def _pairs(column: tuple, key: str) -> list:
+    """The flat values of a column of JSON [x, y] pairs; a ValueError names a point that
+    holds no such pair."""
+    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {2}):
+        bad = next(q for q in column if type(q) is not list or len(q) != 2)
+        raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
+    values = [*chain.from_iterable(column)]
+    _check_numbers(values, _POINT)
+    return values
+
+
+def _track(track_id, kind) -> tuple[str, VruKind]:
+    """A labeled file's track id and kind; a ValueError names one that is not valid."""
+    return json_string(track_id, "track_id"), VruKind(kind)
+
+
+# --- Tables of JSON-Lines files, from columns -------------------------------------
+#
+# One function per file kind builds its table from the columns a column sidecar holds
+# (see `sidecar`) and holds every value rule of that kind.  A sidecar's columns and a
+# decoded file's columns both go through it.
+
+_POLAR_COLUMNS = ("range_m", "azimuth", "radial_velocity", "amplitude")
+
+
+class _Fault(ValueError):
+    """(message, k): a reader's message for the first faulty scan, or truth-label row, k."""
+
+
+def _raise_first(rules: list) -> None:
+    """Raise the _Fault of the first scan that breaks a rule.  Each rule is (a mask of the
+    scans that break it, its message for a scan k), in the order a reader checks the values
+    of one record, so that a scan that breaks two rules gets the first one's message."""
+    bad = np.array([mask for mask, _ in rules])
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        raise _Fault(rules[int(bad[:, k].argmax())][1](k), k)
+
+
+def _fault(check, *args) -> str | None:
+    """The message of the ValueError that `check(*args)` raises, or None."""
     try:
-        idx = np.array(idx, dtype=np.int64)
-    except OverflowError:
-        _point_index(next(i for i in idx if i not in _INT64))
-    ego, glob = (_floats(c, ("point value",)).reshape(-1, 2) for c in (ego, glob))
-    return [polar, idx, ego, glob, state, full]
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _scan_table(c: dict, strings: dict) -> ScanTable:
+    """The table of a radar file's columns, or of a labeled file's (which hold `index`).
+    A _Fault names the first faulty scan."""
+    labeled, t, sensor, offsets = "index" in c, c["timestamp"], c["sensor"], c["offsets"]
+    polar, m, each = [c[name] for name in _POLAR_COLUMNS], len(t), np.arange(len(t), dtype=np.int32)
+    scan = np.repeat(each, scan_counts(offsets, len(polar[0])))
+    # A code outside the ids names None, and an id that a sidecar names twice is invalid.
+    names = [*strings["sensor_ids"], None]
+    valid = [_fault(json_string, name, "sensor_id") is None and names.index(name) == j
+             for j, name in enumerate(names)]
+    code = np.where((sensor >= 0) & (sensor < len(names) - 1), sensor, len(names) - 1)
+    order = np.argsort(code, kind="stable")  # each scan's last scan of its sensor, or -1
+    before = np.full(m, -1)
+    before[order[1:]] = np.where(code[order[1:]] == code[order[:-1]], order[:-1], -1)
+    bad = f"bad {'labeled' if labeled else 'radar'} record: ".__add__
+
+    def rows(mask: np.ndarray, of=scan) -> np.ndarray:  # the scans that hold a marked row
+        return np.bincount(of[mask.any(axis=tuple(range(1, mask.ndim)))], minlength=m) > 0
+
+    def finite(column: np.ndarray, names=_POINT, of=scan, at=offsets) -> tuple:
+        """Each scan's values are finite: its rows `of` a column of points, or of scans;
+        `finite_number` names the first value that is not."""
+        return rows(~np.isfinite(column), of), lambda k: bad(_fault(lambda: [
+            finite_number(v, names[j % len(names)])
+            for j, v in enumerate(column[at[k]:at[k + 1]].ravel().tolist())]))
+
+    rules = [finite(t, ("t",), each, np.arange(m + 1)),
+             (~np.array(valid)[code], lambda k: bad(
+                 _fault(json_string, names[code[k]], "sensor_id") or "sensor id given twice"))]
+    if labeled:
+        state, bounding = c["vru_state"], c["bounding"]
+        given = ~np.isnan(bounding[:, :1])  # a scan without a bounding ellipse holds NaN
+        bounding[~given[:, 0]] = np.nan
+        rules += [finite(state, STATE_KEYS, each, np.arange(m + 1)),
+                  (state[:, 3] < 0,
+                   lambda k: bad(f"speed must be >= 0, got {state[k].tolist()[3]}")),
+                  finite(np.where(given, bounding, 0.0), BOUNDING_KEYS, each, np.arange(m + 1)),
+                  ((bounding[:, 2:4] <= 0).any(axis=1), lambda k: bad("ellipse axes must be > 0"))]
+    rules += [*map(finite, polar), (rows(polar[0] < 0), lambda k: bad(
+        f"range must be >= 0, got {polar[0][offsets[k]:offsets[k + 1]].min()}"))]
+    if labeled:
+        # Rows are grouped by scan, so each scan's idx sorted keeps the rows' scans.
+        index, repeated = c["index"], np.zeros(len(scan), bool)
+        by_index = c["index"][np.lexsort((c["index"], scan))]
+        repeated[1:] = (by_index[1:] == by_index[:-1]) & (scan[1:] == scan[:-1])
+        track = _fault(_track, strings.get("track_id"), strings.get("vru_kind")) if m else None
+
+        def repeated_idx(k: int) -> str:
+            idx = index[offsets[k]:offsets[k + 1]].tolist()
+            return bad(f"point idx {next(x for x in idx if idx.count(x) > 1)} appears more "
+                       "than once")
+        rules += [(rows(repeated), repeated_idx),
+                  ((each == 0) & (track is not None), lambda k: bad(track)),
+                  finite(c["ego"]), finite(c["global_xy"])]
+    rules.append(((before >= 0) & (t <= t[before]),
+                  lambda k: f"scan t={t[k]:.9f} of sensor {names[code[k]]!r} does not follow "
+                            f"t={t[before[k]]:.9f}"))
+    _raise_first(rules)
+    d = Detections(*polar, index=c["index"] if labeled else rank_in_scan(offsets),
+                   ego=c.get("ego"), global_xy=c.get("global_xy"))
+    sensor_id = np.asarray(names[:-1], dtype=str)[code]
+    if not labeled:
+        return ScanTable(t, sensor_id, offsets, d)
+    # A file without records names no track.
+    track_id, kind = (strings["track_id"], strings["vru_kind"]) if m else ("", "pedestrian")
+    return LabeledTable(t, sensor_id, offsets, d, c["n_assigned"], state, bounding, track_id,
+                        VruKind(kind))
+
+
+def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> dict:
+    """The truth labels of a truth-label file's columns, keyed by (scan `t` to the
+    nanosecond, point idx): `timestamp` per scan, row `offsets` of the scans, `index` and
+    `is_vru` per point.  A _Fault names the first faulty row."""
+    t, offsets, index, is_vru = c["timestamp"], c["offsets"], c["index"], c["is_vru"]
+    counts = scan_counts(offsets, len(index))
+    # Each row's scan t to the nanosecond: one float per scan, which its rows' keys share.
+    times = [*chain.from_iterable(map(repeat, [round(x, 9) for x in t.tolist()], counts.tolist()))]
+    labels = map((LABEL_CLUTTER, LABEL_VRU).__getitem__, (is_vru != 0).tolist())
+    out = dict(zip(zip(times, index.tolist()), labels))
+    repeated = np.zeros(len(index), bool)
+    if len(out) < len(index):
+        seen: set = set()
+        repeated[next(r for r, key in enumerate(zip(times, index.tolist()))
+                      if key in seen or seen.add(key))] = True
+    _raise_first([
+        (np.repeat(~np.isfinite(t), counts),
+         lambda r: f"bad label record: {_fault(finite_number, times[r], 't')}"),
+        (is_vru > 1, lambda r: f"bad label record: is_vru must be 0 or 1, got {is_vru[r]}"),
+        (repeated, lambda r: f"repeated label for t={times[r]:.9f} point {index[r]}"),
+    ])
+    return out
+
+
+def _read(path, schema: dict, build, decode):
+    """`build` of the columns of the sidecar of `path` if one matches the file and they hold
+    no fault; else `decode(path, schema)`, which names any fault."""
+    got = sidecar.read(path, schema)
+    if got is not None:
+        try:
+            return build(*got)
+        except (KeyError, TypeError, ValueError):  # strings or columns that no writer writes
+            pass
+    return decode(path, schema)
 
 
 # --- JSON Lines ---------------------------------------------------------------
@@ -333,12 +464,13 @@ def _decode_json(text: str, what: str, path, line: int):
         raise SchemaError(f"{what} holds a {exc}", path, line) from None
 
 
-def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
+def _load_jsonl(path, tag: str, before_fault) -> Iterator[tuple[int, object]]:
     """Check the header line, then decode and yield one (line number, record) at a time.
 
     orjson decodes a line.  `_decode_json` decodes a line that orjson rejects,
     or names its fault: NaN, 1e400, a lone surrogate escape, a byte that is not
-    UTF-8, or text after the JSON value."""
+    UTF-8, or text after the JSON value.  `before_fault()` is called first, so that a
+    reader can name a fault of an earlier record instead."""
     with _open_text(path) as fh:
         header = fh.readline()
         if not header:
@@ -349,7 +481,11 @@ def _load_jsonl(path, tag: str) -> Iterator[tuple[int, object]]:
                 try:
                     rec = orjson.loads(line)
                 except ValueError:
-                    rec = _decode_json(line, "record", path, i)
+                    try:
+                        rec = _decode_json(line, "record", path, i)
+                    except SchemaError:
+                        before_fault()
+                        raise
                 yield i, rec
 
 
@@ -361,83 +497,53 @@ def _json_record(path, line: int):
         return _DECODER.decode(next(islice(fh, line - 1, None)))
 
 
-class _Scans:
-    """The scans of a JSONL scan file, read a block of records at a time.
+class _Decoded:
+    """The columns of a JSON-Lines file, decoded a record at a time and converted to arrays
+    a block at a time, so that no decoded record outlives its line.
 
-    A reader checks a record's structure, `add`s it and appends its values to
-    `values`, the flat lists `_scan_arrays` takes, so no decoded record
-    outlives its line.  Every fault is a SchemaError naming the first faulty line.
+    A reader checks what typed columns cannot hold (JSON structure and types), then
+    appends the record's values to `values`, the flat lists of the columns of a sidecar
+    schema.  `table` builds the table from the columns as from a sidecar, and names a
+    fault at the line of its scan, or truth-label row.
     """
 
-    def __init__(self, path, what: str):
-        self.path, self.what, self.last_t, self.arrays, self.start = path, what, {}, [], 0
-        self.lines, self.times, self.sensors, self.counts, self.n_assigned = [], [], [], [], []
-        self.values = ([], [], [], []), [], [], [], [], [], []  # bounded: block record numbers
+    def __init__(self, path, schema: dict, build):
+        self.path, self.schema, self.build = path, schema, build
+        self.lines, self.counts, self.strings, self.codes, self.pending = [], [], {}, {}, 0
+        self.values = {name: [] for name in schema if name != "offsets"}
+        self.chunks = {name: [] for name in self.values}
 
-    def records(self, tag: str) -> Iterator[tuple[int, object]]:
-        """`_load_jsonl`; a line that does not decode is a fault once the block's are ruled out."""
-        try:
-            yield from _load_jsonl(self.path, tag)
-        except SchemaError:
-            self.close()
-            raise
+    def add(self, line: int, size: int, **values) -> None:
+        """Append the record at `line`, of `size` scans and points, and its values by column;
+        a reader appends to `counts` the points of each scan."""
+        if self.pending >= _BLOCK:
+            self._convert()
+        self.pending += size
+        self.lines.append(line)
+        for name, column in values.items():
+            self.values[name] += column
+
+    def _convert(self) -> None:
+        for name, values in self.values.items():
+            dtype, _, inner = self.schema[name]
+            self.chunks[name].append(np.array(values, dtype=dtype).reshape(-1, *inner))
+            values.clear()
+        self.pending = 0
 
     def fail(self, line: int, message: str):
-        """Raise the fault of an earlier record of the block, or else `message` at `line`."""
-        self.close()
+        """Raise the fault of an earlier record, or else `message` at `line`."""
+        self.table()
         raise SchemaError(message, self.path, line)
 
-    def add(self, line: int, t, sensor_id, n_points: int) -> None:
-        """Start a scan record; each sensor's scans must follow one another in time."""
+    def table(self):
+        """The table of the records added, built by `build`."""
+        self._convert()
+        columns = {name: np.concatenate(self.chunks.pop(name)) for name in list(self.chunks)}
+        columns["offsets"] = scan_offsets(self.counts)
         try:
-            if type(t) is not float or t - t:  # not a float, or infinite
-                t = finite_number(t, "t")
-            if type(sensor_id) is not str or sensor_id not in self.last_t:
-                json_string(sensor_id, "sensor_id")
-        except ValueError as exc:
-            self.fail(line, f"bad {self.what} record: {exc}")
-        prev = self.last_t.get(sensor_id, -math.inf)
-        if t <= prev:
-            self.fail(line, f"scan t={t:.9f} of sensor {sensor_id!r} does not follow t={prev:.9f}")
-        self.last_t[sensor_id] = t
-        if len(self.lines) - self.start + len(self.values[0][0]) >= _BLOCK:
-            self.close()
-        self.lines.append(line)
-        self.times.append(t)
-        self.sensors.append(sensor_id)
-        self.counts.append(n_points)
-
-    def close(self) -> None:
-        polar, idx, ego, glob, state, bounding, bounded = self.values
-        ends = [*accumulate(self.counts[self.start:], initial=0)]
-
-        def arrays(k: int) -> list[np.ndarray]:  # of the block's first k records
-            q, b = ends[k], bisect_left(bounded, k)
-            return _scan_arrays([c[:q] for c in polar], idx[:q], ego[:2 * q], glob[:2 * q],
-                                state[:5 * k], bounding[:5 * b], bounded[:b])
-        try:
-            self.arrays.append(arrays(len(ends) - 1))
-        except ValueError:  # the shortest failing prefix ends at the fault
-            for k in range(1, len(ends)):
-                try:
-                    arrays(k)
-                except ValueError as exc:
-                    raise SchemaError(f"bad {self.what} record: {exc}", self.path,
-                                      self.lines[self.start + k - 1]) from None
-            raise
-        for values in (*polar, idx, ego, glob, state, bounding, bounded):
-            values.clear()
-        self.start = len(self.lines)
-
-    def columns(self) -> list[np.ndarray]:
-        """Close the last block; `_scan_arrays` of all of them."""
-        self.close()
-        return [np.concatenate(c, axis=-1 if k == 0 else 0) for k, c in enumerate(zip(*self.arrays))]
-
-
-def _polar_columns(d: Detections) -> dict[str, np.ndarray]:
-    return {"range_m": d.range_m, "azimuth": d.azimuth, "radial_velocity": d.radial_velocity,
-            "amplitude": d.amplitude}
+            return self.build(columns, {**self.strings, "sensor_ids": list(self.codes)})
+        except _Fault as fault:  # (message, k)
+            raise SchemaError(fault.args[0], self.path, self.lines[fault.args[1]]) from None
 
 
 _LINE = partial(orjson.dumps, option=orjson.OPT_APPEND_NEWLINE)  # one JSON-Lines line
@@ -469,73 +575,41 @@ def _write_jsonl(path, tag: str, chunks: Iterable[bytes], columns: dict[str, np.
         sidecar.write(path, size, crc, columns, strings)
 
 
-def _written_times(scans: ScanTable) -> list[float]:
-    """Each scan's `t` as written, to the nanosecond."""
-    return list(map(round, scans.timestamp.tolist(), repeat(9)))
-
-
-def _scan_keys(scans: ScanTable, times: list[float]) -> Iterator[tuple[float, str, int, int]]:
-    """Each scan's written `t`, its sensor id and its rows lo:hi."""
-    offsets = scans.offsets.tolist()
-    return zip(times, scans.sensor_id.tolist(), offsets, offsets[1:])
-
-
-def _scan_columns(scans: ScanTable, times: list[float]) -> tuple[dict[str, np.ndarray], list[str]]:
-    """The sidecar's scan columns and the distinct sensor ids they number.  A ValueError
-    names an id that UTF-8 cannot encode, which JSON cannot hold."""
+def _scan_columns(scans: ScanTable) -> tuple[dict[str, np.ndarray], list[str], Iterator]:
+    """The sidecar's scan columns, the distinct sensor ids they number, and each scan's
+    written `t`, sensor id and rows lo:hi.  A ValueError names an id that UTF-8 cannot
+    encode, which JSON cannot hold."""
     names, codes = np.unique(scans.sensor_id, return_inverse=True)
     names = names.tolist()
     for name in names:
         json_string(name, "column 'sensor_id'")
-    return {"timestamp": np.array(times, dtype=float), "sensor": codes.astype(np.int64, copy=False),
-            "offsets": scans.offsets}, names
+    times, offsets = list(map(round, scans.timestamp.tolist(), repeat(9))), scans.offsets.tolist()
+    columns = {"timestamp": np.array(times, dtype=float),
+               "sensor": codes.astype(np.int64, copy=False), "offsets": scans.offsets}
+    return columns, names, zip(times, scans.sensor_id.tolist(), offsets, offsets[1:])
 
 
 # --- Radar scans ----------------------------------------------------------
 
 _NO_POINTS = ((),) * 7
-_RADAR_SCAN = operator.itemgetter("t", "sensor_id", "points")
 _POLAR = operator.itemgetter(*POLAR_KEYS)
 
 
 def write_radar_jsonl(path, scans: ScanTable) -> None:
-    columns = _polar_columns(scans.detections)
+    columns = {name: getattr(scans.detections, name) for name in _POLAR_COLUMNS}
     polar = np.column_stack(list(columns.values()))
-    times = _written_times(scans)
-    scan_columns, names = _scan_columns(scans, times)
+    scan_columns, names, keys = _scan_columns(scans)
     _write_jsonl(path, RADAR_TAG, map(_LINE, (
         {"t": t, "sensor_id": sensor_id,
          "points": [{"range": r, "azimuth": a, "vr": v, "amp": p}
                     for r, a, v, p in polar[lo:hi].tolist()]}
-        for t, sensor_id, lo, hi in _scan_keys(scans, times))),
+        for t, sensor_id, lo, hi in keys)),
         {**scan_columns, **columns}, {"sensor_ids": names})
 
 
 def read_radar_jsonl(path) -> ScanTable:
     """The radar scans of a file; from its column sidecar if one matches it (see `sidecar`)."""
-    table = sidecar.radar_table(path)
-    return _decode_radar_jsonl(path) if table is None else table
-
-
-def _decode_radar_jsonl(path) -> ScanTable:
-    scans = _Scans(path, "radar")
-    ranges, azimuths, velocities, amplitudes = scans.values[0]
-    for i, rec in scans.records(RADAR_TAG):
-        try:
-            t, sensor_id, points = _RADAR_SCAN(rec)
-            if type(points) is not list:
-                raise ValueError(f"points must be a list, got {points!r}")
-            r, a, v, p = list(zip(*map(_POLAR, points))) or _NO_POINTS[:4]
-        except (KeyError, TypeError, ValueError) as exc:
-            scans.fail(i, f"bad radar record: {exc}")
-        scans.add(i, t, sensor_id, len(r))
-        ranges += r
-        azimuths += a
-        velocities += v
-        amplitudes += p
-    polar, offsets = scans.columns()[0], scan_offsets(scans.counts)
-    return ScanTable(scans.times, scans.sensors, offsets,
-                     Detections(*polar, index=rank_in_scan(offsets)))
+    return _read(path, sidecar.RADAR, _scan_table, _decode_scans)
 
 
 # --- Truth labels -----------------------------------------------------------
@@ -548,11 +622,12 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
     is_vru = np.asarray(is_vru, dtype=bool)
     if is_vru.shape != (len(scans.detections),):
         raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
-    index, times = scans.detections.index, _written_times(scans)
+    index, offsets = scans.detections.index, scans.offsets.tolist()
+    times = list(map(round, scans.timestamp.tolist(), repeat(9)))  # as written, to the ns
     _write_jsonl(path, TRUTH_LABELS_TAG, (
         b"".join([_LINE({"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER})
                   for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())])
-        for t, _, lo, hi in _scan_keys(scans, times)),
+        for t, lo, hi in zip(times, offsets, offsets[1:])),
         {"timestamp": np.array(times, dtype=float), "offsets": scans.offsets, "index": index,
          "is_vru": is_vru.view(np.uint8)}, {})
 
@@ -560,34 +635,36 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     """The truth labels of a file, keyed by (t, idx); from its column sidecar if one matches
     it (see `sidecar`)."""
-    labels = sidecar.truth_labels(path)
-    return _decode_truth_labels_jsonl(path) if labels is None else labels
+    return _read(path, sidecar.TRUTH_LABELS, truth_labels, _decode_truth_labels)
 
 
-def _decode_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
-    out: dict[tuple[float, int], str] = {}
-    t = key_t = None
-    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG):
+def _decode_truth_labels(path, schema: dict) -> dict[tuple[float, int], str]:
+    rows, t = _Decoded(path, schema, truth_labels), None
+    timestamp, index, is_vru = (rows.values[name] for name in ("timestamp", "index", "is_vru"))
+    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, rows.table):
         try:
             raw_t, idx, label = _TRUTH_LABEL(rec)
-            if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
-                key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
+            if type(raw_t) is not float:
+                finite_number(raw_t, "t")
             if type(idx) is not int or idx not in _INT64:
                 _point_index(_json_record(path, i)["idx"])
             if label not in (LABEL_VRU, LABEL_CLUTTER):
                 raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad label record: {exc}", path, i) from None
-        if (key_t, idx) in out:
-            raise SchemaError(f"repeated label for t={key_t:.9f} point {idx}", path, i)
-        out[key_t, idx] = label
-    return out
+            rows.fail(i, f"bad label record: {exc}")
+        rows.add(i, 1)
+        if raw_t != t:  # the points of a scan share t
+            t = raw_t
+            timestamp.append(float(t))
+            rows.counts.append(0)
+        rows.counts[-1] += 1
+        index.append(idx)
+        is_vru.append(label == LABEL_VRU)
+    return rows.table()
 
 
 # --- Labeled scans -----------------------------------------------------------
 
-_LABELED_SCAN = operator.itemgetter("t", "sensor_id", "vru_state", "assigned", "rejected",
-                                    "track_id", "vru_kind")
 _LABELED_POINT = operator.itemgetter(*POLAR_KEYS, "idx", "ego", "global")
 _STATE = operator.itemgetter(*STATE_KEYS)
 _BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
@@ -596,14 +673,10 @@ _BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
 def write_labeled_jsonl(path, scans: LabeledTable) -> None:
     """One record per scan; a scan whose `bounding` row is NaN has no bounding ellipse, and
     a null `bounding`."""
-    n_assigned = np.asarray(scans.n_assigned, dtype=np.int64)
-    if np.any(n_assigned < 0) or np.any(n_assigned > np.diff(scans.offsets)):
-        raise ValueError("column 'n_assigned' is outside its scan")
     d, given = scans.detections, ~np.isnan(scans.bounding[:, 0])
-    columns = {**_polar_columns(d), "ego": d.ego, "global_xy": d.global_xy}
+    columns = {name: getattr(d, name) for name in (*_POLAR_COLUMNS, "ego", "global_xy")}
     values = np.column_stack(list(columns.values()))
-    times = _written_times(scans)
-    scan_columns, names = _scan_columns(scans, times)
+    scan_columns, names, keys = _scan_columns(scans)
     json_string(scans.track_id, "column 'track_id'")
 
     def points(lo: int, hi: int) -> list[dict]:
@@ -618,9 +691,9 @@ def write_labeled_jsonl(path, scans: LabeledTable) -> None:
          "bounding": dict(zip(BOUNDING_KEYS, bounding)) if has else None,
          "vru_state": dict(zip(STATE_KEYS, state))}
         for (t, sensor_id, lo, hi), mid, state, bounding, has in zip(
-            _scan_keys(scans, times), (scans.offsets[:-1] + n_assigned).tolist(),
+            keys, (scans.offsets[:-1] + scans.n_assigned).tolist(),
             scans.vru_state.tolist(), scans.bounding.tolist(), given.tolist()))),
-        {**scan_columns, **columns, "index": d.index, "n_assigned": n_assigned,
+        {**scan_columns, **columns, "index": d.index, "n_assigned": scans.n_assigned,
          "vru_state": scans.vru_state,
          "bounding": np.where(given[:, None], scans.bounding, np.nan)},
         {"sensor_ids": names, "track_id": scans.track_id, "vru_kind": scans.vru_kind.value})
@@ -629,61 +702,56 @@ def write_labeled_jsonl(path, scans: LabeledTable) -> None:
 def read_labeled_jsonl(path) -> LabeledTable:
     """The labeled scans of one track; every record must name the same track and kind.
     From the file's column sidecar if one matches it (see `sidecar`)."""
-    table = sidecar.labeled_table(path)
-    return _decode_labeled_jsonl(path) if table is None else table
+    return _read(path, sidecar.LABELED, _scan_table, _decode_scans)
 
 
-def _decode_labeled_jsonl(path) -> LabeledTable:
-    scans, track, named = _Scans(path, "labeled"), None, None
-    (ranges, azimuths, velocities, amplitudes), index, ego_xy, global_xy, states, boundings, \
-        bounded = scans.values
-    for i, rec in scans.records(LABELED_TAG):
+def _decode_scans(path, schema: dict) -> ScanTable:
+    """The table of a radar or labeled file (`schema` is `sidecar.RADAR` or `LABELED`)."""
+    labeled, scans, track, values = "index" in schema, _Decoded(path, schema, _scan_table), None, {}
+    for i, rec in _load_jsonl(path, LABELED_TAG if labeled else RADAR_TAG, scans.table):
         try:
-            t, sensor_id, state, assigned, rejected, track_id, kind = _LABELED_SCAN(rec)
-            state, bounding = _STATE(state), rec.get("bounding")
-            bounding = bounding if bounding is None else _BOUNDING(bounding)
-            points = assigned + rejected
+            t, sensor_id = rec["t"], rec["sensor_id"]
+            if type(t) is not float:
+                t = finite_number(t, "t")
+            if type(sensor_id) is not str:
+                json_string(sensor_id, "sensor_id")
+            if labeled:
+                state, bounding = _STATE(rec["vru_state"]), rec.get("bounding")
+                bounding = bounding if bounding is None else _BOUNDING(bounding)
+                _check_numbers(state + (bounding or ()), STATE_KEYS + BOUNDING_KEYS)
+                assigned = rec["assigned"]
+                points = assigned + rec["rejected"]
+            else:
+                points = rec["points"]
             if type(points) is not list:
                 raise ValueError(f"points must be a list, got {points!r}")
-            r, a, v, p, idx, ego, glob = list(zip(*map(_LABELED_POINT, points))) or _NO_POINTS
-            if not set(map(type, idx)) <= {int}:
-                literal = _json_record(path, i)
-                literal = [q["idx"] for q in literal["assigned"] + literal["rejected"]]
-                _point_index(next(x for x in literal if type(x) is not int or x not in _INT64))
-            if len(set(idx)) < len(idx):
-                raise ValueError(f"point idx {next(x for x in idx if idx.count(x) > 1)} appears "
-                                 "more than once")
-            if (track_id, kind) != track:
-                this = json_string(track_id, "track_id"), VruKind(kind)
-                if track is not None:
-                    raise ValueError(f"track {this[0]!r} ({this[1].value}) differs from the first "
-                                     f"record's {named[0]!r} ({named[1].value})")
-                track, named = (track_id, kind), this
-            pairs = ego + glob
-            if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-                key, bad = next((key, q) for key, column in (("ego", ego), ("global", glob))
-                                for q in column if type(q) is not list or len(q) != 2)
-                raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
+            columns = list(zip(*map(_LABELED_POINT if labeled else _POLAR, points))) or _NO_POINTS
+            for column in columns[:4]:
+                _check_numbers(column, _POINT)
+            if labeled:
+                idx, ego, glob = columns[4:]
+                if idx and not (set(map(type, idx)) <= {int} and min(idx) in _INT64
+                                and max(idx) in _INT64):
+                    literal = _json_record(path, i)
+                    literal = [q["idx"] for q in literal["assigned"] + literal["rejected"]]
+                    _point_index(next(x for x in literal if type(x) is not int or x not in _INT64))
+                this = rec["track_id"], rec["vru_kind"]
+                if track is None:  # the builder checks the first record's track and kind
+                    track = scans.strings["track_id"], scans.strings["vru_kind"] = this
+                elif this != track:
+                    this, first = _track(*this), _track(*track)
+                    raise ValueError(f"track {this[0]!r} ({this[1].value}) differs from the "
+                                     f"first record's {first[0]!r} ({first[1].value})")
+                values = dict(index=idx, ego=_pairs(ego, "ego"), global_xy=_pairs(glob, "global"),
+                              n_assigned=(len(assigned),), vru_state=state,
+                              bounding=bounding or (math.nan,) * 5)
         except (KeyError, TypeError, ValueError) as exc:
-            scans.fail(i, f"bad labeled record: {exc}")
-        scans.add(i, t, sensor_id, len(idx))
-        ranges += r
-        azimuths += a
-        velocities += v
-        amplitudes += p
-        index += idx
-        ego_xy += chain.from_iterable(ego)
-        global_xy += chain.from_iterable(glob)
-        states += state
-        if bounding is not None:
-            bounded.append(len(scans.lines) - 1 - scans.start)
-            boundings += bounding
-        scans.n_assigned.append(len(assigned))
-    polar, idx, ego, glob, state, bounding = scans.columns()
-    return LabeledTable(scans.times, scans.sensors, scan_offsets(scans.counts),
-                        Detections(*polar, index=idx, ego=ego, global_xy=glob),
-                        np.array(scans.n_assigned, dtype=np.int64), state, bounding,
-                        *(named or ("", VruKind.PEDESTRIAN)))
+            scans.fail(i, f"bad {'labeled' if labeled else 'radar'} record: {exc}")
+        scans.counts.append(len(points))
+        scans.add(i, 1 + len(points), timestamp=(t,),
+                  sensor=(scans.codes.setdefault(sensor_id, len(scans.codes)),),
+                  **dict(zip(_POLAR_COLUMNS, columns)), **values)
+    return scans.table()
 
 
 # --- Scenario manifest --------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyScanError, OrientedEllipse, to_local
+from .core import OrientedEllipse, to_local
 from .trajectory import STANDSTILL_SPEED
 
 PEDESTRIAN_MIN_MAJOR = 1.5  # m
@@ -98,14 +98,3 @@ def bounding_axes(u, v, scan, n_scans: int) -> tuple[np.ndarray, np.ndarray]:
     np.maximum.at(q, scan, (u / a[scan]) ** 2 + (v / b[scan]) ** 2)
     scale = np.maximum(1.0, np.sqrt(q))
     return 2.0 * a * scale, 2.0 * b * scale
-
-
-def fit_bounding_ellipse(points, center, yaw: float) -> OrientedEllipse:
-    """The bounding ellipse (see `bounding_axes`) of one set of points at a fixed
-    center and orientation."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        raise EmptyScanError("cannot fit a bounding ellipse without detections")
-    u, v = to_local(pts, center[0], center[1], yaw)
-    (major,), (minor,) = bounding_axes(u, v, np.zeros(len(pts), dtype=int), 1)
-    return OrientedEllipse((float(center[0]), float(center[1])), major, minor, yaw)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BODY_SIGMA, GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU,
-                   QUALITY_DTYPE, SCATTER_TRUNC, TRAJ_COLUMNS, TWO_PI, Detections, GnssQuality,
-                   Pose, ScanTable, SensorMount, VruKind, compose_pose, ego_to_polar,
-                   global_to_ego, rank_in_scan, scan_offsets, table, wrap_angles)
+from .core import (BODY_SIGMA, GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
+                   TRAJ_COLUMNS, TWO_PI, Detections, GnssQuality, Pose, ScanTable, SensorMount,
+                   VruKind, compose_pose, ego_to_polar, global_to_ego, rank_in_scan, scan_offsets,
+                   table, wrap_angles)
 
 
 @dataclass(frozen=True)
@@ -177,13 +177,6 @@ class ScenarioData:
     scans: ScanTable
     is_vru: np.ndarray  # (n,) bool, aligned with the rows of scans
     raw_vru_points: np.ndarray  # (n, 2), aligned with the rows of scans
-
-    def label_map(self) -> dict[tuple[float, int], str]:
-        """Truth label by (scan timestamp rounded to ns, point index), as the truth file keys it."""
-        times = [round(t, 9) for t in self.scans.timestamp.tolist()]
-        labels = np.where(self.is_vru, LABEL_VRU, LABEL_CLUTTER).tolist()
-        return dict(zip(zip(map(times.__getitem__, self.scans.scan_of_row.tolist()),
-                            self.scans.detections.index.tolist()), labels))
 
 
 def generate_truth(cfg: ScenarioConfig, course: EightCourse | None = None) -> np.ndarray:

@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from vruradar import io
 from vruradar.annotation import AnnotationResult, LabeledTable, annotate_scenario
 from vruradar.core import (
     Detections,
@@ -17,6 +18,7 @@ from vruradar.core import (
     scan_offsets,
     table,
 )
+from vruradar.evaluation import cycle_stats
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
 from vruradar.trajectory import (
     FusionParams,
@@ -55,9 +57,26 @@ def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
         gnss_only = annotate_scenario(data.scans, traj_g, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     return PresetRun(
         data=data, fused=fused, gnss_only=gnss_only,
-        truth=data.label_map(), elapsed=time.perf_counter() - t0,
+        truth=truth_map(data), elapsed=time.perf_counter() - t0,
         fused_traj=traj_f, gnss_traj=traj_g,
     )
+
+
+def truth_map(data: ScenarioData) -> dict:
+    """The truth labels of a simulated drive, keyed as its truth-label file reads them."""
+    return io.truth_labels({"timestamp": data.scans.timestamp, "offsets": data.scans.offsets,
+                            "index": data.scans.detections.index, "is_vru": data.is_vru})
+
+
+def conf_axes(global_xy) -> tuple[float, float]:
+    """The confidence-ellipse axes that `cycle_stats` gives one scan whose points, all
+    assigned, lie at `global_xy`."""
+    n = len(global_xy)
+    d = Detections(np.full(n, 10.0), np.zeros(n), np.zeros(n), np.zeros(n),
+                   ego=np.zeros((n, 2)), global_xy=global_xy)
+    stats = cycle_stats(LabeledTable([0.0], ["r0"], [0, n], d, [n], np.zeros((1, 5)),
+                                     np.full((1, 5), np.nan), "vru-0", VruKind.PEDESTRIAN))
+    return float(stats["conf_major"][0]), float(stats["conf_minor"][0])
 
 
 def truth_assigned_scans(data: ScenarioData) -> tuple[ScanTable, dict]:

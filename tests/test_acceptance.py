@@ -11,7 +11,6 @@ from vruradar import eot, io
 from vruradar.cli import main
 from vruradar.evaluation import (
     Averaging,
-    confidence_ellipse,
     per_scan_counts,
     r4_compensate,
     score_assignment,
@@ -22,7 +21,7 @@ from vruradar.selection import cyclist_rectangle, pedestrian_ellipse
 from vruradar.signature import accumulate, grid_stats
 from vruradar.simulator import preset, simulate_scenario
 
-from conftest import truth_assigned_scans
+from conftest import conf_axes, truth_assigned_scans
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -131,7 +130,7 @@ def test_criterion_06_confidence_ellipse_calibration():
     rng = np.random.default_rng(2024)
     cov = np.array([[2.0, 0.6], [0.6, 0.8]])
     pts = rng.multivariate_normal([3.0, -1.0], cov, 10000)
-    major, minor = confidence_ellipse(pts, level=0.95)
+    major, minor = conf_axes(pts)  # the 95% ellipse of cycle_stats, as evaluate computes it
     mean = pts.mean(axis=0)
     sample_cov = np.cov(pts, rowvar=False, ddof=1)
     eigval, eigvec = np.linalg.eigh(sample_cov)

@@ -19,7 +19,7 @@ from vruradar.evaluation import Averaging, score_assignment
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import ReferenceTrajectory
 
-from conftest import radar_table
+from conftest import radar_table, truth_map
 
 
 EGO = Pose(-5.0, 0.0, 0.0, frame=GLOBAL)
@@ -164,7 +164,7 @@ def test_nominal_scores_match_across_modes():
     data = simulate_scenario(cfg)
     from vruradar.trajectory import FusionParams, build_fused_trajectory, build_trajectory
 
-    truth = data.label_map()
+    truth = truth_map(data)
     r_gnss = annotate_scenario(
         data.scans, build_trajectory(data.gnss), cfg.vru_kind, cfg.mounts, cfg.ego_pose
     )
@@ -189,7 +189,7 @@ def test_shrunken_shape_reduces_recall_not_precision():
     from vruradar.trajectory import build_trajectory
 
     traj = build_trajectory(data.gnss)
-    truth = data.label_map()
+    truth = truth_map(data)
     nominal = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     s_nom = score_assignment(nominal.scans, truth, Averaging.MACRO)
 

@@ -766,6 +766,53 @@ def test_annotate_overflowing_gnss_coordinates_exit_1(sim_dir, tmp_path, mode, s
     assert not (tmp_path / "labeled.jsonl").exists()
 
 
+@pytest.mark.parametrize("column,statistic", [("radial_velocity", "doppler_std"),
+                                              ("global_xy", "conf_major")])
+def test_evaluate_overflowing_statistic_exit_1(sim_dir, labeled_path, tmp_path, column,
+                                               statistic):
+    # Finite values, so the labeled file reads; two of +-1e200 in the first scan with three
+    # assigned points make its statistic overflow, a runtime failure that names the
+    # statistic and the scan, with no numpy warning on stderr.
+    labeled = io.read_labeled_jsonl(labeled_path)
+    k = int(np.argmax(labeled.n_assigned >= 3))
+    values = getattr(labeled.detections, column).copy()
+    rows = labeled.offsets[k] + np.arange(2)
+    if column == "global_xy":
+        values[rows, 0] = [1e200, -1e200]
+    else:
+        values[rows] = [1e200, -1e200]
+    detections = dataclasses.replace(labeled.detections, **{column: values})
+    io.write_labeled_jsonl(tmp_path / "labeled.jsonl",
+                           dataclasses.replace(labeled, detections=detections))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vruradar.cli", "evaluate", "--labeled",
+         str(tmp_path / "labeled.jsonl"), "--truth-labels", str(sim_dir / "truth_labels.jsonl"),
+         "--out", str(tmp_path / "eval")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: cycle statistic {statistic} overflows at scan "
+                           f"t={labeled.timestamp[k]:.9f}\n")
+    assert not (tmp_path / "eval" / "cycle_stats.csv").exists()
+
+
+@pytest.mark.parametrize("option,value,code,error", [
+    ("--half-extent-x", "inf", 2, "--half-extent-x must be finite and > 0, got inf"),
+    ("--half-extent-y", "-1", 2, "--half-extent-y must be finite and > 0, got -1.0"),
+    ("--resolution", "nan", 2, "--resolution must be finite and > 0, got nan"),
+    ("--resolution", "0", 2, "--resolution must be finite and > 0, got 0.0"),
+    # A grid of 10.7 PiB: no system can allocate it, so numpy refuses at once.
+    ("--resolution", "1e-7", 1, "Unable to allocate 10.7 PiB for an array with shape "
+                                "(50000000, 30000000) and data type int64"),
+])
+def test_signature_refuses_a_bad_grid(labeled_path, tmp_path, capsys, option, value, code,
+                                      error):
+    rc = main(["signature", "--labeled", str(labeled_path), option, value,
+               "--out", str(tmp_path / "sig")])
+    assert rc == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("timestamps,expected", [
     ([0.5, 2.0], [0, 1]),  # exact ties keep the earlier state
     ([-3.0, 0.0, 0.4], [0, 0, 0]),  # before and at the first state

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from vruradar.core import Detections, VruKind
 from vruradar.evaluation import (
     CYCLE_COLUMNS,
     Averaging,
-    confidence_ellipse,
     cycle_stats,
     histogram,
     r4_compensate,
@@ -19,7 +19,7 @@ from vruradar.evaluation import (
     welch_t_test,
 )
 
-from conftest import labeled_table
+from conftest import conf_axes, labeled_table
 
 
 def make_scan(t, assigned_idx, rejected_idx, *, vr=None, amp=20.0, rng_m=10.0, pts=None):
@@ -169,12 +169,12 @@ def test_r4_additive_in_db():
     assert a == pytest.approx(r4_compensate(5.0, 12.0), abs=1e-10)
 
 
-# --- confidence ellipse ----------------------------------------------------------
+# --- confidence ellipse, as cycle_stats gives it for one scan -----------------------
 
 def test_confidence_axes_ratio_matches_covariance():
     rng = np.random.default_rng(1)
     pts = rng.multivariate_normal([0, 0], np.diag([4.0, 1.0]), 20000)
-    major, minor = confidence_ellipse(pts)
+    major, minor = conf_axes(pts)
     assert major / minor == pytest.approx(2.0, rel=0.05)
     assert major == pytest.approx(2 * math.sqrt(4 * 5.991), rel=0.05)
 
@@ -182,7 +182,7 @@ def test_confidence_axes_ratio_matches_covariance():
 def test_confidence_isotropic_ratio_one():
     rng = np.random.default_rng(2)
     pts = rng.normal(0, 1.0, (10000, 2))
-    major, minor = confidence_ellipse(pts)
+    major, minor = conf_axes(pts)
     assert major / minor == pytest.approx(1.0, rel=0.05)
 
 
@@ -201,20 +201,18 @@ def test_confidence_coverage_95():
 def test_confidence_rotation_invariant_scale_linear():
     rng = np.random.default_rng(4)
     pts = rng.multivariate_normal([0, 0], np.diag([3.0, 0.5]), 5000)
-    major, minor = confidence_ellipse(pts)
+    major, minor = conf_axes(pts)
     c, s = math.cos(0.9), math.sin(0.9)
     rot = np.array([[c, -s], [s, c]])
-    major_r, minor_r = confidence_ellipse(pts @ rot.T)
+    major_r, minor_r = conf_axes(pts @ rot.T)
     assert (major_r, minor_r) == pytest.approx((major, minor), rel=1e-9)
-    major_s, minor_s = confidence_ellipse(3.0 * pts)
+    major_s, minor_s = conf_axes(3.0 * pts)
     assert (major_s, minor_s) == pytest.approx((3 * major, 3 * minor), rel=1e-9)
 
 
 def test_confidence_requires_3_noncollinear_points():
-    with pytest.raises(ValueError):
-        confidence_ellipse([(0, 0), (1, 1)])
-    with pytest.raises(ValueError):
-        confidence_ellipse([(0, 0), (1, 1), (2, 2), (3, 3)])
+    assert np.isnan(conf_axes(np.array([(0.0, 0.0), (1.0, 1.0)]))).all()
+    assert np.isnan(conf_axes(np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]))).all()
 
 
 # --- cycle stats -------------------------------------------------------------------
@@ -259,10 +257,22 @@ def test_cycle_stats_conf_axes_from_positions():
     pts = rng.normal(0, 0.5, (40, 2))
     scan = make_scan(0.0, list(range(40)), [], vr=[0.0] * 40, pts=pts)
     s = one_cycle(scan)
-    major, minor = confidence_ellipse(pts)
+    minor, major = 2.0 * np.sqrt(np.linalg.eigvalsh(np.cov(pts, rowvar=False)) * 5.991464547107979)
     assert s["conf_major"] == pytest.approx(major)
     assert s["conf_minor"] == pytest.approx(minor)
     assert s["conf_major"] >= s["conf_minor"]
+
+
+@pytest.mark.parametrize("scale", [1.2e154, 1e200])
+def test_cycle_stats_names_an_overflowing_confidence_ellipse(scale):
+    # 1.2e154: the covariance is finite but its axes overflow; 1e200: the covariance does.
+    square = np.array([[0.0, 0.0], [scale, 0.0], [0.0, scale], [scale, scale]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^cycle statistic conf_major overflows at "
+                                               r"scan t=0\.000000000$"):
+            conf_axes(square)
+    assert conf_axes(square / scale) == pytest.approx((2 * math.sqrt(5.991464547107979 / 3),) * 2)
 
 
 # --- Welch t-test ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ from vruradar.trajectory import (GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, GnssQ
                                  build_trajectory)
 
 import reference as ref
-from conftest import reorder_scans, series
+from conftest import reorder_scans, series, truth_map
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,9 @@ def test_truth_labels_round_trip(tmp_path, small_scenario):
     path = tmp_path / "labels.jsonl"
     io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     back = io.read_truth_labels_jsonl(path)
-    assert back == small_scenario.label_map()
+    records = ref.truth_label_records(small_scenario.scans, small_scenario.is_vru)
+    assert back == {(r["t"], r["idx"]): r["label"] for r in records}
+    assert back == truth_map(small_scenario)
 
 
 def test_traj_round_trip(tmp_path, small_scenario):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vruradar.core import EmptyScanError
+from vruradar.core import to_local
 from vruradar.selection import (
     OrientedEllipse,
     OrientedRectangle,
+    bounding_axes,
     cyclist_rectangle,
-    fit_bounding_ellipse,
     pedestrian_ellipse,
 )
 
@@ -145,24 +145,28 @@ def test_contains_rigid_invariance(tx, ty, rot, px, py):
     assert e.contains(p) == e2.contains(p2)
 
 
-# --- bounding ellipse -------------------------------------------------------
+# --- bounding ellipse (`bounding_axes`, as annotation fits it) ------------------------
 
 def test_bounding_single_point_floor():
-    e = fit_bounding_ellipse([(3.0, 4.0)], center=(3.0, 4.0), yaw=0.7)
-    assert (e.ax_major, e.ax_minor) == (0.1, 0.1)
+    major, minor = bounding_axes(np.zeros(1), np.zeros(1), np.zeros(1, dtype=int), 1)
+    assert (major.tolist(), minor.tolist()) == ([0.1], [0.1])
 
 
 def test_bounding_symmetric_pair_on_boundary():
-    e = fit_bounding_ellipse([(1.0, 0.0), (-1.0, 0.0)], center=(0.0, 0.0), yaw=0.0)
-    assert e.ax_major == pytest.approx(2.0)
-    assert e.ax_minor == pytest.approx(0.1)
-    u = 1.0 / (e.ax_major / 2)
+    (major,), (minor,) = bounding_axes(np.array([1.0, -1.0]), np.zeros(2),
+                                       np.zeros(2, dtype=int), 1)
+    assert major == pytest.approx(2.0)
+    assert minor == pytest.approx(0.1)
+    u = 1.0 / (major / 2)
     assert u**2 == pytest.approx(1.0)
 
 
-def test_bounding_empty_raises():
-    with pytest.raises(EmptyScanError):
-        fit_bounding_ellipse([], center=(0.0, 0.0), yaw=0.0)
+def test_bounding_scan_without_points_keeps_the_floor():
+    # Annotation writes no ellipse for such a scan; the other scans' axes are their own.
+    major, minor = bounding_axes(np.array([0.0, 2.0, 0.0]), np.array([0.0, 0.0, 0.3]),
+                                 np.array([0, 2, 2]), 3)
+    assert major.tolist() == [0.1, 0.1, pytest.approx(4.0)]
+    assert minor.tolist() == [0.1, 0.1, pytest.approx(0.6)]
 
 
 def _ellipse_values(e, pts):
@@ -174,13 +178,19 @@ def _ellipse_values(e, pts):
 
 
 def test_bounding_random_clouds_containment_and_minimality():
+    # 50 clouds as the scans of one call, each in its own frame (center, yaw).
     rng = np.random.default_rng(11)
+    clouds = []
     for _ in range(50):
         n = rng.integers(2, 30)
         center = rng.normal(0, 5, 2)
         yaw = rng.uniform(-math.pi, math.pi)
-        pts = center + rng.normal(0, rng.uniform(0.2, 1.5), (n, 2))
-        e = fit_bounding_ellipse(pts, center=tuple(center), yaw=yaw)
+        clouds.append((center + rng.normal(0, rng.uniform(0.2, 1.5), (n, 2)), center, yaw))
+    u, v = (np.concatenate(c) for c in zip(*(to_local(p, *c, yaw) for p, c, yaw in clouds)))
+    scan = np.repeat(np.arange(50), [len(p) for p, _, _ in clouds])
+    majors, minors = bounding_axes(u, v, scan, 50)
+    for (pts, center, yaw), major, minor in zip(clouds, majors, minors):
+        e = OrientedEllipse(tuple(center), major, minor, yaw)
         vals = _ellipse_values(e, pts)
         assert np.all(vals <= 1.0 + 1e-9)
         # minimality only applies to axes that sit above the 0.1 m floor
@@ -190,10 +200,3 @@ def test_bounding_random_clouds_containment_and_minimality():
         if e.ax_minor > 0.1:
             shrunk = OrientedEllipse(e.center, e.ax_major, e.ax_minor * 0.99, e.orientation)
             assert np.any(_ellipse_values(shrunk, pts) > 1.0)
-
-
-def test_bounding_keeps_center_and_orientation():
-    pts = np.array([[2.0, 1.0], [2.5, 0.4], [1.2, 0.9]])
-    e = fit_bounding_ellipse(pts, center=(1.7, 0.6), yaw=0.9)
-    assert e.center == (1.7, 0.6)
-    assert e.orientation == pytest.approx(0.9)

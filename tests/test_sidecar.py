@@ -4,8 +4,8 @@ returns what decoding the file returns, bit for bit, or raises the same SchemaEr
 Tables are drawn as the writers accept them, faults included: empty tables,
 scans without points or without a bounding ellipse, repeated point idx, scan
 times out of order or equal to the nanosecond, negative speeds and axes that
-are not positive.  A sidecar that no longer matches its file, or that is
-corrupt, is ignored.
+are not positive.  A sidecar that no longer matches its file, that is corrupt,
+or whose columns break any value rule of its file kind, is ignored.
 """
 
 import json
@@ -26,13 +26,18 @@ from vruradar.core import Detections, LabeledTable, ScanTable, VruKind, scan_off
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
+def _kind(write, schema, build, decode) -> tuple:
+    """(write, the table from the sidecar or None, the table decoded)"""
+    return write, lambda p: io._read(p, schema, build, lambda *_: None), lambda p: decode(p, schema)
+
+
 KINDS = {  # kind -> (write(path, table, is_vru), sidecar reader, decoding reader)
-    "radar": (lambda p, t, _: io.write_radar_jsonl(p, t), sidecar.radar_table,
-              io._decode_radar_jsonl),
-    "truth_labels": (io.write_truth_labels_jsonl, sidecar.truth_labels,
-                     io._decode_truth_labels_jsonl),
-    "labeled": (lambda p, t, _: io.write_labeled_jsonl(p, t), sidecar.labeled_table,
-                io._decode_labeled_jsonl),
+    "radar": _kind(lambda p, t, _: io.write_radar_jsonl(p, t), sidecar.RADAR, io._scan_table,
+                   io._decode_scans),
+    "truth_labels": _kind(io.write_truth_labels_jsonl, sidecar.TRUTH_LABELS, io.truth_labels,
+                          io._decode_truth_labels),
+    "labeled": _kind(lambda p, t, _: io.write_labeled_jsonl(p, t), sidecar.LABELED,
+                     io._scan_table, io._decode_scans),
 }
 READ = {"radar": io.read_radar_jsonl, "truth_labels": io.read_truth_labels_jsonl,
         "labeled": io.read_labeled_jsonl}
@@ -189,30 +194,71 @@ def _strings_not_an_object(cols):
     cols.write_bytes(json.dumps(rec).encode() + b"\n" + payload)
 
 
-def _recrafted(column: str, value):
-    """An edit that sets the first value of a column, with the payload CRC made to match:
-    a value the reader refuses although the sidecar is intact."""
+def _recrafted(change):
+    """An edit that changes the columns with `change(columns)`, with the payload CRC made to
+    match: a value the reader refuses although the sidecar is intact."""
     def edit(cols):
         header, payload = cols.read_bytes().split(b"\n", 1)
-        rec = json.loads(header)
-        names = [name for name, _, _ in rec["columns"]]
-        offset = sum(math.prod(shape) * np.dtype(dtype).itemsize
-                     for _, dtype, shape in rec["columns"][:names.index(column)])
-        payload = bytearray(payload)
-        dtype = rec["columns"][names.index(column)][1]
-        payload[offset:offset + 8] = np.array([value], dtype=dtype).tobytes()
+        rec, columns, start = json.loads(header), {}, 0
+        for name, dtype, shape in rec["columns"]:
+            count = math.prod(shape)
+            columns[name] = np.frombuffer(payload, dtype, count, start).reshape(shape).copy()
+            start += count * np.dtype(dtype).itemsize
+        change(columns)
+        payload = b"".join(c.tobytes() for c in columns.values())
         rec["payload_crc32"] = zlib.crc32(payload)
         cols.write_bytes(orjson.dumps(rec) + b"\n" + payload)
     return edit
 
 
+def _set(column: str, value, at=0):
+    """`_recrafted`, setting value number `at` of a column, or at `at(columns)`."""
+    def change(c):
+        c[column].reshape(-1)[at(c) if callable(at) else at] = value
+    return _recrafted(change)
+
+
+def _first_bounded(c) -> int:
+    return int(np.argmax(~np.isnan(c["bounding"][:, 0])))
+
+
+def _repeat_an_idx(c):  # the second point of the first scan with two takes the first's idx
+    lo = c["offsets"][np.argmax(np.diff(c["offsets"]) >= 2)]
+    c["index"][lo + 1] = c["index"][lo]
+
+
+def _scan_before_its_sensors_last(c):  # the sensor's second scan at the time of its first
+    later = np.flatnonzero(c["sensor"] == c["sensor"][0])[1]
+    c["timestamp"][later] = c["timestamp"][0]
+
+
 FILE_EDITS = {"edited": _edit_value, "respelt": _respell}
 SIDECAR_EDITS = {"truncated": _truncate, "flipped-byte": _flip_payload_byte, "wrong-tag": _retag,
                  "wrong-dtype": _wrong_dtype, "strings-not-an-object": _strings_not_an_object,
-                 "negative-range": _recrafted("range_m", -1.0),
-                 "assigned-beyond-scan": _recrafted("n_assigned", 10**6)}
+                 "negative-range": _set("range_m", -1.0),
+                 "assigned-beyond-scan": _set("n_assigned", 10**6),
+                 "infinite-azimuth": _set("azimuth", math.inf),
+                 "infinite-ego": _set("ego", -math.inf),
+                 "nan-global": _set("global_xy", math.nan, at=1),
+                 "infinite-state": _set("vru_state", math.inf, at=2),
+                 "infinite-bounding": _set("bounding", math.inf,
+                                           at=lambda c: 5 * _first_bounded(c) + 4),
+                 "negative-speed": _set("vru_state", -0.5, at=3),
+                 "axis-not-positive": _set("bounding", 0.0, at=lambda c: 5 * _first_bounded(c) + 3),
+                 "repeated-idx": _recrafted(_repeat_an_idx),
+                 "time-not-after-sensors-last": _recrafted(_scan_before_its_sensors_last),
+                 "sensor-code-outside-ids": _set("sensor", 7),
+                 "is-vru-2": _set("is_vru", 2),
+                 "repeated-truth-label": _recrafted(_repeat_an_idx)}
 # The kinds whose sidecar holds the column an edit sets.
-ONLY = {"negative-range": ("radar", "labeled"), "assigned-beyond-scan": ("labeled",)}
+ONLY = {"negative-range": ("radar", "labeled"), "assigned-beyond-scan": ("labeled",),
+        "infinite-azimuth": ("radar", "labeled"), "infinite-ego": ("labeled",),
+        "nan-global": ("labeled",), "infinite-state": ("labeled",),
+        "infinite-bounding": ("labeled",), "negative-speed": ("labeled",),
+        "axis-not-positive": ("labeled",), "repeated-idx": ("labeled",),
+        "time-not-after-sensors-last": ("radar", "labeled"),
+        "sensor-code-outside-ids": ("radar", "labeled"), "is-vru-2": ("truth_labels",),
+        "repeated-truth-label": ("truth_labels",)}
 
 
 @pytest.mark.parametrize("kind,edit", [
