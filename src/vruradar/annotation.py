@@ -16,7 +16,7 @@ import numpy as np
 
 # LabeledScan and LabeledTable are defined in core and importable from here as before.
 from .core import (LabeledScan, LabeledTable, Pose, ScanTable, SensorMount, VruKind,
-                   ego_to_global, mounts_by_id, polar_to_ego, to_local)
+                   mounts_by_id, to_global, to_local)
 from .selection import bounding_axes, cyclist_rectangle, pedestrian_ellipse
 from .trajectory import ReferenceTrajectory
 
@@ -47,14 +47,17 @@ def annotate_scenario(
     t = scans.timestamp[order]
     table = scans.take(order[(t >= traj.t_start) & (t <= traj.t_end)])
     row_scan = table.scan_of_row
-    p_ego = np.empty((len(table.detections), 2))
-    for sensor_id in np.unique(table.sensor_id):  # one frame chain per sensor
+    sensors, code = np.unique(table.sensor_id, return_inverse=True)
+    for sensor_id in sensors:
         if sensor_id not in mounts:
             raise ValueError(f"no mount configured for sensor {str(sensor_id)!r}")
-        on_sensor = table.sensor_id == sensor_id
-        p_ego[on_sensor[row_scan]] = polar_to_ego(table.take(np.flatnonzero(on_sensor)),
-                                                  mounts[sensor_id])
-    p_glob = ego_to_global(p_ego, ego_pose)
+    # sensor polar -> ego through each row's mount -> global through the ego pose
+    mount = np.reshape([(m.x, m.y, m.yaw) for m in (mounts[s].pose_in_ego for s in sensors)],
+                       (-1, 3))[code[row_scan]]
+    d = table.detections
+    local = np.column_stack([d.range_m * np.cos(d.azimuth), d.range_m * np.sin(d.azimuth)])
+    p_ego = np.column_stack(to_global(local, *mount.T))
+    p_glob = np.column_stack(to_global(p_ego, ego_pose.x, ego_pose.y, ego_pose.yaw))
 
     state = traj.states_at(table.timestamp)
     x, y, yaw, speed, yaw_rate = state[row_scan].T

@@ -18,7 +18,7 @@ import numpy as np
 
 # Lazy modules (see __init__): a command loads only the layers whose attributes it reads.
 from . import annotation, eot, evaluation, io, signature, simulator, trajectory
-from .core import BODY_SIGMA, SCATTER_TRUNC, VruKind, compose_pose, table
+from .core import BODY_SIGMA, SCATTER_TRUNC, VruKind, table, to_global
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -312,7 +312,8 @@ def cmd_track(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     meta = io.read_scenario_json(args.scenario)
     scans = labeled.where(labeled.assigned)
-    sensor_xy = {m.sensor_id: compose_pose(meta["ego_pose"], m.pose_in_ego).xy
+    ego = meta["ego_pose"]
+    sensor_xy = {m.sensor_id: to_global((m.pose_in_ego.x, m.pose_in_ego.y), ego.x, ego.y, ego.yaw)
                  for m in meta["mounts"]}
     unknown = set(scans.sensor_id.tolist()) - set(sensor_xy)
     if unknown:

@@ -6,7 +6,10 @@ command loads no layer it does not run (see `__init__`).
 The world model is strictly 2D: a global east-north tangent plane in meters,
 an ego-vehicle frame, one frame per radar sensor, and an object frame whose
 x-axis points along the tracked object's direction of movement.  Yaw angles
-are counterclockwise from +x and always wrapped to (-pi, pi].
+are counterclockwise from +x and always wrapped to (-pi, pi].  A frame is
+placed in its parent by an origin (x, y) and a yaw; `to_global` carries points
+from a frame into its parent and `to_local` back.  Radar points pass
+sensor -> ego (the mount) -> global (the ego pose) -> object frame.
 """
 
 from __future__ import annotations
@@ -16,9 +19,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
-
-GLOBAL = "global"
-EGO = "ego"
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,51 +94,18 @@ def table(names, columns) -> np.ndarray:
     return out
 
 
-def rotation_matrix(angle: float) -> np.ndarray:
-    """Counterclockwise rotation of column vectors by `angle`."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 @dataclass(frozen=True)
 class Pose:
-    """Planar position plus heading, expressed in a named parent frame.
-
-    `frame` names the frame the coordinates live in, e.g. a sensor mount pose
-    carries frame EGO.  Yaw is wrapped on construction.
-    """
+    """Planar position plus heading of a frame in its parent; yaw is wrapped on construction."""
 
     x: float
     y: float
     yaw: float
-    frame: str = GLOBAL
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("pose position must be finite")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-    def to_parent(self, points) -> np.ndarray:
-        """Map point(s) given in this pose's local frame into its parent frame.
-
-        Accepts a single (2,) point or an (n, 2) array.
-        """
-        pts = np.asarray(points, dtype=float)
-        return pts @ rotation_matrix(self.yaw).T + np.array([self.x, self.y])
-
-    def from_parent(self, points) -> np.ndarray:
-        """Inverse of :meth:`to_parent`: parent-frame point(s) into the local frame."""
-        return np.stack(to_local(points, self.x, self.y, self.yaw), axis=-1)
-
-
-def compose_pose(parent: Pose, child: Pose) -> Pose:
-    """Pose of `child` (expressed in `parent`'s local frame) in `parent`'s own frame."""
-    xy = parent.to_parent(child.xy)
-    return Pose(float(xy[0]), float(xy[1]), parent.yaw + child.yaw, frame=parent.frame)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -364,40 +331,8 @@ class LabeledTable(ScanTable):
                            self.detections[mid:hi], ellipse, self.vru_state[k])
 
 
-def polar_to_ego(scan: RadarScan | ScanTable, mount: SensorMount) -> np.ndarray:
-    """(n, 2) cartesian ego-frame positions of the detections of a scan, or of a table of
-    one sensor's scans, via the sensor mount pose."""
-    if np.any(scan.sensor_id != mount.sensor_id):
-        raise ValueError(
-            f"scan from sensor {scan.sensor_id!r} does not match mount {mount.sensor_id!r}"
-        )
-    d = scan.detections
-    local = np.column_stack([d.range_m * np.cos(d.azimuth), d.range_m * np.sin(d.azimuth)])
-    return mount.pose_in_ego.to_parent(local)
-
-
-def ego_to_polar(point_ego, mount: SensorMount) -> tuple[np.ndarray, np.ndarray]:
-    """(range, azimuth) of ego-frame point(s), (2,) or (n, 2), as seen by the mounted sensor."""
-    local = mount.pose_in_ego.from_parent(point_ego)
-    return np.hypot(local[..., 0], local[..., 1]), np.arctan2(local[..., 1], local[..., 0])
-
-
-def ego_to_global(point_ego, ego_pose: Pose) -> np.ndarray:
-    """Ego-frame point(s) into the global frame given the ego vehicle pose."""
-    if ego_pose.frame != GLOBAL:
-        raise ValueError(f"ego pose must be expressed in the global frame, got {ego_pose.frame!r}")
-    return ego_pose.to_parent(point_ego)
-
-
-def global_to_ego(point_global, ego_pose: Pose) -> np.ndarray:
-    """Inverse of :func:`ego_to_global`."""
-    if ego_pose.frame != GLOBAL:
-        raise ValueError(f"ego pose must be expressed in the global frame, got {ego_pose.frame!r}")
-    return ego_pose.from_parent(point_global)
-
-
 def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of global point(s) in the frame at (x, y) with heading `yaw`.
+    """(u, v) of parent-frame point(s) in the frame at (x, y) with heading `yaw`.
 
     The frame values are numbers, or arrays that give each point its own frame.
     """
@@ -405,6 +340,15 @@ def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
     dx, dy = pts[..., 0] - x, pts[..., 1] - y
     c, s = np.cos(yaw), np.sin(yaw)
     return c * dx + s * dy, c * dy - s * dx
+
+
+def to_global(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`to_local`: the parent-frame (x, y) of point(s) given as (u, v) in
+    the frame at (x, y) with heading `yaw`."""
+    pts = np.asarray(points, dtype=float)
+    u, v = pts[..., 0], pts[..., 1]
+    c, s = np.cos(yaw), np.sin(yaw)
+    return c * u - s * v + x, s * u + c * v + y
 
 
 @dataclass(frozen=True)

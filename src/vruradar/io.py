@@ -28,7 +28,7 @@ import numpy as np
 import orjson
 
 from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
-from .core import (GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
+from .core import (GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
                    SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_counts, scan_offsets,
                    table, wrap_angles)
@@ -775,10 +775,10 @@ def read_scenario_json(path) -> dict:
         rec["vru_kind"] = VruKind(rec["vru_kind"])
         json_string(rec["track_id"], "track_id")
         ep = rec["ego_pose"]
-        rec["ego_pose"] = Pose(*(finite_number(ep[k], k) for k in ("x", "y", "yaw")), frame=GLOBAL)
+        rec["ego_pose"] = Pose(*(finite_number(ep[k], k) for k in ("x", "y", "yaw")))
         rec["mounts"] = [SensorMount(
             json_string(m["sensor_id"], "sensor_id"),
-            Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw")), frame="ego"),
+            Pose(*(finite_number(m[k], k) for k in ("x", "y", "yaw"))),
             *(finite_number(m[k], k) for k in ("fov_azimuth", "max_range"))) for m in rec["mounts"]]
         mounts_by_id(rec["mounts"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -2,9 +2,9 @@
 
 `<file>.cols` is one JSON header line, then the raw little-endian columns one
 after another.  The header holds the format tag, the byte length and CRC-32 of
-the JSON-Lines file the columns were written with, the CRC-32 of the columns,
-each column's name, dtype and shape, and the strings of the file: sensor ids,
-track id and kind.  Only the `io` writers write a sidecar.
+the JSON-Lines file the columns were written with, the CRC-32 of the strings
+and columns, each column's name, dtype and shape, and the strings of the
+file: sensor ids, track id and kind.  Only the `io` writers write a sidecar.
 
 This module is only the byte codec.  `read` returns the columns and strings
 only if the sidecar matches the file byte for byte and holds exactly the
@@ -49,7 +49,7 @@ def path_of(path) -> Path:
 def write(path, size: int, crc: int, columns: dict[str, np.ndarray], strings: dict) -> None:
     """The sidecar of the JSON-Lines file `path`, `size` bytes long with CRC-32 `crc`."""
     arrays = [np.ascontiguousarray(c, dtype=c.dtype.newbyteorder("<")) for c in columns.values()]
-    payload_crc = 0
+    payload_crc = _strings_crc(strings)
     for a in arrays:
         payload_crc = zlib.crc32(a, payload_crc)
     header = {"format": TAG, "jsonl_bytes": size, "jsonl_crc32": crc,
@@ -59,6 +59,12 @@ def write(path, size: int, crc: int, columns: dict[str, np.ndarray], strings: di
         fh.write(orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE))
         for a in arrays:
             fh.write(a.data)
+
+
+def _strings_crc(strings) -> int:
+    """CRC-32 of the strings' canonical bytes: the payload CRC starts from it, so that it
+    also covers the header's strings."""
+    return zlib.crc32(orjson.dumps(strings, option=orjson.OPT_SORT_KEYS))
 
 
 def _crc32(path) -> int:
@@ -90,7 +96,7 @@ def read(path, schema: dict) -> tuple[dict[str, np.ndarray], dict] | None:
             sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in declared]
             if fh.tell() + sum(sizes) != os.fstat(fh.fileno()).st_size:
                 return None
-            columns, crc = {}, 0
+            columns, crc = {}, _strings_crc(header["strings"])
             for (name, dtype, shape), size in zip(declared, sizes):
                 buf = bytearray(size)  # a short read leaves zeros, which the CRC refuses
                 fh.readinto(buf)

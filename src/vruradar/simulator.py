@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (BODY_SIGMA, GLOBAL, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
+from .core import (BODY_SIGMA, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
                    TRAJ_COLUMNS, TWO_PI, Detections, GnssQuality, Pose, ScanTable, SensorMount,
-                   VruKind, compose_pose, ego_to_polar, global_to_ego, rank_in_scan, scan_offsets,
-                   table, wrap_angles)
+                   VruKind, rank_in_scan, scan_offsets, table, to_global, to_local, wrap_angles)
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def default_mounts() -> tuple[SensorMount, ...]:
     """Two forward radars at the front corners of the ego vehicle."""
     fov = math.radians(60.0)
     return (
-        SensorMount("radar-left", Pose(1.0, 0.5, 0.0, frame="ego"), fov, 40.0),
-        SensorMount("radar-right", Pose(1.0, -0.5, 0.0, frame="ego"), fov, 40.0),
+        SensorMount("radar-left", Pose(1.0, 0.5, 0.0), fov, 40.0),
+        SensorMount("radar-right", Pose(1.0, -0.5, 0.0), fov, 40.0),
     )
 
 
@@ -74,7 +73,7 @@ class ScenarioConfig:
     clutter_rate: float = 2.0  # expected clutter points per scan
     detection_rate: DetectionRateParams = field(default_factory=DetectionRateParams)
     mounts: tuple[SensorMount, ...] = field(default_factory=default_mounts)
-    ego_pose: Pose = field(default_factory=lambda: Pose(-11.0, 0.0, 0.0, frame=GLOBAL))
+    ego_pose: Pose = field(default_factory=lambda: Pose(-11.0, 0.0, 0.0))
     rng_seed: int = 0
     # IMU error model
     gyro_sigma: float = 0.005  # rad/s
@@ -246,18 +245,13 @@ def _sample_body_offsets(
     return out * np.asarray(sigma)
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    """Rows of `v` turned a quarter counterclockwise."""
-    return v[:, ::-1] * [-1.0, 1.0]
-
-
-def _polar_by_sensor(points_ego, sensor, mounts) -> tuple[np.ndarray, np.ndarray]:
-    """Range and azimuth of each ego-frame point, seen by the mount `mounts[sensor[row]]`."""
-    r, az = np.empty(len(sensor)), np.empty(len(sensor))
-    for i, mount in enumerate(mounts):
-        rows = sensor == i
-        r[rows], az[rows] = ego_to_polar(points_ego[rows], mount)
-    return r, az
+def _polar_by_sensor(points, sensor, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Range and azimuth of each global point, seen by the mount `cfg.mounts[sensor[row]]`."""
+    mount = np.array([(m.pose_in_ego.x, m.pose_in_ego.y, m.pose_in_ego.yaw)
+                      for m in cfg.mounts])[sensor]
+    ego = np.column_stack(to_local(points, cfg.ego_pose.x, cfg.ego_pose.y, cfg.ego_pose.yaw))
+    u, v = to_local(ego, *mount.T)
+    return np.hypot(u, v), np.arctan2(v, u)
 
 
 def generate_radar(
@@ -291,27 +285,31 @@ def generate_radar(
     n_scans = len(times)
     max_range = np.array([m.max_range for m in mounts])[sensor]
     fov = np.array([m.fov_azimuth for m in mounts])[sensor]
-    sensor_xy = np.array([compose_pose(cfg.ego_pose, m.pose_in_ego).xy for m in mounts])
+    ego = cfg.ego_pose
+    sensor_xy = np.column_stack(to_global([(m.pose_in_ego.x, m.pose_in_ego.y) for m in mounts],
+                                          ego.x, ego.y, ego.yaw))
     xy, yaw, speed, yaw_rate = course.states(times)
-    r_center, az_center = _polar_by_sensor(global_to_ego(xy, cfg.ego_pose), sensor, mounts)
+    r_center, az_center = _polar_by_sensor(xy, sensor, cfg)
     visible = (r_center <= max_range) & (np.abs(az_center) <= fov)
     n_vru = np.zeros(n_scans, dtype=int)
     n_vru[visible] = rng.poisson(cfg.detection_rate.mean_count(r_center[visible]))
 
     # VRU points: body scatter in the object frame, moving rigidly with the VRU.
     scan = np.repeat(np.arange(n_scans), n_vru)
-    along, across = _sample_body_offsets(len(scan), cfg.body_sigma(), cfg.scatter_trunc, rng).T
-    heading = np.column_stack([np.cos(yaw), np.sin(yaw)])[scan]
-    rel = along[:, None] * heading + across[:, None] * _perp(heading)
-    points = xy[scan] + rel
-    vel = speed[scan, None] * heading + yaw_rate[scan, None] * _perp(rel)
+    offsets = _sample_body_offsets(len(scan), cfg.body_sigma(), cfg.scatter_trunc, rng)
+    rel_x, rel_y = to_global(offsets, 0.0, 0.0, yaw[scan])
+    points = xy[scan] + np.column_stack([rel_x, rel_y])
+    # each point moves with the VRU's centre, plus the yaw rate turning its offset
+    w = yaw_rate[scan]
+    vel = np.column_stack([(speed * np.cos(yaw))[scan] - w * rel_y,
+                           (speed * np.sin(yaw))[scan] + w * rel_x])
     los = points - sensor_xy[sensor[scan]]
     r_true = np.hypot(los[:, 0], los[:, 1])
     vr = (vel * los).sum(axis=1) / np.maximum(r_true, 1e-9)
     vr += rng.normal(0.0, cfg.doppler_sigma, len(scan))
     amp = cfg.amp_ref_db - 40.0 * np.log10(np.maximum(r_true, 1e-3))
     amp += rng.normal(0.0, cfg.amp_sigma_db, len(scan))
-    r, az = _polar_by_sensor(global_to_ego(points, cfg.ego_pose), sensor[scan], mounts)
+    r, az = _polar_by_sensor(points, sensor[scan], cfg)
 
     n_clutter = rng.poisson(cfg.clutter_rate, n_scans)
     c_scan = np.repeat(np.arange(n_scans), n_clutter)

@@ -11,12 +11,11 @@ from vruradar.core import (
     Detections,
     ScanTable,
     VruKind,
-    compose_pose,
-    ego_to_global,
     mounts_by_id,
-    polar_to_ego,
     scan_offsets,
     table,
+    to_global,
+    to_local,
 )
 from vruradar.evaluation import cycle_stats
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
@@ -79,16 +78,38 @@ def conf_axes(global_xy) -> tuple[float, float]:
     return float(stats["conf_major"][0]), float(stats["conf_minor"][0])
 
 
+def sensor_xy(mount, ego_pose) -> tuple:
+    """The global position of a mounted sensor."""
+    m = mount.pose_in_ego
+    return to_global((m.x, m.y), ego_pose.x, ego_pose.y, ego_pose.yaw)
+
+
+def polar_to_global(range_m, azimuth, mount, ego_pose) -> np.ndarray:
+    """(n, 2) global positions of the points that `mount` measures at (range_m, azimuth)."""
+    m = mount.pose_in_ego
+    local = np.column_stack([range_m * np.cos(azimuth), range_m * np.sin(azimuth)])
+    p_ego = np.column_stack(to_global(local, m.x, m.y, m.yaw))
+    return np.column_stack(to_global(p_ego, ego_pose.x, ego_pose.y, ego_pose.yaw))
+
+
+def global_to_polar(points, mount, ego_pose) -> tuple[np.ndarray, np.ndarray]:
+    """Range and azimuth at which `mount` sees global point(s), (2,) or (n, 2)."""
+    m = mount.pose_in_ego
+    p_ego = np.column_stack(to_local(points, ego_pose.x, ego_pose.y, ego_pose.yaw))
+    u, v = to_local(p_ego, m.x, m.y, m.yaw)
+    return np.hypot(u, v), np.arctan2(v, u)
+
+
 def truth_assigned_scans(data: ScenarioData) -> tuple[ScanTable, dict]:
     """Tracker input from the simulator's own labels (perfect association): the VRU rows
     with their global positions, and each sensor's global position."""
     cfg = data.config
     mounts = mounts_by_id(cfg.mounts)
-    glob = [ego_to_global(polar_to_ego(scan, mounts[scan.sensor_id]), cfg.ego_pose)
-            for scan in data.scans]
+    glob = [polar_to_global(scan.detections.range_m, scan.detections.azimuth,
+                            mounts[scan.sensor_id], cfg.ego_pose) for scan in data.scans]
     scans = replace(data.scans, detections=replace(data.scans.detections,
                                                    global_xy=np.concatenate(glob)))
-    return scans.where(data.is_vru), {sensor_id: compose_pose(cfg.ego_pose, m.pose_in_ego).xy
+    return scans.where(data.is_vru), {sensor_id: sensor_xy(m, cfg.ego_pose)
                                       for sensor_id, m in mounts.items()}
 
 

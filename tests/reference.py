@@ -2,7 +2,8 @@
 
 Annotation and cycle statistics: the scan-by-scan loops that the whole-run
 code in `annotation` and `evaluation` replaced.  They use only scalar geometry
-(one pose and one shape per scan) and the library's frame transforms.  One
+(one pose and one shape per scan), and write every frame change out point by
+point with `math.cos` and `math.sin` rather than call the library's.  One
 rule differs from the loops they came from: a confidence ellipse whose
 covariance has an eigenvalue ratio at most `COLLINEAR_RATIO` is degenerate,
 not only one with a non-positive eigenvalue.
@@ -27,8 +28,8 @@ import numpy as np
 import orjson
 
 from vruradar.annotation import LabeledScan, LabeledTable
-from vruradar.core import (LABEL_CLUTTER, LABEL_VRU, Detections, Pose, ScanTable, VruKind,
-                           ego_to_global, polar_to_ego, rank_in_scan, scan_offsets, wrap_angle)
+from vruradar.core import (LABEL_CLUTTER, LABEL_VRU, Detections, ScanTable, VruKind, rank_in_scan,
+                           scan_offsets, wrap_angle)
 from vruradar.evaluation import COLLINEAR_RATIO, WEIGHTED_COUNT_REF_RANGE, r4_compensate
 from vruradar.selection import (
     CYCLIST_LENGTH,
@@ -69,8 +70,22 @@ def state_at(traj, t: float) -> np.ndarray:
 
 
 def _shape_frame(points, x, y, yaw):
-    local = Pose(x, y, yaw).from_parent(points)
-    return local[:, 0], local[:, 1]
+    """(u, v) of each global point in the frame at (x, y) with heading `yaw`."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    local = [(c * (px - x) + s * (py - y), c * (py - y) - s * (px - x))
+             for px, py in points.tolist()]
+    u, v = np.array(local, dtype=float).reshape(-1, 2).T
+    return u, v
+
+
+def _place(r: float, az: float, mount_pose, ego_pose) -> tuple[tuple, tuple]:
+    """The ego and global positions of a detection at range `r` and azimuth `az`: sensor polar
+    -> ego through the mount pose -> global through the ego pose."""
+    u, v = r * math.cos(az), r * math.sin(az)
+    c, s = math.cos(mount_pose.yaw), math.sin(mount_pose.yaw)
+    ex, ey = mount_pose.x + (c * u - s * v), mount_pose.y + (s * u + c * v)
+    c, s = math.cos(ego_pose.yaw), math.sin(ego_pose.yaw)
+    return (ex, ey), (ego_pose.x + (c * ex - s * ey), ego_pose.y + (s * ex + c * ey))
 
 
 def _inside(p_glob, state: np.ndarray, vru_kind: VruKind) -> np.ndarray:
@@ -106,10 +121,13 @@ def annotate(scans, traj, vru_kind, mounts, ego_pose, track_id="vru-0"):
             skipped += 1
             continue
         state = state_at(traj, scan.timestamp)
-        p_ego = polar_to_ego(scan, mounts[scan.sensor_id])
-        p_glob = ego_to_global(p_ego, ego_pose)
-        inside = _inside(p_glob, state, vru_kind)
         d = scan.detections
+        mount_pose = mounts[scan.sensor_id].pose_in_ego
+        positions = [_place(r, az, mount_pose, ego_pose)
+                     for r, az in zip(d.range_m.tolist(), d.azimuth.tolist())]
+        p_ego, p_glob = (np.array([p[i] for p in positions], dtype=float).reshape(-1, 2)
+                         for i in (0, 1))
+        inside = _inside(p_glob, state, vru_kind)
         placed = type(d)(d.range_m, d.azimuth, d.radial_velocity, d.amplitude, d.index,
                          p_ego, p_glob)
         assigned, rejected = placed[inside], placed[~inside]

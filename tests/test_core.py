@@ -12,14 +12,13 @@ from vruradar.core import (
     ScanTable,
     SensorMount,
     VruKind,
-    compose_pose,
-    ego_to_global,
-    ego_to_polar,
-    global_to_ego,
-    polar_to_ego,
     scan_offsets,
+    to_global,
+    to_local,
     wrap_angle,
 )
+
+from conftest import global_to_polar, polar_to_global
 
 finite_angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -58,8 +57,11 @@ def test_pose_wraps_yaw_and_validates():
         Pose(float("nan"), 0.0, 0.0)
 
 
+ORIGIN = Pose(0.0, 0.0, 0.0)
+
+
 def _mount(x=0.0, y=0.0, yaw=0.0, sensor_id="r0"):
-    return SensorMount(sensor_id, Pose(x, y, yaw, frame="ego"), math.radians(60), 50.0)
+    return SensorMount(sensor_id, Pose(x, y, yaw), math.radians(60), 50.0)
 
 
 def _scan(range_m, azimuth, sensor_id="r0"):
@@ -67,39 +69,39 @@ def _scan(range_m, azimuth, sensor_id="r0"):
     return RadarScan(0.0, sensor_id, Detections([range_m], [azimuth], [0.0], [10.0]))
 
 
+def _ego(range_m, azimuth, mount) -> np.ndarray:
+    """(n, 2) ego-frame positions of the detections that `mount` measures in polar."""
+    return polar_to_global(np.atleast_1d(range_m), np.atleast_1d(azimuth), mount, ORIGIN)
+
+
 def test_polar_to_ego_identity_mount():
-    p = polar_to_ego(_scan(5.0, 0.0), _mount())
+    p = _ego(5.0, 0.0, _mount())
     assert p.shape == (1, 2)
     assert p[0] == pytest.approx([5.0, 0.0])
 
 
 def test_polar_to_ego_rotated_mount():
-    p = polar_to_ego(_scan(2.0, 0.0), _mount(1.0, 0.0, math.pi / 2))
+    p = _ego(2.0, 0.0, _mount(1.0, 0.0, math.pi / 2))
     assert p[0] == pytest.approx([1.0, 2.0])
 
 
 @pytest.mark.parametrize("yaw", [0.0, 0.2])
 def test_polar_to_ego_matches_point_by_point_reference(yaw):
     rng = np.random.default_rng(3)
-    mount = _mount(1.0, -0.5, yaw)
+    pose = _mount(1.0, -0.5, yaw).pose_in_ego
     ranges, azimuths = rng.uniform(0.0, 40.0, 200), rng.uniform(-1.0, 1.0, 200)
-    scan = RadarScan(0.0, "r0", Detections(ranges, azimuths, np.zeros(200), np.zeros(200)))
-    rows = polar_to_ego(scan, mount)
-    reference = np.array([
-        mount.pose_in_ego.to_parent(np.array([r * math.cos(az), r * math.sin(az)]))
-        for r, az in zip(ranges.tolist(), azimuths.tolist())
-    ])
-    if yaw == 0.0:
-        # An exact rotation leaves no rounding to the matrix product.
-        assert rows.tolist() == reference.tolist()
-    else:
-        # One (n, 2) product may round differently from n (2,) products.
-        np.testing.assert_allclose(rows, reference, rtol=0, atol=8 * np.finfo(float).eps * 41)
+    local = np.column_stack([ranges * np.cos(azimuths), ranges * np.sin(azimuths)])
+    rows = np.column_stack(to_global(local, pose.x, pose.y, pose.yaw))
+    # Elementwise: n points at once give the bits of n one-point calls, at any yaw.
+    assert rows.tolist() == [list(map(float, to_global(p, pose.x, pose.y, pose.yaw)))
+                             for p in local]
+    c, s = math.cos(pose.yaw), math.sin(pose.yaw)
+    reference = [(pose.x + c * u - s * v, pose.y + s * u + c * v) for u, v in local.tolist()]
+    np.testing.assert_allclose(rows, reference, rtol=0, atol=8 * np.finfo(float).eps * 41)
 
 
 def test_polar_to_ego_empty_scan():
-    scan = RadarScan(0.0, "r0", Detections([], [], [], []))
-    assert polar_to_ego(scan, _mount()).shape == (0, 2)
+    assert _ego([], [], _mount()).shape == (0, 2)
 
 
 def test_detections_select_rows_by_mask():
@@ -186,11 +188,6 @@ def test_where_on_a_labeled_table_gives_a_plain_scan_table():
     assert got.timestamp.tolist() == [0.0] and got.detections.index.tolist() == [0]
 
 
-def test_polar_to_ego_sensor_mismatch():
-    with pytest.raises(ValueError):
-        polar_to_ego(_scan(1.0, 0.0, sensor_id="other"), _mount())
-
-
 @given(
     st.floats(0.1, 40.0),
     st.floats(-1.0, 1.0),
@@ -200,20 +197,14 @@ def test_polar_to_ego_sensor_mismatch():
 )
 def test_polar_ego_round_trip(r, az, mx, my, myaw):
     mount = _mount(mx, my, myaw)
-    p_ego = polar_to_ego(_scan(r, az), mount)[0]
-    r2, az2 = ego_to_polar(p_ego, mount)
-    assert r2 == pytest.approx(r, abs=1e-9)
-    assert wrap_angle(az2 - az) == pytest.approx(0.0, abs=1e-9)
+    r2, az2 = global_to_polar(_ego(r, az, mount), mount, ORIGIN)
+    assert r2[0] == pytest.approx(r, abs=1e-9)
+    assert wrap_angle(az2[0] - az) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ego_to_global_examples():
-    assert ego_to_global([1.0, 2.0], Pose(0, 0, 0)) == pytest.approx([1.0, 2.0])
-    assert ego_to_global([1.0, 0.0], Pose(10.0, 0.0, math.pi)) == pytest.approx([9.0, 0.0])
-
-
-def test_ego_to_global_requires_global_pose():
-    with pytest.raises(ValueError):
-        ego_to_global([0.0, 0.0], Pose(0, 0, 0, frame="ego"))
+    assert to_global([1.0, 2.0], 0.0, 0.0, 0.0) == pytest.approx((1.0, 2.0))
+    assert to_global([1.0, 0.0], 10.0, 0.0, math.pi) == pytest.approx((9.0, 0.0))
 
 
 @given(
@@ -221,10 +212,9 @@ def test_ego_to_global_requires_global_pose():
     st.floats(-20, 20), st.floats(-20, 20), finite_angles,
 )
 def test_global_ego_round_trip(px, py, ex, ey, eyaw):
-    ego = Pose(ex, ey, eyaw)
     p = np.array([px, py])
-    back = global_to_ego(ego_to_global(p, ego), ego)
-    assert back == pytest.approx(p, abs=1e-9)
+    back = to_local(np.array(to_global(p, ex, ey, eyaw)), ex, ey, eyaw)
+    assert back == pytest.approx((px, py), abs=1e-9)
 
 
 @given(
@@ -233,19 +223,18 @@ def test_global_ego_round_trip(px, py, ex, ey, eyaw):
     st.floats(-20, 20), st.floats(-20, 20), finite_angles,
 )
 def test_transforms_are_rigid(ax, ay, bx, by, ex, ey, eyaw):
-    ego = Pose(ex, ey, eyaw)
-    a, b = np.array([ax, ay]), np.array([bx, by])
-    d0 = np.linalg.norm(a - b)
-    d1 = np.linalg.norm(ego_to_global(a, ego) - ego_to_global(b, ego))
-    assert d1 == pytest.approx(d0, abs=1e-9)
+    a = np.array([[ax, ay], [bx, by]])
+    d0 = np.linalg.norm(a[0] - a[1])
+    for move in (to_global, to_local):
+        u, v = move(a, ex, ey, eyaw)
+        assert math.hypot(u[0] - u[1], v[0] - v[1]) == pytest.approx(d0, abs=1e-9)
 
 
 def test_detection_cartesian_consistency():
     mount = _mount(1.0, -0.5, 0.2)
-    p = polar_to_ego(_scan(7.3, 0.4), mount)[0]
-    r, az = ego_to_polar(p, mount)
-    assert r == pytest.approx(7.3, abs=1e-9)
-    assert az == pytest.approx(0.4, abs=1e-9)
+    r, az = global_to_polar(_ego(7.3, 0.4, mount), mount, ORIGIN)
+    assert r[0] == pytest.approx(7.3, abs=1e-9)
+    assert az[0] == pytest.approx(0.4, abs=1e-9)
 
 
 def test_detection_rejects_negative_range():
@@ -255,17 +244,26 @@ def test_detection_rejects_negative_range():
 
 def test_mount_validation():
     with pytest.raises(ValueError):
-        SensorMount("r0", Pose(0, 0, 0, frame="ego"), 0.0, 10.0)
+        SensorMount("r0", Pose(0, 0, 0), 0.0, 10.0)
     with pytest.raises(ValueError):
-        SensorMount("r0", Pose(0, 0, 0, frame="ego"), 1.0, -1.0)
+        SensorMount("r0", Pose(0, 0, 0), 1.0, -1.0)
 
 
-def test_compose_pose_chains_transforms():
+@given(st.floats(-20, 20), st.floats(-20, 20), finite_angles,
+       st.floats(-5, 5), st.floats(-5, 5), finite_angles)
+def test_compose_pose_chains_transforms(px, py, pyaw, cx, cy, cyaw):
+    parent, child = Pose(px, py, pyaw), Pose(cx, cy, cyaw)
+    # the child frame in the parent's parent: its origin carried over, the yaws added
+    x, y = to_global([child.x, child.y], parent.x, parent.y, parent.yaw)
+    composed = Pose(float(x), float(y), parent.yaw + child.yaw)
+    p_local = np.array([[0.7, -0.2], [-3.0, 4.0]])
+    direct = to_global(np.column_stack(to_global(p_local, child.x, child.y, child.yaw)),
+                       parent.x, parent.y, parent.yaw)
+    np.testing.assert_allclose(to_global(p_local, composed.x, composed.y, composed.yaw), direct,
+                               rtol=0, atol=1e-9)
+
+
+def test_composing_a_quarter_turn():
     parent = Pose(1.0, 2.0, math.pi / 2)
-    child = Pose(1.0, 0.0, 0.3, frame="ego")
-    composed = compose_pose(parent, child)
-    assert composed.xy == pytest.approx([1.0, 3.0])
-    assert composed.yaw == pytest.approx(wrap_angle(math.pi / 2 + 0.3))
-    p_local = np.array([0.7, -0.2])
-    direct = parent.to_parent(child.to_parent(p_local))
-    assert composed.to_parent(p_local) == pytest.approx(direct, abs=1e-12)
+    x, y = to_global([1.0, 0.0], parent.x, parent.y, parent.yaw)
+    assert (x, y) == pytest.approx((1.0, 3.0))

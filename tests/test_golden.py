@@ -57,7 +57,7 @@ GOLDEN = {
         'labeled-gnss-imu.jsonl':
             '1ed5c66a646a36f9c9767da4809708e6f156fd91b34c1a9179c54bfdc61e33f1',
         'labeled-gnss-imu.jsonl.cols':
-            '386c4190f0190657614d2487c29f82fd6554933af3fb556dbf93d9e5b5133726',
+            'b80862071a7ae8436a51b8788ac6fccebf94c225532ecb38521703147710aab2',
         'out/gnss.csv':
             'e5f9654f03bea0a11b615e792a384bfc9a649e8cfaf1b74c5adcaa066edbc801',
         'out/imu.csv':
@@ -65,13 +65,13 @@ GOLDEN = {
         'out/radar.jsonl':
             '824a88e6d26f617eee23625e0124c40062d3dd034ebd22586d9725a204434f9c',
         'out/radar.jsonl.cols':
-            '4aa4631de50e0b670f6cd8f7f38d1e944975f82913e6fb790424338900b05626',
+            'e9a60a2a5039deb8e7483aa148bcd3733d3b2695b4f28b6fe6daa0726508ce9d',
         'out/scenario.json':
             'b2972f82206d913fcdf77cb29569eafd430e9f8db675215e85e6bebd8ef4a0c6',
         'out/truth_labels.jsonl':
             '749bc29610c16009d8433be63b6578f5268d4ecfde9cad24eedd9fa818589380',
         'out/truth_labels.jsonl.cols':
-            '195331a16e18ed31e085d8c358d300e111c85e7e5e4f5a424ee6d098f96420b0',
+            '42a6494d56611043b864dd6790be878f904c888a70cc62026a5d7cec6ac290f0',
         'out/truth_traj.csv':
             '56dc3d9260d7f28dfe4127b4c08442fded039d6bdfdf608b8587a291dc43142a',
         'sig/grid.csv':
@@ -105,7 +105,7 @@ GOLDEN = {
         'labeled-gnss-imu.jsonl':
             '5f7e9ec1bff7120f1810c75446310101c8fd2c8f62bdee5ba53c2c179e37640f',
         'labeled-gnss-imu.jsonl.cols':
-            '06c38c26530ce37d2feb8638ad1148eb4f37fe7086d6afd17cf989a56bcb804c',
+            '797c47f5a06093195ee984c7d72fedf625e2a3616c455a1a9465e9de245efc80',
         'out/gnss.csv':
             'bcd279d9687917ef2c76af38e5d6d78d8132e816194949927ce06ff6cd251f30',
         'out/imu.csv':
@@ -113,13 +113,13 @@ GOLDEN = {
         'out/radar.jsonl':
             '48d2b671840bc3af840d5875c9e2aa72605f9cf9c11c18ecaa00409c771ca6a4',
         'out/radar.jsonl.cols':
-            '758f23752a5148b3b8e42875a003924dc4b2fcadea7965c424e3e51da3426cc9',
+            '24f8691ba018f28dfe15e311c09585b90aca7ffa568c4a888d5377c7fb68385d',
         'out/scenario.json':
             'db359edfed9c0f097de519a3b3485e56302db396e980c52c9f005a680db0df45',
         'out/truth_labels.jsonl':
             '74f2436d7c32526b9ae06811ef52b28517962d4899e9eebea3489483a5a38c6a',
         'out/truth_labels.jsonl.cols':
-            '083661bec6529c377858e06f2ff1baeaffe1016a19232b5773247056fdc974cf',
+            '0e54d8f706178f3b833b0a81947923b159c9f82e6736ab3dd8f3ca9c6d938202',
         'out/truth_traj.csv':
             'f3f9598088d51f848c522dfe432b3eda7f924ae7ca9adddc48148ea37a882750',
         'sig/grid.csv':
@@ -157,11 +157,11 @@ GOLDEN = {
         'labeled-gnss-imu.jsonl':
             '8dec29eaac9b765b016656fb8da45006175d56e3143931320f9770cd81731454',
         'labeled-gnss-imu.jsonl.cols':
-            '98db2b8e2035c2b704722683c9a4f64b01187777f3a8ed71d9557fc79ca84973',
+            'c4d9e4882aaa48e35c65719af8d6cc101d48b224fbc2920f896ead6ae6f919e3',
         'labeled-gnss-only.jsonl':
             '902e7bf9ed792f29f2cf2dae5baaf68ce2831f863b938fdf9538f0e7a26eb29e',
         'labeled-gnss-only.jsonl.cols':
-            '8063b0e2de84ad8b7e7ba5b63fe51f27ae7085ab00cbdf44f4c84d7e21b4bd55',
+            '9d7a91569d5c34ff4cc5e5eefd2d53501f18e855a50ef1e6e34b6cda6e8ac248',
         'out/gnss.csv':
             'b147f64bef78b830ddfe02914135de7d0d192c2af8d98d72839ad1a0a3c016c9',
         'out/imu.csv':
@@ -169,13 +169,13 @@ GOLDEN = {
         'out/radar.jsonl':
             '7ac3a96e84d208c2b139931ed56a000e9804547d3fbfec6bc7ed93f6d5ff70db',
         'out/radar.jsonl.cols':
-            'b94bf140d226e91831984b43f7eecf6a9248bf668f79a34982348efeb45b7a82',
+            '5ff3ba43a686e7be5154df2a7dd24f8b2e70a657912b8d40436d9d60a6746892',
         'out/scenario.json':
             'f0bc4fdaf28329dc3d74c1725d06b0572a6d8e4ed187892e609eee7948d82445',
         'out/truth_labels.jsonl':
             '77e72988bebb6a2091da3e27c73b30767fabb3fd2699092d523779ee6d28373f',
         'out/truth_labels.jsonl.cols':
-            'c672e7303d2c6299e129a759dded705db38cb97ce9258aa128dee8d46a3f3479',
+            '37600f482891ad912be2a64c44a3ebb339e18e74512ac23e3ea9bd8a86f8c245',
         'out/truth_traj.csv':
             '099e42c4b29d699ad771971b4c86b18e258285e66b1924d58613a216fa7e6864',
         'sig/grid.csv':

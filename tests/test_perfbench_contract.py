@@ -21,7 +21,7 @@ import pytest
 
 from vruradar import cli
 from vruradar.annotation import annotate_scenario
-from vruradar.core import compose_pose
+from vruradar.core import to_global
 from vruradar.eot import TrackerParams, run_tracker
 from vruradar.signature import accumulate
 from vruradar.simulator import preset, simulate_scenario
@@ -68,7 +68,8 @@ def small_run():
     annotated = annotate_scenario(*annotate_args)
     # as cmd_track builds it: the assigned rows, and each sensor's global position
     tracker_input = (annotated.scans.where(annotated.scans.assigned),
-                     {m.sensor_id: compose_pose(cfg.ego_pose, m.pose_in_ego).xy
+                     {m.sensor_id: to_global((m.pose_in_ego.x, m.pose_in_ego.y), cfg.ego_pose.x,
+                                             cfg.ego_pose.y, cfg.ego_pose.yaw)
                       for m in cfg.mounts})
     return cfg, data, annotate_args, annotated, tracker_input
 

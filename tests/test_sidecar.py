@@ -186,11 +186,25 @@ def _wrong_dtype(cols):
     cols.write_bytes(cols.read_bytes().replace(b'"<f8"', b'">f8"', 1))
 
 
+def _payload_crc(strings, payload: bytes) -> int:
+    """The payload CRC of a sidecar: over the strings' sorted-key JSON, then the columns."""
+    return zlib.crc32(payload, zlib.crc32(orjson.dumps(strings, option=orjson.OPT_SORT_KEYS)))
+
+
+def _upper_case_ids(cols):
+    # The payload CRC covers the header's strings: an id edited by hand no longer matches.
+    header, payload = cols.read_bytes().split(b"\n", 1)
+    rec = json.loads(header)
+    rec["strings"]["sensor_ids"] = [s.upper() for s in rec["strings"]["sensor_ids"]]
+    cols.write_bytes(json.dumps(rec).encode() + b"\n" + payload)
+
+
 def _strings_not_an_object(cols):
-    # The header is outside the payload CRC: a header edited by hand still matches.
+    # With the payload CRC made to match, so that the reader refuses the type.
     header, payload = cols.read_bytes().split(b"\n", 1)
     rec = json.loads(header)
     rec["strings"] = [rec["strings"]]
+    rec["payload_crc32"] = _payload_crc(rec["strings"], payload)
     cols.write_bytes(json.dumps(rec).encode() + b"\n" + payload)
 
 
@@ -206,7 +220,7 @@ def _recrafted(change):
             start += count * np.dtype(dtype).itemsize
         change(columns)
         payload = b"".join(c.tobytes() for c in columns.values())
-        rec["payload_crc32"] = zlib.crc32(payload)
+        rec["payload_crc32"] = _payload_crc(rec["strings"], payload)
         cols.write_bytes(orjson.dumps(rec) + b"\n" + payload)
     return edit
 
@@ -234,7 +248,8 @@ def _scan_before_its_sensors_last(c):  # the sensor's second scan at the time of
 
 FILE_EDITS = {"edited": _edit_value, "respelt": _respell}
 SIDECAR_EDITS = {"truncated": _truncate, "flipped-byte": _flip_payload_byte, "wrong-tag": _retag,
-                 "wrong-dtype": _wrong_dtype, "strings-not-an-object": _strings_not_an_object,
+                 "wrong-dtype": _wrong_dtype, "upper-case-ids": _upper_case_ids,
+                 "strings-not-an-object": _strings_not_an_object,
                  "negative-range": _set("range_m", -1.0),
                  "assigned-beyond-scan": _set("n_assigned", 10**6),
                  "infinite-azimuth": _set("azimuth", math.inf),
@@ -251,7 +266,8 @@ SIDECAR_EDITS = {"truncated": _truncate, "flipped-byte": _flip_payload_byte, "wr
                  "is-vru-2": _set("is_vru", 2),
                  "repeated-truth-label": _recrafted(_repeat_an_idx)}
 # The kinds whose sidecar holds the column an edit sets.
-ONLY = {"negative-range": ("radar", "labeled"), "assigned-beyond-scan": ("labeled",),
+ONLY = {"upper-case-ids": ("radar", "labeled"), "negative-range": ("radar", "labeled"),
+        "assigned-beyond-scan": ("labeled",),
         "infinite-azimuth": ("radar", "labeled"), "infinite-ego": ("labeled",),
         "nan-global": ("labeled",), "infinite-state": ("labeled",),
         "infinite-bounding": ("labeled",), "negative-speed": ("labeled",),

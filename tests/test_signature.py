@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vruradar.annotation import LabeledScan
-from vruradar.core import Detections, Pose, VruKind
+from vruradar.core import Detections, VruKind, to_global, to_local
 from vruradar.signature import (
     accumulate,
     grid_stats,
@@ -18,10 +18,6 @@ from conftest import labeled_table
 def vru_state(x=0.0, y=0.0, yaw=0.0):
     """A labeled scan's state row: x, y, yaw, speed and yaw rate."""
     return np.array([x, y, yaw, 1.0, 0.0])
-
-
-def pose(state) -> Pose:
-    return Pose(*state[:3])
 
 
 def labeled_scan(t, points_global, state):
@@ -38,12 +34,12 @@ def labeled_scan(t, points_global, state):
 
 def test_to_object_frame_center_maps_to_origin():
     st = vru_state(3.0, -2.0, 0.7)
-    assert pose(st).from_parent([3.0, -2.0]) == pytest.approx([0.0, 0.0])
+    assert to_local([3.0, -2.0], *st[:3]) == pytest.approx((0.0, 0.0))
 
 
 def test_to_object_frame_rotation():
     st = vru_state(0.0, 0.0, math.pi / 2)
-    assert pose(st).from_parent([0.0, 1.0]) == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert to_local([0.0, 1.0], *st[:3]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_object_frame_round_trip():
@@ -51,7 +47,7 @@ def test_object_frame_round_trip():
     for _ in range(100):
         st = vru_state(*rng.normal(0, 5, 2), rng.uniform(-math.pi, math.pi))
         p = rng.normal(0, 3, 2)
-        back = pose(st).to_parent(pose(st).from_parent(p))
+        back = to_global(np.array(to_local(p, *st[:3])), *st[:3])
         assert back == pytest.approx(p, abs=1e-9)
 
 

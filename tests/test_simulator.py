@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vruradar.core import VruKind, compose_pose
+from vruradar.core import VruKind
 from vruradar.simulator import (
     EightCourse,
     Perturbation,
@@ -16,6 +16,8 @@ from vruradar.simulator import (
     preset,
     simulate_scenario,
 )
+
+from conftest import sensor_xy
 
 
 @pytest.fixture(scope="module")
@@ -196,8 +198,8 @@ def test_radar_detection_count_halves_at_double_range():
     mounts = {m.sensor_id: m for m in cfg.mounts}
     for scan, (x, y) in zip(data.scans, data.course.states(data.scans.timestamp)[0].tolist()):
         mount = mounts[scan.sensor_id]
-        sensor = compose_pose(cfg.ego_pose, mount.pose_in_ego)
-        r = math.hypot(x - sensor.x, y - sensor.y)
+        sx, sy = sensor_xy(mount, cfg.ego_pose)
+        r = math.hypot(x - sx, y - sy)
         for target in counts:
             if abs(r - target) < 0.75:
                 counts[target].append(len(scan.detections))
@@ -228,8 +230,8 @@ def test_radar_amplitude_follows_r4_law():
     offsets = data.scans.offsets
     for k, scan in enumerate(list(data.scans)[:50]):
         raw = data.raw_vru_points[offsets[k]:offsets[k + 1]]
-        sensor = compose_pose(cfg.ego_pose, mounts[scan.sensor_id].pose_in_ego)
-        r_true = np.hypot(raw[:, 0] - sensor.x, raw[:, 1] - sensor.y)
+        sx, sy = sensor_xy(mounts[scan.sensor_id], cfg.ego_pose)
+        r_true = np.hypot(raw[:, 0] - sx, raw[:, 1] - sy)
         amp = scan.detections.amplitude
         assert amp == pytest.approx(cfg.amp_ref_db - 40 * np.log10(r_true), abs=1e-9)
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from conftest import radar_table, series
+from conftest import global_to_polar, radar_table, series
 from vruradar.annotation import annotate_scenario
-from vruradar.core import GLOBAL, Detections, Pose, RadarScan, SensorMount, VruKind
+from vruradar.core import Detections, Pose, RadarScan, SensorMount, VruKind
 from vruradar.evaluation import cycle_stats
 from vruradar.trajectory import IMU_COLUMNS, ReferenceTrajectory
 
@@ -70,10 +70,10 @@ def test_perturbed_preset_matches_per_scan_reference_in_both_modes(perturbed_run
 
 
 MOUNTS = (
-    SensorMount("a", Pose(1.0, 0.5, 0.3, frame="ego"), math.radians(70), 40.0),
-    SensorMount("b", Pose(1.0, -0.5, -0.4, frame="ego"), math.radians(70), 40.0),
+    SensorMount("a", Pose(1.0, 0.5, 0.3), math.radians(70), 40.0),
+    SensorMount("b", Pose(1.0, -0.5, -0.4), math.radians(70), 40.0),
 )
-EGO = Pose(-6.0, 1.0, 0.2, frame=GLOBAL)
+EGO = Pose(-6.0, 1.0, 0.2)
 
 
 def small_drive(rng: np.random.Generator, with_imu: bool) -> ReferenceTrajectory:
@@ -90,11 +90,6 @@ def small_drive(rng: np.random.Generator, with_imu: bool) -> ReferenceTrajectory
     return ReferenceTrajectory(times, xy, imu=imu)
 
 
-def polar_of(points, mount: SensorMount):
-    local = mount.pose_in_ego.from_parent(EGO.from_parent(points))
-    return np.hypot(local[:, 0], local[:, 1]), np.arctan2(local[:, 1], local[:, 0])
-
-
 def small_scans(rng: np.random.Generator, traj: ReferenceTrajectory) -> list[RadarScan]:
     """Scans of every shape: empty, one point, collinear (one ray), scattered near the
     track, and outside the trajectory's support."""
@@ -107,12 +102,12 @@ def small_scans(rng: np.random.Generator, traj: ReferenceTrajectory) -> list[Rad
         if kind == 0:  # empty
             r = az = np.empty(0)
         elif kind == 1:  # collinear: one azimuth, several ranges
-            r0, az0 = polar_of(centre[None, :], mount)
+            r0, az0 = global_to_polar(centre[None, :], mount, EGO)
             r = r0[0] + rng.uniform(-1.0, 1.0, int(rng.integers(3, 6)))
             az = np.full(len(r), az0[0])
         else:  # scattered around the track, one point or more
             pts = centre + rng.normal(0.0, 0.8, (1 if kind == 2 else int(rng.integers(2, 9)), 2))
-            r, az = polar_of(pts, mount)
+            r, az = global_to_polar(pts, mount, EGO)
         n = len(r)
         scans.append(RadarScan(t + 1e-6 * k, mount.sensor_id, Detections(
             np.abs(r), az, rng.normal(0.0, 1.0, n), rng.normal(20.0, 3.0, n))))
