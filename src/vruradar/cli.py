@@ -111,11 +111,11 @@ def scenario_config_from_dict(raw: dict) -> simulator.ScenarioConfig:
     seed = _converted(raw, {"seed": _integer}, "config").get("seed", 0)
     kwargs = _converted(raw, _FIELD_KEYS, "config")
     rate = _converted(raw, _DETECTION_RATE_KEYS, "config")
-    if rate:
-        kwargs["detection_rate"] = simulator.DetectionRateParams(**rate)
-    if "perturbation" in raw:
-        kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
     try:
+        if rate:
+            kwargs["detection_rate"] = simulator.DetectionRateParams(**rate)
+        if "perturbation" in raw:
+            kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
         if "preset" in raw:
             return dataclasses.replace(simulator.preset(str(raw["preset"]), seed=seed), **kwargs)
         return simulator.ScenarioConfig(rng_seed=seed, **kwargs)
@@ -186,7 +186,7 @@ def cmd_annotate(args) -> int:
         imu = io.read_imu_csv(args.imu) if args.imu else None
         if imu is None:
             raise ConfigError("--imu is required in gnss-imu mode")
-        traj = trajectory.build_fused_trajectory(gnss, imu, trajectory.FusionParams())
+        traj = trajectory.build_fused_trajectory(gnss, imu)
     else:
         traj = trajectory.build_trajectory(gnss)
     result = annotation.annotate_scenario(

@@ -66,10 +66,15 @@ def wrap_angle(a: float) -> float:
 
 
 def wrap_angles(a) -> np.ndarray:
-    """:func:`wrap_angle` of each entry of an array."""
+    """:func:`wrap_angle` of each entry of an array, to the bit; a NaN entry stays NaN."""
     a = np.array(a, dtype=float)
-    outside = (a <= -math.pi) | (a > math.pi)
-    a[outside] = list(map(wrap_angle, a[outside].tolist()))
+    inf = np.isinf(a)
+    if inf.any():
+        raise ValueError(f"angle must be finite, got {float(a[inf][0])!r}")
+    # fmod is exact, and so is the one 2 pi step that brings its result into (-pi, pi].
+    a = np.fmod(a, TWO_PI)
+    a[a > math.pi] -= TWO_PI
+    a[a <= -math.pi] += TWO_PI
     return a
 
 

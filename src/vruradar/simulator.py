@@ -2,9 +2,10 @@
 
 A Gerono lemniscate traversed at constant speed provides analytic ground
 truth; GNSS, IMU, and radar streams are derived from it with configurable
-noise, sensor quantization, clutter, and an optional GNSS perturbation
-window.  Everything is driven by one seeded generator, so a fixed seed
-reproduces byte-identical output.
+noise, clutter and an optional GNSS perturbation window.  The radar's
+resolution, amplitude and Doppler model are the module constants below.
+Everything is driven by one seeded generator, so a fixed seed reproduces
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,8 +16,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (BODY_SIGMA, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
-                   TRAJ_COLUMNS, TWO_PI, Detections, GnssQuality, Pose, ScanTable, SensorMount,
+                   TRAJ_COLUMNS, Detections, GnssQuality, Pose, ScanTable, SensorMount,
                    VruKind, rank_in_scan, scan_offsets, table, to_global, to_local, wrap_angles)
+
+
+TRUTH_RATE = 50.0  # Hz of the truth table
+RADAR_START_MARGIN = 0.5  # s, keeps scans inside GNSS/IMU support
+ARC_TABLE_SIZE = 16384  # lemniscate parameter steps per lap of the arc-length table
+# Radar measurement model; amplitude is not quantized.
+DOPPLER_SIGMA = 0.05  # m/s, before quantization
+RANGE_STEP = 0.15  # m
+AZIMUTH_STEP = math.radians(2.4)
+RADIAL_VELOCITY_STEP = 0.17  # m/s
+AMP_REF_DB = 30.0  # power at 1 m range
+CLUTTER_AMP_OFFSET_DB = -8.0
+CLUTTER_VELOCITY_SPAN = 3.0  # m/s, clutter Doppler drawn uniform in +-span
 
 
 @dataclass(frozen=True)
@@ -29,6 +43,12 @@ class Perturbation:
     random_walk_sigma: float = 0.0
     onset: float = 0.3  # s, linear ramp at both window edges
     flagged: bool = False  # whether the receiver marks samples DEGRADED
+
+    def __post_init__(self) -> None:
+        if not self.duration > 0:
+            raise ValueError(f"perturbation duration must be > 0, got {self.duration!r}")
+        if not self.onset >= 0:
+            raise ValueError(f"perturbation onset must be >= 0, got {self.onset!r}")
 
     def weight(self, t):
         """Bias activation in [0, 1] at time(s) t; zero outside the open window."""
@@ -44,6 +64,11 @@ class DetectionRateParams:
 
     lambda0: float = 12.0
     r0: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("lambda0", "r0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     def mean_count(self, r):
         return np.maximum(1.0, self.lambda0 * self.r0 / np.maximum(r, 1e-6))
@@ -67,7 +92,6 @@ class ScenarioConfig:
     gnss_rate: float = 18.0
     imu_rate: float = 90.0
     radar_rate: float = 17.0
-    truth_rate: float = 50.0
     gnss_sigma: float = 0.02
     perturbation: Perturbation | None = None
     clutter_rate: float = 2.0  # expected clutter points per scan
@@ -80,21 +104,11 @@ class ScenarioConfig:
     gyro_bias_sigma: float = 0.002  # rad/s, constant per run
     accel_sigma: float = 0.05  # m/s^2
     accel_bias_sigma: float = 0.01  # m/s^2, constant per run
-    # Radar measurement model
-    doppler_sigma: float = 0.05  # m/s, before quantization
-    range_step: float = 0.15  # m
-    azimuth_step: float = math.radians(2.4)
-    radial_velocity_step: float = 0.17  # m/s
-    amp_ref_db: float = 30.0  # power at 1 m range
-    amp_sigma_db: float = 3.0
-    clutter_amp_offset_db: float = -8.0
-    clutter_velocity_span: float = 3.0  # m/s, clutter Doppler drawn uniform in +-span
+    amp_sigma_db: float = 3.0  # radar amplitude noise
     scatter_sigma: tuple[float, float] | None = None  # defaults per VRU kind
-    scatter_trunc: float = SCATTER_TRUNC
-    radar_start_margin: float = 0.5  # s, keeps scans inside GNSS/IMU support
 
     def __post_init__(self) -> None:
-        for name in ("gnss_rate", "imu_rate", "radar_rate", "truth_rate"):
+        for name in ("gnss_rate", "imu_rate", "radar_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.duration <= 0:
@@ -103,7 +117,7 @@ class ScenarioConfig:
             raise ValueError("speed must be > 0")
         scales = {name: getattr(self, name) for name in (
             "gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
-            "accel_bias_sigma", "doppler_sigma", "amp_sigma_db")}
+            "accel_bias_sigma", "amp_sigma_db")}
         if self.perturbation is not None:
             scales["random_walk_sigma"] = self.perturbation.random_walk_sigma
         for name, value in scales.items():
@@ -121,12 +135,12 @@ class EightCourse:
     """Gerono lemniscate x = A sin(2 pi s), y = A sin(2 pi s) cos(2 pi s),
     reparameterized to constant arc speed."""
 
-    def __init__(self, half_width: float, speed: float, table_size: int = 16384):
+    def __init__(self, half_width: float, speed: float):
         if half_width <= 0 or speed <= 0:
             raise ValueError("half_width and speed must be > 0")
         self.half_width = float(half_width)
         self.speed = float(speed)
-        s = np.linspace(0.0, 1.0, table_size + 1)
+        s = np.linspace(0.0, 1.0, ARC_TABLE_SIZE + 1)
         ds = s[1] - s[0]
         norm = np.hypot(*self._tangent(s))
         # Cumulative trapezoidal arc length over one lap.
@@ -180,7 +194,7 @@ class ScenarioData:
 
 def generate_truth(cfg: ScenarioConfig, course: EightCourse | None = None) -> np.ndarray:
     course = course or EightCourse(cfg.course_half_width, cfg.speed)
-    times = np.arange(round(cfg.duration * cfg.truth_rate) + 1) / cfg.truth_rate
+    times = np.arange(round(cfg.duration * TRUTH_RATE) + 1) / TRUTH_RATE
     xy, yaw, speed, yaw_rate = course.states(times)
     return table(TRAJ_COLUMNS, (times, xy[:, 0], xy[:, 1], wrap_angles(yaw), speed, yaw_rate))
 
@@ -217,28 +231,23 @@ def generate_imu(
     # Constant-speed course: true forward acceleration is zero.
     accel = accel_bias + accel_noise
     integrated = np.cumsum(np.concatenate([yaw[:1], yaw_rate[1:] * dt]))
-    # math.remainder(integrated, 2 pi) as columns: fmod is exact, and so is the
-    # one 2 pi step that brings a remainder beyond pi back into [-pi, pi].
-    wrapped = np.fmod(integrated, TWO_PI)
-    wrapped[wrapped > math.pi] -= TWO_PI
-    wrapped[wrapped < -math.pi] += TWO_PI
-    return table(IMU_COLUMNS, (times, yaw_rate, accel, wrapped))
+    return table(IMU_COLUMNS, (times, yaw_rate, accel, wrap_angles(integrated)))
 
 
 def _quantize(values: np.ndarray, step: float) -> np.ndarray:
     # Round half to even; adding 0.0 writes a point rounded to zero as 0.0, not -0.0.
-    return np.round(values / step) * step + 0.0 if step > 0 else values
+    return np.round(values / step) * step + 0.0
 
 
 def _sample_body_offsets(
-    n: int, sigma: tuple[float, float], trunc: float, rng: np.random.Generator
+    n: int, sigma: tuple[float, float], rng: np.random.Generator
 ) -> np.ndarray:
-    """Object-frame scatter offsets, rejection-sampled inside the trunc-sigma ellipse."""
+    """Object-frame scatter offsets, rejection-sampled inside the SCATTER_TRUNC-sigma ellipse."""
     out = np.empty((n, 2))
     filled = 0
     while filled < n:
         cand = rng.standard_normal((n - filled, 2))
-        keep = (cand**2).sum(axis=1) <= trunc**2
+        keep = (cand**2).sum(axis=1) <= SCATTER_TRUNC**2
         took = cand[keep]
         out[filled : filled + len(took)] = took
         filled += len(took)
@@ -269,8 +278,8 @@ def generate_radar(
     if not mounts:
         raise ValueError("at least one sensor mount is required")
     cycle = 1.0 / cfg.radar_rate
-    t_lo = cfg.radar_start_margin
-    t_hi = cfg.duration - cfg.radar_start_margin
+    t_lo = RADAR_START_MARGIN
+    t_hi = cfg.duration - RADAR_START_MARGIN
 
     # Each sensor's schedule accumulates its cycle like `t += cycle` would.
     steps = int((t_hi - t_lo) / cycle) + 2
@@ -296,7 +305,7 @@ def generate_radar(
 
     # VRU points: body scatter in the object frame, moving rigidly with the VRU.
     scan = np.repeat(np.arange(n_scans), n_vru)
-    offsets = _sample_body_offsets(len(scan), cfg.body_sigma(), cfg.scatter_trunc, rng)
+    offsets = _sample_body_offsets(len(scan), cfg.body_sigma(), rng)
     rel_x, rel_y = to_global(offsets, 0.0, 0.0, yaw[scan])
     points = xy[scan] + np.column_stack([rel_x, rel_y])
     # each point moves with the VRU's centre, plus the yaw rate turning its offset
@@ -306,8 +315,8 @@ def generate_radar(
     los = points - sensor_xy[sensor[scan]]
     r_true = np.hypot(los[:, 0], los[:, 1])
     vr = (vel * los).sum(axis=1) / np.maximum(r_true, 1e-9)
-    vr += rng.normal(0.0, cfg.doppler_sigma, len(scan))
-    amp = cfg.amp_ref_db - 40.0 * np.log10(np.maximum(r_true, 1e-3))
+    vr += rng.normal(0.0, DOPPLER_SIGMA, len(scan))
+    amp = AMP_REF_DB - 40.0 * np.log10(np.maximum(r_true, 1e-3))
     amp += rng.normal(0.0, cfg.amp_sigma_db, len(scan))
     r, az = _polar_by_sensor(points, sensor[scan], cfg)
 
@@ -315,18 +324,16 @@ def generate_radar(
     c_scan = np.repeat(np.arange(n_scans), n_clutter)
     r_c = np.sqrt(rng.uniform(1.0, max_range[c_scan] ** 2))
     az_c = rng.uniform(-fov[c_scan], fov[c_scan])
-    vr_c = rng.uniform(-cfg.clutter_velocity_span, cfg.clutter_velocity_span, len(c_scan))
-    amp_c = cfg.amp_ref_db + cfg.clutter_amp_offset_db - 40.0 * np.log10(r_c)
+    vr_c = rng.uniform(-CLUTTER_VELOCITY_SPAN, CLUTTER_VELOCITY_SPAN, len(c_scan))
+    amp_c = AMP_REF_DB + CLUTTER_AMP_OFFSET_DB - 40.0 * np.log10(r_c)
     amp_c += rng.normal(0.0, cfg.amp_sigma_db, len(c_scan))
 
     # Group rows by scan; the stable sort keeps each scan's VRU rows first.
-    # Amplitude is not quantized (step 0).
     rows = np.argsort(np.concatenate([scan, c_scan]), kind="stable")
-    columns = [
-        _quantize(np.concatenate(pair)[rows], step)
-        for pair, step in (((r, r_c), cfg.range_step), ((az, az_c), cfg.azimuth_step),
-                           ((vr, vr_c), cfg.radial_velocity_step), ((amp, amp_c), 0.0))
-    ]
+    columns = [_quantize(np.concatenate(pair)[rows], step)
+               for pair, step in (((r, r_c), RANGE_STEP), ((az, az_c), AZIMUTH_STEP),
+                                  ((vr, vr_c), RADIAL_VELOCITY_STEP))]
+    columns.append(np.concatenate([amp, amp_c])[rows])
     offsets = scan_offsets(n_vru + n_clutter)
     scans = ScanTable(times, sensor_ids, offsets,
                       Detections(*columns, index=rank_in_scan(offsets)))

@@ -4,14 +4,15 @@ Raw streams are smoothed with a centered moving average, positions are
 interpolated with a natural cubic spline, and an optional loosely-coupled
 GNSS+IMU filter provides robustness against GNSS perturbations: it dead
 reckons on gyro and accelerometer data and only accepts GNSS fixes whose
-innovation passes a gate.
+innovation passes a gate.  The filter has one tuning, held in this module's
+constants (`GATE` to `V_MAX`) together with `STANDSTILL_SPEED`; no caller
+sets its own.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,27 @@ import numpy as np
 from .core import GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, TRAJ_COLUMNS, GnssQuality, wrap_angle
 
 STANDSTILL_SPEED = 0.05  # m/s, shared branch threshold for standstill handling
+
+# Gains and gates of the loosely-coupled GNSS+IMU filter in `fuse_gnss_imu`.
+GATE = 0.5  # m, innovation gate separating perturbations from RTK noise
+GATE_GROWTH = 0.15  # m/s of coasting added to the gate, models drift uncertainty
+GATE_MAX = 1.5  # m, keeps far-off fixes rejected no matter how long the coast
+MAX_REJECT_TIME = 12.0  # s of consecutive gating before a hard reset
+MAX_FIX_GAP = 0.3  # s, course/speed window resets across acceptance gaps
+POS_GAIN = 0.3
+SPEED_GAIN = 0.2
+COURSE_GAIN = 0.12
+COURSE_WINDOW = 9  # accepted fixes used for the GNSS course/speed estimate
+COURSE_MIN_DIST = 0.15  # m, displacement needed before course is trusted
+COURSE_MIN_SPAN = 0.25  # s, baseline needed before course/speed are trusted
+MAX_COURSE_STEP = 0.05  # rad, per-fix yaw correction limit
+MAX_SPEED_STEP = 0.25  # m/s, per-fix speed correction limit
+GYRO_BIAS_GAIN = 0.01
+ACCEL_BIAS_GAIN = 0.01
+BIAS_ADAPT_MAX_VERR = 0.3  # m/s, bias learning pauses above these errors
+BIAS_ADAPT_MAX_CERR = 0.1  # rad
+OMEGA_MIN = 0.05  # rad/s, standstill yaw-rate threshold
+V_MAX = 12.0  # m/s
 
 
 class FusionError(RuntimeError):
@@ -237,37 +259,7 @@ def _smoothed(series: np.ndarray, stage: str) -> np.ndarray:
     return xy
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    """Gains and gates of the loosely-coupled GNSS+IMU filter."""
-
-    gate: float = 0.5  # m, innovation gate separating perturbations from RTK noise
-    gate_growth: float = 0.15  # m/s of coasting added to the gate, models drift uncertainty
-    gate_max: float = 1.5  # m, keeps far-off fixes rejected no matter how long the coast
-    max_fix_gap: float = 0.3  # s, course/speed window resets across acceptance gaps
-    pos_gain: float = 0.3
-    speed_gain: float = 0.2
-    course_gain: float = 0.12
-    course_window: int = 9  # accepted fixes used for the GNSS course/speed estimate
-    course_min_dist: float = 0.15  # m, displacement needed before course is trusted
-    course_min_span: float = 0.25  # s, baseline needed before course/speed are trusted
-    max_course_step: float = 0.05  # rad, per-fix yaw correction limit
-    max_speed_step: float = 0.25  # m/s, per-fix speed correction limit
-    gyro_bias_gain: float = 0.01
-    accel_bias_gain: float = 0.01
-    bias_adapt_max_verr: float = 0.3  # m/s, bias learning pauses above these errors
-    bias_adapt_max_cerr: float = 0.1  # rad
-    v_min: float = STANDSTILL_SPEED  # m/s, standstill speed threshold
-    omega_min: float = 0.05  # rad/s, standstill yaw-rate threshold
-    v_max: float = 12.0
-    max_reject_time: float = 12.0  # s of consecutive gating before a hard reset
-
-
-def fuse_gnss_imu(
-    gnss: np.ndarray,
-    imu: np.ndarray,
-    params: FusionParams = FusionParams(),
-) -> np.ndarray:
+def fuse_gnss_imu(gnss: np.ndarray, imu: np.ndarray) -> np.ndarray:
     """Dead-reckon on IMU data and apply gated GNSS position corrections.
 
     Output states, a table of TRAJ_COLUMNS, are emitted at the IMU timestamps
@@ -310,7 +302,7 @@ def fuse_gnss_imu(
     gyro_bias = 0.0
     accel_bias = 0.0
     initializing = True
-    recent: deque[tuple[float, float, float]] = deque(maxlen=params.course_window)  # (t, x, y)
+    recent: deque[tuple[float, float, float]] = deque(maxlen=COURSE_WINDOW)  # (t, x, y)
 
     out: list[tuple[float, ...]] = []
     prev_t: float | None = None
@@ -322,7 +314,7 @@ def fuse_gnss_imu(
         prev_t = t
         w = yaw_rate - gyro_bias
         a = accel_forward - accel_bias
-        standstill = speed < params.v_min and abs(w) < params.omega_min
+        standstill = speed < STANDSTILL_SPEED and abs(w) < OMEGA_MIN
         if dt > 0.0 and not initializing:
             if standstill:
                 speed = 0.0
@@ -330,7 +322,7 @@ def fuse_gnss_imu(
                 yaw = wrap_angle(yaw + w * dt)
                 x += speed * math.cos(yaw) * dt
                 y += speed * math.sin(yaw) * dt
-                speed = min(max(speed + a * dt, 0.0), params.v_max)
+                speed = min(max(speed + a * dt, 0.0), V_MAX)
 
         while g_idx < len(fixes) and fixes[g_idx][0] <= t:
             fix_t, fix_x, fix_y, degraded = fixes[g_idx]
@@ -339,19 +331,16 @@ def fuse_gnss_imu(
                 continue
             if not initializing:
                 innovation = math.hypot(fix_x - x, fix_y - y)
-                gate = min(
-                    params.gate_max,
-                    params.gate + params.gate_growth * max(0.0, fix_t - last_accept_t),
-                )
+                gate = min(GATE_MAX, GATE + GATE_GROWTH * max(0.0, fix_t - last_accept_t))
                 if innovation >= gate:
-                    if fix_t - last_accept_t > params.max_reject_time:
+                    if fix_t - last_accept_t > MAX_REJECT_TIME:
                         # Persistent disagreement: reinitialize on the fix.
                         x, y = fix_x, fix_y
                         recent.clear()
                         last_accept_t = fix_t
                     continue
             last_accept_t = fix_t
-            if recent and fix_t - recent[-1][0] > params.max_fix_gap:
+            if recent and fix_t - recent[-1][0] > MAX_FIX_GAP:
                 recent.clear()
             recent.append((fix_t, fix_x, fix_y))
             oldest_t, oldest_x, oldest_y = recent[0]
@@ -361,13 +350,13 @@ def fuse_gnss_imu(
 
             if initializing:
                 x, y = fix_x, fix_y
-                if span >= params.course_min_span and dist >= params.course_min_dist:
+                if span >= COURSE_MIN_SPAN and dist >= COURSE_MIN_DIST:
                     # Moving start: seed course and speed from the fix window.
                     half_turn = 0.5 * w * span
                     yaw = wrap_angle(math.atan2(dy, dx) + half_turn)
-                    speed = min(dist / span, params.v_max)
+                    speed = min(dist / span, V_MAX)
                     initializing = False
-                elif span >= 4.0 * params.course_min_span and dist < params.course_min_dist:
+                elif span >= 4.0 * COURSE_MIN_SPAN and dist < COURSE_MIN_DIST:
                     # Standstill start: engage frozen at the fix position.
                     yaw = 0.0
                     speed = 0.0
@@ -375,9 +364,9 @@ def fuse_gnss_imu(
                 continue
 
             if not standstill:
-                x += params.pos_gain * (fix_x - x)
-                y += params.pos_gain * (fix_y - y)
-            if span >= params.course_min_span:
+                x += POS_GAIN * (fix_x - x)
+                y += POS_GAIN * (fix_y - y)
+            if span >= COURSE_MIN_SPAN:
                 # The fix-window secant measures speed and course at the
                 # window midpoint; while turning, rotate it forward by half
                 # a window and stretch chord to arc before comparing.
@@ -385,16 +374,16 @@ def fuse_gnss_imu(
                 chord_factor = half_turn / math.sin(half_turn) if abs(half_turn) > 1e-6 else 1.0
                 v_gnss = dist / span * chord_factor
                 err_v = v_gnss - speed
-                step_v = _clip(params.speed_gain * err_v, params.max_speed_step)
-                speed = min(max(speed + step_v, 0.0), params.v_max)
-                if abs(err_v) < params.bias_adapt_max_verr:
-                    accel_bias -= params.accel_bias_gain * err_v
-                if dist >= params.course_min_dist:
+                step_v = _clip(SPEED_GAIN * err_v, MAX_SPEED_STEP)
+                speed = min(max(speed + step_v, 0.0), V_MAX)
+                if abs(err_v) < BIAS_ADAPT_MAX_VERR:
+                    accel_bias -= ACCEL_BIAS_GAIN * err_v
+                if dist >= COURSE_MIN_DIST:
                     course = math.atan2(dy, dx) + half_turn
                     err_c = wrap_angle(course - yaw)
-                    yaw = wrap_angle(yaw + _clip(params.course_gain * err_c, params.max_course_step))
-                    if abs(err_c) < params.bias_adapt_max_cerr:
-                        gyro_bias -= params.gyro_bias_gain * err_c
+                    yaw = wrap_angle(yaw + _clip(COURSE_GAIN * err_c, MAX_COURSE_STEP))
+                    if abs(err_c) < BIAS_ADAPT_MAX_CERR:
+                        gyro_bias -= GYRO_BIAS_GAIN * err_c
 
         out.append((t, x, y, yaw, speed, w))
     states = np.array(out, dtype=[(name, float) for name in TRAJ_COLUMNS])
@@ -403,13 +392,9 @@ def fuse_gnss_imu(
     return states
 
 
-def build_fused_trajectory(
-    gnss: np.ndarray,
-    imu: np.ndarray,
-    params: FusionParams = FusionParams(),
-) -> ReferenceTrajectory:
+def build_fused_trajectory(gnss: np.ndarray, imu: np.ndarray) -> ReferenceTrajectory:
     """Fusion filter output smoothed and wrapped as a reference trajectory."""
-    states = fuse_gnss_imu(gnss, imu, params)
+    states = fuse_gnss_imu(gnss, imu)
     if len(states) < 2:
         raise FusionError("fusion produced fewer than two states")
     return ReferenceTrajectory(states["timestamp"], _smoothed(states, "fused"), imu=imu)

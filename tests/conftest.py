@@ -20,7 +20,6 @@ from vruradar.core import (
 from vruradar.evaluation import cycle_stats
 from vruradar.simulator import ScenarioData, preset, simulate_scenario
 from vruradar.trajectory import (
-    FusionParams,
     ReferenceTrajectory,
     build_fused_trajectory,
     build_trajectory,
@@ -48,7 +47,7 @@ def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
     t0 = time.perf_counter()
     cfg = preset(name, seed=seed)
     data = simulate_scenario(cfg)
-    traj_f = build_fused_trajectory(data.gnss, data.imu, FusionParams())
+    traj_f = build_fused_trajectory(data.gnss, data.imu)
     fused = annotate_scenario(data.scans, traj_f, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     gnss_only = traj_g = None
     if both_modes:

@@ -152,7 +152,7 @@ def test_nominal_scores_match_across_modes():
     # the same to within a fraction of a percent
     cfg = replace(preset("cyclist-nominal", seed=8), duration=30.0)
     data = simulate_scenario(cfg)
-    from vruradar.trajectory import FusionParams, build_fused_trajectory, build_trajectory
+    from vruradar.trajectory import build_fused_trajectory, build_trajectory
 
     truth = truth_map(data)
     r_gnss = annotate_scenario(
@@ -160,7 +160,7 @@ def test_nominal_scores_match_across_modes():
     )
     r_imu = annotate_scenario(
         data.scans,
-        build_fused_trajectory(data.gnss, data.imu, FusionParams()),
+        build_fused_trajectory(data.gnss, data.imu),
         cfg.vru_kind, cfg.mounts, cfg.ego_pose,
     )
     s_gnss = score_assignment(r_gnss.scans, truth, Averaging.MACRO)

@@ -705,6 +705,22 @@ def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, key):
     assert f"{key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"lambda0": -5}, "lambda0 must be > 0, got -5.0"),
+    ({"r0": 0}, "r0 must be > 0, got 0.0"),
+    ({"perturbation": {"start": 1.0, "duration": -2}}, "duration must be > 0, got -2.0"),
+    ({"perturbation": {"start": 1.0, "duration": 2.0, "onset": -4}},
+     "onset must be >= 0, got -4.0"),
+], ids=["lambda0-negative", "r0-zero", "duration-negative", "onset-negative"])
+def test_simulate_config_out_of_range_exit_2(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"preset": "cyclist-nominal", **raw}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "swap"])
 @pytest.mark.parametrize("command", ["annotate", "evaluate"])
 def test_commands_reject_repeated_or_backward_scans(sim_dir, labeled_path, tmp_path, capsys,

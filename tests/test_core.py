@@ -16,6 +16,7 @@ from vruradar.core import (
     to_global,
     to_local,
     wrap_angle,
+    wrap_angles,
 )
 
 from conftest import global_to_polar, polar_to_global
@@ -35,6 +36,19 @@ def test_wrap_angle_rejects_non_finite():
         wrap_angle(float("nan"))
     with pytest.raises(ValueError):
         wrap_angle(float("inf"))
+
+
+def test_wrap_angles_matches_wrap_angle_to_the_bit():
+    pi, two_pi = math.pi, 2 * math.pi
+    edges = [0.0, pi, two_pi, 3 * pi, 1e15, 1e300, np.nextafter(pi, 0), np.nextafter(pi, 4),
+             np.nextafter(two_pi, 0), np.nextafter(two_pi, 7), 5e-324]
+    values = np.concatenate([edges, np.negative(edges),
+                             np.random.default_rng(0).uniform(-1e4, 1e4, 20_000)])
+    want = np.array([wrap_angle(a) for a in values.tolist()])
+    assert wrap_angles(values).tobytes() == want.tobytes()
+    assert np.isnan(wrap_angles([np.nan, 1.0])[0])
+    with pytest.raises(ValueError, match="angle must be finite, got -inf"):
+        wrap_angles([1.0, -np.inf, np.inf])
 
 
 @given(finite_angles)

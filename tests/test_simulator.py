@@ -6,6 +6,11 @@ import pytest
 
 from vruradar.core import VruKind
 from vruradar.simulator import (
+    AMP_REF_DB,
+    AZIMUTH_STEP,
+    RADIAL_VELOCITY_STEP,
+    RANGE_STEP,
+    DetectionRateParams,
     EightCourse,
     Perturbation,
     ScenarioConfig,
@@ -162,11 +167,10 @@ def test_imu_constant_bias_drifts_linearly():
 # --- radar -------------------------------------------------------------------------
 
 def test_radar_quantization_steps(ped_data):
-    cfg = ped_data.config
     for scan in list(ped_data.scans)[:200]:
         d = scan.detections
-        for values, step in ((d.range_m, cfg.range_step), (d.azimuth, cfg.azimuth_step),
-                             (d.radial_velocity, cfg.radial_velocity_step)):
+        for values, step in ((d.range_m, RANGE_STEP), (d.azimuth, AZIMUTH_STEP),
+                             (d.radial_velocity, RADIAL_VELOCITY_STEP)):
             ratio = values / step
             assert ratio == pytest.approx(np.round(ratio), abs=1e-6)
             assert not np.signbit(values[values == 0.0]).any()  # zero is written as 0.0
@@ -233,7 +237,7 @@ def test_radar_amplitude_follows_r4_law():
         sx, sy = sensor_xy(mounts[scan.sensor_id], cfg.ego_pose)
         r_true = np.hypot(raw[:, 0] - sx, raw[:, 1] - sy)
         amp = scan.detections.amplitude
-        assert amp == pytest.approx(cfg.amp_ref_db - 40 * np.log10(r_true), abs=1e-9)
+        assert amp == pytest.approx(AMP_REF_DB - 40 * np.log10(r_true), abs=1e-9)
 
 
 def test_simulation_deterministic_under_seed():
@@ -267,9 +271,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, gnss_rate=0.0)
     for name in ("gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
-                 "accel_bias_sigma", "doppler_sigma", "amp_sigma_db"):
+                 "accel_bias_sigma", "amp_sigma_db"):
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, **{name: -0.1})
     with pytest.raises(ValueError, match="random_walk_sigma"):
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0,
                        perturbation=Perturbation(start=1.0, duration=1.0, random_walk_sigma=-0.1))
+    for name, value in (("lambda0", -5.0), ("lambda0", 0.0), ("r0", 0.0)):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            DetectionRateParams(**{name: value})
+    for kwargs, rule in (({"duration": -2.0}, "duration must be > 0"),
+                         ({"duration": 0.0}, "duration must be > 0"),
+                         ({"duration": 1.0, "onset": -4.0}, "onset must be >= 0")):
+        with pytest.raises(ValueError, match=rule):
+            Perturbation(start=1.0, **kwargs)
+    assert Perturbation(start=1.0, duration=1.0, onset=0.0).weight(1.5) == 1.0  # a step

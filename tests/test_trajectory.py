@@ -12,8 +12,10 @@ from vruradar.trajectory import (
     IMU_COLUMNS,
     QUALITY_DTYPE,
     TRAJ_COLUMNS,
+    GATE_MAX,
+    POS_GAIN,
+    V_MAX,
     FusionError,
-    FusionParams,
     GnssQuality,
     NaturalCubicSpline,
     OutOfRangeError,
@@ -248,7 +250,7 @@ def test_fusion_clean_matches_smoothed_gnss():
     cfg = preset("pedestrian-nominal", seed=3)
     data = simulate_scenario(cfg)
     tg = build_trajectory(data.gnss)
-    tf = build_fused_trajectory(data.gnss, data.imu, FusionParams())
+    tf = build_fused_trajectory(data.gnss, data.imu)
     tq = np.linspace(1.0, cfg.duration - 1.0, 400)
     pg = tg.states_at(tq)[:, :2]
     pf = tf.states_at(tq)[:, :2]
@@ -264,7 +266,7 @@ def test_fusion_rides_out_gnss_bias_window():
         perturbation=Perturbation(start=25.0, duration=3.0, bias=(1.2, -1.6)),
     )
     data = simulate_scenario(cfg)
-    states = fuse_gnss_imu(data.gnss, data.imu, FusionParams())
+    states = fuse_gnss_imu(data.gnss, data.imu)
     assert states.dtype.names == TRAJ_COLUMNS
     ts = states["timestamp"]
     xy = np.column_stack([states["x"], states["y"]])
@@ -283,6 +285,59 @@ def test_fusion_standstill_freeze():
     states = fuse_gnss_imu(gnss, imu_series(np.arange(901) / 90.0))
     assert set(states["x"].tolist()) == {5.0} and set(states["y"].tolist()) == {-2.0}
     assert not states["speed"].any()
+
+
+# A standstill start seeds yaw 0 and speed 0, and then turns at most 0.05 rad and speeds
+# up at most 0.25 m/s per accepted fix.  At 5 Hz, or on a walk off +x, the fixes leave
+# the gate before the filter catches up, and it coasts on until the 12 s hard reset.
+_LOST_AFTER_STANDSTILL_START = pytest.mark.xfail(
+    strict=True, reason="a standstill start follows only a walk along +x at 8 Hz")
+
+
+@pytest.mark.parametrize("rate, heading", [
+    (8.0, 0.0),
+    pytest.param(5.0, 0.0, marks=_LOST_AFTER_STANDSTILL_START),
+    pytest.param(8.0, math.pi / 2, marks=_LOST_AFTER_STANDSTILL_START),
+])
+def test_fusion_standstill_start_engages_then_follows(rate, heading):
+    # GNSS stands 2 s at (2, -1), jittering +-2 cm in y, then walks at 1.4 m/s.  The fix
+    # window has spanned 1.0 s at t = 1 s: from then on the filter engages at standstill
+    # and holds the fix it engaged on, where initialisation would snap to each jittering
+    # fix.  Once the walk starts it must follow.
+    t = np.arange(round(12 * rate) + 1) / rate
+    d = 1.4 * np.maximum(t - 2.0, 0.0)
+    jitter = np.where(t < 2.0, 0.02 * (-1.0) ** np.arange(len(t)), 0.0)
+    gnss = gnss_series(t, 2.0 + d * math.cos(heading), -1.0 + jitter + d * math.sin(heading))
+    states = fuse_gnss_imu(gnss, imu_series(np.arange(1081) / 90.0))
+    ts = states["timestamp"]
+    engaged = gnss[gnss["timestamp"] <= 1.0][-1]
+    held = (ts >= engaged["timestamp"]) & (ts < 2.0)
+    assert held.sum() >= 80
+    assert set(states["x"][held].tolist()) == {engaged["x"]}
+    assert set(states["y"][held].tolist()) == {engaged["y"]}
+    assert (states["speed"][held] < STANDSTILL_SPEED).all() and not states["yaw"][held].any()
+    d = 1.4 * np.maximum(ts - 2.0, 0.0)
+    err = np.hypot(states["x"] - 2.0 - d * math.cos(heading),
+                   states["y"] + 1.0 - d * math.sin(heading))
+    assert err[ts >= 5.0].max() < 0.05
+
+
+def test_fusion_hard_reset_after_persistent_rejection():
+    # A 3 m jump in y at t = 5 s stays beyond the largest gate (1.5 m): the filter coasts
+    # on the IMU until 12 s after the last accepted fix, then snaps onto the next fix.
+    t = np.arange(18 * 30 + 1) / 18.0
+    jumped = t >= 5.0
+    states = fuse_gnss_imu(gnss_series(t, 1.4 * t, np.where(jumped, 3.0, 0.0)),
+                           imu_series(np.arange(90 * 30 + 1) / 90.0))
+    reset_t = t[t > t[~jumped][-1] + 12.0][0]
+    ts, x, y = states["timestamp"], states["x"], states["y"]
+    assert reset_t == pytest.approx(17.0)
+    assert not y[ts < reset_t].any()
+    coast = (ts >= 5.0) & (ts < reset_t)
+    np.testing.assert_allclose(x[coast], 1.4 * ts[coast], rtol=0, atol=1e-6)
+    at = int(np.searchsorted(ts, reset_t))
+    assert ts[at] == reset_t and x[at] == 1.4 * reset_t
+    assert set(y[at:].tolist()) == {3.0}
 
 
 def test_fusion_skips_degraded_fixes():
@@ -307,12 +362,11 @@ def test_fusion_rejects_an_unknown_quality():
 def test_fused_output_is_continuous():
     cfg = preset("cyclist-perturbed", seed=0)
     data = simulate_scenario(cfg)
-    params = FusionParams()
-    states = fuse_gnss_imu(data.gnss, data.imu, params)
+    states = fuse_gnss_imu(data.gnss, data.imu)
     xy = np.column_stack([states["x"], states["y"]])
     ts = states["timestamp"]
     step = np.linalg.norm(np.diff(xy, axis=0), axis=1)
-    bound = params.v_max * np.diff(ts) + params.pos_gain * params.gate_max
+    bound = V_MAX * np.diff(ts) + POS_GAIN * GATE_MAX
     assert np.all(step <= bound)
 
 
