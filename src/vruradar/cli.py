@@ -8,7 +8,9 @@ command is deterministic given identical inputs and seed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -255,7 +257,7 @@ def cmd_signature(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:
-        truth = io.read_traj_csv(args.truth_traj)
+        truth = _read_truth_traj(args.truth_traj, labeled.timestamp)
         rows = np.column_stack([truth["x"], truth["y"], truth["yaw"]])
         states = rows[_nearest(truth["timestamp"], labeled.timestamp)]
     grid = signature.accumulate(
@@ -279,6 +281,19 @@ def cmd_signature(args) -> int:
         )
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
+
+
+def _read_truth_traj(path, timestamps) -> np.ndarray:
+    """The --truth-traj table.  A ConfigError names a scan time outside its span, where its
+    first or last row would stand in for the truth."""
+    truth = io.read_traj_csv(path)
+    times = truth["timestamp"]
+    if len(times):
+        outside = (timestamps < times[0]) | (timestamps > times[-1])
+        if outside.any():
+            raise ConfigError(f"--truth-traj spans t={times[0]:.9f} to {times[-1]:.9f} s, "
+                              f"not scan t={timestamps[outside.argmax()]:.9f}")
+    return truth
 
 
 def _nearest(times, timestamps) -> np.ndarray:
@@ -318,13 +333,16 @@ def cmd_track(args) -> int:
     unknown = set(scans.sensor_id.tolist()) - set(sensor_xy)
     if unknown:
         raise ConfigError(f"no mount configured for sensor {min(unknown)!r}")
+    truth = None  # each non-empty scan gets a track point, scored at the scan's time
+    if args.truth_traj is not None:
+        truth = _read_truth_traj(args.truth_traj, scans.timestamp)
     points = eot.run_tracker(scans, sensor_xy, eot.TrackerParams(), use_doppler=args.use_doppler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_table(out / "track.csv", "vruradar.track.v1", points[list(eot.TRACK_COLUMNS)])
     report = {"tracked_scans": len(points), "use_doppler": bool(args.use_doppler)}
-    if args.truth_traj is not None and len(points):
-        truth = truth_track_points(io.read_traj_csv(args.truth_traj), points["timestamp"],
+    if truth is not None and len(points):
+        truth = truth_track_points(truth, points["timestamp"],
                                    _body_extent_for_kind(meta["vru_kind"]))
         err = eot.tracking_metrics(points, truth)
         io.write_table(out / "errors.csv", "vruradar.track-errors.v1", err)
@@ -400,7 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _freeze_heap() -> None:
+    # CPython runs atexit hooks before its exit collections, which then skip the frozen heap.
+    # A frozen object is never collected as cyclic garbage, so no output may wait on a
+    # finalizer: every command writes and closes each of its files before it returns.
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    atexit.unregister(_freeze_heap)  # one hook, however often main is called
+    atexit.register(_freeze_heap)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

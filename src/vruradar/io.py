@@ -408,6 +408,10 @@ def _scan_table(c: dict, strings: dict) -> ScanTable:
                         VruKind(kind))
 
 
+def _repeated_label(t: float, idx) -> str:
+    return f"repeated label for t={t:.9f} point {idx}"
+
+
 def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> dict:
     """The truth labels of a truth-label file's columns, keyed by (scan `t` to the
     nanosecond, point idx): `timestamp` per scan, row `offsets` of the scans, `index` and
@@ -427,7 +431,7 @@ def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> di
         (np.repeat(~np.isfinite(t), counts),
          lambda r: f"bad label record: {_fault(finite_number, times[r], 't')}"),
         (is_vru > 1, lambda r: f"bad label record: is_vru must be 0 or 1, got {is_vru[r]}"),
-        (repeated, lambda r: f"repeated label for t={times[r]:.9f} point {index[r]}"),
+        (repeated, lambda r: _repeated_label(times[r], index[r])),
     ])
     return out
 
@@ -498,13 +502,13 @@ def _json_record(path, line: int):
 
 
 class _Decoded:
-    """The columns of a JSON-Lines file, decoded a record at a time and converted to arrays
-    a block at a time, so that no decoded record outlives its line.
+    """The columns of a radar or labeled file, decoded a record at a time and converted to
+    arrays a block at a time, so that no decoded record outlives its line.
 
     A reader checks what typed columns cannot hold (JSON structure and types), then
     appends the record's values to `values`, the flat lists of the columns of a sidecar
     schema.  `table` builds the table from the columns as from a sidecar, and names a
-    fault at the line of its scan, or truth-label row.
+    fault at the line of its scan.
     """
 
     def __init__(self, path, schema: dict, build):
@@ -639,28 +643,25 @@ def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
 
 
 def _decode_truth_labels(path, schema: dict) -> dict[tuple[float, int], str]:
-    rows, t = _Decoded(path, schema, truth_labels), None
-    timestamp, index, is_vru = (rows.values[name] for name in ("timestamp", "index", "is_vru"))
-    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, rows.table):
+    """The labels of a truth-label file, inserted as each record is decoded.  The dict is
+    the table, so no columns are built; the checks and messages are `truth_labels`'s."""
+    out: dict[tuple[float, int], str] = {}
+    t = key_t = None
+    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, lambda: None):
         try:
             raw_t, idx, label = _TRUTH_LABEL(rec)
-            if type(raw_t) is not float:
-                finite_number(raw_t, "t")
+            if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
+                key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
             if type(idx) is not int or idx not in _INT64:
                 _point_index(_json_record(path, i)["idx"])
             if label not in (LABEL_VRU, LABEL_CLUTTER):
                 raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            rows.fail(i, f"bad label record: {exc}")
-        rows.add(i, 1)
-        if raw_t != t:  # the points of a scan share t
-            t = raw_t
-            timestamp.append(float(t))
-            rows.counts.append(0)
-        rows.counts[-1] += 1
-        index.append(idx)
-        is_vru.append(label == LABEL_VRU)
-    return rows.table()
+            raise SchemaError(f"bad label record: {exc}", path, i) from None
+        if (key_t, idx) in out:
+            raise SchemaError(_repeated_label(key_t, idx), path, i)
+        out[key_t, idx] = label
+    return out
 
 
 # --- Labeled scans -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -858,3 +859,111 @@ def test_evaluate_rejects_an_unknown_truth_label(tmp_path, sim_dir, labeled_path
     assert f"{bad}:7: bad label record: label must be 'vru' or 'clutter', got None" in (
         capsys.readouterr().err)
     assert not (tmp_path / "eval" / "scores.csv").exists()
+
+
+def _truth_traj_within(sim_dir, tmp_path, lo: float, hi: float) -> Path:
+    """The drive's truth trajectory, cut to the rows from `lo` to `hi` s."""
+    path = tmp_path / "truth_traj.csv"
+    io.write_traj_csv(path, (truth := io.read_traj_csv(sim_dir / "truth_traj.csv"))[
+        (truth["timestamp"] >= lo) & (truth["timestamp"] <= hi)])
+    return path
+
+
+def _refused_scan_time(err: str, lo: float, hi: float) -> float:
+    match = re.fullmatch(rf"error: --truth-traj spans t={lo:.9f} to {hi:.9f} s, "
+                         r"not scan t=(\S+)\n", err)
+    assert match, err
+    return float(match[1])
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 10.0), (5.0, 20.0)])
+def test_signature_refuses_a_truth_traj_that_misses_a_scan(sim_dir, labeled_path, tmp_path,
+                                                           capsys, lo, hi):
+    truth = _truth_traj_within(sim_dir, tmp_path, lo, hi)
+    out = tmp_path / "sig" / "grid"
+    assert main(["signature", "--labeled", str(labeled_path), "--truth-traj", str(truth),
+                 "--out", str(out)]) == 2
+    t = _refused_scan_time(capsys.readouterr().err, lo, hi)
+    assert not lo <= t <= hi
+    assert t in io.read_labeled_jsonl(labeled_path).timestamp
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 10.0), (5.0, 20.0)])
+def test_track_refuses_a_truth_traj_that_misses_a_scan(sim_dir, labeled_path, tmp_path, capsys,
+                                                       lo, hi):
+    truth = _truth_traj_within(sim_dir, tmp_path, lo, hi)
+    out = tmp_path / "trk"
+    assert main(["track", "--labeled", str(labeled_path), "--scenario",
+                 str(sim_dir / "scenario.json"), "--truth-traj", str(truth),
+                 "--out", str(out)]) == 2
+    t = _refused_scan_time(capsys.readouterr().err, lo, hi)
+    assert not lo <= t <= hi
+    labeled = io.read_labeled_jsonl(labeled_path)
+    assert t in labeled.timestamp[labeled.n_assigned > 0]
+    assert not out.exists()
+
+
+def test_track_reads_the_truth_traj_without_assigned_points(labeled_path, sim_dir, tmp_path,
+                                                            capsys):
+    labeled = io.read_labeled_jsonl(labeled_path)
+    rejected = tmp_path / "rejected.jsonl"
+    io.write_labeled_jsonl(rejected, dataclasses.replace(
+        labeled, n_assigned=np.zeros(len(labeled), dtype=np.int64),
+        bounding=np.full_like(labeled.bounding, np.nan)))
+    missing = tmp_path / "no_truth_traj.csv"
+    assert main(["track", "--labeled", str(rejected), "--scenario", str(sim_dir / "scenario.json"),
+                 "--truth-traj", str(missing), "--out", str(tmp_path / "trk")]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "trk").exists()
+
+
+# Registered before vruradar.cli is imported, the probe's atexit hook runs after the CLI's
+# (atexit runs its hooks last in, first out) and just before the exit collections.  It prints
+# how often the heap was frozen and how many objects are frozen.
+_EXIT_PROBE = """
+import atexit, gc, sys
+freeze, freezes = gc.freeze, []
+gc.freeze = lambda: freezes.append(freeze())
+atexit.register(lambda: print("freezes", len(freezes), "frozen", gc.get_freeze_count(),
+                              file=sys.stderr))
+from vruradar.cli import main
+runs, argv = int(sys.argv[1]), sys.argv[2:]
+sys.exit(max([main(argv) for _ in range(runs)]))
+"""
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_a_command_process_freezes_its_heap_once_at_exit(labeled_path, tmp_path, runs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXIT_PROBE, str(runs), "signature", "--labeled",
+         str(labeled_path), "--out", str(tmp_path / "sig")],
+        capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    match = re.fullmatch(r"freezes 1 frozen (\d+)\n", proc.stderr)
+    assert match, proc.stderr
+    assert int(match[1]) > 0
+    assert (tmp_path / "sig.pgm").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,code", [
+    (["evaluate", "--labeled", "{labeled}", "--truth-labels", "{sim}/truth_labels.jsonl",
+      "--out", "{tmp}/eval"], 0),
+    (["simulate", "--out", "{tmp}/sim"], 2),  # neither --config nor --preset
+    (["simulate", "--no-such-option"], SystemExit),
+])
+def test_main_leaves_the_callers_gc_state(sim_dir, labeled_path, tmp_path, capsys, argv, code,
+                                          enabled):
+    argv = [a.format(labeled=labeled_path, sim=sim_dir, tmp=tmp_path) for a in argv]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.get_freeze_count(), gc.isenabled()
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+    finally:
+        gc.enable()
