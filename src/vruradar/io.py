@@ -3,12 +3,15 @@
 Every file starts with a format-version line; readers reject unknown
 versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
-resolution so records can be joined on them exactly.  orjson encodes and
-decodes JSON-Lines a record at a time; json decodes a line orjson rejects.
-Every value rule of a JSON-Lines file kind is written once, in the function
-that builds its table from columns (`_scan_table`, `truth_labels`).  A reader
-takes the columns from the file's column sidecar (`sidecar`, a byte codec)
-when one matches the file and they hold no fault, and else decodes the file.
+resolution so records can be joined on them exactly.  orjson encodes
+JSON-Lines a record at a time.  Every value rule of a JSON-Lines file kind is
+written once, in the function that builds its table from columns
+(`_scan_table`, `truth_labels`).  A reader takes the columns from the file's
+column sidecar (`sidecar`, a byte codec) when one matches the file and they
+hold no fault, and else decodes the file's text with `jsonl_decoder`, which
+it imports only then.  orjson is imported only by a writer of JSON-Lines text
+and by `jsonl_decoder`, so a command that reads every file from its sidecar
+loads none of either.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-import orjson
 
 from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
 from .core import (GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
-                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_counts, scan_offsets,
-                   table, wrap_angles)
+                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_counts, table,
+                   wrap_angles)
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"
@@ -238,18 +240,6 @@ STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
 BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
 
 
-_INT64 = range(-2**63, 2**63)  # the idx values a point table holds
-
-
-def _point_index(value) -> int:
-    # bool is an int subclass, and a float or string index would be silently truncated.
-    if type(value) is not int:
-        raise ValueError(f"point idx must be an integer, got {value!r}")
-    if value not in _INT64:
-        raise ValueError(f"point idx {value} is outside int64")
-    return value
-
-
 def finite_number(value, name: str) -> float:
     """`value` as a float if it is a finite JSON number.
 
@@ -279,27 +269,6 @@ def json_string(value, name: str) -> str:
 
 
 _POINT = ("point value",)
-
-
-def _check_numbers(values: Sequence, names: Sequence[str]) -> None:
-    """A ValueError names the first of `values` that is not a JSON number a float can hold,
-    values[k] as names[k % len(names)].  Whether a number is finite is a value rule, which
-    the table builders check."""
-    if not set(map(type, values)) <= {float}:
-        for k, v in enumerate(values):
-            if type(v) is not float:
-                finite_number(v, names[k % len(names)])
-
-
-def _pairs(column: tuple, key: str) -> list:
-    """The flat values of a column of JSON [x, y] pairs; a ValueError names a point that
-    holds no such pair."""
-    if not (set(map(type, column)) <= {list} and set(map(len, column)) <= {2}):
-        bad = next(q for q in column if type(q) is not list or len(q) != 2)
-        raise ValueError(f"point {key!r} must be an [x, y] pair, got {bad!r}")
-    values = [*chain.from_iterable(column)]
-    _check_numbers(values, _POINT)
-    return values
 
 
 def _track(track_id, kind) -> tuple[str, VruKind]:
@@ -436,15 +405,18 @@ def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> di
     return out
 
 
-def _read(path, schema: dict, build, decode):
+def _read(path, schema: dict, build, decode=None):
     """`build` of the columns of the sidecar of `path` if one matches the file and they hold
-    no fault; else `decode(path, schema)`, which names any fault."""
+    no fault; else `decode(path, schema)`, which names any fault: by default
+    `jsonl_decoder.decode`, whose module is imported only here."""
     got = sidecar.read(path, schema)
     if got is not None:
         try:
             return build(*got)
         except (KeyError, TypeError, ValueError):  # strings or columns that no writer writes
             pass
+    if decode is None:
+        from .jsonl_decoder import decode
     return decode(path, schema)
 
 
@@ -468,89 +440,12 @@ def _decode_json(text: str, what: str, path, line: int):
         raise SchemaError(f"{what} holds a {exc}", path, line) from None
 
 
-def _load_jsonl(path, tag: str, before_fault) -> Iterator[tuple[int, object]]:
-    """Check the header line, then decode and yield one (line number, record) at a time.
+def _encoder() -> Callable[[object], bytes]:
+    """orjson's encoder of one JSON-Lines line, bound once per file written: only a writer of
+    JSON-Lines text, or a reader that decodes it, loads orjson."""
+    import orjson
 
-    orjson decodes a line.  `_decode_json` decodes a line that orjson rejects,
-    or names its fault: NaN, 1e400, a lone surrogate escape, a byte that is not
-    UTF-8, or text after the JSON value.  `before_fault()` is called first, so that a
-    reader can name a fault of an earlier record instead."""
-    with _open_text(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise SchemaError("empty file", path, 1)
-        _check_jsonl_header(_decode_json(header, "header line", path, 1), tag, path)
-        for i, line in enumerate(fh, start=2):
-            if line != "\n":
-                try:
-                    rec = orjson.loads(line)
-                except ValueError:
-                    try:
-                        rec = _decode_json(line, "record", path, i)
-                    except SchemaError:
-                        before_fault()
-                        raise
-                yield i, rec
-
-
-def _json_record(path, line: int):
-    """The record at `line` of a JSONL file as json decodes it.  orjson reads an integer
-    literal beyond 64 bits as a float and json as an int, so a reader that finds a faulty
-    point idx reads its line again here, to name the idx by its literal."""
-    with _open_text(path) as fh:
-        return _DECODER.decode(next(islice(fh, line - 1, None)))
-
-
-class _Decoded:
-    """The columns of a radar or labeled file, decoded a record at a time and converted to
-    arrays a block at a time, so that no decoded record outlives its line.
-
-    A reader checks what typed columns cannot hold (JSON structure and types), then
-    appends the record's values to `values`, the flat lists of the columns of a sidecar
-    schema.  `table` builds the table from the columns as from a sidecar, and names a
-    fault at the line of its scan.
-    """
-
-    def __init__(self, path, schema: dict, build):
-        self.path, self.schema, self.build = path, schema, build
-        self.lines, self.counts, self.strings, self.codes, self.pending = [], [], {}, {}, 0
-        self.values = {name: [] for name in schema if name != "offsets"}
-        self.chunks = {name: [] for name in self.values}
-
-    def add(self, line: int, size: int, **values) -> None:
-        """Append the record at `line`, of `size` scans and points, and its values by column;
-        a reader appends to `counts` the points of each scan."""
-        if self.pending >= _BLOCK:
-            self._convert()
-        self.pending += size
-        self.lines.append(line)
-        for name, column in values.items():
-            self.values[name] += column
-
-    def _convert(self) -> None:
-        for name, values in self.values.items():
-            dtype, _, inner = self.schema[name]
-            self.chunks[name].append(np.array(values, dtype=dtype).reshape(-1, *inner))
-            values.clear()
-        self.pending = 0
-
-    def fail(self, line: int, message: str):
-        """Raise the fault of an earlier record, or else `message` at `line`."""
-        self.table()
-        raise SchemaError(message, self.path, line)
-
-    def table(self):
-        """The table of the records added, built by `build`."""
-        self._convert()
-        columns = {name: np.concatenate(self.chunks.pop(name)) for name in list(self.chunks)}
-        columns["offsets"] = scan_offsets(self.counts)
-        try:
-            return self.build(columns, {**self.strings, "sensor_ids": list(self.codes)})
-        except _Fault as fault:  # (message, k)
-            raise SchemaError(fault.args[0], self.path, self.lines[fault.args[1]]) from None
-
-
-_LINE = partial(orjson.dumps, option=orjson.OPT_APPEND_NEWLINE)  # one JSON-Lines line
+    return partial(orjson.dumps, option=orjson.OPT_APPEND_NEWLINE)
 
 
 def _write_jsonl(path, tag: str, chunks: Iterable[bytes], columns: dict[str, np.ndarray],
@@ -571,7 +466,7 @@ def _write_jsonl(path, tag: str, chunks: Iterable[bytes], columns: dict[str, np.
     sidecar.path_of(path).unlink(missing_ok=True)
     crc = 0
     with open(path, "wb") as fh:
-        for chunk in chain([_LINE({"format": tag})], chunks):
+        for chunk in chain([_encoder()({"format": tag})], chunks):
             fh.write(chunk)
             crc = zlib.crc32(chunk, crc)
         size = fh.tell() if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else None
@@ -595,15 +490,11 @@ def _scan_columns(scans: ScanTable) -> tuple[dict[str, np.ndarray], list[str], I
 
 # --- Radar scans ----------------------------------------------------------
 
-_NO_POINTS = ((),) * 7
-_POLAR = operator.itemgetter(*POLAR_KEYS)
-
-
 def write_radar_jsonl(path, scans: ScanTable) -> None:
     columns = {name: getattr(scans.detections, name) for name in _POLAR_COLUMNS}
     polar = np.column_stack(list(columns.values()))
     scan_columns, names, keys = _scan_columns(scans)
-    _write_jsonl(path, RADAR_TAG, map(_LINE, (
+    _write_jsonl(path, RADAR_TAG, map(_encoder(), (
         {"t": t, "sensor_id": sensor_id,
          "points": [{"range": r, "azimuth": a, "vr": v, "amp": p}
                     for r, a, v, p in polar[lo:hi].tolist()]}
@@ -613,13 +504,10 @@ def write_radar_jsonl(path, scans: ScanTable) -> None:
 
 def read_radar_jsonl(path) -> ScanTable:
     """The radar scans of a file; from its column sidecar if one matches it (see `sidecar`)."""
-    return _read(path, sidecar.RADAR, _scan_table, _decode_scans)
+    return _read(path, sidecar.RADAR, _scan_table)
 
 
 # --- Truth labels -----------------------------------------------------------
-
-_TRUTH_LABEL = operator.itemgetter("t", "idx", "label")
-
 
 def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
     """One record per row of `scans`, labeled by the (n,) bool column `is_vru`."""
@@ -628,8 +516,9 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
         raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
     index, offsets = scans.detections.index, scans.offsets.tolist()
     times = list(map(round, scans.timestamp.tolist(), repeat(9)))  # as written, to the ns
+    line = _encoder()
     _write_jsonl(path, TRUTH_LABELS_TAG, (
-        b"".join([_LINE({"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER})
+        b"".join([line({"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER})
                   for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())])
         for t, lo, hi in zip(times, offsets, offsets[1:])),
         {"timestamp": np.array(times, dtype=float), "offsets": scans.offsets, "index": index,
@@ -639,37 +528,10 @@ def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
 def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
     """The truth labels of a file, keyed by (t, idx); from its column sidecar if one matches
     it (see `sidecar`)."""
-    return _read(path, sidecar.TRUTH_LABELS, truth_labels, _decode_truth_labels)
-
-
-def _decode_truth_labels(path, schema: dict) -> dict[tuple[float, int], str]:
-    """The labels of a truth-label file, inserted as each record is decoded.  The dict is
-    the table, so no columns are built; the checks and messages are `truth_labels`'s."""
-    out: dict[tuple[float, int], str] = {}
-    t = key_t = None
-    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, lambda: None):
-        try:
-            raw_t, idx, label = _TRUTH_LABEL(rec)
-            if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
-                key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
-            if type(idx) is not int or idx not in _INT64:
-                _point_index(_json_record(path, i)["idx"])
-            if label not in (LABEL_VRU, LABEL_CLUTTER):
-                raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad label record: {exc}", path, i) from None
-        if (key_t, idx) in out:
-            raise SchemaError(_repeated_label(key_t, idx), path, i)
-        out[key_t, idx] = label
-    return out
+    return _read(path, sidecar.TRUTH_LABELS, truth_labels)
 
 
 # --- Labeled scans -----------------------------------------------------------
-
-_LABELED_POINT = operator.itemgetter(*POLAR_KEYS, "idx", "ego", "global")
-_STATE = operator.itemgetter(*STATE_KEYS)
-_BOUNDING = operator.itemgetter(*BOUNDING_KEYS)
-
 
 def write_labeled_jsonl(path, scans: LabeledTable) -> None:
     """One record per scan; a scan whose `bounding` row is NaN has no bounding ellipse, and
@@ -685,7 +547,7 @@ def write_labeled_jsonl(path, scans: LabeledTable) -> None:
                  "global": [gx, gy]}
                 for i, (r, a, v, p, ex, ey, gx, gy) in zip(d.index[lo:hi].tolist(),
                                                              values[lo:hi].tolist())]
-    _write_jsonl(path, LABELED_TAG, map(_LINE, (
+    _write_jsonl(path, LABELED_TAG, map(_encoder(), (
         {"t": t, "track_id": scans.track_id, "vru_kind": scans.vru_kind.value,
          "sensor_id": sensor_id,
          "assigned": points(lo, mid), "rejected": points(mid, hi),
@@ -703,56 +565,7 @@ def write_labeled_jsonl(path, scans: LabeledTable) -> None:
 def read_labeled_jsonl(path) -> LabeledTable:
     """The labeled scans of one track; every record must name the same track and kind.
     From the file's column sidecar if one matches it (see `sidecar`)."""
-    return _read(path, sidecar.LABELED, _scan_table, _decode_scans)
-
-
-def _decode_scans(path, schema: dict) -> ScanTable:
-    """The table of a radar or labeled file (`schema` is `sidecar.RADAR` or `LABELED`)."""
-    labeled, scans, track, values = "index" in schema, _Decoded(path, schema, _scan_table), None, {}
-    for i, rec in _load_jsonl(path, LABELED_TAG if labeled else RADAR_TAG, scans.table):
-        try:
-            t, sensor_id = rec["t"], rec["sensor_id"]
-            if type(t) is not float:
-                t = finite_number(t, "t")
-            if type(sensor_id) is not str:
-                json_string(sensor_id, "sensor_id")
-            if labeled:
-                state, bounding = _STATE(rec["vru_state"]), rec.get("bounding")
-                bounding = bounding if bounding is None else _BOUNDING(bounding)
-                _check_numbers(state + (bounding or ()), STATE_KEYS + BOUNDING_KEYS)
-                assigned = rec["assigned"]
-                points = assigned + rec["rejected"]
-            else:
-                points = rec["points"]
-            if type(points) is not list:
-                raise ValueError(f"points must be a list, got {points!r}")
-            columns = list(zip(*map(_LABELED_POINT if labeled else _POLAR, points))) or _NO_POINTS
-            for column in columns[:4]:
-                _check_numbers(column, _POINT)
-            if labeled:
-                idx, ego, glob = columns[4:]
-                if idx and not (set(map(type, idx)) <= {int} and min(idx) in _INT64
-                                and max(idx) in _INT64):
-                    literal = _json_record(path, i)
-                    literal = [q["idx"] for q in literal["assigned"] + literal["rejected"]]
-                    _point_index(next(x for x in literal if type(x) is not int or x not in _INT64))
-                this = rec["track_id"], rec["vru_kind"]
-                if track is None:  # the builder checks the first record's track and kind
-                    track = scans.strings["track_id"], scans.strings["vru_kind"] = this
-                elif this != track:
-                    this, first = _track(*this), _track(*track)
-                    raise ValueError(f"track {this[0]!r} ({this[1].value}) differs from the "
-                                     f"first record's {first[0]!r} ({first[1].value})")
-                values = dict(index=idx, ego=_pairs(ego, "ego"), global_xy=_pairs(glob, "global"),
-                              n_assigned=(len(assigned),), vru_state=state,
-                              bounding=bounding or (math.nan,) * 5)
-        except (KeyError, TypeError, ValueError) as exc:
-            scans.fail(i, f"bad {'labeled' if labeled else 'radar'} record: {exc}")
-        scans.counts.append(len(points))
-        scans.add(i, 1 + len(points), timestamp=(t,),
-                  sensor=(scans.codes.setdefault(sensor_id, len(scans.codes)),),
-                  **dict(zip(_POLAR_COLUMNS, columns)), **values)
-    return scans.table()
+    return _read(path, sidecar.LABELED, _scan_table)
 
 
 # --- Scenario manifest --------------------------------------------------------

@@ -5,6 +5,8 @@ after another.  The header holds the format tag, the byte length and CRC-32 of
 the JSON-Lines file the columns were written with, the CRC-32 of the strings
 and columns, each column's name, dtype and shape, and the strings of the
 file: sensor ids, track id and kind.  Only the `io` writers write a sidecar.
+The header is read and written with the standard library's `json`, so that a
+command that reads its files from their sidecars loads no orjson.
 
 This module is only the byte codec.  `read` returns the columns and strings
 only if the sidecar matches the file byte for byte and holds exactly the
@@ -16,13 +18,13 @@ file whenever that finds a fault or the sidecar does not match.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import zlib
 from pathlib import Path
 
 import numpy as np
-import orjson
 
 TAG = "vruradar.cols.v1"
 _MAX_HEADER = 1 << 20  # bytes; a longer first line is no header
@@ -56,15 +58,22 @@ def write(path, size: int, crc: int, columns: dict[str, np.ndarray], strings: di
               "payload_crc32": payload_crc, "strings": strings,
               "columns": [[name, a.dtype.str, list(a.shape)] for name, a in zip(columns, arrays)]}
     with open(path_of(path), "wb") as fh:
-        fh.write(orjson.dumps(header, option=orjson.OPT_APPEND_NEWLINE))
+        fh.write(_canonical(header) + b"\n")
         for a in arrays:
             fh.write(a.data)
+
+
+def _canonical(value, sort_keys: bool = False) -> bytes:
+    """`value` as compact UTF-8 JSON: the bytes `orjson.dumps` gives, with
+    `orjson.OPT_SORT_KEYS` if `sort_keys`, for the strings and integers of a header."""
+    return json.dumps(value, sort_keys=sort_keys, separators=(",", ":"),
+                      ensure_ascii=False).encode()
 
 
 def _strings_crc(strings) -> int:
     """CRC-32 of the strings' canonical bytes: the payload CRC starts from it, so that it
     also covers the header's strings."""
-    return zlib.crc32(orjson.dumps(strings, option=orjson.OPT_SORT_KEYS))
+    return zlib.crc32(_canonical(strings, sort_keys=True))
 
 
 def _crc32(path) -> int:
@@ -81,7 +90,7 @@ def read(path, schema: dict) -> tuple[dict[str, np.ndarray], dict] | None:
     declares the columns of `schema`.  Each column is its own writable array."""
     try:
         with open(path_of(path), "rb") as fh:
-            header = orjson.loads(fh.readline(_MAX_HEADER))
+            header = json.loads(fh.readline(_MAX_HEADER))
             declared, lengths = header["columns"], {}
             if (header["format"] != TAG or len(declared) != len(schema)
                     or os.stat(path).st_size != header["jsonl_bytes"]):
@@ -107,5 +116,5 @@ def read(path, schema: dict) -> tuple[dict[str, np.ndarray], dict] | None:
                 or _crc32(path) != header["jsonl_crc32"]):
             return None
         return columns, strings
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):  # json: a deep nesting
         return None

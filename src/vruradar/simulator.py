@@ -111,8 +111,11 @@ class ScenarioConfig:
         for name in ("gnss_rate", "imu_rate", "radar_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not self.duration >= 2 * RADAR_START_MARGIN:  # radar scans keep off both ends
+            raise ValueError(f"duration must be >= {2 * RADAR_START_MARGIN} s to hold a radar "
+                             f"scan, got {self.duration!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.rng_seed!r}")
         if self.speed <= 0:
             raise ValueError("speed must be > 0")
         scales = {name: getattr(self, name) for name in (

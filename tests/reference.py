@@ -45,7 +45,8 @@ from vruradar.selection import (
 )
 from vruradar.io import (BOUNDING_KEYS, LABELED_TAG, POLAR_KEYS, RADAR_TAG, STATE_KEYS,
                          TRUTH_LABELS_TAG, SchemaError, _check_header, _check_jsonl_header,
-                         _decode_json, _point_index, finite_number, json_string)
+                         _decode_json, finite_number, json_string)
+from vruradar.jsonl_decoder import _point_index
 from vruradar.trajectory import STANDSTILL_SPEED, GnssQuality
 
 

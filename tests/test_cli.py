@@ -13,6 +13,7 @@ import pytest
 import vruradar
 from vruradar import cli, eot, io, trajectory
 from vruradar.cli import main
+from vruradar.core import LabeledTable
 
 from conftest import reorder_scans
 
@@ -609,8 +610,9 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.startswi
 def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
     labeled, truth = str(labeled_path), str(sim_dir / "truth_labels.jsonl")
     evaluate = ["evaluate", "--labeled", labeled, "--truth-labels", truth]
-    # Each command with the layers it runs besides cli and core; every command but a bare
-    # import reads or writes JSON-Lines files and their column sidecars.
+    # Each command with the package modules it runs besides cli: its own module in
+    # `commands`, core, and the layers it calls.  Every file here has a matching column
+    # sidecar, so no command runs `jsonl_decoder`.
     commands = {
         "import": ([], []),
         "simulate": (["simulate", "--config", str(write_config(tmp_path / "config.json",
@@ -637,12 +639,87 @@ def test_no_command_loads_scipy(sim_dir, labeled_path, tmp_path):
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["rc"] == 0, (name, proc.stderr)
         assert result["scipy"] == [], name
-        # orjson encodes and decodes JSONL, which every command but a bare import writes or reads.
-        assert result["orjson"] == (name != "import"), name
+        # orjson encodes JSON-Lines text and decodes a file without a matching sidecar, so
+        # only the commands that write JSON-Lines files load it.
+        assert result["orjson"] == (name in ("simulate", "annotate")), name
         # The sidecar CRCs use zlib: OpenSSL's hashlib would add about 3.7 MB to each process.
         # numpy.random loads it (through `secrets`), so only simulate does.
         assert result["hashlib"] == (name == "simulate"), name
-        assert result["ran"] == sorted(["cli", "core", *layers]), name
+        own = [] if name == "import" else ["commands", f"commands.{argv[0]}", "core"]
+        assert result["ran"] == sorted(["cli", *own, *layers]), name
+
+
+# Reads each (kind, path) of a JSON list with `io`'s reader, then deletes every path's column
+# sidecar and reads them all again.  Prints, per read, the table's columns (or the
+# SchemaError's message and line) and whether jsonl_decoder and orjson had been loaded by then.
+_READ_PROBE = """
+import dataclasses, json, os, sys
+from vruradar import io
+
+def read(kind, path):
+    try:
+        got = getattr(io, f"read_{kind}_jsonl")(path)
+    except io.SchemaError as exc:
+        return {"fault": str(exc), "line": exc.line}
+    if kind == "truth_labels":
+        return repr(sorted(got.items()))
+    columns = {f.name: getattr(got.detections, f.name) for f in dataclasses.fields(got.detections)}
+    for name in ("timestamp", "sensor_id", "offsets", "n_assigned", "vru_state", "bounding"):
+        columns[name] = getattr(got, name, None)
+    return {**{name: repr(c.tolist()) for name, c in columns.items() if c is not None},
+            "track": repr((getattr(got, "track_id", None), getattr(got, "vru_kind", None)))}
+
+def read_all():
+    return [[read(kind, path), "vruradar.jsonl_decoder" in sys.modules, "orjson" in sys.modules]
+            for kind, path in files]
+
+files = json.loads(sys.argv[1])
+results = read_all()
+for _, path in files:
+    os.unlink(path + ".cols")
+print(json.dumps(results + read_all()))
+"""
+
+
+def test_only_a_file_without_a_matching_sidecar_is_decoded(sim_dir, labeled_path, tmp_path):
+    # The decoder module, and orjson, are loaded only for a file whose sidecar is missing or
+    # does not match.  Decoded, each file gives the table, or the fault message and line,
+    # that it gives with its sidecar.
+    sources = {"radar": sim_dir / "radar.jsonl", "truth_labels": sim_dir / "truth_labels.jsonl",
+               "labeled": labeled_path}
+    scans, labeled = io.read_radar_jsonl(sources["radar"]), io.read_labeled_jsonl(labeled_path)
+    repeated = np.r_[0:6, 5:len(scans)]  # the sixth scan twice: it does not follow itself
+    radar, rows = scans.take(repeated), labeled.take(repeated)
+    faulty = {"radar": lambda p: io.write_radar_jsonl(p, radar),
+              "truth_labels": lambda p: io.write_truth_labels_jsonl(
+                  p, radar, radar.detections.index % 2 == 0),
+              "labeled": lambda p: io.write_labeled_jsonl(p, LabeledTable(
+                  rows.timestamp, rows.sensor_id, rows.offsets, rows.detections,
+                  labeled.n_assigned[repeated], labeled.vru_state[repeated],
+                  labeled.bounding[repeated], labeled.track_id, labeled.vru_kind))}
+    files = []
+    for name in ("good", "faulty"):  # every good file is read before any faulty one
+        for kind, source in sources.items():
+            path = tmp_path / f"{kind}-{name}.jsonl"
+            if name == "good":
+                for suffix in ("", ".cols"):
+                    (tmp_path / f"{path.name}{suffix}").write_bytes(
+                        (source.parent / f"{source.name}{suffix}").read_bytes())
+            else:
+                faulty[kind](path)
+            files.append([kind, str(path)])
+    proc = subprocess.run([sys.executable, "-c", _READ_PROBE, json.dumps(files)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.splitlines()[-1])
+    with_sidecar, decoded = results[:len(files)], results[len(files):]
+    assert all(loaded == [False, False] for _, *loaded in with_sidecar[:len(sources)])
+    for (kind, _), (got, *loaded), (want, *_) in zip(files, decoded, with_sidecar):
+        assert got == want, kind
+        assert loaded == [True, True], kind
+    faults = [result[0] for result in with_sidecar[len(sources):]]
+    assert all("does not follow" in f["fault"] or "repeated label" in f["fault"] for f in faults)
+    assert all(f["line"] > 2 for f in faults), faults
 
 
 # Refuses every scipy import, then runs each argv of a JSON list through the CLI
@@ -712,7 +789,12 @@ def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, key):
     ({"perturbation": {"start": 1.0, "duration": -2}}, "duration must be > 0, got -2.0"),
     ({"perturbation": {"start": 1.0, "duration": 2.0, "onset": -4}},
      "onset must be >= 0, got -4.0"),
-], ids=["lambda0-negative", "r0-zero", "duration-negative", "onset-negative"])
+    ({"duration": 0.05}, "duration must be >= 1.0 s to hold a radar scan, got 0.05"),
+    ({"duration": 0.3}, "duration must be >= 1.0 s to hold a radar scan, got 0.3"),
+    ({"duration": 0.95}, "duration must be >= 1.0 s to hold a radar scan, got 0.95"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["lambda0-negative", "r0-zero", "duration-negative", "onset-negative", "duration-0.05",
+        "duration-0.3", "duration-0.95", "seed-negative"])
 def test_simulate_config_out_of_range_exit_2(tmp_path, capsys, raw, message):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"preset": "cyclist-nominal", **raw}), encoding="utf-8")
@@ -720,6 +802,13 @@ def test_simulate_config_out_of_range_exit_2(tmp_path, capsys, raw, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_preset_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "cyclist-nominal", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "swap"])

@@ -13,9 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _imported_packages() -> set[str]:
-    """The top-level names of every absolute import in src/vruradar, function bodies included."""
+    """The top-level names of every absolute import in src/vruradar and its subpackages,
+    function bodies included."""
     names = set()
-    for path in (ROOT / "src" / "vruradar").glob("*.py"):
+    for path in (ROOT / "src" / "vruradar").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)

@@ -20,7 +20,7 @@ import orjson
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from vruradar import io, sidecar
+from vruradar import io, jsonl_decoder, sidecar
 from vruradar.annotation import annotate_scenario
 from vruradar.core import Detections, LabeledTable, ScanTable, VruKind, scan_offsets
 from vruradar.simulator import preset, simulate_scenario
@@ -33,11 +33,11 @@ def _kind(write, schema, build, decode) -> tuple:
 
 KINDS = {  # kind -> (write(path, table, is_vru), sidecar reader, decoding reader)
     "radar": _kind(lambda p, t, _: io.write_radar_jsonl(p, t), sidecar.RADAR, io._scan_table,
-                   io._decode_scans),
+                   jsonl_decoder._decode_scans),
     "truth_labels": _kind(io.write_truth_labels_jsonl, sidecar.TRUTH_LABELS, io.truth_labels,
-                          io._decode_truth_labels),
+                          jsonl_decoder._decode_truth_labels),
     "labeled": _kind(lambda p, t, _: io.write_labeled_jsonl(p, t), sidecar.LABELED,
-                     io._scan_table, io._decode_scans),
+                     io._scan_table, jsonl_decoder._decode_scans),
 }
 READ = {"radar": io.read_radar_jsonl, "truth_labels": io.read_truth_labels_jsonl,
         "labeled": io.read_labeled_jsonl}
@@ -151,7 +151,7 @@ def _edit_value(path):
     rec = json.loads(lines[-1])
     key = "idx" if "idx" in rec else "t"
     rec[key] += 1
-    lines[-1] = io._LINE(rec).decode()
+    lines[-1] = io._encoder()(rec).decode()
     path.write_text("".join(lines), encoding="utf-8")
 
 
@@ -184,6 +184,11 @@ def _retag(cols):
 def _wrong_dtype(cols):
     # Same length, so only the declared dtype differs: big-endian floats.
     cols.write_bytes(cols.read_bytes().replace(b'"<f8"', b'">f8"', 1))
+
+
+def _nest_header(cols):
+    # Deeper than the json module's recursion limit, which raises RecursionError.
+    cols.write_bytes(b"[" * 100_000 + b"\n" + cols.read_bytes().split(b"\n", 1)[1])
 
 
 def _payload_crc(strings, payload: bytes) -> int:
@@ -248,7 +253,8 @@ def _scan_before_its_sensors_last(c):  # the sensor's second scan at the time of
 
 FILE_EDITS = {"edited": _edit_value, "respelt": _respell}
 SIDECAR_EDITS = {"truncated": _truncate, "flipped-byte": _flip_payload_byte, "wrong-tag": _retag,
-                 "wrong-dtype": _wrong_dtype, "upper-case-ids": _upper_case_ids,
+                 "wrong-dtype": _wrong_dtype, "nested-header": _nest_header,
+                 "upper-case-ids": _upper_case_ids,
                  "strings-not-an-object": _strings_not_an_object,
                  "negative-range": _set("range_m", -1.0),
                  "assigned-beyond-scan": _set("n_assigned", 10**6),
@@ -315,7 +321,7 @@ def test_a_failed_write_leaves_no_sidecar(written, tmp_path, monkeypatch):
             raise OSError("disk full")
         return orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE)
 
-    monkeypatch.setattr(io, "_LINE", fail_after_three_lines)
+    monkeypatch.setattr(io, "_encoder", lambda: fail_after_three_lines)
     with pytest.raises(OSError, match="disk full"):
         io.write_radar_jsonl(path, data.scans)
     assert not sidecar.path_of(path).exists()
@@ -362,3 +368,23 @@ def test_writers_refuse_an_id_that_utf8_cannot_encode(written, tmp_path, kind, c
     with pytest.raises(ValueError, match=f"column '{column}' holds a lone surrogate"):
         KINDS[kind][0](path, table, data.is_vru)
     assert list(tmp_path.iterdir()) == []
+
+
+# Text a writer accepts as an id (any that UTF-8 can encode), rich in what JSON escapes.
+id_text = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f é中\U0001f600')
+                  | st.characters(codec="utf-8"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["radar", "truth_labels", "labeled"]),
+       sensor_ids=st.lists(id_text, unique=True, max_size=4), track_id=id_text,
+       vru_kind=st.sampled_from([k.value for k in VruKind]))
+def test_strings_crc_hashes_the_bytes_orjson_writes(kind, sensor_ids, track_id, vru_kind):
+    # Sidecars written while orjson spelt these bytes must still match.
+    strings = {"radar": {"sensor_ids": sensor_ids}, "truth_labels": {},
+               "labeled": {"sensor_ids": sensor_ids, "track_id": track_id,
+                           "vru_kind": vru_kind}}[kind]
+    canonical = orjson.dumps(strings, option=orjson.OPT_SORT_KEYS)
+    assert sidecar._strings_crc(strings) == zlib.crc32(canonical)
+    assert sidecar._canonical(strings, sort_keys=True) == canonical
+    assert sidecar._canonical(strings) == orjson.dumps(strings)

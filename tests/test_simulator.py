@@ -286,3 +286,24 @@ def test_config_validation():
         with pytest.raises(ValueError, match=rule):
             Perturbation(start=1.0, **kwargs)
     assert Perturbation(start=1.0, duration=1.0, onset=0.0).weight(1.5) == 1.0  # a step
+
+
+@pytest.mark.parametrize("duration", [0.05, 0.3, 0.95])
+def test_config_refuses_a_drive_too_short_for_a_radar_scan(duration):
+    # Scans run from 0.5 s after the start to 0.5 s before the end.
+    with pytest.raises(ValueError, match=rf"duration must be >= 1.0 s .*got {duration}$"):
+        ScenarioConfig(vru_kind=VruKind.CYCLIST, speed=3.0, duration=duration)
+
+
+def test_shortest_drive_holds_one_radar_scan():
+    data = simulate_scenario(replace(preset("cyclist-nominal", seed=0), duration=1.0))
+    assert len(data.scans) == 1
+    assert data.scans.timestamp.tolist() == [0.5]
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1$"):
+        ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, rng_seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        preset("pedestrian-nominal", seed=-3)
+    assert ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, rng_seed=0).rng_seed == 0
