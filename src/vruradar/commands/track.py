@@ -43,7 +43,7 @@ def run(args) -> int:
     truth = None  # each non-empty scan gets a track point, scored at the scan's time
     if args.truth_traj is not None:
         truth = _read_truth_traj(args.truth_traj, scans.timestamp)
-    points = eot.run_tracker(scans, sensor_xy, eot.TrackerParams(), use_doppler=args.use_doppler)
+    points = eot.run_tracker(scans, sensor_xy, use_doppler=args.use_doppler)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     io.write_table(out / "track.csv", "vruradar.track.v1", points[list(eot.TRACK_COLUMNS)])

@@ -4,7 +4,9 @@ The kinematic state [x, y, speed, heading, yaw_rate] follows a constant-turn
 model; the object extent is a symmetric positive-definite 2x2 matrix updated
 from the per-scan measurement mean and scatter, rotated along with the
 heading during prediction.  An optional scalar update against the scan's mean
-radial velocity anchors speed and heading to the Doppler channel.
+radial velocity anchors speed and heading to the Doppler channel.  The filter
+has one tuning, held in this module's constants (`EXTENT_SCALE` to
+`SEED_BASELINE`); no function takes a tuning argument.
 """
 
 from __future__ import annotations
@@ -18,6 +20,19 @@ import numpy as np
 from .core import ScanTable, fold_axis, table, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
+EXTENT_SCALE = 0.25  # measurement spread = EXTENT_SCALE * extent + noise
+MEAS_NOISE_SIGMA = 0.12  # m, per-detection Cartesian noise
+DOPPLER_NOISE_SIGMA = 0.15  # m/s, noise of the scan-mean radial velocity
+Q_POS = 0.02**2  # process noise densities, per second
+Q_SPEED = 0.2**2
+Q_HEADING = 0.02**2
+Q_YAW_RATE = 0.4**2
+DOF_FLOOR = 5.0
+DOF_RETAIN_PER_S = 0.99
+INIT_DOF = 10.0
+INIT_EXTENT_FLOOR = 0.04  # m^2, eigenvalue floor of the initial extent
+INIT_COV = (0.25, 0.25, 1.0, 1.0, 0.25)
+SEED_BASELINE = 0.5  # s of track before heading/speed are seeded from displacement
 # 95% quantile of chi-square with 2 dof (-2 ln 0.05), the bound a consistent filter's position
 # NIS stays within in 95% of updates (Bar-Shalom, Li & Kirubarajan 2001)
 NIS_95 = -2.0 * math.log(0.05)
@@ -67,34 +82,6 @@ class RmmTrack:
     @property
     def position(self) -> np.ndarray:
         return self.kin[:2].copy()
-
-
-@dataclass(frozen=True)
-class ExtentEstimate:
-    length: float
-    width: float
-    orientation: float  # (-pi/2, pi/2]
-
-    def __post_init__(self) -> None:
-        if not (self.length >= self.width > 0):
-            raise ValueError("need length >= width > 0")
-
-
-@dataclass(frozen=True)
-class TrackerParams:
-    extent_scale: float = 0.25  # measurement spread = extent_scale * extent + noise
-    meas_noise_sigma: float = 0.12  # m, per-detection Cartesian noise
-    doppler_noise_sigma: float = 0.15  # m/s, noise of the scan-mean radial velocity
-    q_pos: float = 0.02**2  # process noise densities, per second
-    q_speed: float = 0.2**2
-    q_heading: float = 0.02**2
-    q_yaw_rate: float = 0.4**2
-    dof_floor: float = 5.0
-    dof_retain_per_s: float = 0.99
-    init_dof: float = 10.0
-    init_extent_floor: float = 0.04  # m^2, eigenvalue floor of the initial extent
-    init_cov: tuple[float, ...] = (0.25, 0.25, 1.0, 1.0, 0.25)
-    seed_baseline: float = 0.5  # s of track before heading/speed are seeded from displacement
 
 
 def _sym(m: np.ndarray) -> tuple[float, float, float]:
@@ -152,7 +139,7 @@ def _ct_step(x: float, y: float, v: float, h: float, w: float, dt: float):
 _EYE5 = np.eye(5)
 
 
-def predict(track: RmmTrack, dt: float, params: TrackerParams = TrackerParams()) -> RmmTrack:
+def predict(track: RmmTrack, dt: float) -> RmmTrack:
     """Propagate kinematics along a circular arc and rotate the extent with it."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -161,8 +148,7 @@ def predict(track: RmmTrack, dt: float, params: TrackerParams = TrackerParams())
     x1, y1, jac[0, 2:], jac[1, 2:] = _ct_step(x, y, v, h, w, dt)
     jac[3, 4] = dt
     cov = jac @ track.cov @ jac.T
-    cov.flat[::6] += (params.q_pos * dt, params.q_pos * dt, params.q_speed * dt,
-                      params.q_heading * dt, params.q_yaw_rate * dt)
+    cov.flat[::6] += (Q_POS * dt, Q_POS * dt, Q_SPEED * dt, Q_HEADING * dt, Q_YAW_RATE * dt)
     cov = 0.5 * (cov + cov.T)
     # R X R^T for the rotation R by the turned angle, written out for a symmetric X
     a, b, d = _sym(track.extent)
@@ -170,31 +156,26 @@ def predict(track: RmmTrack, dt: float, params: TrackerParams = TrackerParams())
     cc, cs, ss = c * c, c * s, s * s
     a1, d1 = cc * a - 2.0 * cs * b + ss * d, ss * a + 2.0 * cs * b + cc * d
     b1 = cs * (a - d) + (cc - ss) * b
-    retain = params.dof_retain_per_s**dt
-    dof = params.dof_floor + (track.dof - params.dof_floor) * retain
-    dof = max(dof, params.dof_floor)
+    retain = DOF_RETAIN_PER_S**dt
+    dof = DOF_FLOOR + (track.dof - DOF_FLOOR) * retain
+    dof = max(dof, DOF_FLOOR)
     return RmmTrack(kin=(x1, y1, v, h + w * dt, w), cov=cov, extent=((a1, b1), (b1, d1)),
                     dof=dof, timestamp=track.timestamp + dt)
 
 
-def update(
-    track: RmmTrack,
-    points,
-    params: TrackerParams = TrackerParams(),
-    *,
-    radial_velocities=None,
-    sensor_pos=None,
-    use_doppler: bool = False,
-) -> RmmTrack:
+def update(track: RmmTrack, points, *, radial_velocities=None, sensor_pos=None) -> RmmTrack:
     """Measurement update from one scan's assigned points.
 
     The position is corrected against the measurement mean with an innovation
     covariance that combines the scaled extent with sensor noise; the extent
     becomes a dof-weighted blend of its prediction, the measurement scatter,
-    and the innovation outer product.  With `use_doppler`, a scalar update
-    against the scan's mean radial velocity follows.  The result carries the
-    normalised innovation squared of the position update in `nis`.
+    and the innovation outer product.  Given the points' radial velocities and
+    the sensor position, a scalar update against the scan's mean radial
+    velocity follows.  The result carries the normalised innovation squared of
+    the position update in `nis`.
     """
+    if (radial_velocities is None) != (sensor_pos is None):
+        raise ValueError("doppler update needs radial velocities and the sensor position")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n == 0:
@@ -203,11 +184,11 @@ def update(
     diffs = pts - zbar
     za, zb, zd = _sym(diffs.T @ diffs)  # measurement scatter Z
 
-    # spread Y = extent_scale X + noise I; innovation covariance S = H P H^T + Y / n,
+    # spread Y = EXTENT_SCALE X + noise I; innovation covariance S = H P H^T + Y / n,
     # where H picks the position, so H P H^T = P[:2, :2] and P H^T = P[:, :2]
     xa, xb, xd = _sym(track.extent)
-    noise = params.meas_noise_sigma**2
-    k = params.extent_scale
+    noise = MEAS_NOISE_SIGMA**2
+    k = EXTENT_SCALE
     ya, yb, yd = k * xa + noise, k * xb, k * xd + noise
     pa, pb, pd = _sym(track.cov[:2, :2])
     sa, sb, sd = pa + ya / n, pb + yb / n, pd + yd / n
@@ -236,17 +217,15 @@ def update(
     eb = (dof * xb + ux * uy + r21 * m11 + r22 * m12) / weight
     ed = (dof * xd + uy * uy + r21 * m21 + r22 * m22) / weight
 
-    if use_doppler:
-        if radial_velocities is None or sensor_pos is None:
-            raise ValueError("doppler update needs radial velocities and the sensor position")
+    if radial_velocities is not None:
         vr = np.asarray(radial_velocities, dtype=float)
-        kin, cov = _doppler_update(kin, cov, vr.sum() / len(vr), sensor_pos, params)
+        kin, cov = _doppler_update(kin, cov, vr.sum() / len(vr), sensor_pos)
     return RmmTrack(kin=kin, cov=cov, extent=((ea, eb), (eb, ed)), dof=weight,
                     timestamp=track.timestamp, nis=float(nx * wx + ny * wy))
 
 
-def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float, sensor_pos,
-                    params: TrackerParams) -> tuple[np.ndarray, np.ndarray]:
+def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float,
+                    sensor_pos) -> tuple[np.ndarray, np.ndarray]:
     """Scalar update of the state and its (symmetric) covariance against a radial velocity."""
     x, y, v, h, _ = kin.tolist()
     sx, sy = map(float, sensor_pos)
@@ -258,33 +237,28 @@ def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float, sensor_pos
     # the measurement row is zero but for d/d speed (h2) and d/d heading (h3)
     h2, h3 = ch * ux + sh * uy, v * (-sh * ux + ch * uy)
     ph = cov[:, 2:4] @ np.array((h2, h3))
-    s = float(h2 * ph[2] + h3 * ph[3]) + params.doppler_noise_sigma**2
+    s = float(h2 * ph[2] + h3 * ph[3]) + DOPPLER_NOISE_SIGMA**2
     # P h h^T P / s, formed from the symmetric outer product so that it stays symmetric
     return kin + ph * ((vr_meas - v * h2) / s), cov - ph[:, None] * ph / s
 
 
-def extract_extent(track: RmmTrack) -> ExtentEstimate:
-    """Length, width, and orientation from the eigen-structure of the extent.
+def extract_extent(track: RmmTrack) -> tuple[float, float, float]:
+    """Length, width, and orientation in (-pi/2, pi/2] from the eigen-structure of the extent,
+    with length >= width > 0.
 
     The eigenvalues are tr/2 +- r with r = hypot((a - d)/2, b), and the major
     axis lies at atan2(2b, a - d)/2.
     """
     a, b, d = _sym(track.extent)
     mid, r = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
-    if mid - r <= 0.0:
+    if not mid - r > 0.0:  # NaN too: an infinite extent has no width
         raise ExtentError("extent matrix is not positive definite")
     # An exactly isotropic extent has no major axis; report the y axis, as eigh does.
     angle = 0.5 * math.atan2(2.0 * b, a - d) if b or a != d else math.pi / 2
-    return ExtentEstimate(
-        length=2.0 * math.sqrt(mid + r),
-        width=2.0 * math.sqrt(mid - r),
-        orientation=fold_axis(angle),
-    )
+    return 2.0 * math.sqrt(mid + r), 2.0 * math.sqrt(mid - r), fold_axis(angle)
 
 
-def initialize_track(
-    points, timestamp: float, params: TrackerParams = TrackerParams()
-) -> RmmTrack:
+def initialize_track(points, timestamp: float) -> RmmTrack:
     """Start a track on the first scan: mean position, zero speed, scatter extent.
 
     The scan scatter lives in the measurement-spread domain, so it maps to the
@@ -296,30 +270,25 @@ def initialize_track(
         raise ValueError("cannot initialize a track without detections")
     center = pts.mean(axis=0)
     if len(pts) > 1:
-        ext = np.cov(pts, rowvar=False, ddof=1) / params.extent_scale
+        ext = np.cov(pts, rowvar=False, ddof=1) / EXTENT_SCALE
     else:
         ext = np.zeros((2, 2))
     eigval, eigvec = np.linalg.eigh(0.5 * (ext + ext.T))
-    eigval = np.maximum(eigval, params.init_extent_floor)
+    eigval = np.maximum(eigval, INIT_EXTENT_FLOOR)
     extent = (eigvec * eigval) @ eigvec.T
     kin = np.array([center[0], center[1], 0.0, 0.0, 0.0])
-    return RmmTrack(kin=kin, cov=np.diag(params.init_cov), extent=extent, dof=params.init_dof,
+    return RmmTrack(kin=kin, cov=np.diag(INIT_COV), extent=extent, dof=INIT_DOF,
                     timestamp=timestamp)
 
 
-def run_tracker(
-    scans: ScanTable,
-    sensor_pos: Mapping[str, np.ndarray],
-    params: TrackerParams = TrackerParams(),
-    *,
-    use_doppler: bool = False,
-) -> np.ndarray:
+def run_tracker(scans: ScanTable, sensor_pos: Mapping[str, np.ndarray], *,
+                use_doppler: bool = False) -> np.ndarray:
     """Drive the filter over a table of scans and emit a track table, one row per non-empty
     scan.  A scan's points are its `global_xy` rows; `sensor_pos` maps each of its sensors to
     the sensor's (2,) global position, which the Doppler update needs.
 
     The track starts on the first non-empty scan; heading and speed are seeded
-    from the track displacement once `seed_baseline` seconds have passed, and
+    from the track displacement once `SEED_BASELINE` seconds have passed, and
     Doppler updates only engage after that.
     """
     track: RmmTrack | None = None
@@ -332,27 +301,27 @@ def run_tracker(
         if lo == hi:
             continue
         if track is None:
-            track = initialize_track(xy[lo:hi], t, params)
+            track = initialize_track(xy[lo:hi], t)
             anchor = (t, track.position)
         else:
             dt = t - track.timestamp
             if dt <= 0:
                 raise ValueError("scan timestamps must be strictly increasing")
-            track = predict(track, dt, params)
+            track = predict(track, dt)
             # through the module global, so that a wrapped `update` sees every call
-            track = update(track, xy[lo:hi], params, radial_velocities=vr[lo:hi],
-                           sensor_pos=sensor_pos[sensor_id], use_doppler=use_doppler and seeded)
+            if use_doppler and seeded:
+                track = update(track, xy[lo:hi], radial_velocities=vr[lo:hi],
+                               sensor_pos=sensor_pos[sensor_id])
+            else:
+                track = update(track, xy[lo:hi])
             if not seeded and anchor is not None:
                 span = track.timestamp - anchor[0]
-                if span >= params.seed_baseline:
+                if span >= SEED_BASELINE:
                     delta = track.position - anchor[1]
                     track.kin[2] = float(np.hypot(delta[0], delta[1])) / span
                     track.kin[3] = wrap_angle(float(math.atan2(delta[1], delta[0])))
                     seeded = True
-        est = extract_extent(track)
-        x, y, speed, heading, yaw_rate = track.kin.tolist()
-        out.append((track.timestamp, x, y, speed, heading, yaw_rate, est.length, est.width,
-                    est.orientation, track.nis))
+        out.append((track.timestamp, *track.kin.tolist(), *extract_extent(track), track.nis))
     return np.array(out, dtype=[(name, float) for name in (*TRACK_COLUMNS, "nis")])
 
 

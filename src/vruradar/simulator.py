@@ -3,7 +3,8 @@
 A Gerono lemniscate traversed at constant speed provides analytic ground
 truth; GNSS, IMU, and radar streams are derived from it with configurable
 noise, clutter and an optional GNSS perturbation window.  The radar's
-resolution, amplitude and Doppler model are the module constants below.
+resolution, amplitude and Doppler model, and the IMU's noise, are the module
+constants below.
 Everything is driven by one seeded generator, so a fixed seed reproduces
 byte-identical output.
 """
@@ -31,6 +32,12 @@ RADIAL_VELOCITY_STEP = 0.17  # m/s
 AMP_REF_DB = 30.0  # power at 1 m range
 CLUTTER_AMP_OFFSET_DB = -8.0
 CLUTTER_VELOCITY_SPAN = 3.0  # m/s, clutter Doppler drawn uniform in +-span
+AMP_SIGMA_DB = 3.0  # radar amplitude noise
+# IMU error model
+GYRO_SIGMA = 0.005  # rad/s
+GYRO_BIAS_SIGMA = 0.002  # rad/s, constant per run
+ACCEL_SIGMA = 0.05  # m/s^2
+ACCEL_BIAS_SIGMA = 0.01  # m/s^2, constant per run
 
 
 @dataclass(frozen=True)
@@ -99,12 +106,6 @@ class ScenarioConfig:
     mounts: tuple[SensorMount, ...] = field(default_factory=default_mounts)
     ego_pose: Pose = field(default_factory=lambda: Pose(-11.0, 0.0, 0.0))
     rng_seed: int = 0
-    # IMU error model
-    gyro_sigma: float = 0.005  # rad/s
-    gyro_bias_sigma: float = 0.002  # rad/s, constant per run
-    accel_sigma: float = 0.05  # m/s^2
-    accel_bias_sigma: float = 0.01  # m/s^2, constant per run
-    amp_sigma_db: float = 3.0  # radar amplitude noise
     scatter_sigma: tuple[float, float] | None = None  # defaults per VRU kind
 
     def __post_init__(self) -> None:
@@ -114,13 +115,13 @@ class ScenarioConfig:
         if not self.duration >= 2 * RADAR_START_MARGIN:  # radar scans keep off both ends
             raise ValueError(f"duration must be >= {2 * RADAR_START_MARGIN} s to hold a radar "
                              f"scan, got {self.duration!r}")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.rng_seed!r}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed!r}")
         if self.speed <= 0:
             raise ValueError("speed must be > 0")
-        scales = {name: getattr(self, name) for name in (
-            "gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
-            "accel_bias_sigma", "amp_sigma_db")}
+        scales = {"gnss_sigma": self.gnss_sigma, "clutter_rate": self.clutter_rate}
         if self.perturbation is not None:
             scales["random_walk_sigma"] = self.perturbation.random_walk_sigma
         for name, value in scales.items():
@@ -225,11 +226,11 @@ def generate_gnss(
 def generate_imu(
     course: EightCourse, cfg: ScenarioConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    gyro_bias, accel_bias = rng.normal(0.0, (cfg.gyro_bias_sigma, cfg.accel_bias_sigma))
+    gyro_bias, accel_bias = rng.normal(0.0, (GYRO_BIAS_SIGMA, ACCEL_BIAS_SIGMA))
     dt = 1.0 / cfg.imu_rate
     times = np.arange(round(cfg.duration * cfg.imu_rate) + 1) * dt
     _, yaw, _, true_rate = course.states(times)
-    gyro_noise, accel_noise = rng.normal(0.0, (cfg.gyro_sigma, cfg.accel_sigma), (len(times), 2)).T
+    gyro_noise, accel_noise = rng.normal(0.0, (GYRO_SIGMA, ACCEL_SIGMA), (len(times), 2)).T
     yaw_rate = true_rate + gyro_bias + gyro_noise
     # Constant-speed course: true forward acceleration is zero.
     accel = accel_bias + accel_noise
@@ -320,7 +321,7 @@ def generate_radar(
     vr = (vel * los).sum(axis=1) / np.maximum(r_true, 1e-9)
     vr += rng.normal(0.0, DOPPLER_SIGMA, len(scan))
     amp = AMP_REF_DB - 40.0 * np.log10(np.maximum(r_true, 1e-3))
-    amp += rng.normal(0.0, cfg.amp_sigma_db, len(scan))
+    amp += rng.normal(0.0, AMP_SIGMA_DB, len(scan))
     r, az = _polar_by_sensor(points, sensor[scan], cfg)
 
     n_clutter = rng.poisson(cfg.clutter_rate, n_scans)
@@ -329,7 +330,7 @@ def generate_radar(
     az_c = rng.uniform(-fov[c_scan], fov[c_scan])
     vr_c = rng.uniform(-CLUTTER_VELOCITY_SPAN, CLUTTER_VELOCITY_SPAN, len(c_scan))
     amp_c = AMP_REF_DB + CLUTTER_AMP_OFFSET_DB - 40.0 * np.log10(r_c)
-    amp_c += rng.normal(0.0, cfg.amp_sigma_db, len(c_scan))
+    amp_c += rng.normal(0.0, AMP_SIGMA_DB, len(c_scan))
 
     # Group rows by scan; the stable sort keeps each scan's VRU rows first.
     rows = np.argsort(np.concatenate([scan, c_scan]), kind="stable")

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy import stats as sps
@@ -141,23 +140,22 @@ def test_criterion_06_confidence_ellipse_calibration():
     _report(6, "95% confidence ellipse contains ~95% of samples", ok, f"coverage={frac:.4f}")
 
 
-def test_criterion_07_rmm_filter_properties():
+def test_criterion_07_rmm_filter_properties(monkeypatch):
     rng = np.random.default_rng(7)
-    params = eot.TrackerParams()
     # 10^4-step randomized soak keeps the extent SPD
-    track = eot.initialize_track(rng.normal(0, 0.3, (6, 2)), 0.0, params)
+    track = eot.initialize_track(rng.normal(0, 0.3, (6, 2)), 0.0)
     spd_ok = True
     for _ in range(10000):
-        track = eot.predict(track, float(rng.uniform(0.01, 0.4)), params)
+        track = eot.predict(track, float(rng.uniform(0.01, 0.4)))
         pts = track.position + rng.normal(0, 0.5, (int(rng.integers(1, 12)), 2))
-        track = eot.update(track, pts, params)
+        track = eot.update(track, pts)
         if np.linalg.eigvalsh(track.extent)[0] <= 0.0:
             spd_ok = False
             break
     # noise-free constant-turn flow property
-    noiseless = replace(
-        params, q_pos=0.0, q_speed=0.0, q_heading=0.0, q_yaw_rate=0.0, dof_retain_per_s=1.0
-    )
+    for name in ("Q_POS", "Q_SPEED", "Q_HEADING", "Q_YAW_RATE"):
+        monkeypatch.setattr(eot, name, 0.0)
+    monkeypatch.setattr(eot, "DOF_RETAIN_PER_S", 1.0)
     semigroup_worst = 0.0
     for _ in range(200):
         tr = eot.RmmTrack(
@@ -171,8 +169,8 @@ def test_criterion_07_rmm_filter_properties():
             timestamp=0.0,
         )
         a, b = rng.uniform(0.01, 2.0, 2)
-        t1 = eot.predict(eot.predict(tr, float(a), noiseless), float(b), noiseless)
-        t2 = eot.predict(tr, float(a + b), noiseless)
+        t1 = eot.predict(eot.predict(tr, float(a)), float(b))
+        t2 = eot.predict(tr, float(a + b))
         semigroup_worst = max(semigroup_worst, float(np.max(np.abs(t1.kin - t2.kin))))
     # extract -> reconstruct round trip
     roundtrip_worst = 0.0
@@ -180,10 +178,10 @@ def test_criterion_07_rmm_filter_properties():
         m = rng.normal(0, 1, (2, 2))
         x = m @ m.T + 0.05 * np.eye(2)
         tr = eot.RmmTrack(kin=np.zeros(5), cov=np.eye(5), extent=x, dof=8.0, timestamp=0.0)
-        e = eot.extract_extent(tr)
-        c, s = math.cos(e.orientation), math.sin(e.orientation)
+        length, width, orientation = eot.extract_extent(tr)
+        c, s = math.cos(orientation), math.sin(orientation)
         rot = np.array([[c, -s], [s, c]])
-        rebuilt = rot @ np.diag([(e.length / 2) ** 2, (e.width / 2) ** 2]) @ rot.T
+        rebuilt = rot @ np.diag([(length / 2) ** 2, (width / 2) ** 2]) @ rot.T
         roundtrip_worst = max(roundtrip_worst, float(np.max(np.abs(rebuilt - x))))
     ok = spd_ok and semigroup_worst < 1e-9 and roundtrip_worst < 1e-9
     _report(
@@ -198,8 +196,7 @@ def test_criterion_08_doppler_benefit():
         data = simulate_scenario(preset("cyclist-nominal", seed=seed))
         scans, sensor_pos = truth_assigned_scans(data)
         for use_doppler in (True, False):
-            points = eot.run_tracker(scans, sensor_pos, eot.TrackerParams(),
-                                     use_doppler=use_doppler)
+            points = eot.run_tracker(scans, sensor_pos, use_doppler=use_doppler)
             xy = data.course.states(points["timestamp"])[0]
             errs = (points["x"] - xy[:, 0]) ** 2 + (points["y"] - xy[:, 1]) ** 2
             rms[use_doppler].append(float(np.sqrt(np.mean(errs))))

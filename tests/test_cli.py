@@ -811,6 +811,23 @@ def test_simulate_preset_refuses_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_every_scenario_config_field_is_a_config_key():
+    # A value that no config key sets has one value in use and belongs in a simulator
+    # constant; only these fields are set through the library alone, by tests that build scenes.
+    from vruradar import simulator
+    from vruradar.commands import simulate
+
+    library_only = {"mounts", "ego_pose", "scatter_sigma"}
+    keys = {"rng_seed": {"seed"}, "detection_rate": set(simulate._DETECTION_RATE_KEYS)}
+    for field in dataclasses.fields(simulator.ScenarioConfig):
+        if field.name not in library_only:
+            assert keys.get(field.name, {field.name}) <= simulate._SCENARIO_KEYS, field.name
+    assert keys["detection_rate"] == {"lambda0", "r0"}
+    for cls, section in ((simulator.DetectionRateParams, simulate._DETECTION_RATE_KEYS),
+                         (simulator.Perturbation, simulate._PERTURBATION_KEYS)):
+        assert {field.name for field in dataclasses.fields(cls)} == set(section)
+
+
 @pytest.mark.parametrize("fault", ["duplicate", "swap"])
 @pytest.mark.parametrize("command", ["annotate", "evaluate"])
 def test_commands_reject_repeated_or_backward_scans(sim_dir, labeled_path, tmp_path, capsys,

@@ -1,14 +1,13 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vruradar import eot
 from vruradar.core import Detections, ScanTable, fold_axis, scan_offsets, table
 from vruradar.eot import (
     ExtentError,
     RmmTrack,
-    TrackerParams,
     TRACK_COLUMNS,
     extract_extent,
     initialize_track,
@@ -21,9 +20,13 @@ from vruradar.eot import (
     _sqrtm_spd,
 )
 
-NOISELESS = replace(
-    TrackerParams(), q_pos=0.0, q_speed=0.0, q_heading=0.0, q_yaw_rate=0.0, dof_retain_per_s=1.0
-)
+
+@pytest.fixture
+def noiseless(monkeypatch):
+    """The tracker with no process noise and an extent confidence that does not decay."""
+    for name in ("Q_POS", "Q_SPEED", "Q_HEADING", "Q_YAW_RATE"):
+        monkeypatch.setattr(eot, name, 0.0)
+    monkeypatch.setattr(eot, "DOF_RETAIN_PER_S", 1.0)
 
 
 def track(x=0.0, y=0.0, v=0.0, h=0.0, w=0.0, extent=None, dof=10.0):
@@ -76,16 +79,16 @@ def test_track_validates_extent_spd():
 
 # --- predict -----------------------------------------------------------------
 
-def test_predict_straight_line():
-    t1 = predict(track(v=2.0, h=0.0), 1.0, NOISELESS)
+def test_predict_straight_line(noiseless):
+    t1 = predict(track(v=2.0, h=0.0), 1.0)
     assert t1.kin[:2] == pytest.approx([2.0, 0.0], abs=1e-12)
     assert t1.extent == pytest.approx(np.eye(2) * 0.25)
     assert t1.timestamp == 1.0
 
 
-def test_predict_quarter_turn_rotates_extent():
+def test_predict_quarter_turn_rotates_extent(noiseless):
     x0 = np.diag([1.0, 0.25])
-    t1 = predict(track(v=1.0, w=math.pi / 2, extent=x0), 1.0, NOISELESS)
+    t1 = predict(track(v=1.0, w=math.pi / 2, extent=x0), 1.0)
     assert t1.kin[3] == pytest.approx(math.pi / 2)
     assert sorted(np.linalg.eigvalsh(t1.extent)) == pytest.approx([0.25, 1.0], abs=1e-12)
     assert t1.extent == pytest.approx(np.diag([0.25, 1.0]), abs=1e-12)
@@ -110,7 +113,7 @@ def _rk4_turn_ode(state, dt, n=600):
     return x, y
 
 
-def test_predict_matches_ode_integration():
+def test_predict_matches_ode_integration(noiseless):
     rng = np.random.default_rng(0)
     for _ in range(25):
         tr = track(
@@ -118,13 +121,13 @@ def test_predict_matches_ode_integration():
             v=rng.uniform(0.1, 5), h=rng.uniform(-3, 3), w=rng.uniform(-1.5, 1.5),
         )
         dt = rng.uniform(0.1, 2.0)
-        got = predict(tr, dt, NOISELESS)
+        got = predict(tr, dt)
         x, y = _rk4_turn_ode(tr.kin, dt)
         assert got.kin[0] == pytest.approx(x, abs=1e-6)
         assert got.kin[1] == pytest.approx(y, abs=1e-6)
 
 
-def test_predict_semigroup_property():
+def test_predict_semigroup_property(noiseless):
     rng = np.random.default_rng(1)
     for _ in range(50):
         tr = track(
@@ -133,28 +136,29 @@ def test_predict_semigroup_property():
             extent=np.diag(rng.uniform(0.05, 1.0, 2)),
         )
         a, b = rng.uniform(0.01, 2.0, 2)
-        t1 = predict(predict(tr, a, NOISELESS), b, NOISELESS)
-        t2 = predict(tr, a + b, NOISELESS)
+        t1 = predict(predict(tr, a), b)
+        t2 = predict(tr, a + b)
         assert t1.kin == pytest.approx(t2.kin, abs=1e-9)
         assert t1.extent == pytest.approx(t2.extent, abs=1e-9)
 
 
-def test_predict_series_branch_matches_arc_formula():
+def test_predict_series_branch_matches_arc_formula(noiseless):
     # below the omega threshold the series expansion must agree with the
     # closed-form arc step evaluated at the same tiny turn rate
     x, y, v, h, w, dt = 1.0, -2.0, 3.0, 0.7, 9.9e-7, 1.0
-    got = predict(track(x=x, y=y, v=v, h=h, w=w), dt, NOISELESS)
+    got = predict(track(x=x, y=y, v=v, h=h, w=w), dt)
     exact_x = x + (v / w) * (math.sin(h + w * dt) - math.sin(h))
     exact_y = y - (v / w) * (math.cos(h + w * dt) - math.cos(h))
     assert got.kin[0] == pytest.approx(exact_x, abs=1e-9)
     assert got.kin[1] == pytest.approx(exact_y, abs=1e-9)
 
 
-def test_predict_dof_decays_toward_floor():
-    p = replace(TrackerParams(), dof_retain_per_s=0.5, dof_floor=5.0)
-    t1 = predict(track(dof=25.0), 1.0, p)
+def test_predict_dof_decays_toward_floor(monkeypatch):
+    monkeypatch.setattr(eot, "DOF_RETAIN_PER_S", 0.5)
+    monkeypatch.setattr(eot, "DOF_FLOOR", 5.0)
+    t1 = predict(track(dof=25.0), 1.0)
     assert t1.dof == pytest.approx(5.0 + 20.0 * 0.5)
-    t2 = predict(track(dof=5.0 + 1e-12), 10.0, p)
+    t2 = predict(track(dof=5.0 + 1e-12), 10.0)
     assert t2.dof >= 5.0
 
 
@@ -165,17 +169,17 @@ def test_predict_rejects_bad_dt():
 
 # --- update ----------------------------------------------------------------------
 
-def test_update_zero_innovation_keeps_position():
+def test_update_zero_innovation_keeps_position(monkeypatch):
+    monkeypatch.setattr(eot, "MEAS_NOISE_SIGMA", 1e-6)
     tr = track(x=1.0, y=2.0, v=1.0, h=0.3)
-    p = replace(TrackerParams(), meas_noise_sigma=1e-6)
-    t1 = update(tr, np.array([[1.0, 2.0]]), p)
+    t1 = update(tr, np.array([[1.0, 2.0]]))
     assert t1.kin[:2] == pytest.approx([1.0, 2.0], abs=1e-6)
     assert t1.dof == tr.dof + 1
 
 
 def test_update_moves_toward_measurement_mean():
     tr = track()
-    t1 = update(tr, np.array([[1.0, 0.0], [1.2, 0.1]]), TrackerParams())
+    t1 = update(tr, np.array([[1.0, 0.0], [1.2, 0.1]]))
     assert 0.0 < t1.kin[0] <= 1.2
     assert np.linalg.eigvalsh(t1.cov)[0] >= 0.0
 
@@ -185,35 +189,31 @@ def test_update_requires_points():
         update(track(), np.zeros((0, 2)))
 
 
-def test_update_extent_converges_to_scatter():
+def test_update_extent_converges_to_scatter(monkeypatch):
+    monkeypatch.setattr(eot, "MEAS_NOISE_SIGMA", 0.01)
     rng = np.random.default_rng(2)
     cov = 0.09 * np.eye(2)
-    params = replace(TrackerParams(), meas_noise_sigma=0.01)
-    tr = initialize_track(rng.multivariate_normal([0, 0], cov, 10), 0.0, params)
+    tr = initialize_track(rng.multivariate_normal([0, 0], cov, 10), 0.0)
     for _ in range(600):
-        tr = predict(tr, 0.05, params)
-        tr = update(tr, rng.multivariate_normal([0, 0], cov, 10), params)
-    scaled = params.extent_scale * np.linalg.eigvalsh(tr.extent)
+        tr = predict(tr, 0.05)
+        tr = update(tr, rng.multivariate_normal([0, 0], cov, 10))
+    scaled = eot.EXTENT_SCALE * np.linalg.eigvalsh(tr.extent)
     assert scaled == pytest.approx([0.09, 0.09], rel=0.15)
 
 
-def test_doppler_zero_innovation_keeps_state():
+def test_doppler_zero_innovation_keeps_state(monkeypatch):
+    monkeypatch.setattr(eot, "MEAS_NOISE_SIGMA", 1e-6)
     tr = track(x=10.0, y=0.0, v=2.0, h=0.0, w=0.1)
     # sensor behind on the x-axis: predicted radial velocity = v
-    t1 = update(
-        tr,
-        np.array([[10.0, 0.0]]),
-        replace(TrackerParams(), meas_noise_sigma=1e-6),
-        radial_velocities=np.array([2.0]),
-        sensor_pos=np.array([0.0, 0.0]),
-        use_doppler=True,
-    )
+    t1 = update(tr, np.array([[10.0, 0.0]]), radial_velocities=np.array([2.0]),
+                sensor_pos=np.array([0.0, 0.0]))
     assert t1.kin == pytest.approx(tr.kin, abs=1e-5)
 
 
 def test_doppler_requires_inputs():
-    with pytest.raises(ValueError):
-        update(track(), np.array([[0.0, 0.0]]), use_doppler=True)
+    for half in ({"radial_velocities": np.array([1.0])}, {"sensor_pos": np.zeros(2)}):
+        with pytest.raises(ValueError, match="needs radial velocities and the sensor position"):
+            update(track(), np.array([[0.0, 0.0]]), **half)
 
 
 def test_update_records_nis():
@@ -231,28 +231,26 @@ def test_update_records_nis():
         timestamp=0.0,
     )
     pts = np.array([[1.4, -0.2], [1.9, 0.1], [1.2, 0.3]])
-    params = TrackerParams()
     nu = pts.mean(axis=0) - tr.kin[:2]
     s = tr.cov[:2, :2] + (
-        params.extent_scale * tr.extent + params.meas_noise_sigma**2 * np.eye(2)
+        eot.EXTENT_SCALE * tr.extent + eot.MEAS_NOISE_SIGMA**2 * np.eye(2)
     ) / len(pts)
     want = nu @ np.linalg.solve(s, nu)
-    assert update(tr, pts, params).nis == pytest.approx(want, rel=1e-12)
+    assert update(tr, pts).nis == pytest.approx(want, rel=1e-12)
     # the Doppler step that follows keeps the position update's NIS
-    with_doppler = update(tr, pts, params, radial_velocities=np.array([1.0, 1.2, 0.9]),
-                          sensor_pos=np.array([-5.0, 0.0]), use_doppler=True)
+    with_doppler = update(tr, pts, radial_velocities=np.array([1.0, 1.2, 0.9]),
+                          sensor_pos=np.array([-5.0, 0.0]))
     assert with_doppler.nis == pytest.approx(want, rel=1e-12)
     assert math.isnan(tr.nis) and math.isnan(predict(tr, 0.1).nis)
 
 
 def test_update_spd_soak():
     rng = np.random.default_rng(3)
-    params = TrackerParams()
-    tr = initialize_track(rng.normal(0, 0.3, (5, 2)), 0.0, params)
+    tr = initialize_track(rng.normal(0, 0.3, (5, 2)), 0.0)
     for k in range(2000):
-        tr = predict(tr, float(rng.uniform(0.01, 0.3)), params)
+        tr = predict(tr, float(rng.uniform(0.01, 0.3)))
         pts = tr.position + rng.normal(0, 0.4, (int(rng.integers(1, 10)), 2))
-        tr = update(tr, pts, params)
+        tr = update(tr, pts)
         assert np.linalg.eigvalsh(tr.extent)[0] > 0.0
 
 
@@ -304,21 +302,21 @@ def test_closed_forms_match_linalg():
 def test_closed_form_extent_matches_eigh():
     for m, kappa in _spd_cases(np.random.default_rng(12)):
         w, v = np.linalg.eigh(m)
-        e = extract_extent(track(extent=m))
-        assert e.length == pytest.approx(2 * math.sqrt(w[1]), rel=4 * EPS)
-        assert e.width == pytest.approx(2 * math.sqrt(w[0]), rel=4 * EPS * kappa)
+        length, width, orientation = extract_extent(track(extent=m))
+        assert length == pytest.approx(2 * math.sqrt(w[1]), rel=4 * EPS)
+        assert width == pytest.approx(2 * math.sqrt(w[0]), rel=4 * EPS * kappa)
         major = v[:, 1]
         eigh_orientation = fold_axis(math.atan2(major[1], major[0]))
         if m[1, 0] == 0.0 and m[0, 0] == m[1, 1]:
             # exactly isotropic: no major axis, and the y axis is reported, as eigh does
-            assert e.orientation == eigh_orientation == math.pi / 2
+            assert orientation == eigh_orientation == math.pi / 2
         # the orientation is the major axis: an eigenvector of the largest eigenvalue
-        u = np.array([math.cos(e.orientation), math.sin(e.orientation)])
+        u = np.array([math.cos(orientation), math.sin(orientation)])
         assert np.abs(m @ u - w[1] * u).max() <= 8 * EPS * w[1]
         # and agrees with eigh's as far as the eigenvalue gap defines it
         gap = (w[1] - w[0]) / (w[1] + w[0])
         if gap > 0:
-            assert abs(fold_axis(e.orientation - eigh_orientation)) <= 8 * EPS / gap
+            assert abs(fold_axis(orientation - eigh_orientation)) <= 8 * EPS / gap
 
 
 def test_closed_forms_reject_non_spd():
@@ -332,18 +330,14 @@ def test_closed_forms_reject_non_spd():
 # --- extent extraction ----------------------------------------------------------------
 
 def test_extract_diagonal():
-    e = extract_extent(track(extent=np.diag([1.0, 0.25])))
-    assert (e.length, e.width) == pytest.approx((2.0, 1.0))
-    assert e.orientation == pytest.approx(0.0)
+    assert extract_extent(track(extent=np.diag([1.0, 0.25]))) == pytest.approx((2.0, 1.0, 0.0))
 
 
 def test_extract_rotated_30_degrees():
     a = math.radians(30)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     x = rot @ np.diag([1.0, 0.25]) @ rot.T
-    e = extract_extent(track(extent=x))
-    assert (e.length, e.width) == pytest.approx((2.0, 1.0), abs=1e-12)
-    assert e.orientation == pytest.approx(a, abs=1e-12)
+    assert extract_extent(track(extent=x)) == pytest.approx((2.0, 1.0, a), abs=1e-12)
 
 
 def test_extract_reconstruct_round_trip():
@@ -352,10 +346,10 @@ def test_extract_reconstruct_round_trip():
         m = rng.normal(0, 1, (2, 2))
         x = m @ m.T + 0.05 * np.eye(2)
         scale = rng.uniform(0.5, 4.0)
-        e = extract_extent(track(extent=scale * x))
-        c, s = math.cos(e.orientation), math.sin(e.orientation)
+        length, width, orientation = extract_extent(track(extent=scale * x))
+        c, s = math.cos(orientation), math.sin(orientation)
         rot = np.array([[c, -s], [s, c]])
-        rebuilt = rot @ np.diag([(e.length / 2) ** 2, (e.width / 2) ** 2]) @ rot.T
+        rebuilt = rot @ np.diag([(length / 2) ** 2, (width / 2) ** 2]) @ rot.T
         assert rebuilt == pytest.approx(scale * x, abs=1e-9)
 
 
@@ -363,9 +357,9 @@ def test_extract_orientation_folded():
     a = math.radians(120)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     x = rot @ np.diag([1.0, 0.25]) @ rot.T
-    e = extract_extent(track(extent=x))
-    assert -math.pi / 2 < e.orientation <= math.pi / 2
-    assert e.orientation == pytest.approx(math.radians(-60), abs=1e-9)
+    orientation = extract_extent(track(extent=x))[2]
+    assert -math.pi / 2 < orientation <= math.pi / 2
+    assert orientation == pytest.approx(math.radians(-60), abs=1e-9)
 
 
 # --- metrics -----------------------------------------------------------------------------
@@ -426,7 +420,7 @@ def test_run_tracker_follows_constant_velocity_target():
     pts = np.repeat(center, 8, axis=0) + rng.normal(0, 0.2, (960, 2))
     vels = np.full(960, 2.0)  # sensor at origin looking along +x
     out = run_tracker(tracker_scans(t, [8] * 120, pts, vels), {"r0": np.zeros(2)},
-                      TrackerParams(), use_doppler=False)
+                      use_doppler=False)
     assert out.dtype.names == (*TRACK_COLUMNS, "nis") and len(out) == 120
     last = out[-1]
     true_last = np.array([2.0 * 11.9, 1.0])
@@ -438,5 +432,24 @@ def test_run_tracker_follows_constant_velocity_target():
 
 def test_run_tracker_skips_empty_scans():
     scans = tracker_scans([0.0, 1.0], [0, 1], [[0.0, 0.0]], [0.0])
-    out = run_tracker(scans, {"r0": np.zeros(2)}, TrackerParams())
+    out = run_tracker(scans, {"r0": np.zeros(2)})
     assert out["timestamp"].tolist() == [1.0]
+
+
+def test_doppler_engages_after_the_seeding_update():
+    # Heading and speed are seeded from the displacement over the first 0.5 s of track; the
+    # Doppler step runs only on the updates after that one.
+    rng = np.random.default_rng(6)
+    t = 0.125 * np.arange(24)  # exact in binary, so the 0.5 s baseline ends on a scan
+    counts = [0] + [6] * 23  # the first scan is empty: the track starts on the second
+    center = np.column_stack([1.5 * t[1:], np.full(23, 2.0)])
+    pts = np.repeat(center, 6, axis=0) + rng.normal(0, 0.2, (138, 2))
+    scans = tracker_scans(t, counts, pts, rng.normal(1.0, 0.3, 138))
+    with_doppler, without = (run_tracker(scans, {"r0": np.zeros(2)}, use_doppler=flag)
+                             for flag in (True, False))
+    seed_row = np.flatnonzero(with_doppler["timestamp"] >= with_doppler["timestamp"][0] + 0.5)[0]
+    assert with_doppler["timestamp"][seed_row] == t[5]
+    assert with_doppler[:seed_row + 1].tobytes() == without[:seed_row + 1].tobytes()
+    later = with_doppler[seed_row + 1:]
+    assert len(later) == 18
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(later, without[seed_row + 1:]))

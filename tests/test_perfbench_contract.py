@@ -22,7 +22,7 @@ import pytest
 from vruradar import cli
 from vruradar.annotation import annotate_scenario
 from vruradar.core import to_global
-from vruradar.eot import TrackerParams, run_tracker
+from vruradar.eot import run_tracker
 from vruradar.signature import accumulate
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_fused_trajectory
@@ -81,7 +81,7 @@ def test_result_counts_read_small_results(tracer, small_run, tmp_path):
         "simulator.simulate_scenario": ((cfg,), data),
         "annotation.annotate_scenario": (annotate_args, annotated),
         "signature.accumulate": ((annotated.scans,), grid),
-        "eot.run_tracker": (tracker_input, run_tracker(*tracker_input, TrackerParams())),
+        "eot.run_tracker": (tracker_input, run_tracker(*tracker_input)),
     }
     assert set(calls) == set(tracer.RESULT_COUNTS)
     counts = {}
@@ -111,7 +111,7 @@ def test_counted_update_sees_every_tracker_update(tracer, small_run, monkeypatch
     for (layer, fname), name in tracer.COUNTED.items():
         module = importlib.import_module(f"vruradar.{layer}")
         monkeypatch.setattr(module, fname, counting.counter(name, getattr(module, fname)))
-    run_tracker(*tracker_input, TrackerParams())
+    run_tracker(*tracker_input)
     updates = np.count_nonzero(annotated.scans.n_assigned) - 1
     assert counting.counts == {"eot.updates": updates}
 

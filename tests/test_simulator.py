@@ -1,9 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vruradar import simulator
 from vruradar.core import VruKind
 from vruradar.simulator import (
     AMP_REF_DB,
@@ -122,11 +124,14 @@ def test_gnss_degraded_flagging_optional():
 
 # --- IMU -------------------------------------------------------------------------
 
-def test_imu_noiseless_matches_analytic():
-    cfg = replace(
-        preset("cyclist-nominal"), duration=10.0,
-        gyro_sigma=0.0, gyro_bias_sigma=0.0, accel_sigma=0.0, accel_bias_sigma=0.0,
-    )
+@pytest.fixture
+def noiseless_imu(monkeypatch):
+    for name in ("GYRO_SIGMA", "GYRO_BIAS_SIGMA", "ACCEL_SIGMA", "ACCEL_BIAS_SIGMA"):
+        monkeypatch.setattr(simulator, name, 0.0)
+
+
+def test_imu_noiseless_matches_analytic(noiseless_imu):
+    cfg = replace(preset("cyclist-nominal"), duration=10.0)
     course = EightCourse(cfg.course_half_width, cfg.speed)
     imu = generate_imu(course, cfg, np.random.default_rng(0))
     truth_rate = course.states(imu["timestamp"])[3]
@@ -134,11 +139,8 @@ def test_imu_noiseless_matches_analytic():
     assert not imu["accel_forward"].any()
 
 
-def test_imu_integrating_yaw_rate_recovers_heading():
-    cfg = replace(
-        preset("cyclist-nominal"), duration=20.0,
-        gyro_sigma=0.0, gyro_bias_sigma=0.0, accel_sigma=0.0, accel_bias_sigma=0.0,
-    )
+def test_imu_integrating_yaw_rate_recovers_heading(noiseless_imu):
+    cfg = replace(preset("cyclist-nominal"), duration=20.0)
     course = EightCourse(cfg.course_half_width, cfg.speed)
     imu = generate_imu(course, cfg, np.random.default_rng(0))
     rate = imu["yaw_rate"].tolist()
@@ -150,11 +152,9 @@ def test_imu_integrating_yaw_rate_recovers_heading():
     assert math.remainder(yaw - expect, 2 * math.pi) == pytest.approx(0.0, abs=1e-3)
 
 
-def test_imu_constant_bias_drifts_linearly():
-    cfg = replace(
-        preset("cyclist-nominal"), duration=20.0,
-        gyro_sigma=0.0, gyro_bias_sigma=0.05, accel_sigma=0.0, accel_bias_sigma=0.0,
-    )
+def test_imu_constant_bias_drifts_linearly(noiseless_imu, monkeypatch):
+    monkeypatch.setattr(simulator, "GYRO_BIAS_SIGMA", 0.05)
+    cfg = replace(preset("cyclist-nominal"), duration=20.0)
     course = EightCourse(cfg.course_half_width, cfg.speed)
     imu = generate_imu(course, cfg, np.random.default_rng(3))
     error = imu["yaw_rate"] - course.states(imu["timestamp"])[3]
@@ -227,8 +227,9 @@ def test_radar_vru_points_within_4_sigma(ped_data):
             assert (u / (4 * sx)) ** 2 + (v / (4 * sy)) ** 2 <= 1.0
 
 
-def test_radar_amplitude_follows_r4_law():
-    cfg = replace(preset("pedestrian-nominal"), duration=30.0, amp_sigma_db=0.0, clutter_rate=0.0)
+def test_radar_amplitude_follows_r4_law(monkeypatch):
+    monkeypatch.setattr(simulator, "AMP_SIGMA_DB", 0.0)
+    cfg = replace(preset("pedestrian-nominal"), duration=30.0, clutter_rate=0.0)
     data = simulate_scenario(cfg)
     mounts = {m.sensor_id: m for m in cfg.mounts}
     offsets = data.scans.offsets
@@ -270,8 +271,7 @@ def test_config_validation():
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, duration=0.0)
     with pytest.raises(ValueError):
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, gnss_rate=0.0)
-    for name in ("gnss_sigma", "clutter_rate", "gyro_sigma", "gyro_bias_sigma", "accel_sigma",
-                 "accel_bias_sigma", "amp_sigma_db"):
+    for name in ("gnss_sigma", "clutter_rate"):
         with pytest.raises(ValueError, match=name):
             ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, **{name: -0.1})
     with pytest.raises(ValueError, match="random_walk_sigma"):
@@ -307,3 +307,16 @@ def test_config_refuses_a_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         preset("pedestrian-nominal", seed=-3)
     assert ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, rng_seed=0).rng_seed == 0
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, False, "3", None, np.float64(4.0), np.bool_(1)])
+def test_config_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, rng_seed=seed)
+
+
+@pytest.mark.parametrize("seed", [3, np.int64(3), np.uint8(3), np.int32(3)])
+def test_config_takes_python_and_numpy_integer_seeds(seed):
+    cfg = ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, duration=2.0, rng_seed=seed)
+    data = simulate_scenario(cfg)
+    assert data.imu.tobytes() == simulate_scenario(replace(cfg, rng_seed=3)).imu.tobytes()
