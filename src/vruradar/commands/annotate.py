@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from .. import annotation, io, trajectory
 from ..cli import EXIT_OK, ConfigError
@@ -27,6 +28,7 @@ def run(args) -> int:
         meta["ego_pose"],
         track_id=meta["track_id"],
     )
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     io.write_labeled_jsonl(args.out, result.scans)
     print(
         json.dumps(

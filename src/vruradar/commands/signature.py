@@ -17,6 +17,11 @@ def run(args) -> int:
         value = getattr(args, option)
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"--{option.replace('_', '-')} must be finite and > 0, got {value}")
+    for axis in ("x", "y"):
+        half = getattr(args, f"half_extent_{axis}")
+        if 2.0 * half / args.resolution <= 0.5:  # `signature.accumulate`'s rule
+            raise ConfigError(f"--resolution {args.resolution} leaves no cell across "
+                              f"--half-extent-{axis} {half}")
     labeled = io.read_labeled_jsonl(args.labeled)
     states = None
     if args.truth_traj is not None:

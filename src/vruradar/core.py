@@ -283,6 +283,23 @@ class ScanTable:
                          self.detections[rows])
 
 
+@dataclass(frozen=True, eq=False)
+class TruthLabels:
+    """The truth label of every radar point of a run, ordered by key: scan time to the
+    nanosecond, then point index.
+
+    `timestamp` is strictly increasing, one value per distinct scan time (a
+    -0.0 is 0.0); the time owns rows offsets[k]:offsets[k + 1], whose `index`
+    is strictly increasing and whose `is_vru` says whether the point is the
+    VRU's.  `io.truth_labels` builds it from a truth-label file's columns.
+    """
+
+    timestamp: np.ndarray  # (m,)
+    offsets: np.ndarray  # (m + 1,)
+    index: np.ndarray  # (n,) int64
+    is_vru: np.ndarray  # (n,) bool
+
+
 @dataclass(frozen=True)
 class LabeledScan:
     """One scan's detections, coordinates filled in, split into assigned and rejected rows:

@@ -67,9 +67,30 @@ class RmmTrack:
         self.kin = np.array(self.kin, dtype=float)
         self.cov = np.array(self.cov, dtype=float)
         self.extent = np.array(self.extent, dtype=float)
+        self._check()
+
+    @classmethod
+    def _of(cls, kin: np.ndarray, cov: np.ndarray, extent: np.ndarray, dof: float,
+            timestamp: float, nis: float = math.nan) -> RmmTrack:
+        """The track of float arrays that the caller has just made and holds no other
+        reference to: checked as a constructed track is, but not copied."""
+        track = cls.__new__(cls)
+        track.kin, track.cov, track.extent = kin, cov, extent
+        track.dof, track.timestamp, track.nis = dof, timestamp, nis
+        track._check()
+        return track
+
+    def _check(self) -> None:
         if self.kin.shape != (5,) or self.cov.shape != (5, 5) or self.extent.shape != (2, 2):
             raise ValueError("bad state dimensions")
-        (a, b), (c, d) = self.extent.tolist()
+        (a, b), (c, d), kin = *self.extent.tolist(), self.kin.tolist()
+        # A NaN or an infinity makes the sum of every value non-finite; so can a sum that
+        # overflows, which the check of each field tells apart.
+        if not math.isfinite(sum(self.cov.ravel().tolist(), sum(kin, a + b + c + d + self.dof
+                                                                    + self.timestamp))):
+            for name in ("kin", "cov", "extent", "dof", "timestamp"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # np.allclose(extent, extent.T, atol=1e-12) in closed form; NaN fails every comparison.
         if not (abs(b - c) <= 1e-12 + 1e-5 * abs(c) and abs(c - b) <= 1e-12 + 1e-5 * abs(b)):
             raise ExtentError("extent matrix is not symmetric")
@@ -77,7 +98,7 @@ class RmmTrack:
             raise ExtentError("extent matrix is not positive definite")
         if self.dof <= 4.0:
             raise ValueError(f"dof must be > 4, got {self.dof}")
-        self.kin[3] = wrap_angle(self.kin[3])
+        self.kin[3] = wrap_angle(kin[3])
 
     @property
     def position(self) -> np.ndarray:
@@ -159,8 +180,8 @@ def predict(track: RmmTrack, dt: float) -> RmmTrack:
     retain = DOF_RETAIN_PER_S**dt
     dof = DOF_FLOOR + (track.dof - DOF_FLOOR) * retain
     dof = max(dof, DOF_FLOOR)
-    return RmmTrack(kin=(x1, y1, v, h + w * dt, w), cov=cov, extent=((a1, b1), (b1, d1)),
-                    dof=dof, timestamp=track.timestamp + dt)
+    return RmmTrack._of(np.array((x1, y1, v, h + w * dt, w)), cov,
+                        np.array(((a1, b1), (b1, d1))), dof, track.timestamp + dt)
 
 
 def update(track: RmmTrack, points, *, radial_velocities=None, sensor_pos=None) -> RmmTrack:
@@ -220,8 +241,8 @@ def update(track: RmmTrack, points, *, radial_velocities=None, sensor_pos=None) 
     if radial_velocities is not None:
         vr = np.asarray(radial_velocities, dtype=float)
         kin, cov = _doppler_update(kin, cov, vr.sum() / len(vr), sensor_pos)
-    return RmmTrack(kin=kin, cov=cov, extent=((ea, eb), (eb, ed)), dof=weight,
-                    timestamp=track.timestamp, nis=float(nx * wx + ny * wy))
+    return RmmTrack._of(kin, cov, np.array(((ea, eb), (eb, ed))), weight, track.timestamp,
+                        float(nx * wx + ny * wy))
 
 
 def _doppler_update(kin: np.ndarray, cov: np.ndarray, vr_meas: float,

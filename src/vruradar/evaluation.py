@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Mapping
 
 import numpy as np
 
-from .core import LABEL_VRU, LabeledTable, table
+from .core import LabeledTable, TruthLabels, table
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
 # A covariance whose minor-to-major eigenvalue ratio is at most this is
@@ -52,25 +51,28 @@ class Histogram:
     counts: np.ndarray
 
 
-def per_scan_counts(
-    auto: LabeledTable,
-    truth: Mapping[tuple[float, int], str],
-) -> list[tuple[int, int, int]]:
-    """Per-scan (TP, FP, FN) against truth labels keyed by (time, index).
-
-    Every detection of every scan must be present in `truth`.
-    """
+def per_scan_counts(auto: LabeledTable, truth: TruthLabels) -> list[tuple[int, int, int]]:
+    """Per-scan (TP, FP, FN) against truth labels.  A detection's label is the truth row of
+    its scan's time to the nanosecond and its `index`; every detection must have one."""
     # Python's round, as the truth keys use it; numpy rounds differently.
     times = list(map(round, auto.timestamp.tolist(), repeat(9)))
-    scan = auto.scan_of_row
-    keys = zip(map(times.__getitem__, scan.tolist()), auto.detections.index.tolist())
-    labels = list(map(truth.get, keys))
-    if None in labels:
-        row = labels.index(None)
-        raise ValueError(f"no truth label for scan t={times[scan[row]]} point "
-                         f"{auto.detections.index[row]}")
-    vru = np.fromiter(map(LABEL_VRU.__eq__, labels), bool, len(labels))
-    assigned, m = auto.assigned, len(auto)
+    scan, index = auto.scan_of_row, auto.detections.index
+    # A key (time, idx) as one int: its time's rank among both tables' times, times the
+    # number of idx values, plus its idx's rank among them.  The truth's keys are sorted.
+    all_times = np.sort(np.concatenate([truth.timestamp, times]))
+    all_ids = np.sort(np.concatenate([truth.index, index]))
+
+    def keys_of(scan_times, counts, idx) -> np.ndarray:
+        ranks = np.searchsorted(all_times, scan_times) * len(all_ids)
+        return np.repeat(ranks, counts) + np.searchsorted(all_ids, idx)
+    truth_keys = keys_of(truth.timestamp, np.diff(truth.offsets), truth.index)
+    keys = keys_of(times, np.diff(auto.offsets), index)
+    row = np.searchsorted(truth_keys, keys)
+    found = np.append(truth_keys, -1)[row] == keys
+    if not found.all():
+        k = int(found.argmin())
+        raise ValueError(f"no truth label for scan t={times[scan[k]]} point {index[k]}")
+    vru, assigned, m = truth.is_vru[row], auto.assigned, len(auto)
     tp = np.bincount(scan[vru & assigned], minlength=m)
     fn = np.bincount(scan[vru & ~assigned], minlength=m)
     return list(zip(tp.tolist(), (auto.n_assigned - tp).tolist(), fn.tolist()))
@@ -104,10 +106,10 @@ def _mean_ratio(part: np.ndarray, whole: np.ndarray) -> float:
 
 def score_assignment(
     auto: LabeledTable,
-    truth: Mapping[tuple[float, int], str],
+    truth: TruthLabels,
     averaging: Averaging | str = Averaging.MACRO,
 ) -> AssignmentScore:
-    """Compare automatic assignment against truth labels keyed by (time, index)."""
+    """Compare automatic assignment against truth labels."""
     return score_from_counts(per_scan_counts(auto, truth), averaging)
 
 

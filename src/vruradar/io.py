@@ -3,8 +3,9 @@
 Every file starts with a format-version line; readers reject unknown
 versions.  CSV carries flat time series, JSON-Lines carries per-scan records
 with variable-length point lists.  Timestamps are written with nanosecond
-resolution so records can be joined on them exactly.  orjson encodes
-JSON-Lines a record at a time.  Every value rule of a JSON-Lines file kind is
+resolution so records can be joined on them exactly.  orjson encodes radar
+and labeled JSON-Lines a record at a time, and the numbers of a block of
+truth labels a column at a time.  Every value rule of a JSON-Lines file kind is
 written once, in the function that builds its table from columns
 (`_scan_table`, `truth_labels`).  A reader takes the columns from the file's
 column sidecar (`sidecar`, a byte codec) when one matches the file and they
@@ -32,8 +33,8 @@ import numpy as np
 from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
 from .core import (GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
-                   SensorMount, VruKind, mounts_by_id, rank_in_scan, scan_counts, table,
-                   wrap_angles)
+                   SensorMount, TruthLabels, VruKind, mounts_by_id, rank_in_scan, scan_counts,
+                   scan_offsets, table, wrap_angles)
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"
@@ -377,32 +378,31 @@ def _scan_table(c: dict, strings: dict) -> ScanTable:
                         VruKind(kind))
 
 
-def _repeated_label(t: float, idx) -> str:
-    return f"repeated label for t={t:.9f} point {idx}"
-
-
-def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> dict:
-    """The truth labels of a truth-label file's columns, keyed by (scan `t` to the
-    nanosecond, point idx): `timestamp` per scan, row `offsets` of the scans, `index` and
-    `is_vru` per point.  A _Fault names the first faulty row."""
+def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> TruthLabels:
+    """The truth labels of a truth-label file's columns (`timestamp` per scan, row `offsets`
+    of the scans, `index` and `is_vru` per point), ordered by key.  A row's key is its
+    scan's `t` to the nanosecond, by Python's round as the writer rounds it, and its idx;
+    the scans of one key time become one.  A _Fault names the first faulty row."""
     t, offsets, index, is_vru = c["timestamp"], c["offsets"], c["index"], c["is_vru"]
     counts = scan_counts(offsets, len(index))
-    # Each row's scan t to the nanosecond: one float per scan, which its rows' keys share.
-    times = [*chain.from_iterable(map(repeat, [round(x, 9) for x in t.tolist()], counts.tolist()))]
-    labels = map((LABEL_CLUTTER, LABEL_VRU).__getitem__, (is_vru != 0).tolist())
-    out = dict(zip(zip(times, index.tolist()), labels))
+    times = [round(x, 9) for x in t.tolist()]
+    scan = np.repeat(np.arange(len(times)), counts)
+    # Rows sorted by key, stably: a row whose key a row before it holds follows that row.
+    key_times, rank = np.unique(np.array(times, dtype=float) + 0.0, return_inverse=True)
+    rank = rank[scan]
+    order = np.lexsort((index, rank))
     repeated = np.zeros(len(index), bool)
-    if len(out) < len(index):
-        seen: set = set()
-        repeated[next(r for r, key in enumerate(zip(times, index.tolist()))
-                      if key in seen or seen.add(key))] = True
+    repeated[order[1:]] = (rank[order[1:]] == rank[order[:-1]]) & (
+        index[order[1:]] == index[order[:-1]])
     _raise_first([
         (np.repeat(~np.isfinite(t), counts),
-         lambda r: f"bad label record: {_fault(finite_number, times[r], 't')}"),
+         lambda r: f"bad label record: {_fault(finite_number, times[scan[r]], 't')}"),
         (is_vru > 1, lambda r: f"bad label record: is_vru must be 0 or 1, got {is_vru[r]}"),
-        (repeated, lambda r: _repeated_label(times[r], index[r])),
+        (repeated, lambda r: f"repeated label for t={times[scan[r]]:.9f} point {index[r]}"),
     ])
-    return out
+    rows = np.bincount(rank, minlength=len(key_times))
+    return TruthLabels(key_times[rows > 0], scan_offsets(rows[rows > 0]), index[order],
+                       is_vru[order] != 0)
 
 
 def _read(path, schema: dict, build, decode=None):
@@ -509,25 +509,39 @@ def read_radar_jsonl(path) -> ScanTable:
 
 # --- Truth labels -----------------------------------------------------------
 
+# The bytes of a truth-label record after its idx, as orjson writes it: by `is_vru`.
+_LABEL_ENDS = tuple(f',"label":"{label}"}}\n'.encode() for label in (LABEL_CLUTTER, LABEL_VRU))
+
+
 def write_truth_labels_jsonl(path, scans: ScanTable, is_vru) -> None:
-    """One record per row of `scans`, labeled by the (n,) bool column `is_vru`."""
+    """One record per row of `scans`, labeled by the (n,) bool column `is_vru`.  A block of
+    records is joined from fixed bytes and orjson's text of its numbers, which orjson
+    writes once per column, not once per record."""
+    import orjson
+
     is_vru = np.asarray(is_vru, dtype=bool)
     if is_vru.shape != (len(scans.detections),):
         raise ValueError(f"got {len(is_vru)} labels for {len(scans.detections)} points")
-    index, offsets = scans.detections.index, scans.offsets.tolist()
+    index, scan = scans.detections.index, scans.scan_of_row
     times = list(map(round, scans.timestamp.tolist(), repeat(9)))  # as written, to the ns
-    line = _encoder()
+
+    def texts(numbers: list) -> list[bytes]:
+        return orjson.dumps(numbers)[1:-1].split(b",")
+
+    heads = [b'{"t":%b,"idx":' % t for t in texts(times)]  # of each scan's records
     _write_jsonl(path, TRUTH_LABELS_TAG, (
-        b"".join([line({"t": t, "idx": idx, "label": LABEL_VRU if vru else LABEL_CLUTTER})
-                  for idx, vru in zip(index[lo:hi].tolist(), is_vru[lo:hi].tolist())])
-        for t, lo, hi in zip(times, offsets, offsets[1:])),
+        b"".join(chain.from_iterable(zip(
+            map(heads.__getitem__, scan[lo:lo + _BLOCK].tolist()),
+            texts(index[lo:lo + _BLOCK].tolist()),
+            map(_LABEL_ENDS.__getitem__, is_vru[lo:lo + _BLOCK].tolist()))))
+        for lo in range(0, len(index), _BLOCK)),
         {"timestamp": np.array(times, dtype=float), "offsets": scans.offsets, "index": index,
          "is_vru": is_vru.view(np.uint8)}, {})
 
 
-def read_truth_labels_jsonl(path) -> dict[tuple[float, int], str]:
-    """The truth labels of a file, keyed by (t, idx); from its column sidecar if one matches
-    it (see `sidecar`)."""
+def read_truth_labels_jsonl(path) -> TruthLabels:
+    """The truth labels of a file, ordered by key (see `truth_labels`); from its column
+    sidecar if one matches it (see `sidecar`)."""
     return _read(path, sidecar.TRUTH_LABELS, truth_labels)
 
 

@@ -6,8 +6,7 @@ so that a command reading its files from their sidecars compiles none of it
 and loads no orjson.  It checks per record only what typed
 columns cannot hold (JSON structure and types, and each labeled record's
 track and kind against the first), then hands the columns to `io`'s table
-builders, which hold every value rule; a truth-label file's dict is built as
-it is decoded, with `io.truth_labels`'s checks and messages.
+builders (`_scan_table`, `truth_labels`), which hold every value rule.
 
 orjson decodes a line; the standard library's `json` (`io._decode_json`)
 decodes a line orjson rejects, or names its fault.
@@ -17,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
@@ -24,11 +24,11 @@ import numpy as np
 import orjson
 
 from . import sidecar
-from .core import LABEL_CLUTTER, LABEL_VRU, ScanTable, scan_offsets
+from .core import LABEL_CLUTTER, LABEL_VRU, ScanTable, TruthLabels, scan_offsets
 from .io import (_BLOCK, _DECODER, _POINT, _POLAR_COLUMNS, BOUNDING_KEYS, LABELED_TAG,
                  POLAR_KEYS, RADAR_TAG, STATE_KEYS, TRUTH_LABELS_TAG, SchemaError,
-                 _check_jsonl_header, _decode_json, _Fault, _open_text, _repeated_label,
-                 _scan_table, _track, finite_number, json_string)
+                 _check_jsonl_header, _decode_json, _Fault, _open_text,
+                 _scan_table, _track, finite_number, json_string, truth_labels)
 
 
 def decode(path, schema: dict):
@@ -159,26 +159,46 @@ class _Decoded:
 _TRUTH_LABEL = operator.itemgetter("t", "idx", "label")
 
 
-def _decode_truth_labels(path, schema: dict) -> dict[tuple[float, int], str]:
-    """The labels of a truth-label file, inserted as each record is decoded.  The dict is
-    the table, so no columns are built; the checks and messages are `truth_labels`'s."""
-    out: dict[tuple[float, int], str] = {}
-    t = key_t = None
-    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, lambda: None):
+def _decode_truth_labels(path, schema: dict) -> TruthLabels:
+    """The table of a truth-label file.  Its records are checked one at a time for what
+    typed columns cannot hold, and appended to the columns of `io.truth_labels`, which
+    checks the rest: a run of records with one `t` is one scan."""
+    times, starts, index, is_vru, t = [], [], array("q"), bytearray(), None
+
+    def table() -> TruthLabels:
+        columns = {"timestamp": np.array(times, dtype=float),
+                   "offsets": np.array([*starts, len(index)], dtype=np.int64),
+                   "index": np.frombuffer(index, np.int64),
+                   "is_vru": np.frombuffer(is_vru, np.uint8)}
+        try:
+            return truth_labels(columns)
+        except _Fault as fault:  # (message, row)
+            raise SchemaError(fault.args[0], path, _record_line(path, fault.args[1])) from None
+
+    for i, rec in _load_jsonl(path, TRUTH_LABELS_TAG, table):
         try:
             raw_t, idx, label = _TRUTH_LABEL(rec)
             if raw_t != t or type(raw_t) is not float:  # the points of a scan share t
-                key_t, t = round(finite_number(raw_t, "t"), 9), raw_t
+                times.append(finite_number(raw_t, "t"))
+                starts.append(len(index))
+                t = raw_t
             if type(idx) is not int or idx not in _INT64:
                 _point_index(_json_record(path, i)["idx"])
             if label not in (LABEL_VRU, LABEL_CLUTTER):
                 raise ValueError(f"label must be {LABEL_VRU!r} or {LABEL_CLUTTER!r}, got {label!r}")
         except (KeyError, TypeError, ValueError) as exc:
+            table()
             raise SchemaError(f"bad label record: {exc}", path, i) from None
-        if (key_t, idx) in out:
-            raise SchemaError(_repeated_label(key_t, idx), path, i)
-        out[key_t, idx] = label
-    return out
+        index.append(idx)
+        is_vru.append(label == LABEL_VRU)
+    return table()
+
+
+def _record_line(path, row: int) -> int:
+    """The line of record `row` (from 0) of a JSON-Lines file: blank lines hold none."""
+    with _open_text(path) as fh:
+        lines = (i for i, line in enumerate(fh, start=1) if i > 1 and line != "\n")
+        return next(islice(lines, row, None))
 
 
 # --- Radar and labeled scans --------------------------------------------------

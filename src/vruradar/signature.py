@@ -63,24 +63,34 @@ def accumulate(
     Each scan's own track state defines the object frame; `states`, rows of
     x, y and yaw (further columns are ignored) aligned with the scans, can
     replace them, e.g. to center the grid on the simulator ground truth
-    instead of the estimated trajectory.
+    instead of the estimated trajectory.  A ValueError names a resolution or half
+    extent that is not finite and > 0, or that leaves the grid no cell; a MemoryError
+    names a grid too large to allocate.
     """
     if states is None:
         states = scans.vru_state
     elif len(states) != len(scans):
         raise ValueError(f"got {len(states)} states for {len(scans)} scans")
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
     hx, hy = half_extents
-    nx = int(round(2.0 * hx / resolution))
-    ny = int(round(2.0 * hy / resolution))
+    for name, value in (("resolution", resolution), ("half extent x", hx), ("half extent y", hy)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    cells = [2.0 * h / resolution for h in half_extents]
+    if min(cells) <= 0.5:  # rounds to no cell
+        raise ValueError(f"resolution {resolution} leaves no cell across half extents {hx} "
+                         f"and {hy}")
+    try:
+        counts = np.zeros([round(c) for c in cells], dtype=np.int64)
+    except (OverflowError, ValueError):  # more cells than an array can index
+        raise MemoryError(f"a grid of {cells[0]:.3g} x {cells[1]:.3g} cells is too large to "
+                          "allocate") from None
+    nx, ny = counts.shape
     assigned = scans.assigned
     x, y, yaw = np.asarray(states, dtype=float)[scans.scan_of_row[assigned], :3].T
     u, v = to_local(scans.detections.global_xy[assigned], x, y, yaw)
     ix = np.floor((u + hx) / resolution).astype(int)
     iy = np.floor((v + hy) / resolution).astype(int)
     ok = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    counts = np.zeros((nx, ny), dtype=np.int64)
     np.add.at(counts, (ix[ok], iy[ok]), 1)
     return SignatureGrid(resolution, hx, hy, counts, int(np.count_nonzero(~ok)))
 

@@ -8,8 +8,10 @@ import pytest
 from vruradar import io
 from vruradar.annotation import AnnotationResult, LabeledTable, annotate_scenario
 from vruradar.core import (
+    LABEL_VRU,
     Detections,
     ScanTable,
+    TruthLabels,
     VruKind,
     mounts_by_id,
     scan_offsets,
@@ -60,10 +62,21 @@ def run_preset(name: str, seed: int, *, both_modes: bool = False) -> PresetRun:
     )
 
 
-def truth_map(data: ScenarioData) -> dict:
-    """The truth labels of a simulated drive, keyed as its truth-label file reads them."""
+def truth_map(data: ScenarioData) -> TruthLabels:
+    """The truth labels of a simulated drive, as its truth-label file reads them."""
     return io.truth_labels({"timestamp": data.scans.timestamp, "offsets": data.scans.offsets,
                             "index": data.scans.detections.index, "is_vru": data.is_vru})
+
+
+def truth_table(labels: dict) -> TruthLabels:
+    """The truth labels of a dict {(t, idx): "vru" or "clutter"}, as a truth-label file
+    holding one scan per key reads them."""
+    keys = list(labels)
+    return io.truth_labels({
+        "timestamp": np.array([t for t, _ in keys], dtype=float),
+        "offsets": np.arange(len(keys) + 1, dtype=np.int64),
+        "index": np.array([idx for _, idx in keys], dtype=np.int64),
+        "is_vru": np.array([labels[key] == LABEL_VRU for key in keys], dtype=np.uint8)})
 
 
 def conf_axes(global_xy) -> tuple[float, float]:

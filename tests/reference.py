@@ -1,7 +1,9 @@
 """Per-scan and per-record reference implementations, kept as test oracles.
 
-Annotation and cycle statistics: the scan-by-scan loops that the whole-run
-code in `annotation` and `evaluation` replaced.  They use only scalar geometry
+Annotation, cycle statistics and scoring: the scan-by-scan loops that the
+whole-run code in `annotation` and `evaluation` replaced.  Truth labels are a
+dict keyed by (scan `t` to the nanosecond, point idx), as `evaluate` held them
+before it joined label columns.  They use only scalar geometry
 (one pose and one shape per scan), and write every frame change out point by
 point with `math.cos` and `math.sin` rather than call the library's.  One
 rule differs from the loops they came from: a confidence ellipse whose
@@ -159,6 +161,42 @@ def cycle_stats(scan: LabeledScan) -> dict:
         "conf_minor": conf_minor,
         "weighted_count": n * (mean_range / WEIGHTED_COUNT_REF_RANGE) ** 2,
     }
+
+
+def truth_labels(c: dict) -> dict[tuple[float, int], str]:
+    """The truth labels of a truth-label file's columns, inserted row by row; a ValueError
+    names the first row whose key an earlier row holds, as (message, row)."""
+    times, out = [round(t, 9) for t in c["timestamp"].tolist()], {}
+    offsets, index, is_vru = c["offsets"].tolist(), c["index"].tolist(), c["is_vru"].tolist()
+    for k, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        for row in range(lo, hi):
+            key = times[k], index[row]
+            if key in out:
+                raise ValueError(f"repeated label for t={key[0]:.9f} point {key[1]}", row)
+            out[key] = LABEL_VRU if is_vru[row] else LABEL_CLUTTER
+    return out
+
+
+def truth_dict(labels) -> dict[tuple[float, int], str]:
+    """A `core.TruthLabels` table as a dict keyed by (t, idx)."""
+    times = np.repeat(labels.timestamp, np.diff(labels.offsets)).tolist()
+    return {(t, idx): LABEL_VRU if vru else LABEL_CLUTTER
+            for t, idx, vru in zip(times, labels.index.tolist(), labels.is_vru.tolist())}
+
+
+def per_scan_counts(auto: LabeledTable, truth: dict) -> list[tuple[int, int, int]]:
+    """Per-scan (TP, FP, FN), looking up each point's label in a dict of truth labels; a
+    ValueError names the first point without one."""
+    out = []
+    for scan in auto:
+        t, vru = round(scan.timestamp, 9), []
+        for idx in [*scan.assigned.index.tolist(), *scan.rejected.index.tolist()]:
+            if (t, idx) not in truth:
+                raise ValueError(f"no truth label for scan t={t} point {idx}")
+            vru.append(truth[t, idx] == LABEL_VRU)
+        tp = sum(vru[:len(scan.assigned)])
+        out.append((tp, len(scan.assigned) - tp, sum(vru[len(scan.assigned):])))
+    return out
 
 
 # --- File readers ---------------------------------------------------------------

@@ -10,7 +10,7 @@ from vruradar.evaluation import Averaging, per_scan_counts, score_assignment, sc
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import ReferenceTrajectory, build_fused_trajectory
 
-from conftest import global_to_polar, radar_table, truth_map
+from conftest import global_to_polar, radar_table, truth_map, truth_table
 
 
 EGO = Pose(-5.0, 0.0, 0.0)
@@ -68,7 +68,7 @@ def test_detections_inside_truth_extent_gives_full_recall():
         for i in range(5):
             truth[(round(t, 9), i)] = "vru"
     res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
-    score = score_assignment(res.scans, truth, Averaging.MACRO)
+    score = score_assignment(res.scans, truth_table(truth), Averaging.MACRO)
     assert score.recall == 1.0
 
 

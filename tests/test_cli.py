@@ -231,6 +231,20 @@ def test_annotate_deterministic(sim_dir, tmp_path, labeled_path):
     assert out2.read_bytes() == labeled_path.read_bytes()
 
 
+def test_annotate_creates_the_parent_of_out(sim_dir, tmp_path, labeled_path):
+    # As simulate, evaluate, signature and track create theirs.
+    out = tmp_path / "new" / "dir" / "labeled.jsonl"
+    rc = main([
+        "annotate", "--scenario", str(sim_dir / "scenario.json"),
+        "--radar", str(sim_dir / "radar.jsonl"),
+        "--gnss", str(sim_dir / "gnss.csv"),
+        "--imu", str(sim_dir / "imu.csv"),
+        "--mode", "gnss-imu", "--out", str(out),
+    ])
+    assert rc == 0
+    assert out.read_bytes() == labeled_path.read_bytes()
+
+
 def test_evaluate_writes_reports(sim_dir, labeled_path, tmp_path):
     out = tmp_path / "eval"
     rc = main([
@@ -662,7 +676,7 @@ def read(kind, path):
     except io.SchemaError as exc:
         return {"fault": str(exc), "line": exc.line}
     if kind == "truth_labels":
-        return repr(sorted(got.items()))
+        return {f.name: repr(getattr(got, f.name).tolist()) for f in dataclasses.fields(got)}
     columns = {f.name: getattr(got.detections, f.name) for f in dataclasses.fields(got.detections)}
     for name in ("timestamp", "sensor_id", "offsets", "n_assigned", "vru_state", "bounding"):
         columns[name] = getattr(got, name, None)
@@ -926,6 +940,12 @@ def test_evaluate_overflowing_statistic_exit_1(sim_dir, labeled_path, tmp_path, 
     # A grid of 10.7 PiB: no system can allocate it, so numpy refuses at once.
     ("--resolution", "1e-7", 1, "Unable to allocate 10.7 PiB for an array with shape "
                                 "(50000000, 30000000) and data type int64"),
+    # More cells than an array can index, named without a numpy warning.
+    ("--half-extent-x", "1e300", 1, "a grid of 4e+301 x 60 cells is too large to allocate"),
+    # 2 * 1.5 / 7 and 2 * 0.0125 / 0.05 = 0.5 both round to no cell.
+    ("--resolution", "7", 2, "--resolution 7.0 leaves no cell across --half-extent-y 1.5"),
+    ("--half-extent-x", "0.0125", 2,
+     "--resolution 0.05 leaves no cell across --half-extent-x 0.0125"),
 ])
 def test_signature_refuses_a_bad_grid(labeled_path, tmp_path, capsys, option, value, code,
                                       error):

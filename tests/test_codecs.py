@@ -18,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference as ref
-from vruradar import io
+from vruradar import io, sidecar
 from vruradar.annotation import LabeledTable, annotate_scenario
-from vruradar.core import Detections, ScanTable, VruKind, scan_offsets, table
+from vruradar.core import Detections, ScanTable, TruthLabels, VruKind, scan_offsets, table
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
@@ -178,6 +178,8 @@ def assert_same_table(a, b) -> None:
             assert np.array_equal(a.vru_state, b.vru_state)
             assert np.array_equal(a.bounding, b.bounding, equal_nan=True)
             assert (a.track_id, a.vru_kind) == (b.track_id, b.vru_kind)
+    elif isinstance(a, TruthLabels):  # against the reference's dict, or another table
+        assert ref.truth_dict(a) == (b if isinstance(b, dict) else ref.truth_dict(b))
     else:
         assert a == b
 
@@ -280,20 +282,31 @@ def test_scan_files_survive_write_read_write(tmp_path_factory, labeled, data):
     assert _written(write, path, read(path)) == first
 
 
-@settings(max_examples=120, deadline=None)
-@given(scans=st.lists(st.tuples(finite, st.integers(0, 4)), max_size=8), data=st.data())
-def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, data):
+@settings(max_examples=150, deadline=None)
+@given(scans=st.lists(st.tuples(finite, st.integers(0, 4)), max_size=8), data=st.data(),
+       block=st.sampled_from([1, 3, io._BLOCK]))
+def test_truth_label_writer_writes_the_reference_bytes(tmp_path_factory, scans, data, block):
+    # Empty scans, scans across block boundaries, times that orjson writes with an exponent
+    # (1e16, 1e-7) and idx at the ends of int64; the sidecar matches the file it was written
+    # with, and holds its columns.
     times, counts = zip(*scans) if scans else ((), ())
     offsets = scan_offsets(counts)
     n = int(offsets[-1])
-    index = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    ends = st.sampled_from([-2**63, 2**63 - 1])
+    index = data.draw(st.lists(st.integers(-2**63, 2**63 - 1) | ends, min_size=n, max_size=n))
     table = ScanTable(times, ["r"] * len(times), offsets,
                       Detections(*np.zeros((4, n)), index=np.array(index, dtype=np.int64)))
     is_vru = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     path = tmp_path_factory.mktemp("labels") / "labels.jsonl"
-    io.write_truth_labels_jsonl(path, table, is_vru)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK", block)
+        io.write_truth_labels_jsonl(path, table, is_vru)
     assert path.read_text(encoding="utf-8") == ref.orjson_text(
         io.TRUTH_LABELS_TAG, ref.truth_label_records(table, is_vru))
+    columns, strings = sidecar.read(path, sidecar.TRUTH_LABELS)
+    assert strings == {}
+    assert [columns[name].tolist() for name in columns] == [
+        [round(t, 9) for t in times], offsets.tolist(), index, list(map(int, is_vru))]
 
 
 @pytest.mark.parametrize("kind", list(JSONL))

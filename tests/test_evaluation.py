@@ -3,23 +3,27 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 from scipy import stats as sps
 from scipy.special import stdtr
 
+import reference as ref
+from vruradar import io
 from vruradar.annotation import LabeledScan
-from vruradar.core import Detections, VruKind
+from vruradar.core import Detections, LabeledTable, VruKind, scan_offsets
 from vruradar.evaluation import (
     CYCLE_COLUMNS,
     Averaging,
     cycle_stats,
     histogram,
+    per_scan_counts,
     r4_compensate,
     score_assignment,
     student_t_two_sided_p,
     welch_t_test,
 )
 
-from conftest import conf_axes, labeled_table
+from conftest import conf_axes, labeled_table, truth_table
 
 
 def make_scan(t, assigned_idx, rejected_idx, *, vr=None, amp=20.0, rng_m=10.0, pts=None):
@@ -49,7 +53,7 @@ def test_score_single_scan_definition():
     scan = make_scan(0.0, [0, 1, 2, 3], [4, 5])
     truth = {(0.0, i): "vru" for i in (0, 1, 2, 4, 5)}
     truth[(0.0, 3)] = "clutter"
-    s = score_assignment(labeled_table([scan]), truth, Averaging.MICRO)
+    s = score_assignment(labeled_table([scan]), truth_table(truth), Averaging.MICRO)
     assert (s.tp, s.fp, s.fn) == (3, 1, 2)
     assert s.precision == pytest.approx(0.75)
     assert s.recall == pytest.approx(0.6)
@@ -59,7 +63,7 @@ def test_score_perfect_agreement():
     scan = make_scan(0.0, [0, 1], [2])
     truth = {(0.0, 0): "vru", (0.0, 1): "vru", (0.0, 2): "clutter"}
     for avg in (Averaging.MICRO, Averaging.MACRO):
-        s = score_assignment(labeled_table([scan]), truth, avg)
+        s = score_assignment(labeled_table([scan]), truth_table(truth), avg)
         assert s.precision == 1.0 and s.recall == 1.0
 
 
@@ -67,8 +71,8 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
     # scan A: 1 TP; scan B: 1 TP, 1 FP -> per-scan precisions {1.0, 0.5}
     scans = [make_scan(0.0, [0], []), make_scan(1.0, [0, 1], [])]
     truth = {(0.0, 0): "vru", (1.0, 0): "vru", (1.0, 1): "clutter"}
-    macro = score_assignment(labeled_table(scans), truth, Averaging.MACRO)
-    micro = score_assignment(labeled_table(scans), truth, Averaging.MICRO)
+    macro = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MACRO)
+    micro = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MICRO)
     assert macro.precision == pytest.approx(0.75)
     assert micro.precision == pytest.approx(2 / 3)
 
@@ -76,14 +80,14 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
 def test_macro_skips_undefined_scores():
     scans = [make_scan(0.0, [], []), make_scan(1.0, [0], [])]
     truth = {(1.0, 0): "vru"}
-    s = score_assignment(labeled_table(scans), truth, Averaging.MACRO)
+    s = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MACRO)
     assert s.precision == 1.0 and s.recall == 1.0
 
 
 def test_score_misaligned_raises():
     scan = make_scan(0.0, [0], [])
     with pytest.raises(ValueError):
-        score_assignment(labeled_table([scan]), {}, Averaging.MICRO)
+        score_assignment(labeled_table([scan]), truth_table({}), Averaging.MICRO)
 
 
 def test_scores_bounded_and_monotone():
@@ -97,7 +101,7 @@ def test_scores_bounded_and_monotone():
         base = make_scan(0.0, list(range(tp + fp)), list(range(tp + fp, tp + fp + fn)))
         truth = {(0.0, i): ("vru" if i < tp else "clutter") for i in range(tp + fp)}
         truth.update({(0.0, i): "vru" for i in range(tp + fp, tp + fp + fn)})
-        s = score_assignment(labeled_table([base]), truth, Averaging.MICRO)
+        s = score_assignment(labeled_table([base]), truth_table(truth), Averaging.MICRO)
         assert 0.0 <= s.precision <= 1.0 and 0.0 <= s.recall <= 1.0
         more_fp = make_scan(
             0.0, list(range(tp + fp + fn, tp + fp + fn + 1)) + list(range(tp + fp)),
@@ -105,7 +109,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fp = dict(truth)
         truth_fp[(0.0, tp + fp + fn)] = "clutter"
-        s_fp = score_assignment(labeled_table([more_fp]), truth_fp, Averaging.MICRO)
+        s_fp = score_assignment(labeled_table([more_fp]), truth_table(truth_fp), Averaging.MICRO)
         assert s_fp.precision <= s.precision
         more_fn = make_scan(
             0.0, list(range(tp + fp)),
@@ -113,7 +117,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fn = dict(truth)
         truth_fn[(0.0, tp + fp + fn)] = "vru"
-        s_fn = score_assignment(labeled_table([more_fn]), truth_fn, Averaging.MICRO)
+        s_fn = score_assignment(labeled_table([more_fn]), truth_table(truth_fn), Averaging.MICRO)
         assert s_fn.recall <= s.recall
 
 
@@ -132,8 +136,72 @@ def test_score_matches_hand_pooled_counts_on_random_data():
             tp += assigned[i] and labels[i]
             fp += assigned[i] and not labels[i]
             fn += (not assigned[i]) and labels[i]
-    s = score_assignment(labeled_table(scans), truth, Averaging.MICRO)
+    s = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MICRO)
     assert (s.tp, s.fp, s.fn) == (tp, fp, fn)
+
+
+# Scan times, some of which share a key: -0.0, 0.0 and 1e-10 (0.0 to the nanosecond), and
+# 1.0 and 1.0 + 1e-12.
+KEY_TIMES = [-0.0, 0.0, 1e-10, 1.0, 1.0 + 1e-12, 2.5, 1e16]
+
+
+@st.composite
+def scan_rows(draw):
+    """(times, counts, idx, is_vru) of a few scans; each scan's idx are distinct."""
+    counts = draw(st.lists(st.integers(0, 4), max_size=6))
+    ids = st.integers(0, 4) | st.sampled_from([-2**63, 2**63 - 1])
+    index = [i for c in counts for i in draw(st.lists(ids, min_size=c, max_size=c, unique=True))]
+    return (draw(st.lists(st.sampled_from(KEY_TIMES), min_size=len(counts),
+                          max_size=len(counts))),
+            counts, index, draw(st.lists(st.booleans(), min_size=len(index),
+                                         max_size=len(index))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(truth=scan_rows(), auto=scan_rows(), data=st.data())
+def test_per_scan_counts_match_the_dict_oracle(truth, auto, data):
+    # A scan time that recurs, a key that two scans hold, a labeled point without a truth
+    # label and a truth label without a labeled point: the counts, or the first fault's
+    # message, that looking up each point in a dict of labels gives.
+    times, counts, index, is_vru = truth
+    columns = {"timestamp": np.array(times, dtype=float), "offsets": scan_offsets(counts),
+               "index": np.array(index, dtype=np.int64), "is_vru": np.array(is_vru, np.uint8)}
+    try:
+        oracle = ref.truth_labels(columns)
+    except ValueError as exc:
+        event("repeated key")
+        with pytest.raises(io._Fault) as fault:
+            io.truth_labels(columns)
+        assert fault.value.args == exc.args
+        return
+    labels = io.truth_labels(columns)
+    assert ref.truth_dict(labels) == oracle
+    assert not (np.signbit(labels.timestamp) & (labels.timestamp == 0.0)).any()  # -0.0 is 0.0
+    times, counts, index, _ = auto
+    if data.draw(st.booleans()):  # the truth's scans at times of the same keys, each holding
+        offsets = scan_offsets(truth[1]).tolist()  # some of its idx in any order
+        rows = [data.draw(st.lists(st.sampled_from(truth[2][lo:hi]), unique=True))
+                if hi > lo else [] for lo, hi in zip(offsets, offsets[1:])]
+        times = [data.draw(st.sampled_from([u for u in KEY_TIMES if round(u, 9) == round(t, 9)]))
+                 for t in truth[0]]
+        counts, index = list(map(len, rows)), [i for scan in rows for i in scan]
+    n = len(index)
+    scans = LabeledTable(times, ["r0"] * len(times), scan_offsets(counts),
+                         Detections(*np.zeros((4, n)), index=index, ego=np.zeros((n, 2)),
+                                    global_xy=np.zeros((n, 2))),
+                         [data.draw(st.integers(0, c)) for c in counts],
+                         np.zeros((len(times), 5)), np.full((len(times), 5), np.nan), "vru-0",
+                         VruKind.PEDESTRIAN)
+    try:
+        expected = ref.per_scan_counts(scans, oracle)
+    except ValueError as exc:
+        event("unlabeled point")
+        with pytest.raises(ValueError) as err:
+            per_scan_counts(scans, labels)
+        assert str(err.value) == str(exc)
+        return
+    event("counts")
+    assert per_scan_counts(scans, labels) == expected
 
 
 # --- R^4 -----------------------------------------------------------------------

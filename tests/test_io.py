@@ -58,8 +58,8 @@ def test_truth_labels_round_trip(tmp_path, small_scenario):
     io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
     back = io.read_truth_labels_jsonl(path)
     records = ref.truth_label_records(small_scenario.scans, small_scenario.is_vru)
-    assert back == {(r["t"], r["idx"]): r["label"] for r in records}
-    assert back == truth_map(small_scenario)
+    assert ref.truth_dict(back) == {(r["t"], r["idx"]): r["label"] for r in records}
+    assert ref.truth_dict(back) == ref.truth_dict(truth_map(small_scenario))
 
 
 def test_traj_round_trip(tmp_path, small_scenario):
@@ -461,6 +461,25 @@ def test_truth_labels_reader_rejects_repeated_keys(tmp_path, small_scenario):
     with pytest.raises(io.SchemaError, match="repeated") as err:
         io.read_truth_labels_jsonl(path)
     assert (err.value.path, err.value.line) == (path, len(lines))
+
+
+@pytest.mark.parametrize("later", ['{"t": 0.5, "idx": 0, "label": "car"}', '{"t": 0.5,'])
+def test_truth_labels_reader_names_a_repeated_key_before_a_later_fault(tmp_path, small_scenario,
+                                                                        later):
+    # The decoder checks keys for repeats when it builds the table, so a faulty record, or a
+    # line that is not JSON, after a repeated key is named only after it.
+    path = tmp_path / "labels.jsonl"
+    io.write_truth_labels_jsonl(path, small_scenario.scans, small_scenario.is_vru)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines.insert(3, lines[1])
+    lines.insert(6, later)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(io.SchemaError, match="repeated label") as err:
+        io.read_truth_labels_jsonl(path)
+    assert (err.value.path, err.value.line) == (path, 4)
+    with pytest.raises(io.SchemaError, match="repeated label") as err:
+        ref.read_truth_labels_jsonl(path)
+    assert err.value.line == 4
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "swap"])

@@ -22,7 +22,8 @@ from hypothesis import event, given, settings, strategies as st
 
 from vruradar import io, jsonl_decoder, sidecar
 from vruradar.annotation import annotate_scenario
-from vruradar.core import Detections, LabeledTable, ScanTable, VruKind, scan_offsets
+from vruradar.core import (Detections, LabeledTable, ScanTable, TruthLabels, VruKind,
+                           scan_offsets)
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
@@ -86,20 +87,20 @@ def _outcome(read, path):
 
 def assert_identical(a, b) -> None:
     """The same table: every column with the same dtype, shape, bytes and writability."""
-    if isinstance(a, dict):
-        assert a == b
-        assert [tuple(map(type, k)) for k in a] == [tuple(map(type, k)) for k in b]
-        return
     assert type(a) is type(b)
-    names = ["timestamp", "sensor_id", "offsets"]
+    if isinstance(a, TruthLabels):
+        names, point_names = ["timestamp", "offsets", "index", "is_vru"], []
+    else:
+        names = ["timestamp", "sensor_id", "offsets"]
+        point_names = ["range_m", "azimuth", "radial_velocity", "amplitude", "index", "ego",
+                       "global_xy"]
     if isinstance(a, LabeledTable):
         names += ["n_assigned", "vru_state", "bounding"]
         assert (a.track_id, type(a.track_id), a.vru_kind) == (b.track_id, type(b.track_id),
                                                               b.vru_kind)
     columns = [(name, getattr(a, name), getattr(b, name)) for name in names]
     columns += [(name, getattr(a.detections, name), getattr(b.detections, name))
-                for name in ("range_m", "azimuth", "radial_velocity", "amplitude", "index",
-                             "ego", "global_xy")]
+                for name in point_names]
     for name, x, y in columns:
         if x is None or y is None:
             assert x is y, name

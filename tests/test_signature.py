@@ -83,6 +83,31 @@ def test_accumulate_validates_resolution():
         accumulate(labeled_table([]), resolution=0.0)
 
 
+@pytest.mark.parametrize("resolution,half_extents,message", [
+    (math.nan, (2.5, 1.5), "resolution must be finite and > 0, got nan"),
+    (0.05, (math.inf, 1.5), "half extent x must be finite and > 0, got inf"),
+    (0.05, (2.5, -1.0), "half extent y must be finite and > 0, got -1.0"),
+    (7.0, (2.5, 1.5), "resolution 7.0 leaves no cell across half extents 2.5 and 1.5"),
+])
+def test_accumulate_refuses_a_grid_without_cells(resolution, half_extents, message):
+    # Where numpy failed with its own message, or a grid of no cell held every point in
+    # `overflow`.
+    with pytest.raises(ValueError) as err:
+        accumulate(labeled_table([]), resolution=resolution, half_extents=half_extents)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("resolution,half_extents", [(0.05, (1e300, 1.5)), (1e-300, (2.5, 1.5))])
+def test_accumulate_names_a_grid_too_large_to_index(resolution, half_extents):
+    with pytest.raises(MemoryError, match="cells is too large to allocate"):
+        accumulate(labeled_table([]), resolution=resolution, half_extents=half_extents)
+
+
+def test_accumulate_takes_a_grid_of_one_cell():
+    grid = accumulate(labeled_table([]), resolution=3.0, half_extents=(2.5, 1.5))
+    assert grid.counts.shape == (2, 1)
+
+
 def test_grid_stats_single_cell_degenerate():
     st = vru_state()
     grid = accumulate(labeled_table([labeled_scan(0.0, [(0.51, 0.49)] * 10, st)]))
