@@ -9,20 +9,22 @@ assigned points.  Each step runs on whole columns of the run's table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 # LabeledScan and LabeledTable are defined in core and importable from here as before.
 from .core import (LabeledScan, LabeledTable, Pose, ScanTable, SensorMount, VruKind,
-                   mounts_by_id, to_global, to_local)
+                   mounts_by_id, record, to_global, to_local)
 from .selection import bounding_axes, cyclist_rectangle, pedestrian_ellipse
 from .trajectory import ReferenceTrajectory
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnnotationResult:
+    """The labeled scans of a run, and how many scans it skipped."""
+
     scans: LabeledTable
     skipped: int  # scans outside the trajectory support
 

@@ -10,16 +10,28 @@ command's handler is the `run` of its module in `vruradar.commands`, which
 
 from __future__ import annotations
 
-import argparse
-import atexit
 import gc
-import importlib
-import sys
 
-import numpy as np
+# No cyclic collection runs while the parser and numpy load.  Then every object in the
+# process, about 31,000 of them and nearly all long-lived, is frozen, so that no later
+# collection walks them.  A frozen object is never collected: the few hundred objects of
+# cyclic garbage that these imports leave stay until exit.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import importlib
+    import sys
 
-# Lazy modules (see __init__): a command loads only the layers whose attributes it reads.
-from . import io, simulator
+    import numpy as np
+
+    # Lazy modules (see __init__): a command loads only the layers whose attributes it reads.
+    from . import io, simulator
+
+    gc.freeze()
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -110,16 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _freeze_heap() -> None:
-    # CPython runs atexit hooks before its exit collections, which then skip the frozen heap.
-    # A frozen object is never collected as cyclic garbage, so no output may wait on a
-    # finalizer: every command writes and closes each of its files before it returns.
-    gc.freeze()
-
-
 def main(argv=None) -> int:
-    atexit.unregister(_freeze_heap)  # one hook, however often main is called
-    atexit.register(_freeze_heap)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

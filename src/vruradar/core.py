@@ -15,12 +15,136 @@ sensor -> ego (the mount) -> global (the ego pose) -> object frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+_set = object.__setattr__
+
+
+def record(cls=None, /, *, frozen=False, eq=True, slots=False):
+    """Class decorator: the class `dataclass(cls, frozen=frozen, eq=eq, slots=slots)` would
+    make, with the shared methods below instead of methods compiled from source per class.
+
+    A record's constructor takes each field by position or by keyword, in order, fills in
+    its default or `default_factory`, and then calls `__post_init__`.  With `eq`, records
+    of one class are equal when their field tuples are, and a frozen one hashes its field
+    tuple.  A frozen record refuses to set or delete any attribute.  `dataclasses.fields`,
+    `replace` and `astuple` take a record as the dataclass it stands for.
+    """
+    def wrap(cls):
+        methods = {"__init__": _init, "__repr__": _repr, "__signature__": _SIGNATURE}
+        if eq:
+            methods.update(__eq__=_eq, __hash__=_hash if frozen else None)
+        if frozen:
+            methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+            if slots:  # what copy and pickle restore a slot with
+                methods.update(__getstate__=_values, __setstate__=_setstate)
+        for name, method in methods.items():
+            setattr(cls, name, method)
+        cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+        cls._record = tuple(f.name for f in fields(cls)), hasattr(cls, "__post_init__"), slots
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+def _init(self, *args, **kwargs):
+    names, post_init, slots = self._record
+    if kwargs or len(args) != len(names):
+        args = _bind(type(self), args, kwargs)
+    if slots:
+        _setstate(self, args)
+    else:
+        self.__dict__.update(zip(names, args))
+    if post_init:
+        self.__post_init__()
+
+
+def _bind(cls, args, kwargs) -> list:
+    """The field values of the call `cls(*args, **kwargs)`; a TypeError says what a
+    generated `__init__` would of an argument too many, unknown, given twice or missing."""
+    fields_, name = cls.__dataclass_fields__, f"{cls.__qualname__}.__init__()"
+    required = [n for n, f in fields_.items() if f.default is f.default_factory is MISSING]
+    if len(args) > len(fields_):
+        takes = len(fields_) + 1 if len(required) == len(fields_) else \
+            f"from {len(required) + 1} to {len(fields_) + 1}"
+        raise TypeError(f"{name} takes {takes} positional arguments but {len(args) + 1} were given")
+    given = dict(zip(fields_, args))
+    for key, value in kwargs.items():
+        if key in given or key not in fields_:
+            problem = "multiple values for" if key in given else "an unexpected keyword"
+            raise TypeError(f"{name} got {problem} argument {key!r}")
+        given[key] = value
+    missing = [repr(n) for n in required if n not in given]
+    if missing:
+        listed = " and ".join(missing) if len(missing) < 3 else \
+            ", ".join(missing[:-1]) + ", and " + missing[-1]
+        raise TypeError(f"{name} missing {len(missing)} required positional argument"
+                        f"{'s' if len(missing) > 1 else ''}: {listed}")
+    return [given[n] if n in given else f.default if f.default is not MISSING
+            else f.default_factory() for n, f in fields_.items()]
+
+
+def _view(cls, **values):
+    """The record of a checked table's row: its fields hold `values`, and no `__init__` or
+    `__post_init__` runs."""
+    out = object.__new__(cls)
+    out.__dict__.update(values)
+    return out
+
+
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._record[0]])
+
+
+def _setstate(self, values) -> None:
+    for name, value in zip(self._record[0], values):
+        _set(self, name, value)
+
+
+def _repr(self) -> str:
+    return (f"{type(self).__qualname__}("
+            + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record[0]) + ")")
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self) == _values(other)
+    return NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Signature:
+    """A record class's `__signature__`, made from its fields when first read (by `inspect`)."""
+
+    def __get__(self, obj, cls):
+        import inspect
+
+        P = inspect.Parameter
+        factory = type("Factory", (), {"__repr__": lambda _: "<factory>"})()
+        return inspect.Signature(
+            [P(f.name, P.POSITIONAL_OR_KEYWORD, annotation=f.type,
+               default=(f.default if f.default is not MISSING
+                        else P.empty if f.default_factory is MISSING else factory))
+             for f in fields(cls)], return_annotation=None)
+
+
+_SIGNATURE = _Signature()
 
 LABEL_VRU = "vru"
 LABEL_CLUTTER = "clutter"
@@ -99,7 +223,7 @@ def table(names, columns) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Pose:
     """Planar position plus heading of a frame in its parent; yaw is wrapped on construction."""
 
@@ -113,7 +237,7 @@ class Pose:
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@record(frozen=True, eq=False, slots=True)
 class Detections:
     """Radar points as columns, one row per point.
 
@@ -172,7 +296,7 @@ class Detections:
 _COLUMNS = tuple(f.name for f in fields(Detections))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SensorMount:
     """Static mounting of one radar on the ego vehicle."""
 
@@ -198,7 +322,7 @@ def mounts_by_id(mounts) -> dict[str, SensorMount]:
     return out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadarScan:
     """All detections of one sensor at one measurement cycle: a view of one ScanTable row."""
 
@@ -226,7 +350,7 @@ def rank_in_scan(offsets: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1]) - np.repeat(offsets[:-1], np.diff(offsets))
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class ScanTable:
     """Every radar scan of a run in one table.
 
@@ -258,7 +382,8 @@ class ScanTable:
 
     def __getitem__(self, k: int) -> RadarScan:
         lo, hi = self.offsets[k], self.offsets[k + 1]
-        return RadarScan(float(self.timestamp[k]), str(self.sensor_id[k]), self.detections[lo:hi])
+        return _view(RadarScan, timestamp=float(self.timestamp[k]),
+                     sensor_id=str(self.sensor_id[k]), detections=self.detections[lo:hi])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -283,7 +408,7 @@ class ScanTable:
                          self.detections[rows])
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class TruthLabels:
     """The truth label of every radar point of a run, ordered by key: scan time to the
     nanosecond, then point index.
@@ -300,7 +425,7 @@ class TruthLabels:
     is_vru: np.ndarray  # (n,) bool
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabeledScan:
     """One scan's detections, coordinates filled in, split into assigned and rejected rows:
     a view of one LabeledTable row."""
@@ -315,7 +440,7 @@ class LabeledScan:
     vru_state: np.ndarray  # (5,) x, y, yaw, speed, yaw rate
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class LabeledTable(ScanTable):
     """Every labeled scan of a run in one table.
 
@@ -348,9 +473,10 @@ class LabeledTable(ScanTable):
         cx, cy, major, minor, orientation = self.bounding[k].tolist()
         ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
                                                                  orientation)
-        return LabeledScan(float(self.timestamp[k]), self.track_id, self.vru_kind,
-                           str(self.sensor_id[k]), self.detections[lo:mid],
-                           self.detections[mid:hi], ellipse, self.vru_state[k])
+        return _view(LabeledScan, timestamp=float(self.timestamp[k]), track_id=self.track_id,
+                     vru_kind=self.vru_kind, sensor_id=str(self.sensor_id[k]),
+                     assigned=self.detections[lo:mid], rejected=self.detections[mid:hi],
+                     bounding=ellipse, vru_state=self.vru_state[k])
 
 
 def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +499,7 @@ def to_global(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
     return c * u - s * v + x, s * u + c * v + y
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrientedEllipse:
     """Ellipse with full axis lengths; `ax_major` lies along `orientation`.
 

@@ -12,12 +12,11 @@ has one tuning, held in this module's constants (`EXTENT_SCALE` to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .core import ScanTable, fold_axis, table, wrap_angle
+from .core import ScanTable, fold_axis, record, table, wrap_angle
 
 _OMEGA_EPS = 1e-6  # below this |yaw rate| the straight-line series expansion is used
 EXTENT_SCALE = 0.25  # measurement spread = EXTENT_SCALE * extent + noise
@@ -48,7 +47,7 @@ class ExtentError(RuntimeError):
     """The extent matrix lost symmetry or positive definiteness."""
 
 
-@dataclass
+@record
 class RmmTrack:
     """Kinematic state with covariance plus the extent matrix and its confidence.
 

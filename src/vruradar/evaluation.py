@@ -5,13 +5,12 @@ and fixed-width histograms."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 
 import numpy as np
 
-from .core import LabeledTable, TruthLabels, table
+from .core import LabeledTable, TruthLabels, record, table
 
 WEIGHTED_COUNT_REF_RANGE = 10.0  # m, reference for distance-weighted detection counts
 # A covariance whose minor-to-major eigenvalue ratio is at most this is
@@ -29,8 +28,10 @@ class Averaging(str, Enum):
     MACRO = "macro"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AssignmentScore:
+    """TP, FP and FN counts of labels against the truth, and their precision and recall."""
+
     tp: int
     fp: int
     fn: int
@@ -38,15 +39,19 @@ class AssignmentScore:
     recall: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TTestResult:
+    """Welch's t statistic, its degrees of freedom and its two-sided p-value."""
+
     t: float
     dof: float
     p_two_sided: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Histogram:
+    """The counts of a fixed-width histogram and its bin edges."""
+
     edges: np.ndarray  # len(counts) + 1, left-closed right-open bins
     counts: np.ndarray
 
@@ -124,20 +129,20 @@ def r4_compensate(amplitude_db, range_m, ref_range: float = 1.0):
     return amplitude_db + 40.0 * log_ratio.reshape(ratio.shape)
 
 
-def _ellipse_axes(cxx, cyy, cxy, level: float):
+def _ellipse_axes(cxx, cyy, cxy, across, level: float):
     """Full (major, minor) confidence-ellipse axes of the 2x2 covariance(s)
     [[cxx, cxy], [cxy, cyy]], NaN where the covariance is degenerate.
 
     Axes are 2*sqrt(eigenvalue * q) with q the chi-square(2 dof) quantile at
-    `level`; the eigenvalues are the closed form mean +- radius.
+    `level`.  The large eigenvalue is the closed form mean + radius; the small
+    one is `across`, the variance of the points across the major axis, since
+    mean - radius cancels for a thin set of points.
     """
-    mean = 0.5 * (cxx + cyy)
-    radius = np.hypot(0.5 * (cxx - cyy), cxy)
-    big, small = mean + radius, mean - radius
-    flat = np.isfinite(big) & ~(small > COLLINEAR_RATIO * big)  # an overflow is no degenerate one
+    big = 0.5 * (cxx + cyy) + np.hypot(0.5 * (cxx - cyy), cxy)
+    flat = np.isfinite(big) & ~(across > COLLINEAR_RATIO * big)  # an overflow is no degenerate one
     q = -2.0 * math.log1p(-level)  # chi-square(2) quantile, closed form
     major = 2.0 * np.sqrt(np.where(flat, np.nan, big) * q)
-    minor = 2.0 * np.sqrt(np.where(flat, np.nan, small) * q)
+    minor = 2.0 * np.sqrt(np.where(flat, np.nan, across) * q)
     return major, minor
 
 
@@ -155,19 +160,21 @@ def cycle_stats(scans: LabeledTable) -> np.ndarray:
     def mean(values):  # about each scan's first value, so that equal values give it exactly
         return values[first] + np.bincount(seg, values - values[first][seg], k) / n
 
-    def covariance(a, b):  # sample covariance within each scan, 0 for a single point
-        return np.bincount(seg, (a - mean(a)[seg]) * (b - mean(b)[seg]), k) / np.maximum(n - 1, 1)
+    def covariance(a, b):  # of values less their scan's mean: within each scan, 0 for one point
+        return np.bincount(seg, a * b, k) / np.maximum(n - 1, 1)
 
-    x, y = d.global_xy.T
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        x, y, v = (c - mean(c)[seg] for c in (*d.global_xy.T, d.radial_velocity))
         cov = np.array([covariance(x, x), covariance(y, y), covariance(x, y)])
-        conf_major, conf_minor = _ellipse_axes(*cov, 0.95)
+        major_yaw = 0.5 * np.arctan2(2.0 * cov[2], cov[0] - cov[1])[seg]
+        across = y * np.cos(major_yaw) - x * np.sin(major_yaw)
+        conf_major, conf_minor = _ellipse_axes(*cov, covariance(across, across), 0.95)
         conf_major[n < 3] = conf_minor[n < 3] = np.nan
         stats = table(CYCLE_COLUMNS, (
             cycles.timestamp,
             n,
             mean(r4_compensate(d.amplitude, d.range_m)),
-            np.sqrt(covariance(d.radial_velocity, d.radial_velocity)),
+            np.sqrt(covariance(v, v)),
             conf_major,
             conf_minor,
             n * (mean(d.range_m) / WEIGHTED_COUNT_REF_RANGE) ** 2,

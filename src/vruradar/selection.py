@@ -8,11 +8,9 @@ and width values are full extents; membership tests use half extents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import OrientedEllipse, to_local
+from .core import OrientedEllipse, record, to_local
 from .trajectory import STANDSTILL_SPEED
 
 PEDESTRIAN_MIN_MAJOR = 1.5  # m
@@ -26,7 +24,7 @@ GROWTH_CAP = 1.0  # m, both growth terms saturate here
 MIN_BOUNDING_AXIS = 0.1  # m, full-extent floor of the fitted bounding ellipse
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OrientedRectangle:
     """Rectangle with full side lengths; `length` lies along `orientation`.
 

@@ -9,15 +9,14 @@ world.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledTable, fold_axis, table, to_local
+from .core import LabeledTable, fold_axis, record, table, to_local
 from .io import write_table
 
 
-@dataclass
+@record
 class SignatureGrid:
     """2D histogram of detections in the object frame.
 
@@ -43,8 +42,10 @@ class SignatureGrid:
         return xs, ys
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GridStats:
+    """Peak cell, centroid, principal axes and orientation of a signature grid."""
+
     peak_cell: tuple[float, float]  # center of the highest-count cell
     centroid: tuple[float, float]
     principal_axes: tuple[float, float]  # sqrt of covariance eigenvalues, major first

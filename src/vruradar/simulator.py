@@ -12,13 +12,14 @@ byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
 from .core import (BODY_SIGMA, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
                    TRAJ_COLUMNS, Detections, GnssQuality, Pose, ScanTable, SensorMount,
-                   VruKind, rank_in_scan, scan_offsets, table, to_global, to_local, wrap_angles)
+                   VruKind, rank_in_scan, record, scan_offsets, table, to_global, to_local,
+                   wrap_angles)
 
 
 TRUTH_RATE = 50.0  # Hz of the truth table
@@ -40,7 +41,7 @@ ACCEL_SIGMA = 0.05  # m/s^2
 ACCEL_BIAS_SIGMA = 0.01  # m/s^2, constant per run
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Perturbation:
     """GNSS error window: a bias ramped in and out, or a random walk."""
 
@@ -65,7 +66,7 @@ class Perturbation:
         return np.clip(np.minimum(up, down), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DetectionRateParams:
     """Expected VRU detection count lambda0 * (r0 / r), floored at 1."""
 
@@ -90,8 +91,10 @@ def default_mounts() -> tuple[SensorMount, ...]:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioConfig:
+    """One simulated drive: the VRU and its course, sensor rates and noise, rig and seed."""
+
     vru_kind: VruKind
     speed: float
     course_half_width: float = 6.0
@@ -176,7 +179,7 @@ class EightCourse:
         return xy, np.arctan2(dy, dx), np.full(len(s), self.speed), curvature * self.speed
 
 
-@dataclass
+@record
 class ScenarioData:
     """Everything one simulated scenario produces.
 

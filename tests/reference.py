@@ -5,10 +5,12 @@ whole-run code in `annotation` and `evaluation` replaced.  Truth labels are a
 dict keyed by (scan `t` to the nanosecond, point idx), as `evaluate` held them
 before it joined label columns.  They use only scalar geometry
 (one pose and one shape per scan), and write every frame change out point by
-point with `math.cos` and `math.sin` rather than call the library's.  One
-rule differs from the loops they came from: a confidence ellipse whose
+point with `math.cos` and `math.sin` rather than call the library's.  Two
+rules differ from the loops they came from: a confidence ellipse whose
 covariance has an eigenvalue ratio at most `COLLINEAR_RATIO` is degenerate,
-not only one with a non-positive eigenvalue.
+not only one with a non-positive eigenvalue, and the covariance's eigenvalues
+come from its exact value in integers, not from `numpy.linalg.eigvalsh`, which
+loses digits of the small one on a thin set of points.
 
 File readers: the record-by-record and field-by-field readers that the block
 codecs in `io` replaced.  Three rules differ from the readers they came from:
@@ -140,17 +142,39 @@ def annotate(scans, traj, vru_kind, mounts, ego_pose, track_id="vru-0"):
     return labeled, skipped
 
 
+def covariance_eigenvalues(points) -> tuple[float, float]:
+    """(small, big) eigenvalues of the sample covariance of (n, 2) points, each to a few
+    units in the last place.
+
+    The covariance is exact: each coordinate is an integer count of the finest power of two
+    among them, so that n (n - 1) d^2 times the covariance, its trace `tr` and determinant
+    `det` are exact integers.  The small eigenvalue is 2 det / (tr + sqrt(tr^2 - 4 det)), a
+    form without cancellation, and each integer quotient is rounded once.
+    """
+    ratios = [v.as_integer_ratio() for v in np.asarray(points, dtype=float).ravel().tolist()]
+    d = max(den for _, den in ratios)
+    xs, ys = ([num * (d // den) for num, den in ratios[axis::2]] for axis in (0, 1))
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    cxx, cyy = n * sum(x * x for x in xs) - sx * sx, n * sum(y * y for y in ys) - sy * sy
+    cxy = n * sum(map(operator.mul, xs, ys)) - sx * sy
+    tr, det, scale = cxx + cyy, cxx * cyy - cxy * cxy, n * (n - 1) * d * d
+    if not tr:  # every point the same
+        return 0.0, 0.0
+    root = math.sqrt((tr * tr - 4 * det) / (scale * scale))
+    return 2 * det / (scale * scale) / (tr / scale + root), (tr / scale + root) / 2.0
+
+
 def cycle_stats(scan: LabeledScan) -> dict:
     """Statistics of one scan's assigned detections; None for an undefined ellipse."""
     d = scan.assigned
     n = len(d)
     conf_major = conf_minor = None
     if n >= 3:
-        eigval = np.linalg.eigvalsh(np.cov(d.global_xy, rowvar=False, ddof=1))
-        if eigval[0] > COLLINEAR_RATIO * eigval[1]:
+        small, big = covariance_eigenvalues(d.global_xy)
+        if small > COLLINEAR_RATIO * big:
             q = -2.0 * math.log1p(-0.95)
-            conf_major = 2.0 * math.sqrt(eigval[1] * q)
-            conf_minor = 2.0 * math.sqrt(eigval[0] * q)
+            conf_major = 2.0 * math.sqrt(big * q)
+            conf_minor = 2.0 * math.sqrt(small * q)
     mean_range = float(np.mean(d.range_m))
     return {
         "timestamp": scan.timestamp,

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import json
@@ -1044,32 +1045,50 @@ def test_track_reads_the_truth_traj_without_assigned_points(labeled_path, sim_di
     assert not (tmp_path / "trk").exists()
 
 
-# Registered before vruradar.cli is imported, the probe's atexit hook runs after the CLI's
-# (atexit runs its hooks last in, first out) and just before the exit collections.  It prints
-# how often the heap was frozen and how many objects are frozen.
-_EXIT_PROBE = """
+# Set up before vruradar.cli is imported, the probe counts the process's cyclic collections
+# and notes, at each freeze, whether numpy was loaded, whether collection was on, how many
+# collections had run and how many objects the freeze left frozen.  Its atexit hook prints
+# what it saw and the frozen count at exit.
+_GC_PROBE = """
 import atexit, gc, sys
-freeze, freezes = gc.freeze, []
-gc.freeze = lambda: freezes.append(freeze())
-atexit.register(lambda: print("freezes", len(freezes), "frozen", gc.get_freeze_count(),
-                              file=sys.stderr))
+collections, freezes = [], []
+gc.callbacks.append(lambda phase, info: phase == "start" and collections.append(phase))
+freeze = gc.freeze
+def counted_freeze():
+    seen = "numpy" in sys.modules, gc.isenabled(), len(collections)
+    freeze()
+    freezes.append((*seen, gc.get_freeze_count()))
+gc.freeze = counted_freeze
+atexit.register(lambda: print(repr((freezes, enabled, gc.get_freeze_count())), file=sys.stderr))
 from vruradar.cli import main
+enabled = gc.isenabled()
 runs, argv = int(sys.argv[1]), sys.argv[2:]
 sys.exit(max([main(argv) for _ in range(runs)]))
 """
 
 
 @pytest.mark.parametrize("runs", [1, 2])
-def test_a_command_process_freezes_its_heap_once_at_exit(labeled_path, tmp_path, runs):
+def test_a_command_process_freezes_its_import_heap_once(labeled_path, tmp_path, runs):
     proc = subprocess.run(
-        [sys.executable, "-c", _EXIT_PROBE, str(runs), "signature", "--labeled",
+        [sys.executable, "-c", _GC_PROBE, str(runs), "signature", "--labeled",
          str(labeled_path), "--out", str(tmp_path / "sig")],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    match = re.fullmatch(r"freezes 1 frozen (\d+)\n", proc.stderr)
-    assert match, proc.stderr
-    assert int(match[1]) > 0
+    freezes, enabled_after_import, frozen_at_exit = ast.literal_eval(proc.stderr)
+    # One freeze, once numpy has loaded, with collection off and none run before it.
+    assert [f[:3] for f in freezes] == [(True, False, 0)]
+    assert enabled_after_import
+    assert 0 < frozen_at_exit <= freezes[0][3]  # freed objects leave the frozen generation
     assert (tmp_path / "sig.pgm").exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_importing_the_cli_leaves_gc_enabled_as_it_found_it(enabled):
+    probe = ("import gc; gc.enable() if {} else gc.disable(); import vruradar.cli; "
+             "print(gc.isenabled(), gc.get_freeze_count() > 0)").format(enabled)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env(), check=True)
+    assert proc.stdout.split() == [str(enabled), "True"]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

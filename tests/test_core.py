@@ -1,9 +1,18 @@
+import ast
+import copy
+import dataclasses
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import vruradar
 from vruradar.core import (
     Detections,
     LabeledTable,
@@ -12,6 +21,7 @@ from vruradar.core import (
     ScanTable,
     SensorMount,
     VruKind,
+    record,
     scan_offsets,
     to_global,
     to_local,
@@ -281,3 +291,90 @@ def test_composing_a_quarter_turn():
     parent = Pose(1.0, 2.0, math.pi / 2)
     x, y = to_global([1.0, 0.0], parent.x, parent.y, parent.yaw)
     assert (x, y) == pytest.approx((1.0, 3.0))
+
+
+def _twin_namespace() -> dict:
+    """The body of a class with a plain default, a default factory and a check."""
+    def __post_init__(self):
+        if self.a < 0:
+            raise ValueError(f"a must be >= 0, got {self.a}")
+    return {"__annotations__": {"a": "int", "b": "tuple", "c": "tuple"}, "__module__": __name__,
+            "b": (1, 2), "c": dataclasses.field(default_factory=tuple),
+            "__post_init__": __post_init__}
+
+
+def _outcome(call):
+    try:
+        return "ok", repr(call())
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("options", [{}, {"frozen": True}, {"eq": False},
+                                     {"frozen": True, "eq": False},
+                                     {"frozen": True, "eq": False, "slots": True}])
+def test_a_record_behaves_as_the_dataclass_it_stands_for(options):
+    made = record(**options)(type("Twin", (), _twin_namespace()))
+    twin = dataclasses.dataclass(**options)(type("Twin", (), _twin_namespace()))
+    for cls in (made, twin):
+        assert cls.__qualname__ == "Twin"
+
+    def behaviour(cls) -> list:
+        x, y = cls(1), cls(a=1, c=(3,))
+        calls = [
+            lambda: [(f.name, f.type, f.default, f.default_factory) for f in
+                     dataclasses.fields(cls)],
+            lambda: str(inspect.signature(cls)), lambda: cls.__match_args__,
+            lambda: (cls.__hash__ is None, cls.__hash__ is object.__hash__),
+            lambda: hasattr(x, "__dict__"),
+            lambda: x, lambda: y, lambda: cls(2, (3,), (4,)), lambda: cls(b=(), a=5),
+            lambda: (x == cls(1), x == y, x != cls(1), x == (1, (1, 2), ())),
+            lambda: hash(x) if cls.__hash__ not in (None, object.__hash__) else None,
+            lambda: dataclasses.replace(y, a=7), lambda: dataclasses.replace(y, a=-1),
+            lambda: dataclasses.astuple(y), lambda: dataclasses.asdict(y),
+            lambda: (copy.copy(y), copy.deepcopy(y)),
+            cls, lambda: cls(1, (), (), 4), lambda: cls(1, a=2), lambda: cls(1, d=2),
+            lambda: cls(b=()), lambda: cls(-1),
+            lambda: setattr(x, "a", 3), lambda: x, lambda: delattr(x, "b"), lambda: x,
+        ]
+        # A frozen dataclass with slots fails here with a TypeError of its own: the super()
+        # of its __setattr__ names the class that dataclass replaced to add the slots.
+        if not options.get("slots"):
+            calls.append(lambda: setattr(x, "other", 1))
+        return [_outcome(call) for call in calls]
+
+    assert behaviour(made) == behaviour(twin)
+
+
+# Imports numpy, then counts the source texts that exec and eval are given while the
+# package and every module of it and of its commands load.
+_LOAD_PROBE = """
+import builtins, importlib, pkgutil, sys
+import numpy
+sources = []
+def spy(run):
+    def counted(source, *args, **kwargs):
+        if isinstance(source, (str, bytes)):
+            sources.append(source)
+        return run(source, *args, **kwargs)
+    return counted
+builtins.exec, builtins.eval = spy(builtins.exec), spy(builtins.eval)
+import vruradar, vruradar.commands
+for package in (vruradar, vruradar.commands):
+    for info in pkgutil.iter_modules(package.__path__, package.__name__ + "."):
+        vars(importlib.import_module(info.name))  # a lazy module runs when first read
+print(repr(sources))
+"""
+
+
+def test_loading_the_package_compiles_no_source_text():
+    src = str(Path(vruradar.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    sources = ast.literal_eval(proc.stdout)
+    # From Python 3.13, dataclass compiles a builder for a class's methods even when it
+    # makes none: records leave it that one empty function.
+    empty_builder = "def __create_fn__():\n\n return ()"
+    if sys.version_info >= (3, 13):
+        sources = [s for s in sources if s != empty_builder]
+    assert sources == []

@@ -47,7 +47,7 @@ GOLDEN = {
         '4-track.stdout':
             '5f725a3364d3d5aff9ef80e8248a1ab28f7ca42d72e3e1f389890e0568fe59dd',
         'eval/cycle_stats.csv':
-            '4acc7d4a91edb51ba9beca5410a333d4a6c7b8a400aa5a62b37f7ac26ffbfbbd',
+            '5c832260f6dc740c4b24b042908f5bdb3a743bda079203c86580c7214e6c4892',
         'eval/hist_conf_minor.csv':
             '21c76fde473710d904d728e3b4993551ac9e643471526ed3e229ba03a9abb6ae',
         'eval/hist_doppler_std.csv':
@@ -95,7 +95,7 @@ GOLDEN = {
         '4-track.stdout':
             'af943dc18962403fe5078cd0af6daaa284586ba3832fca91aa5debae07fb3a2f',
         'eval/cycle_stats.csv':
-            'e39014621e6c043abeeb68c8a05d49728e493560ee8af2d1036a8c5a15063ba6',
+            'e4d25e32f41bbc78307f2d8bb0cbb2b9f88de6b917b5060f39f4000d7addfc84',
         'eval/hist_conf_minor.csv':
             '5d5b1c1179ba7f78568cfcd2b638ab47f363c2680577471633f89b3f61e02cff',
         'eval/hist_doppler_std.csv':
@@ -145,7 +145,7 @@ GOLDEN = {
         '5-track.stdout':
             'dd7854bc466a0b85ad6a2ae536ca671ffa3325e3a12d365e0185253996953099',
         'eval/cycle_stats.csv':
-            'd4279aa7daec307594364d81ccc702599298a45a49d547cbbdf67a57fcad8dd6',
+            '938781aec06b4d4b6a5baf919e0ee712e4d72e89848e6949afd5ad1acf5d67c9',
         'eval/hist_conf_minor.csv':
             'f5bae9339922e9614f624b173e60a4f826375095e4aeaa64cdcbb4ca1414eeb6',
         'eval/hist_doppler_std.csv':
@@ -153,7 +153,7 @@ GOLDEN = {
         'eval/scores.csv':
             'ae9eb3da7415bccd1b194bfd68206d72c4b4b77b8135cf200b23dd9b4418c3eb',
         'eval/ttests.csv':
-            'e4812a24786bca4446f82a25086042358ef6c30bbbe9a599b6cc39d722c7cee8',
+            'd282e342ef10b636f1f0680fce55db01a8ad99ba1637b821bb34ee166cb8ba98',
         'labeled-gnss-imu.jsonl':
             '8dec29eaac9b765b016656fb8da45006175d56e3143931320f9770cd81731454',
         'labeled-gnss-imu.jsonl.cols':

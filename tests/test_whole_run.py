@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from conftest import global_to_polar, radar_table, series
@@ -116,6 +116,8 @@ def small_scans(rng: np.random.Generator, traj: ReferenceTrajectory) -> list[Rad
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(VruKind), with_imu=st.booleans())
+# A scan of 3 points so thin that conf_minor as mean - radius was off by 1e-9 relative.
+@example(seed=1129, kind=VruKind.CYCLIST, with_imu=False)
 def test_small_drives_match_per_scan_reference(seed, kind, with_imu):
     rng = np.random.default_rng(seed)
     traj = small_drive(rng, with_imu)
