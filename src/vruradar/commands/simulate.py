@@ -44,9 +44,8 @@ def _parse_bias(value) -> tuple[float, float]:
 _FIELD_KEYS = {  # ScenarioConfig fields of the same name
     "vru_kind": _parse_vru_kind,
     **dict.fromkeys(("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                     "radar_rate", "gnss_sigma", "clutter_rate"), _number),
+                     "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"), _number),
 }
-_DETECTION_RATE_KEYS = {"lambda0": _number, "r0": _number}
 _PERTURBATION_KEYS = {
     "start": _number,
     "duration": _number,
@@ -55,7 +54,7 @@ _PERTURBATION_KEYS = {
     "onset": _number,
     "flagged": _flag,
 }
-_SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS, *_DETECTION_RATE_KEYS}
+_SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS}
 
 
 def _converted(raw: dict, converters: dict, section: str) -> dict:
@@ -92,10 +91,7 @@ def scenario_config_from_dict(raw: dict) -> simulator.ScenarioConfig:
                 raise ConfigError(f"missing required config key: {key}")
     seed = _converted(raw, {"seed": _integer}, "config").get("seed", 0)
     kwargs = _converted(raw, _FIELD_KEYS, "config")
-    rate = _converted(raw, _DETECTION_RATE_KEYS, "config")
     try:
-        if rate:
-            kwargs["detection_rate"] = simulator.DetectionRateParams(**rate)
         if "perturbation" in raw:
             kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
         if "preset" in raw:

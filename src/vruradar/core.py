@@ -22,12 +22,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-_set = object.__setattr__
 
-
-def record(cls=None, /, *, frozen=False, eq=True, slots=False):
-    """Class decorator: the class `dataclass(cls, frozen=frozen, eq=eq, slots=slots)` would
-    make, with the shared methods below instead of methods compiled from source per class.
+def record(cls=None, /, *, frozen=False, eq=True):
+    """Class decorator: the class `dataclass(cls, frozen=frozen, eq=eq)` would make, with
+    the shared methods below instead of methods compiled from source per class.
 
     A record's constructor takes each field by position or by keyword, in order, fills in
     its default or `default_factory`, and then calls `__post_init__`.  With `eq`, records
@@ -41,25 +39,20 @@ def record(cls=None, /, *, frozen=False, eq=True, slots=False):
             methods.update(__eq__=_eq, __hash__=_hash if frozen else None)
         if frozen:
             methods.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-            if slots:  # what copy and pickle restore a slot with
-                methods.update(__getstate__=_values, __setstate__=_setstate)
         for name, method in methods.items():
             setattr(cls, name, method)
-        cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
-        cls._record = tuple(f.name for f in fields(cls)), hasattr(cls, "__post_init__"), slots
+        cls = dataclass(cls, init=False, repr=False, eq=False)
+        cls._record = tuple(f.name for f in fields(cls)), hasattr(cls, "__post_init__")
         return cls
 
     return wrap if cls is None else wrap(cls)
 
 
 def _init(self, *args, **kwargs):
-    names, post_init, slots = self._record
+    names, post_init = self._record
     if kwargs or len(args) != len(names):
         args = _bind(type(self), args, kwargs)
-    if slots:
-        _setstate(self, args)
-    else:
-        self.__dict__.update(zip(names, args))
+    self.__dict__.update(zip(names, args))
     if post_init:
         self.__post_init__()
 
@@ -99,11 +92,6 @@ def _view(cls, **values):
 
 def _values(self) -> tuple:
     return tuple([getattr(self, name) for name in self._record[0]])
-
-
-def _setstate(self, values) -> None:
-    for name, value in zip(self._record[0], values):
-        _set(self, name, value)
 
 
 def _repr(self) -> str:
@@ -237,7 +225,7 @@ class Pose:
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
 
-@record(frozen=True, eq=False, slots=True)
+@record(frozen=True, eq=False)
 class Detections:
     """Radar points as columns, one row per point.
 
@@ -276,12 +264,8 @@ class Detections:
         return len(self.range_m)
 
     def __getitem__(self, rows) -> "Detections":
-        # Rows of a checked table need no checks: skip __init__.
-        out = object.__new__(Detections)
-        for name in _COLUMNS:
-            col = getattr(self, name)
-            object.__setattr__(out, name, None if col is None else col[rows])
-        return out
+        return _view(Detections, **{name: None if col is None else col[rows]
+                                    for name, col in self.__dict__.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Detections):

@@ -491,6 +491,14 @@ def _scan_columns(scans: ScanTable) -> tuple[dict[str, np.ndarray], list[str], I
 # --- Radar scans ----------------------------------------------------------
 
 def write_radar_jsonl(path, scans: ScanTable) -> None:
+    """One record per scan.  A radar point's idx is its position in its scan, which the
+    file does not write: before the file is opened, a ValueError names the first scan whose
+    points are not numbered 0..k-1."""
+    misnumbered = scans.detections.index != rank_in_scan(scans.offsets)
+    if misnumbered.any():
+        k = int(scans.scan_of_row[np.argmax(misnumbered)])
+        raise ValueError(f"scan {k} at t={scans.timestamp[k]:.9f}: a radar file numbers the "
+                         f"points of a scan 0..{scans.offsets[k + 1] - scans.offsets[k] - 1}")
     columns = {name: getattr(scans.detections, name) for name in _POLAR_COLUMNS}
     polar = np.column_stack(list(columns.values()))
     scan_columns, names, keys = _scan_columns(scans)

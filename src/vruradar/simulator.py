@@ -41,6 +41,32 @@ ACCEL_SIGMA = 0.05  # m/s^2
 ACCEL_BIAS_SIGMA = 0.01  # m/s^2, constant per run
 
 
+def _check_numbers(rec, names) -> None:
+    """Raise a ValueError naming the first field of `names` whose value is not a finite
+    Python or numpy number; a bool is none."""
+    for name in names:
+        value = getattr(rec, name)
+        if not _finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def _check_pair(rec, name: str) -> None:
+    """Raise a ValueError unless the field `name` is None or a pair of finite numbers."""
+    pair = getattr(rec, name)
+    if pair is not None and not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
+                                 and all(map(_finite, pair))):
+        raise ValueError(f"{name} must be a pair of finite numbers, got {pair!r}")
+
+
+def _finite(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 @record(frozen=True)
 class Perturbation:
     """GNSS error window: a bias ramped in and out, or a random walk."""
@@ -53,10 +79,13 @@ class Perturbation:
     flagged: bool = False  # whether the receiver marks samples DEGRADED
 
     def __post_init__(self) -> None:
+        _check_numbers(self, ("start", "duration", "random_walk_sigma", "onset"))
+        _check_pair(self, "bias")
         if not self.duration > 0:
             raise ValueError(f"perturbation duration must be > 0, got {self.duration!r}")
-        if not self.onset >= 0:
-            raise ValueError(f"perturbation onset must be >= 0, got {self.onset!r}")
+        for name in ("random_walk_sigma", "onset"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"perturbation {name} must be >= 0, got {getattr(self, name)!r}")
 
     def weight(self, t):
         """Bias activation in [0, 1] at time(s) t; zero outside the open window."""
@@ -64,22 +93,6 @@ class Perturbation:
         up = (t - self.start) / ramp
         down = (self.start + self.duration - t) / ramp
         return np.clip(np.minimum(up, down), 0.0, 1.0)
-
-
-@record(frozen=True)
-class DetectionRateParams:
-    """Expected VRU detection count lambda0 * (r0 / r), floored at 1."""
-
-    lambda0: float = 12.0
-    r0: float = 10.0
-
-    def __post_init__(self) -> None:
-        for name in ("lambda0", "r0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-
-    def mean_count(self, r):
-        return np.maximum(1.0, self.lambda0 * self.r0 / np.maximum(r, 1e-6))
 
 
 def default_mounts() -> tuple[SensorMount, ...]:
@@ -93,7 +106,11 @@ def default_mounts() -> tuple[SensorMount, ...]:
 
 @record(frozen=True)
 class ScenarioConfig:
-    """One simulated drive: the VRU and its course, sensor rates and noise, rig and seed."""
+    """One simulated drive: the VRU and its course, sensor rates and noise, rig and seed.
+
+    A scan sees lambda0 * (r0 / r) VRU points on average, floored at 1, with the VRU at
+    range r.
+    """
 
     vru_kind: VruKind
     speed: float
@@ -105,16 +122,29 @@ class ScenarioConfig:
     gnss_sigma: float = 0.02
     perturbation: Perturbation | None = None
     clutter_rate: float = 2.0  # expected clutter points per scan
-    detection_rate: DetectionRateParams = field(default_factory=DetectionRateParams)
+    lambda0: float = 12.0
+    r0: float = 10.0
     mounts: tuple[SensorMount, ...] = field(default_factory=default_mounts)
     ego_pose: Pose = field(default_factory=lambda: Pose(-11.0, 0.0, 0.0))
     rng_seed: int = 0
     scatter_sigma: tuple[float, float] | None = None  # defaults per VRU kind
 
     def __post_init__(self) -> None:
-        for name in ("gnss_rate", "imu_rate", "radar_rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        try:
+            object.__setattr__(self, "vru_kind", VruKind(self.vru_kind))
+        except ValueError:
+            raise ValueError(f"vru_kind must be pedestrian or cyclist, got {self.vru_kind!r}") \
+                from None
+        _check_numbers(self, ("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
+                              "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"))
+        _check_pair(self, "scatter_sigma")
+        for name in ("speed", "course_half_width", "gnss_rate", "imu_rate", "radar_rate",
+                     "lambda0", "r0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("gnss_sigma", "clutter_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not self.duration >= 2 * RADAR_START_MARGIN:  # radar scans keep off both ends
             raise ValueError(f"duration must be >= {2 * RADAR_START_MARGIN} s to hold a radar "
                              f"scan, got {self.duration!r}")
@@ -122,14 +152,6 @@ class ScenarioConfig:
             raise ValueError(f"seed must be an integer, got {self.rng_seed!r}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed!r}")
-        if self.speed <= 0:
-            raise ValueError("speed must be > 0")
-        scales = {"gnss_sigma": self.gnss_sigma, "clutter_rate": self.clutter_rate}
-        if self.perturbation is not None:
-            scales["random_walk_sigma"] = self.perturbation.random_walk_sigma
-        for name, value in scales.items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
 
     def body_sigma(self) -> tuple[float, float]:
         """Scatter standard deviations (along, across) the movement direction."""
@@ -308,7 +330,8 @@ def generate_radar(
     r_center, az_center = _polar_by_sensor(xy, sensor, cfg)
     visible = (r_center <= max_range) & (np.abs(az_center) <= fov)
     n_vru = np.zeros(n_scans, dtype=int)
-    n_vru[visible] = rng.poisson(cfg.detection_rate.mean_count(r_center[visible]))
+    mean_count = cfg.lambda0 * cfg.r0 / np.maximum(r_center[visible], 1e-6)
+    n_vru[visible] = rng.poisson(np.maximum(1.0, mean_count))
 
     # VRU points: body scatter in the object frame, moving rigidly with the VRU.
     scan = np.repeat(np.arange(n_scans), n_vru)

@@ -231,7 +231,7 @@ def build_trajectory(gnss: np.ndarray) -> ReferenceTrajectory:
     """Smooth the positions of a GNSS stream and wrap them as a queryable reference trajectory."""
     if len(gnss) < 2:
         raise ValueError("need at least two GNSS samples")
-    _check_finite(gnss, "GNSS", ("x", "y"))
+    _check_stream(gnss, "GNSS", ("x", "y"))
     return ReferenceTrajectory(gnss["timestamp"], _smoothed(gnss, "GNSS"))
 
 
@@ -239,14 +239,27 @@ def _xy(series: np.ndarray) -> np.ndarray:
     return np.column_stack([series["x"], series["y"]])
 
 
-def _check_finite(series: np.ndarray, name: str, columns: tuple[str, ...]) -> None:
-    """Raise a ValueError naming the first sample of `series` whose `columns` are not finite."""
+def _check_stream(series: np.ndarray, name: str, columns: tuple[str, ...]) -> None:
+    """Raise a ValueError naming the first sample of a GNSS or IMU `series` whose `columns`
+    are not finite, whose timestamp does not follow the one before, or whose GNSS quality
+    is not a known one (e.g. a value cut short by a narrow text column)."""
+    times = series["timestamp"]
     bad = ~np.isfinite(np.column_stack([series[c] for c in columns])).all(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         what = "pose position" if columns == ("x", "y") else " and ".join(columns)
-        raise ValueError(f"{name} sample {k} at t={series['timestamp'][k]:.9f}: "
-                         f"{what} must be finite")
+        raise ValueError(f"{name} sample {k} at t={times[k]:.9f}: {what} must be finite")
+    bad = ~(times[1:] > times[:-1])
+    if bad.any():
+        k = int(np.argmax(bad)) + 1
+        raise ValueError(f"{name} timestamps must be strictly increasing: sample {k} at "
+                         f"t={times[k]:.9f} follows t={times[k - 1]:.9f}")
+    if "quality" in series.dtype.names:
+        bad = ~np.isin(series["quality"], list(GnssQuality._value2member_map_))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"{name} sample {k} at t={times[k]:.9f}: unknown GNSS quality "
+                             f"{str(series['quality'][k])!r}")
 
 
 def _smoothed(series: np.ndarray, stage: str) -> np.ndarray:
@@ -270,20 +283,8 @@ def fuse_gnss_imu(gnss: np.ndarray, imu: np.ndarray) -> np.ndarray:
     """
     if not len(gnss) or not len(imu):
         raise ValueError("both GNSS and IMU streams must be non-empty")
-    _check_finite(gnss, "GNSS", ("x", "y"))
-    _check_finite(imu, "IMU", ("yaw_rate", "accel_forward"))
-    for name, stream in (("GNSS", gnss), ("IMU", imu)):
-        times = stream["timestamp"]
-        bad = np.flatnonzero(np.diff(times) <= 0)
-        if len(bad):
-            k = int(bad[0]) + 1
-            raise ValueError(
-                f"{name} timestamps must be strictly increasing: sample {k} at t={times[k]:.9f}"
-                f" follows t={times[k - 1]:.9f}"
-            )
-    unknown = set(gnss["quality"].tolist()) - set(GnssQuality._value2member_map_)
-    if unknown:  # e.g. a value cut short by a narrow text column
-        raise ValueError(f"unknown GNSS quality {min(unknown)!r}")
+    _check_stream(gnss, "GNSS", ("x", "y"))
+    _check_stream(imu, "IMU", ("yaw_rate", "accel_forward"))
     fixes = list(zip(*(gnss[name].tolist() for name in ("timestamp", "x", "y")),
                      (gnss["quality"] == GnssQuality.DEGRADED).tolist()))
     t0 = max(fixes[0][0], float(imu["timestamp"][0]))
@@ -291,8 +292,8 @@ def fuse_gnss_imu(gnss: np.ndarray, imu: np.ndarray) -> np.ndarray:
     if t0 >= t1:
         raise ValueError("GNSS and IMU streams do not overlap in time")
 
-    # Snap to the first usable fix; the filter engages once the fix window
-    # establishes course and speed (or confirms a standstill start).
+    # Snap to each usable fix until the fix window establishes course and speed; the
+    # filter engages then, whatever the GNSS rate.
     g_idx = 0
     while fixes[g_idx][0] < t0:
         g_idx += 1
@@ -355,11 +356,6 @@ def fuse_gnss_imu(gnss: np.ndarray, imu: np.ndarray) -> np.ndarray:
                     half_turn = 0.5 * w * span
                     yaw = wrap_angle(math.atan2(dy, dx) + half_turn)
                     speed = min(dist / span, V_MAX)
-                    initializing = False
-                elif span >= 4.0 * COURSE_MIN_SPAN and dist < COURSE_MIN_DIST:
-                    # Standstill start: engage frozen at the fix position.
-                    yaw = 0.0
-                    speed = 0.0
                     initializing = False
                 continue
 

@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import reference as ref
 from vruradar import io, sidecar
 from vruradar.annotation import LabeledTable, annotate_scenario
-from vruradar.core import Detections, ScanTable, TruthLabels, VruKind, scan_offsets, table
+from vruradar.core import (Detections, ScanTable, TruthLabels, VruKind, rank_in_scan, scan_offsets,
+                           table)
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
@@ -236,8 +237,9 @@ def scan_tables(draw, labeled: bool):
     d = Detections(*cols[:4], index=[i for scan in index for i in scan],
                    ego=np.reshape(cols[4:6], (2, -1)).T, global_xy=np.reshape(cols[6:], (2, -1)).T)
     offsets = scan_offsets(counts)
-    if not labeled:
-        return ScanTable(times, sensors, offsets, replace(d, ego=None, global_xy=None))
+    if not labeled:  # a radar file numbers each scan's points 0..k-1, as it reads them back
+        return ScanTable(times, sensors, offsets,
+                         replace(d, index=rank_in_scan(offsets), ego=None, global_xy=None))
     n_assigned = [draw(st.integers(0, c)) for c in counts]
     state = [draw(st.lists(finite, min_size=5, max_size=5)) for _ in counts]
     for row in state:
@@ -280,6 +282,25 @@ def test_scan_files_survive_write_read_write(tmp_path_factory, labeled, data):
     path = tmp_path_factory.mktemp("scans") / "scans.jsonl"
     first = _written(write, path, table)
     assert _written(write, path, read(path)) == first
+
+
+def test_a_radar_file_holds_the_points_numbered_within_their_scan(tmp_path):
+    # Points numbered 0..n-1 across the table, as Detections numbers them by default: the
+    # file would read back [0, 1, 0], which no truth label of the table's idx 2 matches.
+    d = Detections([1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3, [0.0] * 3)
+    table = ScanTable([1.0, 2.0], ["r", "r"], scan_offsets([2, 1]), d)
+    radar, labels = tmp_path / "radar.jsonl", tmp_path / "labels.jsonl"
+    with pytest.raises(ValueError, match=r"^scan 1 at t=2.000000000: a radar file numbers the "
+                                         r"points of a scan 0..0$"):
+        io.write_radar_jsonl(radar, table)
+    assert not radar.exists() and not sidecar.path_of(radar).exists()
+    table = replace(table, detections=replace(d, index=rank_in_scan(table.offsets)))
+    io.write_radar_jsonl(radar, table)
+    io.write_truth_labels_jsonl(labels, table, [True, False, True])
+    read = io.read_radar_jsonl(radar)
+    assert read.detections.index.tolist() == [0, 1, 0]
+    assert io.read_truth_labels_jsonl(labels).index.tolist() == [0, 1, 0]
+    assert_same_table(read, table)
 
 
 @settings(max_examples=150, deadline=None)

@@ -311,8 +311,7 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("options", [{}, {"frozen": True}, {"eq": False},
-                                     {"frozen": True, "eq": False},
-                                     {"frozen": True, "eq": False, "slots": True}])
+                                     {"frozen": True, "eq": False}])
 def test_a_record_behaves_as_the_dataclass_it_stands_for(options):
     made = record(**options)(type("Twin", (), _twin_namespace()))
     twin = dataclasses.dataclass(**options)(type("Twin", (), _twin_namespace()))
@@ -336,11 +335,8 @@ def test_a_record_behaves_as_the_dataclass_it_stands_for(options):
             cls, lambda: cls(1, (), (), 4), lambda: cls(1, a=2), lambda: cls(1, d=2),
             lambda: cls(b=()), lambda: cls(-1),
             lambda: setattr(x, "a", 3), lambda: x, lambda: delattr(x, "b"), lambda: x,
+            lambda: setattr(x, "other", 1),
         ]
-        # A frozen dataclass with slots fails here with a TypeError of its own: the super()
-        # of its __setattr__ names the class that dataclass replaced to add the slots.
-        if not options.get("slots"):
-            calls.append(lambda: setattr(x, "other", 1))
         return [_outcome(call) for call in calls]
 
     assert behaviour(made) == behaviour(twin)

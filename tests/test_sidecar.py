@@ -23,7 +23,7 @@ from hypothesis import event, given, settings, strategies as st
 from vruradar import io, jsonl_decoder, sidecar
 from vruradar.annotation import annotate_scenario
 from vruradar.core import (Detections, LabeledTable, ScanTable, TruthLabels, VruKind,
-                           scan_offsets)
+                           rank_in_scan, scan_offsets)
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import build_trajectory
 
@@ -51,9 +51,9 @@ ids = st.text(alphabet='ab"\\é\u4e2d\n', min_size=1, max_size=3)
 
 
 @st.composite
-def tables(draw, labeled: bool):
-    """A table the writers accept, with or without values the readers refuse, and a truth
-    label per point."""
+def tables(draw, kind: str):
+    """A table the `kind` writer accepts, with or without values the readers refuse, and a
+    truth label per point."""
     counts = draw(st.lists(st.integers(0, 3), max_size=6))
     m, n = len(counts), sum(counts)
     sensors = draw(st.lists(st.sampled_from(["a", "b", draw(ids)]), min_size=m, max_size=m))
@@ -65,7 +65,9 @@ def tables(draw, labeled: bool):
                    global_xy=np.reshape(cols[6:], (2, -1)).T)
     t = draw(st.lists(times, min_size=m, max_size=m))
     is_vru = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if not labeled:
+    if kind == "radar":  # a radar file numbers each scan's points 0..k-1
+        d = replace(d, index=rank_in_scan(scan_offsets(counts)))
+    if kind != "labeled":
         return ScanTable(t, sensors, scan_offsets(counts), replace(d, ego=None, global_xy=None)), \
             is_vru
     n_assigned = [draw(st.integers(0, c)) for c in counts]
@@ -112,7 +114,7 @@ def assert_identical(a, b) -> None:
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(list(KINDS)), data=st.data())
 def test_a_sidecar_reads_as_its_file_decodes(tmp_path_factory, kind, data):
-    table, is_vru = data.draw(tables(labeled=kind == "labeled"))
+    table, is_vru = data.draw(tables(kind))
     write, from_sidecar, decode = KINDS[kind]
     path = tmp_path_factory.mktemp(kind) / "f.jsonl"
     write(path, table, is_vru)

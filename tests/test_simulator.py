@@ -12,7 +12,6 @@ from vruradar.simulator import (
     AZIMUTH_STEP,
     RADIAL_VELOCITY_STEP,
     RANGE_STEP,
-    DetectionRateParams,
     EightCourse,
     Perturbation,
     ScenarioConfig,
@@ -197,7 +196,7 @@ def test_radar_detection_count_halves_at_double_range():
         ego_pose=replace(preset("pedestrian-nominal").ego_pose, x=-14.0),
     )
     data = simulate_scenario(cfg)
-    r0 = cfg.detection_rate.r0
+    r0 = cfg.r0
     counts = {r0: [], 2 * r0: []}
     mounts = {m.sensor_id: m for m in cfg.mounts}
     for scan, (x, y) in zip(data.scans, data.course.states(data.scans.timestamp)[0].tolist()):
@@ -278,14 +277,57 @@ def test_config_validation():
         ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0,
                        perturbation=Perturbation(start=1.0, duration=1.0, random_walk_sigma=-0.1))
     for name, value in (("lambda0", -5.0), ("lambda0", 0.0), ("r0", 0.0)):
-        with pytest.raises(ValueError, match=f"{name} must be > 0"):
-            DetectionRateParams(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, got {value}$"):
+            ScenarioConfig(vru_kind=VruKind.PEDESTRIAN, speed=1.0, **{name: value})
     for kwargs, rule in (({"duration": -2.0}, "duration must be > 0"),
                          ({"duration": 0.0}, "duration must be > 0"),
                          ({"duration": 1.0, "onset": -4.0}, "onset must be >= 0")):
         with pytest.raises(ValueError, match=rule):
             Perturbation(start=1.0, **kwargs)
     assert Perturbation(start=1.0, duration=1.0, onset=0.0).weight(1.5) == 1.0  # a step
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("speed", math.nan, "speed must be a finite number, got nan"),
+    ("speed", math.inf, "speed must be a finite number, got inf"),
+    ("speed", True, "speed must be a finite number, got True"),
+    ("speed", "1.4", "speed must be a finite number, got '1.4'"),
+    ("gnss_sigma", math.nan, "gnss_sigma must be a finite number, got nan"),
+    ("gnss_sigma", math.inf, "gnss_sigma must be a finite number, got inf"),
+    ("gnss_rate", math.nan, "gnss_rate must be a finite number, got nan"),
+    ("duration", math.inf, "duration must be a finite number, got inf"),
+    ("lambda0", np.float64(math.nan), "lambda0 must be a finite number, got np.float64(nan)"),
+    ("r0", 10**400, "r0 must be a finite number, got 1000"),
+    ("course_half_width", math.nan, "course_half_width must be a finite number, got nan"),
+    ("course_half_width", -1.0, "course_half_width must be > 0, got -1.0"),
+    ("course_half_width", 0, "course_half_width must be > 0, got 0"),
+    ("vru_kind", "car", "vru_kind must be pedestrian or cyclist, got 'car'"),
+    ("scatter_sigma", (math.nan, 0.2), "scatter_sigma must be a pair of finite numbers, got "
+                                       "(nan, 0.2)"),
+    ("perturbation", dict(bias=5.0), "bias must be a pair of finite numbers, got 5.0"),
+    ("perturbation", dict(bias=(math.nan, 0.0)), "bias must be a pair of finite numbers, got "
+                                                  "(nan, 0.0)"),
+    ("perturbation", dict(bias=(1.0,)), "bias must be a pair of finite numbers, got (1.0,)"),
+    ("perturbation", dict(random_walk_sigma=math.inf), "random_walk_sigma must be a finite "
+                                                        "number, got inf"),
+    ("perturbation", dict(start=np.nan), "start must be a finite number, got nan"),
+    ("perturbation", dict(onset=False), "onset must be a finite number, got False"),
+])
+def test_config_refuses_a_value_that_is_no_finite_number_in_range(field, value, message):
+    # Each would run into a non-finite stream or a failure deep inside the simulator.
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        if field == "perturbation":
+            Perturbation(**{"start": 1.0, "duration": 1.0, **value})
+        else:
+            ScenarioConfig(**{"vru_kind": VruKind.PEDESTRIAN, "speed": 1.0, field: value})
+
+
+def test_config_takes_numpy_numbers_and_a_kind_by_value():
+    cfg = ScenarioConfig(vru_kind="cyclist", speed=np.float32(3.0), gnss_rate=np.int64(9),
+                         perturbation=Perturbation(np.float64(2.0), 1, bias=(np.int32(1), 0.5)))
+    assert cfg.vru_kind is VruKind.CYCLIST and cfg.body_sigma() == (0.6, 0.2)
+    assert cfg == ScenarioConfig(VruKind.CYCLIST, 3.0, gnss_rate=9.0,
+                                 perturbation=Perturbation(2.0, 1.0, bias=(1.0, 0.5)))
 
 
 @pytest.mark.parametrize("duration", [0.05, 0.3, 0.95])

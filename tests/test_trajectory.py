@@ -244,6 +244,10 @@ def test_fusion_rejects_disordered_stream(stream):
     samples[[5, 6]] = samples[[6, 5]]
     with pytest.raises(ValueError, match=f"{stream} timestamps must be strictly increasing: sample 6"):
         fuse_gnss_imu(gnss, imu)
+    if stream == "GNSS":
+        with pytest.raises(ValueError, match="GNSS timestamps must be strictly increasing: "
+                                             "sample 6 at t=0.277777778 follows t=0.333333333"):
+            build_trajectory(gnss)
 
 
 def test_fusion_clean_matches_smoothed_gnss():
@@ -287,38 +291,32 @@ def test_fusion_standstill_freeze():
     assert not states["speed"].any()
 
 
-# A standstill start seeds yaw 0 and speed 0, and then turns at most 0.05 rad and speeds
-# up at most 0.25 m/s per accepted fix.  At 5 Hz, or on a walk off +x, the fixes leave
-# the gate before the filter catches up, and it coasts on until the 12 s hard reset.
+# At 5 Hz the 9-fix window that engages the filter spans 1.6 s, most of it the stand: the
+# filter engages at 0.18 m/s, and the walking fixes leave the gate before the per-fix speed
+# steps catch up, so it coasts on until the 12 s hard reset.
 _LOST_AFTER_STANDSTILL_START = pytest.mark.xfail(
-    strict=True, reason="a standstill start follows only a walk along +x at 8 Hz")
+    strict=True, reason="at 5 Hz the 9-fix course window straddles the stand")
 
 
 @pytest.mark.parametrize("rate, heading", [
-    (8.0, 0.0),
+    *((rate, heading) for rate in (18.0, 8.0)
+      for heading in (0.0, math.pi / 2, math.pi / 4, math.radians(-115.0))),
     pytest.param(5.0, 0.0, marks=_LOST_AFTER_STANDSTILL_START),
-    pytest.param(8.0, math.pi / 2, marks=_LOST_AFTER_STANDSTILL_START),
 ])
 def test_fusion_standstill_start_engages_then_follows(rate, heading):
-    # GNSS stands 2 s at (2, -1), jittering +-2 cm in y, then walks at 1.4 m/s.  The fix
-    # window has spanned 1.0 s at t = 1 s: from then on the filter engages at standstill
-    # and holds the fix it engaged on, where initialisation would snap to each jittering
-    # fix.  Once the walk starts it must follow.
+    # GNSS stands 2 s at (2, -1), jittering +-2 cm in y, then walks at 1.4 m/s.  Until the
+    # fix window establishes course and speed, the filter snaps to each fix; once the walk
+    # starts it must follow, whatever the direction.
     t = np.arange(round(12 * rate) + 1) / rate
     d = 1.4 * np.maximum(t - 2.0, 0.0)
     jitter = np.where(t < 2.0, 0.02 * (-1.0) ** np.arange(len(t)), 0.0)
     gnss = gnss_series(t, 2.0 + d * math.cos(heading), -1.0 + jitter + d * math.sin(heading))
     states = fuse_gnss_imu(gnss, imu_series(np.arange(1081) / 90.0))
     ts = states["timestamp"]
-    engaged = gnss[gnss["timestamp"] <= 1.0][-1]
-    held = (ts >= engaged["timestamp"]) & (ts < 2.0)
-    assert held.sum() >= 80
-    assert set(states["x"][held].tolist()) == {engaged["x"]}
-    assert set(states["y"][held].tolist()) == {engaged["y"]}
-    assert (states["speed"][held] < STANDSTILL_SPEED).all() and not states["yaw"][held].any()
     d = 1.4 * np.maximum(ts - 2.0, 0.0)
     err = np.hypot(states["x"] - 2.0 - d * math.cos(heading),
                    states["y"] + 1.0 - d * math.sin(heading))
+    assert err[ts < 2.0].max() <= 0.02 + 1e-12
     assert err[ts >= 5.0].max() < 0.05
 
 
@@ -357,6 +355,9 @@ def test_fusion_rejects_an_unknown_quality():
     gnss["quality"][5] = GnssQuality.DEGRADED
     with pytest.raises(ValueError, match="unknown GNSS quality 'DEGRADE'"):
         fuse_gnss_imu(gnss, imu_series(np.arange(181) / 90.0))
+    with pytest.raises(ValueError, match="GNSS sample 5 at t=0.277777778: unknown GNSS quality "
+                                         "'DEGRADE'"):
+        build_trajectory(gnss)
 
 
 def test_fused_output_is_continuous():
