@@ -66,8 +66,7 @@ def annotate_scenario(
     if vru_kind == VruKind.PEDESTRIAN:
         shape = pedestrian_ellipse(x, y, yaw, speed, yaw_rate)
     else:
-        # The trajectory already holds yaw from the last moving instant.
-        shape = cyclist_rectangle(x, y, yaw, speed, yaw_rate, last_moving_yaw=yaw)
+        shape = cyclist_rectangle(x, y, yaw, speed, yaw_rate)
     inside = shape.contains(p_glob)
 
     n_scans = len(table)

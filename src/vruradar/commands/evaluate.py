@@ -25,9 +25,8 @@ def run(args) -> int:
     truth = io.read_truth_labels_jsonl(args.truth_labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    counts = evaluation.per_scan_counts(labeled, truth)
-    scores = [(avg.value, *dataclasses.astuple(evaluation.score_from_counts(counts, avg)))
-              for avg in (evaluation.Averaging.MICRO, evaluation.Averaging.MACRO)]
+    scores = [(name, *dataclasses.astuple(score))
+              for name, score in evaluation.score_assignment(labeled, truth).items()]
     io.write_table(out / "scores.csv", "vruradar.scores.v1", table(
         ("averaging", "tp", "fp", "fn", "precision", "recall"), list(zip(*scores))))
     stats = evaluation.cycle_stats(labeled)

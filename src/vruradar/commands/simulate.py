@@ -8,64 +8,53 @@ from pathlib import Path
 
 from .. import io, simulator
 from ..cli import EXIT_OK, ConfigError
-from ..core import VruKind
+from ..core import VruKind, finite_number, finite_pair
 
 
-def _number(value) -> float:
-    return io.finite_number(value, "value")
-
-
-def _integer(value) -> int:
+def _integer(value, name: str) -> int:
     if type(value) is not int:
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _flag(value) -> bool:
+def _flag(value, name: str) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
 
-def _parse_vru_kind(value) -> VruKind:
+def _parse_vru_kind(value, name: str) -> VruKind:
     try:
         return VruKind(value)
     except ValueError:
-        raise ValueError(f"must be pedestrian or cyclist, got {value!r}") from None
+        raise ValueError(f"{name} must be pedestrian or cyclist, got {value!r}") from None
 
 
-def _parse_bias(value) -> tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"must be an [x, y] pair, got {value!r}")
-    return (_number(value[0]), _number(value[1]))
-
-
-# Config keys and their converters; a key left out keeps its dataclass default.
+# Config keys and their value rules; a key left out keeps its dataclass default.
 _FIELD_KEYS = {  # ScenarioConfig fields of the same name
     "vru_kind": _parse_vru_kind,
     **dict.fromkeys(("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                     "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"), _number),
+                     "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"), finite_number),
 }
 _PERTURBATION_KEYS = {
-    "start": _number,
-    "duration": _number,
-    "bias": _parse_bias,
-    "random_walk_sigma": _number,
-    "onset": _number,
+    "start": finite_number,
+    "duration": finite_number,
+    "bias": finite_pair,
+    "random_walk_sigma": finite_number,
+    "onset": finite_number,
     "flagged": _flag,
 }
 _SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS}
 
 
-def _converted(raw: dict, converters: dict, section: str) -> dict:
-    out = {}
-    for key, convert in converters.items():
-        if key in raw:
-            try:
-                out[key] = convert(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{section} key {key!r} {exc}") from None
-    return out
+def _converted(raw: dict, rules: dict, section: str) -> dict:
+    """The values of the keys of `raw` that `rules` lists, each as its rule returns it; a
+    ConfigError names the key of the first value its rule refuses."""
+    try:
+        return {key: rule(raw[key], f"{section} key {key!r}")
+                for key, rule in rules.items() if key in raw}
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_perturbation(raw) -> simulator.Perturbation:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .. import eot, io
 from ..cli import EXIT_OK, ConfigError, _nearest, _read_truth_traj
-from ..core import BODY_SIGMA, SCATTER_TRUNC, VruKind, table, to_global
+from ..core import BODY_SIGMA, SCATTER_TRUNC, VruKind, sensor_positions, table
 
 
 def truth_track_points(truth: np.ndarray, timestamps, body_extent) -> np.ndarray:
@@ -34,9 +34,8 @@ def run(args) -> int:
     labeled = io.read_labeled_jsonl(args.labeled)
     meta = io.read_scenario_json(args.scenario)
     scans = labeled.where(labeled.assigned)
-    ego = meta["ego_pose"]
-    sensor_xy = {m.sensor_id: to_global((m.pose_in_ego.x, m.pose_in_ego.y), ego.x, ego.y, ego.yaw)
-                 for m in meta["mounts"]}
+    mounts = meta["mounts"]
+    sensor_xy = dict(zip([m.sensor_id for m in mounts], sensor_positions(mounts, meta["ego_pose"])))
     unknown = set(scans.sensor_id.tolist()) - set(sensor_xy)
     if unknown:
         raise ConfigError(f"no mount configured for sensor {min(unknown)!r}")

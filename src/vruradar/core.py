@@ -1,4 +1,4 @@
-"""Planar frames, rigid transforms, and the declarations shared by all modules.
+"""Planar frames, rigid transforms, value rules, and the declarations shared by all modules.
 
 Radar and labeled scan tables, series columns and the body model live here, so that a
 command loads no layer it does not run (see `__init__`).
@@ -82,9 +82,9 @@ def _bind(cls, args, kwargs) -> list:
             else f.default_factory() for n, f in fields_.items()]
 
 
-def _view(cls, **values):
-    """The record of a checked table's row: its fields hold `values`, and no `__init__` or
-    `__post_init__` runs."""
+def _view(cls, values: dict):
+    """The record of a checked table's row: its fields hold the dict `values`, and no
+    `__init__` or `__post_init__` runs."""
     out = object.__new__(cls)
     out.__dict__.update(values)
     return out
@@ -190,6 +190,34 @@ def wrap_angles(a) -> np.ndarray:
     return a
 
 
+def finite_number(value, name: str) -> float:
+    """`value` as a float if it is a finite Python or numpy number; else a ValueError that
+    names `name`.
+
+    A bool is an int subclass but no number here, float() would parse a string, and json
+    reads an out-of-range literal such as 1e400 as infinity.
+    """
+    if type(value) in (int, float) or isinstance(value, (np.integer, np.floating)):
+        try:
+            v = float(value)
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
+        if math.isfinite(v):
+            return v
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def finite_pair(value, name: str) -> tuple[float, float]:
+    """`value` as a tuple of two floats if it is a tuple, list or array of two finite
+    numbers; else a ValueError that names `name`."""
+    try:
+        if isinstance(value, (tuple, list, np.ndarray)) and len(value) == 2:
+            return finite_number(value[0], name), finite_number(value[1], name)
+    except (TypeError, ValueError):  # a 0-d array has no length; an entry is no number
+        pass
+    raise ValueError(f"{name} must be a pair of finite numbers, got {value!r}")
+
+
 def fold_axis(angle: float) -> float:
     """Fold a direction into (-pi/2, pi/2]: an axis and its reverse are the same axis."""
     a = math.remainder(angle, math.pi)
@@ -264,8 +292,8 @@ class Detections:
         return len(self.range_m)
 
     def __getitem__(self, rows) -> "Detections":
-        return _view(Detections, **{name: None if col is None else col[rows]
-                                    for name, col in self.__dict__.items()})
+        return _view(Detections, {name: None if col is None else col[rows]
+                                   for name, col in self.__dict__.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Detections):
@@ -366,8 +394,9 @@ class ScanTable:
 
     def __getitem__(self, k: int) -> RadarScan:
         lo, hi = self.offsets[k], self.offsets[k + 1]
-        return _view(RadarScan, timestamp=float(self.timestamp[k]),
-                     sensor_id=str(self.sensor_id[k]), detections=self.detections[lo:hi])
+        return _view(RadarScan, {"timestamp": float(self.timestamp[k]),
+                                 "sensor_id": str(self.sensor_id[k]),
+                                 "detections": self.detections[lo:hi]})
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
@@ -457,10 +486,11 @@ class LabeledTable(ScanTable):
         cx, cy, major, minor, orientation = self.bounding[k].tolist()
         ellipse = None if math.isnan(major) else OrientedEllipse((cx, cy), major, minor,
                                                                  orientation)
-        return _view(LabeledScan, timestamp=float(self.timestamp[k]), track_id=self.track_id,
-                     vru_kind=self.vru_kind, sensor_id=str(self.sensor_id[k]),
-                     assigned=self.detections[lo:mid], rejected=self.detections[mid:hi],
-                     bounding=ellipse, vru_state=self.vru_state[k])
+        return _view(LabeledScan, {
+            "timestamp": float(self.timestamp[k]), "track_id": self.track_id,
+            "vru_kind": self.vru_kind, "sensor_id": str(self.sensor_id[k]),
+            "assigned": self.detections[lo:mid], "rejected": self.detections[mid:hi],
+            "bounding": ellipse, "vru_state": self.vru_state[k]})
 
 
 def to_local(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
@@ -481,6 +511,13 @@ def to_global(points, x, y, yaw) -> tuple[np.ndarray, np.ndarray]:
     u, v = pts[..., 0], pts[..., 1]
     c, s = np.cos(yaw), np.sin(yaw)
     return c * u - s * v + x, s * u + c * v + y
+
+
+def sensor_positions(mounts, ego_pose: Pose) -> np.ndarray:
+    """(k, 2) global positions of the k sensors `mounts` places on the ego vehicle at
+    `ego_pose`."""
+    xy = np.reshape([(m.pose_in_ego.x, m.pose_in_ego.y) for m in mounts], (-1, 2))
+    return np.column_stack(to_global(xy, ego_pose.x, ego_pose.y, ego_pose.yaw))
 
 
 @record(frozen=True)

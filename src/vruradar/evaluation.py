@@ -5,7 +5,6 @@ and fixed-width histograms."""
 from __future__ import annotations
 
 import math
-from enum import Enum
 from itertools import repeat
 
 import numpy as np
@@ -21,11 +20,6 @@ COLLINEAR_RATIO = 1e-12
 # confidence ellipse axes in m, NaN below 3 points or for collinear points.
 CYCLE_COLUMNS = ("timestamp", "n_assigned", "mean_comp_power", "doppler_std", "conf_major",
                  "conf_minor", "weighted_count")
-
-
-class Averaging(str, Enum):
-    MICRO = "micro"
-    MACRO = "macro"
 
 
 @record(frozen=True)
@@ -83,24 +77,17 @@ def per_scan_counts(auto: LabeledTable, truth: TruthLabels) -> list[tuple[int, i
     return list(zip(tp.tolist(), (auto.n_assigned - tp).tolist(), fn.tolist()))
 
 
-def score_from_counts(
-    counts: list[tuple[int, int, int]],
-    averaging: Averaging | str = Averaging.MACRO,
-) -> AssignmentScore:
-    """Micro pools TP/FP/FN; macro averages per-scan precision and recall,
-    skipping scans where a score is undefined."""
-    averaging = Averaging(averaging)
+def score_from_counts(counts: list[tuple[int, int, int]]) -> dict[str, AssignmentScore]:
+    """The "micro" and "macro" scores of per-scan (TP, FP, FN) counts, both with the pooled
+    counts.  Micro takes precision and recall of the pooled counts; macro averages per-scan
+    precision and recall, skipping scans where a score is undefined."""
     if not counts:
         raise ValueError("no scans to score")
     per_scan = np.asarray(counts, dtype=np.int64).reshape(-1, 3)
-    tp, fp, fn = per_scan.sum(axis=0).tolist()
-    if averaging == Averaging.MICRO:
-        precision = tp / (tp + fp) if tp + fp > 0 else float("nan")
-        recall = tp / (tp + fn) if tp + fn > 0 else float("nan")
-    else:
-        t, f, m = per_scan.T
-        precision, recall = (_mean_ratio(t, t + other) for other in (f, m))
-    return AssignmentScore(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall)
+    pooled = per_scan.sum(axis=0, keepdims=True)
+    tp, fp, fn = pooled[0].tolist()
+    return {name: AssignmentScore(tp, fp, fn, _mean_ratio(t, t + f), _mean_ratio(t, t + m))
+            for name, (t, f, m) in (("micro", pooled.T), ("macro", per_scan.T))}
 
 
 def _mean_ratio(part: np.ndarray, whole: np.ndarray) -> float:
@@ -109,13 +96,9 @@ def _mean_ratio(part: np.ndarray, whole: np.ndarray) -> float:
     return float(np.mean(part[defined] / whole[defined])) if defined.any() else float("nan")
 
 
-def score_assignment(
-    auto: LabeledTable,
-    truth: TruthLabels,
-    averaging: Averaging | str = Averaging.MACRO,
-) -> AssignmentScore:
-    """Compare automatic assignment against truth labels."""
-    return score_from_counts(per_scan_counts(auto, truth), averaging)
+def score_assignment(auto: LabeledTable, truth: TruthLabels) -> dict[str, AssignmentScore]:
+    """The "micro" and "macro" scores of an automatic assignment against truth labels."""
+    return score_from_counts(per_scan_counts(auto, truth))
 
 
 def r4_compensate(amplitude_db, range_m, ref_range: float = 1.0):

@@ -33,8 +33,8 @@ import numpy as np
 from . import sidecar  # lazy (see __init__): loaded when a JSON-Lines file is read or written
 from .core import (GNSS_COLUMNS, IMU_COLUMNS, LABEL_CLUTTER, LABEL_VRU, QUALITY_DTYPE,
                    TRAJ_COLUMNS, Detections, GnssQuality, LabeledTable, Pose, ScanTable,
-                   SensorMount, TruthLabels, VruKind, mounts_by_id, rank_in_scan, scan_counts,
-                   scan_offsets, table, wrap_angles)
+                   SensorMount, TruthLabels, VruKind, finite_number, mounts_by_id, rank_in_scan,
+                   scan_counts, scan_offsets, table, wrap_angles)
 
 GNSS_TAG = "vruradar.gnss.v1"
 IMU_TAG = "vruradar.imu.v1"
@@ -241,22 +241,6 @@ STATE_KEYS = ("x", "y", "yaw", "speed", "yaw_rate")
 BOUNDING_KEYS = ("cx", "cy", "ax_major", "ax_minor", "orientation")
 
 
-def finite_number(value, name: str) -> float:
-    """`value` as a float if it is a finite JSON number.
-
-    A bool is an int subclass and float() would parse a string, and json
-    reads an out-of-range literal such as 1e400 as infinity.
-    """
-    if type(value) in (int, float):
-        try:
-            v = float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            v = math.inf
-        if math.isfinite(v):
-            return v
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
 def json_string(value, name: str) -> str:
     """`value` if it is a JSON string that UTF-8 can encode: ids and labels are never made
     from other types, and json reads an escape such as `\\ud800` as a lone surrogate."""
@@ -405,18 +389,17 @@ def truth_labels(c: Mapping[str, np.ndarray], strings: dict | None = None) -> Tr
                        is_vru[order] != 0)
 
 
-def _read(path, schema: dict, build, decode=None):
+def _read(path, schema: dict, build):
     """`build` of the columns of the sidecar of `path` if one matches the file and they hold
-    no fault; else `decode(path, schema)`, which names any fault: by default
-    `jsonl_decoder.decode`, whose module is imported only here."""
+    no fault; else `jsonl_decoder.decode(path, schema)`, which names any fault and whose
+    module is imported only here."""
     got = sidecar.read(path, schema)
     if got is not None:
         try:
             return build(*got)
         except (KeyError, TypeError, ValueError):  # strings or columns that no writer writes
             pass
-    if decode is None:
-        from .jsonl_decoder import decode
+    from .jsonl_decoder import decode
     return decode(path, schema)
 
 

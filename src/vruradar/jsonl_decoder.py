@@ -24,11 +24,11 @@ import numpy as np
 import orjson
 
 from . import sidecar
-from .core import LABEL_CLUTTER, LABEL_VRU, ScanTable, TruthLabels, scan_offsets
+from .core import LABEL_CLUTTER, LABEL_VRU, ScanTable, TruthLabels, finite_number, scan_offsets
 from .io import (_BLOCK, _DECODER, _POINT, _POLAR_COLUMNS, BOUNDING_KEYS, LABELED_TAG,
                  POLAR_KEYS, RADAR_TAG, STATE_KEYS, TRUTH_LABELS_TAG, SchemaError,
                  _check_jsonl_header, _decode_json, _Fault, _open_text,
-                 _scan_table, _track, finite_number, json_string, truth_labels)
+                 _scan_table, _track, json_string, truth_labels)
 
 
 def decode(path, schema: dict):

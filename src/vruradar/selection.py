@@ -65,18 +65,19 @@ def pedestrian_ellipse(x, y, yaw, speed, yaw_rate) -> OrientedEllipse:
     )
 
 
-def cyclist_rectangle(x, y, yaw, speed, yaw_rate, last_moving_yaw) -> OrientedRectangle:
-    """Selection rectangle around a cyclist state (numbers, or arrays of one per point).
+def cyclist_rectangle(x, y, yaw, speed, yaw_rate) -> OrientedRectangle:
+    """Selection rectangle around a cyclist state (numbers, or arrays of one per point),
+    along the state's yaw at any speed.
 
-    Bikes cannot turn without rolling, so below the standstill speed the
-    orientation continues from the last moving instant instead of the current
-    yaw estimate.
+    Bikes cannot turn without rolling; the trajectory already holds yaw from the last
+    moving instant below the standstill speed.  `speed` is taken so that both shapes take
+    one state.
     """
     return OrientedRectangle(
         center=(x, y),
         length=CYCLIST_LENGTH,
         width=CYCLIST_MIN_WIDTH + np.minimum(np.abs(yaw_rate) * YAW_RATE_TO_WIDTH, GROWTH_CAP),
-        orientation=np.where(speed >= STANDSTILL_SPEED, yaw, last_moving_yaw),
+        orientation=yaw,
     )
 
 

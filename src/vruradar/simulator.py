@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import (BODY_SIGMA, GNSS_COLUMNS, IMU_COLUMNS, QUALITY_DTYPE, SCATTER_TRUNC,
                    TRAJ_COLUMNS, Detections, GnssQuality, Pose, ScanTable, SensorMount,
-                   VruKind, rank_in_scan, record, scan_offsets, table, to_global, to_local,
-                   wrap_angles)
+                   VruKind, finite_number, finite_pair, mounts_by_id, rank_in_scan, record,
+                   scan_offsets, sensor_positions, table, to_global, to_local, wrap_angles)
 
 
 TRUTH_RATE = 50.0  # Hz of the truth table
@@ -41,32 +41,6 @@ ACCEL_SIGMA = 0.05  # m/s^2
 ACCEL_BIAS_SIGMA = 0.01  # m/s^2, constant per run
 
 
-def _check_numbers(rec, names) -> None:
-    """Raise a ValueError naming the first field of `names` whose value is not a finite
-    Python or numpy number; a bool is none."""
-    for name in names:
-        value = getattr(rec, name)
-        if not _finite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def _check_pair(rec, name: str) -> None:
-    """Raise a ValueError unless the field `name` is None or a pair of finite numbers."""
-    pair = getattr(rec, name)
-    if pair is not None and not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2
-                                 and all(map(_finite, pair))):
-        raise ValueError(f"{name} must be a pair of finite numbers, got {pair!r}")
-
-
-def _finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 @record(frozen=True)
 class Perturbation:
     """GNSS error window: a bias ramped in and out, or a random walk."""
@@ -79,8 +53,12 @@ class Perturbation:
     flagged: bool = False  # whether the receiver marks samples DEGRADED
 
     def __post_init__(self) -> None:
-        _check_numbers(self, ("start", "duration", "random_walk_sigma", "onset"))
-        _check_pair(self, "bias")
+        for name in ("start", "duration", "random_walk_sigma", "onset"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if self.bias is not None:
+            object.__setattr__(self, "bias", finite_pair(self.bias, "bias"))
+        if not isinstance(self.flagged, bool):
+            raise ValueError(f"flagged must be a bool, got {self.flagged!r}")
         if not self.duration > 0:
             raise ValueError(f"perturbation duration must be > 0, got {self.duration!r}")
         for name in ("random_walk_sigma", "onset"):
@@ -135,9 +113,12 @@ class ScenarioConfig:
         except ValueError:
             raise ValueError(f"vru_kind must be pedestrian or cyclist, got {self.vru_kind!r}") \
                 from None
-        _check_numbers(self, ("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                              "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"))
-        _check_pair(self, "scatter_sigma")
+        for name in ("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
+                     "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        if self.scatter_sigma is not None:
+            object.__setattr__(self, "scatter_sigma", finite_pair(self.scatter_sigma,
+                                                                  "scatter_sigma"))
         for name in ("speed", "course_half_width", "gnss_rate", "imu_rate", "radar_rate",
                      "lambda0", "r0"):
             if not getattr(self, name) > 0:
@@ -152,6 +133,10 @@ class ScenarioConfig:
             raise ValueError(f"seed must be an integer, got {self.rng_seed!r}")
         if self.rng_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.rng_seed!r}")
+        if not self.mounts:
+            raise ValueError("at least one sensor mount is required")
+        mounts_by_id(self.mounts)
+        object.__setattr__(self, "mounts", tuple(self.mounts))
 
     def body_sigma(self) -> tuple[float, float]:
         """Scatter standard deviations (along, across) the movement direction."""
@@ -304,8 +289,6 @@ def generate_radar(
     clutter point.
     """
     mounts = cfg.mounts
-    if not mounts:
-        raise ValueError("at least one sensor mount is required")
     cycle = 1.0 / cfg.radar_rate
     t_lo = RADAR_START_MARGIN
     t_hi = cfg.duration - RADAR_START_MARGIN
@@ -323,9 +306,7 @@ def generate_radar(
     n_scans = len(times)
     max_range = np.array([m.max_range for m in mounts])[sensor]
     fov = np.array([m.fov_azimuth for m in mounts])[sensor]
-    ego = cfg.ego_pose
-    sensor_xy = np.column_stack(to_global([(m.pose_in_ego.x, m.pose_in_ego.y) for m in mounts],
-                                          ego.x, ego.y, ego.yaw))
+    sensor_xy = sensor_positions(mounts, cfg.ego_pose)
     xy, yaw, speed, yaw_rate = course.states(times)
     r_center, az_center = _polar_by_sensor(xy, sensor, cfg)
     visible = (r_center <= max_range) & (np.abs(az_center) <= fov)

@@ -9,7 +9,6 @@ from scipy import stats as sps
 from vruradar import eot, io
 from vruradar.cli import main
 from vruradar.evaluation import (
-    Averaging,
     per_scan_counts,
     r4_compensate,
     score_assignment,
@@ -47,11 +46,11 @@ def test_criterion_01_selection_shape_exactness():
     checks.append(e.ax_major == 2.5 and e.ax_minor == 2.2)
     e = pedestrian_ellipse(*_state(4.0, 1.5))
     checks.append(e.ax_major == 2.5 and e.ax_minor == 2.2)
-    r = cyclist_rectangle(*_state(3.0, 0.2), 0.0)
+    r = cyclist_rectangle(*_state(3.0, 0.2))
     checks.append(r.length == 2.5 and r.width == 2.2)
-    r = cyclist_rectangle(*_state(3.0, 0.06), 0.0)
+    r = cyclist_rectangle(*_state(3.0, 0.06))
     checks.append(r.length == 2.5 and r.width == 1.2 + 0.3)
-    r = cyclist_rectangle(*_state(0.04, 0.0), 0.77)
+    r = cyclist_rectangle(0.0, 0.0, 0.77, 0.04, 0.0)  # at standstill, along the held yaw
     checks.append(r.orientation == 0.77)
     _report(1, "selection shapes match the printed rules exactly", all(checks))
 
@@ -59,7 +58,7 @@ def test_criterion_01_selection_shape_exactness():
 def test_criterion_02_nominal_association_quality(pedestrian_run, cyclist_run):
     counts = per_scan_counts(pedestrian_run.fused.scans, pedestrian_run.truth)
     counts += per_scan_counts(cyclist_run.fused.scans, cyclist_run.truth)
-    score = score_from_counts(counts, Averaging.MACRO)
+    score = score_from_counts(counts)["macro"]
     elapsed = pedestrian_run.elapsed + cyclist_run.elapsed
     ok = (
         len(counts) >= 2000
@@ -76,8 +75,8 @@ def test_criterion_02_nominal_association_quality(pedestrian_run, cyclist_run):
 def test_criterion_03_perturbation_robustness_ordering(perturbed_runs):
     deltas, precisions = [], []
     for run in perturbed_runs:
-        s_imu = score_assignment(run.fused.scans, run.truth, Averaging.MACRO)
-        s_gnss = score_assignment(run.gnss_only.scans, run.truth, Averaging.MACRO)
+        s_imu = score_assignment(run.fused.scans, run.truth)["macro"]
+        s_gnss = score_assignment(run.gnss_only.scans, run.truth)["macro"]
         deltas.append(s_imu.recall - s_gnss.recall)
         precisions.append(s_imu.precision)
     ok = all(d >= 0.05 for d in deltas) and all(p >= 0.98 for p in precisions)

@@ -6,7 +6,7 @@ import pytest
 
 from vruradar.annotation import annotate_scenario
 from vruradar.core import Detections, Pose, RadarScan, SensorMount, VruKind, to_local
-from vruradar.evaluation import Averaging, per_scan_counts, score_assignment, score_from_counts
+from vruradar.evaluation import per_scan_counts, score_assignment, score_from_counts
 from vruradar.simulator import preset, simulate_scenario
 from vruradar.trajectory import ReferenceTrajectory, build_fused_trajectory
 
@@ -68,7 +68,7 @@ def test_detections_inside_truth_extent_gives_full_recall():
         for i in range(5):
             truth[(round(t, 9), i)] = "vru"
     res = annotate_scenario(radar_table(scans), traj, VruKind.PEDESTRIAN, [MOUNT], EGO)
-    score = score_assignment(res.scans, truth_table(truth), Averaging.MACRO)
+    score = score_assignment(res.scans, truth_table(truth))["macro"]
     assert score.recall == 1.0
 
 
@@ -163,8 +163,8 @@ def test_nominal_scores_match_across_modes():
         build_fused_trajectory(data.gnss, data.imu),
         cfg.vru_kind, cfg.mounts, cfg.ego_pose,
     )
-    s_gnss = score_assignment(r_gnss.scans, truth, Averaging.MACRO)
-    s_imu = score_assignment(r_imu.scans, truth, Averaging.MACRO)
+    s_gnss = score_assignment(r_gnss.scans, truth)["macro"]
+    s_imu = score_assignment(r_imu.scans, truth)["macro"]
     assert s_gnss.precision >= 0.98 and s_gnss.recall >= 0.98
     assert abs(s_gnss.precision - s_imu.precision) < 0.01
     assert abs(s_gnss.recall - s_imu.recall) < 0.01
@@ -181,12 +181,12 @@ def test_shrunken_shape_reduces_recall_not_precision():
     traj = build_trajectory(data.gnss)
     truth = truth_map(data)
     nominal = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
-    s_nom = score_assignment(nominal.scans, truth, Averaging.MACRO)
+    s_nom = score_assignment(nominal.scans, truth)["macro"]
 
     orig = selection.cyclist_rectangle
 
-    def shrunken(*state, last_moving_yaw):
-        r = orig(*state, last_moving_yaw=last_moving_yaw)
+    def shrunken(*state):
+        r = orig(*state)
         return selection.OrientedRectangle(r.center, r.length * 0.5, r.width * 0.5, r.orientation)
 
     from vruradar import annotation
@@ -196,7 +196,7 @@ def test_shrunken_shape_reduces_recall_not_precision():
         small = annotate_scenario(data.scans, traj, cfg.vru_kind, cfg.mounts, cfg.ego_pose)
     finally:
         annotation.cyclist_rectangle = saved
-    s_small = score_assignment(small.scans, truth, Averaging.MACRO)
+    s_small = score_assignment(small.scans, truth)["macro"]
     assert s_small.recall < s_nom.recall - 0.02
     assert s_small.precision >= s_nom.precision - 1e-9
 
@@ -216,7 +216,7 @@ def test_rotated_rig_keeps_nominal_association_quality(name, mount_yaws, ego_yaw
 
     def macro(mounts, ego_pose):
         result = annotate_scenario(data.scans, traj, cfg.vru_kind, mounts, ego_pose)
-        return score_from_counts(per_scan_counts(result.scans, truth), Averaging.MACRO)
+        return score_from_counts(per_scan_counts(result.scans, truth))["macro"]
 
     score = macro(cfg.mounts, cfg.ego_pose)
     assert score.precision >= 0.98 and score.recall >= 0.98, score

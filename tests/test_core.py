@@ -23,6 +23,7 @@ from vruradar.core import (
     VruKind,
     record,
     scan_offsets,
+    sensor_positions,
     to_global,
     to_local,
     wrap_angle,
@@ -291,6 +292,15 @@ def test_composing_a_quarter_turn():
     parent = Pose(1.0, 2.0, math.pi / 2)
     x, y = to_global([1.0, 0.0], parent.x, parent.y, parent.yaw)
     assert (x, y) == pytest.approx((1.0, 3.0))
+
+
+def test_sensor_positions_carry_each_mount_through_the_ego_pose():
+    mounts = [SensorMount("a", Pose(1.0, 0.5, 0.3), 1.0, 40.0),
+              SensorMount("b", Pose(-2.0, 0.0, 0.0), 1.0, 40.0)]
+    ego = Pose(3.0, -1.0, math.pi / 2)  # a quarter turn takes (u, v) to (-v, u)
+    np.testing.assert_allclose(sensor_positions(mounts, ego), [[2.5, 0.0], [3.0, -3.0]],
+                               rtol=0, atol=1e-12)
+    assert sensor_positions([], ego).shape == (0, 2)
 
 
 def _twin_namespace() -> dict:

@@ -13,7 +13,6 @@ from vruradar.annotation import LabeledScan
 from vruradar.core import Detections, LabeledTable, VruKind, scan_offsets
 from vruradar.evaluation import (
     CYCLE_COLUMNS,
-    Averaging,
     cycle_stats,
     histogram,
     per_scan_counts,
@@ -53,7 +52,7 @@ def test_score_single_scan_definition():
     scan = make_scan(0.0, [0, 1, 2, 3], [4, 5])
     truth = {(0.0, i): "vru" for i in (0, 1, 2, 4, 5)}
     truth[(0.0, 3)] = "clutter"
-    s = score_assignment(labeled_table([scan]), truth_table(truth), Averaging.MICRO)
+    s = score_assignment(labeled_table([scan]), truth_table(truth))["micro"]
     assert (s.tp, s.fp, s.fn) == (3, 1, 2)
     assert s.precision == pytest.approx(0.75)
     assert s.recall == pytest.approx(0.6)
@@ -62,8 +61,7 @@ def test_score_single_scan_definition():
 def test_score_perfect_agreement():
     scan = make_scan(0.0, [0, 1], [2])
     truth = {(0.0, 0): "vru", (0.0, 1): "vru", (0.0, 2): "clutter"}
-    for avg in (Averaging.MICRO, Averaging.MACRO):
-        s = score_assignment(labeled_table([scan]), truth_table(truth), avg)
+    for s in score_assignment(labeled_table([scan]), truth_table(truth)).values():
         assert s.precision == 1.0 and s.recall == 1.0
 
 
@@ -71,8 +69,8 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
     # scan A: 1 TP; scan B: 1 TP, 1 FP -> per-scan precisions {1.0, 0.5}
     scans = [make_scan(0.0, [0], []), make_scan(1.0, [0, 1], [])]
     truth = {(0.0, 0): "vru", (1.0, 0): "vru", (1.0, 1): "clutter"}
-    macro = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MACRO)
-    micro = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MICRO)
+    scores = score_assignment(labeled_table(scans), truth_table(truth))
+    macro, micro = scores["macro"], scores["micro"]
     assert macro.precision == pytest.approx(0.75)
     assert micro.precision == pytest.approx(2 / 3)
 
@@ -80,14 +78,14 @@ def test_macro_differs_from_micro_with_unbalanced_scans():
 def test_macro_skips_undefined_scores():
     scans = [make_scan(0.0, [], []), make_scan(1.0, [0], [])]
     truth = {(1.0, 0): "vru"}
-    s = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MACRO)
+    s = score_assignment(labeled_table(scans), truth_table(truth))["macro"]
     assert s.precision == 1.0 and s.recall == 1.0
 
 
 def test_score_misaligned_raises():
     scan = make_scan(0.0, [0], [])
     with pytest.raises(ValueError):
-        score_assignment(labeled_table([scan]), truth_table({}), Averaging.MICRO)
+        score_assignment(labeled_table([scan]), truth_table({}))
 
 
 def test_scores_bounded_and_monotone():
@@ -101,7 +99,7 @@ def test_scores_bounded_and_monotone():
         base = make_scan(0.0, list(range(tp + fp)), list(range(tp + fp, tp + fp + fn)))
         truth = {(0.0, i): ("vru" if i < tp else "clutter") for i in range(tp + fp)}
         truth.update({(0.0, i): "vru" for i in range(tp + fp, tp + fp + fn)})
-        s = score_assignment(labeled_table([base]), truth_table(truth), Averaging.MICRO)
+        s = score_assignment(labeled_table([base]), truth_table(truth))["micro"]
         assert 0.0 <= s.precision <= 1.0 and 0.0 <= s.recall <= 1.0
         more_fp = make_scan(
             0.0, list(range(tp + fp + fn, tp + fp + fn + 1)) + list(range(tp + fp)),
@@ -109,7 +107,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fp = dict(truth)
         truth_fp[(0.0, tp + fp + fn)] = "clutter"
-        s_fp = score_assignment(labeled_table([more_fp]), truth_table(truth_fp), Averaging.MICRO)
+        s_fp = score_assignment(labeled_table([more_fp]), truth_table(truth_fp))["micro"]
         assert s_fp.precision <= s.precision
         more_fn = make_scan(
             0.0, list(range(tp + fp)),
@@ -117,7 +115,7 @@ def test_scores_bounded_and_monotone():
         )
         truth_fn = dict(truth)
         truth_fn[(0.0, tp + fp + fn)] = "vru"
-        s_fn = score_assignment(labeled_table([more_fn]), truth_table(truth_fn), Averaging.MICRO)
+        s_fn = score_assignment(labeled_table([more_fn]), truth_table(truth_fn))["micro"]
         assert s_fn.recall <= s.recall
 
 
@@ -136,7 +134,7 @@ def test_score_matches_hand_pooled_counts_on_random_data():
             tp += assigned[i] and labels[i]
             fp += assigned[i] and not labels[i]
             fn += (not assigned[i]) and labels[i]
-    s = score_assignment(labeled_table(scans), truth_table(truth), Averaging.MICRO)
+    s = score_assignment(labeled_table(scans), truth_table(truth))["micro"]
     assert (s.tp, s.fp, s.fn) == (tp, fp, fn)
 
 

@@ -53,20 +53,20 @@ def test_pedestrian_branch_boundary_and_saturation(v, w, major, minor):
 
 
 def test_cyclist_zero_yaw_rate():
-    r = cyclist_rectangle(*state(v=3.0, w=0.0), last_moving_yaw=0.0)
+    r = cyclist_rectangle(*state(v=3.0, w=0.0))
     assert (r.length, r.width) == (2.5, 1.2)
 
 
 def test_cyclist_saturated_width():
-    r = cyclist_rectangle(*state(v=3.0, w=0.5), last_moving_yaw=0.0)
+    r = cyclist_rectangle(*state(v=3.0, w=0.5))
     assert r.width == 2.2
 
 
 def test_cyclist_orientation_hold_at_standstill():
-    r = cyclist_rectangle(*state(v=0.01, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
-    assert r.orientation == 1.0
-    r2 = cyclist_rectangle(*state(v=3.0, w=0.0, yaw=-2.0), last_moving_yaw=1.0)
-    assert r2.orientation == -2.0
+    # The rectangle lies along the state's yaw at any speed; at standstill the trajectory
+    # holds that yaw from the last moving instant (test_trajectory pins the hold).
+    for v in (0.0, 0.01, 3.0):
+        assert cyclist_rectangle(*state(v=v, w=0.0, yaw=-2.0)).orientation == -2.0
 
 
 @given(st.floats(0, 5), st.floats(0, 5), st.floats(-2, 2))
@@ -75,15 +75,15 @@ def test_shape_monotonicity_and_saturation(v1, v2, w):
     lo, hi = sorted([s1, s2], key=lambda s: s[3])
     assert pedestrian_ellipse(*lo).ax_major <= pedestrian_ellipse(*hi).ax_major
     assert pedestrian_ellipse(*state(v=1.0, w=w)).ax_major == 2.5
-    assert cyclist_rectangle(*state(v=1.0, w=0.2), 0.0).width == 2.2
+    assert cyclist_rectangle(*state(v=1.0, w=0.2)).width == 2.2
 
 
 @given(st.floats(0, 2), st.floats(0, 2))
 def test_width_monotone_in_yaw_rate(w1, w2):
     lo, hi = sorted([w1, w2])
     assert (
-        cyclist_rectangle(*state(v=1.0, w=lo), 0.0).width
-        <= cyclist_rectangle(*state(v=1.0, w=hi), 0.0).width
+        cyclist_rectangle(*state(v=1.0, w=lo)).width
+        <= cyclist_rectangle(*state(v=1.0, w=hi)).width
     )
 
 

@@ -14,6 +14,7 @@ import os
 import threading
 import zlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -29,7 +30,10 @@ from vruradar.trajectory import build_trajectory
 
 def _kind(write, schema, build, decode) -> tuple:
     """(write, the table from the sidecar or None, the table decoded)"""
-    return write, lambda p: io._read(p, schema, build, lambda *_: None), lambda p: decode(p, schema)
+    def from_sidecar(path):  # `io._read` with its fallback to decoding the text switched off
+        with mock.patch.object(jsonl_decoder, "decode", lambda *_: None):
+            return io._read(path, schema, build)
+    return write, from_sidecar, lambda p: decode(p, schema)
 
 
 KINDS = {  # kind -> (write(path, table, is_vru), sidecar reader, decoding reader)

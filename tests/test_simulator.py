@@ -312,6 +312,10 @@ def test_config_validation():
                                                         "number, got inf"),
     ("perturbation", dict(start=np.nan), "start must be a finite number, got nan"),
     ("perturbation", dict(onset=False), "onset must be a finite number, got False"),
+    ("perturbation", dict(flagged="false"), "flagged must be a bool, got 'false'"),
+    ("perturbation", dict(flagged=0.0), "flagged must be a bool, got 0.0"),
+    ("perturbation", dict(flagged=None), "flagged must be a bool, got None"),
+    ("perturbation", dict(flagged=1), "flagged must be a bool, got 1"),
 ])
 def test_config_refuses_a_value_that_is_no_finite_number_in_range(field, value, message):
     # Each would run into a non-finite stream or a failure deep inside the simulator.
@@ -328,6 +332,21 @@ def test_config_takes_numpy_numbers_and_a_kind_by_value():
     assert cfg.vru_kind is VruKind.CYCLIST and cfg.body_sigma() == (0.6, 0.2)
     assert cfg == ScenarioConfig(VruKind.CYCLIST, 3.0, gnss_rate=9.0,
                                  perturbation=Perturbation(2.0, 1.0, bias=(1.0, 0.5)))
+    # The record holds the floats the value rules return, so a list bias hashes.
+    assert type(cfg.speed) is type(cfg.gnss_rate) is type(cfg.perturbation.start) is float
+    assert list(map(type, cfg.perturbation.bias)) == [float, float]
+    listed = ScenarioConfig(VruKind.CYCLIST, 3.0, perturbation=Perturbation(1.0, 1.0,
+                                                                            bias=[1.0, 2.0]))
+    assert listed.perturbation.bias == (1.0, 2.0) and hash(listed) == hash(replace(listed))
+
+
+def test_config_refuses_no_mount_and_a_sensor_mounted_twice():
+    # Either would simulate a drive whose scenario.json every later command refuses.
+    mount = preset("cyclist-nominal").mounts[0]
+    with pytest.raises(ValueError, match="^at least one sensor mount is required$"):
+        ScenarioConfig(vru_kind=VruKind.CYCLIST, speed=3.0, mounts=())
+    with pytest.raises(ValueError, match="^sensor 'radar-left' has more than one mount$"):
+        ScenarioConfig(vru_kind=VruKind.CYCLIST, speed=3.0, mounts=(mount, mount))
 
 
 @pytest.mark.parametrize("duration", [0.05, 0.3, 0.95])
