@@ -8,81 +8,41 @@ from pathlib import Path
 
 from .. import io, simulator
 from ..cli import EXIT_OK, ConfigError
-from ..core import VruKind, finite_number, finite_pair
+
+# A config key is a field of the record it sets, and only the records check the values.
+# These fields are set through the library alone; the key `seed` sets `rng_seed`.
+_LIBRARY_ONLY = {"mounts", "ego_pose", "scatter_sigma", "rng_seed"}
 
 
-def _integer(value, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _parse_vru_kind(value, name: str) -> VruKind:
-    try:
-        return VruKind(value)
-    except ValueError:
-        raise ValueError(f"{name} must be pedestrian or cyclist, got {value!r}") from None
-
-
-# Config keys and their value rules; a key left out keeps its dataclass default.
-_FIELD_KEYS = {  # ScenarioConfig fields of the same name
-    "vru_kind": _parse_vru_kind,
-    **dict.fromkeys(("speed", "course_half_width", "duration", "gnss_rate", "imu_rate",
-                     "radar_rate", "gnss_sigma", "clutter_rate", "lambda0", "r0"), finite_number),
-}
-_PERTURBATION_KEYS = {
-    "start": finite_number,
-    "duration": finite_number,
-    "bias": finite_pair,
-    "random_walk_sigma": finite_number,
-    "onset": finite_number,
-    "flagged": _flag,
-}
-_SCENARIO_KEYS = {"preset", "seed", "perturbation", *_FIELD_KEYS}
-
-
-def _converted(raw: dict, rules: dict, section: str) -> dict:
-    """The values of the keys of `raw` that `rules` lists, each as its rule returns it; a
-    ConfigError names the key of the first value its rule refuses."""
-    try:
-        return {key: rule(raw[key], f"{section} key {key!r}")
-                for key, rule in rules.items() if key in raw}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _parse_perturbation(raw) -> simulator.Perturbation:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config key 'perturbation' must be a JSON object, got {raw!r}")
-    unknown = set(raw) - set(_PERTURBATION_KEYS)
+def _record_kwargs(raw: dict, record, section: str, extra=(), required=True) -> dict:
+    """The entries of `raw` that name a field of `record`.  A ConfigError names a key that
+    is neither such a field nor in `extra`, and, with `required`, a field without default
+    that `raw` leaves out."""
+    fields = [f for f in dataclasses.fields(record) if f.name not in _LIBRARY_ONLY]
+    names = {f.name for f in fields}
+    unknown = set(raw) - names - set(extra)
     if unknown:
-        raise ConfigError(f"unknown perturbation key(s): {', '.join(sorted(unknown))}")
-    for key in ("start", "duration"):
-        if key not in raw:
-            raise ConfigError(f"missing required perturbation key: {key}")
-    return simulator.Perturbation(**_converted(raw, _PERTURBATION_KEYS, "perturbation"))
+        raise ConfigError(f"unknown {section} key(s): {', '.join(sorted(unknown))}")
+    for f in fields if required else ():
+        if f.name not in raw and f.default is f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing required {section} key: {f.name}")
+    return {key: value for key, value in raw.items() if key in names}
 
 
 def scenario_config_from_dict(raw: dict) -> simulator.ScenarioConfig:
-    """Build a scenario config from a parsed JSON dict, rejecting unknown keys and bad values."""
-    unknown = set(raw) - _SCENARIO_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    if "preset" not in raw:
-        for key in ("vru_kind", "speed"):
-            if key not in raw:
-                raise ConfigError(f"missing required config key: {key}")
-    seed = _converted(raw, {"seed": _integer}, "config").get("seed", 0)
-    kwargs = _converted(raw, _FIELD_KEYS, "config")
+    """Build a scenario config from a parsed JSON dict.  The records check every value; a
+    ConfigError carries the message of the first one they refuse."""
+    kwargs = _record_kwargs(raw, simulator.ScenarioConfig, "config", ("preset", "seed"),
+                            required="preset" not in raw)
+    window = kwargs.get("perturbation")
+    if "perturbation" in kwargs:
+        if not isinstance(window, dict):
+            raise ConfigError(f"config key 'perturbation' must be a JSON object, got {window!r}")
+        window = _record_kwargs(window, simulator.Perturbation, "perturbation")
+    seed = raw.get("seed", 0)
     try:
-        if "perturbation" in raw:
-            kwargs["perturbation"] = _parse_perturbation(raw["perturbation"])
+        if window is not None:
+            kwargs["perturbation"] = simulator.Perturbation(**window)
         if "preset" in raw:
             return dataclasses.replace(simulator.preset(str(raw["preset"]), seed=seed), **kwargs)
         return simulator.ScenarioConfig(rng_seed=seed, **kwargs)
@@ -116,6 +76,9 @@ def run(args) -> int:
         raw["seed"] = args.seed
     cfg = scenario_config_from_dict(raw)
 
+    # Load the lazy `io` layer before the drive's arrays exist, so that the memory its
+    # compilation takes is not added on top of theirs.
+    io.GNSS_TAG
     data = simulator.simulate_scenario(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

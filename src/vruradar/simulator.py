@@ -54,11 +54,12 @@ class Perturbation:
 
     def __post_init__(self) -> None:
         for name in ("start", "duration", "random_walk_sigma", "onset"):
-            object.__setattr__(self, name, finite_number(getattr(self, name), name))
+            object.__setattr__(self, name, finite_number(getattr(self, name),
+                                                         f"perturbation {name}"))
         if self.bias is not None:
-            object.__setattr__(self, "bias", finite_pair(self.bias, "bias"))
+            object.__setattr__(self, "bias", finite_pair(self.bias, "perturbation bias"))
         if not isinstance(self.flagged, bool):
-            raise ValueError(f"flagged must be a bool, got {self.flagged!r}")
+            raise ValueError(f"perturbation flagged must be a bool, got {self.flagged!r}")
         if not self.duration > 0:
             raise ValueError(f"perturbation duration must be > 0, got {self.duration!r}")
         for name in ("random_walk_sigma", "onset"):

@@ -779,23 +779,27 @@ def test_pipeline_runs_without_scipy(tmp_path):
     assert (tmp_path / "eval" / "ttests.csv").is_file()
 
 
-@pytest.mark.parametrize("raw,key", [
-    ({"perturbation": None}, "perturbation"),
-    ({"speed": None}, "speed"),
-    ({"seed": None}, "seed"),
-    ({"perturbation": {"start": 1.0, "duration": 2.0, "bias": 5}}, "bias"),
-    ({"seed": 1.5}, "seed"),
-    ({"gnss_rate": float("inf")}, "gnss_rate"),
-    ({"perturbation": {"start": 1.0, "duration": 2.0, "flagged": "false"}}, "flagged"),
-    ({"speed": 10**400}, "speed"),  # an integer beyond the float range
+@pytest.mark.parametrize("raw,message", [
+    ({"perturbation": None}, "config key 'perturbation' must be a JSON object, got None"),
+    ({"speed": None}, "speed must be a finite number, got None"),
+    ({"seed": None}, "seed must be an integer, got None"),
+    ({"perturbation": {"start": 1.0, "duration": 2.0, "bias": 5}},
+     "perturbation bias must be a pair of finite numbers, got 5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"gnss_rate": float("inf")}, "gnss_rate must be a finite number, got inf"),
+    ({"perturbation": {"start": 1.0, "duration": 2.0, "flagged": "false"}},
+     "perturbation flagged must be a bool, got 'false'"),
+    ({"speed": 10**400}, f"speed must be a finite number, got {10**400}"),  # beyond float range
 ], ids=["perturbation-null", "speed-null", "seed-null", "bias-number", "seed-float",
         "rate-infinite", "flagged-string", "speed-huge-integer"])
-def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, key):
+def test_simulate_config_type_error_exit_2(tmp_path, capsys, raw, message):
+    # The command checks the JSON structure; the error is the record's own message.
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"preset": "cyclist-nominal", **raw}), encoding="utf-8")
     rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert f"{key!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -826,18 +830,73 @@ def test_simulate_preset_refuses_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_every_scenario_config_field_is_a_config_key():
+_LIBRARY_ONLY = ("mounts", "ego_pose", "scatter_sigma", "rng_seed")
+
+
+def _config_keys() -> list[str]:
+    """Every `simulate --config` key, a perturbation key prefixed with its section."""
+    from vruradar import simulator
+
+    scene = [f.name for f in dataclasses.fields(simulator.ScenarioConfig)
+             if f.name not in _LIBRARY_ONLY]
+    window = [f"perturbation {f.name}" for f in dataclasses.fields(simulator.Perturbation)]
+    return ["seed", *scene, *window]
+
+
+def test_every_scenario_config_field_is_a_config_key(tmp_path, capsys):
     # A value that no config key sets has one value in use and belongs in a simulator
     # constant; only these fields are set through the library alone, by tests that build scenes.
     from vruradar import simulator
-    from vruradar.commands import simulate
+    from vruradar.commands.simulate import scenario_config_from_dict
 
-    library_only = {"mounts", "ego_pose", "scatter_sigma"}
-    names = {field.name for field in dataclasses.fields(simulator.ScenarioConfig)}
-    assert {"lambda0", "r0"} <= names
-    assert names - library_only - {"rng_seed"} | {"seed", "preset"} == simulate._SCENARIO_KEYS
-    assert {field.name for field in dataclasses.fields(simulator.Perturbation)} == \
-        set(simulate._PERTURBATION_KEYS)
+    scene = dataclasses.asdict(simulator.preset("cyclist-perturbed", seed=3))
+    for name in _LIBRARY_ONLY:
+        cfg = write_config(tmp_path / "config.json", **{name: scene[name]})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key(s): {name}\n"
+        assert not (tmp_path / "x").exists()
+
+    def off_default(values: dict) -> dict:  # each number and flag moved off the preset's value
+        return {k: not v if isinstance(v, bool) else v + 1 if isinstance(v, float) else v
+                for k, v in values.items()}
+
+    fields = off_default({k: v for k, v in scene.items() if k not in _LIBRARY_ONLY})
+    fields.update(duration=2.0, perturbation=off_default(scene["perturbation"]))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**fields, "seed": 3}), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+    assert json.loads(capsys.readouterr().out)["vru_kind"] == "cyclist"
+    # Every key reaches its field: the command's config is the one the library builds.
+    window = simulator.Perturbation(**fields.pop("perturbation"))
+    expected = simulator.ScenarioConfig(**fields, perturbation=window, rng_seed=3)
+    assert scenario_config_from_dict(json.loads(cfg.read_text(encoding="utf-8"))) == expected
+
+
+@pytest.mark.parametrize("key", _config_keys())
+def test_simulate_refuses_a_bad_value_for_every_config_key(tmp_path, capsys, key):
+    # Generated from the records' fields, so that a new field is covered with no test edit.
+    section, _, name = key.rpartition(" ")
+    raw = {name: "nonsense"}
+    if section:
+        raw = {"perturbation": {"start": 1.0, "duration": 2.0, **raw}}
+    cfg = write_config(tmp_path / "config.json", **raw)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: ({key}|config key '{key}') must be [^\n]*, got 'nonsense'\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_takes_a_null_bias_as_no_bias(tmp_path, capsys):
+    # `Perturbation(bias=None)` is a window without bias, and the config takes the record's rule.
+    from vruradar import simulator
+    from vruradar.commands.simulate import scenario_config_from_dict
+
+    window = {"start": 0.5, "duration": 1.0}
+    cfg = write_config(tmp_path / "config.json", duration=2.0,
+                       perturbation={**window, "bias": None})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    parsed = scenario_config_from_dict(json.loads(cfg.read_text(encoding="utf-8")))
+    assert parsed.perturbation == simulator.Perturbation(**window)
 
 
 @pytest.mark.parametrize("fault", ["duplicate", "swap"])

@@ -304,18 +304,20 @@ def test_config_validation():
     ("vru_kind", "car", "vru_kind must be pedestrian or cyclist, got 'car'"),
     ("scatter_sigma", (math.nan, 0.2), "scatter_sigma must be a pair of finite numbers, got "
                                        "(nan, 0.2)"),
-    ("perturbation", dict(bias=5.0), "bias must be a pair of finite numbers, got 5.0"),
-    ("perturbation", dict(bias=(math.nan, 0.0)), "bias must be a pair of finite numbers, got "
-                                                  "(nan, 0.0)"),
-    ("perturbation", dict(bias=(1.0,)), "bias must be a pair of finite numbers, got (1.0,)"),
-    ("perturbation", dict(random_walk_sigma=math.inf), "random_walk_sigma must be a finite "
-                                                        "number, got inf"),
-    ("perturbation", dict(start=np.nan), "start must be a finite number, got nan"),
-    ("perturbation", dict(onset=False), "onset must be a finite number, got False"),
-    ("perturbation", dict(flagged="false"), "flagged must be a bool, got 'false'"),
-    ("perturbation", dict(flagged=0.0), "flagged must be a bool, got 0.0"),
-    ("perturbation", dict(flagged=None), "flagged must be a bool, got None"),
-    ("perturbation", dict(flagged=1), "flagged must be a bool, got 1"),
+    ("perturbation", dict(bias=5.0), "perturbation bias must be a pair of finite numbers, "
+                                     "got 5.0"),
+    ("perturbation", dict(bias=(math.nan, 0.0)), "perturbation bias must be a pair of finite "
+                                                  "numbers, got (nan, 0.0)"),
+    ("perturbation", dict(bias=(1.0,)), "perturbation bias must be a pair of finite numbers, "
+                                        "got (1.0,)"),
+    ("perturbation", dict(random_walk_sigma=math.inf), "perturbation random_walk_sigma must be "
+                                                        "a finite number, got inf"),
+    ("perturbation", dict(start=np.nan), "perturbation start must be a finite number, got nan"),
+    ("perturbation", dict(onset=False), "perturbation onset must be a finite number, got False"),
+    ("perturbation", dict(flagged="false"), "perturbation flagged must be a bool, got 'false'"),
+    ("perturbation", dict(flagged=0.0), "perturbation flagged must be a bool, got 0.0"),
+    ("perturbation", dict(flagged=None), "perturbation flagged must be a bool, got None"),
+    ("perturbation", dict(flagged=1), "perturbation flagged must be a bool, got 1"),
 ])
 def test_config_refuses_a_value_that_is_no_finite_number_in_range(field, value, message):
     # Each would run into a non-finite stream or a failure deep inside the simulator.
